@@ -21,10 +21,7 @@ from .families import (
     FamilyParams,
     HashFunction,
     ProbeSequence,
-    bucket_of,
     hash_batch,
-    hash_point,
-    multi_probe_codes,
     probe_sequence,
     sample_hash_function,
 )
@@ -78,7 +75,6 @@ __all__ = [
     "UnitPoint",
     "adaptive_multiprobe",
     "brute_force_range",
-    "bucket_of",
     "build_index",
     "calibrate",
     "compute_k",
@@ -90,10 +86,8 @@ __all__ = [
     "fixed_level_query",
     "generate_planted_instance",
     "hash_batch",
-    "hash_point",
     "load_index",
     "map_query",
-    "multi_probe_codes",
     "normalize_dataset",
     "probe_sequence",
     "reps",

@@ -315,7 +315,8 @@ def _run_one(
 ) -> QueryReport:
     if mode == "brute":
         return brute_force_range(dataset, q.coords, config.radius)
-    assert index is not None
+    if index is None:
+        raise ValueError(f"mode {mode!r} needs an index")
     if mode == "adaptive":
         return adaptive_multiprobe(index, q.coords, config.radius)
     if mode == "single":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -239,7 +239,8 @@ class FamilyCalibration:
     probe_success[k-1, j-1] is the probability that a point at distance r
     from the query appears among the first j tuples of the query's k-slot
     multi-probe enumeration. The table is non-decreasing along j and
-    non-increasing along k by construction.
+    non-increasing along k by construction. Its width is the probe budget of
+    every query on an index built from it; nothing widens it later.
     """
 
     params: FamilyParams
@@ -254,7 +255,6 @@ class FamilyCalibration:
     seed: int
     p1_std_error: float = 0.0
     p2_std_error: float = 0.0
-    _extensions: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         table = np.asarray(self.probe_success, dtype=np.float64)
@@ -293,42 +293,17 @@ class FamilyCalibration:
         return float(self.probe_success[k - 1, j - 1])
 
     def ensure_probes(self, j: int) -> "FamilyCalibration":
-        """A calibration whose table covers at least `j` probes.
+        """This calibration, if its table covers `j` probes; never re-estimates.
 
-        Columns are re-estimated with the original seed and trial layout, so
-        existing columns come back bit for bit and only new ones appear.
-        Extensions are cached on this instance and grow geometrically.
+        The table width is fixed when the family is calibrated, so a probe
+        count past it is an error rather than a reason to sample more.
         """
-        if j <= self.max_probes:
-            return self
-        for width in sorted(self._extensions):
-            if width >= j:
-                return self._extensions[width]
-        target = self.max_probes
-        while target < j:
-            target *= 2
-        table, se = _estimate_probe_success(
-            self.params, self.r, self.levels, target, self.trials, self.seed
-        )
-        assert np.array_equal(table[:, : self.max_probes], self.probe_success), (
-            "re-estimated table no longer matches its own prefix"
-        )
-        ext = FamilyCalibration(
-            params=self.params,
-            r=self.r,
-            c=self.c,
-            p1=self.p1,
-            p2=self.p2,
-            rho=self.rho,
-            probe_success=table,
-            probe_success_se=se,
-            trials=self.trials,
-            seed=self.seed,
-            p1_std_error=self.p1_std_error,
-            p2_std_error=self.p2_std_error,
-        )
-        self._extensions[target] = ext
-        return ext
+        if not 1 <= j <= self.max_probes:
+            raise ValueError(
+                f"probe count {j} outside the calibrated range 1..{self.max_probes}; "
+                "re-calibrate with a larger max_probes"
+            )
+        return self
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,6 +18,7 @@ import numpy as np
 from .bench import (
     BenchConfig,
     build_for_config,
+    load_vectors,
     run_benchmark,
     scaling_trend,
     write_report,
@@ -53,8 +54,10 @@ def _json_errors(fn):
     return wrapper
 
 
-def _parse_synth(spec: str) -> dict:
-    """Parse 'synth:n=10000,d=32[,t=5]' into integer fields."""
+def _parse_synth(spec: str) -> dict | None:
+    """Parse 'synth:n=10000,d=32[,t=5]' into integer fields; None for a file path."""
+    if not spec.startswith("synth:"):
+        return None
     body = spec[len("synth:") :]
     out = {}
     for part in body.split(","):
@@ -121,14 +124,15 @@ def build(
     max_probes, seed, cache_dir, output, rebuildable,
 ):
     """Build an index file from a dataset."""
+    synth = _parse_synth(input_)
     config = BenchConfig(
         radius=radius,
         approx_c=approx_c,
         seed=seed,
-        input_path=None if input_.startswith("synth:") else input_,
+        input_path=None if synth else input_,
         input_format=fmt,
-        synthetic_n=_parse_synth(input_)["n"] if input_.startswith("synth:") else None,
-        synthetic_d=_parse_synth(input_)["d"] if input_.startswith("synth:") else None,
+        synthetic_n=synth["n"] if synth else None,
+        synthetic_d=synth["d"] if synth else None,
         space_budget=budget,
         family_kind=_FAMILY_CHOICES[family],
         cap_count=cap_count,
@@ -137,15 +141,11 @@ def build(
         cache_dir=cache_dir,
         num_queries=1,
     )
-    if input_.startswith("synth:"):
-        spec = _parse_synth(input_)
-        inst = generate_planted_instance(
-            n=spec["n"], d=spec["d"], r=radius, t=spec.get("t", 0), seed=seed
-        )
-        dataset = inst.dataset
+    if synth:
+        dataset = generate_planted_instance(
+            n=synth["n"], d=synth["d"], r=radius, t=synth.get("t", 0), seed=seed
+        ).dataset
     else:
-        from .bench import load_vectors
-
         dataset = normalize_dataset(load_vectors(input_, fmt))
     index = build_for_config(config, dataset)
     index.save(output, include_codes=not rebuildable)
@@ -231,7 +231,7 @@ def bench(
     cap_count, trials, max_probes, seed, fixed_k, fixed_j, cache_dir, output,
 ):
     """Run a benchmark sweep and print aggregate statistics."""
-    synth = _parse_synth(input_) if input_.startswith("synth:") else None
+    synth = _parse_synth(input_)
     config = BenchConfig(
         radius=radius,
         approx_c=approx_c,

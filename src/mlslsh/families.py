@@ -175,28 +175,6 @@ def hash_batch(h: HashFunction, rows: np.ndarray) -> np.ndarray:
     return _codes_from_scores(h, _scores_batch(h, rows))
 
 
-def bucket_of(h: HashFunction, vec: np.ndarray) -> int:
-    """Bucket of a single vector of any positive scale.
-
-    Cross-polytope assignment is invariant under positive scaling; cap
-    assignment needs a unit vector, so the input is normalized first.
-    """
-    vec = np.asarray(vec, dtype=np.float64)
-    if h.params.kind == "spherical_cap":
-        norm = np.linalg.norm(vec)
-        if norm < 1e-12:
-            raise ValueError("cannot hash a zero vector")
-        vec = vec / norm
-    return int(hash_batch(h, vec[None, :])[0])
-
-
-def hash_point(h: HashFunction, x: UnitPoint) -> int:
-    """Bucket id of a unit point under one hash function."""
-    if x.dim != h.params.dim:
-        raise ValueError(f"point dimension {x.dim} does not match family dimension {h.params.dim}")
-    return int(hash_batch(h, x.coords[None, :])[0])
-
-
 @dataclass(frozen=True)
 class ProbeSequence:
     """Buckets of one hash function ranked best-first for one query.
@@ -308,13 +286,3 @@ class CodeEnumerator:
                 return i + 1
             i += 1
         return None
-
-
-def multi_probe_codes(
-    fns: Sequence[HashFunction], q: UnitPoint | np.ndarray, j_max: int
-) -> list[tuple[int, ...]]:
-    """First `j_max` bucket-id tuples for `q` across the given slots, best first."""
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
-    seqs = [probe_sequence(h, q) for h in fns]
-    return CodeEnumerator(seqs).first(j_max)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,16 +42,13 @@ class Dataset:
 
     `centroid` is the mean of the original vectors. Queries coming from the
     same raw space must be centered with it (see `map_query`) before touching
-    any structure built on this dataset. `raw` keeps the original vectors when
-    the dataset was produced by `normalize_dataset`; synthetic instances are
-    born on the sphere and carry no raw copy. Points whose centered norm fell
+    any structure built on this dataset. Points whose centered norm fell
     below `DEGENERATE_NORM` were pinned to the canonical unit vector
     (1, 0, ..., 0) and are listed in `degenerate_ids`.
     """
 
     matrix: np.ndarray
     centroid: np.ndarray
-    raw: np.ndarray | None = None
     degenerate_ids: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -83,14 +80,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
-    def point(self, i: int) -> UnitPoint:
-        if not 0 <= i < self.size:
-            raise IndexError(f"point index {i} out of range for {self.size} points")
-        return UnitPoint(self.matrix[i], id=i)
-
-    def __iter__(self) -> Iterator[UnitPoint]:
-        return (self.point(i) for i in range(self.size))
-
 
 def distance(x: UnitPoint, y: UnitPoint) -> float:
     """Euclidean distance between two points of equal dimension."""
@@ -108,7 +97,7 @@ def range_ids(matrix: np.ndarray, coords: np.ndarray, radius: float) -> np.ndarr
 
 def _as_matrix(raw: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     if isinstance(raw, np.ndarray):
-        arr = raw.astype(np.float64, copy=True)
+        arr = np.asarray(raw, dtype=np.float64)
     else:
         rows = [np.asarray(v, dtype=np.float64) for v in raw]
         if not rows:
@@ -150,12 +139,7 @@ def normalize_dataset(raw: Sequence[Sequence[float]] | np.ndarray) -> Dataset:
     arr = _as_matrix(raw)
     centroid = arr.mean(axis=0)
     unit, degenerate = _center_and_project(arr, centroid)
-    return Dataset(
-        unit,
-        centroid,
-        raw=arr,
-        degenerate_ids=tuple(int(i) for i in degenerate),
-    )
+    return Dataset(unit, centroid, degenerate_ids=tuple(int(i) for i in degenerate))
 
 
 def map_query(dataset: Dataset, raw: Sequence[float] | np.ndarray, id: int = 0) -> UnitPoint:

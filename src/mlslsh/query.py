@@ -3,8 +3,10 @@
 A query setting is a pair (k, j): consult level k and probe j code tuples
 per repetition. The scheduler walks settings in order of increasing cost
 estimate j * reps(k, j), measures the true candidate work of each, and stops
-as soon as no unexamined setting could beat the best work seen. A brute-force
-scan is the standing fallback, so the reported work never exceeds n.
+as soon as no unexamined setting could beat the best work seen. Probe counts
+never pass the calibrated table width, so a query never re-estimates the
+table and its work is bounded before it starts. A brute-force scan is the
+standing fallback, so the reported work never exceeds n.
 """
 
 from __future__ import annotations
@@ -153,20 +155,20 @@ def cost(k: int, j: int, calibration, rep_cap: int) -> float:
     return float(j * _reps_clamped(calibration, k, j, rep_cap))
 
 
+def _setting_work(index: MultiLevelIndex, cache: _ProbeCache, k: int, j: int) -> float:
+    """True candidate work of setting (k, j): per consulted repetition, one
+    unit per probe plus the size of each probed bucket."""
+    r_count = _reps_clamped(index.params.calibration, k, j, index.num_repetitions)
+    return sum(cache.level(rep, k).work(j) for rep in range(r_count))
+
+
 def work_estimate(
     index: MultiLevelIndex, q: np.ndarray, k: int, j: int, cache: _ProbeCache | None = None
 ) -> float:
-    """True candidate work of setting (k, j): per consulted repetition, one
-    unit per probe plus the size of each probed bucket."""
-    cal = index.params.calibration.ensure_probes(j)
-    r_count = _reps_clamped(cal, k, j, index.num_repetitions)
-    if cache is None:
-        cache = _ProbeCache(index, q)
-    total = 0.0
-    for rep in range(r_count):
-        lp = cache.level(rep, k)
-        total += lp.work(j)
-    return total
+    """True candidate work of setting (k, j); j must lie within the calibrated
+    probe budget."""
+    index.params.calibration.ensure_probes(j)
+    return _setting_work(index, cache or _ProbeCache(index, q), k, j)
 
 
 def _check_query(index_dim: int, q: np.ndarray, radius: float) -> np.ndarray:
@@ -195,9 +197,8 @@ def _scan_candidates(
 
 
 def _brute_report(
-    index_or_ds, q: np.ndarray, radius: float, mode: str, examined: tuple, t0: float
+    matrix: np.ndarray, q: np.ndarray, radius: float, mode: str, examined: tuple, t0: float
 ) -> QueryReport:
-    matrix = index_or_ds.dataset.matrix if hasattr(index_or_ds, "dataset") else index_or_ds.matrix
     n = matrix.shape[0]
     diff = matrix - q[None, :]
     dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -222,7 +223,6 @@ def _finish(
     q: np.ndarray,
     radius: float,
     cache: _ProbeCache,
-    calibration,
     k_best: int,
     j_best: int,
     w_best: float,
@@ -231,8 +231,8 @@ def _finish(
     t0: float,
 ) -> QueryReport:
     if k_best == 0:
-        return _brute_report(index, q, radius, mode, tuple(examined), t0)
-    r_count = _reps_clamped(calibration, k_best, j_best, index.num_repetitions)
+        return _brute_report(index.dataset.matrix, q, radius, mode, tuple(examined), t0)
+    r_count = _reps_clamped(index.params.calibration, k_best, j_best, index.num_repetitions)
     parts = []
     buckets = 0
     for rep in range(r_count):
@@ -280,31 +280,25 @@ def _schedule(
     visited: set[tuple[int, int]] = set()
 
     def push(k: int, j: int) -> None:
-        nonlocal cal
-        cal = cal.ensure_probes(j)
         heapq.heappush(heap, (cost(k, j, cal, R), k, j))
         visited.add((k, j))
 
     push(1, 1)
     while heap and heap[0][0] < w_best:
         c, k, j = heapq.heappop(heap)
-        w = 0.0
-        for rep in range(_reps_clamped(cal, k, j, R)):
-            w += cache.level(rep, k).work(j)
+        w = _setting_work(index, cache, k, j)
         examined.append(ExaminedSetting(k, j, c, w))
         if w < w_best:
             w_best, k_best, j_best = w, k, j
         if j == 1 and k < K and (k + 1, 1) not in visited:
             push(k + 1, 1)
         # any setting with j' probes costs at least j', so successors past
-        # the current best work can never be examined and need not be queued
-        if multi_probe and (k, j + 1) not in visited and j + 1 < w_best:
+        # the current best work can never be examined and need not be queued;
+        # the probe budget ends where the calibrated table does
+        if multi_probe and j < cal.max_probes and (k, j + 1) not in visited and j + 1 < w_best:
             push(k, j + 1)
 
-    assert len(examined) == len({(e.level, e.probes) for e in examined})
-    return _finish(
-        index, q, radius, cache, cal, k_best, j_best, w_best, examined, mode, t0
-    )
+    return _finish(index, q, radius, cache, k_best, j_best, w_best, examined, mode, t0)
 
 
 def adaptive_multiprobe(
@@ -341,13 +335,11 @@ def fixed_level_query(
     q = _check_query(index.dataset.dim, q, radius)
     if not 1 <= k <= index.levels:
         raise ValueError(f"level {k} outside 1..{index.levels}")
-    if j < 1:
-        raise ValueError(f"probe count must be positive, got {j}")
-    cal = cal.ensure_probes(j)
+    cal.ensure_probes(j)
     cache = _ProbeCache(index, q)
-    w = work_estimate(index, q, k, j, cache)
+    w = _setting_work(index, cache, k, j)
     examined = [ExaminedSetting(k, j, cost(k, j, cal, index.num_repetitions), w)]
-    return _finish(index, q, radius, cache, cal, k, j, w, examined, "fixed", t0)
+    return _finish(index, q, radius, cache, k, j, w, examined, "fixed", t0)
 
 
 def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryReport:
@@ -358,4 +350,4 @@ def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryRe
         raise ValueError(f"query has shape {q.shape}, expected ({dataset.dim},)")
     if radius < 0.0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    return _brute_report(dataset, q, radius, "brute", (), t0)
+    return _brute_report(dataset.matrix, q, radius, "brute", (), t0)

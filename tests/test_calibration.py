@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -18,7 +19,6 @@ from mlslsh.calibration import (
 )
 from mlslsh.families import (
     FamilyParams,
-    bucket_of,
     derived_rng,
     derived_seed,
     hash_batch,
@@ -198,17 +198,18 @@ def test_probe_probability_bounds(small_calibration):
         cal.probe_probability(1, 9)
 
 
-def test_ensure_probes_extends_bit_identically(small_calibration):
+def test_ensure_probes_checks_the_calibrated_width(small_calibration, no_reestimation):
+    # the table width is fixed at calibration: a probe count past it fails at
+    # once instead of re-running the Monte-Carlo estimate
     cal = small_calibration
-    assert cal.ensure_probes(5) is cal
-    ext = cal.ensure_probes(11)
-    assert ext.max_probes == 16
-    assert np.array_equal(ext.probe_success[:, :8], cal.probe_success)
-    assert np.all(np.diff(ext.probe_success, axis=1) >= 0.0)
-    assert np.all(np.diff(ext.probe_success, axis=0) <= 0.0)
-    # cached: asking again returns the same object
-    assert cal.ensure_probes(11) is ext
-    assert cal.ensure_probes(16) is ext
+    for j in (1, 5, 8):
+        assert cal.ensure_probes(j) is cal
+    for j in (0, 9, 200):
+        with pytest.raises(ValueError, match=r"1\.\.8.*larger max_probes"):
+            cal.ensure_probes(j)
+    # nothing on the calibration can grow after it is made
+    for f in dataclasses.fields(cal):
+        assert not isinstance(getattr(cal, f.name), (dict, list, set))
 
 
 def test_calibration_json_round_trip(small_calibration):

@@ -63,6 +63,26 @@ def test_build_and_query_round_trip(tmp_path):
     assert "wall_time" in json.loads(fixed.output)
 
 
+def test_fixed_probes_past_the_table_report_json_error(tmp_path, request):
+    idx_path = str(tmp_path / "demo.idx")
+    built = run_cli(
+        ["build", "--input", "synth:n=200,d=8", "--radius", "0.4",
+         "--cache-dir", str(tmp_path / "cache"), "--output", idx_path] + COMMON
+    )
+    assert built.exit_code == 0, built.output
+    request.getfixturevalue("no_reestimation")  # the build itself calibrates
+    vec = ",".join(str(v) for v in np.arange(1.0, 9.0))
+    result = make_runner().invoke(
+        main,
+        ["query", "--index", idx_path, "--vector", vec, "--mode", "fixed",
+         "--fixed-k", "1", "--fixed-j", "9"],
+    )
+    assert result.exit_code == 1
+    err = json.loads(_stderr_of(result))
+    assert err["error"]["type"] == "ValueError"
+    assert "1..8" in err["error"]["message"]
+
+
 def test_build_rebuildable_flag(tmp_path):
     full = str(tmp_path / "full.idx")
     slim = str(tmp_path / "slim.idx")

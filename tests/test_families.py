@@ -7,22 +7,26 @@ from mlslsh.families import (
     CodeEnumerator,
     FamilyParams,
     HashFunction,
-    bucket_of,
     default_cap_threshold,
     derived_rng,
     derived_seed,
     hash_batch,
-    hash_point,
-    multi_probe_codes,
     probe_sequence,
     sample_hash_function,
 )
-from mlslsh.geometry import UnitPoint
 
 
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
+
+
+def own_bucket(fn, q):
+    return int(hash_batch(fn, q[None, :])[0])
+
+
+def first_codes(fns, q, j):
+    return CodeEnumerator([probe_sequence(fn, q) for fn in fns]).first(j)
 
 
 def test_derived_seed_is_deterministic_and_distinct():
@@ -89,7 +93,7 @@ def test_cap_hash_of_own_direction_is_that_cap():
     fn = sample_hash_function(params, 5)
     # a direction scores 1.0 against itself, which clears any valid threshold,
     # and no earlier cap is that well aligned for these seeds
-    assert bucket_of(fn, fn.directions[0]) == 0
+    assert own_bucket(fn, fn.directions[0]) == 0
 
 
 def test_cross_polytope_identity_rotation_examples():
@@ -102,7 +106,7 @@ def test_cross_polytope_identity_rotation_examples():
         ([0.0, 1.0, 0.0, 0.0], 2),
     ]
     for v, expected in cases:
-        assert bucket_of(fn, unit(v)) == expected
+        assert own_bucket(fn, unit(v)) == expected
 
 
 def test_cross_polytope_hash_matches_direct_recount():
@@ -123,21 +127,23 @@ def test_cross_polytope_hash_matches_direct_recount():
 
 
 def test_bucket_is_scale_invariant():
-    for kind in ("spherical_cap", "cross_polytope"):
-        params = FamilyParams(kind=kind, dim=6, cap_count=12)
-        fn = sample_hash_function(params, 3)
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            v = unit(rng.normal(size=6))
-            assert bucket_of(fn, v) == bucket_of(fn, 3.7 * v)
+    # cross-polytope buckets depend only on direction; cap buckets compare
+    # against a fixed threshold and are defined for unit rows only
+    params = FamilyParams(kind="cross_polytope", dim=6)
+    fn = sample_hash_function(params, 3)
+    rng = np.random.default_rng(14)
+    rows = rng.normal(size=(50, 6))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    assert np.array_equal(hash_batch(fn, rows), hash_batch(fn, 3.7 * rows))
 
 
-def test_hash_point_checks_dimension():
+def test_hash_batch_checks_dimension():
     params = FamilyParams(kind="cross_polytope", dim=4)
     fn = sample_hash_function(params, 0)
-    p = UnitPoint(unit([1.0, 2.0, 3.0]), id=0)
     with pytest.raises(ValueError):
-        hash_point(fn, p)
+        hash_batch(fn, unit([1.0, 2.0, 3.0])[None, :])
+    with pytest.raises(ValueError):
+        hash_batch(fn, unit([1.0, 2.0, 3.0, 4.0]))
 
 
 def _recount_order(fn, q):
@@ -153,7 +159,7 @@ def _recount_order(fn, q):
         scores = []
         for axis in range(params.dim):
             scores.extend((proj[axis], -proj[axis]))
-    own = bucket_of(fn, q)
+    own = own_bucket(fn, q)
     rest = sorted(
         (b for b in range(len(scores)) if b != own),
         key=lambda b: (-scores[b], b),
@@ -196,8 +202,8 @@ def test_enumerator_first_code_is_own_buckets():
     params = FamilyParams(kind="cross_polytope", dim=8)
     fns = [sample_hash_function(params, s) for s in range(3)]
     q = unit(np.arange(1.0, 9.0))
-    codes = multi_probe_codes(fns, q, 6)
-    assert codes[0] == tuple(bucket_of(fn, q) for fn in fns)
+    codes = first_codes(fns, q, 6)
+    assert codes[0] == tuple(own_bucket(fn, q) for fn in fns)
     assert len(codes) == len(set(codes)) == 6
 
 
@@ -205,9 +211,9 @@ def test_enumerator_prefix_property():
     params = FamilyParams(kind="spherical_cap", dim=6, cap_count=12)
     fns = [sample_hash_function(params, s) for s in range(2)]
     q = unit(np.array([0.3, -1.2, 0.5, 0.9, -0.4, 0.1]))
-    long = multi_probe_codes(fns, q, 20)
+    long = first_codes(fns, q, 20)
     for j in (1, 3, 7, 12):
-        assert multi_probe_codes(fns, q, j) == long[:j]
+        assert first_codes(fns, q, j) == long[:j]
 
 
 def test_enumerator_priorities_are_optimal():
@@ -224,7 +230,7 @@ def test_enumerator_priorities_are_optimal():
             grid.append((prio, (int(b1), int(b2))))
     grid.sort()
     expected = [code for _, code in grid]
-    got = multi_probe_codes(fns, q, len(grid))
+    got = first_codes(fns, q, len(grid))
     assert got == expected
 
 
@@ -232,7 +238,7 @@ def test_enumerator_exhausts_small_universe():
     params = FamilyParams(kind="cross_polytope", dim=2)  # four buckets
     fns = [sample_hash_function(params, s) for s in (1, 2)]
     q = unit(np.array([0.6, 0.8]))
-    codes = multi_probe_codes(fns, q, 50)
+    codes = first_codes(fns, q, 50)
     assert len(codes) == 16
     assert len(set(codes)) == 16
 

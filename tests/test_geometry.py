@@ -76,7 +76,6 @@ def test_normalize_rows_are_unit():
     ds = normalize_dataset(raw)
     assert np.allclose(np.linalg.norm(ds.matrix, axis=1), 1.0, atol=1e-12)
     assert ds.size == 50 and ds.dim == 9
-    assert ds.raw is not None and np.array_equal(ds.raw, raw)
 
 
 def test_map_query_matches_training_row():
@@ -163,14 +162,14 @@ def test_planted_instance_validation():
 
 
 def test_dataset_point_accessors():
+    # points are the rows of the matrix; there is no per-point wrapper
     ds = normalize_dataset(np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 3.0]]))
-    p = ds.point(1)
-    assert isinstance(p, UnitPoint) and p.id == 1
-    assert np.array_equal(p.coords, ds.matrix[1])
-    assert len(ds) == 3
-    assert [pt.id for pt in ds] == [0, 1, 2]
-    with pytest.raises(IndexError):
-        ds.point(3)
+    assert len(ds) == ds.size == 3 and ds.dim == 2
+    assert np.allclose(np.linalg.norm(ds.matrix, axis=1), 1.0, atol=1e-12)
+    # centering on the mean (1, 5/3) keeps each row's direction from it
+    expected = np.array([[1.0, -5.0 / 3.0], [-1.0, 1.0 / 3.0], [0.0, 4.0 / 3.0]])
+    expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+    assert np.allclose(ds.matrix, expected, atol=1e-12)
 
 
 def test_dataset_requires_unit_rows():

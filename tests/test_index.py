@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlslsh.calibration import CalibrationError, FamilyCalibration
-from mlslsh.families import FamilyParams, bucket_of, hash_batch
+from mlslsh.families import FamilyParams, hash_batch
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
     BuildParams,
@@ -260,7 +260,6 @@ def test_save_load_round_trip(tmp_path, built):
     assert loaded.num_repetitions == index.num_repetitions
     assert np.array_equal(loaded.dataset.matrix, index.dataset.matrix)
     assert np.array_equal(loaded.dataset.centroid, index.dataset.centroid)
-    assert loaded.dataset.raw is None  # raw inputs are never persisted
     for a, b in zip(index.repetitions, loaded.repetitions):
         assert np.array_equal(a.sorted_codes, b.sorted_codes)
         assert np.array_equal(a.order, b.order)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlslsh.calibration import FamilyCalibration
-from mlslsh.families import FamilyParams, multi_probe_codes
+from mlslsh.families import CodeEnumerator, FamilyParams, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
 from mlslsh.index import build_index, compute_k, compute_numreps, reps
 from mlslsh.query import (
@@ -71,7 +71,8 @@ def test_work_estimate_matches_independent_recount(small_index):
         expected = 0
         for rep in index.repetitions[:r_count]:
             codes = rep.codes_in_input_order()
-            probes = multi_probe_codes(list(rep.functions[:k]), q, j)
+            seqs = [probe_sequence(fn, q) for fn in rep.functions[:k]]
+            probes = CodeEnumerator(seqs).first(j)
             for code in probes:
                 members = sum(
                     1
@@ -176,6 +177,30 @@ def test_fixed_level_query_work_matches_estimate(small_index):
         fixed_level_query(index, q, 0.4, k=index.levels + 1, j=1)
     with pytest.raises(ValueError):
         fixed_level_query(index, q, 0.4, k=1, j=0)
+
+
+def test_probe_counts_past_the_table_fail_at_once(small_index, no_reestimation):
+    inst, index = small_index
+    q = inst.queries[1].coords
+    width = index.params.calibration.max_probes
+    assert work_estimate(index, q, 1, width) > 0.0
+    with pytest.raises(ValueError, match="larger max_probes"):
+        fixed_level_query(index, q, 0.4, k=1, j=width + 1)
+    with pytest.raises(ValueError, match="larger max_probes"):
+        work_estimate(index, q, 1, width + 1)
+
+
+def test_adaptive_never_probes_past_a_narrow_table(no_reestimation):
+    # with only two calibrated probe counts the scheduler would otherwise
+    # queue (k, 3) and beyond on this index
+    params = FamilyParams(kind="cross_polytope", dim=12)
+    cal = toy_calibration(params, max_probes=2)
+    inst = generate_planted_instance(n=400, d=12, r=0.4, t=5, seed=31, num_queries=5)
+    index = build_index(inst.dataset, cal, seed=3)
+    for q in inst.queries:
+        rep = adaptive_multiprobe(index, q.coords, 0.4)
+        assert max(e.probes for e in rep.examined) <= 2
+        assert 0 <= rep.j_best <= 2
 
 
 def test_default_radius_is_the_calibrated_one(small_index):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import FamilyCalibration, calibrate, edge_probabilities
+from .calibration import CollisionEstimate, FamilyCalibration, calibrate, edge_probabilities
 from .families import FamilyParams
 from .geometry import (
     Dataset,
@@ -234,11 +234,14 @@ def calibrate_cached(
     trials: int,
     seed: int,
     cache_dir: str | None = None,
+    edges: tuple[CollisionEstimate, CollisionEstimate, float] | None = None,
 ) -> FamilyCalibration:
     """Calibrate with an on-disk cache keyed by every input.
 
     Cache hits skip the Monte-Carlo run entirely; a corrupt or unreadable
-    cache entry falls back to recomputation and is rewritten.
+    cache entry falls back to recomputation and is rewritten. `edges`, the
+    caller's edge_probabilities result for the same inputs, spares a
+    recomputation from measuring it again.
     """
     cache_dir = cache_dir or default_cache_dir()
     key_doc = {
@@ -260,7 +263,7 @@ def calibrate_cached(
                 return FamilyCalibration.from_json_dict(json.load(f))
         except (ValueError, KeyError, OSError, json.JSONDecodeError):
             pass
-    cal = calibrate(params, r, c, levels, max_probes, trials, seed)
+    cal = calibrate(params, r, c, levels, max_probes, trials, seed, edges)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
@@ -274,33 +277,32 @@ def calibrate_cached(
     return cal
 
 
-def _family_for(config: BenchConfig, dim: int) -> FamilyParams:
-    return FamilyParams(
-        kind=config.family_kind, dim=dim, cap_count=config.cap_count
-    )
+def _calibrate_for_size(config: BenchConfig, dim: int, n: int) -> FamilyCalibration:
+    """Calibrate the configured family in `dim` dimensions as deep as n points need.
 
-
-def build_for_config(config: BenchConfig, dataset: Dataset) -> MultiLevelIndex:
-    """Measure the edge probabilities, size the depth, calibrate, and build.
-
-    The quick pre-pass shares its random substreams with the full calibration,
-    so the depth it derives matches what the cached calibration would give.
+    The edge probabilities size the depth and then go into the calibration,
+    so a set-up measures them once.
     """
-    params = _family_for(config, dataset.dim)
-    _, _, p2 = edge_probabilities(
+    params = FamilyParams(kind=config.family_kind, dim=dim, cap_count=config.cap_count)
+    edges = edge_probabilities(
         params, config.radius, config.approx_c, config.trials, config.seed
     )
-    K = compute_k(dataset.size, p2)
-    cal = calibrate_cached(
+    return calibrate_cached(
         params,
         config.radius,
         config.approx_c,
-        levels=K,
+        levels=compute_k(n, edges[2]),
         max_probes=config.max_probes,
         trials=config.trials,
         seed=config.seed,
         cache_dir=config.cache_dir,
+        edges=edges,
     )
+
+
+def build_for_config(config: BenchConfig, dataset: Dataset) -> MultiLevelIndex:
+    """Measure the edge probabilities, size the depth, calibrate, and build."""
+    cal = _calibrate_for_size(config, dataset.dim, dataset.size)
     return build_index(
         dataset, cal, space_budget=config.space_budget, seed=config.seed
     )
@@ -480,21 +482,7 @@ def scaling_trend(sizes: list[int], config: BenchConfig) -> TrendReport:
 
     cal = None
     if mode != "brute":
-        params = _family_for(config, config.synthetic_d)
-        _, _, p2 = edge_probabilities(
-            params, config.radius, config.approx_c, config.trials, config.seed
-        )
-        k_max = compute_k(max(sizes), p2)
-        cal = calibrate_cached(
-            params,
-            config.radius,
-            config.approx_c,
-            levels=k_max,
-            max_probes=config.max_probes,
-            trials=config.trials,
-            seed=config.seed,
-            cache_dir=config.cache_dir,
-        )
+        cal = _calibrate_for_size(config, config.synthetic_d, max(sizes))
 
     mean_work = []
     mean_reported = []

@@ -22,10 +22,11 @@ from .families import (
     CodeEnumerator,
     FamilyParams,
     ProbeSequence,
-    _rank_rows,
     derived_rng,
     derived_seed,
     hash_batch,
+    project,
+    rank_projections,
     sample_hash_function,
 )
 from .geometry import uniform_unit_vectors, unit_vectors_orthogonal_to
@@ -198,7 +199,7 @@ def _estimate_probe_success(
         rows = np.arange(m)
         for s, fn in enumerate(fns):
             data_codes[:, s] = hash_batch(fn, data)
-            o, d, _ = _rank_rows(fn, query)
+            o, d, _ = rank_projections(params, project(fn, query))
             inv = np.empty_like(o)
             inv[rows[:, None], o] = np.arange(o.shape[1])[None, :]
             ranks[:, s] = inv[rows, data_codes[:, s]]
@@ -378,11 +379,14 @@ def calibrate(
     max_probes: int,
     trials: int,
     seed: int,
+    edges: tuple[CollisionEstimate, CollisionEstimate, float] | None = None,
 ) -> FamilyCalibration:
     """Measure p1, p2, rho, and the probe-success table for one family.
 
     Deterministic for a fixed seed; the far probability is clamped away from
-    zero (with a warning) and an inseparable pair of radii raises.
+    zero (with a warning) and an inseparable pair of radii raises. A caller
+    that already ran edge_probabilities(params, r, c, trials, seed) passes
+    its result as `edges`, which is then used instead of measuring again.
     """
     if not 0.0 < r < 2.0:
         raise ValueError(f"radius must lie in (0, 2), got {r}")
@@ -397,7 +401,7 @@ def calibrate(
         raise ValueError(f"need at least one level, got {levels}")
     if max_probes < 1:
         raise ValueError(f"need at least one probe, got {max_probes}")
-    near, far, p2 = edge_probabilities(params, r, c, trials, seed)
+    near, far, p2 = edges or edge_probabilities(params, r, c, trials, seed)
     table, se_table = _estimate_probe_success(params, r, levels, max_probes, trials, seed)
     _check_edge_consistency(table, se_table, near, levels)
     return FamilyCalibration(

@@ -87,6 +87,11 @@ class FamilyParams:
         return 2 * self.dim
 
     @property
+    def direction_count(self) -> int:
+        """Rows of a hash function's `directions`: one per cap, or dim for a rotation."""
+        return self.cap_count if self.kind == "spherical_cap" else self.dim
+
+    @property
     def overflow_bucket(self) -> int | None:
         return self.cap_count if self.kind == "spherical_cap" else None
 
@@ -115,7 +120,8 @@ class HashFunction:
     """One sampled bucket assignment, fully determined by (params, seed).
 
     `directions` holds unit cap directions (cap_count, dim) for the cap
-    family and an orthogonal rotation (dim, dim) for cross-polytope.
+    family and an orthogonal rotation (dim, dim) for cross-polytope. In a
+    built index it is a read-only view into the index's direction block.
     """
 
     params: FamilyParams
@@ -143,36 +149,33 @@ def sample_hash_function(params: FamilyParams, seed: int) -> HashFunction:
     return HashFunction(params, seed, dirs)
 
 
-def _scores_batch(h: HashFunction, rows: np.ndarray) -> np.ndarray:
-    """Per-bucket affinity scores, shape (m, universe); higher means closer.
-
-    For the cap family the overflow bucket scores one unit below each row's
-    worst cap so it always ranks last among that row's buckets.
-    """
+def project(h: HashFunction, rows: np.ndarray) -> np.ndarray:
+    """Dot products of unit-norm rows with the directions of `h`, shape (m, directions)."""
     if rows.ndim != 2 or rows.shape[1] != h.params.dim:
         raise ValueError(f"rows have shape {rows.shape}, expected (m, {h.params.dim})")
-    proj = rows @ h.directions.T
-    if h.params.kind == "spherical_cap":
-        overflow = proj.min(axis=1, keepdims=True) - 1.0
-        return np.hstack([proj, overflow])
-    out = np.empty((rows.shape[0], 2 * h.params.dim))
-    out[:, 0::2] = proj
-    out[:, 1::2] = -proj
-    return out
+    return rows @ h.directions.T
 
 
-def _codes_from_scores(h: HashFunction, scores: np.ndarray) -> np.ndarray:
-    if h.params.kind == "spherical_cap":
-        caps = scores[:, : h.params.cap_count]
-        clearing = caps >= h.params.threshold
+def bucket_codes(params: FamilyParams, proj: np.ndarray) -> np.ndarray:
+    """Bucket ids from projections, one per row, dtype int32.
+
+    Cross-polytope takes the nearest signed axis, 2 * argmax|proj| plus one
+    on the negative side: the first axis wins a tie and a zero (of either
+    sign) counts as positive, exactly as an argmax over the interleaved
+    scores (proj_0, -proj_0, proj_1, -proj_1, ...) would pick.
+    """
+    if params.kind == "spherical_cap":
+        clearing = proj >= params.threshold
         first = clearing.argmax(axis=1)
-        return np.where(clearing.any(axis=1), first, h.params.cap_count).astype(np.int32)
-    return scores.argmax(axis=1).astype(np.int32)
+        return np.where(clearing.any(axis=1), first, params.cap_count).astype(np.int32)
+    axis = np.abs(proj).argmax(axis=1)
+    negative = proj[np.arange(proj.shape[0]), axis] < 0.0
+    return (2 * axis + negative).astype(np.int32)
 
 
 def hash_batch(h: HashFunction, rows: np.ndarray) -> np.ndarray:
     """Bucket ids for unit-norm rows, shape (m,), dtype int32."""
-    return _codes_from_scores(h, _scores_batch(h, rows))
+    return bucket_codes(h.params, project(h, rows))
 
 
 @dataclass(frozen=True)
@@ -195,20 +198,31 @@ class ProbeSequence:
         return int(self.buckets.size)
 
 
-def _rank_rows(h: HashFunction, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe orders, positional deficits, and own buckets for many rows at once.
+def rank_projections(
+    params: FamilyParams, proj: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probe orders, positional deficits and own buckets, one row per projection row.
 
-    Returns (orders, deficits, own) with shapes (m, U), (m, U), (m,). Shared
-    by single-query probing and the calibration sampler so both walk exactly
-    the same ranking.
+    Returns (orders, deficits, own) with shapes (m, U), (m, U), (m,). Each
+    row is ranked on its own, so the rows may be many points under one
+    function (the calibration sampler) or one query under many functions
+    (the query engine); single-query probing is the one-row case. For the
+    cap family the overflow bucket scores one unit below the row's worst cap
+    so it always ranks last.
     """
-    scores = _scores_batch(h, rows)
-    own = _codes_from_scores(h, scores)
-    key = scores.copy()
-    key[np.arange(rows.shape[0]), own] = np.inf
-    orders = np.argsort(-key, axis=1, kind="stable")
-    desc = -np.sort(-scores, axis=1)
+    m = proj.shape[0]
+    own = bucket_codes(params, proj)
+    if params.kind == "spherical_cap":
+        scores = np.hstack([proj, proj.min(axis=1, keepdims=True) - 1.0])
+    else:
+        scores = np.empty((m, 2 * proj.shape[1]))
+        scores[:, 0::2] = proj
+        scores[:, 1::2] = -proj
+    neg = -scores
+    desc = -np.sort(neg, axis=1)
     deficits = desc[:, :1] - desc
+    neg[np.arange(m), own] = -np.inf
+    orders = np.argsort(neg, axis=1, kind="stable")
     return orders, deficits, own
 
 
@@ -220,7 +234,7 @@ def probe_sequence(h: HashFunction, q: UnitPoint | np.ndarray, j_max: int | None
     vec = q.coords if isinstance(q, UnitPoint) else np.asarray(q, dtype=np.float64)
     if vec.ndim != 1 or vec.size != h.params.dim:
         raise ValueError(f"query has shape {vec.shape}, family dimension is {h.params.dim}")
-    orders, deficits, _ = _rank_rows(h, vec[None, :])
+    orders, deficits, _ = rank_projections(h.params, project(h, vec[None, :]))
     order, deficit = orders[0], deficits[0]
     if j_max is not None:
         if j_max < 1:

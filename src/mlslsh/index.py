@@ -1,15 +1,24 @@
-"""Multi-level bucket index over concatenated hash codes.
+"""Multi-level bucket index over packed code keys.
 
-Each repetition assigns every point a tuple of hash codes, one per slot.
-Sorting the points lexicographically by code tuple makes every prefix-based
-bucket a contiguous run, so one structure serves all levels at once: level k
-buckets are the groups of points sharing their first k codes.
+Each repetition hashes every point with K functions, one per slot, and packs
+the K bucket ids into one int64 key: slot 0 in the high bits, ceil(log2 U)
+bits per slot for a family with U buckets. Sorting the points by key sorts
+their code tuples lexicographically, so one sorted array serves every level:
+the level-k bucket of a k-code prefix p is the key range
+[p << s, (p + 1) << s) with s = bits * (K - k), one binary-search pair away.
+A key holds at most 63 bits, so K * ceil(log2 U) <= 63; builds and loads
+past that budget fail.
+
+The directions of all R * K hash functions live in one read-only
+(R * K, rows, dim) block, ordered by repetition then slot. Each function's
+`directions` is a view into it, so one matmul projects a query on all of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -22,6 +31,7 @@ from .geometry import Dataset
 MAGIC = b"MLSLSH01"
 FORMAT_VERSION = 1
 _FLAG_CODES = 1
+KEY_BITS = 63
 
 # float noise guard for ceil on formula values that are exact integers
 _CEIL_EPS = 1e-9
@@ -83,29 +93,62 @@ class BuildParams:
             raise ValueError(f"space budget must be positive, got {self.space_budget}")
 
 
-class Repetition:
-    """One repetition: K hash functions plus points sorted by code tuple.
+def slot_bits(family: FamilyParams, depth: int) -> int:
+    """Key bits per slot for `depth` slots of `family`; ValueError past KEY_BITS."""
+    universe = family.bucket_universe
+    bits = (universe - 1).bit_length()
+    if depth * bits > KEY_BITS:
+        raise ValueError(
+            f"K={depth} levels of a family with U={universe} buckets need "
+            f"{depth} * {bits} = {depth * bits} key bits, more than the {KEY_BITS} "
+            "a packed key holds; use fewer levels or a family with fewer buckets"
+        )
+    return bits
 
-    sorted_codes is stored column-major so the per-column binary searches in
-    prefix_range touch contiguous memory.
+
+def _shifts(bits: int, depth: int) -> np.ndarray:
+    """Key bit offset of slots 0..depth-1, which is also s for levels 1..depth."""
+    return bits * np.arange(depth - 1, -1, -1, dtype=np.int64)
+
+
+def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
+    """int64 keys of an (m, depth) code matrix whose codes fit in `bits` bits."""
+    return (codes.astype(np.int64) << _shifts(bits, codes.shape[1])).sum(axis=1)
+
+
+class Repetition:
+    """One repetition: K hash functions plus the points sorted by packed key.
+
+    keys[i] is the packed code tuple of the point at sorted position i and
+    order[i] its dataset index. The sort is stable, so points with equal
+    codes keep their input order.
     """
 
-    __slots__ = ("functions", "sorted_codes", "order")
+    __slots__ = ("functions", "keys", "order", "bits")
 
     def __init__(self, functions: tuple[HashFunction, ...], codes: np.ndarray):
-        if codes.ndim != 2 or codes.shape[1] != len(functions):
+        if not functions or codes.ndim != 2 or codes.shape[1] != len(functions):
             raise ValueError(
                 f"code matrix shape {codes.shape} does not match {len(functions)} slots"
             )
+        family = functions[0].params
+        self.bits = slot_bits(family, len(functions))
+        if codes.min() < 0 or codes.max() >= family.bucket_universe:
+            raise ValueError(f"codes must lie in 0..{family.bucket_universe - 1}")
+        keys = _pack(codes, self.bits)
         self.functions = functions
-        # lexsort keys run last-to-first, so feed columns in reverse
-        order = np.lexsort(tuple(codes[:, s] for s in reversed(range(codes.shape[1]))))
-        self.order = order.astype(np.int64)
-        self.sorted_codes = np.asfortranarray(codes[self.order].astype(np.int32))
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
 
     @property
     def depth(self) -> int:
         return len(self.functions)
+
+    @property
+    def sorted_codes(self) -> np.ndarray:
+        """The (n, K) int32 code matrix in sorted order, decoded from the keys."""
+        mask = (1 << self.bits) - 1
+        return ((self.keys[:, None] >> _shifts(self.bits, self.depth)) & mask).astype(np.int32)
 
     def prefix_range(self, prefix: tuple[int, ...]) -> tuple[int, int]:
         """Half-open run [lo, hi) of sorted positions whose codes start with prefix."""
@@ -113,14 +156,18 @@ class Repetition:
             raise ValueError(
                 f"prefix length must lie in 1..{self.depth}, got {len(prefix)}"
             )
-        lo, hi = 0, self.sorted_codes.shape[0]
-        for s, code in enumerate(prefix):
-            col = self.sorted_codes[lo:hi, s]
-            lo, hi = lo + np.searchsorted(col, code, side="left"), lo + np.searchsorted(
-                col, code, side="right"
-            )
-            if lo == hi:
-                break
+        p = 0
+        for code in prefix:
+            if not 0 <= code < 1 << self.bits:
+                return 0, 0  # no key holds a code this wide
+            p = p << self.bits | int(code)
+        shift = self.bits * (self.depth - len(prefix))
+        first = p << shift
+        # the run is the keys in (first - 1, last]; searching both ends on the
+        # right keeps every needle below 2**63
+        lo, hi = self.keys.searchsorted(
+            np.array([first - 1, first | ((1 << shift) - 1)], dtype=np.int64), side="right"
+        )
         return int(lo), int(hi)
 
     def members(self, prefix: tuple[int, ...]) -> np.ndarray:
@@ -129,17 +176,21 @@ class Repetition:
         return self.order[lo:hi]
 
     def codes_in_input_order(self) -> np.ndarray:
-        out = np.empty_like(self.sorted_codes, order="C")
+        out = np.empty((self.keys.size, self.depth), dtype=np.int32)
         out[self.order] = self.sorted_codes
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class MultiLevelIndex:
+    """The built index. `directions` is the (R * K, rows, dim) block behind
+    every hash function: slot s of repetition r views directions[r * K + s]."""
+
     dataset: Dataset
     params: BuildParams
     levels: int
     repetitions: tuple[Repetition, ...]
+    directions: np.ndarray
 
     @property
     def num_repetitions(self) -> int:
@@ -148,6 +199,23 @@ class MultiLevelIndex:
     @property
     def size(self) -> int:
         return self.dataset.size
+
+    def level_ranges(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket runs at every level of one full code tuple per repetition.
+
+        codes has shape (R, K); returns (lo, hi), each (R, K), where
+        [lo[r, k - 1], hi[r, k - 1]) is the sorted run of repetition r's
+        level-k bucket holding the first k codes of codes[r].
+        """
+        bits = self.repetitions[0].bits
+        shifts = _shifts(bits, self.levels)
+        first = (_pack(codes, bits)[:, None] >> shifts) << shifts
+        # as in Repetition.prefix_range: each run is (first - 1, last]
+        needles = np.concatenate([first - 1, first | ((1 << shifts) - 1)], axis=1)
+        runs = np.array(
+            [rep.keys.searchsorted(x, side="right") for rep, x in zip(self.repetitions, needles)]
+        )
+        return runs[:, : self.levels], runs[:, self.levels :]
 
     def bucket(self, rep: int, prefix: tuple[int, ...]) -> np.ndarray:
         if not 0 <= rep < len(self.repetitions):
@@ -190,19 +258,27 @@ class MultiLevelIndex:
             f.write(np.ascontiguousarray(ds.matrix, dtype="<f8").tobytes())
             if include_codes:
                 for rep in self.repetitions:
-                    f.write(
-                        np.ascontiguousarray(
-                            rep.codes_in_input_order(), dtype="<i4"
-                        ).tobytes()
-                    )
+                    f.write(rep.codes_in_input_order().astype("<i4").tobytes())
 
 
-def _slot_functions(
-    family: FamilyParams, seed: int, rep: int, depth: int
-) -> tuple[HashFunction, ...]:
-    return tuple(
-        sample_hash_function(family, derived_seed(seed, rep, s)) for s in range(depth)
-    )
+def _sample_functions(
+    family: FamilyParams, seed: int, R: int, K: int
+) -> tuple[np.ndarray, list[tuple[HashFunction, ...]]]:
+    """The direction block and the K hash functions of each of R repetitions."""
+    seeds = [derived_seed(seed, rep, s) for rep in range(R) for s in range(K)]
+    block = np.empty((len(seeds), family.direction_count, family.dim))
+    for i, fn_seed in enumerate(seeds):
+        block[i] = sample_hash_function(family, fn_seed).directions
+    block.flags.writeable = False
+    fns = [HashFunction(family, fn_seed, block[i]) for i, fn_seed in enumerate(seeds)]
+    return block, [tuple(fns[rep * K : (rep + 1) * K]) for rep in range(R)]
+
+
+def _hash_codes(fns: tuple[HashFunction, ...], matrix: np.ndarray) -> np.ndarray:
+    codes = np.empty((matrix.shape[0], len(fns)), dtype=np.int32)
+    for s, fn in enumerate(fns):
+        codes[:, s] = hash_batch(fn, matrix)
+    return codes
 
 
 def build_index(
@@ -214,7 +290,8 @@ def build_index(
     """Build the index sized by the calibrated probabilities.
 
     Depth K comes from compute_k(n, p2); the repetition count is
-    compute_numreps(p1, K), capped by space_budget when one is given.
+    compute_numreps(p1, K), capped by space_budget when one is given. A
+    depth whose packed keys would pass 63 bits raises ValueError.
     """
     n = dataset.size
     K = compute_k(n, calibration.p2)
@@ -223,103 +300,101 @@ def build_index(
             f"calibration covers {calibration.levels} levels but n={n} needs {K}; "
             "re-calibrate with more levels"
         )
+    slot_bits(calibration.params, K)
     R = compute_numreps(calibration.p1, K)
     if space_budget is not None:
         R = min(R, space_budget)
-    params = BuildParams(
-        family=calibration.params,
-        calibration=calibration,
-        space_budget=space_budget,
-        seed=seed,
-    )
-    repetitions = []
-    for rep in range(R):
-        fns = _slot_functions(calibration.params, seed, rep, K)
-        codes = np.empty((n, K), dtype=np.int32)
-        for s, fn in enumerate(fns):
-            codes[:, s] = hash_batch(fn, dataset.matrix)
-        repetitions.append(Repetition(fns, codes))
+    params = BuildParams(calibration.params, calibration, space_budget, seed)
+    block, functions = _sample_functions(calibration.params, seed, R, K)
+    repetitions = tuple(Repetition(fns, _hash_codes(fns, dataset.matrix)) for fns in functions)
     return MultiLevelIndex(
-        dataset=dataset, params=params, levels=K, repetitions=tuple(repetitions)
+        dataset=dataset, params=params, levels=K, repetitions=repetitions, directions=block
     )
 
 
-def _read_exact(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise IndexFormatError(
-            f"truncated index file: expected {count} bytes of {what}, got {len(buf)}"
-        )
-    return buf
+def _check_metadata(meta) -> tuple[BuildParams, int, int, int, int, tuple[int, ...]]:
+    """(params, n, d, K, R, degenerate ids) of an index header, checked
+    against each other before anything is sized by them."""
+    try:
+        n, d, K, R = sizes = [meta[key] for key in ("n", "d", "levels", "num_repetitions")]
+        if not all(type(v) is int and v >= 1 for v in sizes) or type(meta["seed"]) is not int:
+            raise ValueError(f"n, d, K, R = {sizes} must be positive integers, the seed an integer")
+        calibration = FamilyCalibration.from_json_dict(meta["calibration"])
+        family = FamilyParams.from_json_dict(meta["family"])
+        params = BuildParams(family, calibration, meta["space_budget"], meta["seed"])
+        slot_bits(family, K)
+        # a file without codes is rebuilt R * K hashes deep, so R must be the
+        # count a build from this calibration gives
+        expected_R = min(compute_numreps(calibration.p1, K), params.space_budget or math.inf)
+        degenerate = tuple(meta["degenerate_ids"])
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, CalibrationError) as e:
+        raise IndexFormatError(f"corrupt index metadata: {e!r}") from e
+    if family.dim != d:
+        raise IndexFormatError(f"family dimension {family.dim} does not match d={d}")
+    if K > calibration.levels:
+        raise IndexFormatError(f"K={K} levels exceed the calibration's {calibration.levels}")
+    if R != expected_R:
+        raise IndexFormatError(f"R={R} repetitions; the calibration and budget give {expected_R}")
+    return params, n, d, K, R, degenerate
 
 
 def load_index(path: str) -> MultiLevelIndex:
     """Load an index written by MultiLevelIndex.save.
 
-    Files saved without code matrices are rebuilt from the stored points and
-    the recorded seeds; the result is identical to the original build.
+    The header is checked against itself and against the file size before
+    any array is allocated. Files saved without code matrices are rebuilt
+    from the stored points and the recorded seeds; the result is identical
+    to the original build.
     """
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise IndexFormatError(f"bad magic {magic!r}; not an index file")
-        version, flags = struct.unpack("<II", _read_exact(f, 8, "header"))
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(len(MAGIC) + 16)
+        if head[: len(MAGIC)] != MAGIC:
+            raise IndexFormatError(f"bad magic {head[: len(MAGIC)]!r}; not an index file")
+        if len(head) < len(MAGIC) + 16:
+            raise IndexFormatError(f"truncated index file: {len(head)}-byte header")
+        version, flags, meta_len = struct.unpack_from("<IIQ", head, len(MAGIC))
         if version != FORMAT_VERSION:
             raise IndexFormatError(f"unsupported index format version {version}")
         if flags & ~_FLAG_CODES:
             raise IndexFormatError(f"unknown flag bits {flags:#x}")
-        (meta_len,) = struct.unpack("<Q", _read_exact(f, 8, "metadata length"))
+        if meta_len > size - f.tell():
+            raise IndexFormatError(
+                f"truncated index file: {meta_len} bytes of metadata announced, "
+                f"{size - f.tell()} left"
+            )
         try:
-            meta = json.loads(_read_exact(f, meta_len, "metadata"))
-        except json.JSONDecodeError as e:
+            meta = json.loads(f.read(meta_len))
+        except ValueError as e:  # bad JSON or bad UTF-8
             raise IndexFormatError(f"corrupt index metadata: {e}") from e
-        n, d = int(meta["n"]), int(meta["d"])
-        K, R = int(meta["levels"]), int(meta["num_repetitions"])
-        centroid = np.frombuffer(
-            _read_exact(f, 8 * d, "centroid"), dtype="<f8"
-        ).astype(np.float64)
-        matrix = (
-            np.frombuffer(_read_exact(f, 8 * n * d, "points"), dtype="<f8")
-            .reshape(n, d)
-            .astype(np.float64)
-        )
-        code_blocks = []
-        if flags & _FLAG_CODES:
-            for rep in range(R):
-                block = np.frombuffer(
-                    _read_exact(f, 4 * n * K, f"codes for repetition {rep}"),
-                    dtype="<i4",
-                ).reshape(n, K)
-                code_blocks.append(block.astype(np.int32))
-        trailing = f.read(1)
-        if trailing:
-            raise IndexFormatError("trailing data after index payload")
-
-    family = FamilyParams.from_json_dict(meta["family"])
-    calibration = FamilyCalibration.from_json_dict(meta["calibration"])
-    seed = int(meta["seed"])
-    budget = meta["space_budget"]
-    dataset = Dataset(
-        matrix=matrix,
-        centroid=centroid,
-        degenerate_ids=tuple(meta["degenerate_ids"]),
-    )
-    params = BuildParams(
-        family=family,
-        calibration=calibration,
-        space_budget=None if budget is None else int(budget),
-        seed=seed,
-    )
-    repetitions = []
-    for rep in range(R):
-        fns = _slot_functions(family, seed, rep, K)
-        if code_blocks:
-            codes = code_blocks[rep]
-        else:
-            codes = np.empty((n, K), dtype=np.int32)
-            for s, fn in enumerate(fns):
-                codes[:, s] = hash_batch(fn, dataset.matrix)
-        repetitions.append(Repetition(fns, codes))
+        params, n, d, K, R, degenerate = _check_metadata(meta)
+        has_codes = bool(flags & _FLAG_CODES)
+        payload = 8 * d * (n + 1) + (4 * n * K * R if has_codes else 0)
+        left = size - f.tell()
+        if left < payload:
+            raise IndexFormatError(
+                f"truncated index file: n={n}, d={d}, K={K}, R={R} need {payload} "
+                f"payload bytes, {left} left"
+            )
+        if left > payload:
+            raise IndexFormatError(f"trailing data after index payload: {left - payload} bytes")
+        centroid = np.frombuffer(f.read(8 * d), dtype="<f8").astype(np.float64)
+        matrix = np.frombuffer(f.read(8 * n * d), dtype="<f8").reshape(n, d).astype(np.float64)
+        try:
+            dataset = Dataset(matrix=matrix, centroid=centroid, degenerate_ids=degenerate)
+        except ValueError as e:
+            raise IndexFormatError(f"corrupt index points: {e}") from e
+        block, functions = _sample_functions(params.family, params.seed, R, K)
+        repetitions = []
+        for rep, fns in enumerate(functions):
+            if has_codes:
+                codes = np.frombuffer(f.read(4 * n * K), dtype="<i4").reshape(n, K)
+            else:
+                codes = _hash_codes(fns, dataset.matrix)
+            try:
+                repetitions.append(Repetition(fns, codes))
+            except ValueError as e:
+                raise IndexFormatError(f"corrupt codes for repetition {rep}: {e}") from e
     return MultiLevelIndex(
-        dataset=dataset, params=params, levels=K, repetitions=tuple(repetitions)
+        dataset=dataset, params=params, levels=K, repetitions=tuple(repetitions), directions=block
     )

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import CodeEnumerator, ProbeSequence, probe_sequence
+from .families import CodeEnumerator, ProbeSequence, bucket_codes, rank_projections
+# not called here; perfbench/spans.py wraps query.probe_sequence by name
+from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset
-from .index import MultiLevelIndex, Repetition, reps
+from .index import MultiLevelIndex, reps
 
 
 @dataclass(frozen=True)
@@ -79,68 +81,74 @@ class QueryReport:
         return doc
 
 
-class _LevelProbes:
-    """Probe enumeration state for one repetition at one level.
+class _QueryProbes:
+    """Everything one query reads from the index, shared by every setting the
+    scheduler measures.
 
-    Tracks, probe by probe, the bucket run for each emitted code tuple and
-    the running work total (one unit per probe plus the bucket size). The
-    enumeration can exhaust on tiny code universes; work and candidates then
-    stop growing.
+    One matmul projects the query on all R * K hash functions. The query's
+    own bucket ids then give the spine, its own bucket at every level of
+    every repetition, in one key-range lookup per repetition; that is all a
+    single-probe setting reads. The first setting past one probe ranks every
+    slot with one row-wise argsort, and a CodeEnumerator per (repetition,
+    level) walks further probes from there, each one key-range lookup.
     """
-
-    def __init__(self, repetition: Repetition, seqs: list[ProbeSequence]):
-        self._rep = repetition
-        self._enum = CodeEnumerator(seqs)
-        self._ranges: list[tuple[int, int]] = []
-        self._cum = [0]
-
-    def ensure(self, j: int) -> None:
-        if len(self._ranges) >= j:
-            return
-        codes = self._enum.first(j)
-        for code in codes[len(self._ranges) :]:
-            lo, hi = self._rep.prefix_range(code)
-            self._ranges.append((lo, hi))
-            self._cum.append(self._cum[-1] + 1 + (hi - lo))
-
-    def work(self, j: int) -> float:
-        self.ensure(j)
-        return float(self._cum[min(j, len(self._ranges))])
-
-    def probes_used(self, j: int) -> int:
-        self.ensure(j)
-        return min(j, len(self._ranges))
-
-    def candidate_ids(self, j: int) -> np.ndarray:
-        self.ensure(j)
-        parts = [self._rep.order[lo:hi] for lo, hi in self._ranges[: self.probes_used(j)]]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-
-class _ProbeCache:
-    """Lazy per-query probe state, shared across all settings the scheduler tries."""
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray):
         self._index = index
-        self._q = q
-        self._seqs: dict[tuple[int, int], ProbeSequence] = {}
-        self._levels: dict[tuple[int, int], _LevelProbes] = {}
+        self._proj = index.directions @ np.asarray(q, dtype=np.float64)
+        own = bucket_codes(index.params.family, self._proj)
+        self._lo, self._hi = index.level_ranges(own.reshape(index.num_repetitions, index.levels))
+        self._ranking: tuple[np.ndarray, np.ndarray] | None = None
+        # (rep, k) -> its enumerator, bucket runs and running work
+        self._walks: dict[tuple[int, int], tuple[CodeEnumerator, list, list]] = {}
 
-    def seq(self, rep: int, slot: int) -> ProbeSequence:
-        key = (rep, slot)
-        if key not in self._seqs:
-            fn = self._index.repetitions[rep].functions[slot]
-            self._seqs[key] = probe_sequence(fn, self._q)
-        return self._seqs[key]
+    def _reps(self, k: int, j: int) -> int:
+        return _reps_clamped(self._index.params.calibration, k, j, self._index.num_repetitions)
 
-    def level(self, rep: int, k: int) -> _LevelProbes:
-        key = (rep, k)
-        if key not in self._levels:
-            seqs = [self.seq(rep, s) for s in range(k)]
-            self._levels[key] = _LevelProbes(self._index.repetitions[rep], seqs)
-        return self._levels[key]
+    def _walk(self, rep: int, k: int, j: int) -> tuple[list, list]:
+        """Sorted runs of the buckets that the first j probes of repetition
+        `rep` reach at level k, fewer if a tiny code universe runs out, and
+        the running work over them: one unit per probe plus the bucket size."""
+        if (rep, k) not in self._walks:
+            if self._ranking is None:
+                self._ranking = rank_projections(self._index.params.family, self._proj)[:2]
+            orders, deficits = self._ranking
+            rows = range(rep * self._index.levels, rep * self._index.levels + k)
+            seqs = [ProbeSequence(orders[i], deficits[i]) for i in rows]
+            lo, hi = int(self._lo[rep, k - 1]), int(self._hi[rep, k - 1])
+            self._walks[rep, k] = CodeEnumerator(seqs), [(lo, hi)], [0, 1 + hi - lo]
+        enum, runs, cum = self._walks[rep, k]
+        if len(runs) < j:
+            repetition = self._index.repetitions[rep]
+            for code in enum.first(j)[len(runs) :]:
+                lo, hi = repetition.prefix_range(code)
+                runs.append((lo, hi))
+                cum.append(cum[-1] + 1 + hi - lo)
+        return runs, cum
+
+    def work(self, k: int, j: int) -> float:
+        """True candidate work of setting (k, j): per consulted repetition,
+        one unit per probe plus the size of each probed bucket."""
+        r_count = self._reps(k, j)
+        if j == 1:
+            return float(r_count + (self._hi[:r_count, k - 1] - self._lo[:r_count, k - 1]).sum())
+        total = 0
+        for rep in range(r_count):
+            runs, cum = self._walk(rep, k, j)
+            total += cum[min(j, len(runs))]
+        return float(total)
+
+    def candidates(self, k: int, j: int) -> tuple[np.ndarray, int]:
+        """Distinct point ids in the buckets setting (k, j) probes, and how
+        many buckets that is."""
+        parts = []
+        for rep in range(self._reps(k, j)):
+            order = self._index.repetitions[rep].order
+            if j == 1:
+                parts.append(order[self._lo[rep, k - 1] : self._hi[rep, k - 1]])
+            else:
+                parts.extend(order[lo:hi] for lo, hi in self._walk(rep, k, j)[0][:j])
+        return np.unique(np.concatenate(parts)), len(parts)
 
 
 def _reps_clamped(calibration, k: int, j: int, rep_cap: int) -> int:
@@ -155,20 +163,11 @@ def cost(k: int, j: int, calibration, rep_cap: int) -> float:
     return float(j * _reps_clamped(calibration, k, j, rep_cap))
 
 
-def _setting_work(index: MultiLevelIndex, cache: _ProbeCache, k: int, j: int) -> float:
-    """True candidate work of setting (k, j): per consulted repetition, one
-    unit per probe plus the size of each probed bucket."""
-    r_count = _reps_clamped(index.params.calibration, k, j, index.num_repetitions)
-    return sum(cache.level(rep, k).work(j) for rep in range(r_count))
-
-
-def work_estimate(
-    index: MultiLevelIndex, q: np.ndarray, k: int, j: int, cache: _ProbeCache | None = None
-) -> float:
+def work_estimate(index: MultiLevelIndex, q: np.ndarray, k: int, j: int) -> float:
     """True candidate work of setting (k, j); j must lie within the calibrated
     probe budget."""
     index.params.calibration.ensure_probes(j)
-    return _setting_work(index, cache or _ProbeCache(index, q), k, j)
+    return _QueryProbes(index, q).work(k, j)
 
 
 def _check_query(index_dim: int, q: np.ndarray, radius: float) -> np.ndarray:
@@ -182,78 +181,38 @@ def _check_query(index_dim: int, q: np.ndarray, radius: float) -> np.ndarray:
     return q
 
 
-def _scan_candidates(
-    index: MultiLevelIndex, q: np.ndarray, radius: float, cand: np.ndarray
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    if cand.size == 0:
-        return (), ()
-    diff = index.dataset.matrix[cand] - q[None, :]
-    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    keep = dists <= radius
-    ids = cand[keep]
-    out = dists[keep]
-    order = np.argsort(ids)
-    return tuple(int(i) for i in ids[order]), tuple(float(v) for v in out[order])
-
-
-def _brute_report(
-    matrix: np.ndarray, q: np.ndarray, radius: float, mode: str, examined: tuple, t0: float
+def _answer(
+    matrix: np.ndarray, q: np.ndarray, radius: float, cand: np.ndarray | None,
+    work: float, buckets: int, k: int, j: int, mode: str, examined, t0: float,
 ) -> QueryReport:
-    n = matrix.shape[0]
-    diff = matrix - q[None, :]
+    """The report of setting (k, j), whose candidate ids `cand` are sorted and
+    distinct; None scans every point, the fallback setting (0, 0)."""
+    diff = (matrix if cand is None else matrix[cand]) - q[None, :]
     dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    keep = np.where(dists <= radius)[0]
+    keep = np.flatnonzero(dists <= radius)
     return QueryReport(
-        ids=tuple(int(i) for i in keep),
+        ids=tuple(int(i) for i in (keep if cand is None else cand[keep])),
         distances=tuple(float(v) for v in dists[keep]),
         t_reported=int(keep.size),
-        work_examined=float(n),
-        buckets_probed=0,
-        k_best=0,
-        j_best=0,
-        w_best=float(n),
-        wall_time=time.perf_counter() - t0,
-        mode=mode,
-        examined=examined,
-    )
-
-
-def _finish(
-    index: MultiLevelIndex,
-    q: np.ndarray,
-    radius: float,
-    cache: _ProbeCache,
-    k_best: int,
-    j_best: int,
-    w_best: float,
-    examined: list,
-    mode: str,
-    t0: float,
-) -> QueryReport:
-    if k_best == 0:
-        return _brute_report(index.dataset.matrix, q, radius, mode, tuple(examined), t0)
-    r_count = _reps_clamped(index.params.calibration, k_best, j_best, index.num_repetitions)
-    parts = []
-    buckets = 0
-    for rep in range(r_count):
-        lp = cache.level(rep, k_best)
-        parts.append(lp.candidate_ids(j_best))
-        buckets += lp.probes_used(j_best)
-    cand = np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-    ids, dists = _scan_candidates(index, q, radius, cand)
-    return QueryReport(
-        ids=ids,
-        distances=dists,
-        t_reported=len(ids),
-        work_examined=w_best,
+        work_examined=work,
         buckets_probed=buckets,
-        k_best=k_best,
-        j_best=j_best,
-        w_best=w_best,
+        k_best=k,
+        j_best=j,
+        w_best=work,
         wall_time=time.perf_counter() - t0,
         mode=mode,
         examined=tuple(examined),
     )
+
+
+def _finish(
+    index: MultiLevelIndex, q: np.ndarray, radius: float, probes: _QueryProbes,
+    k: int, j: int, w: float, examined: list, mode: str, t0: float,
+) -> QueryReport:
+    if k == 0:
+        return _answer(index.dataset.matrix, q, radius, None, w, 0, 0, 0, mode, examined, t0)
+    cand, buckets = probes.candidates(k, j)
+    return _answer(index.dataset.matrix, q, radius, cand, w, buckets, k, j, mode, examined, t0)
 
 
 def _schedule(
@@ -271,7 +230,7 @@ def _schedule(
     K = index.levels
     R = index.num_repetitions
     n = index.size
-    cache = _ProbeCache(index, q)
+    probes = _QueryProbes(index, q)
 
     w_best = float(n)
     k_best, j_best = 0, 0
@@ -286,7 +245,7 @@ def _schedule(
     push(1, 1)
     while heap and heap[0][0] < w_best:
         c, k, j = heapq.heappop(heap)
-        w = _setting_work(index, cache, k, j)
+        w = probes.work(k, j)
         examined.append(ExaminedSetting(k, j, c, w))
         if w < w_best:
             w_best, k_best, j_best = w, k, j
@@ -298,7 +257,7 @@ def _schedule(
         if multi_probe and j < cal.max_probes and (k, j + 1) not in visited and j + 1 < w_best:
             push(k, j + 1)
 
-    return _finish(index, q, radius, cache, k_best, j_best, w_best, examined, mode, t0)
+    return _finish(index, q, radius, probes, k_best, j_best, w_best, examined, mode, t0)
 
 
 def adaptive_multiprobe(
@@ -336,10 +295,10 @@ def fixed_level_query(
     if not 1 <= k <= index.levels:
         raise ValueError(f"level {k} outside 1..{index.levels}")
     cal.ensure_probes(j)
-    cache = _ProbeCache(index, q)
-    w = _setting_work(index, cache, k, j)
+    probes = _QueryProbes(index, q)
+    w = probes.work(k, j)
     examined = [ExaminedSetting(k, j, cost(k, j, cal, index.num_repetitions), w)]
-    return _finish(index, q, radius, cache, k, j, w, examined, "fixed", t0)
+    return _finish(index, q, radius, probes, k, j, w, examined, "fixed", t0)
 
 
 def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryReport:
@@ -350,4 +309,4 @@ def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryRe
         raise ValueError(f"query has shape {q.shape}, expected ({dataset.dim},)")
     if radius < 0.0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    return _brute_report(dataset.matrix, q, radius, "brute", (), t0)
+    return _answer(dataset.matrix, q, radius, None, float(dataset.size), 0, 0, 0, "brute", (), t0)

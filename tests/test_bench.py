@@ -240,6 +240,28 @@ def test_build_for_config_uses_measured_depth(tmp_path):
     assert cal.levels == index.levels
 
 
+def test_build_for_config_measures_edges_once(tmp_path, monkeypatch):
+    # the depth pre-pass result goes into the calibration, which must not
+    # measure the same edge probabilities again
+    import mlslsh.bench as bench_mod
+    import mlslsh.calibration as cal_mod
+    from mlslsh.geometry import generate_planted_instance
+
+    calls = []
+    for mod in (bench_mod, cal_mod):
+        original = mod.edge_probabilities
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "edge_probabilities", counted)
+    config = _tiny_config(tmp_path)
+    inst = generate_planted_instance(n=400, d=8, r=0.4, t=4, seed=5, num_queries=10)
+    build_for_config(config, inst.dataset)
+    assert len(calls) == 1
+
+
 def test_scaling_trend_validation(tmp_path):
     config = _tiny_config(tmp_path, modes=("brute",))
     with pytest.raises(ValueError, match="three sizes"):

@@ -1,0 +1,242 @@
+"""Property tests: the vectorized query engine against a per-probe reference.
+
+The reference ranks each hash function with `probe_sequence`, walks each
+(repetition, level) with its own `CodeEnumerator` and finds bucket members
+by a linear scan of `codes_in_input_order()`, with no packed keys and no
+stacked directions. Reports must agree exactly: ids, distances, work,
+buckets, best setting and the trace of examined settings.
+"""
+
+import heapq
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlslsh.calibration import FamilyCalibration
+from mlslsh.families import CodeEnumerator, FamilyParams, hash_batch, probe_sequence
+from mlslsh.geometry import normalize_dataset
+from mlslsh.index import KEY_BITS, build_index, compute_k, slot_bits
+from mlslsh.query import (
+    adaptive_multiprobe,
+    brute_force_range,
+    cost,
+    fixed_level_query,
+    single_probe_adaptive,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def toy_calibration(params, p1, p2, levels, max_probes, slope):
+    ks = np.arange(1, levels + 1, dtype=np.float64)[:, None]
+    js = np.arange(1, max_probes + 1, dtype=np.float64)[None, :]
+    table = np.minimum(1.0, p1**ks * (1.0 + slope * (js - 1.0)))
+    return FamilyCalibration(
+        params=params,
+        r=0.4,
+        c=2.0,
+        p1=p1,
+        p2=p2,
+        rho=math.log(1.0 / p1) / math.log(1.0 / p2),
+        probe_success=table,
+        probe_success_se=np.zeros_like(table),
+        trials=1000,
+        seed=0,
+    )
+
+
+@st.composite
+def instances(draw):
+    """A small index with duplicate and degenerate rows, and its queries."""
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        family = FamilyParams(kind="cross_polytope", dim=d)
+    else:
+        family = FamilyParams(kind="spherical_cap", dim=d, cap_count=draw(st.integers(2, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.standard_normal((n, d))
+    # lattice rows tie projections, copies duplicate rows, and rows equal
+    # to the mean center to zero and are pinned to (1, 0, ..., 0)
+    lattice = rng.random(n) < draw(st.floats(0.0, 0.5))
+    raw[lattice] = rng.integers(-1, 2, size=(int(lattice.sum()), d))
+    copies = rng.integers(0, n, size=draw(st.integers(0, n)))
+    raw[rng.integers(0, n, size=copies.size)] = raw[copies]
+    if draw(st.booleans()):
+        raw[rng.integers(0, n, size=draw(st.integers(1, n)))] = raw.mean(axis=0)
+    dataset = normalize_dataset(raw)
+
+    p1 = draw(st.floats(0.5, 0.95))
+    p2 = draw(st.floats(0.05, min(0.6, p1 - 0.05)))
+    max_probes = draw(st.integers(1, 8))
+    cal = toy_calibration(
+        family, p1, p2, compute_k(n, p2) + draw(st.integers(0, 2)), max_probes,
+        draw(st.floats(0.0, 0.5)),
+    )
+    index = build_index(
+        dataset, cal, space_budget=draw(st.integers(1, 12)), seed=draw(st.integers(0, 1000))
+    )
+    queries = rng.standard_normal((3, d))
+    queries[0] = dataset.matrix[rng.integers(0, n)]
+    queries[1] = 0.0
+    queries[1, 0] = 1.0
+    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    return index, queries, draw(st.floats(0.0, 2.0))
+
+
+class Reference:
+    """Per-probe query path for one query."""
+
+    def __init__(self, index, q):
+        self.index, self.q = index, q
+        self.codes = [rep.codes_in_input_order() for rep in index.repetitions]
+        self.enums = {}
+
+    def reps(self, k, j):
+        cal = self.index.params.calibration
+        return int(cost(k, j, cal, self.index.num_repetitions)) // j
+
+    def probes(self, rep, k, j):
+        if (rep, k) not in self.enums:
+            fns = self.index.repetitions[rep].functions[:k]
+            self.enums[rep, k] = CodeEnumerator([probe_sequence(fn, self.q) for fn in fns])
+        return self.enums[rep, k].first(j)
+
+    def members(self, rep, code):
+        codes = self.codes[rep][:, : len(code)]
+        return np.flatnonzero(np.all(codes == np.array(code), axis=1))
+
+    def work(self, k, j):
+        return float(
+            sum(
+                1 + self.members(rep, code).size
+                for rep in range(self.reps(k, j))
+                for code in self.probes(rep, k, j)
+            )
+        )
+
+    def report(self, radius, k, j, w, examined, mode):
+        trace = [{"level": a, "probes": b, "cost": c, "work": e} for a, b, c, e in examined]
+        if k == 0:
+            doc = brute_force_range(self.index.dataset, self.q, radius).to_json_dict()
+            doc.update(mode=mode, examined=trace)
+            return doc
+        parts = [
+            self.members(rep, code)
+            for rep in range(self.reps(k, j))
+            for code in self.probes(rep, k, j)
+        ]
+        cand = np.unique(np.concatenate(parts))
+        diff = self.index.dataset.matrix[cand] - self.q[None, :]
+        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keep = dists <= radius
+        return {
+            "mode": mode,
+            "ids": [int(i) for i in cand[keep]],
+            "distances": [float(v) for v in dists[keep]],
+            "t_reported": int(keep.sum()),
+            "work_examined": w,
+            "buckets_probed": len(parts),
+            "k_best": k,
+            "j_best": j,
+            "w_best": w,
+            "examined": trace,
+        }
+
+
+def reference_schedule(index, q, radius, multi_probe, mode):
+    ref = Reference(index, q)
+    cal = index.params.calibration
+    R = index.num_repetitions
+    w_best, k_best, j_best = float(index.size), 0, 0
+    examined = []
+    heap = [(cost(1, 1, cal, R), 1, 1)]
+    visited = {(1, 1)}
+    while heap and heap[0][0] < w_best:
+        c, k, j = heapq.heappop(heap)
+        w = ref.work(k, j)
+        examined.append((k, j, c, w))
+        if w < w_best:
+            w_best, k_best, j_best = w, k, j
+        successors = []
+        if j == 1 and k < index.levels:
+            successors.append((k + 1, 1))
+        if multi_probe and j < cal.max_probes and j + 1 < w_best:
+            successors.append((k, j + 1))
+        for s in successors:
+            if s not in visited:
+                visited.add(s)
+                heapq.heappush(heap, (cost(*s, cal, R), *s))
+    return ref.report(radius, k_best, j_best, w_best, examined, mode)
+
+
+@SETTINGS
+@given(instances())
+def test_adaptive_and_single_match_the_reference(case):
+    index, queries, radius = case
+    for q in queries:
+        got = adaptive_multiprobe(index, q, radius).to_json_dict()
+        assert got == reference_schedule(index, q, radius, True, "adaptive")
+        got = single_probe_adaptive(index, q, radius).to_json_dict()
+        assert got == reference_schedule(index, q, radius, False, "single")
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_fixed_matches_the_reference(case, data):
+    index, queries, radius = case
+    cal = index.params.calibration
+    k = data.draw(st.integers(1, index.levels))
+    j = data.draw(st.integers(1, cal.max_probes))
+    for q in queries:
+        ref = Reference(index, q)
+        w = ref.work(k, j)
+        c = cost(k, j, cal, index.num_repetitions)
+        expected = ref.report(radius, k, j, w, [(k, j, c, w)], "fixed")
+        assert fixed_level_query(index, q, radius, k, j).to_json_dict() == expected
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_keys_match_a_linear_scan(case, data):
+    index, _, _ = case
+    matrix = index.dataset.matrix
+    for rep in index.repetitions:
+        codes = np.stack([hash_batch(fn, matrix) for fn in rep.functions], axis=1)
+        order = np.lexsort(tuple(codes[:, s] for s in reversed(range(index.levels))))
+        assert np.array_equal(rep.order, order)
+        assert np.array_equal(rep.sorted_codes, codes[order])
+        assert np.array_equal(rep.codes_in_input_order(), codes)
+        for _ in range(5):
+            k = data.draw(st.integers(1, index.levels))
+            if data.draw(st.booleans()):
+                prefix = tuple(int(v) for v in codes[data.draw(st.integers(0, index.size - 1)), :k])
+            else:
+                top = 1 << (rep.bits + 1)
+                prefix = tuple(data.draw(st.lists(st.integers(-1, top), min_size=k, max_size=k)))
+            expected = np.flatnonzero(np.all(codes[:, :k] == np.array(prefix), axis=1))
+            lo, hi = rep.prefix_range(prefix)
+            assert hi - lo == expected.size
+            assert np.array_equal(np.sort(rep.members(prefix)), expected)
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["cross_polytope", "spherical_cap"]),
+    st.integers(2, 2000),
+    st.integers(1, 70),
+)
+def test_bit_budget_holds_exactly_when_keys_fit(kind, size, depth):
+    family = FamilyParams(kind=kind, dim=size, cap_count=size)
+    needed = depth * math.ceil(math.log2(family.bucket_universe))
+    if needed <= KEY_BITS:
+        assert slot_bits(family, depth) * depth == needed
+    else:
+        try:
+            slot_bits(family, depth)
+        except ValueError as e:
+            assert f"{needed} key bits" in str(e)
+        else:
+            raise AssertionError(f"{needed} bits were accepted")

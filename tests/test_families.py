@@ -126,6 +126,29 @@ def test_cross_polytope_hash_matches_direct_recount():
         assert got[i] == best
 
 
+def test_cross_polytope_codes_match_interleaved_argmax():
+    # codes are 2 * argmax|proj| + (proj < 0); the reference is the argmax
+    # over the interleaved scores (proj_0, -proj_0, proj_1, -proj_1, ...),
+    # including the ties all-zero and signed-zero rows produce
+    params = FamilyParams(kind="cross_polytope", dim=6)
+    rng = np.random.default_rng(21)
+    rows = rng.normal(size=(300, 6))
+    rows[:20] = 0.0
+    rows[20:40] = -0.0
+    rows[40:60] = np.where(rng.random((20, 6)) < 0.5, 0.0, -0.0)
+    rows[60:80, :3] = 0.0
+    rows[80:100] = rng.integers(-1, 2, size=(20, 6)).astype(np.float64)
+    for seed in range(20):
+        fn = sample_hash_function(params, seed)
+        for directions in (fn.directions, np.eye(6)):
+            proj = rows @ directions.T
+            interleaved = np.empty((rows.shape[0], 12))
+            interleaved[:, 0::2] = proj
+            interleaved[:, 1::2] = -proj
+            got = hash_batch(HashFunction(params, seed, directions), rows)
+            assert np.array_equal(got, interleaved.argmax(axis=1))
+
+
 def test_bucket_is_scale_invariant():
     # cross-polytope buckets depend only on direction; cap buckets compare
     # against a fixed threshold and are defined for unit rows only

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -335,3 +337,129 @@ def test_repetition_rejects_mismatched_codes():
     fns = tuple(sample_hash_function(params, s) for s in range(2))
     with pytest.raises(ValueError):
         Repetition(fns, np.zeros((10, 3), dtype=np.int32))
+
+
+# packed keys, the bit budget and header checks
+
+
+def test_keys_sort_like_the_code_tuples(built):
+    _, index = built
+    for rep in index.repetitions[:3]:
+        codes = rep.codes_in_input_order()
+        order = np.lexsort(tuple(codes[:, s] for s in reversed(range(index.levels))))
+        assert np.array_equal(rep.order, order)
+        assert np.array_equal(rep.sorted_codes, codes[order])
+        assert rep.keys.dtype == np.int64 and np.all(np.diff(rep.keys) >= 0)
+
+
+def test_functions_view_one_read_only_direction_block(built):
+    _, index = built
+    K = index.levels
+    assert index.directions.shape == (index.num_repetitions * K, 12, 12)
+    assert not index.directions.flags.writeable
+    for r, rep in enumerate(index.repetitions):
+        for s, fn in enumerate(rep.functions):
+            assert fn.directions.base is index.directions
+            assert np.shares_memory(fn.directions, index.directions[r * K + s])
+
+
+def test_build_past_the_bit_budget_fails_clearly():
+    # 1001 buckets take 10 bits per slot, and 7 levels of them need 70
+    params = FamilyParams(kind="spherical_cap", dim=8, cap_count=1000)
+    cal = toy_calibration(params, p2=0.4, levels=8)
+    inst = generate_planted_instance(n=400, d=8, r=0.4, t=3, seed=1)
+    assert compute_k(400, 0.4) == 7
+    with pytest.raises(ValueError, match=r"K=7 .*U=1001.* 70 key bits"):
+        build_index(inst.dataset, cal)
+
+
+@pytest.fixture(scope="module")
+def tiny_file(tmp_path_factory):
+    params = FamilyParams(kind="cross_polytope", dim=4)
+    inst = generate_planted_instance(n=20, d=4, r=0.4, t=2, seed=3)
+    index = build_index(inst.dataset, toy_calibration(params), seed=1)
+    path = tmp_path_factory.mktemp("tiny") / "tiny.idx"
+    index.save(str(path))
+    return path.read_bytes()
+
+
+def _meta_end(blob: bytes) -> int:
+    (meta_len,) = struct.unpack_from("<Q", blob, 16)
+    return 24 + meta_len
+
+
+def test_load_fuzz_truncated_and_flipped_headers(tmp_path, tiny_file):
+    # every cut and every flipped header byte is a format error, never a
+    # KeyError, a MemoryError or an allocation the header alone asked for
+    path = tmp_path / "fuzz.idx"
+    for cut in range(len(tiny_file)):
+        path.write_bytes(tiny_file[:cut])
+        with pytest.raises(IndexFormatError):
+            load_index(str(path))
+    for at in range(_meta_end(tiny_file)):
+        blob = bytearray(tiny_file)
+        blob[at] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFormatError):
+            load_index(str(path))
+
+
+def _with_meta(blob: bytes, edit) -> bytes:
+    meta = json.loads(blob[24 : _meta_end(blob)])
+    edit(meta)
+    new = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return blob[:16] + struct.pack("<Q", len(new)) + new + blob[_meta_end(blob) :]
+
+
+def _set(key, value):
+    return lambda meta: meta.__setitem__(key, value)
+
+
+def _cap_family(meta):
+    for family in (meta["family"], meta["calibration"]["family"]):
+        family.update(kind="spherical_cap", cap_count=2**21)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("n", 10**12), "truncated"),
+        (_set("n", 0), "positive integers"),
+        (_set("d", "4"), "positive integers"),
+        (_set("d", 5), "dimension"),
+        (_set("levels", 7), "exceed"),
+        (_set("num_repetitions", 10**9), "repetitions"),
+        (_set("seed", 1.5), "seed"),
+        (_set("space_budget", 0), "space budget"),
+        (lambda meta: meta.pop("family"), "corrupt index metadata"),
+        (_set("calibration", []), "corrupt index metadata"),
+        (_cap_family, "key bits"),
+        (_set("n", 19), "trailing"),
+    ],
+    ids=[
+        "n-huge", "n-zero", "d-string", "d-mismatch", "levels-past-calibration",
+        "repetitions-huge", "seed-float", "budget-zero", "family-missing",
+        "calibration-not-object", "bit-budget",
+        "n-short",
+    ],
+)
+def test_load_checks_metadata_before_allocating(tmp_path, tiny_file, edit, message):
+    path = tmp_path / "meta.idx"
+    path.write_bytes(_with_meta(tiny_file, edit))
+    with pytest.raises(IndexFormatError, match=message):
+        load_index(str(path))
+    # the same checks hold for a file that asks to rebuild its codes
+    blob = bytearray(_with_meta(tiny_file, edit))
+    blob[12] = 0
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IndexFormatError):
+        load_index(str(path))
+
+
+def test_load_rejects_codes_outside_the_universe(tmp_path, tiny_file):
+    blob = bytearray(tiny_file)
+    blob[-4:] = struct.pack("<i", 8)  # cross-polytope in 4 dimensions has buckets 0..7
+    path = tmp_path / "codes.idx"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IndexFormatError, match="codes"):
+        load_index(str(path))

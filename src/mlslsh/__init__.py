@@ -20,7 +20,6 @@ from .families import (
     CodeEnumerator,
     FamilyParams,
     HashFunction,
-    ProbeSequence,
     hash_batch,
     probe_sequence,
     sample_hash_function,
@@ -28,8 +27,6 @@ from .families import (
 from .geometry import (
     Dataset,
     PlantedInstance,
-    UnitPoint,
-    distance,
     generate_planted_instance,
     map_query,
     normalize_dataset,
@@ -70,9 +67,7 @@ __all__ = [
     "IndexFormatError",
     "MultiLevelIndex",
     "PlantedInstance",
-    "ProbeSequence",
     "QueryReport",
-    "UnitPoint",
     "adaptive_multiprobe",
     "brute_force_range",
     "build_index",
@@ -80,7 +75,6 @@ __all__ = [
     "compute_k",
     "compute_numreps",
     "cost",
-    "distance",
     "edge_probabilities",
     "estimate_collision_prob",
     "fixed_level_query",

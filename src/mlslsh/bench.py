@@ -19,16 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CollisionEstimate, FamilyCalibration, calibrate, edge_probabilities
-from .families import FamilyParams
-from .geometry import (
-    Dataset,
-    UnitPoint,
-    generate_planted_instance,
-    map_query,
-    normalize_dataset,
-    range_ids,
+from .calibration import (
+    DOCUMENT_ERRORS,
+    CollisionEstimate,
+    FamilyCalibration,
+    calibrate,
+    edge_probabilities,
 )
+from .families import FamilyParams
+from .geometry import Dataset, generate_planted_instance, map_query, normalize_dataset, range_ids
 from .index import MultiLevelIndex, build_index, compute_k
 from .query import (
     QueryReport,
@@ -42,32 +41,36 @@ _MODES = ("adaptive", "single", "fixed", "brute")
 
 
 def read_fvecs(path: str) -> np.ndarray:
-    """Read an .fvecs file: records of int32 dimension then that many float32s."""
+    """Read an .fvecs file: records of int32 dimension then that many float32s.
+
+    The file is viewed as one (n, d + 1) array of records sized by the first
+    header; the first record whose header differs, or a partial record at
+    the end, is reported with its byte offset.
+    """
     with open(path, "rb") as f:
         buf = f.read()
     if not buf:
         raise ValueError(f"{path}: empty file")
-    rows = []
-    offset = 0
-    dim = None
-    while offset < len(buf):
-        if offset + 4 > len(buf):
-            raise ValueError(f"{path}: truncated record header at byte {offset}")
-        (d,) = struct.unpack_from("<i", buf, offset)
-        if d <= 0:
-            raise ValueError(f"{path}: invalid dimension {d} at byte {offset}")
-        if dim is None:
-            dim = d
-        elif d != dim:
-            raise ValueError(
-                f"{path}: dimension changed from {dim} to {d} at byte {offset}"
-            )
-        end = offset + 4 + 4 * d
-        if end > len(buf):
-            raise ValueError(f"{path}: truncated vector data at byte {offset + 4}")
-        rows.append(np.frombuffer(buf, dtype="<f4", count=d, offset=offset + 4))
-        offset = end
-    return np.array(rows, dtype=np.float64)
+    if len(buf) < 4:
+        raise ValueError(f"{path}: truncated record header at byte 0")
+    dim = int.from_bytes(buf[:4], "little", signed=True)
+    if dim <= 0:
+        raise ValueError(f"{path}: invalid dimension {dim} at byte 0")
+    width = dim + 1
+    n = len(buf) // (4 * width)
+    records = np.frombuffer(buf, dtype="<i4", count=n * width).reshape(n, width)
+    bad = np.flatnonzero(records[:, 0] != dim)
+    offset = 4 * width * (int(bad[0]) if bad.size else n)
+    if offset == len(buf):
+        return records[:, 1:].view("<f4").astype(np.float64)
+    if offset + 4 > len(buf):
+        raise ValueError(f"{path}: truncated record header at byte {offset}")
+    d = int.from_bytes(buf[offset : offset + 4], "little", signed=True)
+    if d <= 0:
+        raise ValueError(f"{path}: invalid dimension {d} at byte {offset}")
+    if d != dim:
+        raise ValueError(f"{path}: dimension changed from {dim} to {d} at byte {offset}")
+    raise ValueError(f"{path}: truncated vector data at byte {offset + 4}")
 
 
 def write_fvecs(path: str, matrix: np.ndarray) -> None:
@@ -184,8 +187,9 @@ class BenchConfig:
 
 def prepare_instance(
     config: BenchConfig,
-) -> tuple[Dataset, list[UnitPoint], tuple[frozenset[int], ...]]:
-    """Dataset, mapped queries, and exact ground truth for one benchmark run.
+) -> tuple[Dataset, np.ndarray, tuple[frozenset[int], ...]]:
+    """Dataset, the (m, d) matrix of mapped query rows, and exact ground truth
+    for one benchmark run.
 
     Synthetic runs plant near neighbors; file runs hold out the last
     num_queries rows as queries and index the rest, mapping the held-out rows
@@ -200,7 +204,7 @@ def prepare_instance(
             seed=config.seed,
             num_queries=config.num_queries,
         )
-        return inst.dataset, list(inst.queries), inst.ground_truth
+        return inst.dataset, np.array([q.coords for q in inst.queries]), inst.ground_truth
     raw = load_vectors(config.input_path, config.input_format)
     if raw.shape[0] <= config.num_queries:
         raise ValueError(
@@ -208,11 +212,9 @@ def prepare_instance(
         )
     train, held = raw[: -config.num_queries], raw[-config.num_queries :]
     dataset = normalize_dataset(train)
-    queries = [map_query(dataset, held[i], id=i) for i in range(held.shape[0])]
+    queries = np.array([map_query(dataset, row) for row in held])
     truth = tuple(
-        frozenset(
-            int(v) for v in range_ids(dataset.matrix, q.coords, config.radius)
-        )
+        frozenset(int(v) for v in range_ids(dataset.matrix, q, config.radius))
         for q in queries
     )
     return dataset, queries, truth
@@ -261,8 +263,8 @@ def calibrate_cached(
         try:
             with open(path, "r", encoding="utf-8") as f:
                 return FamilyCalibration.from_json_dict(json.load(f))
-        except (ValueError, KeyError, OSError, json.JSONDecodeError):
-            pass
+        except (OSError, *DOCUMENT_ERRORS):
+            pass  # unreadable, or parsed but malformed: recompute and rewrite
     cal = calibrate(params, r, c, levels, max_probes, trials, seed, edges)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -312,20 +314,18 @@ def _run_one(
     mode: str,
     index: MultiLevelIndex | None,
     dataset: Dataset,
-    q: UnitPoint,
+    q: np.ndarray,
     config: BenchConfig,
 ) -> QueryReport:
     if mode == "brute":
-        return brute_force_range(dataset, q.coords, config.radius)
+        return brute_force_range(dataset, q, config.radius)
     if index is None:
         raise ValueError(f"mode {mode!r} needs an index")
     if mode == "adaptive":
-        return adaptive_multiprobe(index, q.coords, config.radius)
+        return adaptive_multiprobe(index, q, config.radius)
     if mode == "single":
-        return single_probe_adaptive(index, q.coords, config.radius)
-    return fixed_level_query(
-        index, q.coords, config.radius, config.fixed_level, config.fixed_probes
-    )
+        return single_probe_adaptive(index, q, config.radius)
+    return fixed_level_query(index, q, config.radius, config.fixed_level, config.fixed_probes)
 
 
 def recompute_aggregates(records: list[dict]) -> dict:
@@ -503,7 +503,7 @@ def scaling_trend(sizes: list[int], config: BenchConfig) -> TrendReport:
         works = []
         reported = []
         for q in inst.queries:
-            report = _run_one(mode, index, inst.dataset, q, config)
+            report = _run_one(mode, index, inst.dataset, q.coords, config)
             works.append(report.work_examined)
             reported.append(report.t_reported)
         mean_work.append(float(np.mean(works)))

@@ -21,7 +21,6 @@ import numpy as np
 from .families import (
     CodeEnumerator,
     FamilyParams,
-    ProbeSequence,
     derived_rng,
     derived_seed,
     hash_batch,
@@ -43,6 +42,10 @@ _MIN_TRIALS = 1000
 
 class CalibrationError(RuntimeError):
     """Raised when measured probabilities cannot support an index build."""
+
+
+# what reading a parsed but malformed document with from_json_dict can raise
+DOCUMENT_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError, CalibrationError)
 
 
 @dataclass(frozen=True)
@@ -193,8 +196,7 @@ def _estimate_probe_success(
         data, query = _pairs_at_distance(rng, params.dim, m, r)
 
         data_codes = np.empty((m, levels), dtype=np.int64)
-        orders = []
-        deficits = []
+        rankings = []
         ranks = np.empty((m, levels), dtype=np.int64)
         rows = np.arange(m)
         for s, fn in enumerate(fns):
@@ -203,20 +205,17 @@ def _estimate_probe_success(
             inv = np.empty_like(o)
             inv[rows[:, None], o] = np.arange(o.shape[1])[None, :]
             ranks[:, s] = inv[rows, data_codes[:, s]]
-            orders.append(o)
-            deficits.append(d)
+            # a position within max_probes never uses a slot rank past it
+            rankings.append(list(zip(o[:, :max_probes].tolist(), d[:, :max_probes].tolist())))
 
-        for i in range(m):
+        # per pair: its codes, its slot ranks and the query's slot rankings
+        for codes, slot_ranks, slots in zip(data_codes.tolist(), ranks.tolist(), zip(*rankings)):
             for k in range(1, levels + 1):
                 # a slot rank at or past the probe budget bounds the tuple's
                 # position past the budget too, at this and every deeper level
-                if ranks[i, k - 1] >= max_probes:
+                if slot_ranks[k - 1] >= max_probes:
                     break
-                seqs = [
-                    ProbeSequence(orders[s][i], deficits[s][i]) for s in range(k)
-                ]
-                target = tuple(int(v) for v in data_codes[i, :k])
-                pos = CodeEnumerator(seqs).position_of(target, max_probes)
+                pos = CodeEnumerator(slots[:k]).position_of(tuple(codes[:k]), max_probes)
                 if pos is None:
                     break
                 per_batch[b, k - 1, pos - 1 :] += 1

@@ -93,6 +93,45 @@ _family_option = click.option(
     help="Hash family.",
 )
 
+_INDEX_OPTIONS = [
+    click.option("--radius", type=float, required=True, help="Target query radius."),
+    click.option("--approx-c", type=float, default=2.0, show_default=True),
+    click.option("--budget-L", "budget", type=int, default=None, help="Cap on repetitions."),
+    _family_option,
+    click.option("--cap-count", type=int, default=64, show_default=True),
+    click.option("--trials", type=int, default=20000, show_default=True),
+    click.option("--max-probes", type=int, default=16, show_default=True),
+    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--cache-dir", default=None, help="Calibration cache directory."),
+]
+
+
+def _index_options(fn):
+    """The options that calibrate, size and seed an index, shared by build,
+    bench and trend; `fn` receives them as one dict of BenchConfig fields."""
+
+    # wraps carries over fn's docstring, the help text, and the options
+    # declared below this decorator
+    @functools.wraps(fn)
+    def wrapper(radius, approx_c, budget, family, cap_count, trials, max_probes, seed,
+                cache_dir, **kwargs):
+        index_fields = dict(
+            radius=radius,
+            approx_c=approx_c,
+            space_budget=budget,
+            family_kind=_FAMILY_CHOICES[family],
+            cap_count=cap_count,
+            trials=trials,
+            max_probes=max_probes,
+            seed=seed,
+            cache_dir=cache_dir,
+        )
+        return fn(index_fields, **kwargs)
+
+    for option in reversed(_INDEX_OPTIONS):
+        wrapper = option(wrapper)
+    return wrapper
+
 
 @click.group()
 def main() -> None:
@@ -102,15 +141,7 @@ def main() -> None:
 @main.command()
 @click.option("--input", "input_", required=True, help="Vector file or synth:n=...,d=...")
 @click.option("--format", "fmt", type=click.Choice(["fvecs", "csv"]), default="fvecs", show_default=True)
-@click.option("--radius", type=float, required=True, help="Target query radius.")
-@click.option("--approx-c", type=float, default=2.0, show_default=True)
-@click.option("--budget-L", "budget", type=int, default=None, help="Cap on repetitions.")
-@_family_option
-@click.option("--cap-count", type=int, default=64, show_default=True)
-@click.option("--trials", type=int, default=20000, show_default=True)
-@click.option("--max-probes", type=int, default=16, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cache-dir", default=None, help="Calibration cache directory.")
+@_index_options
 @click.option("--output", required=True, help="Index file to write.")
 @click.option(
     "--rebuildable/--full",
@@ -119,31 +150,20 @@ def main() -> None:
     help="Omit code matrices; loading recomputes them.",
 )
 @_json_errors
-def build(
-    input_, fmt, radius, approx_c, budget, family, cap_count, trials,
-    max_probes, seed, cache_dir, output, rebuildable,
-):
+def build(index_fields, input_, fmt, output, rebuildable):
     """Build an index file from a dataset."""
     synth = _parse_synth(input_)
     config = BenchConfig(
-        radius=radius,
-        approx_c=approx_c,
-        seed=seed,
+        **index_fields,
         input_path=None if synth else input_,
         input_format=fmt,
         synthetic_n=synth["n"] if synth else None,
         synthetic_d=synth["d"] if synth else None,
-        space_budget=budget,
-        family_kind=_FAMILY_CHOICES[family],
-        cap_count=cap_count,
-        trials=trials,
-        max_probes=max_probes,
-        cache_dir=cache_dir,
         num_queries=1,
     )
     if synth:
         dataset = generate_planted_instance(
-            n=synth["n"], d=synth["d"], r=radius, t=synth.get("t", 0), seed=seed
+            n=synth["n"], d=synth["d"], r=config.radius, t=synth.get("t", 0), seed=config.seed
         ).dataset
     else:
         dataset = normalize_dataset(load_vectors(input_, fmt))
@@ -187,23 +207,22 @@ def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
     q = map_query(index.dataset, raw)
     if mode == "brute":
         r = index.params.calibration.r if radius is None else radius
-        report = brute_force_range(index.dataset, q.coords, r)
+        report = brute_force_range(index.dataset, q, r)
     elif mode == "adaptive":
-        report = adaptive_multiprobe(index, q.coords, radius)
+        report = adaptive_multiprobe(index, q, radius)
     elif mode == "single":
-        report = single_probe_adaptive(index, q.coords, radius)
+        report = single_probe_adaptive(index, q, radius)
     else:
         if fixed_k is None or fixed_j is None:
             raise ValueError("fixed mode needs --fixed-k and --fixed-j")
-        report = fixed_level_query(index, q.coords, radius, fixed_k, fixed_j)
+        report = fixed_level_query(index, q, radius, fixed_k, fixed_j)
     _echo(report.to_json_dict(include_timing=timing))
 
 
 @main.command()
 @click.option("--input", "input_", required=True, help="Vector file or synth:n=...,d=...")
 @click.option("--format", "fmt", type=click.Choice(["fvecs", "csv"]), default="fvecs", show_default=True)
-@click.option("--radius", type=float, required=True)
-@click.option("--approx-c", type=float, default=2.0, show_default=True)
+@_index_options
 @click.option(
     "--mode",
     "modes",
@@ -215,42 +234,24 @@ def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
 )
 @click.option("--queries", type=int, default=100, show_default=True)
 @click.option("--planted", type=int, default=10, show_default=True)
-@click.option("--budget-L", "budget", type=int, default=None)
-@_family_option
-@click.option("--cap-count", type=int, default=64, show_default=True)
-@click.option("--trials", type=int, default=20000, show_default=True)
-@click.option("--max-probes", type=int, default=16, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--fixed-k", type=int, default=None)
 @click.option("--fixed-j", type=int, default=None)
-@click.option("--cache-dir", default=None)
 @click.option("--output", default=None, help="Report JSON path; records go beside it.")
 @_json_errors
-def bench(
-    input_, fmt, radius, approx_c, modes, queries, planted, budget, family,
-    cap_count, trials, max_probes, seed, fixed_k, fixed_j, cache_dir, output,
-):
+def bench(index_fields, input_, fmt, modes, queries, planted, fixed_k, fixed_j, output):
     """Run a benchmark sweep and print aggregate statistics."""
     synth = _parse_synth(input_)
     config = BenchConfig(
-        radius=radius,
-        approx_c=approx_c,
-        seed=seed,
+        **index_fields,
         input_path=None if synth else input_,
         input_format=fmt,
         synthetic_n=synth["n"] if synth else None,
         synthetic_d=synth["d"] if synth else None,
         planted=synth.get("t", planted) if synth else planted,
         num_queries=queries,
-        space_budget=budget,
-        family_kind=_FAMILY_CHOICES[family],
-        cap_count=cap_count,
-        trials=trials,
-        max_probes=max_probes,
         modes=tuple(modes),
         fixed_level=fixed_k,
         fixed_probes=fixed_j,
-        cache_dir=cache_dir,
     )
     report = run_benchmark(config)
     doc = report.to_json_dict()
@@ -295,8 +296,7 @@ def probs(family, dim, radius, approx_c, cap_count, trials, seed):
 @main.command()
 @click.option("--sizes", required=True, help="Comma-separated dataset sizes, e.g. 1000,10000,100000")
 @click.option("--dim", type=int, required=True)
-@click.option("--radius", type=float, required=True)
-@click.option("--approx-c", type=float, default=2.0, show_default=True)
+@_index_options
 @click.option(
     "--mode",
     type=click.Choice(["adaptive", "single", "brute"]),
@@ -305,39 +305,21 @@ def probs(family, dim, radius, approx_c, cap_count, trials, seed):
 )
 @click.option("--queries", type=int, default=20, show_default=True)
 @click.option("--planted", type=int, default=5, show_default=True)
-@click.option("--budget-L", "budget", type=int, default=None)
-@_family_option
-@click.option("--cap-count", type=int, default=64, show_default=True)
-@click.option("--trials", type=int, default=20000, show_default=True)
-@click.option("--max-probes", type=int, default=16, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cache-dir", default=None)
 @click.option("--output", default=None, help="Trend JSON path.")
 @_json_errors
-def trend(
-    sizes, dim, radius, approx_c, mode, queries, planted, budget, family,
-    cap_count, trials, max_probes, seed, cache_dir, output,
-):
+def trend(index_fields, sizes, dim, mode, queries, planted, output):
     """Fit the growth exponent of query work across dataset sizes."""
     try:
         size_list = [int(tok) for tok in sizes.split(",")]
     except ValueError as e:
         raise ValueError(f"bad sizes: {e}") from e
     config = BenchConfig(
-        radius=radius,
-        approx_c=approx_c,
-        seed=seed,
+        **index_fields,
         synthetic_n=max(size_list),
         synthetic_d=dim,
         planted=planted,
         num_queries=queries,
-        space_budget=budget,
-        family_kind=_FAMILY_CHOICES[family],
-        cap_count=cap_count,
-        trials=trials,
-        max_probes=max_probes,
         modes=(mode,),
-        cache_dir=cache_dir,
     )
     report = scaling_trend(size_list, config)
     doc = report.to_json_dict()

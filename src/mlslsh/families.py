@@ -6,10 +6,10 @@ product threshold, with a reserved overflow bucket for points that clear
 none. "cross_polytope" applies a random rotation and assigns the nearest
 signed coordinate axis, giving 2 * dim buckets.
 
-A probe sequence ranks every bucket of one hash function for a query, own
-bucket first. A code enumerator merges the per-slot sequences of several
-hash functions into a best-first stream of bucket-id tuples; that stream is
-what multi-probe querying walks.
+A probe ranking orders every bucket of one hash function for a query, own
+bucket first, as a (buckets, deficits) row pair. A code enumerator merges
+the per-slot rankings of several hash functions into a best-first stream of
+bucket-id tuples; that stream is what multi-probe querying walks.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from statistics import NormalDist
 from typing import Literal, Sequence
 
 import numpy as np
-
-from .geometry import UnitPoint
 
 FamilyKind = Literal["spherical_cap", "cross_polytope"]
 
@@ -178,26 +176,6 @@ def hash_batch(h: HashFunction, rows: np.ndarray) -> np.ndarray:
     return bucket_codes(h.params, project(h, rows))
 
 
-@dataclass(frozen=True)
-class ProbeSequence:
-    """Buckets of one hash function ranked best-first for one query.
-
-    buckets[0] is always the query's own bucket. The remaining buckets are
-    ordered by descending score with ties on the smaller id, overflow last.
-    `deficits` are the nonnegative priority increments used when sequences
-    are combined across slots: the j-th deficit is the gap between the best
-    score and the j-th best score, assigned positionally so that the query's
-    own bucket costs 0 even when cap carving hashed the query into a cap
-    that did not have the top score.
-    """
-
-    buckets: np.ndarray
-    deficits: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.buckets.size)
-
-
 def rank_projections(
     params: FamilyParams, proj: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,12 +204,18 @@ def rank_projections(
     return orders, deficits, own
 
 
-def probe_sequence(h: HashFunction, q: UnitPoint | np.ndarray, j_max: int | None = None) -> ProbeSequence:
-    """Rank every bucket of `h` for query `q`, own bucket first.
+def probe_sequence(
+    h: HashFunction, q: np.ndarray, j_max: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank every bucket of `h` for the query row `q`: (buckets, deficits).
 
-    `j_max` truncates the sequence; None keeps the full bucket universe.
+    buckets[0] is the query's own bucket; the rest follow by descending
+    score, ties on the smaller id, overflow last. deficits[i] is the gap
+    between the best score and the i-th best, assigned by position, so the
+    own bucket costs 0 even when cap carving put the query in a cap without
+    the top score. `j_max` truncates both; None keeps the whole universe.
     """
-    vec = q.coords if isinstance(q, UnitPoint) else np.asarray(q, dtype=np.float64)
+    vec = np.asarray(q, dtype=np.float64)
     if vec.ndim != 1 or vec.size != h.params.dim:
         raise ValueError(f"query has shape {vec.shape}, family dimension is {h.params.dim}")
     orders, deficits, _ = rank_projections(h.params, project(h, vec[None, :]))
@@ -240,25 +224,31 @@ def probe_sequence(h: HashFunction, q: UnitPoint | np.ndarray, j_max: int | None
         if j_max < 1:
             raise ValueError(f"j_max must be >= 1, got {j_max}")
         order, deficit = order[:j_max], deficit[:j_max]
-    return ProbeSequence(np.ascontiguousarray(order), np.ascontiguousarray(deficit))
+    return np.ascontiguousarray(order), np.ascontiguousarray(deficit)
+
+
+def _as_list(row) -> list:
+    return row if isinstance(row, list) else np.asarray(row).tolist()
 
 
 class CodeEnumerator:
     """Best-first stream of bucket-id tuples across hash-function slots.
 
-    The priority of a tuple is the sum of per-slot deficits of the chosen
-    buckets; ties break on the lexicographically smaller tuple of bucket
-    ids. The stream starts at the all-own-buckets tuple (priority 0) and
-    never repeats a tuple. Emitting the first j tuples never requires a
-    per-slot rank beyond j - 1, so truncated slot sequences stay exact.
+    Each slot is given as one (buckets, deficits) ranking, as `probe_sequence`
+    returns it; the rows are kept as Python lists. The priority of a tuple is
+    the sum of per-slot deficits of the chosen buckets; ties break on the
+    lexicographically smaller tuple of bucket ids. The stream starts at the
+    all-own-buckets tuple (priority 0) and never repeats a tuple. Emitting
+    the first j tuples never requires a per-slot rank beyond j - 1, so
+    truncated rankings stay exact.
     """
 
-    def __init__(self, sequences: Sequence[ProbeSequence]):
-        if not sequences:
-            raise ValueError("at least one slot sequence is required")
-        self._seqs = list(sequences)
-        base_code = tuple(int(s.buckets[0]) for s in self._seqs)
-        base_ranks = (0,) * len(self._seqs)
+    def __init__(self, rankings: Sequence[tuple[Sequence[int], Sequence[float]]]):
+        if not rankings:
+            raise ValueError("at least one slot ranking is required")
+        self._slots = [(slot, _as_list(b), _as_list(d)) for slot, (b, d) in enumerate(rankings)]
+        base_code = tuple(b[0] for _, b, _ in self._slots)
+        base_ranks = (0,) * len(self._slots)
         self._heap: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = [
             (0.0, base_code, base_ranks)
         ]
@@ -269,16 +259,16 @@ class CodeEnumerator:
         while len(self.emitted) < count and self._heap:
             prio, code, ranks = heapq.heappop(self._heap)
             self.emitted.append(code)
-            for slot, seq in enumerate(self._seqs):
+            for slot, buckets, deficits in self._slots:
                 nxt = ranks[slot] + 1
-                if nxt >= len(seq):
+                if nxt >= len(buckets):
                     continue
                 nranks = ranks[:slot] + (nxt,) + ranks[slot + 1 :]
                 if nranks in self._queued:
                     continue
                 self._queued.add(nranks)
-                nprio = prio - float(seq.deficits[ranks[slot]]) + float(seq.deficits[nxt])
-                ncode = code[:slot] + (int(seq.buckets[nxt]),) + code[slot + 1 :]
+                nprio = prio - deficits[nxt - 1] + deficits[nxt]
+                ncode = code[:slot] + (buckets[nxt],) + code[slot + 1 :]
                 heapq.heappush(self._heap, (nprio, ncode, nranks))
 
     def first(self, count: int) -> list[tuple[int, ...]]:

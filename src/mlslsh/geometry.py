@@ -13,7 +13,8 @@ DEGENERATE_NORM = 1e-12
 
 @dataclass(frozen=True)
 class UnitPoint:
-    """A point of Euclidean norm 1, tagged with its position in a dataset."""
+    """A planted query of Euclidean norm 1, tagged with its position in the
+    instance; query functions take its `coords` row."""
 
     coords: np.ndarray
     id: int = 0
@@ -25,15 +26,11 @@ class UnitPoint:
                 f"expected a vector of dimension >= 2, got shape {coords.shape}"
             )
         norm = float(np.linalg.norm(coords))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
             raise ValueError(f"coordinates have norm {norm:.9g}, not 1 within {UNIT_NORM_TOL}")
         if self.id < 0:
             raise ValueError(f"id must be non-negative, got {self.id}")
         object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
 
 
 @dataclass(frozen=True)
@@ -79,13 +76,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
-
-
-def distance(x: UnitPoint, y: UnitPoint) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return float(np.linalg.norm(x.coords - y.coords))
 
 
 def range_ids(matrix: np.ndarray, coords: np.ndarray, radius: float) -> np.ndarray:
@@ -142,13 +132,16 @@ def normalize_dataset(raw: Sequence[Sequence[float]] | np.ndarray) -> Dataset:
     return Dataset(unit, centroid, degenerate_ids=tuple(int(i) for i in degenerate))
 
 
-def map_query(dataset: Dataset, raw: Sequence[float] | np.ndarray, id: int = 0) -> UnitPoint:
-    """Center a raw-space query with the dataset's centroid and project it to the sphere."""
+def map_query(dataset: Dataset, raw: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Center a raw-space query with the dataset's centroid and project it to
+    the sphere; returns the unit float64 row every query function takes."""
     vec = np.asarray(raw, dtype=np.float64)
     if vec.ndim != 1 or vec.size != dataset.dim:
         raise ValueError(f"query has shape {vec.shape}, dataset dimension is {dataset.dim}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("query contains non-finite values")
     unit, _ = _center_and_project(vec[None, :], dataset.centroid)
-    return UnitPoint(unit[0], id=id)
+    return unit[0]
 
 
 def uniform_unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

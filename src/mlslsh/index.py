@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibrationError, FamilyCalibration
+from .calibration import DOCUMENT_ERRORS, CalibrationError, FamilyCalibration
 from .families import FamilyParams, HashFunction, derived_seed, hash_batch, sample_hash_function
 from .geometry import Dataset
 
@@ -116,6 +116,21 @@ def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
     return (codes.astype(np.int64) << _shifts(bits, codes.shape[1])).sum(axis=1)
 
 
+def _key_runs(keys, first, shift) -> list[np.ndarray]:
+    """Bounds of the runs of sorted keys in [first, first + 2**shift).
+
+    `first` is one int searched in the single array of `keys`, or an (R, m)
+    array whose row r is searched in keys[r]; `shift` broadcasts against it.
+    Result r is a (2, m) array, the run starts lo above the run ends hi.
+    Each run is the keys in (first - 1, last], both ends searched on the
+    right, which keeps every needle below 2**63.
+    """
+    needles = np.array([first - 1, first | ((1 << shift) - 1)], dtype=np.int64)
+    # one contiguous (2, m) block per key array; a strided one is copied per search
+    needles = needles.reshape(2, len(keys), -1).transpose(1, 0, 2).copy()
+    return [k.searchsorted(x, side="right") for k, x in zip(keys, needles)]
+
+
 class Repetition:
     """One repetition: K hash functions plus the points sorted by packed key.
 
@@ -162,18 +177,8 @@ class Repetition:
                 return 0, 0  # no key holds a code this wide
             p = p << self.bits | int(code)
         shift = self.bits * (self.depth - len(prefix))
-        first = p << shift
-        # the run is the keys in (first - 1, last]; searching both ends on the
-        # right keeps every needle below 2**63
-        lo, hi = self.keys.searchsorted(
-            np.array([first - 1, first | ((1 << shift) - 1)], dtype=np.int64), side="right"
-        )
-        return int(lo), int(hi)
-
-    def members(self, prefix: tuple[int, ...]) -> np.ndarray:
-        """Dataset indices of the bucket for `prefix`, in sorted-run order."""
-        lo, hi = self.prefix_range(prefix)
-        return self.order[lo:hi]
+        (lo,), (hi,) = _key_runs((self.keys,), p << shift, shift)[0].tolist()
+        return lo, hi
 
     def codes_in_input_order(self) -> np.ndarray:
         out = np.empty((self.keys.size, self.depth), dtype=np.int32)
@@ -210,23 +215,8 @@ class MultiLevelIndex:
         bits = self.repetitions[0].bits
         shifts = _shifts(bits, self.levels)
         first = (_pack(codes, bits)[:, None] >> shifts) << shifts
-        # as in Repetition.prefix_range: each run is (first - 1, last]
-        needles = np.concatenate([first - 1, first | ((1 << shifts) - 1)], axis=1)
-        runs = np.array(
-            [rep.keys.searchsorted(x, side="right") for rep, x in zip(self.repetitions, needles)]
-        )
-        return runs[:, : self.levels], runs[:, self.levels :]
-
-    def bucket(self, rep: int, prefix: tuple[int, ...]) -> np.ndarray:
-        if not 0 <= rep < len(self.repetitions):
-            raise ValueError(f"repetition {rep} outside 0..{len(self.repetitions) - 1}")
-        return self.repetitions[rep].members(prefix)
-
-    def bucket_size(self, rep: int, prefix: tuple[int, ...]) -> int:
-        if not 0 <= rep < len(self.repetitions):
-            raise ValueError(f"repetition {rep} outside 0..{len(self.repetitions) - 1}")
-        lo, hi = self.repetitions[rep].prefix_range(prefix)
-        return hi - lo
+        runs = np.array(_key_runs([rep.keys for rep in self.repetitions], first, shifts))
+        return runs[:, 0], runs[:, 1]
 
     def save(self, path: str, include_codes: bool = True) -> None:
         """Write the index to `path`.
@@ -327,7 +317,7 @@ def _check_metadata(meta) -> tuple[BuildParams, int, int, int, int, tuple[int, .
         # count a build from this calibration gives
         expected_R = min(compute_numreps(calibration.p1, K), params.space_budget or math.inf)
         degenerate = tuple(meta["degenerate_ids"])
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, CalibrationError) as e:
+    except DOCUMENT_ERRORS as e:
         raise IndexFormatError(f"corrupt index metadata: {e!r}") from e
     if family.dim != d:
         raise IndexFormatError(f"family dimension {family.dim} does not match d={d}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import CodeEnumerator, ProbeSequence, bucket_codes, rank_projections
+from .families import CodeEnumerator, bucket_codes, rank_projections
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset
@@ -98,7 +98,8 @@ class _QueryProbes:
         self._proj = index.directions @ np.asarray(q, dtype=np.float64)
         own = bucket_codes(index.params.family, self._proj)
         self._lo, self._hi = index.level_ranges(own.reshape(index.num_repetitions, index.levels))
-        self._ranking: tuple[np.ndarray, np.ndarray] | None = None
+        # one (buckets, deficits) list pair per slot, built on first use
+        self._rankings: list[tuple[list, list]] | None = None
         # (rep, k) -> its enumerator, bucket runs and running work
         self._walks: dict[tuple[int, int], tuple[CodeEnumerator, list, list]] = {}
 
@@ -110,13 +111,16 @@ class _QueryProbes:
         `rep` reach at level k, fewer if a tiny code universe runs out, and
         the running work over them: one unit per probe plus the bucket size."""
         if (rep, k) not in self._walks:
-            if self._ranking is None:
-                self._ranking = rank_projections(self._index.params.family, self._proj)[:2]
-            orders, deficits = self._ranking
-            rows = range(rep * self._index.levels, rep * self._index.levels + k)
-            seqs = [ProbeSequence(orders[i], deficits[i]) for i in rows]
+            if self._rankings is None:
+                orders, deficits, _ = rank_projections(self._index.params.family, self._proj)
+                # j <= max_probes here, and the first j tuples never use a
+                # slot rank past j - 1
+                width = self._index.params.calibration.max_probes
+                self._rankings = list(zip(orders[:, :width].tolist(), deficits[:, :width].tolist()))
+            first = rep * self._index.levels
             lo, hi = int(self._lo[rep, k - 1]), int(self._hi[rep, k - 1])
-            self._walks[rep, k] = CodeEnumerator(seqs), [(lo, hi)], [0, 1 + hi - lo]
+            enum = CodeEnumerator(self._rankings[first : first + k])
+            self._walks[rep, k] = enum, [(lo, hi)], [0, 1 + hi - lo]
         enum, runs, cum = self._walks[rep, k]
         if len(runs) < j:
             repetition = self._index.repetitions[rep]

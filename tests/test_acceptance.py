@@ -213,16 +213,18 @@ def test_criterion_3_build_invariants():
         for rep in index.repetitions[:2]:
             codes = rep.codes_in_input_order()
             for k in range(1, K + 1):
-                sizes = [
-                    rep.members(tuple(int(v) for v in p)).size
+                runs = [
+                    rep.prefix_range(tuple(int(v) for v in p))
                     for p in np.unique(codes[:, :k], axis=0)
                 ]
+                sizes = [hi - lo for lo, hi in runs]
                 if sum(sizes) != n:
                     problems.append(f"build {trial}: level {k} not a partition")
             for i in rng.integers(0, n, size=5):
                 prev = None
                 for k in range(1, K + 1):
-                    members = set(rep.members(tuple(int(v) for v in codes[i, :k])))
+                    run = rep.prefix_range(tuple(int(v) for v in codes[i, :k]))
+                    members = set(rep.order[slice(*run)].tolist())
                     if int(i) not in members or (prev is not None and not members <= prev):
                         problems.append(f"build {trial}: refinement broken at {k}")
                     prev = members

@@ -105,12 +105,13 @@ def test_prepare_instance_from_file(tmp_path):
     assert dataset.size == 26
     assert len(queries) == 4 and len(truth) == 4
     # queries are the held-out tail, mapped with the training centroid
+    assert queries.shape == (4, 6) and queries.dtype == np.float64
     for i, q in enumerate(queries):
         manual = raw[26 + i] - dataset.centroid
         manual /= np.linalg.norm(manual)
-        assert np.allclose(q.coords, manual, atol=1e-12)
+        assert np.allclose(q, manual, atol=1e-12)
         assert truth[i] == frozenset(
-            int(v) for v in range_ids(dataset.matrix, q.coords, 0.7)
+            int(v) for v in range_ids(dataset.matrix, q, 0.7)
         )
 
 
@@ -287,3 +288,44 @@ def test_scaling_trend_brute_is_linear(tmp_path):
     assert trend.mode == "brute"
     doc = trend.to_json_dict()
     assert doc["sizes"] == [200, 400, 800]
+
+
+def test_fvecs_dimension_change_past_the_second_record(tmp_path):
+    path = tmp_path / "bad.fvecs"
+    rec = struct.pack("<i", 2) + struct.pack("<2f", 1.0, 2.0)
+    path.write_bytes(rec * 3 + struct.pack("<i", 3) + struct.pack("<3f", 1, 2, 3) + rec)
+    with pytest.raises(ValueError, match=f"from 2 to 3 at byte {3 * len(rec)}"):
+        read_fvecs(str(path))
+    # a bad header past the second record, then a partial record at the end
+    path.write_bytes(rec * 4 + struct.pack("<i", 0))
+    with pytest.raises(ValueError, match=f"invalid dimension 0 at byte {4 * len(rec)}"):
+        read_fvecs(str(path))
+    path.write_bytes(rec * 4 + rec[:-1])
+    with pytest.raises(ValueError, match=f"truncated vector data at byte {4 * len(rec) + 4}"):
+        read_fvecs(str(path))
+    path.write_bytes(rec * 4 + rec[:3])
+    with pytest.raises(ValueError, match=f"truncated record header at byte {4 * len(rec)}"):
+        read_fvecs(str(path))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: [doc],  # a JSON list, not an object
+        lambda doc: {**doc, "r": None},
+        # a table that decreases along j
+        lambda doc: {**doc, "probe_success": [row[::-1] for row in doc["probe_success"]]},
+    ],
+    ids=["list", "null-radius", "decreasing-table"],
+)
+def test_calibrate_cached_recomputes_malformed_entries(tmp_path, corrupt):
+    params = FamilyParams(kind="cross_polytope", dim=6)
+    kwargs = dict(r=0.4, c=2.0, levels=2, max_probes=4, trials=1000, seed=1,
+                  cache_dir=str(tmp_path))
+    first = calibrate_cached(params, **kwargs)
+    (entry,) = tmp_path.glob("cal-*.json")
+    good = json.loads(entry.read_text())
+    entry.write_text(json.dumps(corrupt(good)))
+    again = calibrate_cached(params, **kwargs)
+    assert again.to_json_dict() == first.to_json_dict()
+    assert json.loads(entry.read_text()) == good

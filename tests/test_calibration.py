@@ -177,8 +177,8 @@ def test_probe_success_single_level_matches_direct_walk():
         data, query = _pairs_at_distance(rng, 8, m, r)
         buckets = hash_batch(fn, data)
         for i in range(m):
-            seq = probe_sequence(fn, query[i], j_max=j_max)
-            where = np.nonzero(seq.buckets == buckets[i])[0]
+            ranked, _ = probe_sequence(fn, query[i], j_max=j_max)
+            where = np.nonzero(ranked == buckets[i])[0]
             if where.size:
                 hits[where[0] :] += 1
     direct = hits / trials

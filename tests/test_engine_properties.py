@@ -219,7 +219,7 @@ def test_keys_match_a_linear_scan(case, data):
             expected = np.flatnonzero(np.all(codes[:, :k] == np.array(prefix), axis=1))
             lo, hi = rep.prefix_range(prefix)
             assert hi - lo == expected.size
-            assert np.array_equal(np.sort(rep.members(prefix)), expected)
+            assert np.array_equal(np.sort(rep.order[lo:hi]), expected)
 
 
 @settings(deadline=None, derandomize=True)

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlslsh.families import (
     CodeEnumerator,
@@ -197,28 +200,28 @@ def test_probe_sequence_matches_recount(kind, dim):
     rng = np.random.default_rng(22)
     for _ in range(30):
         q = unit(rng.normal(size=dim))
-        seq = probe_sequence(fn, q)
+        buckets, deficits = probe_sequence(fn, q)
         expected, scores = _recount_order(fn, q)
-        assert list(seq.buckets) == expected
-        assert len(set(seq.buckets)) == len(seq)
-        assert len(seq) == params.bucket_universe
+        assert list(buckets) == expected
+        assert len(set(buckets)) == len(buckets) == len(deficits)
+        assert len(buckets) == params.bucket_universe
         # deficits: position zero free, then the drop from the best score,
         # taken over the descending score profile
         desc = sorted(scores, reverse=True)
-        assert seq.deficits[0] == 0.0
-        assert np.all(np.diff(seq.deficits) >= 0.0)
-        assert np.allclose(seq.deficits, [desc[0] - s for s in desc], atol=1e-12)
+        assert deficits[0] == 0.0
+        assert np.all(np.diff(deficits) >= 0.0)
+        assert np.allclose(deficits, [desc[0] - s for s in desc], atol=1e-12)
 
 
 def test_probe_sequence_truncation_is_a_prefix():
     params = FamilyParams(kind="spherical_cap", dim=6, cap_count=20)
     fn = sample_hash_function(params, 2)
     q = unit(np.arange(1.0, 7.0))
-    full = probe_sequence(fn, q)
-    short = probe_sequence(fn, q, j_max=5)
-    assert len(short) == 5
-    assert np.array_equal(short.buckets, full.buckets[:5])
-    assert np.array_equal(short.deficits, full.deficits[:5])
+    full_buckets, full_deficits = probe_sequence(fn, q)
+    buckets, deficits = probe_sequence(fn, q, j_max=5)
+    assert len(buckets) == len(deficits) == 5
+    assert np.array_equal(buckets, full_buckets[:5])
+    assert np.array_equal(deficits, full_deficits[:5])
 
 
 def test_enumerator_first_code_is_own_buckets():
@@ -245,12 +248,11 @@ def test_enumerator_priorities_are_optimal():
     params = FamilyParams(kind="cross_polytope", dim=3)
     fns = [sample_hash_function(params, s) for s in (4, 5)]
     q = unit(np.array([0.8, -0.2, 0.55]))
-    seqs = [probe_sequence(fn, q) for fn in fns]
+    (b1s, d1s), (b2s, d2s) = [probe_sequence(fn, q) for fn in fns]
     grid = []
-    for i1, b1 in enumerate(seqs[0].buckets):
-        for i2, b2 in enumerate(seqs[1].buckets):
-            prio = seqs[0].deficits[i1] + seqs[1].deficits[i2]
-            grid.append((prio, (int(b1), int(b2))))
+    for b1, d1 in zip(b1s, d1s):
+        for b2, d2 in zip(b2s, d2s):
+            grid.append((d1 + d2, (int(b1), int(b2))))
     grid.sort()
     expected = [code for _, code in grid]
     got = first_codes(fns, q, len(grid))
@@ -277,6 +279,52 @@ def test_enumerator_position_of():
         assert en.position_of(code, 16) == i + 1
     assert en.position_of((99, 99), 16) is None
     assert en.position_of(codes[10], 5) is None  # outside the probe budget
+
+
+DYADIC = [0.0, 0.25, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def slot_rankings(draw):
+    """One ranking per slot over a 2-6 bucket universe: deficits from a few
+    dyadic values, so every sum is exact and ties are common, non-decreasing
+    from 0; tied positions hold their buckets in ascending order, as probe
+    rankings do past the own bucket. Rows are lists or arrays."""
+    rankings = []
+    for _ in range(draw(st.integers(1, 3))):
+        universe = draw(st.integers(2, 6))
+        deficits = sorted(
+            [0.0] + draw(st.lists(st.sampled_from(DYADIC), min_size=universe - 1,
+                                  max_size=universe - 1))
+        )
+        if draw(st.booleans()):  # force a tie at the top
+            deficits[1] = 0.0
+        buckets = draw(st.permutations(range(universe)))
+        pairs = sorted(zip(deficits, buckets))
+        ranking = ([b for _, b in pairs], [d for d, _ in pairs])
+        if draw(st.booleans()):
+            ranking = (np.array(ranking[0]), np.array(ranking[1]))
+        rankings.append(ranking)
+    return rankings
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(slot_rankings(), st.data())
+def test_enumerator_matches_the_sorted_grid(rankings, data):
+    grid = sorted(
+        (sum(float(deficits[i]) for (_, deficits), i in zip(rankings, ranks)),
+         tuple(int(buckets[i]) for (buckets, _), i in zip(rankings, ranks)))
+        for ranks in itertools.product(*(range(len(b)) for b, _ in rankings))
+    )
+    expected = [code for _, code in grid]
+    assert CodeEnumerator(rankings).first(len(expected)) == expected
+    assert CodeEnumerator(rankings).first(len(expected) + 5) == expected
+    limit = data.draw(st.integers(0, len(expected) + 2))
+    enum = CodeEnumerator(rankings)
+    for code in data.draw(st.permutations(expected)):
+        pos = expected.index(code) + 1
+        assert enum.position_of(code, limit) == (pos if pos <= limit else None)
+    assert enum.position_of((99,) * len(rankings), len(expected) + 2) is None
 
 
 def test_family_params_validation_and_json():

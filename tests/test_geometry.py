@@ -6,7 +6,6 @@ import pytest
 from mlslsh.geometry import (
     Dataset,
     UnitPoint,
-    distance,
     generate_planted_instance,
     map_query,
     normalize_dataset,
@@ -14,34 +13,6 @@ from mlslsh.geometry import (
     uniform_unit_vectors,
     unit_vectors_orthogonal_to,
 )
-
-
-def unit(v):
-    v = np.asarray(v, dtype=np.float64)
-    return v / np.linalg.norm(v)
-
-
-def test_distance_known_values():
-    e1 = UnitPoint(np.array([1.0, 0.0]), id=0)
-    e2 = UnitPoint(np.array([0.0, 1.0]), id=1)
-    anti = UnitPoint(np.array([-1.0, 0.0]), id=2)
-    assert distance(e1, e1) == 0.0
-    assert abs(distance(e1, e2) - math.sqrt(2.0)) < 1e-12
-    assert abs(distance(e1, anti) - 2.0) < 1e-12
-
-
-def test_distance_triangle_inequality():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        a, b, c = (UnitPoint(unit(rng.normal(size=6)), id=i) for i in range(3))
-        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
-
-
-def test_distance_dimension_mismatch():
-    a = UnitPoint(np.array([1.0, 0.0]), id=0)
-    b = UnitPoint(np.array([1.0, 0.0, 0.0]), id=1)
-    with pytest.raises(ValueError):
-        distance(a, b)
 
 
 def test_unit_point_validation():
@@ -84,8 +55,19 @@ def test_map_query_matches_training_row():
     raw = rng.normal(size=(20, 5))
     ds = normalize_dataset(raw)
     for i in (0, 7, 19):
-        q = map_query(ds, raw[i], id=i)
-        assert np.array_equal(q.coords, ds.matrix[i])
+        q = map_query(ds, raw[i])
+        assert q.dtype == np.float64 and q.shape == (5,)
+        assert np.array_equal(q, ds.matrix[i])
+
+
+def test_map_query_rejects_non_finite_input():
+    ds = normalize_dataset(np.random.default_rng(2).normal(size=(10, 4)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            map_query(ds, [bad, 1.0, 2.0, 3.0])
+    # a NaN norm fails the unit-norm check instead of slipping past it
+    with pytest.raises(ValueError):
+        UnitPoint(np.array([np.nan, 0.0]))
 
 
 def test_normalize_rejects_bad_input():

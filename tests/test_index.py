@@ -156,6 +156,11 @@ def test_total_stored_codes(built):
     assert total == index.num_repetitions * index.size * index.levels
 
 
+def members(rep, prefix):
+    """Dataset ids of a bucket: its key range read through `order`."""
+    return rep.order[slice(*rep.prefix_range(tuple(int(v) for v in prefix)))]
+
+
 def test_buckets_partition_every_level(built):
     inst, index = built
     n = index.size
@@ -165,8 +170,7 @@ def test_buckets_partition_every_level(built):
             prefixes = np.unique(codes[:, :k], axis=0)
             seen = []
             for prefix in prefixes:
-                members = rep.members(tuple(int(v) for v in prefix))
-                seen.append(members)
+                seen.append(members(rep, prefix))
             all_ids = np.concatenate(seen)
             assert all_ids.size == n
             assert np.array_equal(np.sort(all_ids), np.arange(n))
@@ -179,8 +183,8 @@ def test_deeper_buckets_refine_shallower(built):
     rng = np.random.default_rng(5)
     for i in rng.integers(0, index.size, size=20):
         for k in range(1, index.levels):
-            outer = set(rep.members(tuple(int(v) for v in codes[i, :k])))
-            inner = set(rep.members(tuple(int(v) for v in codes[i, : k + 1])))
+            outer = set(members(rep, codes[i, :k]))
+            inner = set(members(rep, codes[i, : k + 1]))
             assert inner <= outer
             assert int(i) in inner
 
@@ -198,27 +202,25 @@ def test_prefix_range_matches_linear_scan(built):
                 for j in range(index.size)
                 if tuple(int(v) for v in codes[j, :k]) == prefix
             )
-            assert set(int(v) for v in rep.members(prefix)) == expected
-            assert index.bucket_size(1, prefix) == len(expected)
+            lo, hi = rep.prefix_range(prefix)
+            assert set(int(v) for v in rep.order[lo:hi]) == expected
+            assert hi - lo == len(expected)
 
 
 def test_unknown_prefix_gives_empty_bucket(built):
     _, index = built
     missing = (10**6,)
-    assert index.bucket(0, missing).size == 0
-    assert index.bucket_size(0, missing) == 0
+    lo, hi = index.repetitions[0].prefix_range(missing)
+    assert hi - lo == 0 and index.repetitions[0].order[lo:hi].size == 0
 
 
 def test_bucket_argument_validation(built):
     _, index = built
+    rep = index.repetitions[0]
     with pytest.raises(ValueError):
-        index.bucket(-1, (0,))
+        rep.prefix_range(())
     with pytest.raises(ValueError):
-        index.bucket(index.num_repetitions, (0,))
-    with pytest.raises(ValueError):
-        index.bucket(0, ())
-    with pytest.raises(ValueError):
-        index.bucket(0, tuple(range(index.levels + 1)))
+        rep.prefix_range(tuple(range(index.levels + 1)))
 
 
 def test_build_is_deterministic(built):

@@ -49,7 +49,6 @@ from .query import (
     cost,
     fixed_level_query,
     single_probe_adaptive,
-    work_estimate,
 )
 
 __version__ = "0.1.0"
@@ -89,5 +88,4 @@ __all__ = [
     "sample_hash_function",
     "single_probe_adaptive",
     "theoretical_rho",
-    "work_estimate",
 ]

@@ -29,15 +29,7 @@ from .calibration import (
 from .families import FamilyParams
 from .geometry import Dataset, generate_planted_instance, map_query, normalize_dataset, range_ids
 from .index import MultiLevelIndex, build_index, compute_k
-from .query import (
-    QueryReport,
-    adaptive_multiprobe,
-    brute_force_range,
-    fixed_level_query,
-    single_probe_adaptive,
-)
-
-_MODES = ("adaptive", "single", "fixed", "brute")
+from .query import MODES, run_query
 
 
 def read_fvecs(path: str) -> np.ndarray:
@@ -154,8 +146,8 @@ class BenchConfig:
         if not self.modes:
             raise ValueError("need at least one query mode")
         for m in self.modes:
-            if m not in _MODES:
-                raise ValueError(f"unknown mode {m!r}, expected one of {_MODES}")
+            if m not in MODES:
+                raise ValueError(f"unknown mode {m!r}, expected one of {MODES}")
         if "fixed" in self.modes and (
             self.fixed_level is None or self.fixed_probes is None
         ):
@@ -240,10 +232,10 @@ def calibrate_cached(
 ) -> FamilyCalibration:
     """Calibrate with an on-disk cache keyed by every input.
 
-    Cache hits skip the Monte-Carlo run entirely; a corrupt or unreadable
-    cache entry falls back to recomputation and is rewritten. `edges`, the
-    caller's edge_probabilities result for the same inputs, spares a
-    recomputation from measuring it again.
+    Cache hits skip the Monte-Carlo run entirely. An entry that is unreadable,
+    malformed, or made from other inputs than the request falls back to
+    recomputation and is rewritten. `edges`, the caller's edge_probabilities
+    result for the same inputs, spares a recomputation from measuring it again.
     """
     cache_dir = cache_dir or default_cache_dir()
     key_doc = {
@@ -262,7 +254,11 @@ def calibrate_cached(
     if os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as f:
-                return FamilyCalibration.from_json_dict(json.load(f))
+                found = FamilyCalibration.from_json_dict(json.load(f))
+            made_from = (found.params, found.r, found.c, found.levels, found.max_probes,
+                         found.trials, found.seed)
+            if made_from == (params, r, c, levels, max_probes, trials, seed):
+                return found
         except (OSError, *DOCUMENT_ERRORS):
             pass  # unreadable, or parsed but malformed: recompute and rewrite
     cal = calibrate(params, r, c, levels, max_probes, trials, seed, edges)
@@ -308,24 +304,6 @@ def build_for_config(config: BenchConfig, dataset: Dataset) -> MultiLevelIndex:
     return build_index(
         dataset, cal, space_budget=config.space_budget, seed=config.seed
     )
-
-
-def _run_one(
-    mode: str,
-    index: MultiLevelIndex | None,
-    dataset: Dataset,
-    q: np.ndarray,
-    config: BenchConfig,
-) -> QueryReport:
-    if mode == "brute":
-        return brute_force_range(dataset, q, config.radius)
-    if index is None:
-        raise ValueError(f"mode {mode!r} needs an index")
-    if mode == "adaptive":
-        return adaptive_multiprobe(index, q, config.radius)
-    if mode == "single":
-        return single_probe_adaptive(index, q, config.radius)
-    return fixed_level_query(index, q, config.radius, config.fixed_level, config.fixed_probes)
 
 
 def recompute_aggregates(records: list[dict]) -> dict:
@@ -387,12 +365,13 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     index = None
     if any(m != "brute" for m in config.modes):
         index = build_for_config(config, dataset)
+    fixed = (config.fixed_level, config.fixed_probes)
     records = []
     timing: dict[str, dict] = {}
     for mode in config.modes:
         walls = []
         for qi, q in enumerate(queries):
-            report = _run_one(mode, index, dataset, q, config)
+            report = run_query(mode, index, dataset, q, config.radius, fixed)
             walls.append(report.wall_time)
             gt = truth[qi]
             extra = set(report.ids) - gt
@@ -479,6 +458,7 @@ def scaling_trend(sizes: list[int], config: BenchConfig) -> TrendReport:
     if config.synthetic_d is None:
         raise ValueError("scaling trend runs on synthetic instances; set synthetic_d")
     mode = config.modes[0]
+    fixed = (config.fixed_level, config.fixed_probes)
 
     cal = None
     if mode != "brute":
@@ -503,7 +483,7 @@ def scaling_trend(sizes: list[int], config: BenchConfig) -> TrendReport:
         works = []
         reported = []
         for q in inst.queries:
-            report = _run_one(mode, index, inst.dataset, q.coords, config)
+            report = run_query(mode, index, inst.dataset, q.coords, config.radius, fixed)
             works.append(report.work_examined)
             reported.append(report.t_reported)
         mean_work.append(float(np.mean(works)))

@@ -27,12 +27,7 @@ from .calibration import CalibrationError, edge_probabilities, rho, theoretical_
 from .families import FamilyParams
 from .geometry import generate_planted_instance, map_query, normalize_dataset
 from .index import IndexFormatError, load_index
-from .query import (
-    adaptive_multiprobe,
-    brute_force_range,
-    fixed_level_query,
-    single_probe_adaptive,
-)
+from .query import MODES, run_query
 
 _FAMILY_CHOICES = {"cross-polytope": "cross_polytope", "spherical-cap": "spherical_cap"}
 
@@ -190,12 +185,7 @@ def build(index_fields, input_, fmt, output, rebuildable):
 @click.option("--index", "index_path", required=True, help="Index file.")
 @click.option("--vector", required=True, help="Comma-separated query coordinates (raw space).")
 @click.option("--radius", type=float, default=None, help="Defaults to the calibrated radius.")
-@click.option(
-    "--mode",
-    type=click.Choice(["adaptive", "single", "fixed", "brute"]),
-    default="adaptive",
-    show_default=True,
-)
+@click.option("--mode", type=click.Choice(MODES), default="adaptive", show_default=True)
 @click.option("--fixed-k", type=int, default=None, help="Level for fixed mode.")
 @click.option("--fixed-j", type=int, default=None, help="Probes for fixed mode.")
 @click.option("--timing/--no-timing", default=False, show_default=True)
@@ -203,19 +193,10 @@ def build(index_fields, input_, fmt, output, rebuildable):
 def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
     """Run one range query against an index file."""
     index = load_index(index_path)
-    raw = _parse_vector(vector)
-    q = map_query(index.dataset, raw)
-    if mode == "brute":
-        r = index.params.calibration.r if radius is None else radius
-        report = brute_force_range(index.dataset, q, r)
-    elif mode == "adaptive":
-        report = adaptive_multiprobe(index, q, radius)
-    elif mode == "single":
-        report = single_probe_adaptive(index, q, radius)
-    else:
-        if fixed_k is None or fixed_j is None:
-            raise ValueError("fixed mode needs --fixed-k and --fixed-j")
-        report = fixed_level_query(index, q, radius, fixed_k, fixed_j)
+    q = map_query(index.dataset, _parse_vector(vector))
+    if radius is None:
+        radius = index.params.calibration.r
+    report = run_query(mode, index, index.dataset, q, radius, (fixed_k, fixed_j))
     _echo(report.to_json_dict(include_timing=timing))
 
 
@@ -227,7 +208,7 @@ def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
     "--mode",
     "modes",
     multiple=True,
-    type=click.Choice(["adaptive", "single", "fixed", "brute"]),
+    type=click.Choice(MODES),
     default=("adaptive",),
     show_default=True,
     help="Repeatable.",

@@ -325,6 +325,11 @@ def _check_metadata(meta) -> tuple[BuildParams, int, int, int, int, tuple[int, .
         raise IndexFormatError(f"K={K} levels exceed the calibration's {calibration.levels}")
     if R != expected_R:
         raise IndexFormatError(f"R={R} repetitions; the calibration and budget give {expected_R}")
+    # -1 < first < ... < last < n: distinct, ascending and in range
+    if not all(type(i) is int for i in degenerate) or not all(
+        a < b for a, b in zip((-1, *degenerate), (*degenerate, n))
+    ):
+        raise IndexFormatError(f"degenerate ids must be distinct ascending ints in 0..{n - 1}")
     return params, n, d, K, R, degenerate
 
 

@@ -7,6 +7,11 @@ as soon as no unexamined setting could beat the best work seen. Probe counts
 never pass the calibrated table width, so a query never re-estimates the
 table and its work is bounded before it starts. A brute-force scan is the
 standing fallback, so the reported work never exceeds n.
+
+All four modes check the query row and the radius in one function and build
+their report in another. Adaptive and single-probe queries run the
+scheduler, a fixed query pins one setting, and brute force reports the
+full-scan setting (0, 0) without an index; `run_query` picks a mode by name.
 """
 
 from __future__ import annotations
@@ -53,15 +58,24 @@ class QueryReport:
 
     ids: tuple[int, ...]
     distances: tuple[float, ...]
-    t_reported: int
     work_examined: float
     buckets_probed: int
     k_best: int
     j_best: int
-    w_best: float
     wall_time: float
     mode: str
     examined: tuple[ExaminedSetting, ...] = ()
+
+    @property
+    def t_reported(self) -> int:
+        """Number of reported points."""
+        return len(self.ids)
+
+    @property
+    def w_best(self) -> float:
+        """Work of the chosen setting (k_best, j_best), which every mode
+        reports as its work_examined."""
+        return self.work_examined
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         doc = {
@@ -167,76 +181,70 @@ def cost(k: int, j: int, calibration, rep_cap: int) -> float:
     return float(j * _reps_clamped(calibration, k, j, rep_cap))
 
 
-def work_estimate(index: MultiLevelIndex, q: np.ndarray, k: int, j: int) -> float:
-    """True candidate work of setting (k, j); j must lie within the calibrated
-    probe budget."""
-    index.params.calibration.ensure_probes(j)
-    return _QueryProbes(index, q).work(k, j)
-
-
-def _check_query(index_dim: int, q: np.ndarray, radius: float) -> np.ndarray:
+def _check_query(dim: int, q: np.ndarray, radius: float) -> np.ndarray:
+    """The query as a float64 row; every mode validates through here."""
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != index_dim:
-        raise ValueError(f"query has shape {q.shape}, expected ({index_dim},)")
+    if q.ndim != 1 or q.shape[0] != dim:
+        raise ValueError(f"query has shape {q.shape}, expected ({dim},)")
     if not np.all(np.isfinite(q)):
         raise ValueError("query contains non-finite values")
+    # two is the diameter of the unit sphere; a NaN radius fails too
     if not 0.0 <= radius <= 2.0:
         raise ValueError(f"radius must lie in [0, 2], got {radius}")
     return q
 
 
-def _answer(
-    matrix: np.ndarray, q: np.ndarray, radius: float, cand: np.ndarray | None,
-    work: float, buckets: int, k: int, j: int, mode: str, examined, t0: float,
+def _report(
+    dataset: Dataset, q: np.ndarray, radius: float, mode: str, t0: float,
+    setting: tuple[int, int, float], probes: _QueryProbes | None, examined,
 ) -> QueryReport:
-    """The report of setting (k, j), whose candidate ids `cand` are sorted and
-    distinct; None scans every point, the fallback setting (0, 0)."""
-    diff = (matrix if cand is None else matrix[cand]) - q[None, :]
+    """The report of setting (k, j) with work w: the range members among the
+    buckets it probes, or among every point for the full-scan setting (0, 0)."""
+    k, j, w = setting
+    if k == 0:
+        cand, buckets, rows = None, 0, dataset.matrix
+    else:
+        cand, buckets = probes.candidates(k, j)
+        rows = dataset.matrix[cand]
+    diff = rows - q[None, :]
     dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     keep = np.flatnonzero(dists <= radius)
     return QueryReport(
         ids=tuple(int(i) for i in (keep if cand is None else cand[keep])),
         distances=tuple(float(v) for v in dists[keep]),
-        t_reported=int(keep.size),
-        work_examined=work,
+        work_examined=w,
         buckets_probed=buckets,
         k_best=k,
         j_best=j,
-        w_best=work,
         wall_time=time.perf_counter() - t0,
         mode=mode,
         examined=tuple(examined),
     )
 
 
-def _finish(
-    index: MultiLevelIndex, q: np.ndarray, radius: float, probes: _QueryProbes,
-    k: int, j: int, w: float, examined: list, mode: str, t0: float,
+def _query(
+    index: MultiLevelIndex, q: np.ndarray, radius: float | None, mode: str, choose
 ) -> QueryReport:
-    if k == 0:
-        return _answer(index.dataset.matrix, q, radius, None, w, 0, 0, 0, mode, examined, t0)
-    cand, buckets = probes.candidates(k, j)
-    return _answer(index.dataset.matrix, q, radius, cand, w, buckets, k, j, mode, examined, t0)
-
-
-def _schedule(
-    index: MultiLevelIndex,
-    q: np.ndarray,
-    radius: float | None,
-    multi_probe: bool,
-    mode: str,
-) -> QueryReport:
+    """The front door of every index mode: default the radius to the
+    calibrated r, validate the row and the radius, project the query once,
+    and report the setting (k, j, work) that `choose(probes)` returns
+    together with its trace."""
     t0 = time.perf_counter()
-    cal = index.params.calibration
     if radius is None:
-        radius = cal.r
+        radius = index.params.calibration.r
     q = _check_query(index.dataset.dim, q, radius)
+    probes = _QueryProbes(index, q)
+    setting, examined = choose(probes)
+    return _report(index.dataset, q, radius, mode, t0, setting, probes, examined)
+
+
+def _schedule(index: MultiLevelIndex, probes: _QueryProbes, multi_probe: bool):
+    """The cheapest setting (k, j, work) the adaptive walk finds, and its trace."""
+    cal = index.params.calibration
     K = index.levels
     R = index.num_repetitions
-    n = index.size
-    probes = _QueryProbes(index, q)
 
-    w_best = float(n)
+    w_best = float(index.size)
     k_best, j_best = 0, 0
     examined: list[ExaminedSetting] = []
     heap: list[tuple[float, int, int]] = []
@@ -261,7 +269,7 @@ def _schedule(
         if multi_probe and j < cal.max_probes and (k, j + 1) not in visited and j + 1 < w_best:
             push(k, j + 1)
 
-    return _finish(index, q, radius, probes, k_best, j_best, w_best, examined, mode, t0)
+    return (k_best, j_best, w_best), examined
 
 
 def adaptive_multiprobe(
@@ -273,44 +281,67 @@ def adaptive_multiprobe(
     always true range members; the scheduler only decides how much of the
     index to look at.
     """
-    return _schedule(index, q, radius, multi_probe=True, mode="adaptive")
+    return _query(index, q, radius, "adaptive", lambda p: _schedule(index, p, multi_probe=True))
 
 
 def single_probe_adaptive(
     index: MultiLevelIndex, q: np.ndarray, radius: float | None = None
 ) -> QueryReport:
     """Adaptive level selection with exactly one probe per repetition."""
-    return _schedule(index, q, radius, multi_probe=False, mode="single")
+    return _query(index, q, radius, "single", lambda p: _schedule(index, p, multi_probe=False))
 
 
 def fixed_level_query(
     index: MultiLevelIndex, q: np.ndarray, radius: float | None, k: int, j: int
 ) -> QueryReport:
-    """Range query pinned to setting (k, j); no adaptivity.
+    """Range query pinned to setting (k, j); no adaptivity. Its
+    `work_examined` is the true candidate work of that setting.
 
     Useful as a baseline: the adaptive scheduler should never examine more
     work than the best fixed setting by more than its exploration overhead.
     """
-    t0 = time.perf_counter()
-    cal = index.params.calibration
-    if radius is None:
-        radius = cal.r
-    q = _check_query(index.dataset.dim, q, radius)
-    if not 1 <= k <= index.levels:
-        raise ValueError(f"level {k} outside 1..{index.levels}")
-    cal.ensure_probes(j)
-    probes = _QueryProbes(index, q)
-    w = probes.work(k, j)
-    examined = [ExaminedSetting(k, j, cost(k, j, cal, index.num_repetitions), w)]
-    return _finish(index, q, radius, probes, k, j, w, examined, "fixed", t0)
+
+    def pinned(probes: _QueryProbes):
+        if not 1 <= k <= index.levels:
+            raise ValueError(f"level {k} outside 1..{index.levels}")
+        cal = index.params.calibration.ensure_probes(j)
+        w = probes.work(k, j)
+        return (k, j, w), [ExaminedSetting(k, j, cost(k, j, cal, index.num_repetitions), w)]
+
+    return _query(index, q, radius, "fixed", pinned)
 
 
 def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryReport:
     """Exact range reporting by full scan; the reference the index is judged against."""
     t0 = time.perf_counter()
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != dataset.dim:
-        raise ValueError(f"query has shape {q.shape}, expected ({dataset.dim},)")
-    if radius < 0.0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    return _answer(dataset.matrix, q, radius, None, float(dataset.size), 0, 0, 0, "brute", (), t0)
+    q = _check_query(dataset.dim, q, radius)
+    return _report(dataset, q, radius, "brute", t0, (0, 0, float(dataset.size)), None, ())
+
+
+MODES = ("adaptive", "single", "fixed", "brute")
+
+
+def run_query(
+    mode: str,
+    index: MultiLevelIndex | None,
+    dataset: Dataset,
+    q: np.ndarray,
+    radius: float,
+    fixed: tuple[int | None, int | None] = (None, None),
+) -> QueryReport:
+    """Answer q in one of MODES. Brute force scans `dataset` and needs no
+    index; the other modes query `index`, built on that dataset. `fixed` is
+    the (level, probes) setting of fixed mode."""
+    if mode == "brute":
+        return brute_force_range(dataset, q, radius)
+    if index is None:
+        raise ValueError(f"mode {mode!r} needs an index")
+    if mode == "adaptive":
+        return adaptive_multiprobe(index, q, radius)
+    if mode == "single":
+        return single_probe_adaptive(index, q, radius)
+    if mode != "fixed":
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if None in fixed:
+        raise ValueError("fixed mode needs a level k and a probe count j")
+    return fixed_level_query(index, q, radius, *fixed)

@@ -24,7 +24,6 @@ from mlslsh.query import (
     cost,
     fixed_level_query,
     single_probe_adaptive,
-    work_estimate,
 )
 from mlslsh.calibration import rho, theoretical_rho
 
@@ -289,7 +288,7 @@ def test_criterion_6_adaptive_work_near_optimal(main_instance, main_index):
     for q in main_instance.queries[:50]:
         rep = adaptive_multiprobe(main_index, q.coords, RADIUS)
         best_fixed = min(
-            work_estimate(main_index, q.coords, k, j)
+            fixed_level_query(main_index, q.coords, RADIUS, k, j).work_examined
             for k in range(1, main_index.levels + 1)
             for j in grid_j
         )

@@ -329,3 +329,24 @@ def test_calibrate_cached_recomputes_malformed_entries(tmp_path, corrupt):
     again = calibrate_cached(params, **kwargs)
     assert again.to_json_dict() == first.to_json_dict()
     assert json.loads(entry.read_text()) == good
+
+
+@pytest.mark.parametrize(
+    "other",
+    [dict(levels=1, max_probes=2), dict(seed=2), dict(trials=1200)],
+    ids=["levels-and-probes", "seed", "trials"],
+)
+def test_calibrate_cached_ignores_entries_for_other_inputs(tmp_path, other):
+    # a well-formed entry made from other inputs, found under this request's
+    # file name, is recomputed rather than returned
+    params = FamilyParams(kind="cross_polytope", dim=6)
+    kwargs = dict(r=0.4, c=2.0, levels=2, max_probes=4, trials=1000, seed=1)
+    first = calibrate_cached(params, **kwargs, cache_dir=str(tmp_path / "a"))
+    (entry,) = (tmp_path / "a").glob("cal-*.json")
+    calibrate_cached(params, **{**kwargs, **other}, cache_dir=str(tmp_path / "b"))
+    (foreign,) = (tmp_path / "b").glob("cal-*.json")
+    good = entry.read_text()
+    entry.write_text(foreign.read_text())
+    again = calibrate_cached(params, **kwargs, cache_dir=str(tmp_path / "a"))
+    assert again.to_json_dict() == first.to_json_dict()
+    assert entry.read_text() == good

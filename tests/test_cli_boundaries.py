@@ -37,8 +37,8 @@ def test_non_finite_query_vector_reports_json_error(tmp_path, bad):
     )
     assert built.exit_code == 0, built.output
     vec = ",".join([bad] + [str(v) for v in np.arange(2.0, 9.0)])
-    for mode in ("adaptive", "single", "brute"):
-        result = invoke(["query", "--index", idx_path, "--vector", vec, "--mode", mode])
+    for mode in (["adaptive"], ["single"], ["brute"], ["fixed", "--fixed-k", "1", "--fixed-j", "1"]):
+        result = invoke(["query", "--index", idx_path, "--vector", vec, "--mode", *mode])
         assert result.exit_code == 1, (mode, result.output)
         err = error_of(result)
         assert err["type"] == "ValueError"

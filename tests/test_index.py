@@ -437,12 +437,15 @@ def _cap_family(meta):
         (_set("calibration", []), "corrupt index metadata"),
         (_cap_family, "key bits"),
         (_set("n", 19), "trailing"),
+        (_set("degenerate_ids", ["x", -5, 1000000000]), "degenerate ids"),
+        (_set("degenerate_ids", [3, 3]), "degenerate ids"),
+        (_set("degenerate_ids", [19, 20]), "degenerate ids"),
     ],
     ids=[
         "n-huge", "n-zero", "d-string", "d-mismatch", "levels-past-calibration",
         "repetitions-huge", "seed-float", "budget-zero", "family-missing",
         "calibration-not-object", "bit-budget",
-        "n-short",
+        "n-short", "degenerate-not-ids", "degenerate-repeated", "degenerate-past-n",
     ],
 )
 def test_load_checks_metadata_before_allocating(tmp_path, tiny_file, edit, message):

@@ -12,8 +12,8 @@ from mlslsh.query import (
     brute_force_range,
     cost,
     fixed_level_query,
+    run_query,
     single_probe_adaptive,
-    work_estimate,
 )
 
 
@@ -57,13 +57,13 @@ def test_cost_known_values():
     assert cost(2, 1, cal2, rep_cap=5) == 5.0
 
 
-def test_work_estimate_matches_independent_recount(small_index):
+def test_fixed_level_work_matches_independent_recount(small_index):
     inst, index = small_index
     cal = index.params.calibration
     R = index.num_repetitions
     q = inst.queries[0].coords
     for k, j in [(1, 1), (1, 3), (2, 2), (3, 1), (2, 5)]:
-        got = work_estimate(index, q, k, j)
+        got = fixed_level_query(index, q, 0.4, k, j).work_examined
         # recount: enumerate the probe codes independently, then count bucket
         # members by linear prefix scan over the stored codes
         p = cal.probe_probability(k, j)
@@ -142,7 +142,7 @@ def test_adaptive_beats_or_matches_fixed_settings(small_index):
     for q in inst.queries:
         rep = adaptive_multiprobe(index, q.coords, 0.4)
         sweep = min(
-            work_estimate(index, q.coords, k, j)
+            fixed_level_query(index, q.coords, 0.4, k, j).work_examined
             for k in range(1, index.levels + 1)
             for j in (1, 2, 4, 8, 16)
         )
@@ -167,8 +167,8 @@ def test_fixed_level_query_work_matches_estimate(small_index):
     rep = fixed_level_query(index, q, 0.4, k=2, j=3)
     assert rep.mode == "fixed"
     assert (rep.k_best, rep.j_best) == (2, 3)
-    assert rep.w_best == work_estimate(index, q, 2, 3)
     assert len(rep.examined) == 1
+    assert rep.w_best == rep.work_examined == rep.examined[0].work
     gt_ids = set(brute_force_range(inst.dataset, q, 0.4).ids)
     assert set(rep.ids) <= gt_ids
     with pytest.raises(ValueError):
@@ -183,11 +183,9 @@ def test_probe_counts_past_the_table_fail_at_once(small_index, no_reestimation):
     inst, index = small_index
     q = inst.queries[1].coords
     width = index.params.calibration.max_probes
-    assert work_estimate(index, q, 1, width) > 0.0
+    assert fixed_level_query(index, q, 0.4, k=1, j=width).work_examined > 0.0
     with pytest.raises(ValueError, match="larger max_probes"):
         fixed_level_query(index, q, 0.4, k=1, j=width + 1)
-    with pytest.raises(ValueError, match="larger max_probes"):
-        work_estimate(index, q, 1, width + 1)
 
 
 def test_adaptive_never_probes_past_a_narrow_table(no_reestimation):
@@ -257,20 +255,39 @@ def test_brute_force_matches_direct_computation(small_index):
 
 
 def test_query_validation(small_index):
+    # every mode checks the row and the radius the same way
     inst, index = small_index
     q = inst.queries[0].coords
-    with pytest.raises(ValueError):
-        adaptive_multiprobe(index, q[:5], 0.4)
-    with pytest.raises(ValueError):
-        adaptive_multiprobe(index, q, -0.1)
-    with pytest.raises(ValueError):
-        adaptive_multiprobe(index, q, 2.5)
-    with pytest.raises(ValueError):
-        brute_force_range(inst.dataset, q, -1.0)
-    bad = q.copy()
-    bad[0] = np.nan
-    with pytest.raises(ValueError):
-        adaptive_multiprobe(index, bad, 0.4)
+    nan_row, inf_row = q.copy(), q.copy()
+    nan_row[0], inf_row[3] = np.nan, -np.inf
+    modes = {
+        "adaptive": lambda row, radius: adaptive_multiprobe(index, row, radius),
+        "single": lambda row, radius: single_probe_adaptive(index, row, radius),
+        "fixed": lambda row, radius: fixed_level_query(index, row, radius, 2, 3),
+        "brute": lambda row, radius: brute_force_range(inst.dataset, row, radius),
+    }
+    bad = [
+        (q[:5], 0.4, "shape"),
+        (q[None, :], 0.4, "shape"),
+        (nan_row, 0.4, "non-finite"),
+        (inf_row, 0.4, "non-finite"),
+        (q, np.nan, "radius"),
+        (q, -0.1, "radius"),
+        (q, 2.5, "radius"),
+    ]
+    for mode, run in modes.items():
+        assert run(q, 2.0).mode == mode
+        for row, radius, message in bad:
+            with pytest.raises(ValueError, match=message):
+                run(row, radius)
+    # the dispatcher behind the CLI and the benchmark
+    assert run_query("fixed", index, inst.dataset, q, 0.4, (2, 3)).to_json_dict() == (
+        fixed_level_query(index, q, 0.4, 2, 3).to_json_dict()
+    )
+    with pytest.raises(ValueError, match="fixed mode needs"):
+        run_query("fixed", index, inst.dataset, q, 0.4)
+    with pytest.raises(ValueError, match="needs an index"):
+        run_query("single", None, inst.dataset, q, 0.4)
 
 
 def test_report_json_excludes_timing_by_default(small_index):

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +77,15 @@ def reps(k: int, j: int, probe_success: float) -> int:
     if not 0.0 < probe_success <= 1.0:
         raise ValueError(f"probe success must lie in (0, 1], got {probe_success}")
     return max(1, _ceil_guard(2.0 * math.log(2.0 * j * k) / probe_success))
+
+
+def consulted_reps(calibration: FamilyCalibration, k: int, j: int, rep_cap: int) -> int:
+    """Repetitions setting (k, j) consults: reps(k, j) capped at the rep_cap
+    built, and all of them when the calibrated success probability is 0."""
+    p = calibration.probe_probability(k, j)
+    if p <= 0.0:
+        return rep_cap
+    return max(1, min(reps(k, j, p), rep_cap))
 
 
 @dataclass(frozen=True)
@@ -189,13 +198,29 @@ class Repetition:
 @dataclass(frozen=True, eq=False)
 class MultiLevelIndex:
     """The built index. `directions` is the (R * K, rows, dim) block behind
-    every hash function: slot s of repetition r views directions[r * K + s]."""
+    every hash function: slot s of repetition r views directions[r * K + s].
+    `reps_table[k - 1, j - 1]` is the read-only count of repetitions setting
+    (k, j) consults, `consulted_reps` for every k <= K and j <= max_probes.
+    """
 
     dataset: Dataset
     params: BuildParams
     levels: int
     repetitions: tuple[Repetition, ...]
     directions: np.ndarray
+    reps_table: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        cal, R = self.params.calibration, self.num_repetitions
+        table = np.array(
+            [
+                [consulted_reps(cal, k, j, R) for j in range(1, cal.max_probes + 1)]
+                for k in range(1, self.levels + 1)
+            ],
+            dtype=np.int64,
+        )
+        table.flags.writeable = False
+        object.__setattr__(self, "reps_table", table)
 
     @property
     def num_repetitions(self) -> int:

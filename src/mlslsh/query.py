@@ -3,10 +3,16 @@
 A query setting is a pair (k, j): consult level k and probe j code tuples
 per repetition. The scheduler walks settings in order of increasing cost
 estimate j * reps(k, j), measures the true candidate work of each, and stops
-as soon as no unexamined setting could beat the best work seen. Probe counts
-never pass the calibrated table width, so a query never re-estimates the
-table and its work is bounded before it starts. A brute-force scan is the
-standing fallback, so the reported work never exceeds n.
+as soon as no unexamined setting could beat the best work seen. Before it
+measures a multi-probe setting it checks a tighter lower bound taken from
+the spine, the query's own bucket at every level of every repetition, which
+the query reads anyway: each consulted repetition costs its own bucket plus
+one unit for each further probe. A setting whose bound reaches the best work
+cannot replace it and is skipped unmeasured, so pruning changes the trace
+but never the answer. Probe counts never pass the calibrated table width, so
+a query never re-estimates the table and its work is bounded before it
+starts. A brute-force scan is the standing fallback, so the reported work
+never exceeds n.
 
 All four modes check the query row and the radius in one function and build
 their report in another. Adaptive and single-probe queries run the
@@ -26,7 +32,7 @@ from .families import CodeEnumerator, bucket_codes, rank_projections
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset
-from .index import MultiLevelIndex, reps
+from .index import MultiLevelIndex, consulted_reps
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,12 @@ class QueryReport:
     """Result of one range query plus the accounting behind it.
 
     ids are sorted ascending; distances align with ids. k_best == 0 means
-    the scheduler fell back to a full scan. wall_time is excluded from the
-    JSON form unless asked for, so serialized reports are deterministic.
+    the scheduler fell back to a full scan. `examined` lists the settings
+    the scheduler measured; `settings_pruned` counts those it ruled out by
+    their spine lower bound without measuring (always 0 in single, fixed
+    and brute mode). Both wall_time and settings_pruned are excluded from
+    the JSON form unless timing is asked for, so serialized reports are
+    deterministic.
     """
 
     ids: tuple[int, ...]
@@ -65,6 +75,7 @@ class QueryReport:
     wall_time: float
     mode: str
     examined: tuple[ExaminedSetting, ...] = ()
+    settings_pruned: int = 0
 
     @property
     def t_reported(self) -> int:
@@ -92,6 +103,7 @@ class QueryReport:
         }
         if include_timing:
             doc["wall_time"] = self.wall_time
+            doc["settings_pruned"] = self.settings_pruned
         return doc
 
 
@@ -102,9 +114,11 @@ class _QueryProbes:
     One matmul projects the query on all R * K hash functions. The query's
     own bucket ids then give the spine, its own bucket at every level of
     every repetition, in one key-range lookup per repetition; that is all a
-    single-probe setting reads. The first setting past one probe ranks every
-    slot with one row-wise argsort, and a CodeEnumerator per (repetition,
-    level) walks further probes from there, each one key-range lookup.
+    single-probe setting reads, and a running sum over repetitions turns it
+    into the work of every single-probe setting and a lower bound on every
+    other. The first setting past one probe ranks every slot with one
+    row-wise argsort, and a CodeEnumerator per (repetition, level) walks
+    further probes from there, each one key-range lookup.
     """
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray):
@@ -112,13 +126,16 @@ class _QueryProbes:
         self._proj = index.directions @ np.asarray(q, dtype=np.float64)
         own = bucket_codes(index.params.family, self._proj)
         self._lo, self._hi = index.level_ranges(own.reshape(index.num_repetitions, index.levels))
+        # spine[r, k - 1]: one unit plus the own bucket, summed over
+        # repetitions 0..r at level k
+        self._spine = np.cumsum(1 + self._hi - self._lo, axis=0)
         # one (buckets, deficits) list pair per slot, built on first use
         self._rankings: list[tuple[list, list]] | None = None
         # (rep, k) -> its enumerator, bucket runs and running work
         self._walks: dict[tuple[int, int], tuple[CodeEnumerator, list, list]] = {}
 
     def _reps(self, k: int, j: int) -> int:
-        return _reps_clamped(self._index.params.calibration, k, j, self._index.num_repetitions)
+        return int(self._index.reps_table[k - 1, j - 1])
 
     def _walk(self, rep: int, k: int, j: int) -> tuple[list, list]:
         """Sorted runs of the buckets that the first j probes of repetition
@@ -144,14 +161,24 @@ class _QueryProbes:
                 cum.append(cum[-1] + 1 + hi - lo)
         return runs, cum
 
+    def lower_bound(self, k: int, j: int) -> float:
+        """A lower bound on work(k, j), equal to it at j = 1.
+
+        The first probe of each consulted repetition is its own bucket, and
+        each further probe costs at least one unit; there are j - 1 of them
+        unless the U^k codes of level k run out first.
+        """
+        r_count = self._reps(k, j)
+        probed = min(j, self._index.params.family.bucket_universe**k)
+        return float(self._spine[r_count - 1, k - 1] + r_count * (probed - 1))
+
     def work(self, k: int, j: int) -> float:
         """True candidate work of setting (k, j): per consulted repetition,
         one unit per probe plus the size of each probed bucket."""
-        r_count = self._reps(k, j)
         if j == 1:
-            return float(r_count + (self._hi[:r_count, k - 1] - self._lo[:r_count, k - 1]).sum())
+            return self.lower_bound(k, 1)
         total = 0
-        for rep in range(r_count):
+        for rep in range(self._reps(k, j)):
             runs, cum = self._walk(rep, k, j)
             total += cum[min(j, len(runs))]
         return float(total)
@@ -169,16 +196,11 @@ class _QueryProbes:
         return np.unique(np.concatenate(parts)), len(parts)
 
 
-def _reps_clamped(calibration, k: int, j: int, rep_cap: int) -> int:
-    p = calibration.probe_probability(k, j)
-    if p <= 0.0:
-        return rep_cap
-    return max(1, min(reps(k, j, p), rep_cap))
-
-
 def cost(k: int, j: int, calibration, rep_cap: int) -> float:
-    """Scheduler cost estimate for setting (k, j): probes times repetitions."""
-    return float(j * _reps_clamped(calibration, k, j, rep_cap))
+    """Scheduler cost estimate for setting (k, j): probes times repetitions.
+    An index reads the repetitions from its `reps_table`, built from the
+    same `consulted_reps`."""
+    return float(j * consulted_reps(calibration, k, j, rep_cap))
 
 
 def _check_query(dim: int, q: np.ndarray, radius: float) -> np.ndarray:
@@ -196,10 +218,11 @@ def _check_query(dim: int, q: np.ndarray, radius: float) -> np.ndarray:
 
 def _report(
     dataset: Dataset, q: np.ndarray, radius: float, mode: str, t0: float,
-    setting: tuple[int, int, float], probes: _QueryProbes | None, examined,
+    setting: tuple[int, int, float], probes: _QueryProbes | None, examined, pruned: int,
 ) -> QueryReport:
     """The report of setting (k, j) with work w: the range members among the
-    buckets it probes, or among every point for the full-scan setting (0, 0)."""
+    buckets it probes, or among every point for the full-scan setting (0, 0).
+    `examined` and `pruned` are the scheduler's trace and pruning count."""
     k, j, w = setting
     if k == 0:
         cand, buckets, rows = None, 0, dataset.matrix
@@ -219,6 +242,7 @@ def _report(
         wall_time=time.perf_counter() - t0,
         mode=mode,
         examined=tuple(examined),
+        settings_pruned=pruned,
     )
 
 
@@ -228,39 +252,53 @@ def _query(
     """The front door of every index mode: default the radius to the
     calibrated r, validate the row and the radius, project the query once,
     and report the setting (k, j, work) that `choose(probes)` returns
-    together with its trace."""
+    together with its trace and the number of settings it pruned."""
     t0 = time.perf_counter()
     if radius is None:
         radius = index.params.calibration.r
     q = _check_query(index.dataset.dim, q, radius)
     probes = _QueryProbes(index, q)
-    setting, examined = choose(probes)
-    return _report(index.dataset, q, radius, mode, t0, setting, probes, examined)
+    setting, examined, pruned = choose(probes)
+    return _report(index.dataset, q, radius, mode, t0, setting, probes, examined, pruned)
 
 
 def _schedule(index: MultiLevelIndex, probes: _QueryProbes, multi_probe: bool):
-    """The cheapest setting (k, j, work) the adaptive walk finds, and its trace."""
+    """The cheapest setting (k, j, work) the adaptive walk finds, the trace
+    of settings it measured, and how many more it pruned unmeasured.
+
+    Settings leave the heap in order of cost j * reps(k, j). A popped
+    multi-probe setting whose spine lower bound is at least the best work
+    so far is pruned: the best is replaced only on a strict <, so it could
+    never win. Its successors are queued as if it had been measured, which
+    keeps every push, and so the chosen setting, the same as an unpruned
+    walk. Single-probe settings are always measured; their bound is their
+    work, read off the spine.
+    """
     cal = index.params.calibration
     K = index.levels
-    R = index.num_repetitions
+    table = index.reps_table
 
     w_best = float(index.size)
     k_best, j_best = 0, 0
     examined: list[ExaminedSetting] = []
+    pruned = 0
     heap: list[tuple[float, int, int]] = []
     visited: set[tuple[int, int]] = set()
 
     def push(k: int, j: int) -> None:
-        heapq.heappush(heap, (cost(k, j, cal, R), k, j))
+        heapq.heappush(heap, (float(j * table[k - 1, j - 1]), k, j))
         visited.add((k, j))
 
     push(1, 1)
     while heap and heap[0][0] < w_best:
         c, k, j = heapq.heappop(heap)
-        w = probes.work(k, j)
-        examined.append(ExaminedSetting(k, j, c, w))
-        if w < w_best:
-            w_best, k_best, j_best = w, k, j
+        if j > 1 and probes.lower_bound(k, j) >= w_best:
+            pruned += 1
+        else:
+            w = probes.work(k, j)
+            examined.append(ExaminedSetting(k, j, c, w))
+            if w < w_best:
+                w_best, k_best, j_best = w, k, j
         if j == 1 and k < K and (k + 1, 1) not in visited:
             push(k + 1, 1)
         # any setting with j' probes costs at least j', so successors past
@@ -269,7 +307,7 @@ def _schedule(index: MultiLevelIndex, probes: _QueryProbes, multi_probe: bool):
         if multi_probe and j < cal.max_probes and (k, j + 1) not in visited and j + 1 < w_best:
             push(k, j + 1)
 
-    return (k_best, j_best, w_best), examined
+    return (k_best, j_best, w_best), examined, pruned
 
 
 def adaptive_multiprobe(
@@ -306,7 +344,7 @@ def fixed_level_query(
             raise ValueError(f"level {k} outside 1..{index.levels}")
         cal = index.params.calibration.ensure_probes(j)
         w = probes.work(k, j)
-        return (k, j, w), [ExaminedSetting(k, j, cost(k, j, cal, index.num_repetitions), w)]
+        return (k, j, w), [ExaminedSetting(k, j, cost(k, j, cal, index.num_repetitions), w)], 0
 
     return _query(index, q, radius, "fixed", pinned)
 
@@ -315,7 +353,7 @@ def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryRe
     """Exact range reporting by full scan; the reference the index is judged against."""
     t0 = time.perf_counter()
     q = _check_query(dataset.dim, q, radius)
-    return _report(dataset, q, radius, "brute", t0, (0, 0, float(dataset.size)), None, ())
+    return _report(dataset, q, radius, "brute", t0, (0, 0, float(dataset.size)), None, (), 0)
 
 
 MODES = ("adaptive", "single", "fixed", "brute")

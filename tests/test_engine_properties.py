@@ -3,22 +3,26 @@
 The reference ranks each hash function with `probe_sequence`, walks each
 (repetition, level) with its own `CodeEnumerator` and finds bucket members
 by a linear scan of `codes_in_input_order()`, with no packed keys and no
-stacked directions. Reports must agree exactly: ids, distances, work,
-buckets, best setting and the trace of examined settings.
+stacked directions. Its scheduler measures every setting it pops, with no
+spine lower bound. Reports must agree exactly: ids, distances, work,
+buckets and best setting. The engine's adaptive trace is the reference
+trace less the settings it pruned, each of which could not have won.
 """
 
 import heapq
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlslsh.calibration import FamilyCalibration
 from mlslsh.families import CodeEnumerator, FamilyParams, hash_batch, probe_sequence
-from mlslsh.geometry import normalize_dataset
+from mlslsh.geometry import generate_planted_instance, normalize_dataset
 from mlslsh.index import KEY_BITS, build_index, compute_k, slot_bits
 from mlslsh.query import (
+    _QueryProbes,
     adaptive_multiprobe,
     brute_force_range,
     cost,
@@ -172,15 +176,77 @@ def reference_schedule(index, q, radius, multi_probe, mode):
     return ref.report(radius, k_best, j_best, w_best, examined, mode)
 
 
+def check_pruned_trace(trace, full, pruned, n):
+    """`trace` is `full` less `pruned` multi-probe entries, each measuring at
+    least the best work `full` had seen before it."""
+    kept = iter(trace)
+    running, dropped = float(n), 0
+    expect = next(kept, None)
+    for e in full:
+        if e == expect:
+            expect = next(kept, None)
+        else:
+            assert e["probes"] > 1 and e["work"] >= running
+            dropped += 1
+        running = min(running, e["work"])
+    assert expect is None, "the trace is not a subsequence of the reference"
+    assert dropped == pruned
+
+
 @SETTINGS
 @given(instances())
 def test_adaptive_and_single_match_the_reference(case):
     index, queries, radius = case
     for q in queries:
-        got = adaptive_multiprobe(index, q, radius).to_json_dict()
-        assert got == reference_schedule(index, q, radius, True, "adaptive")
-        got = single_probe_adaptive(index, q, radius).to_json_dict()
-        assert got == reference_schedule(index, q, radius, False, "single")
+        report = adaptive_multiprobe(index, q, radius)
+        got = report.to_json_dict()
+        expected = reference_schedule(index, q, radius, True, "adaptive")
+        trace, full = got.pop("examined"), expected.pop("examined")
+        assert got == expected
+        check_pruned_trace(trace, full, report.settings_pruned, index.size)
+        report = single_probe_adaptive(index, q, radius)
+        assert report.to_json_dict() == reference_schedule(index, q, radius, False, "single")
+        assert report.settings_pruned == 0
+
+
+@SETTINGS
+@given(instances())
+def test_spine_lower_bound_is_admissible(case):
+    # each consulted repetition reads its own bucket, then at least one unit
+    # per further probe, of which a level with U^k < j codes has U^k - 1
+    index, queries, radius = case
+    universe = index.params.family.bucket_universe
+    for q in queries:
+        ref, probes = Reference(index, q), _QueryProbes(index, q)
+        for k in range(1, index.levels + 1):
+            for j in range(1, index.params.calibration.max_probes + 1):
+                r_count = ref.reps(k, j)
+                own = sum(
+                    1 + ref.members(rep, ref.probes(rep, k, 1)[0]).size for rep in range(r_count)
+                )
+                bound = probes.lower_bound(k, j)
+                assert bound == own + r_count * (min(j, universe**k) - 1)
+                work = fixed_level_query(index, q, radius, k, j).work_examined
+                assert bound <= work
+                if j == 1:
+                    assert bound == work
+
+
+@pytest.mark.parametrize("kind", ["cross_polytope", "spherical_cap"])
+def test_pruning_measures_fewer_settings(kind):
+    # a later change that loses the pruning fails here without any timing
+    family = FamilyParams(kind=kind, dim=12, cap_count=16)
+    inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=3)
+    cal = toy_calibration(family, 0.8, 0.3, compute_k(600, 0.3), 16, 0.25)
+    index = build_index(inst.dataset, cal, seed=3)
+    pruned = measured = full = 0
+    for q in inst.queries:
+        report = adaptive_multiprobe(index, q.coords, 0.4)
+        pruned += report.settings_pruned
+        measured += len(report.examined)
+        full += len(reference_schedule(index, q.coords, 0.4, True, "adaptive")["examined"])
+    assert pruned > 0
+    assert measured < full
 
 
 @SETTINGS

@@ -19,6 +19,7 @@ from mlslsh.index import (
     load_index,
     reps,
 )
+from mlslsh.query import cost
 
 
 def toy_calibration(params, p1=0.8, p2=0.3, levels=6, max_probes=8):
@@ -139,6 +140,23 @@ def test_space_budget_caps_repetitions(built):
     cal = toy_calibration(params)
     capped = build_index(inst.dataset, cal, space_budget=2, seed=7)
     assert capped.num_repetitions == 2
+
+
+def test_reps_table_matches_the_scheduler_cost(tmp_path, built):
+    # build and load both fill the table the scheduler reads from the same
+    # capped repetition count that `cost` uses, binding cap included
+    inst, index = built
+    cal = index.params.calibration
+    capped = build_index(inst.dataset, cal, space_budget=2, seed=7)
+    path = str(tmp_path / "capped.idx")
+    capped.save(path)
+    for idx in (index, capped, load_index(path)):
+        assert idx.reps_table.shape == (idx.levels, cal.max_probes)
+        assert not idx.reps_table.flags.writeable
+        for k in range(1, idx.levels + 1):
+            for j in range(1, cal.max_probes + 1):
+                expected = cost(k, j, cal, idx.num_repetitions)
+                assert j * idx.reps_table[k - 1, j - 1] == expected
 
 
 def test_codes_match_hash_functions(built):

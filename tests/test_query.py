@@ -294,12 +294,14 @@ def test_report_json_excludes_timing_by_default(small_index):
     inst, index = small_index
     rep = adaptive_multiprobe(index, inst.queries[0].coords, 0.4)
     doc = rep.to_json_dict()
-    assert "wall_time" not in doc
+    assert "wall_time" not in doc and "settings_pruned" not in doc
     assert rep.wall_time > 0.0
     timed = rep.to_json_dict(include_timing=True)
     assert timed["wall_time"] == rep.wall_time
+    assert timed["settings_pruned"] == rep.settings_pruned
     # everything else identical
     timed.pop("wall_time")
+    timed.pop("settings_pruned")
     assert timed == doc
 
 

@@ -220,13 +220,12 @@ def _estimate_probe_success(
                     break
                 per_batch[b, k - 1, pos - 1 :] += 1
 
-    table = per_batch.sum(axis=0) / trials
     n = float(trials)
-    mean = per_batch.sum(axis=0) / n
-    resid = per_batch - np.array(sizes, dtype=np.float64)[:, None, None] * mean
+    table = per_batch.sum(axis=0) / n
+    resid = per_batch - np.array(sizes, dtype=np.float64)[:, None, None] * table
     B = len(sizes)
     if B < 2:
-        se = np.sqrt(np.maximum(mean * (1.0 - mean), 0.0) / n)
+        se = np.sqrt(np.maximum(table * (1.0 - table), 0.0) / n)
     else:
         se = np.sqrt((resid**2).sum(axis=0) * B / (B - 1)) / n
     return table, se

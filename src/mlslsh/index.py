@@ -201,6 +201,9 @@ class MultiLevelIndex:
     every hash function: slot s of repetition r views directions[r * K + s].
     `reps_table[k - 1, j - 1]` is the read-only count of repetitions setting
     (k, j) consults, `consulted_reps` for every k <= K and j <= max_probes.
+    `schedule` holds every such setting once as a (cost, k, j) tuple, cost
+    j * reps_table[k - 1, j - 1], sorted by (cost, k, j): the order in which
+    an adaptive query examines settings, built once per index.
     """
 
     dataset: Dataset
@@ -209,6 +212,7 @@ class MultiLevelIndex:
     repetitions: tuple[Repetition, ...]
     directions: np.ndarray
     reps_table: np.ndarray = field(init=False, repr=False)
+    schedule: tuple[tuple[float, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cal, R = self.params.calibration, self.num_repetitions
@@ -221,6 +225,12 @@ class MultiLevelIndex:
         )
         table.flags.writeable = False
         object.__setattr__(self, "reps_table", table)
+        schedule = sorted(
+            (float(j * reps), k, j)
+            for k, row in enumerate(table.tolist(), start=1)
+            for j, reps in enumerate(row, start=1)
+        )
+        object.__setattr__(self, "schedule", tuple(schedule))
 
     @property
     def num_repetitions(self) -> int:

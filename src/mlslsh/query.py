@@ -2,12 +2,13 @@
 
 A query setting is a pair (k, j): consult level k and probe j code tuples
 per repetition. The scheduler walks settings in order of increasing cost
-estimate j * reps(k, j), measures the true candidate work of each, and stops
-as soon as no unexamined setting could beat the best work seen. Before it
-measures a multi-probe setting it checks a tighter lower bound taken from
-the spine, the query's own bucket at every level of every repetition, which
-the query reads anyway: each consulted repetition costs its own bucket plus
-one unit for each further probe. A setting whose bound reaches the best work
+estimate j * reps(k, j), an order the index builds once and every query
+shares, measures the true candidate work of each, and stops at the first
+setting whose cost reaches the best work seen. Before it measures a
+multi-probe setting it checks a tighter lower bound taken from the spine,
+the query's own bucket at every level of every repetition, which the query
+reads anyway: each consulted repetition costs its own bucket plus one unit
+for each further probe. A setting whose bound reaches the best work
 cannot replace it and is skipped unmeasured, so pruning changes the trace
 but never the answer. Probe counts never pass the calibrated table width, so
 a query never re-estimates the table and its work is bounded before it
@@ -22,7 +23,6 @@ full-scan setting (0, 0) without an index; `run_query` picks a mode by name.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 
@@ -266,46 +266,32 @@ def _schedule(index: MultiLevelIndex, probes: _QueryProbes, multi_probe: bool):
     """The cheapest setting (k, j, work) the adaptive walk finds, the trace
     of settings it measured, and how many more it pruned unmeasured.
 
-    Settings leave the heap in order of cost j * reps(k, j). A popped
-    multi-probe setting whose spine lower bound is at least the best work
-    so far is pruned: the best is replaced only on a strict <, so it could
-    never win. Its successors are queued as if it had been measured, which
-    keeps every push, and so the chosen setting, the same as an unpruned
-    walk. Single-probe settings are always measured; their bound is their
-    work, read off the spine.
+    Settings come from `index.schedule`, built once per index in order of
+    cost j * reps(k, j). The walk stops at the first setting whose cost
+    reaches the best work so far, as every later one costs at least as
+    much. A multi-probe setting whose spine lower bound is at least the best
+    work is pruned: the best is replaced only on a strict <, so it could
+    never win. Single-probe settings are always measured; their bound is
+    their work, read off the spine. Single mode skips every multi-probe
+    setting; its own come in level order, as cost(k, 1) never falls with k.
     """
-    cal = index.params.calibration
-    K = index.levels
-    table = index.reps_table
-
     w_best = float(index.size)
     k_best, j_best = 0, 0
     examined: list[ExaminedSetting] = []
     pruned = 0
-    heap: list[tuple[float, int, int]] = []
-    visited: set[tuple[int, int]] = set()
-
-    def push(k: int, j: int) -> None:
-        heapq.heappush(heap, (float(j * table[k - 1, j - 1]), k, j))
-        visited.add((k, j))
-
-    push(1, 1)
-    while heap and heap[0][0] < w_best:
-        c, k, j = heapq.heappop(heap)
-        if j > 1 and probes.lower_bound(k, j) >= w_best:
-            pruned += 1
-        else:
-            w = probes.work(k, j)
-            examined.append(ExaminedSetting(k, j, c, w))
-            if w < w_best:
-                w_best, k_best, j_best = w, k, j
-        if j == 1 and k < K and (k + 1, 1) not in visited:
-            push(k + 1, 1)
-        # any setting with j' probes costs at least j', so successors past
-        # the current best work can never be examined and need not be queued;
-        # the probe budget ends where the calibrated table does
-        if multi_probe and j < cal.max_probes and (k, j + 1) not in visited and j + 1 < w_best:
-            push(k, j + 1)
+    for c, k, j in index.schedule:
+        if c >= w_best:
+            break
+        if j > 1:
+            if not multi_probe:
+                continue
+            if probes.lower_bound(k, j) >= w_best:
+                pruned += 1
+                continue
+        w = probes.work(k, j)
+        examined.append(ExaminedSetting(k, j, c, w))
+        if w < w_best:
+            w_best, k_best, j_best = w, k, j
 
     return (k_best, j_best, w_best), examined, pruned
 
@@ -342,9 +328,10 @@ def fixed_level_query(
     def pinned(probes: _QueryProbes):
         if not 1 <= k <= index.levels:
             raise ValueError(f"level {k} outside 1..{index.levels}")
-        cal = index.params.calibration.ensure_probes(j)
+        index.params.calibration.ensure_probes(j)
         w = probes.work(k, j)
-        return (k, j, w), [ExaminedSetting(k, j, cost(k, j, cal, index.num_repetitions), w)], 0
+        c = float(j * index.reps_table[k - 1, j - 1])
+        return (k, j, w), [ExaminedSetting(k, j, c, w)], 0
 
     return _query(index, q, radius, "fixed", pinned)
 

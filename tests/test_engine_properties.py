@@ -3,13 +3,13 @@
 The reference ranks each hash function with `probe_sequence`, walks each
 (repetition, level) with its own `CodeEnumerator` and finds bucket members
 by a linear scan of `codes_in_input_order()`, with no packed keys and no
-stacked directions. Its scheduler measures every setting it pops, with no
-spine lower bound. Reports must agree exactly: ids, distances, work,
+stacked directions. Its scheduler sorts every setting by `cost` itself and
+measures each one it reaches, with no spine lower bound. Reports must agree
+exactly: ids, distances, work,
 buckets and best setting. The engine's adaptive trace is the reference
 trace less the settings it pruned, each of which could not have won.
 """
 
-import heapq
 import math
 
 import numpy as np
@@ -154,25 +154,19 @@ def reference_schedule(index, q, radius, multi_probe, mode):
     ref = Reference(index, q)
     cal = index.params.calibration
     R = index.num_repetitions
+    max_j = cal.max_probes if multi_probe else 1
+    settings = sorted(
+        (cost(k, j, cal, R), k, j) for k in range(1, index.levels + 1) for j in range(1, max_j + 1)
+    )
     w_best, k_best, j_best = float(index.size), 0, 0
     examined = []
-    heap = [(cost(1, 1, cal, R), 1, 1)]
-    visited = {(1, 1)}
-    while heap and heap[0][0] < w_best:
-        c, k, j = heapq.heappop(heap)
+    for c, k, j in settings:
+        if c >= w_best:
+            break
         w = ref.work(k, j)
         examined.append((k, j, c, w))
         if w < w_best:
             w_best, k_best, j_best = w, k, j
-        successors = []
-        if j == 1 and k < index.levels:
-            successors.append((k + 1, 1))
-        if multi_probe and j < cal.max_probes and j + 1 < w_best:
-            successors.append((k, j + 1))
-        for s in successors:
-            if s not in visited:
-                visited.add(s)
-                heapq.heappush(heap, (cost(*s, cal, R), *s))
     return ref.report(radius, k_best, j_best, w_best, examined, mode)
 
 
@@ -247,6 +241,30 @@ def test_pruning_measures_fewer_settings(kind):
         full += len(reference_schedule(index, q.coords, 0.4, True, "adaptive")["examined"])
     assert pruned > 0
     assert measured < full
+
+
+def test_adaptive_follows_cost_order_where_a_level_cost_dips():
+    # level 2 costs 12, 10, 15 for one, two and three probes, so (2, 2)
+    # comes before (2, 1); a walk that reaches (k, j + 1) only through
+    # (k, j) examines them out of cost order and can stop too early
+    family = FamilyParams(kind="cross_polytope", dim=12)
+    inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=3)
+    cal = toy_calibration(family, 0.5, 0.2, 4, 6, 3.0)
+    index = build_index(inst.dataset, cal, seed=3)
+    R = index.num_repetitions
+    costs = {
+        (k, j): cost(k, j, cal, R)
+        for k in range(1, index.levels + 1)
+        for j in range(1, cal.max_probes + 1)
+    }
+    assert [costs[2, j] for j in (1, 2, 3)] == [12.0, 10.0, 15.0]
+    for q in inst.queries:
+        report = adaptive_multiprobe(index, q.coords, 0.4)
+        trace = [(e.level, e.probes) for e in report.examined]
+        assert [e.cost for e in report.examined] == sorted(e.cost for e in report.examined)
+        assert (2, 1) in trace and trace.index((2, 2)) < trace.index((2, 1))
+        unmeasured = [s for s, c in costs.items() if c < report.w_best and s not in trace]
+        assert len(unmeasured) <= report.settings_pruned
 
 
 @SETTINGS

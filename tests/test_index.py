@@ -143,8 +143,9 @@ def test_space_budget_caps_repetitions(built):
 
 
 def test_reps_table_matches_the_scheduler_cost(tmp_path, built):
-    # build and load both fill the table the scheduler reads from the same
-    # capped repetition count that `cost` uses, binding cap included
+    # build and load both fill the table and the schedule the scheduler
+    # reads from the same capped repetition count that `cost` uses, binding
+    # cap included; the schedule lists every setting once, in cost order
     inst, index = built
     cal = index.params.calibration
     capped = build_index(inst.dataset, cal, space_budget=2, seed=7)
@@ -157,6 +158,12 @@ def test_reps_table_matches_the_scheduler_cost(tmp_path, built):
             for j in range(1, cal.max_probes + 1):
                 expected = cost(k, j, cal, idx.num_repetitions)
                 assert j * idx.reps_table[k - 1, j - 1] == expected
+        assert isinstance(idx.schedule, tuple)
+        assert list(idx.schedule) == sorted(idx.schedule)
+        settings = [(k, j) for _, k, j in idx.schedule]
+        assert len(settings) == len(set(settings)) == idx.levels * cal.max_probes
+        for c, k, j in idx.schedule:
+            assert type(c) is float and c == cost(k, j, cal, idx.num_repetitions)
 
 
 def test_codes_match_hash_functions(built):

@@ -106,12 +106,12 @@ def test_adaptive_trace_invariants(small_index):
         ex = rep.examined
         assert len(ex) >= 1
         assert (ex[0].level, ex[0].probes) == (1, 1)
-        # heap discipline: costs never decrease, settings never repeat
+        # cost order: costs never decrease, settings never repeat
         costs = [e.cost for e in ex]
         assert costs == sorted(costs)
         assert len({(e.level, e.probes) for e in ex}) == len(ex)
         # every examined setting was strictly cheaper than the best work
-        # known when it was popped
+        # known when the walk reached it
         running = float(n)
         for e in ex:
             assert e.cost < running

@@ -142,7 +142,7 @@ def main() -> None:
     "--rebuildable/--full",
     default=False,
     show_default=True,
-    help="Omit code matrices; loading recomputes them.",
+    help="Omit the hash keys; loading rehashes the stored points.",
 )
 @_json_errors
 def build(index_fields, input_, fmt, output, rebuildable):

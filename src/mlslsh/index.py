@@ -29,7 +29,7 @@ from .families import FamilyParams, HashFunction, derived_seed, hash_batch, samp
 from .geometry import Dataset
 
 MAGIC = b"MLSLSH01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _FLAG_CODES = 1
 KEY_BITS = 63
 
@@ -98,8 +98,9 @@ class BuildParams:
     def __post_init__(self) -> None:
         if self.family != self.calibration.params:
             raise ValueError("calibration was measured for a different family")
-        if self.space_budget is not None and self.space_budget < 1:
-            raise ValueError(f"space budget must be positive, got {self.space_budget}")
+        budget = self.space_budget
+        if budget is not None and (type(budget) is not int or budget < 1):
+            raise ValueError(f"space budget must be a positive integer, got {budget!r}")
 
 
 def slot_bits(family: FamilyParams, depth: int) -> int:
@@ -120,9 +121,12 @@ def _shifts(bits: int, depth: int) -> np.ndarray:
     return bits * np.arange(depth - 1, -1, -1, dtype=np.int64)
 
 
-def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
-    """int64 keys of an (m, depth) code matrix whose codes fit in `bits` bits."""
-    return (codes.astype(np.int64) << _shifts(bits, codes.shape[1])).sum(axis=1)
+def _pack(slots, bits: int) -> np.ndarray:
+    """int64 keys of one code array per slot, slot 0 first, each code below 2**bits."""
+    keys = np.int64(0)
+    for codes in slots:
+        keys = keys << bits | codes.astype(np.int64)
+    return keys
 
 
 def _key_runs(keys, first, shift) -> list[np.ndarray]:
@@ -143,23 +147,21 @@ def _key_runs(keys, first, shift) -> list[np.ndarray]:
 class Repetition:
     """One repetition: K hash functions plus the points sorted by packed key.
 
-    keys[i] is the packed code tuple of the point at sorted position i and
-    order[i] its dataset index. The sort is stable, so points with equal
-    codes keep their input order.
+    Built from one key per point in input order. keys[i] is the packed code
+    tuple of the point at sorted position i and order[i] its dataset index.
+    The sort is stable, so points with equal codes keep their input order.
     """
 
     __slots__ = ("functions", "keys", "order", "bits")
 
-    def __init__(self, functions: tuple[HashFunction, ...], codes: np.ndarray):
-        if not functions or codes.ndim != 2 or codes.shape[1] != len(functions):
-            raise ValueError(
-                f"code matrix shape {codes.shape} does not match {len(functions)} slots"
-            )
-        family = functions[0].params
-        self.bits = slot_bits(family, len(functions))
-        if codes.min() < 0 or codes.max() >= family.bucket_universe:
-            raise ValueError(f"codes must lie in 0..{family.bucket_universe - 1}")
-        keys = _pack(codes, self.bits)
+    def __init__(self, functions: tuple[HashFunction, ...], keys: np.ndarray):
+        universe, depth = functions[0].params.bucket_universe, len(functions)
+        self.bits = slot_bits(functions[0].params, depth)
+        if keys.min() < 0 or int(keys.max()) >> self.bits * depth:
+            raise ValueError(f"keys must lie in 0..2**{self.bits * depth} - 1")
+        slots = (keys >> s & (1 << self.bits) - 1 for s in _shifts(self.bits, depth))
+        if any(codes.max() >= universe for codes in slots):
+            raise ValueError(f"slot codes must lie in 0..{universe - 1}")
         self.functions = functions
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
@@ -188,11 +190,6 @@ class Repetition:
         shift = self.bits * (self.depth - len(prefix))
         (lo,), (hi,) = _key_runs((self.keys,), p << shift, shift)[0].tolist()
         return lo, hi
-
-    def codes_in_input_order(self) -> np.ndarray:
-        out = np.empty((self.keys.size, self.depth), dtype=np.int32)
-        out[self.order] = self.sorted_codes
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,16 +246,17 @@ class MultiLevelIndex:
         """
         bits = self.repetitions[0].bits
         shifts = _shifts(bits, self.levels)
-        first = (_pack(codes, bits)[:, None] >> shifts) << shifts
+        first = (_pack(codes.T, bits)[:, None] >> shifts) << shifts
         runs = np.array(_key_runs([rep.keys for rep in self.repetitions], first, shifts))
         return runs[:, 0], runs[:, 1]
 
     def save(self, path: str, include_codes: bool = True) -> None:
-        """Write the index to `path`.
+        """Write the index to `path` as format version 2: after the points,
+        one little-endian int64 key per point per repetition, in input order.
 
-        With include_codes=False the file omits the code matrices; loading
-        recomputes them from the stored points and seeds, trading load time
-        for file size. Raw (pre-normalization) inputs are never persisted.
+        With include_codes=False the file omits the keys; loading rehashes
+        the stored points with the recorded seeds, trading load time for file
+        size. Raw (pre-normalization) inputs are never persisted.
         """
         ds = self.dataset
         meta = {
@@ -283,7 +281,9 @@ class MultiLevelIndex:
             f.write(np.ascontiguousarray(ds.matrix, dtype="<f8").tobytes())
             if include_codes:
                 for rep in self.repetitions:
-                    f.write(rep.codes_in_input_order().astype("<i4").tobytes())
+                    keys = np.empty_like(rep.keys)
+                    keys[rep.order] = rep.keys
+                    f.write(keys.astype("<i8").tobytes())
 
 
 def _sample_functions(
@@ -297,13 +297,6 @@ def _sample_functions(
     block.flags.writeable = False
     fns = [HashFunction(family, fn_seed, block[i]) for i, fn_seed in enumerate(seeds)]
     return block, [tuple(fns[rep * K : (rep + 1) * K]) for rep in range(R)]
-
-
-def _hash_codes(fns: tuple[HashFunction, ...], matrix: np.ndarray) -> np.ndarray:
-    codes = np.empty((matrix.shape[0], len(fns)), dtype=np.int32)
-    for s, fn in enumerate(fns):
-        codes[:, s] = hash_batch(fn, matrix)
-    return codes
 
 
 def build_index(
@@ -325,13 +318,14 @@ def build_index(
             f"calibration covers {calibration.levels} levels but n={n} needs {K}; "
             "re-calibrate with more levels"
         )
-    slot_bits(calibration.params, K)
+    bits = slot_bits(calibration.params, K)
+    params = BuildParams(calibration.params, calibration, space_budget, seed)
     R = compute_numreps(calibration.p1, K)
     if space_budget is not None:
         R = min(R, space_budget)
-    params = BuildParams(calibration.params, calibration, space_budget, seed)
     block, functions = _sample_functions(calibration.params, seed, R, K)
-    repetitions = tuple(Repetition(fns, _hash_codes(fns, dataset.matrix)) for fns in functions)
+    hashed = ((hash_batch(fn, dataset.matrix) for fn in fns) for fns in functions)
+    repetitions = tuple(Repetition(fns, _pack(h, bits)) for fns, h in zip(functions, hashed))
     return MultiLevelIndex(
         dataset=dataset, params=params, levels=K, repetitions=repetitions, directions=block
     )
@@ -369,12 +363,12 @@ def _check_metadata(meta) -> tuple[BuildParams, int, int, int, int, tuple[int, .
 
 
 def load_index(path: str) -> MultiLevelIndex:
-    """Load an index written by MultiLevelIndex.save.
+    """Load an index written by MultiLevelIndex.save, format version 2 or 1.
 
     The header is checked against itself and against the file size before
-    any array is allocated. Files saved without code matrices are rebuilt
-    from the stored points and the recorded seeds; the result is identical
-    to the original build.
+    any array is allocated. Version 1 int32 codes are range-checked and
+    packed. Files saved without keys are rehashed from the stored points and
+    the recorded seeds; the result is identical to the original build.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -384,7 +378,7 @@ def load_index(path: str) -> MultiLevelIndex:
         if len(head) < len(MAGIC) + 16:
             raise IndexFormatError(f"truncated index file: {len(head)}-byte header")
         version, flags, meta_len = struct.unpack_from("<IIQ", head, len(MAGIC))
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise IndexFormatError(f"unsupported index format version {version}")
         if flags & ~_FLAG_CODES:
             raise IndexFormatError(f"unknown flag bits {flags:#x}")
@@ -399,7 +393,7 @@ def load_index(path: str) -> MultiLevelIndex:
             raise IndexFormatError(f"corrupt index metadata: {e}") from e
         params, n, d, K, R, degenerate = _check_metadata(meta)
         has_codes = bool(flags & _FLAG_CODES)
-        payload = 8 * d * (n + 1) + (4 * n * K * R if has_codes else 0)
+        payload = 8 * d * (n + 1) + ((4 * K if version == 1 else 8) * n * R if has_codes else 0)
         left = size - f.tell()
         if left < payload:
             raise IndexFormatError(
@@ -415,14 +409,20 @@ def load_index(path: str) -> MultiLevelIndex:
         except ValueError as e:
             raise IndexFormatError(f"corrupt index points: {e}") from e
         block, functions = _sample_functions(params.family, params.seed, R, K)
+        bits, universe = slot_bits(params.family, K), params.family.bucket_universe
         repetitions = []
         for rep, fns in enumerate(functions):
-            if has_codes:
-                codes = np.frombuffer(f.read(4 * n * K), dtype="<i4").reshape(n, K)
-            else:
-                codes = _hash_codes(fns, dataset.matrix)
             try:
-                repetitions.append(Repetition(fns, codes))
+                if not has_codes:
+                    keys = _pack((hash_batch(fn, dataset.matrix) for fn in fns), bits)
+                elif version == 1:
+                    codes = np.frombuffer(f.read(4 * n * K), dtype="<i4").reshape(n, K)
+                    if codes.min() < 0 or codes.max() >= universe:
+                        raise ValueError(f"codes must lie in 0..{universe - 1}")
+                    keys = _pack(codes.T, bits)
+                else:
+                    keys = np.frombuffer(f.read(8 * n), dtype="<i8").astype(np.int64)
+                repetitions.append(Repetition(fns, keys))
             except ValueError as e:
                 raise IndexFormatError(f"corrupt codes for repetition {rep}: {e}") from e
     return MultiLevelIndex(

@@ -324,6 +324,10 @@ def fixed_level_query(
     Useful as a baseline: the adaptive scheduler should never examine more
     work than the best fixed setting by more than its exploration overhead.
     """
+    for name, value in (("level k", k), ("probe count j", j)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    k, j = int(k), int(j)
 
     def pinned(probes: _QueryProbes):
         if not 1 <= k <= index.levels:

@@ -15,7 +15,7 @@ import pytest
 
 from mlslsh.bench import BenchConfig, calibrate_cached, run_benchmark, scaling_trend
 from mlslsh.calibration import FamilyCalibration, estimate_collision_prob
-from mlslsh.families import FamilyParams
+from mlslsh.families import FamilyParams, hash_batch
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import build_index, compute_k, compute_numreps, load_index, reps
 from mlslsh.query import (
@@ -210,7 +210,7 @@ def test_criterion_3_build_invariants():
         if stored != R * n * K:
             problems.append(f"build {trial}: stored {stored} != {R}*{n}*{K}")
         for rep in index.repetitions[:2]:
-            codes = rep.codes_in_input_order()
+            codes = np.stack([hash_batch(fn, inst.dataset.matrix) for fn in rep.functions], 1)
             for k in range(1, K + 1):
                 runs = [
                     rep.prefix_range(tuple(int(v) for v in p))

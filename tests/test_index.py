@@ -1,12 +1,15 @@
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from mlslsh.calibration import CalibrationError, FamilyCalibration
-from mlslsh.families import FamilyParams, hash_batch
+from mlslsh.cli import main
+from mlslsh.families import FamilyParams, hash_batch, sample_hash_function
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
     BuildParams,
@@ -142,6 +145,13 @@ def test_space_budget_caps_repetitions(built):
     assert capped.num_repetitions == 2
 
 
+@pytest.mark.parametrize("budget", [0, 2.5, True, "2"])
+def test_space_budget_must_be_a_positive_integer(built, budget):
+    inst, index = built
+    with pytest.raises(ValueError, match="space budget must be a positive integer"):
+        build_index(inst.dataset, index.params.calibration, space_budget=budget, seed=7)
+
+
 def test_reps_table_matches_the_scheduler_cost(tmp_path, built):
     # build and load both fill the table and the schedule the scheduler
     # reads from the same capped repetition count that `cost` uses, binding
@@ -166,13 +176,17 @@ def test_reps_table_matches_the_scheduler_cost(tmp_path, built):
             assert type(c) is float and c == cost(k, j, cal, idx.num_repetitions)
 
 
+def rehashed(rep, matrix):
+    """The (n, K) code matrix of one repetition, hashed afresh from the points."""
+    return np.stack([hash_batch(fn, matrix) for fn in rep.functions], axis=1)
+
+
 def test_codes_match_hash_functions(built):
-    # stored codes are exactly what the slot functions produce on the points
+    # the keys decode to exactly what the slot functions produce on the points
     inst, index = built
     for rep in index.repetitions[:3]:
-        codes = rep.codes_in_input_order()
-        for s, fn in enumerate(rep.functions):
-            assert np.array_equal(codes[:, s], hash_batch(fn, inst.dataset.matrix))
+        codes = rehashed(rep, inst.dataset.matrix)
+        assert np.array_equal(rep.sorted_codes, codes[rep.order])
 
 
 def test_total_stored_codes(built):
@@ -190,7 +204,7 @@ def test_buckets_partition_every_level(built):
     inst, index = built
     n = index.size
     for rep in index.repetitions[:3]:
-        codes = rep.codes_in_input_order()
+        codes = rehashed(rep, inst.dataset.matrix)
         for k in range(1, index.levels + 1):
             prefixes = np.unique(codes[:, :k], axis=0)
             seen = []
@@ -204,7 +218,7 @@ def test_buckets_partition_every_level(built):
 def test_deeper_buckets_refine_shallower(built):
     inst, index = built
     rep = index.repetitions[0]
-    codes = rep.codes_in_input_order()
+    codes = rehashed(rep, inst.dataset.matrix)
     rng = np.random.default_rng(5)
     for i in rng.integers(0, index.size, size=20):
         for k in range(1, index.levels):
@@ -217,7 +231,7 @@ def test_deeper_buckets_refine_shallower(built):
 def test_prefix_range_matches_linear_scan(built):
     inst, index = built
     rep = index.repetitions[1]
-    codes = rep.codes_in_input_order()
+    codes = rehashed(rep, inst.dataset.matrix)
     rng = np.random.default_rng(6)
     for i in rng.integers(0, index.size, size=15):
         for k in (1, 2, index.levels):
@@ -357,22 +371,31 @@ def test_load_rejects_unknown_version_and_flags(tmp_path, built):
         load_index(str(path))
 
 
-def test_repetition_rejects_mismatched_codes():
-    params = FamilyParams(kind="cross_polytope", dim=8)
-    from mlslsh.families import sample_hash_function
-
+def test_repetition_rejects_invalid_keys():
+    # two slots of a 65-bucket cap family take 7 bits each: codes 0..64
+    params = FamilyParams(kind="spherical_cap", dim=8)
     fns = tuple(sample_hash_function(params, s) for s in range(2))
-    with pytest.raises(ValueError):
-        Repetition(fns, np.zeros((10, 3), dtype=np.int32))
+    rep = Repetition(fns, np.array([64 << 7 | 64, 0, 3 << 7 | 1], dtype=np.int64))
+    assert rep.order.tolist() == [1, 2, 0]
+    assert rep.sorted_codes.tolist() == [[0, 0], [3, 1], [64, 64]]
+    for bad, message in [
+        (-1, "keys must lie"),
+        (1 << 14, "keys must lie"),
+        (65, "slot codes"),
+        (65 << 7, "slot codes"),
+        (127 << 7 | 127, "slot codes"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Repetition(fns, np.array([0, bad], dtype=np.int64))
 
 
 # packed keys, the bit budget and header checks
 
 
 def test_keys_sort_like_the_code_tuples(built):
-    _, index = built
+    inst, index = built
     for rep in index.repetitions[:3]:
-        codes = rep.codes_in_input_order()
+        codes = rehashed(rep, inst.dataset.matrix)
         order = np.lexsort(tuple(codes[:, s] for s in reversed(range(index.levels))))
         assert np.array_equal(rep.order, order)
         assert np.array_equal(rep.sorted_codes, codes[order])
@@ -400,6 +423,39 @@ def test_build_past_the_bit_budget_fails_clearly():
         build_index(inst.dataset, cal)
 
 
+DATA = Path(__file__).parent / "data"
+V1_FILES = [DATA / "v1_full.idx", DATA / "v1_rebuildable.idx"]
+
+
+def cli_answers(path) -> list[dict]:
+    """The CLI's answer on `path` to every query recorded beside the v1 files."""
+    answers = []
+    for case in json.loads((DATA / "v1_expected.json").read_text()):
+        result = CliRunner().invoke(main, ["query", "--index", str(path), *case["args"]])
+        assert result.exit_code == 0, result.output
+        answers.append(json.loads(result.output))
+    return answers
+
+
+def test_v1_files_load_answer_and_resave_as_v2(tmp_path):
+    # both version 1 files, full and rebuildable, answer as the code that
+    # wrote them did; re-saved, they become version 2 files that do too
+    expected = [case["report"] for case in json.loads((DATA / "v1_expected.json").read_text())]
+    full = load_index(str(V1_FILES[0]))
+    assert full.params.family.bucket_universe == 65  # not a power of two
+    for path, flags in zip(V1_FILES, (1, 0)):
+        assert struct.unpack_from("<II", path.read_bytes(), 8) == (1, flags)
+        assert cli_answers(path) == expected
+        index = load_index(str(path))
+        for include_codes in (True, False):
+            again = tmp_path / f"v2-{include_codes}.idx"
+            index.save(str(again), include_codes=include_codes)
+            assert struct.unpack_from("<II", again.read_bytes(), 8) == (2, int(include_codes))
+            assert cli_answers(again) == expected
+            for a, b in zip(full.repetitions, load_index(str(again)).repetitions):
+                assert np.array_equal(a.keys, b.keys) and np.array_equal(a.order, b.order)
+
+
 @pytest.fixture(scope="module")
 def tiny_file(tmp_path_factory):
     params = FamilyParams(kind="cross_polytope", dim=4)
@@ -416,19 +472,22 @@ def _meta_end(blob: bytes) -> int:
 
 
 def test_load_fuzz_truncated_and_flipped_headers(tmp_path, tiny_file):
-    # every cut and every flipped header byte is a format error, never a
-    # KeyError, a MemoryError or an allocation the header alone asked for
+    # every cut and every flipped header byte of a version 1 and a version 2
+    # file is a format error, never a KeyError, a MemoryError or an
+    # allocation the header alone asked for
     path = tmp_path / "fuzz.idx"
-    for cut in range(len(tiny_file)):
-        path.write_bytes(tiny_file[:cut])
-        with pytest.raises(IndexFormatError):
-            load_index(str(path))
-    for at in range(_meta_end(tiny_file)):
-        blob = bytearray(tiny_file)
-        blob[at] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(IndexFormatError):
-            load_index(str(path))
+    for version, original in [(1, V1_FILES[0].read_bytes()), (2, tiny_file)]:
+        assert struct.unpack_from("<I", original, 8) == (version,)
+        for cut in range(len(original)):
+            path.write_bytes(original[:cut])
+            with pytest.raises(IndexFormatError):
+                load_index(str(path))
+        for at in range(_meta_end(original)):
+            blob = bytearray(original)
+            blob[at] ^= 0xFF
+            path.write_bytes(bytes(blob))
+            with pytest.raises(IndexFormatError):
+                load_index(str(path))
 
 
 def _with_meta(blob: bytes, edit) -> bytes:
@@ -458,6 +517,7 @@ def _cap_family(meta):
         (_set("num_repetitions", 10**9), "repetitions"),
         (_set("seed", 1.5), "seed"),
         (_set("space_budget", 0), "space budget"),
+        (_set("space_budget", 2.5), "space budget"),
         (lambda meta: meta.pop("family"), "corrupt index metadata"),
         (_set("calibration", []), "corrupt index metadata"),
         (_cap_family, "key bits"),
@@ -468,7 +528,7 @@ def _cap_family(meta):
     ],
     ids=[
         "n-huge", "n-zero", "d-string", "d-mismatch", "levels-past-calibration",
-        "repetitions-huge", "seed-float", "budget-zero", "family-missing",
+        "repetitions-huge", "seed-float", "budget-zero", "budget-float", "family-missing",
         "calibration-not-object", "bit-budget",
         "n-short", "degenerate-not-ids", "degenerate-repeated", "degenerate-past-n",
     ],
@@ -486,10 +546,27 @@ def test_load_checks_metadata_before_allocating(tmp_path, tiny_file, edit, messa
         load_index(str(path))
 
 
-def test_load_rejects_codes_outside_the_universe(tmp_path, tiny_file):
-    blob = bytearray(tiny_file)
-    blob[-4:] = struct.pack("<i", 8)  # cross-polytope in 4 dimensions has buckets 0..7
-    path = tmp_path / "codes.idx"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(IndexFormatError, match="codes"):
-        load_index(str(path))
+def test_load_rejects_codes_outside_the_universe(tmp_path):
+    # the version 1 file stores int32 codes of a 65-bucket cap family: 0..64
+    for code in (65, -1, 1 << 20):
+        blob = bytearray(V1_FILES[0].read_bytes())
+        blob[-4:] = struct.pack("<i", code)
+        path = tmp_path / "codes.idx"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFormatError, match="codes"):
+            load_index(str(path))
+
+
+def test_load_rejects_bad_keys(tmp_path):
+    # the same cap family saved as version 2: K slots of 7 bits in each key
+    index = load_index(str(V1_FILES[0]))
+    K, bits = index.levels, index.repetitions[0].bits
+    path = tmp_path / "keys.idx"
+    index.save(str(path))
+    good = path.read_bytes()
+    (last,) = struct.unpack("<q", good[-8:])
+    slot0 = bits * (K - 1)
+    for key in (-1, last | 1 << K * bits, last & ((1 << slot0) - 1) | 65 << slot0):
+        path.write_bytes(good[:-8] + struct.pack("<q", key))
+        with pytest.raises(IndexFormatError, match="codes"):
+            load_index(str(path))

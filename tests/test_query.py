@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from mlslsh.calibration import FamilyCalibration
-from mlslsh.families import CodeEnumerator, FamilyParams, probe_sequence
+from mlslsh.families import CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
 from mlslsh.index import build_index, compute_k, compute_numreps, reps
 from mlslsh.query import (
@@ -70,7 +71,8 @@ def test_fixed_level_work_matches_independent_recount(small_index):
         r_count = max(1, min(reps(k, j, p), R))
         expected = 0
         for rep in index.repetitions[:r_count]:
-            codes = rep.codes_in_input_order()
+            matrix = index.dataset.matrix
+            codes = np.stack([hash_batch(fn, matrix) for fn in rep.functions], axis=1)
             seqs = [probe_sequence(fn, q) for fn in rep.functions[:k]]
             probes = CodeEnumerator(seqs).first(j)
             for code in probes:
@@ -125,7 +127,8 @@ def test_adaptive_trace_invariants(small_index):
 
 def test_adaptive_examines_full_cheap_level_spine(small_index):
     # every single-probe setting cheaper than the final best work must have
-    # been measured; the chain of (level, 1) pushes cannot skip one
+    # been measured: the walk reaches it in cost order before it stops, and
+    # never prunes a single-probe setting
     inst, index = small_index
     cal = index.params.calibration
     R = index.num_repetitions
@@ -288,6 +291,14 @@ def test_query_validation(small_index):
         run_query("fixed", index, inst.dataset, q, 0.4)
     with pytest.raises(ValueError, match="needs an index"):
         run_query("single", None, inst.dataset, q, 0.4)
+    # a fixed setting is a pair of integers, numpy's included
+    pinned = fixed_level_query(index, q, 0.4, np.int64(2), np.int32(3)).to_json_dict()
+    assert json.dumps(pinned) == json.dumps(fixed_level_query(index, q, 0.4, 2, 3).to_json_dict())
+    for k, j, name in [(1.5, 2, "level k"), (2, 2.0, "probe count j"), (True, 2, "level k")]:
+        with pytest.raises(ValueError, match=name):
+            fixed_level_query(index, q, 0.4, k, j)
+        with pytest.raises(ValueError, match=name):
+            run_query("fixed", index, inst.dataset, q, 0.4, (k, j))
 
 
 def test_report_json_excludes_timing_by_default(small_index):

@@ -3,10 +3,10 @@
 Calibration measures three things: p1, the collision probability of pairs at
 distance r; p2, the same at distance c * r; and a probe-success table whose
 (k, j) entry is the probability that a point at distance r from the query
-lands on one of the first j tuples of the query's k-slot multi-probe
-enumeration. Everything downstream (depth, repetition counts, query
-scheduling) is derived from these measurements, which is what makes the
-index parameter-free.
+lands on one of the first j tuples of the query's k-slot probe order, the
+order `families.first_tuples` defines and every query walks. Everything
+downstream (depth, repetition counts, query scheduling) is derived from
+these measurements, which is what makes the index parameter-free.
 """
 
 from __future__ import annotations
@@ -19,14 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from .families import (
-    CodeEnumerator,
     FamilyParams,
+    _pack,
     derived_rng,
     derived_seed,
+    first_tuples,
     hash_batch,
     project,
     rank_projections,
     sample_hash_function,
+    slot_bits,
 )
 from .geometry import uniform_unit_vectors, unit_vectors_orthogonal_to
 
@@ -182,11 +184,14 @@ def _estimate_probe_success(
     first k of them) and the same pair, so the table is exactly a CDF along
     j and exactly non-increasing along k, not just in expectation. Batches
     share functions across pairs; standard errors are computed over batches.
+    Each batch runs the probe order once for all its pairs and finds each
+    partner's packed key among the first tuples of every level.
     """
     sizes = [batch_size] * (trials // batch_size)
     if trials % batch_size:
         sizes.append(trials % batch_size)
     per_batch = np.zeros((len(sizes), levels, max_probes), dtype=np.int64)
+    bits = slot_bits(params, levels)
     for b, m in enumerate(sizes):
         fns = [
             sample_hash_function(params, derived_seed(seed, _TAG_TABLE_FN, b, s))
@@ -195,30 +200,17 @@ def _estimate_probe_success(
         rng = derived_rng(seed, _TAG_TABLE_PAIR, b)
         data, query = _pairs_at_distance(rng, params.dim, m, r)
 
-        data_codes = np.empty((m, levels), dtype=np.int64)
-        rankings = []
-        ranks = np.empty((m, levels), dtype=np.int64)
-        rows = np.arange(m)
-        for s, fn in enumerate(fns):
-            data_codes[:, s] = hash_batch(fn, data)
+        slots, partner = [], []
+        for fn in fns:
+            partner.append(hash_batch(fn, data))
             o, d, _ = rank_projections(params, project(fn, query))
-            inv = np.empty_like(o)
-            inv[rows[:, None], o] = np.arange(o.shape[1])[None, :]
-            ranks[:, s] = inv[rows, data_codes[:, s]]
-            # a position within max_probes never uses a slot rank past it
-            rankings.append(list(zip(o[:, :max_probes].tolist(), d[:, :max_probes].tolist())))
-
-        # per pair: its codes, its slot ranks and the query's slot rankings
-        for codes, slot_ranks, slots in zip(data_codes.tolist(), ranks.tolist(), zip(*rankings)):
-            for k in range(1, levels + 1):
-                # a slot rank at or past the probe budget bounds the tuple's
-                # position past the budget too, at this and every deeper level
-                if slot_ranks[k - 1] >= max_probes:
-                    break
-                pos = CodeEnumerator(slots[:k]).position_of(tuple(codes[:k]), max_probes)
-                if pos is None:
-                    break
-                per_batch[b, k - 1, pos - 1 :] += 1
+            slots.append((o[:, :max_probes], d[:, :max_probes]))
+        # level k compares the query's first tuples with the partner's k-slot key
+        for k, tuples in enumerate(first_tuples(slots, max_probes, bits), start=1):
+            hits = np.count_nonzero(tuples == _pack(partner[:k], bits)[:, None], axis=0)
+            if not hits.any():
+                break  # level k + 1 only extends these tuples, so it finds none either
+            per_batch[b, k - 1] = np.cumsum(np.pad(hits, (0, max_probes - hits.size)))
 
     n = float(trials)
     table = per_batch.sum(axis=0) / n
@@ -385,6 +377,8 @@ def calibrate(
     zero (with a warning) and an inseparable pair of radii raises. A caller
     that already ran edge_probabilities(params, r, c, trials, seed) passes
     its result as `edges`, which is then used instead of measuring again.
+    Levels whose packed keys would pass 63 bits raise ValueError before
+    anything is measured.
     """
     if not 0.0 < r < 2.0:
         raise ValueError(f"radius must lie in (0, 2), got {r}")
@@ -399,6 +393,7 @@ def calibrate(
         raise ValueError(f"need at least one level, got {levels}")
     if max_probes < 1:
         raise ValueError(f"need at least one probe, got {max_probes}")
+    slot_bits(params, levels)  # the probe table packs codes of every level into one key
     near, far, p2 = edges or edge_probabilities(params, r, c, trials, seed)
     table, se_table = _estimate_probe_success(params, r, levels, max_probes, trials, seed)
     _check_edge_consistency(table, se_table, near, levels)

@@ -7,24 +7,29 @@ none. "cross_polytope" applies a random rotation and assigns the nearest
 signed coordinate axis, giving 2 * dim buckets.
 
 A probe ranking orders every bucket of one hash function for a query, own
-bucket first, as a (buckets, deficits) row pair. A code enumerator merges
-the per-slot rankings of several hash functions into a best-first stream of
-bucket-id tuples; that stream is what multi-probe querying walks.
+bucket first, as a (buckets, deficits) row pair. `first_tuples` merges the
+rankings of consecutive slots, level by level, into the best-first order of
+bucket-id tuples that multi-probe querying walks and calibration measures. A
+tuple's priority is the sum of its slot deficits taken left to right; the
+all-own tuple comes first, and ties break on the packed key. A packed key
+holds a tuple's bucket ids in one int64, slot 0 in the high bits and
+ceil(log2 U) bits per slot, so keys order like the tuples and at most
+KEY_BITS = 63 bits of slots fit.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
 FamilyKind = Literal["spherical_cap", "cross_polytope"]
 
 _SEED_MASK = (1 << 63) - 1
+KEY_BITS = 63
 
 
 def derived_rng(*keys: int) -> np.random.Generator:
@@ -227,66 +232,83 @@ def probe_sequence(
     return np.ascontiguousarray(order), np.ascontiguousarray(deficit)
 
 
-def _as_list(row) -> list:
-    return row if isinstance(row, list) else np.asarray(row).tolist()
+def slot_bits(family: FamilyParams, depth: int) -> int:
+    """Key bits per slot for `depth` slots of `family`; ValueError past KEY_BITS."""
+    universe = family.bucket_universe
+    bits = (universe - 1).bit_length()
+    if depth * bits > KEY_BITS:
+        raise ValueError(
+            f"K={depth} levels of a family with U={universe} buckets need "
+            f"{depth} * {bits} = {depth * bits} key bits, more than the {KEY_BITS} "
+            "a packed key holds; use fewer levels or a family with fewer buckets"
+        )
+    return bits
+
+
+def _pack(slots, bits: int) -> np.ndarray:
+    """int64 keys of one code array per slot, slot 0 first, each code below 2**bits."""
+    keys = np.int64(0)
+    for codes in slots:
+        keys = keys << bits | codes.astype(np.int64)
+    return keys
+
+
+def first_tuples(slots, count: int, bits: int) -> Iterator[np.ndarray]:
+    """The first `count` bucket-id tuples of every level, best first, as packed keys.
+
+    `slots` holds one (buckets, deficits) pair of (m, w) arrays per slot, row
+    i ranking the buckets of that slot's function for query i. Level l
+    yields an (m, min(count, tuples)) int64 array of l-slot keys and is
+    computed only when asked for. It extends the first `count` tuples of
+    level l - 1 by one bucket of slot l, and sorts the candidates by
+    priority (the prefix priority plus the bucket's deficit), puts the
+    all-own tuple first among equals and breaks the other ties on the key.
+    The tuple at position i takes the
+    bucket of rank r only if (i + 1)(r + 1) <= count: any other pair is
+    dominated by the (i + 1)(r + 1) - 1 >= count pairs at positions <= i
+    and ranks <= r, none of higher priority. Rankings cut to `count`
+    columns therefore lose nothing.
+    """
+    m = len(slots[0][0])
+    keys, prio = np.zeros((m, 1), dtype=np.int64), np.zeros((m, 1))  # level 0: the empty tuple
+    for buckets, deficits in slots:
+        i, r = np.nonzero(
+            np.outer(np.arange(1, keys.shape[1] + 1), np.arange(1, buckets.shape[1] + 1)) <= count
+        )
+        cand_keys = keys[:, i] << bits | buckets[:, r].astype(np.int64)
+        cand_prio = prio[:, i] + deficits[:, r]
+        # the pair (0, 0) is the all-own tuple
+        own_last = np.broadcast_to(i + r > 0, cand_keys.shape)
+        order = np.lexsort((cand_keys, own_last, cand_prio))[:, :count]
+        keys = np.take_along_axis(cand_keys, order, axis=1)
+        prio = np.take_along_axis(cand_prio, order, axis=1)
+        yield keys
 
 
 class CodeEnumerator:
-    """Best-first stream of bucket-id tuples across hash-function slots.
+    """Best-first stream of bucket-id tuples across hash-function slots, for
+    one query: `first_tuples` on one row per slot.
 
     Each slot is given as one (buckets, deficits) ranking, as `probe_sequence`
-    returns it; the rows are kept as Python lists. The priority of a tuple is
-    the sum of per-slot deficits of the chosen buckets; ties break on the
-    lexicographically smaller tuple of bucket ids. The stream starts at the
-    all-own-buckets tuple (priority 0) and never repeats a tuple. Emitting
-    the first j tuples never requires a per-slot rank beyond j - 1, so
-    truncated rankings stay exact.
+    returns it, own bucket first.
     """
 
     def __init__(self, rankings: Sequence[tuple[Sequence[int], Sequence[float]]]):
         if not rankings:
             raise ValueError("at least one slot ranking is required")
-        self._slots = [(slot, _as_list(b), _as_list(d)) for slot, (b, d) in enumerate(rankings)]
-        base_code = tuple(b[0] for _, b, _ in self._slots)
-        base_ranks = (0,) * len(self._slots)
-        self._heap: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = [
-            (0.0, base_code, base_ranks)
+        self._slots = [
+            (np.asarray(b, dtype=np.int64)[None, :], np.asarray(d, dtype=np.float64)[None, :])
+            for b, d in rankings
         ]
-        self._queued = {base_ranks}
-        self.emitted: list[tuple[int, ...]] = []
-
-    def _extend_to(self, count: int) -> None:
-        while len(self.emitted) < count and self._heap:
-            prio, code, ranks = heapq.heappop(self._heap)
-            self.emitted.append(code)
-            for slot, buckets, deficits in self._slots:
-                nxt = ranks[slot] + 1
-                if nxt >= len(buckets):
-                    continue
-                nranks = ranks[:slot] + (nxt,) + ranks[slot + 1 :]
-                if nranks in self._queued:
-                    continue
-                self._queued.add(nranks)
-                nprio = prio - deficits[nxt - 1] + deficits[nxt]
-                ncode = code[:slot] + (buckets[nxt],) + code[slot + 1 :]
-                heapq.heappush(self._heap, (nprio, ncode, nranks))
+        self._bits = max(1, max(int(b.max()) for b, _ in self._slots).bit_length())
+        if self._bits * len(self._slots) > KEY_BITS:
+            raise ValueError(f"{len(self._slots)} slots of {self._bits} bits pass {KEY_BITS} key bits")
 
     def first(self, count: int) -> list[tuple[int, ...]]:
         """The first `count` tuples (fewer if the universe is exhausted)."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        self._extend_to(count)
-        return self.emitted[:count]
-
-    def position_of(self, code: tuple[int, ...], limit: int) -> int | None:
-        """1-based position of `code` among the first `limit` tuples, else None."""
-        i = 0
-        while i < limit:
-            if i >= len(self.emitted):
-                self._extend_to(i + 1)
-                if i >= len(self.emitted):
-                    return None
-            if self.emitted[i] == code:
-                return i + 1
-            i += 1
-        return None
+        depth, mask = len(self._slots), (1 << self._bits) - 1
+        *_, keys = first_tuples(self._slots, count, self._bits)
+        shifts = range(self._bits * (depth - 1), -1, -self._bits)
+        return [tuple(key >> s & mask for s in shifts) for key in keys[0].tolist()]

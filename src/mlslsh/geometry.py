@@ -59,8 +59,10 @@ class Dataset:
             raise ValueError(
                 f"centroid has dimension {centroid.shape}, points have {matrix.shape[1]}"
             )
+        if not np.all(np.isfinite(centroid)):
+            raise ValueError("centroid contains non-finite values")
         norms = np.linalg.norm(matrix, axis=1)
-        bad = np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN fails too
         if bad.size:
             raise ValueError(f"rows {bad[:5].tolist()} are not unit norm")
         object.__setattr__(self, "matrix", matrix)

@@ -2,9 +2,10 @@
 
 Each repetition hashes every point with K functions, one per slot, and packs
 the K bucket ids into one int64 key: slot 0 in the high bits, ceil(log2 U)
-bits per slot for a family with U buckets. Sorting the points by key sorts
-their code tuples lexicographically, so one sorted array serves every level:
-the level-k bucket of a k-code prefix p is the key range
+bits per slot for a family with U buckets, the format `families.py`
+defines. Sorting the points by key sorts their code tuples
+lexicographically, so one sorted array serves every level: the level-k
+bucket of a k-code prefix p is the key range
 [p << s, (p + 1) << s) with s = bits * (K - k), one binary-search pair away.
 A key holds at most 63 bits, so K * ceil(log2 U) <= 63; builds and loads
 past that budget fail.
@@ -25,13 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import DOCUMENT_ERRORS, CalibrationError, FamilyCalibration
-from .families import FamilyParams, HashFunction, derived_seed, hash_batch, sample_hash_function
+# the key format lives in families.py; KEY_BITS stays importable from here
+from .families import KEY_BITS, FamilyParams, HashFunction, _pack, derived_seed  # noqa: F401
+from .families import hash_batch, sample_hash_function, slot_bits
 from .geometry import Dataset
 
 MAGIC = b"MLSLSH01"
 FORMAT_VERSION = 2
 _FLAG_CODES = 1
-KEY_BITS = 63
 
 # float noise guard for ceil on formula values that are exact integers
 _CEIL_EPS = 1e-9
@@ -103,30 +105,9 @@ class BuildParams:
             raise ValueError(f"space budget must be a positive integer, got {budget!r}")
 
 
-def slot_bits(family: FamilyParams, depth: int) -> int:
-    """Key bits per slot for `depth` slots of `family`; ValueError past KEY_BITS."""
-    universe = family.bucket_universe
-    bits = (universe - 1).bit_length()
-    if depth * bits > KEY_BITS:
-        raise ValueError(
-            f"K={depth} levels of a family with U={universe} buckets need "
-            f"{depth} * {bits} = {depth * bits} key bits, more than the {KEY_BITS} "
-            "a packed key holds; use fewer levels or a family with fewer buckets"
-        )
-    return bits
-
-
 def _shifts(bits: int, depth: int) -> np.ndarray:
     """Key bit offset of slots 0..depth-1, which is also s for levels 1..depth."""
     return bits * np.arange(depth - 1, -1, -1, dtype=np.int64)
-
-
-def _pack(slots, bits: int) -> np.ndarray:
-    """int64 keys of one code array per slot, slot 0 first, each code below 2**bits."""
-    keys = np.int64(0)
-    for codes in slots:
-        keys = keys << bits | codes.astype(np.int64)
-    return keys
 
 
 def _key_runs(keys, first, shift) -> list[np.ndarray]:

@@ -1,19 +1,20 @@
 """Adaptive query scheduling over a multi-level index.
 
-A query setting is a pair (k, j): consult level k and probe j code tuples
-per repetition. The scheduler walks settings in order of increasing cost
-estimate j * reps(k, j), an order the index builds once and every query
-shares, measures the true candidate work of each, and stops at the first
-setting whose cost reaches the best work seen. Before it measures a
-multi-probe setting it checks a tighter lower bound taken from the spine,
-the query's own bucket at every level of every repetition, which the query
-reads anyway: each consulted repetition costs its own bucket plus one unit
-for each further probe. A setting whose bound reaches the best work
-cannot replace it and is skipped unmeasured, so pruning changes the trace
-but never the answer. Probe counts never pass the calibrated table width, so
-a query never re-estimates the table and its work is bounded before it
-starts. A brute-force scan is the standing fallback, so the reported work
-never exceeds n.
+A query setting is a pair (k, j): consult level k and probe the first j
+code tuples of the probe order per repetition, the order `first_tuples`
+defines and the probe-success table was calibrated on. The scheduler walks
+settings in order of increasing cost estimate j * reps(k, j), an order the
+index builds once and every query shares, measures the true candidate work
+of each, and stops at the first setting whose cost reaches the best work
+seen. Before it measures a multi-probe setting it checks a tighter lower
+bound taken from the spine, the query's own bucket at every level of every
+repetition, which the query reads anyway: each consulted repetition costs
+its own bucket plus one unit for each further probe. A setting whose bound
+reaches the best work cannot replace it and is skipped unmeasured, so
+pruning changes the trace but never the answer. Probe counts never pass
+the calibrated table width, so a query never re-estimates the table and
+its work is bounded before it starts. A brute-force scan is the standing
+fallback, so the reported work never exceeds n.
 
 All four modes check the query row and the radius in one function and build
 their report in another. Adaptive and single-probe queries run the
@@ -25,14 +26,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .families import CodeEnumerator, bucket_codes, rank_projections
+from .families import bucket_codes, first_tuples, rank_projections
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset
-from .index import MultiLevelIndex, consulted_reps
+from .index import MultiLevelIndex, _key_runs, consulted_reps
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,9 @@ class _QueryProbes:
     single-probe setting reads, and a running sum over repetitions turns it
     into the work of every single-probe setting and a lower bound on every
     other. The first setting past one probe ranks every slot with one
-    row-wise argsort, and a CodeEnumerator per (repetition, level) walks
-    further probes from there, each one key-range lookup.
+    row-wise argsort and starts `first_tuples` on all repetitions at once,
+    one row each; it yields levels only as deep as a setting asks, and a
+    setting finds its buckets with one key-range search per repetition.
     """
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray):
@@ -129,37 +132,36 @@ class _QueryProbes:
         # spine[r, k - 1]: one unit plus the own bucket, summed over
         # repetitions 0..r at level k
         self._spine = np.cumsum(1 + self._hi - self._lo, axis=0)
-        # one (buckets, deficits) list pair per slot, built on first use
-        self._rankings: list[tuple[list, list]] | None = None
-        # (rep, k) -> its enumerator, bucket runs and running work
-        self._walks: dict[tuple[int, int], tuple[CodeEnumerator, list, list]] = {}
+        # the probe order of every repetition, started on first use, and the
+        # (R, probes) keys of the levels it has yielded so far
+        self._tuples: Iterator[np.ndarray] | None = None
+        self._levels: list[np.ndarray] = []
 
     def _reps(self, k: int, j: int) -> int:
         return int(self._index.reps_table[k - 1, j - 1])
 
-    def _walk(self, rep: int, k: int, j: int) -> tuple[list, list]:
-        """Sorted runs of the buckets that the first j probes of repetition
-        `rep` reach at level k, fewer if a tiny code universe runs out, and
-        the running work over them: one unit per probe plus the bucket size."""
-        if (rep, k) not in self._walks:
-            if self._rankings is None:
-                orders, deficits, _ = rank_projections(self._index.params.family, self._proj)
-                # j <= max_probes here, and the first j tuples never use a
-                # slot rank past j - 1
-                width = self._index.params.calibration.max_probes
-                self._rankings = list(zip(orders[:, :width].tolist(), deficits[:, :width].tolist()))
-            first = rep * self._index.levels
-            lo, hi = int(self._lo[rep, k - 1]), int(self._hi[rep, k - 1])
-            enum = CodeEnumerator(self._rankings[first : first + k])
-            self._walks[rep, k] = enum, [(lo, hi)], [0, 1 + hi - lo]
-        enum, runs, cum = self._walks[rep, k]
-        if len(runs) < j:
-            repetition = self._index.repetitions[rep]
-            for code in enum.first(j)[len(runs) :]:
-                lo, hi = repetition.prefix_range(code)
-                runs.append((lo, hi))
-                cum.append(cum[-1] + 1 + hi - lo)
-        return runs, cum
+    def _runs(self, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted runs [lo, hi) of the buckets that the first j probes of
+        level k reach in each consulted repetition, two (reps, probes)
+        arrays; fewer probes if a tiny code universe runs out."""
+        index, count = self._index, self._reps(k, j)
+        if j == 1:
+            return self._lo[:count, k - 1 : k], self._hi[:count, k - 1 : k]
+        R, K, bits = index.num_repetitions, index.levels, index.repetitions[0].bits
+        if self._tuples is None:
+            orders, deficits, _ = rank_projections(index.params.family, self._proj)
+            # no setting probes past the calibrated width, so no tuple uses
+            # a slot rank past it
+            width = index.params.calibration.max_probes
+            orders, deficits = (a.reshape(R, K, -1)[:, :, :width] for a in (orders, deficits))
+            slots = [(orders[:, s], deficits[:, s]) for s in range(K)]
+            self._tuples = first_tuples(slots, width, bits)
+        while len(self._levels) < k:
+            self._levels.append(next(self._tuples))
+        shift = bits * (K - k)
+        keys = [rep.keys for rep in index.repetitions[:count]]
+        runs = np.array(_key_runs(keys, self._levels[k - 1][:count, :j] << shift, shift))
+        return runs[:, 0], runs[:, 1]
 
     def lower_bound(self, k: int, j: int) -> float:
         """A lower bound on work(k, j), equal to it at j = 1.
@@ -177,23 +179,19 @@ class _QueryProbes:
         one unit per probe plus the size of each probed bucket."""
         if j == 1:
             return self.lower_bound(k, 1)
-        total = 0
-        for rep in range(self._reps(k, j)):
-            runs, cum = self._walk(rep, k, j)
-            total += cum[min(j, len(runs))]
-        return float(total)
+        lo, hi = self._runs(k, j)
+        return float((1 + hi - lo).sum())
 
     def candidates(self, k: int, j: int) -> tuple[np.ndarray, int]:
         """Distinct point ids in the buckets setting (k, j) probes, and how
         many buckets that is."""
-        parts = []
-        for rep in range(self._reps(k, j)):
-            order = self._index.repetitions[rep].order
-            if j == 1:
-                parts.append(order[self._lo[rep, k - 1] : self._hi[rep, k - 1]])
-            else:
-                parts.extend(order[lo:hi] for lo, hi in self._walk(rep, k, j)[0][:j])
-        return np.unique(np.concatenate(parts)), len(parts)
+        lo, hi = self._runs(k, j)
+        parts = [
+            rep.order[a:b]
+            for rep, starts, ends in zip(self._index.repetitions, lo.tolist(), hi.tolist())
+            for a, b in zip(starts, ends)
+        ]
+        return np.unique(np.concatenate(parts)), lo.size
 
 
 def cost(k: int, j: int, calibration, rep_cap: int) -> float:

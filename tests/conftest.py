@@ -3,6 +3,15 @@ import pytest
 import mlslsh.calibration as calmod
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_calibration_cache(tmp_path_factory):
+    """Point the default calibration cache at a fresh directory, so the tests
+    never read or write the user's cache and always run the calibrator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MLSLSH_CACHE_DIR", str(tmp_path_factory.mktemp("calibration-cache")))
+        yield
+
+
 @pytest.fixture
 def no_reestimation(monkeypatch):
     """Make any Monte-Carlo estimate of the probe-success table fail the test."""

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -186,6 +187,42 @@ def test_probe_success_single_level_matches_direct_walk():
     assert np.allclose(cal.probe_success[0], direct, atol=1e-12)
 
 
+def test_probe_success_three_levels_match_the_sorted_grid():
+    # independent oracle: per trial, sort the query's full k-slot code grid
+    # by its deficit sum taken left to right (all-own tuple first, then the
+    # code tuple) and find the partner's tuple in it
+    params = FamilyParams(kind="cross_polytope", dim=4)
+    r, trials, levels, j_max, seed = 0.4, 1000, 3, 6, 4
+    hits = np.zeros((levels, j_max))
+    batch = 64
+    sizes = [batch] * (trials // batch)
+    if trials % batch:
+        sizes.append(trials % batch)
+    for b, m in enumerate(sizes):
+        fns = [sample_hash_function(params, derived_seed(seed, 21, b, s)) for s in range(levels)]
+        data, query = _pairs_at_distance(derived_rng(seed, 22, b), 4, m, r)
+        partner = np.stack([hash_batch(fn, data) for fn in fns], axis=1)
+        for i in range(m):
+            rankings = [probe_sequence(fn, query[i]) for fn in fns]
+            for k in range(1, levels + 1):
+                grid = sorted(
+                    (
+                        sum(float(d) for _, d in picks),
+                        any(rank > 0 for rank, _ in picks),
+                        tuple(int(rankings[s][0][rank]) for s, (rank, _) in enumerate(picks)),
+                    )
+                    for picks in itertools.product(
+                        *(list(enumerate(deficits)) for _, deficits in rankings[:k])
+                    )
+                )
+                order = [code for _, _, code in grid]
+                pos = order.index(tuple(int(c) for c in partner[i, :k]))
+                if pos < j_max:
+                    hits[k - 1, pos:] += 1
+    cal = calibrate(params, r=r, c=2.0, levels=levels, max_probes=j_max, trials=trials, seed=seed)
+    assert np.array_equal(cal.probe_success, hits / trials)
+
+
 def test_probe_probability_bounds(small_calibration):
     cal = small_calibration
     assert cal.probe_probability(1, 1) == cal.probe_success[0, 0]
@@ -259,6 +296,13 @@ def test_calibrate_argument_validation():
         calibrate(params, r=0.4, c=2.0, levels=0, max_probes=4, trials=1000, seed=0)
     with pytest.raises(ValueError):
         calibrate(params, r=0.4, c=2.0, levels=2, max_probes=0, trials=1000, seed=0)
+
+
+def test_calibrate_checks_the_key_bit_budget_before_sampling(no_reestimation):
+    # d = 32 gives 64 buckets, 6 bits per slot: 10 levels fit in 63 bits, 11 do not
+    params = FamilyParams(kind="cross_polytope", dim=32)
+    with pytest.raises(ValueError, match="66 key bits"):
+        calibrate(params, r=0.4, c=2.0, levels=11, max_probes=4, trials=1000, seed=0)
 
 
 def test_calibrate_is_deterministic():

@@ -83,6 +83,21 @@ def test_fixed_probes_past_the_table_report_json_error(tmp_path, request):
     assert "1..8" in err["error"]["message"]
 
 
+def test_build_past_the_key_bit_budget_fails_before_the_probe_table(tmp_path, no_reestimation):
+    # at n = 20 the cap family measures p2 near 1, so the depth runs to
+    # hundreds of levels of 7 key bits each
+    result = make_runner().invoke(
+        main,
+        ["build", "--input", "synth:n=20,d=4,t=2", "--family", "spherical-cap",
+         "--radius", "0.4", "--trials", "1000", "--max-probes", "4",
+         "--cache-dir", str(tmp_path / "cache"), "--output", str(tmp_path / "x.idx")],
+    )
+    assert result.exit_code == 1
+    err = json.loads(_stderr_of(result))
+    assert err["error"]["type"] == "ValueError"
+    assert "key bits" in err["error"]["message"]
+
+
 def test_build_rebuildable_flag(tmp_path):
     full = str(tmp_path / "full.idx")
     slim = str(tmp_path / "slim.idx")

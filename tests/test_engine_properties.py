@@ -1,9 +1,13 @@
 """Property tests: the vectorized query engine against a per-probe reference.
 
-The reference ranks each hash function with `probe_sequence`, walks each
-(repetition, level) with its own `CodeEnumerator` and finds bucket members
-by a linear scan of the codes `hash_batch` gives afresh, with no packed keys
-and no stacked directions. Its scheduler sorts every setting by `cost`
+The reference ranks each hash function with `probe_sequence`, enumerates
+each (repetition, level) on its own through `CodeEnumerator`, the one-query
+shell over the same `first_tuples` merge the engine runs on all repetitions
+at once, and finds bucket members by a linear scan of the codes `hash_batch`
+gives afresh, with no packed keys, no key-range search and no stacked
+directions. The probe order itself is checked against an oracle that shares
+no code with the merge, the sorted full code grid of
+`test_enumerator_matches_the_sorted_grid` in test_families.py. Its scheduler sorts every setting by `cost`
 itself and measures each one it reaches, with no spine lower bound. Reports
 must agree exactly: ids, distances, work, buckets and best setting. The
 engine's adaptive trace is the reference trace less the settings it pruned,

@@ -268,19 +268,6 @@ def test_enumerator_exhausts_small_universe():
     assert len(set(codes)) == 16
 
 
-def test_enumerator_position_of():
-    params = FamilyParams(kind="cross_polytope", dim=2)
-    fns = [sample_hash_function(params, s) for s in (1, 2)]
-    q = unit(np.array([0.6, 0.8]))
-    seqs = [probe_sequence(fn, q) for fn in fns]
-    en = CodeEnumerator(seqs)
-    codes = en.first(16)
-    for i, code in enumerate(codes):
-        assert en.position_of(code, 16) == i + 1
-    assert en.position_of((99, 99), 16) is None
-    assert en.position_of(codes[10], 5) is None  # outside the probe budget
-
-
 DYADIC = [0.0, 0.25, 0.5, 1.0, 2.0]
 
 
@@ -311,6 +298,8 @@ def slot_rankings(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(slot_rankings(), st.data())
 def test_enumerator_matches_the_sorted_grid(rankings, data):
+    # an oracle sharing no code with first_tuples: every tuple of the full
+    # grid, sorted by its deficit sum and then the tuple itself
     grid = sorted(
         (sum(float(deficits[i]) for (_, deficits), i in zip(rankings, ranks)),
          tuple(int(buckets[i]) for (buckets, _), i in zip(rankings, ranks)))
@@ -319,12 +308,32 @@ def test_enumerator_matches_the_sorted_grid(rankings, data):
     expected = [code for _, code in grid]
     assert CodeEnumerator(rankings).first(len(expected)) == expected
     assert CodeEnumerator(rankings).first(len(expected) + 5) == expected
-    limit = data.draw(st.integers(0, len(expected) + 2))
-    enum = CodeEnumerator(rankings)
-    for code in data.draw(st.permutations(expected)):
-        pos = expected.index(code) + 1
-        assert enum.position_of(code, limit) == (pos if pos <= limit else None)
-    assert enum.position_of((99,) * len(rankings), len(expected) + 2) is None
+    # a shorter prefix makes the (i + 1)(r + 1) <= count cut bind
+    count = data.draw(st.integers(0, len(expected)))
+    assert CodeEnumerator(rankings).first(count) == expected[:count]
+
+
+def test_enumerator_sums_deficits_left_to_right():
+    # a two-cap ranking in d = 3: the overflow bucket scores one unit below
+    # the lowest cap, so tuples that swap the two between slots tie exactly
+    # under the canonical sum d0 + d1
+    rankings = [
+        ([2, 1, 0], [0.0, 0.8068813216366558, 1.8068813216366557]),
+        ([1, 0, 2], [0.0, 0.7851832007803632, 1.785183200780363]),
+    ]
+    grid = sorted(
+        (d0 + d1, (b0, b1))
+        for b0, d0 in zip(*rankings[0])
+        for b1, d1 in zip(*rankings[1])
+    )
+    assert CodeEnumerator(rankings).first(9) == [code for _, code in grid]
+
+
+def test_enumerator_puts_the_own_tuple_first_under_tied_deficits():
+    # the own bucket 5 ties with bucket 2 but has the larger id; the spine
+    # lower bound needs the all-own tuple at position 0 anyway
+    codes = CodeEnumerator([([5, 2], [0.0, 0.0])] * 2).first(4)
+    assert codes == [(5, 5), (2, 2), (2, 5), (5, 2)]
 
 
 def test_family_params_validation_and_json():

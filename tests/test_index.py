@@ -546,6 +546,21 @@ def test_load_checks_metadata_before_allocating(tmp_path, tiny_file, edit, messa
         load_index(str(path))
 
 
+@pytest.mark.parametrize("include_codes", [True, False])
+@pytest.mark.parametrize("where", ["first point", "centroid"])
+def test_load_rejects_non_finite_points(tmp_path, built, include_codes, where):
+    _, index = built
+    path = tmp_path / "nan.idx"
+    index.save(str(path), include_codes=include_codes)
+    blob = bytearray(path.read_bytes())
+    # the centroid follows the metadata, and the first point follows it
+    at = _meta_end(bytes(blob)) + (8 * index.dataset.dim if where == "first point" else 0)
+    blob[at : at + 8] = struct.pack("<d", math.nan)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IndexFormatError, match="corrupt index points"):
+        load_index(str(path))
+
+
 def test_load_rejects_codes_outside_the_universe(tmp_path):
     # the version 1 file stores int32 codes of a 65-bucket cap family: 0..64
     for code in (65, -1, 1 << 20):

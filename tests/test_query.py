@@ -9,6 +9,7 @@ from mlslsh.families import CodeEnumerator, FamilyParams, hash_batch, probe_sequ
 from mlslsh.geometry import Dataset, generate_planted_instance
 from mlslsh.index import build_index, compute_k, compute_numreps, reps
 from mlslsh.query import (
+    _QueryProbes,
     adaptive_multiprobe,
     brute_force_range,
     cost,
@@ -83,6 +84,21 @@ def test_fixed_level_work_matches_independent_recount(small_index):
                 )
                 expected += 1 + members
         assert got == float(expected)
+
+
+def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
+    # a zero row clears no cap: its own bucket is the overflow bucket, whose
+    # deficit 0 ties with every cap of smaller id, so the spine lower bound
+    # holds only because the all-own tuple still comes first at every level
+    params = FamilyParams(kind="spherical_cap", dim=6, cap_count=8)
+    inst = generate_planted_instance(n=40, d=6, r=0.4, t=2, seed=0)
+    index = build_index(inst.dataset, toy_calibration(params), seed=0)
+    q = np.zeros(6)
+    probes = _QueryProbes(index, q)
+    for k in range(1, index.levels + 1):
+        for j in range(1, 17):
+            work = fixed_level_query(index, q, 0.4, k, j).work_examined
+            assert probes.lower_bound(k, j) <= work
 
 
 def test_adaptive_reports_only_true_range_members(small_index):

@@ -15,7 +15,7 @@ import platform
 import struct
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .calibration import (
 )
 from .families import FamilyParams
 from .geometry import Dataset, generate_planted_instance, map_query, normalize_dataset, range_ids
-from .index import MultiLevelIndex, build_index, compute_k
+from .index import MultiLevelIndex, build_index, check_space_budget, compute_k
 from .query import MODES, run_query
 
 
@@ -139,10 +139,6 @@ class BenchConfig:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.input_path is None and (
-            self.synthetic_n is None or self.synthetic_d is None
-        ):
-            raise ValueError("need either input_path or synthetic_n and synthetic_d")
         if not self.modes:
             raise ValueError("need at least one query mode")
         for m in self.modes:
@@ -156,25 +152,17 @@ class BenchConfig:
             raise ValueError(f"need at least one query, got {self.num_queries}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "approx_c": self.approx_c,
-            "seed": self.seed,
-            "input_path": self.input_path,
-            "input_format": self.input_format,
-            "synthetic_n": self.synthetic_n,
-            "synthetic_d": self.synthetic_d,
-            "planted": self.planted,
-            "num_queries": self.num_queries,
-            "space_budget": self.space_budget,
-            "family_kind": self.family_kind,
-            "cap_count": self.cap_count,
-            "trials": self.trials,
-            "max_probes": self.max_probes,
-            "modes": list(self.modes),
-            "fixed_level": self.fixed_level,
-            "fixed_probes": self.fixed_probes,
-        }
+        """Every field but the cache directory, which changes no result."""
+        return _fields_json(self, skip=("cache_dir",))
+
+
+def _fields_json(obj, skip: tuple[str, ...] = ()) -> dict:
+    """The dataclass fields of obj, but `skip`, as JSON values: tuples become lists."""
+    return {
+        f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
+        for f in fields(obj)
+        if f.name not in skip
+    }
 
 
 def prepare_instance(
@@ -185,9 +173,12 @@ def prepare_instance(
 
     Synthetic runs plant near neighbors; file runs hold out the last
     num_queries rows as queries and index the rest, mapping the held-out rows
-    with the training centroid.
+    with the training centroid. This is the one reader of the input fields,
+    so a config that names no input fails here.
     """
     if config.input_path is None:
+        if config.synthetic_n is None or config.synthetic_d is None:
+            raise ValueError("need either input_path or synthetic_n and synthetic_d")
         inst = generate_planted_instance(
             n=config.synthetic_n,
             d=config.synthetic_d,
@@ -279,8 +270,11 @@ def _calibrate_for_size(config: BenchConfig, dim: int, n: int) -> FamilyCalibrat
     """Calibrate the configured family in `dim` dimensions as deep as n points need.
 
     The edge probabilities size the depth and then go into the calibration,
-    so a set-up measures them once.
+    so a set-up measures them once. The space budget, which only the build
+    after it reads, is checked first, so a bad one fails before any Monte
+    Carlo runs.
     """
+    check_space_budget(config.space_budget)
     params = FamilyParams(kind=config.family_kind, dim=dim, cap_count=config.cap_count)
     edges = edge_probabilities(
         params, config.radius, config.approx_c, config.trials, config.seed
@@ -360,29 +354,43 @@ def _environment() -> dict:
     }
 
 
+def _run_queries(
+    config: BenchConfig, mode: str, index: MultiLevelIndex | None, instance: tuple
+) -> tuple[list[dict], list[float]]:
+    """Answer every query of a `prepare_instance` result in one mode;
+    returns its records and wall times.
+
+    Every answer is checked against the ground truth: a reported id outside
+    the true range raises, and the record carries the recall.
+    """
+    dataset, queries, truth = instance
+    fixed = (config.fixed_level, config.fixed_probes)
+    records, walls = [], []
+    for qi, (q, gt) in enumerate(zip(queries, truth)):
+        report = run_query(mode, index, dataset, q, config.radius, fixed)
+        walls.append(report.wall_time)
+        extra = set(report.ids) - gt
+        if extra:
+            raise AssertionError(
+                f"mode {mode} reported non-members {sorted(extra)[:5]} for query {qi}"
+            )
+        recall = len(set(report.ids) & gt) / len(gt) if gt else 1.0
+        rec = {"mode": mode, "query": qi, "recall": recall}
+        rec.update(report.to_json_dict(include_timing=False))
+        records.append(rec)
+    return records, walls
+
+
 def run_benchmark(config: BenchConfig) -> BenchReport:
-    dataset, queries, truth = prepare_instance(config)
+    instance = prepare_instance(config)
     index = None
     if any(m != "brute" for m in config.modes):
-        index = build_for_config(config, dataset)
-    fixed = (config.fixed_level, config.fixed_probes)
+        index = build_for_config(config, instance[0])
     records = []
     timing: dict[str, dict] = {}
     for mode in config.modes:
-        walls = []
-        for qi, q in enumerate(queries):
-            report = run_query(mode, index, dataset, q, config.radius, fixed)
-            walls.append(report.wall_time)
-            gt = truth[qi]
-            extra = set(report.ids) - gt
-            if extra:
-                raise AssertionError(
-                    f"mode {mode} reported non-members {sorted(extra)[:5]} for query {qi}"
-                )
-            recall = len(set(report.ids) & gt) / len(gt) if gt else 1.0
-            rec = {"mode": mode, "query": qi, "recall": recall}
-            rec.update(report.to_json_dict(include_timing=False))
-            records.append(rec)
+        recs, walls = _run_queries(config, mode, index, instance)
+        records += recs
         timing[mode] = {
             "total_wall_time": float(sum(walls)),
             "mean_wall_time": float(sum(walls) / len(walls)),
@@ -421,24 +429,18 @@ class TrendReport:
     output_dominated: tuple[bool, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "format": "mlslsh-trend",
-            "version": 1,
-            "mode": self.mode,
-            "sizes": list(self.sizes),
-            "mean_work": list(self.mean_work),
-            "mean_reported": list(self.mean_reported),
-            "exponent": self.exponent,
-            "output_dominated": list(self.output_dominated),
-        }
+        return {"format": "mlslsh-trend", "version": 1, **_fields_json(self)}
 
 
 def scaling_trend(sizes: list[int], config: BenchConfig) -> TrendReport:
     """Fit ln(mean work - mean output) against ln(n) across dataset sizes.
 
-    Uses one calibration sized for the largest n, so smaller builds reuse it.
-    Sizes must be roughly geometric: at least three, each step growing by
-    1.2x or more, with the largest step at most twice the smallest.
+    Each size is a planted instance made by `prepare_instance` with
+    synthetic_n set to it, and every answer is checked against its ground
+    truth as `run_benchmark` checks it. Uses one calibration sized for the
+    largest n, so smaller builds reuse it. Sizes must be roughly geometric:
+    at least three, each step growing by 1.2x or more, with the largest step
+    at most twice the smallest.
     """
     if len(sizes) < 3:
         raise ValueError(f"need at least three sizes, got {len(sizes)}")
@@ -455,10 +457,11 @@ def scaling_trend(sizes: list[int], config: BenchConfig) -> TrendReport:
         )
     if len(config.modes) != 1:
         raise ValueError("scaling trend needs exactly one query mode")
-    if config.synthetic_d is None:
-        raise ValueError("scaling trend runs on synthetic instances; set synthetic_d")
+    if config.input_path is not None or config.synthetic_d is None:
+        raise ValueError(
+            "scaling trend runs on synthetic instances; set synthetic_d and no input_path"
+        )
     mode = config.modes[0]
-    fixed = (config.fixed_level, config.fixed_probes)
 
     cal = None
     if mode != "brute":
@@ -467,27 +470,16 @@ def scaling_trend(sizes: list[int], config: BenchConfig) -> TrendReport:
     mean_work = []
     mean_reported = []
     for n in sizes:
-        inst = generate_planted_instance(
-            n=n,
-            d=config.synthetic_d,
-            r=config.radius,
-            t=config.planted,
-            seed=config.seed,
-            num_queries=config.num_queries,
-        )
+        instance = prepare_instance(replace(config, synthetic_n=n))
         index = None
         if mode != "brute":
             index = build_index(
-                inst.dataset, cal, space_budget=config.space_budget, seed=config.seed
+                instance[0], cal, space_budget=config.space_budget, seed=config.seed
             )
-        works = []
-        reported = []
-        for q in inst.queries:
-            report = run_query(mode, index, inst.dataset, q.coords, config.radius, fixed)
-            works.append(report.work_examined)
-            reported.append(report.t_reported)
-        mean_work.append(float(np.mean(works)))
-        mean_reported.append(float(np.mean(reported)))
+        records, _ = _run_queries(config, mode, index, instance)
+        means = recompute_aggregates(records)[mode]
+        mean_work.append(means["mean_work"])
+        mean_reported.append(means["mean_reported"])
 
     xs = np.log(np.array(sizes, dtype=np.float64))
     overhead = np.array(mean_work) - np.array(mean_reported)

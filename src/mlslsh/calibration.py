@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +39,10 @@ _TAG_EST_FN = 31
 _TAG_EST_PAIR = 32
 
 _MIN_TRIALS = 1000
+# pairs per hash function: a collision estimate and a probe-table estimate
+# draw a fresh function, or K of them, for each batch of this many pairs
+_COLLISION_BATCH = 256
+_TABLE_BATCH = 64
 
 
 class CalibrationError(RuntimeError):
@@ -73,19 +76,27 @@ def _pairs_at_distance(
     return x, y
 
 
-def _cluster_std_error(hits: Sequence[int], sizes: Sequence[int], p: float) -> float:
-    """Standard error of a pooled proportion whose batches share a hash function.
+def _batch_sizes(trials: int, batch: int) -> list[int]:
+    """Split trials into full batches and one partial last batch."""
+    return [batch] * (trials // batch) + ([trials % batch] if trials % batch else [])
 
-    Pairs inside a batch are correlated through the shared function, so the
-    batch is the independent unit and the variance is taken over batch
-    residuals rather than single pairs.
+
+def _pooled(hits: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled proportion of a (batches, ...) array of hit counts, and its
+    standard error.
+
+    Pairs inside a batch are correlated through the shared hash function, so
+    the batch is the independent unit and the variance is taken over batch
+    residuals rather than single pairs. Sums run over the batches in order.
     """
+    n = float(sum(sizes))
     B = len(sizes)
-    n = sum(sizes)
+    p = np.add.accumulate(hits, axis=0)[-1] / n
     if B < 2:
-        return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    resid_sq = sum((h - m * p) ** 2 for h, m in zip(hits, sizes))
-    return math.sqrt(resid_sq * B / (B - 1)) / n
+        return p, np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n)
+    m = np.array(sizes, dtype=np.float64).reshape((B,) + (1,) * (hits.ndim - 1))
+    resid_sq = np.add.accumulate((hits - m * p) ** 2, axis=0)[-1]
+    return p, np.sqrt(resid_sq * B / (B - 1)) / n
 
 
 def estimate_collision_prob(
@@ -93,7 +104,6 @@ def estimate_collision_prob(
     dist: float,
     trials: int,
     seed: int,
-    batch_size: int = 256,
 ) -> CollisionEstimate:
     """Fraction of random pairs at distance `dist` that share a bucket.
 
@@ -105,17 +115,15 @@ def estimate_collision_prob(
         raise ValueError(f"distance must lie in [0, 2], got {dist}")
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
-    sizes = [batch_size] * (trials // batch_size)
-    if trials % batch_size:
-        sizes.append(trials % batch_size)
-    hits = []
+    sizes = _batch_sizes(trials, _COLLISION_BATCH)
+    hits = np.zeros(len(sizes), dtype=np.int64)
     for b, m in enumerate(sizes):
         h = sample_hash_function(params, derived_seed(seed, _TAG_EST_FN, b))
         rng = derived_rng(seed, _TAG_EST_PAIR, b)
         x, y = _pairs_at_distance(rng, params.dim, m, dist)
-        hits.append(int(np.sum(hash_batch(h, x) == hash_batch(h, y))))
-    p = sum(hits) / trials
-    return CollisionEstimate(p, _cluster_std_error(hits, sizes, p), trials)
+        hits[b] = np.count_nonzero(hash_batch(h, x) == hash_batch(h, y))
+    p, se = _pooled(hits, sizes)
+    return CollisionEstimate(float(p), float(se), trials)
 
 
 def rho(p1: float, p2: float) -> float:
@@ -143,15 +151,30 @@ def theoretical_rho(space: str, c: float) -> float:
     raise ValueError(f"unknown space {space!r}, expected 'euclidean' or 'hamming'")
 
 
+def _check_radii(r: float, c: float) -> None:
+    """The near radius r and the far radius c * r must both lie on the sphere."""
+    if not 0.0 < r < 2.0:
+        raise ValueError(f"radius must lie in (0, 2), got {r}")
+    if not c > 1.0:
+        raise ValueError(f"approximation factor must exceed 1, got {c}")
+    if c * r > 2.0:
+        raise ValueError(
+            f"far distance c*r = {c * r:.4g} exceeds the sphere diameter; "
+            "shrink r or c"
+        )
+
+
 def edge_probabilities(
     params: FamilyParams, r: float, c: float, trials: int, seed: int
 ) -> tuple[CollisionEstimate, CollisionEstimate, float]:
     """Measure p1 at r and p2 at c * r; returns (near, far, usable p2).
 
-    A far estimate of exactly 0 is clamped to 1 / trials with a warning so
-    the derived depth stays finite. A near estimate at or below the far one
-    means the family cannot separate the two distances and is an error.
+    Radii off the sphere raise before anything is measured. A far estimate
+    of exactly 0 is clamped to 1 / trials with a warning so the derived
+    depth stays finite. A near estimate at or below the far one means the
+    family cannot separate the two distances and is an error.
     """
+    _check_radii(r, c)
     near = estimate_collision_prob(params, r, trials, derived_seed(seed, _TAG_NEAR))
     far = estimate_collision_prob(params, c * r, trials, derived_seed(seed, _TAG_FAR))
     p2 = far.probability
@@ -176,7 +199,6 @@ def _estimate_probe_success(
     max_probes: int,
     trials: int,
     seed: int,
-    batch_size: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate the probe-success table, rows k = 1..levels, cols j = 1..max_probes.
 
@@ -187,9 +209,7 @@ def _estimate_probe_success(
     Each batch runs the probe order once for all its pairs and finds each
     partner's packed key among the first tuples of every level.
     """
-    sizes = [batch_size] * (trials // batch_size)
-    if trials % batch_size:
-        sizes.append(trials % batch_size)
+    sizes = _batch_sizes(trials, _TABLE_BATCH)
     per_batch = np.zeros((len(sizes), levels, max_probes), dtype=np.int64)
     bits = slot_bits(params, levels)
     for b, m in enumerate(sizes):
@@ -211,16 +231,7 @@ def _estimate_probe_success(
             if not hits.any():
                 break  # level k + 1 only extends these tuples, so it finds none either
             per_batch[b, k - 1] = np.cumsum(np.pad(hits, (0, max_probes - hits.size)))
-
-    n = float(trials)
-    table = per_batch.sum(axis=0) / n
-    resid = per_batch - np.array(sizes, dtype=np.float64)[:, None, None] * table
-    B = len(sizes)
-    if B < 2:
-        se = np.sqrt(np.maximum(table * (1.0 - table), 0.0) / n)
-    else:
-        se = np.sqrt((resid**2).sum(axis=0) * B / (B - 1)) / n
-    return table, se
+    return _pooled(per_batch, sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,15 +391,7 @@ def calibrate(
     Levels whose packed keys would pass 63 bits raise ValueError before
     anything is measured.
     """
-    if not 0.0 < r < 2.0:
-        raise ValueError(f"radius must lie in (0, 2), got {r}")
-    if c <= 1.0:
-        raise ValueError(f"approximation factor must exceed 1, got {c}")
-    if c * r > 2.0:
-        raise ValueError(
-            f"far distance c*r = {c * r:.4g} exceeds the sphere diameter; "
-            "shrink r or c"
-        )
+    _check_radii(r, c)
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
     if max_probes < 1:

@@ -148,14 +148,7 @@ def main() -> None:
 def build(index_fields, input_, fmt, output, rebuildable):
     """Build an index file from a dataset."""
     synth = _parse_synth(input_)
-    config = BenchConfig(
-        **index_fields,
-        input_path=None if synth else input_,
-        input_format=fmt,
-        synthetic_n=synth["n"] if synth else None,
-        synthetic_d=synth["d"] if synth else None,
-        num_queries=1,
-    )
+    config = BenchConfig(**index_fields)
     if synth:
         dataset = generate_planted_instance(
             n=synth["n"], d=synth["d"], r=config.radius, t=synth.get("t", 0), seed=config.seed
@@ -296,7 +289,6 @@ def trend(index_fields, sizes, dim, mode, queries, planted, output):
         raise ValueError(f"bad sizes: {e}") from e
     config = BenchConfig(
         **index_fields,
-        synthetic_n=max(size_list),
         synthetic_d=dim,
         planted=planted,
         num_queries=queries,

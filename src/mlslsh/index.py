@@ -90,6 +90,12 @@ def consulted_reps(calibration: FamilyCalibration, k: int, j: int, rep_cap: int)
     return max(1, min(reps(k, j, p), rep_cap))
 
 
+def check_space_budget(budget) -> None:
+    """A space budget is None, for no cap, or a positive integer."""
+    if budget is not None and (type(budget) is not int or budget < 1):
+        raise ValueError(f"space budget must be a positive integer, got {budget!r}")
+
+
 @dataclass(frozen=True)
 class BuildParams:
     family: FamilyParams
@@ -100,9 +106,7 @@ class BuildParams:
     def __post_init__(self) -> None:
         if self.family != self.calibration.params:
             raise ValueError("calibration was measured for a different family")
-        budget = self.space_budget
-        if budget is not None and (type(budget) is not int or budget < 1):
-            raise ValueError(f"space budget must be a positive integer, got {budget!r}")
+        check_space_budget(self.space_budget)
 
 
 def _shifts(bits: int, depth: int) -> np.ndarray:
@@ -179,6 +183,10 @@ class MultiLevelIndex:
     every hash function: slot s of repetition r views directions[r * K + s].
     `reps_table[k - 1, j - 1]` is the read-only count of repetitions setting
     (k, j) consults, `consulted_reps` for every k <= K and j <= max_probes.
+    `probe_floor` beside it is the least work those repetitions spend past
+    their own buckets: one unit per further probe, min(j, U^k) - 1 of them
+    for a level of U^k codes. A query adds its own buckets to get the spine
+    lower bound on the work of every setting.
     `schedule` holds every such setting once as a (cost, k, j) tuple, cost
     j * reps_table[k - 1, j - 1], sorted by (cost, k, j): the order in which
     an adaptive query examines settings, built once per index.
@@ -190,6 +198,7 @@ class MultiLevelIndex:
     repetitions: tuple[Repetition, ...]
     directions: np.ndarray
     reps_table: np.ndarray = field(init=False, repr=False)
+    probe_floor: np.ndarray = field(init=False, repr=False)
     schedule: tuple[tuple[float, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -201,8 +210,13 @@ class MultiLevelIndex:
             ],
             dtype=np.int64,
         )
-        table.flags.writeable = False
-        object.__setattr__(self, "reps_table", table)
+        # the U^k codes of level k, counted only up to the widest probe count
+        universe, width = self.params.family.bucket_universe, cal.max_probes
+        codes = np.array([min(universe**k, width) for k in range(1, self.levels + 1)])
+        floor = table * (np.minimum(np.arange(1, width + 1), codes[:, None]) - 1)
+        for name, value in (("reps_table", table), ("probe_floor", floor)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         schedule = sorted(
             (float(j * reps), k, j)
             for k, row in enumerate(table.tolist(), start=1)

@@ -116,35 +116,38 @@ class _QueryProbes:
     One matmul projects the query on all R * K hash functions. The query's
     own bucket ids then give the spine, its own bucket at every level of
     every repetition, in one key-range lookup per repetition; that is all a
-    single-probe setting reads, and a running sum over repetitions turns it
-    into the work of every single-probe setting and a lower bound on every
-    other. The first setting past one probe ranks every slot with one
-    row-wise argsort and starts `first_tuples` on all repetitions at once,
-    one row each; it yields levels only as deep as a setting asks, and a
-    setting finds its buckets with one key-range search per repetition.
+    single-probe setting reads. A running sum over repetitions, taken at the
+    index's `reps_table` and added to its `probe_floor`, turns the spine into
+    `bounds`, nested lists of ints read once per setting: bounds[k - 1][j - 1]
+    is the work of setting (k, j) at j = 1 and a lower bound on it past
+    that. Only a multi-probe query gathers the columns past j = 1. The first setting past one probe ranks every slot
+    with one row-wise argsort and starts `first_tuples` on all repetitions
+    at once, one row each; it yields levels only as deep as a setting asks,
+    and a setting finds its buckets with one key-range search per repetition.
     """
 
-    def __init__(self, index: MultiLevelIndex, q: np.ndarray):
+    def __init__(self, index: MultiLevelIndex, q: np.ndarray, multi_probe: bool = True):
         self._index = index
         self._proj = index.directions @ np.asarray(q, dtype=np.float64)
         own = bucket_codes(index.params.family, self._proj)
         self._lo, self._hi = index.level_ranges(own.reshape(index.num_repetitions, index.levels))
         # spine[r, k - 1]: one unit plus the own bucket, summed over
         # repetitions 0..r at level k
-        self._spine = np.cumsum(1 + self._hi - self._lo, axis=0)
+        spine = np.cumsum(1 + self._hi - self._lo, axis=0)
+        width = index.params.calibration.max_probes if multi_probe else 1
+        rows = index.reps_table[:, :width] - 1
+        bounds = spine[rows, np.arange(index.levels)[:, None]] + index.probe_floor[:, :width]
+        self.bounds: list[list[int]] = bounds.tolist()
         # the probe order of every repetition, started on first use, and the
         # (R, probes) keys of the levels it has yielded so far
         self._tuples: Iterator[np.ndarray] | None = None
         self._levels: list[np.ndarray] = []
 
-    def _reps(self, k: int, j: int) -> int:
-        return int(self._index.reps_table[k - 1, j - 1])
-
     def _runs(self, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted runs [lo, hi) of the buckets that the first j probes of
         level k reach in each consulted repetition, two (reps, probes)
         arrays; fewer probes if a tiny code universe runs out."""
-        index, count = self._index, self._reps(k, j)
+        index, count = self._index, int(self._index.reps_table[k - 1, j - 1])
         if j == 1:
             return self._lo[:count, k - 1 : k], self._hi[:count, k - 1 : k]
         R, K, bits = index.num_repetitions, index.levels, index.repetitions[0].bits
@@ -163,22 +166,11 @@ class _QueryProbes:
         runs = np.array(_key_runs(keys, self._levels[k - 1][:count, :j] << shift, shift))
         return runs[:, 0], runs[:, 1]
 
-    def lower_bound(self, k: int, j: int) -> float:
-        """A lower bound on work(k, j), equal to it at j = 1.
-
-        The first probe of each consulted repetition is its own bucket, and
-        each further probe costs at least one unit; there are j - 1 of them
-        unless the U^k codes of level k run out first.
-        """
-        r_count = self._reps(k, j)
-        probed = min(j, self._index.params.family.bucket_universe**k)
-        return float(self._spine[r_count - 1, k - 1] + r_count * (probed - 1))
-
     def work(self, k: int, j: int) -> float:
         """True candidate work of setting (k, j): per consulted repetition,
         one unit per probe plus the size of each probed bucket."""
         if j == 1:
-            return self.lower_bound(k, 1)
+            return float(self.bounds[k - 1][0])
         lo, hi = self._runs(k, j)
         return float((1 + hi - lo).sum())
 
@@ -250,12 +242,13 @@ def _query(
     """The front door of every index mode: default the radius to the
     calibrated r, validate the row and the radius, project the query once,
     and report the setting (k, j, work) that `choose(probes)` returns
-    together with its trace and the number of settings it pruned."""
+    together with its trace and the number of settings it pruned. Only the
+    adaptive mode reads the bounds past one probe."""
     t0 = time.perf_counter()
     if radius is None:
         radius = index.params.calibration.r
     q = _check_query(index.dataset.dim, q, radius)
-    probes = _QueryProbes(index, q)
+    probes = _QueryProbes(index, q, multi_probe=mode == "adaptive")
     setting, examined, pruned = choose(probes)
     return _report(index.dataset, q, radius, mode, t0, setting, probes, examined, pruned)
 
@@ -283,7 +276,7 @@ def _schedule(index: MultiLevelIndex, probes: _QueryProbes, multi_probe: bool):
         if j > 1:
             if not multi_probe:
                 continue
-            if probes.lower_bound(k, j) >= w_best:
+            if probes.bounds[k - 1][j - 1] >= w_best:
                 pruned += 1
                 continue
         w = probes.work(k, j)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -80,8 +81,9 @@ def test_csv_round_trip_and_errors(tmp_path):
 
 
 def test_config_validation():
+    # the input fields are checked by their one reader, prepare_instance
     with pytest.raises(ValueError, match="input_path or synthetic"):
-        BenchConfig(radius=0.4, approx_c=2.0)
+        prepare_instance(BenchConfig(radius=0.4, approx_c=2.0))
     with pytest.raises(ValueError, match="unknown mode"):
         BenchConfig(radius=0.4, approx_c=2.0, synthetic_n=10, synthetic_d=4,
                     modes=("warp",))
@@ -221,10 +223,12 @@ def test_write_report_round_trip(tmp_path):
     report = run_benchmark(config)
     out = str(tmp_path / "report.json")
     records_path = write_report(report, out)
-    doc = json.loads(open(out).read())
+    with open(out) as f:
+        doc = json.load(f)
     assert doc["format"] == "mlslsh-bench"
     assert doc["num_records"] == len(report.records)
-    lines = [json.loads(line) for line in open(records_path)]
+    with open(records_path) as f:
+        lines = [json.loads(line) for line in f]
     assert len(lines) == len(report.records)
     assert recompute_aggregates(lines) == report.aggregates
 
@@ -288,6 +292,32 @@ def test_scaling_trend_brute_is_linear(tmp_path):
     assert trend.mode == "brute"
     doc = trend.to_json_dict()
     assert doc["sizes"] == [200, 400, 800]
+
+
+def test_scaling_trend_checks_every_answer(tmp_path, monkeypatch):
+    # a reported id outside the true range stops the trend, as it stops a
+    # benchmark, instead of going into the fit
+    import mlslsh.bench as bench_mod
+
+    original = bench_mod.run_query
+
+    def with_a_far_point(mode, index, dataset, q, radius, fixed):
+        report = original(mode, index, dataset, q, radius, fixed)
+        far = int(np.argmax(np.linalg.norm(dataset.matrix - q, axis=1)))
+        return dataclasses.replace(report, ids=report.ids + (far,))
+
+    monkeypatch.setattr(bench_mod, "run_query", with_a_far_point)
+    config = _tiny_config(tmp_path, modes=("brute",), num_queries=5, planted=3)
+    with pytest.raises(AssertionError, match="non-members"):
+        scaling_trend([200, 400, 800], config)
+
+
+def test_scaling_trend_rejects_a_file_input(tmp_path):
+    path = str(tmp_path / "data.csv")
+    write_csv(path, np.eye(4))
+    config = _tiny_config(tmp_path, modes=("brute",), input_path=path, input_format="csv")
+    with pytest.raises(ValueError, match="no input_path"):
+        scaling_trend([200, 400, 800], config)
 
 
 def test_fvecs_dimension_change_past_the_second_record(tmp_path):

@@ -119,9 +119,11 @@ def test_bench_brute_synthetic(tmp_path):
     doc = json.loads(result.output)
     assert doc["aggregates"]["brute"]["mean_recall"] == 1.0
     assert doc["report_path"] == out
-    saved = json.loads(open(out).read())
+    with open(out) as f:
+        saved = json.load(f)
     assert saved["aggregates"] == doc["aggregates"]
-    records = [json.loads(line) for line in open(doc["records_path"])]
+    with open(doc["records_path"]) as f:
+        records = [json.loads(line) for line in f]
     assert len(records) == 5
 
 

@@ -1,5 +1,6 @@
-"""CLI boundaries: non-finite query vectors, and the index options that
-build, bench and trend share."""
+"""CLI boundaries: non-finite query vectors, the index options that build,
+bench and trend share, and set-up input that must fail before any Monte
+Carlo runs."""
 
 import json
 
@@ -75,3 +76,36 @@ def test_shared_index_options_reach_the_config(monkeypatch, verb, given, expecte
     assert result.exit_code == 1 and error_of(result)["message"] == "captured"
     (config,) = seen
     assert {name: getattr(config, name) for name in expected} == expected
+
+
+@pytest.fixture
+def no_monte_carlo(monkeypatch, no_reestimation):
+    """Make every Monte-Carlo estimate fail the test: each collision estimate
+    behind the edge probabilities, and the probe table."""
+    import mlslsh.calibration as calibration
+
+    def never(*args, **kwargs):
+        raise AssertionError("a collision probability was measured")
+
+    monkeypatch.setattr(calibration, "estimate_collision_prob", never)
+
+
+def test_bad_space_budget_fails_before_calibrating(tmp_path, no_monte_carlo):
+    result = invoke(["build", "--input", "synth:n=50,d=4", "--radius", "0.4", "--budget-L", "0",
+                     "--cache-dir", str(tmp_path), "--output", str(tmp_path / "x.idx")])
+    assert result.exit_code == 1
+    err = error_of(result)
+    assert err["type"] == "ValueError"
+    assert err["message"] == "space budget must be a positive integer, got 0"
+
+
+@pytest.mark.parametrize("verb", [
+    ["probs", "--dim", "4"],
+    ["build", "--input", "synth:n=50,d=4", "--output", "x.idx"],
+], ids=["probs", "build"])
+def test_far_radius_off_the_sphere_fails_before_measuring(no_monte_carlo, verb):
+    result = invoke(verb + ["--radius", "1.5", "--approx-c", "2"])
+    assert result.exit_code == 1
+    err = error_of(result)
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith("far distance c*r = 3 exceeds the sphere diameter")

@@ -225,7 +225,7 @@ def test_spine_lower_bound_is_admissible(case):
                 own = sum(
                     1 + ref.members(rep, ref.probes(rep, k, 1)[0]).size for rep in range(r_count)
                 )
-                bound = probes.lower_bound(k, j)
+                bound = probes.bounds[k - 1][j - 1]
                 assert bound == own + r_count * (min(j, universe**k) - 1)
                 work = fixed_level_query(index, q, radius, k, j).work_examined
                 assert bound <= work

@@ -98,7 +98,7 @@ def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
     for k in range(1, index.levels + 1):
         for j in range(1, 17):
             work = fixed_level_query(index, q, 0.4, k, j).work_examined
-            assert probes.lower_bound(k, j) <= work
+            assert probes.bounds[k - 1][j - 1] <= work
 
 
 def test_adaptive_reports_only_true_range_members(small_index):

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import platform
-import struct
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields, replace
@@ -24,10 +23,11 @@ from .calibration import (
     CollisionEstimate,
     FamilyCalibration,
     calibrate,
+    check_max_probes,
     edge_probabilities,
 )
 from .families import FamilyParams
-from .geometry import Dataset, generate_planted_instance, map_query, normalize_dataset, range_ids
+from .geometry import Dataset, generate_planted_instance, map_query, normalize_dataset, range_scan
 from .index import MultiLevelIndex, build_index, check_space_budget, compute_k
 from .query import MODES, run_query
 
@@ -65,16 +65,6 @@ def read_fvecs(path: str) -> np.ndarray:
     raise ValueError(f"{path}: truncated vector data at byte {offset + 4}")
 
 
-def write_fvecs(path: str, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.float32)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
-    with open(path, "wb") as f:
-        for row in matrix:
-            f.write(struct.pack("<i", row.shape[0]))
-            f.write(row.astype("<f4").tobytes())
-
-
 def read_csv(path: str) -> np.ndarray:
     rows = []
     width = None
@@ -97,16 +87,6 @@ def read_csv(path: str) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows, dtype=np.float64)
-
-
-def write_csv(path: str, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
-    with open(path, "w", encoding="utf-8") as f:
-        for row in matrix:
-            f.write(",".join(repr(float(v)) for v in row))
-            f.write("\n")
 
 
 def load_vectors(path: str, fmt: str) -> np.ndarray:
@@ -197,7 +177,7 @@ def prepare_instance(
     dataset = normalize_dataset(train)
     queries = np.array([map_query(dataset, row) for row in held])
     truth = tuple(
-        frozenset(int(v) for v in range_ids(dataset.matrix, q, config.radius))
+        frozenset(int(v) for v in range_scan(dataset.matrix, q, config.radius)[0])
         for q in queries
     )
     return dataset, queries, truth
@@ -271,10 +251,12 @@ def _calibrate_for_size(config: BenchConfig, dim: int, n: int) -> FamilyCalibrat
 
     The edge probabilities size the depth and then go into the calibration,
     so a set-up measures them once. The space budget, which only the build
-    after it reads, is checked first, so a bad one fails before any Monte
-    Carlo runs.
+    after it reads, and the probe budget, which only the probe table after
+    them reads, are checked first, so a bad one fails before any Monte Carlo
+    runs.
     """
     check_space_budget(config.space_budget)
+    check_max_probes(config.max_probes)
     params = FamilyParams(kind=config.family_kind, dim=dim, cap_count=config.cap_count)
     edges = edge_probabilities(
         params, config.radius, config.approx_c, config.trials, config.seed

@@ -164,6 +164,12 @@ def _check_radii(r: float, c: float) -> None:
         )
 
 
+def check_max_probes(max_probes: int) -> None:
+    """The probe budget, the width of the probe-success table, is at least 1."""
+    if max_probes < 1:
+        raise ValueError(f"need at least one probe, got {max_probes}")
+
+
 def edge_probabilities(
     params: FamilyParams, r: float, c: float, trials: int, seed: int
 ) -> tuple[CollisionEstimate, CollisionEstimate, float]:
@@ -223,8 +229,7 @@ def _estimate_probe_success(
         slots, partner = [], []
         for fn in fns:
             partner.append(hash_batch(fn, data))
-            o, d, _ = rank_projections(params, project(fn, query))
-            slots.append((o[:, :max_probes], d[:, :max_probes]))
+            slots.append(rank_projections(params, project(fn, query)))
         # level k compares the query's first tuples with the partner's k-slot key
         for k, tuples in enumerate(first_tuples(slots, max_probes, bits), start=1):
             hits = np.count_nonzero(tuples == _pack(partner[:k], bits)[:, None], axis=0)
@@ -394,8 +399,7 @@ def calibrate(
     _check_radii(r, c)
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
-    if max_probes < 1:
-        raise ValueError(f"need at least one probe, got {max_probes}")
+    check_max_probes(max_probes)
     slot_bits(params, levels)  # the probe table packs codes of every level into one key
     near, far, p2 = edges or edge_probabilities(params, r, c, trials, seed)
     table, se_table = _estimate_probe_success(params, r, levels, max_probes, trials, seed)

@@ -20,11 +20,13 @@ KEY_BITS = 63 bits of slots fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
+
+from .geometry import uniform_unit_vectors
 
 FamilyKind = Literal["spherical_cap", "cross_polytope"]
 
@@ -99,13 +101,7 @@ class FamilyParams:
         return self.cap_count if self.kind == "spherical_cap" else None
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "cap_count": self.cap_count,
-            "cap_threshold": self.cap_threshold,
-            "rotation_seed_base": self.rotation_seed_base,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FamilyParams":
@@ -135,14 +131,7 @@ class HashFunction:
 def sample_hash_function(params: FamilyParams, seed: int) -> HashFunction:
     rng = derived_rng(params.rotation_seed_base, seed)
     if params.kind == "spherical_cap":
-        g = rng.standard_normal((params.cap_count, params.dim))
-        norms = np.linalg.norm(g, axis=1)
-        tiny = norms < 1e-12
-        if tiny.any():
-            g[tiny] = 0.0
-            g[tiny, 0] = 1.0
-            norms = np.linalg.norm(g, axis=1)
-        dirs = g / norms[:, None]
+        dirs = uniform_unit_vectors(rng, params.cap_count, params.dim)
     else:
         a = rng.standard_normal((params.dim, params.dim))
         q, r = np.linalg.qr(a)
@@ -181,12 +170,10 @@ def hash_batch(h: HashFunction, rows: np.ndarray) -> np.ndarray:
     return bucket_codes(h.params, project(h, rows))
 
 
-def rank_projections(
-    params: FamilyParams, proj: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe orders, positional deficits and own buckets, one row per projection row.
+def rank_projections(params: FamilyParams, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probe orders and positional deficits, one row per projection row.
 
-    Returns (orders, deficits, own) with shapes (m, U), (m, U), (m,). Each
+    Returns (orders, deficits), both of shape (m, U). Each
     row is ranked on its own, so the rows may be many points under one
     function (the calibration sampler) or one query under many functions
     (the query engine); single-query probing is the one-row case. For the
@@ -206,7 +193,7 @@ def rank_projections(
     deficits = desc[:, :1] - desc
     neg[np.arange(m), own] = -np.inf
     orders = np.argsort(neg, axis=1, kind="stable")
-    return orders, deficits, own
+    return orders, deficits
 
 
 def probe_sequence(
@@ -223,7 +210,7 @@ def probe_sequence(
     vec = np.asarray(q, dtype=np.float64)
     if vec.ndim != 1 or vec.size != h.params.dim:
         raise ValueError(f"query has shape {vec.shape}, family dimension is {h.params.dim}")
-    orders, deficits, _ = rank_projections(h.params, project(h, vec[None, :]))
+    orders, deficits = rank_projections(h.params, project(h, vec[None, :]))
     order, deficit = orders[0], deficits[0]
     if j_max is not None:
         if j_max < 1:
@@ -253,28 +240,38 @@ def _pack(slots, bits: int) -> np.ndarray:
     return keys
 
 
+def _shifts(bits: int, depth: int) -> np.ndarray:
+    """Key bit offset of slots 0..depth-1, which is also s for levels 1..depth."""
+    return bits * np.arange(depth - 1, -1, -1, dtype=np.int64)
+
+
+def _unpack(keys: np.ndarray, bits: int, depth: int) -> np.ndarray:
+    """The inverse of `_pack`: the (..., depth) int64 slot codes of keys of
+    `depth` slots, slot 0 first."""
+    return keys[..., None] >> _shifts(bits, depth) & ((1 << bits) - 1)
+
+
 def first_tuples(slots, count: int, bits: int) -> Iterator[np.ndarray]:
     """The first `count` bucket-id tuples of every level, best first, as packed keys.
 
     `slots` holds one (buckets, deficits) pair of (m, w) arrays per slot, row
-    i ranking the buckets of that slot's function for query i. Level l
-    yields an (m, min(count, tuples)) int64 array of l-slot keys and is
-    computed only when asked for. It extends the first `count` tuples of
-    level l - 1 by one bucket of slot l, and sorts the candidates by
-    priority (the prefix priority plus the bucket's deficit), puts the
-    all-own tuple first among equals and breaks the other ties on the key.
-    The tuple at position i takes the
-    bucket of rank r only if (i + 1)(r + 1) <= count: any other pair is
-    dominated by the (i + 1)(r + 1) - 1 >= count pairs at positions <= i
-    and ranks <= r, none of higher priority. Rankings cut to `count`
-    columns therefore lose nothing.
+    i ranking the buckets of that slot's function for query i; w may be the
+    whole universe. Level l yields an (m, min(count, tuples)) int64 array of
+    l-slot keys and is computed only when asked for. It extends the first
+    `count` tuples of level l - 1 by one bucket of slot l, and sorts the
+    candidates by priority (the prefix priority plus the bucket's deficit),
+    puts the all-own tuple first among equals and breaks the other ties on
+    the key. The tuple at position i takes the bucket of rank r only if
+    (i + 1)(r + 1) <= count: any other pair is dominated by the
+    (i + 1)(r + 1) - 1 >= count pairs at positions <= i and ranks <= r, none
+    of higher priority. So the merge cuts every ranking to its first `count`
+    columns itself, and callers pass rankings uncut.
     """
     m = len(slots[0][0])
     keys, prio = np.zeros((m, 1), dtype=np.int64), np.zeros((m, 1))  # level 0: the empty tuple
     for buckets, deficits in slots:
-        i, r = np.nonzero(
-            np.outer(np.arange(1, keys.shape[1] + 1), np.arange(1, buckets.shape[1] + 1)) <= count
-        )
+        ranks = np.arange(1, min(count, buckets.shape[1]) + 1)
+        i, r = np.nonzero(np.outer(np.arange(1, keys.shape[1] + 1), ranks) <= count)
         cand_keys = keys[:, i] << bits | buckets[:, r].astype(np.int64)
         cand_prio = prio[:, i] + deficits[:, r]
         # the pair (0, 0) is the all-own tuple
@@ -308,7 +305,5 @@ class CodeEnumerator:
         """The first `count` tuples (fewer if the universe is exhausted)."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        depth, mask = len(self._slots), (1 << self._bits) - 1
         *_, keys = first_tuples(self._slots, count, self._bits)
-        shifts = range(self._bits * (depth - 1), -1, -self._bits)
-        return [tuple(key >> s & mask for s in shifts) for key in keys[0].tolist()]
+        return [tuple(codes) for codes in _unpack(keys[0], self._bits, len(self._slots)).tolist()]

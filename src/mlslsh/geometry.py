@@ -1,4 +1,5 @@
-"""Unit-sphere points, datasets, and synthetic planted-neighbor instances."""
+"""Unit-sphere points, datasets, synthetic planted-neighbor instances, and
+the one exact range scan."""
 
 from __future__ import annotations
 
@@ -80,11 +81,18 @@ class Dataset:
         return self.matrix.shape[0]
 
 
-def range_ids(matrix: np.ndarray, coords: np.ndarray, radius: float) -> np.ndarray:
-    """Ids of rows within `radius` (inclusive) of `coords`, ascending."""
-    diff = matrix - coords
+def range_scan(rows: np.ndarray, q: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the rows within `radius` (inclusive) of the row `q`,
+    ascending, and their Euclidean distances.
+
+    This is the one exact range predicate: planted ground truth, the brute
+    force scan and the index's final candidate check all call it, so a point
+    at distance exactly `radius` is in or out for all three alike.
+    """
+    diff = rows - q
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return np.where(dist <= radius)[0]
+    keep = np.flatnonzero(dist <= radius)
+    return keep, dist[keep]
 
 
 def _as_matrix(raw: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
@@ -109,16 +117,15 @@ def _as_matrix(raw: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _center_and_project(vectors: np.ndarray, centroid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    centered = vectors - centroid
-    norms = np.linalg.norm(centered, axis=1)
+def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows scaled to norm 1, and the ascending positions of those whose
+    norm fell below `DEGENERATE_NORM`: they are pinned to (1, 0, ..., 0)."""
+    norms = np.linalg.norm(rows, axis=1)
     degenerate = norms < DEGENERATE_NORM
-    safe = np.where(degenerate, 1.0, norms)
-    unit = centered / safe[:, None]
-    if degenerate.any():
-        unit[degenerate] = 0.0
-        unit[degenerate, 0] = 1.0
-    return unit, np.where(degenerate)[0]
+    unit = rows / np.where(degenerate, 1.0, norms)[:, None]
+    unit[degenerate] = 0.0
+    unit[degenerate, 0] = 1.0
+    return unit, np.flatnonzero(degenerate)
 
 
 def normalize_dataset(raw: Sequence[Sequence[float]] | np.ndarray) -> Dataset:
@@ -130,7 +137,7 @@ def normalize_dataset(raw: Sequence[Sequence[float]] | np.ndarray) -> Dataset:
     """
     arr = _as_matrix(raw)
     centroid = arr.mean(axis=0)
-    unit, degenerate = _center_and_project(arr, centroid)
+    unit, degenerate = unit_rows(arr - centroid)
     return Dataset(unit, centroid, degenerate_ids=tuple(int(i) for i in degenerate))
 
 
@@ -142,22 +149,14 @@ def map_query(dataset: Dataset, raw: Sequence[float] | np.ndarray) -> np.ndarray
         raise ValueError(f"query has shape {vec.shape}, dataset dimension is {dataset.dim}")
     if not np.all(np.isfinite(vec)):
         raise ValueError("query contains non-finite values")
-    unit, _ = _center_and_project(vec[None, :], dataset.centroid)
+    unit, _ = unit_rows(vec[None, :] - dataset.centroid)
     return unit[0]
 
 
 def uniform_unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Rows drawn uniformly from the unit sphere."""
-    if count == 0:
-        return np.empty((0, dim))
-    g = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(g, axis=1)
-    tiny = norms < DEGENERATE_NORM
-    if tiny.any():  # vanishing Gaussian rows are a measure-zero fallback
-        g[tiny] = 0.0
-        g[tiny, 0] = 1.0
-        norms = np.linalg.norm(g, axis=1)
-    return g / norms[:, None]
+    """Rows drawn uniformly from the unit sphere; a vanishing Gaussian row,
+    a measure-zero event, is pinned like a degenerate data row."""
+    return unit_rows(rng.standard_normal((count, dim)))[0]
 
 
 def unit_vectors_orthogonal_to(rng: np.random.Generator, anchors: np.ndarray) -> np.ndarray:
@@ -231,7 +230,7 @@ def generate_planted_instance(
     dataset = Dataset(matrix, np.zeros(d))
     queries = tuple(UnitPoint(qmat[i], id=i) for i in range(num_queries))
     truth = tuple(
-        frozenset(int(j) for j in range_ids(matrix, qmat[i], r))
+        frozenset(int(j) for j in range_scan(matrix, qmat[i], r)[0])
         for i in range(num_queries)
     )
     return PlantedInstance(dataset, queries, truth)

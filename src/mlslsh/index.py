@@ -28,7 +28,7 @@ import numpy as np
 from .calibration import DOCUMENT_ERRORS, CalibrationError, FamilyCalibration
 # the key format lives in families.py; KEY_BITS stays importable from here
 from .families import KEY_BITS, FamilyParams, HashFunction, _pack, derived_seed  # noqa: F401
-from .families import hash_batch, sample_hash_function, slot_bits
+from .families import _shifts, _unpack, hash_batch, sample_hash_function, slot_bits
 from .geometry import Dataset
 
 MAGIC = b"MLSLSH01"
@@ -109,11 +109,6 @@ class BuildParams:
         check_space_budget(self.space_budget)
 
 
-def _shifts(bits: int, depth: int) -> np.ndarray:
-    """Key bit offset of slots 0..depth-1, which is also s for levels 1..depth."""
-    return bits * np.arange(depth - 1, -1, -1, dtype=np.int64)
-
-
 def _key_runs(keys, first, shift) -> list[np.ndarray]:
     """Bounds of the runs of sorted keys in [first, first + 2**shift).
 
@@ -144,8 +139,7 @@ class Repetition:
         self.bits = slot_bits(functions[0].params, depth)
         if keys.min() < 0 or int(keys.max()) >> self.bits * depth:
             raise ValueError(f"keys must lie in 0..2**{self.bits * depth} - 1")
-        slots = (keys >> s & (1 << self.bits) - 1 for s in _shifts(self.bits, depth))
-        if any(codes.max() >= universe for codes in slots):
+        if _unpack(keys, self.bits, depth).max() >= universe:
             raise ValueError(f"slot codes must lie in 0..{universe - 1}")
         self.functions = functions
         self.order = np.argsort(keys, kind="stable")
@@ -158,8 +152,7 @@ class Repetition:
     @property
     def sorted_codes(self) -> np.ndarray:
         """The (n, K) int32 code matrix in sorted order, decoded from the keys."""
-        mask = (1 << self.bits) - 1
-        return ((self.keys[:, None] >> _shifts(self.bits, self.depth)) & mask).astype(np.int32)
+        return _unpack(self.keys, self.bits, self.depth).astype(np.int32)
 
     def prefix_range(self, prefix: tuple[int, ...]) -> tuple[int, int]:
         """Half-open run [lo, hi) of sorted positions whose codes start with prefix."""

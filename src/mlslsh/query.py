@@ -25,7 +25,7 @@ full-scan setting (0, 0) without an index; `run_query` picks a mode by name.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from .families import bucket_codes, first_tuples, rank_projections
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
-from .geometry import Dataset
+from .geometry import Dataset, range_scan
 from .index import MultiLevelIndex, _key_runs, consulted_reps
 
 
@@ -47,12 +47,7 @@ class ExaminedSetting:
     work: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "probes": self.probes,
-            "cost": self.cost,
-            "work": self.work,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -120,10 +115,13 @@ class _QueryProbes:
     index's `reps_table` and added to its `probe_floor`, turns the spine into
     `bounds`, nested lists of ints read once per setting: bounds[k - 1][j - 1]
     is the work of setting (k, j) at j = 1 and a lower bound on it past
-    that. Only a multi-probe query gathers the columns past j = 1. The first setting past one probe ranks every slot
-    with one row-wise argsort and starts `first_tuples` on all repetitions
-    at once, one row each; it yields levels only as deep as a setting asks,
-    and a setting finds its buckets with one key-range search per repetition.
+    that. Only a multi-probe query gathers the columns past j = 1.
+
+    The first setting past one probe ranks every slot with one row-wise
+    argsort and starts `first_tuples` on all repetitions at once, one row
+    each, at the calibrated probe width; `first_tuples` cuts the rankings to
+    that width itself. It yields levels only as deep as a setting asks, and
+    a setting finds its buckets with one key-range search per repetition.
     """
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray, multi_probe: bool = True):
@@ -152,13 +150,11 @@ class _QueryProbes:
             return self._lo[:count, k - 1 : k], self._hi[:count, k - 1 : k]
         R, K, bits = index.num_repetitions, index.levels, index.repetitions[0].bits
         if self._tuples is None:
-            orders, deficits, _ = rank_projections(index.params.family, self._proj)
-            # no setting probes past the calibrated width, so no tuple uses
-            # a slot rank past it
-            width = index.params.calibration.max_probes
-            orders, deficits = (a.reshape(R, K, -1)[:, :, :width] for a in (orders, deficits))
+            orders, deficits = (
+                a.reshape(R, K, -1) for a in rank_projections(index.params.family, self._proj)
+            )
             slots = [(orders[:, s], deficits[:, s]) for s in range(K)]
-            self._tuples = first_tuples(slots, width, bits)
+            self._tuples = first_tuples(slots, index.params.calibration.max_probes, bits)
         while len(self._levels) < k:
             self._levels.append(next(self._tuples))
         shift = bits * (K - k)
@@ -215,16 +211,15 @@ def _report(
     `examined` and `pruned` are the scheduler's trace and pruning count."""
     k, j, w = setting
     if k == 0:
-        cand, buckets, rows = None, 0, dataset.matrix
+        ids, dists = range_scan(dataset.matrix, q, radius)
+        buckets = 0
     else:
         cand, buckets = probes.candidates(k, j)
-        rows = dataset.matrix[cand]
-    diff = rows - q[None, :]
-    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    keep = np.flatnonzero(dists <= radius)
+        keep, dists = range_scan(dataset.matrix[cand], q, radius)
+        ids = cand[keep]
     return QueryReport(
-        ids=tuple(int(i) for i in (keep if cand is None else cand[keep])),
-        distances=tuple(float(v) for v in dists[keep]),
+        ids=tuple(int(i) for i in ids),
+        distances=tuple(float(v) for v in dists),
         work_examined=w,
         buckets_probed=buckets,
         k_best=k,

@@ -16,19 +16,19 @@ from mlslsh.bench import (
     recompute_aggregates,
     run_benchmark,
     scaling_trend,
-    write_csv,
-    write_fvecs,
     write_report,
 )
 from mlslsh.families import FamilyParams
-from mlslsh.geometry import range_ids
+from mlslsh.geometry import range_scan
 
 
 def test_fvecs_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     mat = rng.normal(size=(20, 7)).astype(np.float32).astype(np.float64)
     path = str(tmp_path / "v.fvecs")
-    write_fvecs(path, mat)
+    # each record: the int32 dimension, then the float32 values
+    records = np.hstack([np.full((20, 1), 7, dtype="<i4"), mat.astype("<f4").view("<i4")])
+    records.tofile(path)
     back = read_fvecs(path)
     assert back.shape == (20, 7)
     assert np.array_equal(back, mat)
@@ -65,7 +65,7 @@ def test_csv_round_trip_and_errors(tmp_path):
     rng = np.random.default_rng(4)
     mat = rng.normal(size=(10, 3))
     path = str(tmp_path / "v.csv")
-    write_csv(path, mat)
+    np.savetxt(path, mat, delimiter=",")
     assert np.array_equal(read_csv(path), mat)
 
     bad = tmp_path / "bad.csv"
@@ -99,7 +99,7 @@ def test_prepare_instance_from_file(tmp_path):
     rng = np.random.default_rng(9)
     raw = rng.normal(size=(30, 6))
     path = str(tmp_path / "data.csv")
-    write_csv(path, raw)
+    np.savetxt(path, raw, delimiter=",")
     config = BenchConfig(
         radius=0.7, approx_c=2.0, input_path=path, input_format="csv", num_queries=4
     )
@@ -113,13 +113,13 @@ def test_prepare_instance_from_file(tmp_path):
         manual /= np.linalg.norm(manual)
         assert np.allclose(q, manual, atol=1e-12)
         assert truth[i] == frozenset(
-            int(v) for v in range_ids(dataset.matrix, q, 0.7)
+            int(v) for v in range_scan(dataset.matrix, q, 0.7)[0]
         )
 
 
 def test_prepare_instance_needs_enough_rows(tmp_path):
     path = str(tmp_path / "tiny.csv")
-    write_csv(path, np.eye(3))
+    np.savetxt(path, np.eye(3), delimiter=",")
     config = BenchConfig(
         radius=0.4, approx_c=2.0, input_path=path, input_format="csv", num_queries=3
     )
@@ -314,7 +314,7 @@ def test_scaling_trend_checks_every_answer(tmp_path, monkeypatch):
 
 def test_scaling_trend_rejects_a_file_input(tmp_path):
     path = str(tmp_path / "data.csv")
-    write_csv(path, np.eye(4))
+    np.savetxt(path, np.eye(4), delimiter=",")
     config = _tiny_config(tmp_path, modes=("brute",), input_path=path, input_format="csv")
     with pytest.raises(ValueError, match="no input_path"):
         scaling_trend([200, 400, 800], config)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mlslsh.bench import write_csv
 from mlslsh.cli import main
 
 
@@ -195,7 +194,7 @@ def test_semantic_error_reports_json_error(tmp_path):
 def test_csv_input_through_cli(tmp_path):
     rng = np.random.default_rng(7)
     data = str(tmp_path / "data.csv")
-    write_csv(data, rng.normal(size=(60, 6)))
+    np.savetxt(data, rng.normal(size=(60, 6)), delimiter=",")
     result = run_cli(
         ["bench", "--input", data, "--format", "csv", "--radius", "1.2",
          "--mode", "brute", "--queries", "3"] + COMMON

@@ -109,3 +109,16 @@ def test_far_radius_off_the_sphere_fails_before_measuring(no_monte_carlo, verb):
     err = error_of(result)
     assert err["type"] == "ValueError"
     assert err["message"].startswith("far distance c*r = 3 exceeds the sphere diameter")
+
+
+@pytest.mark.parametrize("verb", [
+    ["build", "--input", "synth:n=50,d=4", "--output", "x.idx"],
+    ["bench", "--input", "synth:n=50,d=4,t=2", "--queries", "5"],
+    ["trend", "--sizes", "100,200,400", "--dim", "4"],
+], ids=["build", "bench", "trend"])
+def test_bad_max_probes_fails_before_calibrating(tmp_path, no_monte_carlo, verb):
+    result = invoke(verb + ["--radius", "0.4", "--max-probes", "0", "--cache-dir", str(tmp_path)])
+    assert result.exit_code == 1
+    err = error_of(result)
+    assert err["type"] == "ValueError"
+    assert err["message"] == "need at least one probe, got 0"

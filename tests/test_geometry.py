@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlslsh.geometry import (
+    UNIT_NORM_TOL,
     Dataset,
     UnitPoint,
     generate_planted_instance,
     map_query,
     normalize_dataset,
-    range_ids,
+    range_scan,
     uniform_unit_vectors,
+    unit_rows,
     unit_vectors_orthogonal_to,
 )
+from mlslsh.query import brute_force_range
 
 
 def test_unit_point_validation():
@@ -104,7 +109,7 @@ def test_planted_instance_counts_and_truth():
         assert len(gt) >= 5  # the planted points, plus any accidental members
         # ground truth is exactly the brute-force range result
         assert gt == frozenset(
-            int(i) for i in range_ids(inst.dataset.matrix, q.coords, 0.4)
+            int(i) for i in range_scan(inst.dataset.matrix, q.coords, 0.4)[0]
         )
 
 
@@ -157,3 +162,53 @@ def test_dataset_point_accessors():
 def test_dataset_requires_unit_rows():
     with pytest.raises(ValueError):
         Dataset(matrix=np.array([[0.5, 0.5]]), centroid=np.zeros(2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    d=st.integers(2, 10),
+    pinned=st.integers(0, 3),
+    stretched=st.integers(0, 4),
+    on_a_row=st.booleans(),
+    pick=st.integers(0, 10**6),
+    ulps=st.sampled_from([-1, 0, 1]),
+)
+def test_range_scan_is_the_exact_range_predicate(
+    seed, n, d, pinned, stretched, on_a_row, pick, ulps
+):
+    """range_scan keeps exactly the rows with sqrt(sum of squared differences)
+    <= r, also at r equal to one row's distance and one ulp either side of
+    it, and brute force reports the same ids; any faster filter must match
+    this predicate."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, d))
+    raw[:pinned] = 0.0  # collapse to (1, 0, ..., 0), several rows at once
+    rows, degenerate = unit_rows(raw)
+    assert degenerate.tolist() == list(range(min(pinned, n)))
+    # rows whose norm sits at the unit-norm tolerance, on either side of 1
+    for i in range(min(stretched, n)):
+        rows[i] *= 1.0 + (-1) ** i * UNIT_NORM_TOL * (1.0 - 1e-6)
+    dataset = Dataset(rows, np.zeros(d))
+    q = rows[pick % n] if on_a_row else unit_rows(rng.normal(size=(1, d)))[0][0]
+
+    diff = rows - q
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    target = pick % n
+    radius = float(dist[target])
+    for _ in range(abs(ulps)):
+        radius = float(np.nextafter(radius, ulps * np.inf))
+    radius = min(max(radius, 0.0), 2.0)  # the range every query mode accepts
+    expected = np.flatnonzero(dist <= radius)
+
+    ids, distances = range_scan(rows, q, radius)
+    assert np.array_equal(ids, expected)
+    assert np.array_equal(distances, dist[expected])
+    if radius == dist[target]:
+        assert target in ids.tolist()
+    elif radius < dist[target]:
+        assert target not in ids.tolist()
+    report = brute_force_range(dataset, q, radius)
+    assert report.ids == tuple(expected.tolist())
+    assert report.distances == tuple(dist[expected].tolist())

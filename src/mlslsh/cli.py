@@ -167,7 +167,9 @@ def build(index_fields, input_, fmt, output, rebuildable):
             "levels": index.levels,
             "repetitions": index.num_repetitions,
             "p1": cal.p1,
+            "p1_std_error": cal.p1_std_error,
             "p2": cal.p2,
+            "p2_std_error": cal.p2_std_error,
             "rho": cal.rho,
             "degenerate_ids": list(dataset.degenerate_ids),
         }

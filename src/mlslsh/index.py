@@ -13,6 +13,12 @@ past that budget fail.
 The directions of all R * K hash functions live in one read-only
 (R * K, rows, dim) block, ordered by repetition then slot. Each function's
 `directions` is a view into it, so one matmul projects a query on all of them.
+A repetition's K consecutive entries hash the dataset through
+`families.hash_keys`, HASH_BLOCK rows at a time: one matmul and one code
+pass per block, so hashing holds HASH_BLOCK * K * U floats for a family of U
+buckets, not n * U per function. A build and the reload of a file saved
+without keys both hash through it, so they cannot disagree. The sorted order
+holds point ids as int32, so an index holds at most MAX_POINTS points.
 """
 
 from __future__ import annotations
@@ -28,12 +34,17 @@ import numpy as np
 from .calibration import DOCUMENT_ERRORS, CalibrationError, FamilyCalibration
 # the key format lives in families.py; KEY_BITS stays importable from here
 from .families import KEY_BITS, FamilyParams, HashFunction, _pack, derived_seed  # noqa: F401
-from .families import _shifts, _unpack, hash_batch, sample_hash_function, slot_bits
+from .families import _shifts, _unpack, hash_keys, sample_hash_function, slot_bits
+# not called here; perfbench/spans.py wraps index.hash_batch by name
+from .families import hash_batch  # noqa: F401
 from .geometry import Dataset
 
 MAGIC = b"MLSLSH01"
 FORMAT_VERSION = 2
 _FLAG_CODES = 1
+
+# Repetition.order holds dataset indices as int32
+MAX_POINTS = 2**31 - 1
 
 # float noise guard for ceil on formula values that are exact integers
 _CEIL_EPS = 1e-9
@@ -142,7 +153,7 @@ class Repetition:
         if _unpack(keys, self.bits, depth).max() >= universe:
             raise ValueError(f"slot codes must lie in 0..{universe - 1}")
         self.functions = functions
-        self.order = np.argsort(keys, kind="stable")
+        self.order = np.argsort(keys, kind="stable").astype(np.int32)
         self.keys = keys[self.order]
 
     @property
@@ -300,20 +311,24 @@ def build_index(
     depth whose packed keys would pass 63 bits raises ValueError.
     """
     n = dataset.size
+    if n > MAX_POINTS:
+        raise ValueError(f"n={n} points; an index holds at most {MAX_POINTS}, int32 ids")
     K = compute_k(n, calibration.p2)
     if calibration.levels < K:
         raise CalibrationError(
             f"calibration covers {calibration.levels} levels but n={n} needs {K}; "
             "re-calibrate with more levels"
         )
-    bits = slot_bits(calibration.params, K)
+    slot_bits(calibration.params, K)  # past the key bits, fail before sampling
     params = BuildParams(calibration.params, calibration, space_budget, seed)
     R = compute_numreps(calibration.p1, K)
     if space_budget is not None:
         R = min(R, space_budget)
     block, functions = _sample_functions(calibration.params, seed, R, K)
-    hashed = ((hash_batch(fn, dataset.matrix) for fn in fns) for fns in functions)
-    repetitions = tuple(Repetition(fns, _pack(h, bits)) for fns, h in zip(functions, hashed))
+    repetitions = tuple(
+        Repetition(fns, hash_keys(params.family, block[rep * K : (rep + 1) * K], dataset.matrix))
+        for rep, fns in enumerate(functions)
+    )
     return MultiLevelIndex(
         dataset=dataset, params=params, levels=K, repetitions=repetitions, directions=block
     )
@@ -336,6 +351,8 @@ def _check_metadata(meta) -> tuple[BuildParams, int, int, int, int, tuple[int, .
         degenerate = tuple(meta["degenerate_ids"])
     except DOCUMENT_ERRORS as e:
         raise IndexFormatError(f"corrupt index metadata: {e!r}") from e
+    if n > MAX_POINTS:
+        raise IndexFormatError(f"n={n} points; an index holds at most {MAX_POINTS}, int32 ids")
     if family.dim != d:
         raise IndexFormatError(f"family dimension {family.dim} does not match d={d}")
     if K > calibration.levels:
@@ -402,7 +419,8 @@ def load_index(path: str) -> MultiLevelIndex:
         for rep, fns in enumerate(functions):
             try:
                 if not has_codes:
-                    keys = _pack((hash_batch(fn, dataset.matrix) for fn in fns), bits)
+                    stack = block[rep * K : (rep + 1) * K]
+                    keys = hash_keys(params.family, stack, dataset.matrix)
                 elif version == 1:
                     codes = np.frombuffer(f.read(4 * n * K), dtype="<i4").reshape(n, K)
                     if codes.min() < 0 or codes.max() >= universe:

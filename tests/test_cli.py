@@ -42,8 +42,13 @@ def test_build_and_query_round_trip(tmp_path):
     )
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
+    assert set(doc) == {
+        "output", "bytes", "n", "d", "levels", "repetitions",
+        "p1", "p1_std_error", "p2", "p2_std_error", "rho", "degenerate_ids",
+    }
     assert doc["n"] == 300 and doc["d"] == 8
     assert doc["levels"] >= 1 and doc["repetitions"] >= 1
+    assert 0.0 < doc["p1_std_error"] < doc["p1"] and 0.0 < doc["p2_std_error"]
 
     vec = ",".join(str(v) for v in np.arange(1.0, 9.0))
     for mode in ("adaptive", "single", "brute"):

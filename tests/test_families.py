@@ -7,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlslsh.families import (
+    HASH_BLOCK,
+    KEY_BITS,
     CodeEnumerator,
     FamilyParams,
     HashFunction,
+    _pack,
     default_cap_threshold,
     derived_rng,
     derived_seed,
     hash_batch,
+    hash_keys,
     probe_sequence,
     sample_hash_function,
+    slot_bits,
 )
 
 
@@ -89,6 +94,18 @@ def test_cap_hash_matches_direct_recount():
         clearing = np.nonzero(scores >= eta)[0]
         expected = int(clearing[0]) if clearing.size else params.overflow_bucket
         assert got[i] == expected
+
+
+def test_cap_row_exactly_at_the_threshold_clears_it():
+    # basis directions make the dot product exactly the row's coordinate
+    params = FamilyParams(kind="spherical_cap", dim=4, cap_count=4)
+    fn = HashFunction(params, 0, np.eye(4))
+    eta = params.threshold
+    rows = np.zeros((3, 4))
+    rows[0, 2] = eta
+    rows[1, 2] = np.nextafter(eta, 0.0)
+    rows[2, 2] = -eta
+    assert hash_batch(fn, rows).tolist() == [2, 4, 4]
 
 
 def test_cap_hash_of_own_direction_is_that_cap():
@@ -166,10 +183,65 @@ def test_bucket_is_scale_invariant():
 def test_hash_batch_checks_dimension():
     params = FamilyParams(kind="cross_polytope", dim=4)
     fn = sample_hash_function(params, 0)
-    with pytest.raises(ValueError):
-        hash_batch(fn, unit([1.0, 2.0, 3.0])[None, :])
-    with pytest.raises(ValueError):
-        hash_batch(fn, unit([1.0, 2.0, 3.0, 4.0]))
+    for bad in (unit([1.0, 2.0, 3.0])[None, :], unit([1.0, 2.0, 3.0, 4.0])):
+        for hashed in (
+            lambda rows: hash_batch(fn, rows),
+            lambda rows: hash_keys(params, fn.directions[None], rows),
+        ):
+            with pytest.raises(ValueError, match=r"rows have shape .*expected \(m, 4\)"):
+                hashed(bad)
+
+
+@st.composite
+def hashing_cases(draw):
+    """A family, the (K, directions, dim) stack of one repetition, K up to
+    the key-bit budget, and rows to hash, n from one row to past a few blocks.
+
+    Each slot's directions are sampled, or hand-set to signed basis vectors,
+    under which cross-polytope rows of entries in {-1, 0, 1} tie on |p| and
+    cap rows on a basis vector sit exactly at the threshold. Rows mix random
+    unit rows, zero rows, which clear no cap, and those hand-set rows.
+    """
+    kind = draw(st.sampled_from(["spherical_cap", "cross_polytope"]))
+    dim = draw(st.integers(2, 40))
+    params = FamilyParams(kind=kind, dim=dim, cap_count=draw(st.integers(2, 80)))
+    depth = draw(st.integers(1, KEY_BITS // slot_bits(params, 1)))
+    n = draw(st.one_of(
+        st.integers(1, 3 * HASH_BLOCK + 1),
+        st.sampled_from([b * HASH_BLOCK + e for b in (1, 2, 3) for e in (-1, 0, 1)]),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.empty((depth, params.direction_count, dim))
+    for s in range(depth):
+        if draw(st.booleans()):
+            stack[s] = sample_hash_function(params, int(rng.integers(2**31))).directions
+        else:
+            axes = rng.permutation(np.arange(params.direction_count) % dim)
+            stack[s] = np.eye(dim)[axes] * rng.choice([-1.0, 1.0], size=(len(axes), 1))
+    rows = rng.normal(size=(n, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    kinds = rng.integers(0, 4, size=n)
+    rows[kinds == 1] = 0.0
+    rows[kinds == 2] = rng.integers(-1, 2, size=(np.count_nonzero(kinds == 2), dim))
+    at = np.flatnonzero(kinds == 3)
+    rows[at] = 0.0
+    rows[at, rng.integers(dim, size=at.size)] = rng.choice([-1.0, 1.0], at.size) * params.threshold
+    return params, stack, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hashing_cases())
+def test_hash_keys_match_hash_batch_per_function(case):
+    # the oracle hashes one function at a time over every row and packs the
+    # K code arrays, slot 0 in the high bits
+    params, stack, rows = case
+    expected = _pack(
+        (hash_batch(HashFunction(params, 0, directions), rows) for directions in stack),
+        slot_bits(params, len(stack)),
+    )
+    got = hash_keys(params, stack, rows)
+    assert got.dtype == np.int64 and got.shape == (rows.shape[0],)
+    assert np.array_equal(got, expected)
 
 
 def _recount_order(fn, q):

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 
 from mlslsh.calibration import CalibrationError, FamilyCalibration
 from mlslsh.cli import main
-from mlslsh.families import FamilyParams, hash_batch, sample_hash_function
+from mlslsh.families import HASH_BLOCK, FamilyParams, hash_batch, sample_hash_function
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
     BuildParams,
@@ -276,6 +277,14 @@ def test_build_is_deterministic(built):
     )
 
 
+def test_build_rejects_more_points_than_int32_ids():
+    # checked on the size alone, before anything is sampled or hashed
+    params = FamilyParams(kind="cross_polytope", dim=4)
+    too_many = SimpleNamespace(size=2**31, dim=4)
+    with pytest.raises(ValueError, match="at most 2147483647, int32 ids"):
+        build_index(too_many, toy_calibration(params))
+
+
 def test_build_rejects_short_calibration():
     params = FamilyParams(kind="cross_polytope", dim=8)
     cal = toy_calibration(params, p2=0.3, levels=2)
@@ -311,7 +320,10 @@ def test_save_load_round_trip(tmp_path, built):
 
 
 def test_save_load_rebuildable_matches_full(tmp_path, built):
+    # a rebuildable file rehashes its points in blocks; 400 points end in a
+    # partial one
     _, index = built
+    assert index.size > HASH_BLOCK and index.size % HASH_BLOCK
     full = str(tmp_path / "full.idx")
     slim = str(tmp_path / "slim.idx")
     index.save(full, include_codes=True)
@@ -321,9 +333,10 @@ def test_save_load_rebuildable_matches_full(tmp_path, built):
     assert os.path.getsize(slim) < os.path.getsize(full)
     a = load_index(full)
     b = load_index(slim)
-    for ra, rb in zip(a.repetitions, b.repetitions):
-        assert np.array_equal(ra.sorted_codes, rb.sorted_codes)
-        assert np.array_equal(ra.order, rb.order)
+    for rep, ra, rb in zip(index.repetitions, a.repetitions, b.repetitions):
+        for r in (ra, rb):
+            assert np.array_equal(r.keys, rep.keys)
+            assert np.array_equal(r.order, rep.order) and r.order.dtype == np.int32
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -376,7 +389,7 @@ def test_repetition_rejects_invalid_keys():
     params = FamilyParams(kind="spherical_cap", dim=8)
     fns = tuple(sample_hash_function(params, s) for s in range(2))
     rep = Repetition(fns, np.array([64 << 7 | 64, 0, 3 << 7 | 1], dtype=np.int64))
-    assert rep.order.tolist() == [1, 2, 0]
+    assert rep.order.tolist() == [1, 2, 0] and rep.order.dtype == np.int32
     assert rep.sorted_codes.tolist() == [[0, 0], [3, 1], [64, 64]]
     for bad, message in [
         (-1, "keys must lie"),
@@ -509,7 +522,8 @@ def _cap_family(meta):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_set("n", 10**12), "truncated"),
+        (_set("n", 10**9), "truncated"),
+        (_set("n", 2**31), "int32 ids"),
         (_set("n", 0), "positive integers"),
         (_set("d", "4"), "positive integers"),
         (_set("d", 5), "dimension"),
@@ -527,7 +541,7 @@ def _cap_family(meta):
         (_set("degenerate_ids", [19, 20]), "degenerate ids"),
     ],
     ids=[
-        "n-huge", "n-zero", "d-string", "d-mismatch", "levels-past-calibration",
+        "n-huge", "n-past-int32", "n-zero", "d-string", "d-mismatch", "levels-past-calibration",
         "repetitions-huge", "seed-float", "budget-zero", "budget-float", "family-missing",
         "calibration-not-object", "bit-budget",
         "n-short", "degenerate-not-ids", "degenerate-repeated", "degenerate-past-n",

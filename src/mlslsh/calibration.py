@@ -19,15 +19,16 @@ import numpy as np
 
 from .families import (
     FamilyParams,
-    _pack,
+    _prefixes,
     derived_rng,
     derived_seed,
     first_tuples,
     hash_batch,
-    project,
-    rank_projections,
+    hash_keys,
+    sample_directions,
     sample_hash_function,
     slot_bits,
+    slot_rankings,
 )
 from .geometry import uniform_unit_vectors, unit_vectors_orthogonal_to
 
@@ -212,27 +213,26 @@ def _estimate_probe_success(
     first k of them) and the same pair, so the table is exactly a CDF along
     j and exactly non-increasing along k, not just in expectation. Batches
     share functions across pairs; standard errors are computed over batches.
-    Each batch runs the probe order once for all its pairs and finds each
-    partner's packed key among the first tuples of every level.
+    Each batch samples its K functions as one direction stack and works on
+    it the way a repetition of the index does: `hash_keys` packs the
+    partners' keys, one `slot_rankings` call ranks the queries' K slots, and
+    `first_tuples` runs the probe order once for all pairs. Level k then
+    looks for each partner's level-k prefix key among the first tuples.
     """
     sizes = _batch_sizes(trials, _TABLE_BATCH)
     per_batch = np.zeros((len(sizes), levels, max_probes), dtype=np.int64)
     bits = slot_bits(params, levels)
     for b, m in enumerate(sizes):
-        fns = [
-            sample_hash_function(params, derived_seed(seed, _TAG_TABLE_FN, b, s))
-            for s in range(levels)
-        ]
+        stack = sample_directions(
+            params, [derived_seed(seed, _TAG_TABLE_FN, b, s) for s in range(levels)]
+        )
         rng = derived_rng(seed, _TAG_TABLE_PAIR, b)
         data, query = _pairs_at_distance(rng, params.dim, m, r)
-
-        slots, partner = [], []
-        for fn in fns:
-            partner.append(hash_batch(fn, data))
-            slots.append(rank_projections(params, project(fn, query)))
-        # level k compares the query's first tuples with the partner's k-slot key
+        partner = _prefixes(hash_keys(params, stack, data), bits, levels)
+        proj = query @ stack.reshape(-1, params.dim).T
+        slots = slot_rankings(params, proj.reshape(m * levels, -1), levels)
         for k, tuples in enumerate(first_tuples(slots, max_probes, bits), start=1):
-            hits = np.count_nonzero(tuples == _pack(partner[:k], bits)[:, None], axis=0)
+            hits = np.count_nonzero(tuples == partner[:, k - 1 : k], axis=0)
             if not hits.any():
                 break  # level k + 1 only extends these tuples, so it finds none either
             per_batch[b, k - 1] = np.cumsum(np.pad(hits, (0, max_probes - hits.size)))

@@ -6,6 +6,12 @@ product threshold, with a reserved overflow bucket for points that clear
 none. "cross_polytope" applies a random rotation and assigns the nearest
 signed coordinate axis, giving 2 * dim buckets.
 
+A repetition of K functions is one (K, rows, dim) direction stack, sampled
+from K seeds by `sample_directions`. `hash_keys` hashes rows under a stack
+to packed keys, and `slot_rankings` ranks every bucket of each of its K
+slots for a projected query. The index and the probe-success table both
+work on stacks this way, so calibration measures the walk queries take.
+
 A probe ranking orders every bucket of one hash function for a query, own
 bucket first, as a (buckets, deficits) row pair. `first_tuples` merges the
 rankings of consecutive slots, level by level, into the best-first order of
@@ -14,7 +20,9 @@ tuple's priority is the sum of its slot deficits taken left to right; the
 all-own tuple comes first, and ties break on the packed key. A packed key
 holds a tuple's bucket ids in one int64, slot 0 in the high bits and
 ceil(log2 U) bits per slot, so keys order like the tuples and at most
-KEY_BITS = 63 bits of slots fit.
+KEY_BITS = 63 bits of slots fit. `_pack` is the one encoder and `_unpack`
+its inverse; the level-k prefix of a key of K slots is the key shifted
+right by bits * (K - k).
 """
 
 from __future__ import annotations
@@ -123,8 +131,7 @@ class HashFunction:
     """One sampled bucket assignment, fully determined by (params, seed).
 
     `directions` holds unit cap directions (cap_count, dim) for the cap
-    family and an orthogonal rotation (dim, dim) for cross-polytope. In a
-    built index it is a read-only view into the index's direction block.
+    family and an orthogonal rotation (dim, dim) for cross-polytope.
     """
 
     params: FamilyParams
@@ -132,17 +139,25 @@ class HashFunction:
     directions: np.ndarray
 
 
+def sample_directions(params: FamilyParams, seeds) -> np.ndarray:
+    """The read-only (len(seeds), rows, dim) direction stack of the functions
+    with these seeds, one row block per seed in order."""
+    stack = np.empty((len(seeds), params.direction_count, params.dim))
+    for i, seed in enumerate(seeds):
+        rng = derived_rng(params.rotation_seed_base, seed)
+        if params.kind == "spherical_cap":
+            stack[i] = uniform_unit_vectors(rng, params.cap_count, params.dim)
+        else:
+            q, r = np.linalg.qr(rng.standard_normal((params.dim, params.dim)))
+            sign = np.sign(np.diag(r))
+            sign[sign == 0.0] = 1.0
+            stack[i] = q * sign  # orthonormal, uniformly distributed rotation
+    stack.flags.writeable = False
+    return stack
+
+
 def sample_hash_function(params: FamilyParams, seed: int) -> HashFunction:
-    rng = derived_rng(params.rotation_seed_base, seed)
-    if params.kind == "spherical_cap":
-        dirs = uniform_unit_vectors(rng, params.cap_count, params.dim)
-    else:
-        a = rng.standard_normal((params.dim, params.dim))
-        q, r = np.linalg.qr(a)
-        sign = np.sign(np.diag(r))
-        sign[sign == 0.0] = 1.0
-        dirs = q * sign  # orthonormal, uniformly distributed rotation
-    return HashFunction(params, seed, dirs)
+    return HashFunction(params, seed, sample_directions(params, [seed])[0])
 
 
 def _check_rows(params: FamilyParams, rows: np.ndarray) -> None:
@@ -191,31 +206,33 @@ def hash_keys(params: FamilyParams, directions: np.ndarray, rows: np.ndarray) ->
 
     The rows are hashed HASH_BLOCK at a time: one matmul projects a block on
     all K functions, one `bucket_codes` call reads the block's K codes per
-    row, and one shift-and-sum packs them. So the temporaries hold
+    row, and one `_pack` call packs them. So the temporaries hold
     HASH_BLOCK * K * U floats for a family of U buckets, however many rows
     there are, and stay in cache.
     """
     _check_rows(params, rows)
     depth, width = directions.shape[:2]
-    shifts = _shifts(slot_bits(params, depth), depth)
+    bits = slot_bits(params, depth)
     flat = directions.reshape(depth * width, params.dim).T
     keys = np.empty(rows.shape[0], dtype=np.int64)
     for a in range(0, rows.shape[0], HASH_BLOCK):
         proj = rows[a : a + HASH_BLOCK] @ flat
         codes = bucket_codes(params, proj.reshape(-1, width)).reshape(-1, depth)
-        keys[a : a + HASH_BLOCK] = (codes.astype(np.int64) << shifts).sum(axis=1)
+        keys[a : a + HASH_BLOCK] = _pack(codes, bits)
     return keys
 
 
-def rank_projections(params: FamilyParams, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probe orders and positional deficits, one row per projection row.
+def slot_rankings(
+    params: FamilyParams, proj: np.ndarray, depth: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Probe orders and positional deficits of an (m * depth, directions)
+    projection whose row i * depth + s projects row i on slot s of a
+    direction stack: one (buckets, deficits) pair of (m, U) arrays per slot,
+    as `first_tuples` reads them. m is the calibration's query points, the
+    index's repetitions, or one query under one function.
 
-    Returns (orders, deficits), both of shape (m, U). Each
-    row is ranked on its own, so the rows may be many points under one
-    function (the calibration sampler) or one query under many functions
-    (the query engine); single-query probing is the one-row case. For the
-    cap family the overflow bucket scores one unit below the row's worst cap
-    so it always ranks last.
+    Each row is ranked on its own. For the cap family the overflow bucket
+    scores one unit below the row's worst cap so it always ranks last.
     """
     m = proj.shape[0]
     own = bucket_codes(params, proj)
@@ -230,7 +247,7 @@ def rank_projections(params: FamilyParams, proj: np.ndarray) -> tuple[np.ndarray
     deficits = desc[:, :1] - desc
     neg[np.arange(m), own] = -np.inf
     orders = np.argsort(neg, axis=1, kind="stable")
-    return orders, deficits
+    return [(orders[s::depth], deficits[s::depth]) for s in range(depth)]
 
 
 def probe_sequence(
@@ -247,7 +264,7 @@ def probe_sequence(
     vec = np.asarray(q, dtype=np.float64)
     if vec.ndim != 1 or vec.size != h.params.dim:
         raise ValueError(f"query has shape {vec.shape}, family dimension is {h.params.dim}")
-    orders, deficits = rank_projections(h.params, project(h, vec[None, :]))
+    ((orders, deficits),) = slot_rankings(h.params, project(h, vec[None, :]), 1)
     order, deficit = orders[0], deficits[0]
     if j_max is not None:
         if j_max < 1:
@@ -269,23 +286,27 @@ def slot_bits(family: FamilyParams, depth: int) -> int:
     return bits
 
 
-def _pack(slots, bits: int) -> np.ndarray:
-    """int64 keys of one code array per slot, slot 0 first, each code below 2**bits."""
-    keys = np.int64(0)
-    for codes in slots:
-        keys = keys << bits | codes.astype(np.int64)
-    return keys
-
-
 def _shifts(bits: int, depth: int) -> np.ndarray:
     """Key bit offset of slots 0..depth-1, which is also s for levels 1..depth."""
     return bits * np.arange(depth - 1, -1, -1, dtype=np.int64)
 
 
+def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
+    """int64 keys of (..., depth) slot codes, slot 0 in the high bits, each
+    code below 2**bits; the inverse of `_unpack`."""
+    return (codes.astype(np.int64) << _shifts(bits, codes.shape[-1])).sum(axis=-1)
+
+
+def _prefixes(keys: np.ndarray, bits: int, depth: int) -> np.ndarray:
+    """The (..., depth) level 1..depth prefix keys of keys of `depth` slots:
+    level k keeps slots 0..k - 1, the key shifted right by bits * (depth - k)."""
+    return keys[..., None] >> _shifts(bits, depth)
+
+
 def _unpack(keys: np.ndarray, bits: int, depth: int) -> np.ndarray:
     """The inverse of `_pack`: the (..., depth) int64 slot codes of keys of
     `depth` slots, slot 0 first."""
-    return keys[..., None] >> _shifts(bits, depth) & ((1 << bits) - 1)
+    return _prefixes(keys, bits, depth) & ((1 << bits) - 1)
 
 
 def first_tuples(slots, count: int, bits: int) -> Iterator[np.ndarray]:

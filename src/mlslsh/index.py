@@ -1,24 +1,20 @@
 """Multi-level bucket index over packed code keys.
 
-Each repetition hashes every point with K functions, one per slot, and packs
-the K bucket ids into one int64 key: slot 0 in the high bits, ceil(log2 U)
-bits per slot for a family with U buckets, the format `families.py`
-defines. Sorting the points by key sorts their code tuples
-lexicographically, so one sorted array serves every level: the level-k
-bucket of a k-code prefix p is the key range
-[p << s, (p + 1) << s) with s = bits * (K - k), one binary-search pair away.
+A repetition is one (K, rows, dim) direction stack, its K hash functions in
+slot order, plus the points sorted by packed key. `families.hash_keys`
+hashes the points under the stack, HASH_BLOCK rows at a time, and packs
+each point's K bucket ids into one int64 key: slot 0 in the high bits,
+ceil(log2 U) bits per slot for a family with U buckets. A build and the
+reload of a file saved without keys both hash through it, so they cannot
+disagree. Sorting by key sorts the code tuples lexicographically, so one
+sorted array serves every level: the level-k bucket of a k-code prefix key
+p is the key range [p << s, (p + 1) << s) with s = bits * (K - k), which
+`bucket_runs`, the one key-range search, finds with one binary-search pair.
 A key holds at most 63 bits, so K * ceil(log2 U) <= 63; builds and loads
-past that budget fail.
-
-The directions of all R * K hash functions live in one read-only
-(R * K, rows, dim) block, ordered by repetition then slot. Each function's
-`directions` is a view into it, so one matmul projects a query on all of them.
-A repetition's K consecutive entries hash the dataset through
-`families.hash_keys`, HASH_BLOCK rows at a time: one matmul and one code
-pass per block, so hashing holds HASH_BLOCK * K * U floats for a family of U
-buckets, not n * U per function. A build and the reload of a file saved
-without keys both hash through it, so they cannot disagree. The sorted order
-holds point ids as int32, so an index holds at most MAX_POINTS points.
+past that budget fail. The stacks of all R repetitions are consecutive
+slices of one read-only (R * K, rows, dim) block, so one matmul projects a
+query on every function. The sorted order holds point ids as int32, so an
+index holds at most MAX_POINTS points.
 """
 
 from __future__ import annotations
@@ -32,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import DOCUMENT_ERRORS, CalibrationError, FamilyCalibration
-# the key format lives in families.py; KEY_BITS stays importable from here
-from .families import KEY_BITS, FamilyParams, HashFunction, _pack, derived_seed  # noqa: F401
-from .families import _shifts, _unpack, hash_keys, sample_hash_function, slot_bits
+from .families import FamilyParams, _pack, _unpack, derived_seed, hash_keys
+from .families import sample_directions, slot_bits
 # not called here; perfbench/spans.py wraps index.hash_batch by name
 from .families import hash_batch  # noqa: F401
 from .geometry import Dataset
@@ -120,45 +115,52 @@ class BuildParams:
         check_space_budget(self.space_budget)
 
 
-def _key_runs(keys, first, shift) -> list[np.ndarray]:
-    """Bounds of the runs of sorted keys in [first, first + 2**shift).
+def bucket_runs(repetitions, prefixes: np.ndarray, level) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted runs [lo, hi) of level-k buckets, one row per repetition.
 
-    `first` is one int searched in the single array of `keys`, or an (R, m)
-    array whose row r is searched in keys[r]; `shift` broadcasts against it.
-    Result r is a (2, m) array, the run starts lo above the run ends hi.
-    Each run is the keys in (first - 1, last], both ends searched on the
-    right, which keeps every needle below 2**63.
+    Row r of the (R', m) int64 `prefixes` holds k-slot prefix keys, searched
+    in repetitions[r]; `level` is k, or an array of levels that broadcasts
+    against the prefixes. The bucket of prefix p is the key range
+    [p << s, (p + 1) << s) with s = bits * (K - k), searched as the keys in
+    (first - 1, last], both ends on the right, which keeps every needle
+    below 2**63. Returns lo and hi, each shaped like `prefixes`.
     """
-    needles = np.array([first - 1, first | ((1 << shift) - 1)], dtype=np.int64)
-    # one contiguous (2, m) block per key array; a strided one is copied per search
-    needles = needles.reshape(2, len(keys), -1).transpose(1, 0, 2).copy()
-    return [k.searchsorted(x, side="right") for k, x in zip(keys, needles)]
+    bits, depth = repetitions[0].bits, repetitions[0].depth
+    shift = bits * (depth - np.asarray(level, dtype=np.int64))
+    first = prefixes << shift
+    # one contiguous (2, m) block per repetition; a strided one is copied per search
+    needles = np.stack([first - 1, first | ((1 << shift) - 1)], axis=1)
+    runs = np.array(
+        [rep.keys.searchsorted(x, side="right") for rep, x in zip(repetitions, needles)]
+    )
+    return runs[:, 0], runs[:, 1]
 
 
 class Repetition:
-    """One repetition: K hash functions plus the points sorted by packed key.
+    """One repetition: the (K, rows, dim) direction stack of its K hash
+    functions plus the points sorted by packed key.
 
     Built from one key per point in input order. keys[i] is the packed code
     tuple of the point at sorted position i and order[i] its dataset index.
     The sort is stable, so points with equal codes keep their input order.
     """
 
-    __slots__ = ("functions", "keys", "order", "bits")
+    __slots__ = ("directions", "keys", "order", "bits")
 
-    def __init__(self, functions: tuple[HashFunction, ...], keys: np.ndarray):
-        universe, depth = functions[0].params.bucket_universe, len(functions)
-        self.bits = slot_bits(functions[0].params, depth)
+    def __init__(self, family: FamilyParams, directions: np.ndarray, keys: np.ndarray):
+        universe, depth = family.bucket_universe, len(directions)
+        self.bits = slot_bits(family, depth)
         if keys.min() < 0 or int(keys.max()) >> self.bits * depth:
             raise ValueError(f"keys must lie in 0..2**{self.bits * depth} - 1")
         if _unpack(keys, self.bits, depth).max() >= universe:
             raise ValueError(f"slot codes must lie in 0..{universe - 1}")
-        self.functions = functions
+        self.directions = directions
         self.order = np.argsort(keys, kind="stable").astype(np.int32)
         self.keys = keys[self.order]
 
     @property
     def depth(self) -> int:
-        return len(self.functions)
+        return len(self.directions)
 
     @property
     def sorted_codes(self) -> np.ndarray:
@@ -171,20 +173,17 @@ class Repetition:
             raise ValueError(
                 f"prefix length must lie in 1..{self.depth}, got {len(prefix)}"
             )
-        p = 0
-        for code in prefix:
-            if not 0 <= code < 1 << self.bits:
-                return 0, 0  # no key holds a code this wide
-            p = p << self.bits | int(code)
-        shift = self.bits * (self.depth - len(prefix))
-        (lo,), (hi,) = _key_runs((self.keys,), p << shift, shift)[0].tolist()
-        return lo, hi
+        if not all(0 <= code < 1 << self.bits for code in prefix):
+            return 0, 0  # no key holds a code this wide
+        p = _pack(np.array([[prefix]], dtype=np.int64), self.bits)
+        lo, hi = bucket_runs((self,), p, len(prefix))
+        return lo.item(), hi.item()
 
 
 @dataclass(frozen=True, eq=False)
 class MultiLevelIndex:
     """The built index. `directions` is the (R * K, rows, dim) block behind
-    every hash function: slot s of repetition r views directions[r * K + s].
+    every hash function: repetition r's stack is directions[r * K : (r + 1) * K].
     `reps_table[k - 1, j - 1]` is the read-only count of repetitions setting
     (k, j) consults, `consulted_reps` for every k <= K and j <= max_probes.
     `probe_floor` beside it is the least work those repetitions spend past
@@ -236,19 +235,6 @@ class MultiLevelIndex:
     def size(self) -> int:
         return self.dataset.size
 
-    def level_ranges(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bucket runs at every level of one full code tuple per repetition.
-
-        codes has shape (R, K); returns (lo, hi), each (R, K), where
-        [lo[r, k - 1], hi[r, k - 1]) is the sorted run of repetition r's
-        level-k bucket holding the first k codes of codes[r].
-        """
-        bits = self.repetitions[0].bits
-        shifts = _shifts(bits, self.levels)
-        first = (_pack(codes.T, bits)[:, None] >> shifts) << shifts
-        runs = np.array(_key_runs([rep.keys for rep in self.repetitions], first, shifts))
-        return runs[:, 0], runs[:, 1]
-
     def save(self, path: str, include_codes: bool = True) -> None:
         """Write the index to `path` as format version 2: after the points,
         one little-endian int64 key per point per repetition, in input order.
@@ -285,17 +271,9 @@ class MultiLevelIndex:
                     f.write(keys.astype("<i8").tobytes())
 
 
-def _sample_functions(
-    family: FamilyParams, seed: int, R: int, K: int
-) -> tuple[np.ndarray, list[tuple[HashFunction, ...]]]:
-    """The direction block and the K hash functions of each of R repetitions."""
-    seeds = [derived_seed(seed, rep, s) for rep in range(R) for s in range(K)]
-    block = np.empty((len(seeds), family.direction_count, family.dim))
-    for i, fn_seed in enumerate(seeds):
-        block[i] = sample_hash_function(family, fn_seed).directions
-    block.flags.writeable = False
-    fns = [HashFunction(family, fn_seed, block[i]) for i, fn_seed in enumerate(seeds)]
-    return block, [tuple(fns[rep * K : (rep + 1) * K]) for rep in range(R)]
+def _direction_block(family: FamilyParams, seed: int, R: int, K: int) -> np.ndarray:
+    """The (R * K, rows, dim) direction block, repetition by slot."""
+    return sample_directions(family, [derived_seed(seed, r, s) for r in range(R) for s in range(K)])
 
 
 def build_index(
@@ -324,10 +302,10 @@ def build_index(
     R = compute_numreps(calibration.p1, K)
     if space_budget is not None:
         R = min(R, space_budget)
-    block, functions = _sample_functions(calibration.params, seed, R, K)
+    block = _direction_block(params.family, seed, R, K)
     repetitions = tuple(
-        Repetition(fns, hash_keys(params.family, block[rep * K : (rep + 1) * K], dataset.matrix))
-        for rep, fns in enumerate(functions)
+        Repetition(params.family, stack, hash_keys(params.family, stack, dataset.matrix))
+        for stack in block.reshape(R, K, *block.shape[1:])
     )
     return MultiLevelIndex(
         dataset=dataset, params=params, levels=K, repetitions=repetitions, directions=block
@@ -413,22 +391,21 @@ def load_index(path: str) -> MultiLevelIndex:
             dataset = Dataset(matrix=matrix, centroid=centroid, degenerate_ids=degenerate)
         except ValueError as e:
             raise IndexFormatError(f"corrupt index points: {e}") from e
-        block, functions = _sample_functions(params.family, params.seed, R, K)
+        block = _direction_block(params.family, params.seed, R, K)
         bits, universe = slot_bits(params.family, K), params.family.bucket_universe
         repetitions = []
-        for rep, fns in enumerate(functions):
+        for rep, stack in enumerate(block.reshape(R, K, *block.shape[1:])):
             try:
                 if not has_codes:
-                    stack = block[rep * K : (rep + 1) * K]
                     keys = hash_keys(params.family, stack, dataset.matrix)
                 elif version == 1:
                     codes = np.frombuffer(f.read(4 * n * K), dtype="<i4").reshape(n, K)
                     if codes.min() < 0 or codes.max() >= universe:
                         raise ValueError(f"codes must lie in 0..{universe - 1}")
-                    keys = _pack(codes.T, bits)
+                    keys = _pack(codes, bits)
                 else:
                     keys = np.frombuffer(f.read(8 * n), dtype="<i8").astype(np.int64)
-                repetitions.append(Repetition(fns, keys))
+                repetitions.append(Repetition(params.family, stack, keys))
             except ValueError as e:
                 raise IndexFormatError(f"corrupt codes for repetition {rep}: {e}") from e
     return MultiLevelIndex(

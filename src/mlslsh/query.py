@@ -30,11 +30,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .families import bucket_codes, first_tuples, rank_projections
+from .families import _pack, _prefixes, bucket_codes, first_tuples, slot_bits, slot_rankings
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, range_scan
-from .index import MultiLevelIndex, _key_runs, consulted_reps
+from .index import MultiLevelIndex, bucket_runs, consulted_reps
 
 
 @dataclass(frozen=True)
@@ -108,33 +108,37 @@ class _QueryProbes:
     """Everything one query reads from the index, shared by every setting the
     scheduler measures.
 
-    One matmul projects the query on all R * K hash functions. The query's
-    own bucket ids then give the spine, its own bucket at every level of
-    every repetition, in one key-range lookup per repetition; that is all a
-    single-probe setting reads. A running sum over repetitions, taken at the
-    index's `reps_table` and added to its `probe_floor`, turns the spine into
-    `bounds`, nested lists of ints read once per setting: bounds[k - 1][j - 1]
-    is the work of setting (k, j) at j = 1 and a lower bound on it past
-    that. Only a multi-probe query gathers the columns past j = 1.
+    One matmul projects the query on all R * K hash functions. The prefixes
+    of its own key in each repetition give the spine, its own bucket at
+    every level of every repetition, in one `bucket_runs` search; that is
+    all a single-probe setting reads. A running sum over repetitions, taken
+    at the index's `reps_table` and added to its `probe_floor`, turns the
+    spine into `bounds`, nested lists of ints read once per setting:
+    bounds[k - 1][j - 1] is the work of setting (k, j) at j = 1 and a lower
+    bound on it past that. Only a multi-probe query gathers the columns past
+    j = 1.
 
-    The first setting past one probe ranks every slot with one row-wise
-    argsort and starts `first_tuples` on all repetitions at once, one row
-    each, at the calibrated probe width; `first_tuples` cuts the rankings to
-    that width itself. It yields levels only as deep as a setting asks, and
-    a setting finds its buckets with one key-range search per repetition.
+    The first setting past one probe ranks every slot with one
+    `slot_rankings` call and starts `first_tuples` on all repetitions at
+    once, one row each, at the calibrated probe width; `first_tuples` cuts
+    the rankings to that width itself. It yields levels only as deep as a
+    setting asks, and a setting finds its buckets with one `bucket_runs` call.
     """
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray, multi_probe: bool = True):
         self._index = index
+        family, K = index.params.family, index.levels
+        self._bits = slot_bits(family, K)
         self._proj = index.directions @ np.asarray(q, dtype=np.float64)
-        own = bucket_codes(index.params.family, self._proj)
-        self._lo, self._hi = index.level_ranges(own.reshape(index.num_repetitions, index.levels))
+        own = bucket_codes(family, self._proj).reshape(index.num_repetitions, K)
+        own_prefixes = _prefixes(_pack(own, self._bits), self._bits, K)
+        self._lo, self._hi = bucket_runs(index.repetitions, own_prefixes, np.arange(1, K + 1))
         # spine[r, k - 1]: one unit plus the own bucket, summed over
         # repetitions 0..r at level k
         spine = np.cumsum(1 + self._hi - self._lo, axis=0)
         width = index.params.calibration.max_probes if multi_probe else 1
         rows = index.reps_table[:, :width] - 1
-        bounds = spine[rows, np.arange(index.levels)[:, None]] + index.probe_floor[:, :width]
+        bounds = spine[rows, np.arange(K)[:, None]] + index.probe_floor[:, :width]
         self.bounds: list[list[int]] = bounds.tolist()
         # the probe order of every repetition, started on first use, and the
         # (R, probes) keys of the levels it has yielded so far
@@ -148,19 +152,12 @@ class _QueryProbes:
         index, count = self._index, int(self._index.reps_table[k - 1, j - 1])
         if j == 1:
             return self._lo[:count, k - 1 : k], self._hi[:count, k - 1 : k]
-        R, K, bits = index.num_repetitions, index.levels, index.repetitions[0].bits
         if self._tuples is None:
-            orders, deficits = (
-                a.reshape(R, K, -1) for a in rank_projections(index.params.family, self._proj)
-            )
-            slots = [(orders[:, s], deficits[:, s]) for s in range(K)]
-            self._tuples = first_tuples(slots, index.params.calibration.max_probes, bits)
+            slots = slot_rankings(index.params.family, self._proj, index.levels)
+            self._tuples = first_tuples(slots, index.params.calibration.max_probes, self._bits)
         while len(self._levels) < k:
             self._levels.append(next(self._tuples))
-        shift = bits * (K - k)
-        keys = [rep.keys for rep in index.repetitions[:count]]
-        runs = np.array(_key_runs(keys, self._levels[k - 1][:count, :j] << shift, shift))
-        return runs[:, 0], runs[:, 1]
+        return bucket_runs(index.repetitions[:count], self._levels[k - 1][:count, :j], k)
 
     def work(self, k: int, j: int) -> float:
         """True candidate work of setting (k, j): per consulted repetition,
@@ -314,11 +311,11 @@ def fixed_level_query(
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     k, j = int(k), int(j)
+    if not 1 <= k <= index.levels:
+        raise ValueError(f"level {k} outside 1..{index.levels}")
+    index.params.calibration.ensure_probes(j)
 
     def pinned(probes: _QueryProbes):
-        if not 1 <= k <= index.levels:
-            raise ValueError(f"level {k} outside 1..{index.levels}")
-        index.params.calibration.ensure_probes(j)
         w = probes.work(k, j)
         c = float(j * index.reps_table[k - 1, j - 1])
         return (k, j, w), [ExaminedSetting(k, j, c, w)], 0

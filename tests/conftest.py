@@ -1,6 +1,7 @@
 import pytest
 
 import mlslsh.calibration as calmod
+from mlslsh.families import HashFunction, derived_seed
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -20,3 +21,16 @@ def no_reestimation(monkeypatch):
         raise AssertionError("the probe table was re-estimated")
 
     monkeypatch.setattr(calmod, "_estimate_probe_success", never)
+
+
+def slot_functions(index, r):
+    """Repetition r's K hash functions, one per slot, each on its rows of the
+    index's direction block: the one-function form per-function oracles
+    hash and rank with."""
+    K = index.levels
+    return [
+        HashFunction(
+            index.params.family, derived_seed(index.params.seed, r, s), index.directions[r * K + s]
+        )
+        for s in range(K)
+    ]

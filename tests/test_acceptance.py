@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import slot_functions
 from mlslsh.bench import BenchConfig, calibrate_cached, run_benchmark, scaling_trend
 from mlslsh.calibration import FamilyCalibration, estimate_collision_prob
 from mlslsh.families import FamilyParams, hash_batch
@@ -209,8 +210,9 @@ def test_criterion_3_build_invariants():
         stored = sum(rep.sorted_codes.size for rep in index.repetitions)
         if stored != R * n * K:
             problems.append(f"build {trial}: stored {stored} != {R}*{n}*{K}")
-        for rep in index.repetitions[:2]:
-            codes = np.stack([hash_batch(fn, inst.dataset.matrix) for fn in rep.functions], 1)
+        for r, rep in enumerate(index.repetitions[:2]):
+            fns = slot_functions(index, r)
+            codes = np.stack([hash_batch(fn, inst.dataset.matrix) for fn in fns], 1)
             for k in range(1, K + 1):
                 runs = [
                     rep.prefix_range(tuple(int(v) for v in p))

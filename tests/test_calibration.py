@@ -187,11 +187,20 @@ def test_probe_success_single_level_matches_direct_walk():
     assert np.allclose(cal.probe_success[0], direct, atol=1e-12)
 
 
-def test_probe_success_three_levels_match_the_sorted_grid():
+@pytest.mark.parametrize(
+    "params",
+    [
+        FamilyParams(kind="cross_polytope", dim=4),
+        # a dimension the stacked projection does not split evenly
+        FamilyParams(kind="cross_polytope", dim=5),
+        FamilyParams(kind="spherical_cap", dim=6, cap_count=4),
+    ],
+    ids=["cp-d4", "cp-d5", "cap-d6-4caps"],
+)
+def test_probe_success_three_levels_match_the_sorted_grid(params):
     # independent oracle: per trial, sort the query's full k-slot code grid
     # by its deficit sum taken left to right (all-own tuple first, then the
-    # code tuple) and find the partner's tuple in it
-    params = FamilyParams(kind="cross_polytope", dim=4)
+    # code tuple) and find the partner's tuple in it, one function at a time
     r, trials, levels, j_max, seed = 0.4, 1000, 3, 6, 4
     hits = np.zeros((levels, j_max))
     batch = 64
@@ -200,7 +209,7 @@ def test_probe_success_three_levels_match_the_sorted_grid():
         sizes.append(trials % batch)
     for b, m in enumerate(sizes):
         fns = [sample_hash_function(params, derived_seed(seed, 21, b, s)) for s in range(levels)]
-        data, query = _pairs_at_distance(derived_rng(seed, 22, b), 4, m, r)
+        data, query = _pairs_at_distance(derived_rng(seed, 22, b), params.dim, m, r)
         partner = np.stack([hash_batch(fn, data) for fn in fns], axis=1)
         for i in range(m):
             rankings = [probe_sequence(fn, query[i]) for fn in fns]

@@ -21,10 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import slot_functions
 from mlslsh.calibration import FamilyCalibration
-from mlslsh.families import CodeEnumerator, FamilyParams, hash_batch, probe_sequence
+from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
+from mlslsh.families import slot_bits
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
-from mlslsh.index import KEY_BITS, build_index, compute_k, slot_bits
+from mlslsh.index import build_index, compute_k
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
@@ -99,9 +101,10 @@ class Reference:
 
     def __init__(self, index, q):
         self.index, self.q = index, q
+        self.functions = [slot_functions(index, r) for r in range(index.num_repetitions)]
         self.codes = [
-            np.stack([hash_batch(fn, index.dataset.matrix) for fn in rep.functions], axis=1)
-            for rep in index.repetitions
+            np.stack([hash_batch(fn, index.dataset.matrix) for fn in fns], axis=1)
+            for fns in self.functions
         ]
         self.enums = {}
 
@@ -111,7 +114,7 @@ class Reference:
 
     def probes(self, rep, k, j):
         if (rep, k) not in self.enums:
-            fns = self.index.repetitions[rep].functions[:k]
+            fns = self.functions[rep][:k]
             self.enums[rep, k] = CodeEnumerator([probe_sequence(fn, self.q) for fn in fns])
         return self.enums[rep, k].first(j)
 
@@ -294,8 +297,8 @@ def test_fixed_matches_the_reference(case, data):
 def test_keys_match_a_linear_scan(case, data):
     index, _, _ = case
     matrix = index.dataset.matrix
-    for rep in index.repetitions:
-        codes = np.stack([hash_batch(fn, matrix) for fn in rep.functions], axis=1)
+    for r, rep in enumerate(index.repetitions):
+        codes = np.stack([hash_batch(fn, matrix) for fn in slot_functions(index, r)], axis=1)
         order = np.lexsort(tuple(codes[:, s] for s in reversed(range(index.levels))))
         assert np.array_equal(rep.order, order)
         assert np.array_equal(rep.sorted_codes, codes[order])

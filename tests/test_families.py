@@ -236,7 +236,7 @@ def test_hash_keys_match_hash_batch_per_function(case):
     # K code arrays, slot 0 in the high bits
     params, stack, rows = case
     expected = _pack(
-        (hash_batch(HashFunction(params, 0, directions), rows) for directions in stack),
+        np.stack([hash_batch(HashFunction(params, 0, d), rows) for d in stack], axis=1),
         slot_bits(params, len(stack)),
     )
     got = hash_keys(params, stack, rows)

@@ -10,7 +10,8 @@ from click.testing import CliRunner
 
 from mlslsh.calibration import CalibrationError, FamilyCalibration
 from mlslsh.cli import main
-from mlslsh.families import HASH_BLOCK, FamilyParams, hash_batch, sample_hash_function
+from conftest import slot_functions
+from mlslsh.families import HASH_BLOCK, FamilyParams, hash_batch, sample_directions
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
     BuildParams,
@@ -177,16 +178,17 @@ def test_reps_table_matches_the_scheduler_cost(tmp_path, built):
             assert type(c) is float and c == cost(k, j, cal, idx.num_repetitions)
 
 
-def rehashed(rep, matrix):
-    """The (n, K) code matrix of one repetition, hashed afresh from the points."""
-    return np.stack([hash_batch(fn, matrix) for fn in rep.functions], axis=1)
+def rehashed(index, r):
+    """The (n, K) code matrix of repetition r, hashed afresh from the points."""
+    fns = slot_functions(index, r)
+    return np.stack([hash_batch(fn, index.dataset.matrix) for fn in fns], axis=1)
 
 
 def test_codes_match_hash_functions(built):
     # the keys decode to exactly what the slot functions produce on the points
     inst, index = built
-    for rep in index.repetitions[:3]:
-        codes = rehashed(rep, inst.dataset.matrix)
+    for r, rep in enumerate(index.repetitions[:3]):
+        codes = rehashed(index, r)
         assert np.array_equal(rep.sorted_codes, codes[rep.order])
 
 
@@ -204,8 +206,8 @@ def members(rep, prefix):
 def test_buckets_partition_every_level(built):
     inst, index = built
     n = index.size
-    for rep in index.repetitions[:3]:
-        codes = rehashed(rep, inst.dataset.matrix)
+    for r, rep in enumerate(index.repetitions[:3]):
+        codes = rehashed(index, r)
         for k in range(1, index.levels + 1):
             prefixes = np.unique(codes[:, :k], axis=0)
             seen = []
@@ -219,7 +221,7 @@ def test_buckets_partition_every_level(built):
 def test_deeper_buckets_refine_shallower(built):
     inst, index = built
     rep = index.repetitions[0]
-    codes = rehashed(rep, inst.dataset.matrix)
+    codes = rehashed(index, 0)
     rng = np.random.default_rng(5)
     for i in rng.integers(0, index.size, size=20):
         for k in range(1, index.levels):
@@ -232,7 +234,7 @@ def test_deeper_buckets_refine_shallower(built):
 def test_prefix_range_matches_linear_scan(built):
     inst, index = built
     rep = index.repetitions[1]
-    codes = rehashed(rep, inst.dataset.matrix)
+    codes = rehashed(index, 1)
     rng = np.random.default_rng(6)
     for i in rng.integers(0, index.size, size=15):
         for k in (1, 2, index.levels):
@@ -312,11 +314,11 @@ def test_save_load_round_trip(tmp_path, built):
     assert loaded.num_repetitions == index.num_repetitions
     assert np.array_equal(loaded.dataset.matrix, index.dataset.matrix)
     assert np.array_equal(loaded.dataset.centroid, index.dataset.centroid)
+    assert np.array_equal(loaded.directions, index.directions)
     for a, b in zip(index.repetitions, loaded.repetitions):
         assert np.array_equal(a.sorted_codes, b.sorted_codes)
         assert np.array_equal(a.order, b.order)
-        for fa, fb in zip(a.functions, b.functions):
-            assert np.array_equal(fa.directions, fb.directions)
+        assert np.array_equal(a.directions, b.directions)
 
 
 def test_save_load_rebuildable_matches_full(tmp_path, built):
@@ -387,8 +389,8 @@ def test_load_rejects_unknown_version_and_flags(tmp_path, built):
 def test_repetition_rejects_invalid_keys():
     # two slots of a 65-bucket cap family take 7 bits each: codes 0..64
     params = FamilyParams(kind="spherical_cap", dim=8)
-    fns = tuple(sample_hash_function(params, s) for s in range(2))
-    rep = Repetition(fns, np.array([64 << 7 | 64, 0, 3 << 7 | 1], dtype=np.int64))
+    stack = sample_directions(params, [0, 1])
+    rep = Repetition(params, stack, np.array([64 << 7 | 64, 0, 3 << 7 | 1], dtype=np.int64))
     assert rep.order.tolist() == [1, 2, 0] and rep.order.dtype == np.int32
     assert rep.sorted_codes.tolist() == [[0, 0], [3, 1], [64, 64]]
     for bad, message in [
@@ -399,7 +401,7 @@ def test_repetition_rejects_invalid_keys():
         (127 << 7 | 127, "slot codes"),
     ]:
         with pytest.raises(ValueError, match=message):
-            Repetition(fns, np.array([0, bad], dtype=np.int64))
+            Repetition(params, stack, np.array([0, bad], dtype=np.int64))
 
 
 # packed keys, the bit budget and header checks
@@ -407,8 +409,8 @@ def test_repetition_rejects_invalid_keys():
 
 def test_keys_sort_like_the_code_tuples(built):
     inst, index = built
-    for rep in index.repetitions[:3]:
-        codes = rehashed(rep, inst.dataset.matrix)
+    for r, rep in enumerate(index.repetitions[:3]):
+        codes = rehashed(index, r)
         order = np.lexsort(tuple(codes[:, s] for s in reversed(range(index.levels))))
         assert np.array_equal(rep.order, order)
         assert np.array_equal(rep.sorted_codes, codes[order])
@@ -421,9 +423,9 @@ def test_functions_view_one_read_only_direction_block(built):
     assert index.directions.shape == (index.num_repetitions * K, 12, 12)
     assert not index.directions.flags.writeable
     for r, rep in enumerate(index.repetitions):
-        for s, fn in enumerate(rep.functions):
-            assert fn.directions.base is index.directions
-            assert np.shares_memory(fn.directions, index.directions[r * K + s])
+        assert rep.depth == K and not rep.directions.flags.writeable
+        assert np.array_equal(rep.directions, index.directions[r * K : (r + 1) * K])
+        assert np.shares_memory(rep.directions, index.directions)
 
 
 def test_build_past_the_bit_budget_fails_clearly():

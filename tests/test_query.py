@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import mlslsh.query as querymod
+from conftest import slot_functions
 from mlslsh.calibration import FamilyCalibration
 from mlslsh.families import CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
@@ -71,10 +73,10 @@ def test_fixed_level_work_matches_independent_recount(small_index):
         p = cal.probe_probability(k, j)
         r_count = max(1, min(reps(k, j, p), R))
         expected = 0
-        for rep in index.repetitions[:r_count]:
-            matrix = index.dataset.matrix
-            codes = np.stack([hash_batch(fn, matrix) for fn in rep.functions], axis=1)
-            seqs = [probe_sequence(fn, q) for fn in rep.functions[:k]]
+        for r in range(r_count):
+            matrix, fns = index.dataset.matrix, slot_functions(index, r)
+            codes = np.stack([hash_batch(fn, matrix) for fn in fns], axis=1)
+            seqs = [probe_sequence(fn, q) for fn in fns[:k]]
             probes = CodeEnumerator(seqs).first(j)
             for code in probes:
                 members = sum(
@@ -205,6 +207,27 @@ def test_probe_counts_past_the_table_fail_at_once(small_index, no_reestimation):
     assert fixed_level_query(index, q, 0.4, k=1, j=width).work_examined > 0.0
     with pytest.raises(ValueError, match="larger max_probes"):
         fixed_level_query(index, q, 0.4, k=1, j=width + 1)
+
+
+def test_bad_pins_fail_before_any_index_work(small_index, monkeypatch):
+    # the level range and the probe count are checked before the query is
+    # projected or the spine searched
+    inst, index = small_index
+    q = inst.queries[1].coords
+
+    def never(*args, **kwargs):
+        raise AssertionError("the query reached the index")
+
+    monkeypatch.setattr(querymod, "_QueryProbes", never)
+    width = index.params.calibration.max_probes
+    for k, j, message in [
+        (0, 1, "level 0 outside"),
+        (index.levels + 1, 1, f"level {index.levels + 1} outside"),
+        (1, 0, "probe count 0 outside"),
+        (1, width + 1, "larger max_probes"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            fixed_level_query(index, q, 0.4, k, j)
 
 
 def test_adaptive_never_probes_past_a_narrow_table(no_reestimation):

@@ -32,7 +32,6 @@ from .geometry import (
     normalize_dataset,
 )
 from .index import (
-    BuildParams,
     IndexFormatError,
     MultiLevelIndex,
     build_index,
@@ -54,7 +53,6 @@ from .query import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BuildParams",
     "CalibrationError",
     "CodeEnumerator",
     "CollisionEstimate",

@@ -255,7 +255,6 @@ class FamilyCalibration:
     c: float
     p1: float
     p2: float
-    rho: float
     probe_success: np.ndarray
     probe_success_se: np.ndarray
     trials: int
@@ -270,9 +269,9 @@ class FamilyCalibration:
             raise CalibrationError(f"probe-success table has shape {table.shape}")
         if se.shape != table.shape:
             raise CalibrationError("probe-success table and its errors disagree in shape")
-        if not (0.0 < self.p2 <= self.p1 <= 1.0):
+        if not (0.0 < self.p2 <= self.p1 <= 1.0 and self.p2 < 1.0):
             raise CalibrationError(
-                f"need 0 < p2 <= p1 <= 1, got p1={self.p1}, p2={self.p2}"
+                f"need 0 < p2 <= p1 <= 1 and p2 < 1, got p1={self.p1}, p2={self.p2}"
             )
         if np.any(table < 0.0) or np.any(table > 1.0):
             raise CalibrationError("probe-success values must lie in [0, 1]")
@@ -282,6 +281,10 @@ class FamilyCalibration:
             raise CalibrationError("probe-success table must be non-increasing along k")
         object.__setattr__(self, "probe_success", table)
         object.__setattr__(self, "probe_success_se", se)
+
+    @property
+    def rho(self) -> float:
+        return rho(self.p1, self.p2)
 
     @property
     def levels(self) -> int:
@@ -337,13 +340,12 @@ class FamilyCalibration:
             raise ValueError("not a calibration document")
         if doc.get("version") != 1:
             raise ValueError(f"unsupported calibration version {doc.get('version')!r}")
-        return cls(
+        cal = cls(
             params=FamilyParams.from_json_dict(doc["family"]),
             r=float(doc["r"]),
             c=float(doc["c"]),
             p1=float(doc["p1"]),
             p2=float(doc["p2"]),
-            rho=float(doc["rho"]),
             probe_success=np.array(doc["probe_success"], dtype=np.float64),
             probe_success_se=np.array(doc["probe_success_se"], dtype=np.float64),
             trials=int(doc["trials"]),
@@ -351,6 +353,9 @@ class FamilyCalibration:
             p1_std_error=float(doc["p1_std_error"]),
             p2_std_error=float(doc["p2_std_error"]),
         )
+        if float(doc["rho"]) != cal.rho:
+            raise ValueError(f"stored rho={doc['rho']!r} differs from rho(p1, p2) = {cal.rho!r}")
+        return cal
 
 
 def _check_edge_consistency(
@@ -410,7 +415,6 @@ def calibrate(
         c=c,
         p1=near.probability,
         p2=p2,
-        rho=rho(near.probability, p2),
         probe_success=table,
         probe_success_se=se_table,
         trials=trials,

@@ -157,7 +157,7 @@ def build(index_fields, input_, fmt, output, rebuildable):
         dataset = normalize_dataset(load_vectors(input_, fmt))
     index = build_for_config(config, dataset)
     index.save(output, include_codes=not rebuildable)
-    cal = index.params.calibration
+    cal = index.calibration
     _echo(
         {
             "output": output,
@@ -190,7 +190,7 @@ def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
     index = load_index(index_path)
     q = map_query(index.dataset, _parse_vector(vector))
     if radius is None:
-        radius = index.params.calibration.r
+        radius = index.calibration.r
     report = run_query(mode, index, index.dataset, q, radius, (fixed_k, fixed_j))
     _echo(report.to_json_dict(include_timing=timing))
 

@@ -70,13 +70,13 @@ def default_cap_threshold(cap_count: int, dim: int) -> float:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Configuration of one hash family; all randomness is derived from seeds."""
+    """Configuration of one hash family; all randomness is derived from seeds.
+    Its JSON form keeps two fixed fields, `cap_threshold` null (the default
+    threshold) and `rotation_seed_base` 0, and reads no other value of them."""
 
     kind: FamilyKind
     dim: int
     cap_count: int = 64
-    cap_threshold: float | None = None
-    rotation_seed_base: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("spherical_cap", "cross_polytope"):
@@ -92,8 +92,6 @@ class FamilyParams:
 
     @property
     def threshold(self) -> float:
-        if self.cap_threshold is not None:
-            return self.cap_threshold
         return default_cap_threshold(self.cap_count, self.dim)
 
     @property
@@ -108,22 +106,15 @@ class FamilyParams:
         """Rows of a hash function's `directions`: one per cap, or dim for a rotation."""
         return self.cap_count if self.kind == "spherical_cap" else self.dim
 
-    @property
-    def overflow_bucket(self) -> int | None:
-        return self.cap_count if self.kind == "spherical_cap" else None
-
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "cap_threshold": None, "rotation_seed_base": 0}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FamilyParams":
-        return cls(
-            kind=doc["kind"],
-            dim=int(doc["dim"]),
-            cap_count=int(doc["cap_count"]),
-            cap_threshold=doc["cap_threshold"],
-            rotation_seed_base=int(doc["rotation_seed_base"]),
-        )
+        fixed = (doc["cap_threshold"], doc["rotation_seed_base"])
+        if fixed != (None, 0):
+            raise ValueError(f"cap_threshold, rotation_seed_base = {fixed}; only (null, 0) is read")
+        return cls(kind=doc["kind"], dim=int(doc["dim"]), cap_count=int(doc["cap_count"]))
 
 
 @dataclass(frozen=True)
@@ -144,7 +135,7 @@ def sample_directions(params: FamilyParams, seeds) -> np.ndarray:
     with these seeds, one row block per seed in order."""
     stack = np.empty((len(seeds), params.direction_count, params.dim))
     for i, seed in enumerate(seeds):
-        rng = derived_rng(params.rotation_seed_base, seed)
+        rng = derived_rng(0, seed)  # 0: the fixed seed base saved files were made with
         if params.kind == "spherical_cap":
             stack[i] = uniform_unit_vectors(rng, params.cap_count, params.dim)
         else:

@@ -77,9 +77,6 @@ class Dataset:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
 
 def range_scan(rows: np.ndarray, q: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the rows within `radius` (inclusive) of the row `q`,

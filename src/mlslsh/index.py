@@ -10,11 +10,15 @@ disagree. Sorting by key sorts the code tuples lexicographically, so one
 sorted array serves every level: the level-k bucket of a k-code prefix key
 p is the key range [p << s, (p + 1) << s) with s = bits * (K - k), which
 `bucket_runs`, the one key-range search, finds with one binary-search pair.
-A key holds at most 63 bits, so K * ceil(log2 U) <= 63; builds and loads
-past that budget fail. The stacks of all R repetitions are consecutive
-slices of one read-only (R * K, rows, dim) block, so one matmul projects a
-query on every function. The sorted order holds point ids as int32, so an
-index holds at most MAX_POINTS points.
+`index_shape` is the one sizing rule: depth K and repetition count R follow
+from the calibrated p1 and p2, n and the space budget. A key holds at most
+63 bits, so K * ceil(log2 U) <= 63, and the sorted order holds point ids as
+int32, so an index holds at most MAX_POINTS points; the rule rejects
+either. A build sizes by it, and a load checks the header's K and R
+against it before reading any array. Both then sample the direction block
+and sort the repetitions through `_assemble`: the stacks of all R
+repetitions are consecutive slices of one read-only (R * K, rows, dim)
+block, so one matmul projects a query on every function.
 """
 
 from __future__ import annotations
@@ -102,17 +106,23 @@ def check_space_budget(budget) -> None:
         raise ValueError(f"space budget must be a positive integer, got {budget!r}")
 
 
-@dataclass(frozen=True)
-class BuildParams:
-    family: FamilyParams
-    calibration: FamilyCalibration
-    space_budget: int | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.family != self.calibration.params:
-            raise ValueError("calibration was measured for a different family")
-        check_space_budget(self.space_budget)
+def index_shape(calibration: FamilyCalibration, n: int, space_budget: int | None) -> tuple[int, int]:
+    """Depth K = compute_k(n, p2) and repetitions R = compute_numreps(p1, K),
+    capped by space_budget, of an index of n points; build and load both
+    size by it. A bad budget, n past MAX_POINTS or K past the key bits raise
+    ValueError, a calibration shallower than K raises CalibrationError."""
+    check_space_budget(space_budget)
+    if n > MAX_POINTS:
+        raise ValueError(f"n={n} points; an index holds at most {MAX_POINTS}, int32 ids")
+    K = compute_k(n, calibration.p2)
+    if calibration.levels < K:
+        raise CalibrationError(
+            f"calibration covers {calibration.levels} levels but n={n} needs {K}; "
+            "re-calibrate with more levels"
+        )
+    slot_bits(calibration.params, K)
+    R = compute_numreps(calibration.p1, K)
+    return K, R if space_budget is None else min(R, space_budget)
 
 
 def bucket_runs(repetitions, prefixes: np.ndarray, level) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +192,10 @@ class Repetition:
 
 @dataclass(frozen=True, eq=False)
 class MultiLevelIndex:
-    """The built index. `directions` is the (R * K, rows, dim) block behind
-    every hash function: repetition r's stack is directions[r * K : (r + 1) * K].
+    """The built index of `dataset`, sized by `index_shape` from its
+    calibration and space budget; the calibration's family and the seed
+    give every hash function. `directions` is the (R * K, rows, dim) block
+    behind them: repetition r's stack is directions[r * K : (r + 1) * K].
     `reps_table[k - 1, j - 1]` is the read-only count of repetitions setting
     (k, j) consults, `consulted_reps` for every k <= K and j <= max_probes.
     `probe_floor` beside it is the least work those repetitions spend past
@@ -196,7 +208,9 @@ class MultiLevelIndex:
     """
 
     dataset: Dataset
-    params: BuildParams
+    calibration: FamilyCalibration
+    seed: int
+    space_budget: int | None
     levels: int
     repetitions: tuple[Repetition, ...]
     directions: np.ndarray
@@ -205,7 +219,7 @@ class MultiLevelIndex:
     schedule: tuple[tuple[float, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        cal, R = self.params.calibration, self.num_repetitions
+        cal, R = self.calibration, self.num_repetitions
         table = np.array(
             [
                 [consulted_reps(cal, k, j, R) for j in range(1, cal.max_probes + 1)]
@@ -214,7 +228,7 @@ class MultiLevelIndex:
             dtype=np.int64,
         )
         # the U^k codes of level k, counted only up to the widest probe count
-        universe, width = self.params.family.bucket_universe, cal.max_probes
+        universe, width = self.family.bucket_universe, cal.max_probes
         codes = np.array([min(universe**k, width) for k in range(1, self.levels + 1)])
         floor = table * (np.minimum(np.arange(1, width + 1), codes[:, None]) - 1)
         for name, value in (("reps_table", table), ("probe_floor", floor)):
@@ -226,6 +240,10 @@ class MultiLevelIndex:
             for j, reps in enumerate(row, start=1)
         )
         object.__setattr__(self, "schedule", tuple(schedule))
+
+    @property
+    def family(self) -> FamilyParams:
+        return self.calibration.params
 
     @property
     def num_repetitions(self) -> int:
@@ -245,10 +263,10 @@ class MultiLevelIndex:
         """
         ds = self.dataset
         meta = {
-            "family": self.params.family.to_json_dict(),
-            "calibration": self.params.calibration.to_json_dict(),
-            "seed": self.params.seed,
-            "space_budget": self.params.space_budget,
+            "family": self.family.to_json_dict(),
+            "calibration": self.calibration.to_json_dict(),
+            "seed": self.seed,
+            "space_budget": self.space_budget,
             "levels": self.levels,
             "num_repetitions": len(self.repetitions),
             "n": ds.size,
@@ -271,9 +289,15 @@ class MultiLevelIndex:
                     f.write(keys.astype("<i8").tobytes())
 
 
-def _direction_block(family: FamilyParams, seed: int, R: int, K: int) -> np.ndarray:
-    """The (R * K, rows, dim) direction block, repetition by slot."""
-    return sample_directions(family, [derived_seed(seed, r, s) for r in range(R) for s in range(K)])
+def _assemble(dataset, calibration, seed, space_budget, shape, keys) -> MultiLevelIndex:
+    """The index of shape (K, R): its direction block, repetition by slot,
+    and R repetitions, each sorted by keys(stack). `keys` is called once per
+    repetition in order, so a file reader holds one repetition's keys at a time."""
+    (K, R), family = shape, calibration.params
+    block = sample_directions(family, [derived_seed(seed, r, s) for r in range(R) for s in range(K)])
+    stacks = block.reshape(R, K, *block.shape[1:])
+    repetitions = tuple(Repetition(family, stack, keys(stack)) for stack in stacks)
+    return MultiLevelIndex(dataset, calibration, seed, space_budget, K, repetitions, block)
 
 
 def build_index(
@@ -282,76 +306,55 @@ def build_index(
     space_budget: int | None = None,
     seed: int = 0,
 ) -> MultiLevelIndex:
-    """Build the index sized by the calibrated probabilities.
-
-    Depth K comes from compute_k(n, p2); the repetition count is
-    compute_numreps(p1, K), capped by space_budget when one is given. A
-    depth whose packed keys would pass 63 bits raises ValueError.
-    """
-    n = dataset.size
-    if n > MAX_POINTS:
-        raise ValueError(f"n={n} points; an index holds at most {MAX_POINTS}, int32 ids")
-    K = compute_k(n, calibration.p2)
-    if calibration.levels < K:
-        raise CalibrationError(
-            f"calibration covers {calibration.levels} levels but n={n} needs {K}; "
-            "re-calibrate with more levels"
-        )
-    slot_bits(calibration.params, K)  # past the key bits, fail before sampling
-    params = BuildParams(calibration.params, calibration, space_budget, seed)
-    R = compute_numreps(calibration.p1, K)
-    if space_budget is not None:
-        R = min(R, space_budget)
-    block = _direction_block(params.family, seed, R, K)
-    repetitions = tuple(
-        Repetition(params.family, stack, hash_keys(params.family, stack, dataset.matrix))
-        for stack in block.reshape(R, K, *block.shape[1:])
-    )
-    return MultiLevelIndex(
-        dataset=dataset, params=params, levels=K, repetitions=repetitions, directions=block
+    """Build the index of `dataset`, sized by `index_shape`."""
+    shape = index_shape(calibration, dataset.size, space_budget)
+    return _assemble(
+        dataset, calibration, seed, space_budget, shape,
+        lambda stack: hash_keys(calibration.params, stack, dataset.matrix),
     )
 
 
-def _check_metadata(meta) -> tuple[BuildParams, int, int, int, int, tuple[int, ...]]:
-    """(params, n, d, K, R, degenerate ids) of an index header, checked
-    against each other before anything is sized by them."""
+def _check_metadata(meta):
+    """(calibration, seed, space budget, n, d, (K, R), degenerate ids) of
+    an index header, checked against each other and against `index_shape`
+    before anything is sized by them."""
     try:
         n, d, K, R = sizes = [meta[key] for key in ("n", "d", "levels", "num_repetitions")]
         if not all(type(v) is int and v >= 1 for v in sizes) or type(meta["seed"]) is not int:
             raise ValueError(f"n, d, K, R = {sizes} must be positive integers, the seed an integer")
         calibration = FamilyCalibration.from_json_dict(meta["calibration"])
         family = FamilyParams.from_json_dict(meta["family"])
-        params = BuildParams(family, calibration, meta["space_budget"], meta["seed"])
-        slot_bits(family, K)
-        # a file without codes is rebuilt R * K hashes deep, so R must be the
-        # count a build from this calibration gives
-        expected_R = min(compute_numreps(calibration.p1, K), params.space_budget or math.inf)
-        degenerate = tuple(meta["degenerate_ids"])
+        budget, degenerate = meta["space_budget"], tuple(meta["degenerate_ids"])
+        # a file without codes is rebuilt R * K hashes deep, so K and R must
+        # be what a build of n points from this calibration and budget gives
+        shape = index_shape(calibration, n, budget)
     except DOCUMENT_ERRORS as e:
         raise IndexFormatError(f"corrupt index metadata: {e!r}") from e
-    if n > MAX_POINTS:
-        raise IndexFormatError(f"n={n} points; an index holds at most {MAX_POINTS}, int32 ids")
+    if family != calibration.params:
+        raise IndexFormatError(f"family {family} differs from the calibration's {calibration.params}")
     if family.dim != d:
         raise IndexFormatError(f"family dimension {family.dim} does not match d={d}")
-    if K > calibration.levels:
-        raise IndexFormatError(f"K={K} levels exceed the calibration's {calibration.levels}")
-    if R != expected_R:
-        raise IndexFormatError(f"R={R} repetitions; the calibration and budget give {expected_R}")
+    if (K, R) != shape:
+        raise IndexFormatError(
+            f"levels={K}, num_repetitions={R}; n={n}, the calibration and the "
+            f"space budget give {shape[0]} levels and {shape[1]} repetitions"
+        )
     # -1 < first < ... < last < n: distinct, ascending and in range
     if not all(type(i) is int for i in degenerate) or not all(
         a < b for a, b in zip((-1, *degenerate), (*degenerate, n))
     ):
         raise IndexFormatError(f"degenerate ids must be distinct ascending ints in 0..{n - 1}")
-    return params, n, d, K, R, degenerate
+    return calibration, meta["seed"], budget, n, d, shape, degenerate
 
 
 def load_index(path: str) -> MultiLevelIndex:
     """Load an index written by MultiLevelIndex.save, format version 2 or 1.
 
-    The header is checked against itself and against the file size before
-    any array is allocated. Version 1 int32 codes are range-checked and
-    packed. Files saved without keys are rehashed from the stored points and
-    the recorded seeds; the result is identical to the original build.
+    The header is checked against itself, against `index_shape` and against
+    the file size before any array is allocated. Version 1 int32 codes are
+    range-checked and packed. Files saved without keys are rehashed from the
+    stored points and the recorded seed; the result is identical to the
+    original build.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -374,7 +377,7 @@ def load_index(path: str) -> MultiLevelIndex:
             meta = json.loads(f.read(meta_len))
         except ValueError as e:  # bad JSON or bad UTF-8
             raise IndexFormatError(f"corrupt index metadata: {e}") from e
-        params, n, d, K, R, degenerate = _check_metadata(meta)
+        calibration, seed, budget, n, d, (K, R), degenerate = _check_metadata(meta)
         has_codes = bool(flags & _FLAG_CODES)
         payload = 8 * d * (n + 1) + ((4 * K if version == 1 else 8) * n * R if has_codes else 0)
         left = size - f.tell()
@@ -391,23 +394,20 @@ def load_index(path: str) -> MultiLevelIndex:
             dataset = Dataset(matrix=matrix, centroid=centroid, degenerate_ids=degenerate)
         except ValueError as e:
             raise IndexFormatError(f"corrupt index points: {e}") from e
-        block = _direction_block(params.family, params.seed, R, K)
-        bits, universe = slot_bits(params.family, K), params.family.bucket_universe
-        repetitions = []
-        for rep, stack in enumerate(block.reshape(R, K, *block.shape[1:])):
-            try:
-                if not has_codes:
-                    keys = hash_keys(params.family, stack, dataset.matrix)
-                elif version == 1:
-                    codes = np.frombuffer(f.read(4 * n * K), dtype="<i4").reshape(n, K)
-                    if codes.min() < 0 or codes.max() >= universe:
-                        raise ValueError(f"codes must lie in 0..{universe - 1}")
-                    keys = _pack(codes, bits)
-                else:
-                    keys = np.frombuffer(f.read(8 * n), dtype="<i8").astype(np.int64)
-                repetitions.append(Repetition(params.family, stack, keys))
-            except ValueError as e:
-                raise IndexFormatError(f"corrupt codes for repetition {rep}: {e}") from e
-    return MultiLevelIndex(
-        dataset=dataset, params=params, levels=K, repetitions=tuple(repetitions), directions=block
-    )
+        family = calibration.params
+        bits, universe = slot_bits(family, K), family.bucket_universe
+
+        def stored_keys(stack: np.ndarray) -> np.ndarray:
+            if not has_codes:
+                return hash_keys(family, stack, dataset.matrix)
+            if version == 1:
+                codes = np.frombuffer(f.read(4 * n * K), dtype="<i4").reshape(n, K)
+                if codes.min() < 0 or codes.max() >= universe:
+                    raise ValueError(f"codes must lie in 0..{universe - 1}")
+                return _pack(codes, bits)
+            return np.frombuffer(f.read(8 * n), dtype="<i8").astype(np.int64)
+
+        try:
+            return _assemble(dataset, calibration, seed, budget, (K, R), stored_keys)
+        except ValueError as e:
+            raise IndexFormatError(f"corrupt codes: {e}") from e

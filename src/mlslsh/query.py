@@ -127,7 +127,7 @@ class _QueryProbes:
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray, multi_probe: bool = True):
         self._index = index
-        family, K = index.params.family, index.levels
+        family, K = index.family, index.levels
         self._bits = slot_bits(family, K)
         self._proj = index.directions @ np.asarray(q, dtype=np.float64)
         own = bucket_codes(family, self._proj).reshape(index.num_repetitions, K)
@@ -136,7 +136,7 @@ class _QueryProbes:
         # spine[r, k - 1]: one unit plus the own bucket, summed over
         # repetitions 0..r at level k
         spine = np.cumsum(1 + self._hi - self._lo, axis=0)
-        width = index.params.calibration.max_probes if multi_probe else 1
+        width = index.calibration.max_probes if multi_probe else 1
         rows = index.reps_table[:, :width] - 1
         bounds = spine[rows, np.arange(K)[:, None]] + index.probe_floor[:, :width]
         self.bounds: list[list[int]] = bounds.tolist()
@@ -153,8 +153,8 @@ class _QueryProbes:
         if j == 1:
             return self._lo[:count, k - 1 : k], self._hi[:count, k - 1 : k]
         if self._tuples is None:
-            slots = slot_rankings(index.params.family, self._proj, index.levels)
-            self._tuples = first_tuples(slots, index.params.calibration.max_probes, self._bits)
+            slots = slot_rankings(index.family, self._proj, index.levels)
+            self._tuples = first_tuples(slots, index.calibration.max_probes, self._bits)
         while len(self._levels) < k:
             self._levels.append(next(self._tuples))
         return bucket_runs(index.repetitions[:count], self._levels[k - 1][:count, :j], k)
@@ -238,7 +238,7 @@ def _query(
     adaptive mode reads the bounds past one probe."""
     t0 = time.perf_counter()
     if radius is None:
-        radius = index.params.calibration.r
+        radius = index.calibration.r
     q = _check_query(index.dataset.dim, q, radius)
     probes = _QueryProbes(index, q, multi_probe=mode == "adaptive")
     setting, examined, pruned = choose(probes)
@@ -313,7 +313,7 @@ def fixed_level_query(
     k, j = int(k), int(j)
     if not 1 <= k <= index.levels:
         raise ValueError(f"level {k} outside 1..{index.levels}")
-    index.params.calibration.ensure_probes(j)
+    index.calibration.ensure_probes(j)
 
     def pinned(probes: _QueryProbes):
         w = probes.work(k, j)

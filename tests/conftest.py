@@ -30,7 +30,7 @@ def slot_functions(index, r):
     K = index.levels
     return [
         HashFunction(
-            index.params.family, derived_seed(index.params.seed, r, s), index.directions[r * K + s]
+            index.family, derived_seed(index.seed, r, s), index.directions[r * K + s]
         )
         for s in range(K)
     ]

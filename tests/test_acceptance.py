@@ -179,7 +179,6 @@ def _toy_calibration(params, p1, p2, levels=8, max_probes=8):
     table = np.minimum(1.0, p1**ks * (1.0 + 0.25 * (js - 1.0)))
     return FamilyCalibration(
         params=params, r=RADIUS, c=APPROX_C, p1=p1, p2=p2,
-        rho=math.log(1.0 / p1) / math.log(1.0 / p2),
         probe_success=table, probe_success_se=np.zeros_like(table),
         trials=1000, seed=0,
     )

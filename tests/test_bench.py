@@ -240,7 +240,7 @@ def test_build_for_config_uses_measured_depth(tmp_path):
 
     inst = generate_planted_instance(n=400, d=8, r=0.4, t=4, seed=5, num_queries=10)
     index = build_for_config(config, inst.dataset)
-    cal = index.params.calibration
+    cal = index.calibration
     assert index.levels == compute_k(400, cal.p2)
     assert cal.levels == index.levels
 
@@ -345,8 +345,12 @@ def test_fvecs_dimension_change_past_the_second_record(tmp_path):
         lambda doc: {**doc, "r": None},
         # a table that decreases along j
         lambda doc: {**doc, "probe_success": [row[::-1] for row in doc["probe_success"]]},
+        # a rho that is not the one p1 and p2 give
+        lambda doc: {**doc, "rho": doc["rho"] + 1e-3},
+        # a family field that only ever holds null
+        lambda doc: {**doc, "family": {**doc["family"], "cap_threshold": 0.3}},
     ],
-    ids=["list", "null-radius", "decreasing-table"],
+    ids=["list", "null-radius", "decreasing-table", "rho-not-derived", "family-threshold-set"],
 )
 def test_calibrate_cached_recomputes_malformed_entries(tmp_path, corrupt):
     params = FamilyParams(kind="cross_polytope", dim=6)

@@ -49,10 +49,22 @@ def test_collision_probability_at_zero_distance_is_one():
 
 
 def test_antipodal_collisions_are_rare_for_caps():
-    # opposite points can only collide through the shared overflow bucket
-    params = FamilyParams(kind="spherical_cap", dim=16, cap_count=32, cap_threshold=0.3)
+    # opposite points can only collide through the shared overflow bucket:
+    # x . u >= eta > 0 and -x . u >= eta exclude each other for every cap u
+    params = FamilyParams(kind="spherical_cap", dim=16, cap_count=32)
+    assert params.threshold > 0.0
+    rng = np.random.default_rng(9)
+    collisions = 0
+    for seed in range(20):
+        h = sample_hash_function(params, seed)
+        x = rng.standard_normal((500, params.dim))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        a, b = hash_batch(h, x), hash_batch(h, -x)
+        assert np.all(a[a == b] == params.cap_count)
+        collisions += np.count_nonzero(a == b)
+    assert collisions > 0  # the overflow bucket is shared often enough to test
     est = estimate_collision_prob(params, 2.0, 20000, seed=9)
-    assert est.probability < 0.05
+    assert est.probability == pytest.approx(collisions / 10000, abs=0.05)
 
 
 def test_antipodal_collisions_impossible_for_cross_polytope():
@@ -276,7 +288,7 @@ def test_calibration_validation():
     params = FamilyParams(kind="cross_polytope", dim=8)
     ok = np.array([[0.5, 0.6], [0.3, 0.4]])
     se = np.zeros_like(ok)
-    base = dict(params=params, r=0.4, c=2.0, p1=0.5, p2=0.2, rho=0.43,
+    base = dict(params=params, r=0.4, c=2.0, p1=0.5, p2=0.2,
                 probe_success=ok, probe_success_se=se, trials=1000, seed=0)
     FamilyCalibration(**base)
     bad = dict(base)
@@ -290,6 +302,9 @@ def test_calibration_validation():
     bad = dict(base)
     bad["p2"] = 0.7  # above p1
     with pytest.raises(CalibrationError):
+        FamilyCalibration(**bad)
+    bad = dict(base, p1=1.0, p2=1.0)  # no finite depth or rho
+    with pytest.raises(CalibrationError, match="p2 < 1"):
         FamilyCalibration(**bad)
 
 

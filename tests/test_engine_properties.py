@@ -49,7 +49,6 @@ def toy_calibration(params, p1, p2, levels, max_probes, slope):
         c=2.0,
         p1=p1,
         p2=p2,
-        rho=math.log(1.0 / p1) / math.log(1.0 / p2),
         probe_success=table,
         probe_success_se=np.zeros_like(table),
         trials=1000,
@@ -109,7 +108,7 @@ class Reference:
         self.enums = {}
 
     def reps(self, k, j):
-        cal = self.index.params.calibration
+        cal = self.index.calibration
         return int(cost(k, j, cal, self.index.num_repetitions)) // j
 
     def probes(self, rep, k, j):
@@ -162,7 +161,7 @@ class Reference:
 
 def reference_schedule(index, q, radius, multi_probe, mode):
     ref = Reference(index, q)
-    cal = index.params.calibration
+    cal = index.calibration
     R = index.num_repetitions
     max_j = cal.max_probes if multi_probe else 1
     settings = sorted(
@@ -219,11 +218,11 @@ def test_spine_lower_bound_is_admissible(case):
     # each consulted repetition reads its own bucket, then at least one unit
     # per further probe, of which a level with U^k < j codes has U^k - 1
     index, queries, radius = case
-    universe = index.params.family.bucket_universe
+    universe = index.family.bucket_universe
     for q in queries:
         ref, probes = Reference(index, q), _QueryProbes(index, q)
         for k in range(1, index.levels + 1):
-            for j in range(1, index.params.calibration.max_probes + 1):
+            for j in range(1, index.calibration.max_probes + 1):
                 r_count = ref.reps(k, j)
                 own = sum(
                     1 + ref.members(rep, ref.probes(rep, k, 1)[0]).size for rep in range(r_count)
@@ -281,7 +280,7 @@ def test_adaptive_follows_cost_order_where_a_level_cost_dips():
 @given(instances(), st.data())
 def test_fixed_matches_the_reference(case, data):
     index, queries, radius = case
-    cal = index.params.calibration
+    cal = index.calibration
     k = data.draw(st.integers(1, index.levels))
     j = data.draw(st.integers(1, cal.max_probes))
     for q in queries:

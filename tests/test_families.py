@@ -92,7 +92,7 @@ def test_cap_hash_matches_direct_recount():
     for i in range(200):
         scores = fn.directions @ pts[i]
         clearing = np.nonzero(scores >= eta)[0]
-        expected = int(clearing[0]) if clearing.size else params.overflow_bucket
+        expected = int(clearing[0]) if clearing.size else params.cap_count
         assert got[i] == expected
 
 
@@ -415,10 +415,18 @@ def test_family_params_validation_and_json():
         FamilyParams(kind="cross_polytope", dim=1)
     with pytest.raises(ValueError):
         FamilyParams(kind="spherical_cap", dim=4, cap_count=0)
-    p = FamilyParams(kind="spherical_cap", dim=6, cap_count=10, cap_threshold=0.25)
-    assert p.bucket_universe == 11 and p.overflow_bucket == 10
-    q = FamilyParams.from_json_dict(p.to_json_dict())
-    assert q == p
+    p = FamilyParams(kind="spherical_cap", dim=6, cap_count=10)
+    assert p.bucket_universe == 11 and p.threshold == default_cap_threshold(10, 6)
+    doc = p.to_json_dict()
+    # the two fixed fields of older documents are still written, in this order
+    assert list(doc.items()) == [
+        ("kind", "spherical_cap"), ("dim", 6), ("cap_count", 10),
+        ("cap_threshold", None), ("rotation_seed_base", 0),
+    ]
+    assert FamilyParams.from_json_dict(doc) == p
+    for key, value in (("cap_threshold", 0.25), ("rotation_seed_base", 3)):
+        with pytest.raises(ValueError, match="only"):
+            FamilyParams.from_json_dict({**doc, key: value})
     cp = FamilyParams(kind="cross_polytope", dim=6)
     assert cp.bucket_universe == 12
     assert FamilyParams.from_json_dict(cp.to_json_dict()) == cp

@@ -151,7 +151,7 @@ def test_planted_instance_validation():
 def test_dataset_point_accessors():
     # points are the rows of the matrix; there is no per-point wrapper
     ds = normalize_dataset(np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 3.0]]))
-    assert len(ds) == ds.size == 3 and ds.dim == 2
+    assert ds.size == 3 and ds.dim == 2
     assert np.allclose(np.linalg.norm(ds.matrix, axis=1), 1.0, atol=1e-12)
     # centering on the mean (1, 5/3) keeps each row's direction from it
     expected = np.array([[1.0, -5.0 / 3.0], [-1.0, 1.0 / 3.0], [0.0, 4.0 / 3.0]])

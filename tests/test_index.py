@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -14,7 +15,6 @@ from conftest import slot_functions
 from mlslsh.families import HASH_BLOCK, FamilyParams, hash_batch, sample_directions
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
-    BuildParams,
     IndexFormatError,
     MultiLevelIndex,
     Repetition,
@@ -38,7 +38,6 @@ def toy_calibration(params, p1=0.8, p2=0.3, levels=6, max_probes=8):
         c=2.0,
         p1=p1,
         p2=p2,
-        rho=math.log(1.0 / p1) / math.log(1.0 / p2),
         probe_success=table,
         probe_success_se=np.zeros_like(table),
         trials=1000,
@@ -134,7 +133,7 @@ def built():
 
 def test_build_sizes_from_formulas(built):
     inst, index = built
-    cal = index.params.calibration
+    cal = index.calibration
     assert index.levels == compute_k(400, cal.p2)
     assert index.num_repetitions == compute_numreps(cal.p1, index.levels)
 
@@ -151,7 +150,7 @@ def test_space_budget_caps_repetitions(built):
 def test_space_budget_must_be_a_positive_integer(built, budget):
     inst, index = built
     with pytest.raises(ValueError, match="space budget must be a positive integer"):
-        build_index(inst.dataset, index.params.calibration, space_budget=budget, seed=7)
+        build_index(inst.dataset, index.calibration, space_budget=budget, seed=7)
 
 
 def test_reps_table_matches_the_scheduler_cost(tmp_path, built):
@@ -159,7 +158,7 @@ def test_reps_table_matches_the_scheduler_cost(tmp_path, built):
     # reads from the same capped repetition count that `cost` uses, binding
     # cap included; the schedule lists every setting once, in cost order
     inst, index = built
-    cal = index.params.calibration
+    cal = index.calibration
     capped = build_index(inst.dataset, cal, space_budget=2, seed=7)
     path = str(tmp_path / "capped.idx")
     capped.save(path)
@@ -293,13 +292,6 @@ def test_build_rejects_short_calibration():
     inst = generate_planted_instance(n=2000, d=8, r=0.4, t=3, seed=1)
     with pytest.raises(CalibrationError, match="levels"):
         build_index(inst.dataset, cal)
-
-
-def test_build_params_family_mismatch():
-    a = FamilyParams(kind="cross_polytope", dim=8)
-    b = FamilyParams(kind="cross_polytope", dim=10)
-    with pytest.raises(ValueError):
-        BuildParams(family=b, calibration=toy_calibration(a))
 
 
 # persistence
@@ -457,7 +449,7 @@ def test_v1_files_load_answer_and_resave_as_v2(tmp_path):
     # wrote them did; re-saved, they become version 2 files that do too
     expected = [case["report"] for case in json.loads((DATA / "v1_expected.json").read_text())]
     full = load_index(str(V1_FILES[0]))
-    assert full.params.family.bucket_universe == 65  # not a power of two
+    assert full.family.bucket_universe == 65  # not a power of two
     for path, flags in zip(V1_FILES, (1, 0)):
         assert struct.unpack_from("<II", path.read_bytes(), 8) == (1, flags)
         assert cli_answers(path) == expected
@@ -469,6 +461,24 @@ def test_v1_files_load_answer_and_resave_as_v2(tmp_path):
             assert cli_answers(again) == expected
             for a, b in zip(full.repetitions, load_index(str(again)).repetitions):
                 assert np.array_equal(a.keys, b.keys) and np.array_equal(a.order, b.order)
+
+
+@pytest.mark.parametrize(
+    "include_codes, size, digest",
+    [
+        (True, 2940, "1da7d381827fd047af8882e53043514a6530045020d7889528b25fd1a2e1384c"),
+        (False, 2460, "86def12d2538c8558879a6b542b72eb945c2a4d433c46811508fc7c161f3a2bb"),
+    ],
+    ids=["with-keys", "without-keys"],
+)
+def test_v1_file_resaves_as_pinned_v2_bytes(tmp_path, include_codes, size, digest):
+    # every byte the version 2 writer puts out, header included, is pinned;
+    # the stored codes are packed, so no floating-point product is involved
+    path = tmp_path / "v2.idx"
+    load_index(str(V1_FILES[0])).save(str(path), include_codes=include_codes)
+    blob = path.read_bytes()
+    assert len(blob) == size
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
@@ -524,12 +534,14 @@ def _cap_family(meta):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_set("n", 10**9), "truncated"),
+        # 10**9 points need 18 levels of a 6-level calibration
+        (_set("n", 10**9), "calibration covers 6 levels but n=1000000000 needs 18"),
         (_set("n", 2**31), "int32 ids"),
         (_set("n", 0), "positive integers"),
         (_set("d", "4"), "positive integers"),
         (_set("d", 5), "dimension"),
-        (_set("levels", 7), "exceed"),
+        (_set("levels", 7), "levels=7, num_repetitions=2; .* give 3 levels"),
+        (_set("levels", 4), "levels=4, num_repetitions=2; .* give 3 levels"),
         (_set("num_repetitions", 10**9), "repetitions"),
         (_set("seed", 1.5), "seed"),
         (_set("space_budget", 0), "space budget"),
@@ -537,6 +549,8 @@ def _cap_family(meta):
         (lambda meta: meta.pop("family"), "corrupt index metadata"),
         (_set("calibration", []), "corrupt index metadata"),
         (_cap_family, "key bits"),
+        (lambda meta: meta["family"].update(kind="spherical_cap"), "differs from the calibration's"),
+        (lambda meta: meta["calibration"].update(rho=0.5), "stored rho=0.5 differs"),
         (_set("n", 19), "trailing"),
         (_set("degenerate_ids", ["x", -5, 1000000000]), "degenerate ids"),
         (_set("degenerate_ids", [3, 3]), "degenerate ids"),
@@ -544,8 +558,9 @@ def _cap_family(meta):
     ],
     ids=[
         "n-huge", "n-past-int32", "n-zero", "d-string", "d-mismatch", "levels-past-calibration",
-        "repetitions-huge", "seed-float", "budget-zero", "budget-float", "family-missing",
-        "calibration-not-object", "bit-budget",
+        "levels-not-compute-k", "repetitions-huge", "seed-float", "budget-zero", "budget-float",
+        "family-missing", "calibration-not-object", "bit-budget", "family-differs",
+        "rho-not-derived",
         "n-short", "degenerate-not-ids", "degenerate-repeated", "degenerate-past-n",
     ],
 )

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ def toy_calibration(params, p1=0.8, p2=0.3, levels=6, max_probes=16):
         c=2.0,
         p1=p1,
         p2=p2,
-        rho=math.log(1.0 / p1) / math.log(1.0 / p2),
         probe_success=table,
         probe_success_se=np.zeros_like(table),
         trials=1000,
@@ -63,7 +61,7 @@ def test_cost_known_values():
 
 def test_fixed_level_work_matches_independent_recount(small_index):
     inst, index = small_index
-    cal = index.params.calibration
+    cal = index.calibration
     R = index.num_repetitions
     q = inst.queries[0].coords
     for k, j in [(1, 1), (1, 3), (2, 2), (3, 1), (2, 5)]:
@@ -148,7 +146,7 @@ def test_adaptive_examines_full_cheap_level_spine(small_index):
     # been measured: the walk reaches it in cost order before it stops, and
     # never prunes a single-probe setting
     inst, index = small_index
-    cal = index.params.calibration
+    cal = index.calibration
     R = index.num_repetitions
     for q in inst.queries:
         rep = adaptive_multiprobe(index, q.coords, 0.4)
@@ -203,7 +201,7 @@ def test_fixed_level_query_work_matches_estimate(small_index):
 def test_probe_counts_past_the_table_fail_at_once(small_index, no_reestimation):
     inst, index = small_index
     q = inst.queries[1].coords
-    width = index.params.calibration.max_probes
+    width = index.calibration.max_probes
     assert fixed_level_query(index, q, 0.4, k=1, j=width).work_examined > 0.0
     with pytest.raises(ValueError, match="larger max_probes"):
         fixed_level_query(index, q, 0.4, k=1, j=width + 1)
@@ -219,7 +217,7 @@ def test_bad_pins_fail_before_any_index_work(small_index, monkeypatch):
         raise AssertionError("the query reached the index")
 
     monkeypatch.setattr(querymod, "_QueryProbes", never)
-    width = index.params.calibration.max_probes
+    width = index.calibration.max_probes
     for k, j, message in [
         (0, 1, "level 0 outside"),
         (index.levels + 1, 1, f"level {index.levels + 1} outside"),

@@ -78,6 +78,6 @@ def test_readme_cli_examples_without_input_files_run(tmp_path, monkeypatch):
     index = load_index("main.idx")
     assert (index.size, index.dataset.dim) == (built["n"], built["d"]) == (10000, 32)
     assert (index.levels, index.num_repetitions) == (built["levels"], built["repetitions"])
-    cal = index.params.calibration
+    cal = index.calibration
     assert (cal.p1, cal.p2) == (built["p1"], built["p2"])
     assert (cal.p1_std_error, cal.p2_std_error) == (built["p1_std_error"], built["p2_std_error"])

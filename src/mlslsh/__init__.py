@@ -19,10 +19,8 @@ from .calibration import (
 from .families import (
     CodeEnumerator,
     FamilyParams,
-    HashFunction,
     hash_batch,
     probe_sequence,
-    sample_hash_function,
 )
 from .geometry import (
     Dataset,
@@ -60,7 +58,6 @@ __all__ = [
     "ExaminedSetting",
     "FamilyCalibration",
     "FamilyParams",
-    "HashFunction",
     "IndexFormatError",
     "MultiLevelIndex",
     "PlantedInstance",
@@ -83,7 +80,6 @@ __all__ = [
     "probe_sequence",
     "reps",
     "rho",
-    "sample_hash_function",
     "single_probe_adaptive",
     "theoretical_rho",
 ]

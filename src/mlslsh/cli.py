@@ -196,7 +196,10 @@ def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
 
 
 @main.command()
-@click.option("--input", "input_", required=True, help="Vector file or synth:n=...,d=...")
+@click.option(
+    "--input", "input_", required=True,
+    help="Vector file or synth:n=...,d=...[,t=...], t planted neighbors per query (default 10).",
+)
 @click.option("--format", "fmt", type=click.Choice(["fvecs", "csv"]), default="fvecs", show_default=True)
 @_index_options
 @click.option(
@@ -209,21 +212,20 @@ def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
     help="Repeatable.",
 )
 @click.option("--queries", type=int, default=100, show_default=True)
-@click.option("--planted", type=int, default=10, show_default=True)
 @click.option("--fixed-k", type=int, default=None)
 @click.option("--fixed-j", type=int, default=None)
 @click.option("--output", default=None, help="Report JSON path; records go beside it.")
 @_json_errors
-def bench(index_fields, input_, fmt, modes, queries, planted, fixed_k, fixed_j, output):
+def bench(index_fields, input_, fmt, modes, queries, fixed_k, fixed_j, output):
     """Run a benchmark sweep and print aggregate statistics."""
-    synth = _parse_synth(input_)
+    synth = _parse_synth(input_) or {}
     config = BenchConfig(
         **index_fields,
         input_path=None if synth else input_,
         input_format=fmt,
-        synthetic_n=synth["n"] if synth else None,
-        synthetic_d=synth["d"] if synth else None,
-        planted=synth.get("t", planted) if synth else planted,
+        synthetic_n=synth.get("n"),
+        synthetic_d=synth.get("d"),
+        planted=synth.get("t", BenchConfig.planted),
         num_queries=queries,
         modes=tuple(modes),
         fixed_level=fixed_k,

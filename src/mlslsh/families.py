@@ -11,6 +11,9 @@ from K seeds by `sample_directions`. `hash_keys` hashes rows under a stack
 to packed keys, and `slot_rankings` ranks every bucket of each of its K
 slots for a projected query. The index and the probe-success table both
 work on stacks this way, so calibration measures the walk queries take.
+One function is its (rows, dim) slice of a stack: `hash_batch` hashes and
+`probe_sequence` ranks under one slice, for the collision estimate and as
+per-function references.
 
 A probe ranking orders every bucket of one hash function for a query, own
 bucket first, as a (buckets, deficits) row pair. `first_tuples` merges the
@@ -86,9 +89,6 @@ class FamilyParams:
         if self.kind == "spherical_cap":
             if self.cap_count < 2:
                 raise ValueError(f"cap_count must be >= 2, got {self.cap_count}")
-            eta = self.threshold
-            if not 0.0 < eta < 1.0:
-                raise ValueError(f"cap threshold must lie in (0, 1), got {eta}")
 
     @property
     def threshold(self) -> float:
@@ -103,7 +103,7 @@ class FamilyParams:
 
     @property
     def direction_count(self) -> int:
-        """Rows of a hash function's `directions`: one per cap, or dim for a rotation."""
+        """Rows of one function in a direction stack: one per cap, or dim for a rotation."""
         return self.cap_count if self.kind == "spherical_cap" else self.dim
 
     def to_json_dict(self) -> dict:
@@ -115,19 +115,6 @@ class FamilyParams:
         if fixed != (None, 0):
             raise ValueError(f"cap_threshold, rotation_seed_base = {fixed}; only (null, 0) is read")
         return cls(kind=doc["kind"], dim=int(doc["dim"]), cap_count=int(doc["cap_count"]))
-
-
-@dataclass(frozen=True)
-class HashFunction:
-    """One sampled bucket assignment, fully determined by (params, seed).
-
-    `directions` holds unit cap directions (cap_count, dim) for the cap
-    family and an orthogonal rotation (dim, dim) for cross-polytope.
-    """
-
-    params: FamilyParams
-    seed: int
-    directions: np.ndarray
 
 
 def sample_directions(params: FamilyParams, seeds) -> np.ndarray:
@@ -147,19 +134,9 @@ def sample_directions(params: FamilyParams, seeds) -> np.ndarray:
     return stack
 
 
-def sample_hash_function(params: FamilyParams, seed: int) -> HashFunction:
-    return HashFunction(params, seed, sample_directions(params, [seed])[0])
-
-
 def _check_rows(params: FamilyParams, rows: np.ndarray) -> None:
     if rows.ndim != 2 or rows.shape[1] != params.dim:
         raise ValueError(f"rows have shape {rows.shape}, expected (m, {params.dim})")
-
-
-def project(h: HashFunction, rows: np.ndarray) -> np.ndarray:
-    """Dot products of unit-norm rows with the directions of `h`, shape (m, directions)."""
-    _check_rows(h.params, rows)
-    return rows @ h.directions.T
 
 
 def bucket_codes(params: FamilyParams, proj: np.ndarray) -> np.ndarray:
@@ -184,9 +161,13 @@ def bucket_codes(params: FamilyParams, proj: np.ndarray) -> np.ndarray:
     return (2 * axis + negative).astype(np.int32)
 
 
-def hash_batch(h: HashFunction, rows: np.ndarray) -> np.ndarray:
-    """Bucket ids for unit-norm rows, shape (m,), dtype int32."""
-    return bucket_codes(h.params, project(h, rows))
+def hash_batch(params: FamilyParams, directions: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Bucket ids for unit-norm rows under the one function whose
+    (directions, dim) slice of a stack is `directions`, shape (m,), dtype
+    int32. It projects on that function alone, so it is the independent
+    reference `hash_keys` is checked against."""
+    _check_rows(params, rows)
+    return bucket_codes(params, rows @ directions.T)
 
 
 def hash_keys(params: FamilyParams, directions: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -242,9 +223,11 @@ def slot_rankings(
 
 
 def probe_sequence(
-    h: HashFunction, q: np.ndarray, j_max: int | None = None
+    params: FamilyParams, directions: np.ndarray, q: np.ndarray, j_max: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank every bucket of `h` for the query row `q`: (buckets, deficits).
+    """Rank every bucket of the one function whose (directions, dim) slice
+    of a stack is `directions` for the query row `q`: (buckets, deficits),
+    the one row of `slot_rankings` for one slot.
 
     buckets[0] is the query's own bucket; the rest follow by descending
     score, ties on the smaller id, overflow last. deficits[i] is the gap
@@ -253,9 +236,9 @@ def probe_sequence(
     the top score. `j_max` truncates both; None keeps the whole universe.
     """
     vec = np.asarray(q, dtype=np.float64)
-    if vec.ndim != 1 or vec.size != h.params.dim:
-        raise ValueError(f"query has shape {vec.shape}, family dimension is {h.params.dim}")
-    ((orders, deficits),) = slot_rankings(h.params, project(h, vec[None, :]), 1)
+    if vec.ndim != 1 or vec.size != params.dim:
+        raise ValueError(f"query has shape {vec.shape}, family dimension is {params.dim}")
+    ((orders, deficits),) = slot_rankings(params, vec[None, :] @ directions.T, 1)
     order, deficit = orders[0], deficits[0]
     if j_max is not None:
         if j_max < 1:

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 import mlslsh.calibration as calmod
-from mlslsh.families import HashFunction, derived_seed
+from mlslsh.calibration import FamilyCalibration
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -23,14 +24,20 @@ def no_reestimation(monkeypatch):
     monkeypatch.setattr(calmod, "_estimate_probe_success", never)
 
 
-def slot_functions(index, r):
-    """Repetition r's K hash functions, one per slot, each on its rows of the
-    index's direction block: the one-function form per-function oracles
-    hash and rank with."""
-    K = index.levels
-    return [
-        HashFunction(
-            index.family, derived_seed(index.seed, r, s), index.directions[r * K + s]
-        )
-        for s in range(K)
-    ]
+def toy_calibration(params, p1=0.8, p2=0.3, levels=6, max_probes=16, slope=0.25):
+    """Hand-built calibration at r = 0.4, c = 2 with a synthetic but valid
+    probe-success table: p1**k * (1 + slope * (j - 1)), capped at 1."""
+    ks = np.arange(1, levels + 1, dtype=np.float64)[:, None]
+    js = np.arange(1, max_probes + 1, dtype=np.float64)[None, :]
+    table = np.minimum(1.0, p1**ks * (1.0 + slope * (js - 1.0)))
+    return FamilyCalibration(
+        params=params,
+        r=0.4,
+        c=2.0,
+        p1=p1,
+        p2=p2,
+        probe_success=table,
+        probe_success_se=np.zeros_like(table),
+        trials=1000,
+        seed=0,
+    )

@@ -13,9 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import slot_functions
+from conftest import toy_calibration
 from mlslsh.bench import BenchConfig, calibrate_cached, run_benchmark, scaling_trend
-from mlslsh.calibration import FamilyCalibration, estimate_collision_prob
+from mlslsh.calibration import estimate_collision_prob
 from mlslsh.families import FamilyParams, hash_batch
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import build_index, compute_k, compute_numreps, load_index, reps
@@ -173,17 +173,6 @@ def test_criterion_2_sizing_formulas():
     )
 
 
-def _toy_calibration(params, p1, p2, levels=8, max_probes=8):
-    ks = np.arange(1, levels + 1, dtype=np.float64)[:, None]
-    js = np.arange(1, max_probes + 1, dtype=np.float64)[None, :]
-    table = np.minimum(1.0, p1**ks * (1.0 + 0.25 * (js - 1.0)))
-    return FamilyCalibration(
-        params=params, r=RADIUS, c=APPROX_C, p1=p1, p2=p2,
-        probe_success=table, probe_success_se=np.zeros_like(table),
-        trials=1000, seed=0,
-    )
-
-
 def test_criterion_3_build_invariants():
     rng = np.random.default_rng(2024)
     builds = 0
@@ -199,7 +188,7 @@ def test_criterion_3_build_invariants():
         inst = generate_planted_instance(n=n, d=d, r=RADIUS, t=t, seed=trial)
         index = build_index(
             inst.dataset,
-            _toy_calibration(params, p1, p2, levels=compute_k(n, p2)),
+            toy_calibration(params, p1, p2, levels=compute_k(n, p2), max_probes=8),
             space_budget=8, seed=trial,
         )
         builds += 1
@@ -209,9 +198,8 @@ def test_criterion_3_build_invariants():
         stored = sum(rep.sorted_codes.size for rep in index.repetitions)
         if stored != R * n * K:
             problems.append(f"build {trial}: stored {stored} != {R}*{n}*{K}")
-        for r, rep in enumerate(index.repetitions[:2]):
-            fns = slot_functions(index, r)
-            codes = np.stack([hash_batch(fn, inst.dataset.matrix) for fn in fns], 1)
+        for rep in index.repetitions[:2]:
+            codes = np.stack([hash_batch(params, d, inst.dataset.matrix) for d in rep.directions], 1)
             for k in range(1, K + 1):
                 runs = [
                     rep.prefix_range(tuple(int(v) for v in p))

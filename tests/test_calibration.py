@@ -24,7 +24,7 @@ from mlslsh.families import (
     derived_seed,
     hash_batch,
     probe_sequence,
-    sample_hash_function,
+    sample_directions,
 )
 
 
@@ -56,10 +56,10 @@ def test_antipodal_collisions_are_rare_for_caps():
     rng = np.random.default_rng(9)
     collisions = 0
     for seed in range(20):
-        h = sample_hash_function(params, seed)
+        fn = sample_directions(params, [seed])[0]
         x = rng.standard_normal((500, params.dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        a, b = hash_batch(h, x), hash_batch(h, -x)
+        a, b = hash_batch(params, fn, x), hash_batch(params, fn, -x)
         assert np.all(a[a == b] == params.cap_count)
         collisions += np.count_nonzero(a == b)
     assert collisions > 0  # the overflow bucket is shared often enough to test
@@ -185,12 +185,12 @@ def test_probe_success_single_level_matches_direct_walk():
     if trials % batch:
         sizes.append(trials % batch)
     for b, m in enumerate(sizes):
-        fn = sample_hash_function(params, derived_seed(seed, 21, b, 0))
+        fn = sample_directions(params, [derived_seed(seed, 21, b, 0)])[0]
         rng = derived_rng(seed, 22, b)
         data, query = _pairs_at_distance(rng, 8, m, r)
-        buckets = hash_batch(fn, data)
+        buckets = hash_batch(params, fn, data)
         for i in range(m):
-            ranked, _ = probe_sequence(fn, query[i], j_max=j_max)
+            ranked, _ = probe_sequence(params, fn, query[i], j_max=j_max)
             where = np.nonzero(ranked == buckets[i])[0]
             if where.size:
                 hits[where[0] :] += 1
@@ -220,11 +220,11 @@ def test_probe_success_three_levels_match_the_sorted_grid(params):
     if trials % batch:
         sizes.append(trials % batch)
     for b, m in enumerate(sizes):
-        fns = [sample_hash_function(params, derived_seed(seed, 21, b, s)) for s in range(levels)]
+        fns = sample_directions(params, [derived_seed(seed, 21, b, s) for s in range(levels)])
         data, query = _pairs_at_distance(derived_rng(seed, 22, b), params.dim, m, r)
-        partner = np.stack([hash_batch(fn, data) for fn in fns], axis=1)
+        partner = np.stack([hash_batch(params, fn, data) for fn in fns], axis=1)
         for i in range(m):
-            rankings = [probe_sequence(fn, query[i]) for fn in fns]
+            rankings = [probe_sequence(params, fn, query[i]) for fn in fns]
             for k in range(1, levels + 1):
                 grid = sorted(
                     (

@@ -188,8 +188,8 @@ def test_semantic_error_reports_json_error(tmp_path):
     # planting more points than the dataset can hold
     result = make_runner().invoke(
         main,
-        ["bench", "--input", "synth:n=10,d=4", "--radius", "0.4",
-         "--queries", "5", "--planted", "10", "--trials", "2000"],
+        ["bench", "--input", "synth:n=10,d=4,t=10", "--radius", "0.4",
+         "--queries", "5", "--trials", "2000"],
     )
     assert result.exit_code == 1
     err = json.loads(_stderr_of(result))

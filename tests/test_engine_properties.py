@@ -4,11 +4,12 @@ The reference ranks each hash function with `probe_sequence`, enumerates
 each (repetition, level) on its own through `CodeEnumerator`, the one-query
 shell over the same `first_tuples` merge the engine runs on all repetitions
 at once, and finds bucket members by a linear scan of the codes `hash_batch`
-gives afresh, with no packed keys, no key-range search and no stacked
-directions. The probe order itself is checked against an oracle that shares
-no code with the merge, the sorted full code grid of
-`test_enumerator_matches_the_sorted_grid` in test_families.py. Its scheduler sorts every setting by `cost`
-itself and measures each one it reaches, with no spine lower bound. Reports
+gives afresh, one function's rows of the direction stack at a time, with no
+packed keys, no key-range search and no stacked projection. The probe order
+itself is checked against an oracle that shares no code with the merge, the
+sorted full code grid of `test_enumerator_matches_the_sorted_grid` in
+test_families.py. Its scheduler sorts every setting by `cost` itself and
+measures each one it reaches, with no spine lower bound. Reports
 must agree exactly: ids, distances, work, buckets and best setting. The
 engine's adaptive trace is the reference trace less the settings it pruned,
 each of which could not have won.
@@ -21,8 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import slot_functions
-from mlslsh.calibration import FamilyCalibration
+from conftest import toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.families import slot_bits
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
@@ -37,23 +37,6 @@ from mlslsh.query import (
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
-
-
-def toy_calibration(params, p1, p2, levels, max_probes, slope):
-    ks = np.arange(1, levels + 1, dtype=np.float64)[:, None]
-    js = np.arange(1, max_probes + 1, dtype=np.float64)[None, :]
-    table = np.minimum(1.0, p1**ks * (1.0 + slope * (js - 1.0)))
-    return FamilyCalibration(
-        params=params,
-        r=0.4,
-        c=2.0,
-        p1=p1,
-        p2=p2,
-        probe_success=table,
-        probe_success_se=np.zeros_like(table),
-        trials=1000,
-        seed=0,
-    )
 
 
 @st.composite
@@ -100,10 +83,9 @@ class Reference:
 
     def __init__(self, index, q):
         self.index, self.q = index, q
-        self.functions = [slot_functions(index, r) for r in range(index.num_repetitions)]
         self.codes = [
-            np.stack([hash_batch(fn, index.dataset.matrix) for fn in fns], axis=1)
-            for fns in self.functions
+            np.stack([hash_batch(index.family, d, index.dataset.matrix) for d in rep.directions], 1)
+            for rep in index.repetitions
         ]
         self.enums = {}
 
@@ -113,8 +95,10 @@ class Reference:
 
     def probes(self, rep, k, j):
         if (rep, k) not in self.enums:
-            fns = self.functions[rep][:k]
-            self.enums[rep, k] = CodeEnumerator([probe_sequence(fn, self.q) for fn in fns])
+            stack = self.index.repetitions[rep].directions[:k]
+            self.enums[rep, k] = CodeEnumerator(
+                [probe_sequence(self.index.family, d, self.q) for d in stack]
+            )
         return self.enums[rep, k].first(j)
 
     def members(self, rep, code):
@@ -296,8 +280,8 @@ def test_fixed_matches_the_reference(case, data):
 def test_keys_match_a_linear_scan(case, data):
     index, _, _ = case
     matrix = index.dataset.matrix
-    for r, rep in enumerate(index.repetitions):
-        codes = np.stack([hash_batch(fn, matrix) for fn in slot_functions(index, r)], axis=1)
+    for rep in index.repetitions:
+        codes = np.stack([hash_batch(index.family, d, matrix) for d in rep.directions], axis=1)
         order = np.lexsort(tuple(codes[:, s] for s in reversed(range(index.levels))))
         assert np.array_equal(rep.order, order)
         assert np.array_equal(rep.sorted_codes, codes[order])

@@ -11,7 +11,6 @@ from mlslsh.families import (
     KEY_BITS,
     CodeEnumerator,
     FamilyParams,
-    HashFunction,
     _pack,
     default_cap_threshold,
     derived_rng,
@@ -19,7 +18,7 @@ from mlslsh.families import (
     hash_batch,
     hash_keys,
     probe_sequence,
-    sample_hash_function,
+    sample_directions,
     slot_bits,
 )
 
@@ -29,12 +28,17 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def own_bucket(fn, q):
-    return int(hash_batch(fn, q[None, :])[0])
+def one_function(params, seed):
+    """The (rows, dim) directions of the function with this seed."""
+    return sample_directions(params, [seed])[0]
 
 
-def first_codes(fns, q, j):
-    return CodeEnumerator([probe_sequence(fn, q) for fn in fns]).first(j)
+def own_bucket(params, fn, q):
+    return int(hash_batch(params, fn, q[None, :])[0])
+
+
+def first_codes(params, fns, q, j):
+    return CodeEnumerator([probe_sequence(params, fn, q) for fn in fns]).first(j)
 
 
 def test_derived_seed_is_deterministic_and_distinct():
@@ -47,24 +51,23 @@ def test_derived_seed_is_deterministic_and_distinct():
 
 def test_sampling_is_deterministic_per_seed():
     params = FamilyParams(kind="spherical_cap", dim=8, cap_count=16)
-    f1 = sample_hash_function(params, 42)
-    f2 = sample_hash_function(params, 42)
-    f3 = sample_hash_function(params, 43)
-    assert np.array_equal(f1.directions, f2.directions)
-    assert not np.array_equal(f1.directions, f3.directions)
+    f1 = one_function(params, 42)
+    f2 = one_function(params, 42)
+    f3 = one_function(params, 43)
+    assert np.array_equal(f1, f2)
+    assert not np.array_equal(f1, f3)
 
 
 def test_cap_directions_are_unit_rows():
     params = FamilyParams(kind="spherical_cap", dim=10, cap_count=24)
-    fn = sample_hash_function(params, 0)
-    assert fn.directions.shape == (24, 10)
-    assert np.allclose(np.linalg.norm(fn.directions, axis=1), 1.0, atol=1e-12)
+    fn = one_function(params, 0)
+    assert fn.shape == (24, 10)
+    assert np.allclose(np.linalg.norm(fn, axis=1), 1.0, atol=1e-12)
 
 
 def test_cross_polytope_rotation_is_orthogonal():
     params = FamilyParams(kind="cross_polytope", dim=12)
-    fn = sample_hash_function(params, 7)
-    r = fn.directions
+    r = one_function(params, 7)
     assert r.shape == (12, 12)
     assert np.allclose(r.T @ r, np.eye(12), atol=1e-9)
 
@@ -83,14 +86,14 @@ def test_default_cap_threshold_values():
 def test_cap_hash_matches_direct_recount():
     # first cap whose inner product clears the threshold, else the overflow id
     params = FamilyParams(kind="spherical_cap", dim=8, cap_count=16)
-    fn = sample_hash_function(params, 5)
+    fn = one_function(params, 5)
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(200, 8))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    got = hash_batch(fn, pts)
+    got = hash_batch(params, fn, pts)
     eta = params.threshold
     for i in range(200):
-        scores = fn.directions @ pts[i]
+        scores = fn @ pts[i]
         clearing = np.nonzero(scores >= eta)[0]
         expected = int(clearing[0]) if clearing.size else params.cap_count
         assert got[i] == expected
@@ -99,26 +102,26 @@ def test_cap_hash_matches_direct_recount():
 def test_cap_row_exactly_at_the_threshold_clears_it():
     # basis directions make the dot product exactly the row's coordinate
     params = FamilyParams(kind="spherical_cap", dim=4, cap_count=4)
-    fn = HashFunction(params, 0, np.eye(4))
+    fn = np.eye(4)
     eta = params.threshold
     rows = np.zeros((3, 4))
     rows[0, 2] = eta
     rows[1, 2] = np.nextafter(eta, 0.0)
     rows[2, 2] = -eta
-    assert hash_batch(fn, rows).tolist() == [2, 4, 4]
+    assert hash_batch(params, fn, rows).tolist() == [2, 4, 4]
 
 
 def test_cap_hash_of_own_direction_is_that_cap():
     params = FamilyParams(kind="spherical_cap", dim=8, cap_count=16)
-    fn = sample_hash_function(params, 5)
+    fn = one_function(params, 5)
     # a direction scores 1.0 against itself, which clears any valid threshold,
     # and no earlier cap is that well aligned for these seeds
-    assert own_bucket(fn, fn.directions[0]) == 0
+    assert own_bucket(params, fn, fn[0]) == 0
 
 
 def test_cross_polytope_identity_rotation_examples():
     params = FamilyParams(kind="cross_polytope", dim=4)
-    fn = HashFunction(params=params, seed=0, directions=np.eye(4))
+    fn = np.eye(4)
     cases = [
         ([0.0, 0.0, 0.0, -1.0], 7),  # negative last axis -> bucket 2*3+1
         ([1.0, 1.0, 0.0, 0.0], 0),  # tie between +x0 and +x1 -> smaller id
@@ -126,18 +129,18 @@ def test_cross_polytope_identity_rotation_examples():
         ([0.0, 1.0, 0.0, 0.0], 2),
     ]
     for v, expected in cases:
-        assert own_bucket(fn, unit(v)) == expected
+        assert own_bucket(params, fn, unit(v)) == expected
 
 
 def test_cross_polytope_hash_matches_direct_recount():
     params = FamilyParams(kind="cross_polytope", dim=8)
-    fn = sample_hash_function(params, 11)
+    fn = one_function(params, 11)
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(200, 8))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    got = hash_batch(fn, pts)
+    got = hash_batch(params, fn, pts)
     for i in range(200):
-        proj = fn.directions @ pts[i]
+        proj = fn @ pts[i]
         best, best_score = 0, -np.inf
         for axis in range(8):
             for sign_bit, s in ((0, proj[axis]), (1, -proj[axis])):
@@ -159,13 +162,12 @@ def test_cross_polytope_codes_match_interleaved_argmax():
     rows[60:80, :3] = 0.0
     rows[80:100] = rng.integers(-1, 2, size=(20, 6)).astype(np.float64)
     for seed in range(20):
-        fn = sample_hash_function(params, seed)
-        for directions in (fn.directions, np.eye(6)):
+        for directions in (one_function(params, seed), np.eye(6)):
             proj = rows @ directions.T
             interleaved = np.empty((rows.shape[0], 12))
             interleaved[:, 0::2] = proj
             interleaved[:, 1::2] = -proj
-            got = hash_batch(HashFunction(params, seed, directions), rows)
+            got = hash_batch(params, directions, rows)
             assert np.array_equal(got, interleaved.argmax(axis=1))
 
 
@@ -173,20 +175,20 @@ def test_bucket_is_scale_invariant():
     # cross-polytope buckets depend only on direction; cap buckets compare
     # against a fixed threshold and are defined for unit rows only
     params = FamilyParams(kind="cross_polytope", dim=6)
-    fn = sample_hash_function(params, 3)
+    fn = one_function(params, 3)
     rng = np.random.default_rng(14)
     rows = rng.normal(size=(50, 6))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    assert np.array_equal(hash_batch(fn, rows), hash_batch(fn, 3.7 * rows))
+    assert np.array_equal(hash_batch(params, fn, rows), hash_batch(params, fn, 3.7 * rows))
 
 
 def test_hash_batch_checks_dimension():
     params = FamilyParams(kind="cross_polytope", dim=4)
-    fn = sample_hash_function(params, 0)
+    fn = one_function(params, 0)
     for bad in (unit([1.0, 2.0, 3.0])[None, :], unit([1.0, 2.0, 3.0, 4.0])):
         for hashed in (
-            lambda rows: hash_batch(fn, rows),
-            lambda rows: hash_keys(params, fn.directions[None], rows),
+            lambda rows: hash_batch(params, fn, rows),
+            lambda rows: hash_keys(params, fn[None], rows),
         ):
             with pytest.raises(ValueError, match=r"rows have shape .*expected \(m, 4\)"):
                 hashed(bad)
@@ -214,7 +216,7 @@ def hashing_cases(draw):
     stack = np.empty((depth, params.direction_count, dim))
     for s in range(depth):
         if draw(st.booleans()):
-            stack[s] = sample_hash_function(params, int(rng.integers(2**31))).directions
+            stack[s] = one_function(params, int(rng.integers(2**31)))
         else:
             axes = rng.permutation(np.arange(params.direction_count) % dim)
             stack[s] = np.eye(dim)[axes] * rng.choice([-1.0, 1.0], size=(len(axes), 1))
@@ -236,7 +238,7 @@ def test_hash_keys_match_hash_batch_per_function(case):
     # K code arrays, slot 0 in the high bits
     params, stack, rows = case
     expected = _pack(
-        np.stack([hash_batch(HashFunction(params, 0, d), rows) for d in stack], axis=1),
+        np.stack([hash_batch(params, d, rows) for d in stack], axis=1),
         slot_bits(params, len(stack)),
     )
     got = hash_keys(params, stack, rows)
@@ -244,20 +246,19 @@ def test_hash_keys_match_hash_batch_per_function(case):
     assert np.array_equal(got, expected)
 
 
-def _recount_order(fn, q):
+def _recount_order(params, fn, q):
     """Probe order computed independently: own bucket first, then remaining
     buckets by descending score with smaller id breaking ties."""
-    params = fn.params
     if params.kind == "spherical_cap":
         qq = q / np.linalg.norm(q)
-        scores = list(fn.directions @ qq)
+        scores = list(fn @ qq)
         scores.append(min(scores) - 1.0)  # overflow ranks after every cap
     else:
-        proj = fn.directions @ q
+        proj = fn @ q
         scores = []
         for axis in range(params.dim):
             scores.extend((proj[axis], -proj[axis]))
-    own = own_bucket(fn, q)
+    own = own_bucket(params, fn, q)
     rest = sorted(
         (b for b in range(len(scores)) if b != own),
         key=lambda b: (-scores[b], b),
@@ -268,12 +269,12 @@ def _recount_order(fn, q):
 @pytest.mark.parametrize("kind,dim", [("spherical_cap", 8), ("cross_polytope", 8)])
 def test_probe_sequence_matches_recount(kind, dim):
     params = FamilyParams(kind=kind, dim=dim, cap_count=16)
-    fn = sample_hash_function(params, 21)
+    fn = one_function(params, 21)
     rng = np.random.default_rng(22)
     for _ in range(30):
         q = unit(rng.normal(size=dim))
-        buckets, deficits = probe_sequence(fn, q)
-        expected, scores = _recount_order(fn, q)
+        buckets, deficits = probe_sequence(params, fn, q)
+        expected, scores = _recount_order(params, fn, q)
         assert list(buckets) == expected
         assert len(set(buckets)) == len(buckets) == len(deficits)
         assert len(buckets) == params.bucket_universe
@@ -287,10 +288,10 @@ def test_probe_sequence_matches_recount(kind, dim):
 
 def test_probe_sequence_truncation_is_a_prefix():
     params = FamilyParams(kind="spherical_cap", dim=6, cap_count=20)
-    fn = sample_hash_function(params, 2)
+    fn = one_function(params, 2)
     q = unit(np.arange(1.0, 7.0))
-    full_buckets, full_deficits = probe_sequence(fn, q)
-    buckets, deficits = probe_sequence(fn, q, j_max=5)
+    full_buckets, full_deficits = probe_sequence(params, fn, q)
+    buckets, deficits = probe_sequence(params, fn, q, j_max=5)
     assert len(buckets) == len(deficits) == 5
     assert np.array_equal(buckets, full_buckets[:5])
     assert np.array_equal(deficits, full_deficits[:5])
@@ -298,44 +299,44 @@ def test_probe_sequence_truncation_is_a_prefix():
 
 def test_enumerator_first_code_is_own_buckets():
     params = FamilyParams(kind="cross_polytope", dim=8)
-    fns = [sample_hash_function(params, s) for s in range(3)]
+    fns = sample_directions(params, [0, 1, 2])
     q = unit(np.arange(1.0, 9.0))
-    codes = first_codes(fns, q, 6)
-    assert codes[0] == tuple(own_bucket(fn, q) for fn in fns)
+    codes = first_codes(params, fns, q, 6)
+    assert codes[0] == tuple(own_bucket(params, fn, q) for fn in fns)
     assert len(codes) == len(set(codes)) == 6
 
 
 def test_enumerator_prefix_property():
     params = FamilyParams(kind="spherical_cap", dim=6, cap_count=12)
-    fns = [sample_hash_function(params, s) for s in range(2)]
+    fns = sample_directions(params, [0, 1])
     q = unit(np.array([0.3, -1.2, 0.5, 0.9, -0.4, 0.1]))
-    long = first_codes(fns, q, 20)
+    long = first_codes(params, fns, q, 20)
     for j in (1, 3, 7, 12):
-        assert first_codes(fns, q, j) == long[:j]
+        assert first_codes(params, fns, q, j) == long[:j]
 
 
 def test_enumerator_priorities_are_optimal():
     # the emitted order must match brute force over the full code grid:
     # total deficit ascending, ties by the code tuple itself
     params = FamilyParams(kind="cross_polytope", dim=3)
-    fns = [sample_hash_function(params, s) for s in (4, 5)]
+    fns = sample_directions(params, [4, 5])
     q = unit(np.array([0.8, -0.2, 0.55]))
-    (b1s, d1s), (b2s, d2s) = [probe_sequence(fn, q) for fn in fns]
+    (b1s, d1s), (b2s, d2s) = [probe_sequence(params, fn, q) for fn in fns]
     grid = []
     for b1, d1 in zip(b1s, d1s):
         for b2, d2 in zip(b2s, d2s):
             grid.append((d1 + d2, (int(b1), int(b2))))
     grid.sort()
     expected = [code for _, code in grid]
-    got = first_codes(fns, q, len(grid))
+    got = first_codes(params, fns, q, len(grid))
     assert got == expected
 
 
 def test_enumerator_exhausts_small_universe():
     params = FamilyParams(kind="cross_polytope", dim=2)  # four buckets
-    fns = [sample_hash_function(params, s) for s in (1, 2)]
+    fns = sample_directions(params, [1, 2])
     q = unit(np.array([0.6, 0.8]))
-    codes = first_codes(fns, q, 50)
+    codes = first_codes(params, fns, q, 50)
     assert len(codes) == 16
     assert len(set(codes)) == 16
 

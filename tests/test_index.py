@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mlslsh.calibration import CalibrationError, FamilyCalibration
+from mlslsh.calibration import CalibrationError
 from mlslsh.cli import main
-from conftest import slot_functions
-from mlslsh.families import HASH_BLOCK, FamilyParams, hash_batch, sample_directions
+from conftest import toy_calibration
+from mlslsh.families import HASH_BLOCK, FamilyParams, derived_seed, hash_batch, sample_directions
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
     IndexFormatError,
@@ -25,24 +25,6 @@ from mlslsh.index import (
     reps,
 )
 from mlslsh.query import cost
-
-
-def toy_calibration(params, p1=0.8, p2=0.3, levels=6, max_probes=8):
-    """Hand-built calibration with a synthetic but valid probe-success table."""
-    ks = np.arange(1, levels + 1, dtype=np.float64)[:, None]
-    js = np.arange(1, max_probes + 1, dtype=np.float64)[None, :]
-    table = np.minimum(1.0, p1**ks * (1.0 + 0.25 * (js - 1.0)))
-    return FamilyCalibration(
-        params=params,
-        r=0.4,
-        c=2.0,
-        p1=p1,
-        p2=p2,
-        probe_success=table,
-        probe_success_se=np.zeros_like(table),
-        trials=1000,
-        seed=0,
-    )
 
 
 # depth and repetition formulas, checked against an independent search
@@ -126,7 +108,7 @@ def test_formula_validation():
 @pytest.fixture(scope="module")
 def built():
     params = FamilyParams(kind="cross_polytope", dim=12)
-    cal = toy_calibration(params)
+    cal = toy_calibration(params, max_probes=8)
     inst = generate_planted_instance(n=400, d=12, r=0.4, t=5, seed=20)
     return inst, build_index(inst.dataset, cal, seed=7)
 
@@ -141,7 +123,7 @@ def test_build_sizes_from_formulas(built):
 def test_space_budget_caps_repetitions(built):
     inst, _ = built
     params = FamilyParams(kind="cross_polytope", dim=12)
-    cal = toy_calibration(params)
+    cal = toy_calibration(params, max_probes=8)
     capped = build_index(inst.dataset, cal, space_budget=2, seed=7)
     assert capped.num_repetitions == 2
 
@@ -179,8 +161,8 @@ def test_reps_table_matches_the_scheduler_cost(tmp_path, built):
 
 def rehashed(index, r):
     """The (n, K) code matrix of repetition r, hashed afresh from the points."""
-    fns = slot_functions(index, r)
-    return np.stack([hash_batch(fn, index.dataset.matrix) for fn in fns], axis=1)
+    stack = index.repetitions[r].directions
+    return np.stack([hash_batch(index.family, d, index.dataset.matrix) for d in stack], axis=1)
 
 
 def test_codes_match_hash_functions(built):
@@ -267,8 +249,8 @@ def test_bucket_argument_validation(built):
 def test_build_is_deterministic(built):
     inst, index = built
     params = FamilyParams(kind="cross_polytope", dim=12)
-    again = build_index(inst.dataset, toy_calibration(params), seed=7)
-    other = build_index(inst.dataset, toy_calibration(params), seed=8)
+    again = build_index(inst.dataset, toy_calibration(params, max_probes=8), seed=7)
+    other = build_index(inst.dataset, toy_calibration(params, max_probes=8), seed=8)
     for a, b in zip(index.repetitions, again.repetitions):
         assert np.array_equal(a.sorted_codes, b.sorted_codes)
         assert np.array_equal(a.order, b.order)
@@ -283,12 +265,12 @@ def test_build_rejects_more_points_than_int32_ids():
     params = FamilyParams(kind="cross_polytope", dim=4)
     too_many = SimpleNamespace(size=2**31, dim=4)
     with pytest.raises(ValueError, match="at most 2147483647, int32 ids"):
-        build_index(too_many, toy_calibration(params))
+        build_index(too_many, toy_calibration(params, max_probes=8))
 
 
 def test_build_rejects_short_calibration():
     params = FamilyParams(kind="cross_polytope", dim=8)
-    cal = toy_calibration(params, p2=0.3, levels=2)
+    cal = toy_calibration(params, p2=0.3, levels=2, max_probes=8)
     inst = generate_planted_instance(n=2000, d=8, r=0.4, t=3, seed=1)
     with pytest.raises(CalibrationError, match="levels"):
         build_index(inst.dataset, cal)
@@ -331,6 +313,20 @@ def test_save_load_rebuildable_matches_full(tmp_path, built):
         for r in (ra, rb):
             assert np.array_equal(r.keys, rep.keys)
             assert np.array_equal(r.order, rep.order) and r.order.dtype == np.int32
+
+
+def test_slots_follow_the_seed_scheme(tmp_path, built):
+    # a rebuildable file stores the index seed and no directions, so slot s
+    # of repetition r must be the function of seed derived_seed(seed, r, s),
+    # in the built index and in its reload alike
+    _, index = built
+    slim = str(tmp_path / "slim.idx")
+    index.save(slim, include_codes=False)
+    for idx in (index, load_index(slim)):
+        for r, rep in enumerate(idx.repetitions):
+            for s, directions in enumerate(rep.directions):
+                seed = derived_seed(idx.seed, r, s)
+                assert np.array_equal(directions, sample_directions(idx.family, [seed])[0])
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -423,7 +419,7 @@ def test_functions_view_one_read_only_direction_block(built):
 def test_build_past_the_bit_budget_fails_clearly():
     # 1001 buckets take 10 bits per slot, and 7 levels of them need 70
     params = FamilyParams(kind="spherical_cap", dim=8, cap_count=1000)
-    cal = toy_calibration(params, p2=0.4, levels=8)
+    cal = toy_calibration(params, p2=0.4, levels=8, max_probes=8)
     inst = generate_planted_instance(n=400, d=8, r=0.4, t=3, seed=1)
     assert compute_k(400, 0.4) == 7
     with pytest.raises(ValueError, match=r"K=7 .*U=1001.* 70 key bits"):
@@ -485,7 +481,7 @@ def test_v1_file_resaves_as_pinned_v2_bytes(tmp_path, include_codes, size, diges
 def tiny_file(tmp_path_factory):
     params = FamilyParams(kind="cross_polytope", dim=4)
     inst = generate_planted_instance(n=20, d=4, r=0.4, t=2, seed=3)
-    index = build_index(inst.dataset, toy_calibration(params), seed=1)
+    index = build_index(inst.dataset, toy_calibration(params, max_probes=8), seed=1)
     path = tmp_path_factory.mktemp("tiny") / "tiny.idx"
     index.save(str(path))
     return path.read_bytes()

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import mlslsh.query as querymod
-from conftest import slot_functions
-from mlslsh.calibration import FamilyCalibration
+from conftest import toy_calibration
 from mlslsh.families import CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
 from mlslsh.index import build_index, compute_k, compute_numreps, reps
@@ -18,23 +17,6 @@ from mlslsh.query import (
     run_query,
     single_probe_adaptive,
 )
-
-
-def toy_calibration(params, p1=0.8, p2=0.3, levels=6, max_probes=16):
-    ks = np.arange(1, levels + 1, dtype=np.float64)[:, None]
-    js = np.arange(1, max_probes + 1, dtype=np.float64)[None, :]
-    table = np.minimum(1.0, p1**ks * (1.0 + 0.25 * (js - 1.0)))
-    return FamilyCalibration(
-        params=params,
-        r=0.4,
-        c=2.0,
-        p1=p1,
-        p2=p2,
-        probe_success=table,
-        probe_success_se=np.zeros_like(table),
-        trials=1000,
-        seed=0,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +54,9 @@ def test_fixed_level_work_matches_independent_recount(small_index):
         r_count = max(1, min(reps(k, j, p), R))
         expected = 0
         for r in range(r_count):
-            matrix, fns = index.dataset.matrix, slot_functions(index, r)
-            codes = np.stack([hash_batch(fn, matrix) for fn in fns], axis=1)
-            seqs = [probe_sequence(fn, q) for fn in fns[:k]]
+            family, stack = index.family, index.repetitions[r].directions
+            codes = np.stack([hash_batch(family, d, index.dataset.matrix) for d in stack], axis=1)
+            seqs = [probe_sequence(family, d, q) for d in stack[:k]]
             probes = CodeEnumerator(seqs).first(j)
             for code in probes:
                 members = sum(

@@ -43,7 +43,6 @@ from .query import (
     QueryReport,
     adaptive_multiprobe,
     brute_force_range,
-    cost,
     fixed_level_query,
     single_probe_adaptive,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "calibrate",
     "compute_k",
     "compute_numreps",
-    "cost",
     "edge_probabilities",
     "estimate_collision_prob",
     "fixed_level_query",

@@ -223,7 +223,7 @@ def slot_rankings(
 
 
 def probe_sequence(
-    params: FamilyParams, directions: np.ndarray, q: np.ndarray, j_max: int | None = None
+    params: FamilyParams, directions: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank every bucket of the one function whose (directions, dim) slice
     of a stack is `directions` for the query row `q`: (buckets, deficits),
@@ -233,18 +233,13 @@ def probe_sequence(
     score, ties on the smaller id, overflow last. deficits[i] is the gap
     between the best score and the i-th best, assigned by position, so the
     own bucket costs 0 even when cap carving put the query in a cap without
-    the top score. `j_max` truncates both; None keeps the whole universe.
+    the top score.
     """
     vec = np.asarray(q, dtype=np.float64)
     if vec.ndim != 1 or vec.size != params.dim:
         raise ValueError(f"query has shape {vec.shape}, family dimension is {params.dim}")
     ((orders, deficits),) = slot_rankings(params, vec[None, :] @ directions.T, 1)
-    order, deficit = orders[0], deficits[0]
-    if j_max is not None:
-        if j_max < 1:
-            raise ValueError(f"j_max must be >= 1, got {j_max}")
-        order, deficit = order[:j_max], deficit[:j_max]
-    return np.ascontiguousarray(order), np.ascontiguousarray(deficit)
+    return np.ascontiguousarray(orders[0]), np.ascontiguousarray(deficits[0])
 
 
 def slot_bits(family: FamilyParams, depth: int) -> int:

@@ -196,15 +196,14 @@ class MultiLevelIndex:
     calibration and space budget; the calibration's family and the seed
     give every hash function. `directions` is the (R * K, rows, dim) block
     behind them: repetition r's stack is directions[r * K : (r + 1) * K].
-    `reps_table[k - 1, j - 1]` is the read-only count of repetitions setting
-    (k, j) consults, `consulted_reps` for every k <= K and j <= max_probes.
-    `probe_floor` beside it is the least work those repetitions spend past
-    their own buckets: one unit per further probe, min(j, U^k) - 1 of them
-    for a level of U^k codes. A query adds its own buckets to get the spine
-    lower bound on the work of every setting.
-    `schedule` holds every such setting once as a (cost, k, j) tuple, cost
-    j * reps_table[k - 1, j - 1], sorted by (cost, k, j): the order in which
-    an adaptive query examines settings, built once per index.
+    `schedule` holds every setting (k, j), k <= K and j <= max_probes, once
+    as a (cost, k, j, reps, floor) entry, sorted: the order in which an
+    adaptive query examines settings, built once per index. `reps` is the
+    `consulted_reps` of the setting and `cost` = j * reps its probes. `floor`
+    is the least work those repetitions spend past their own buckets: one
+    unit per further probe, min(j, U^k) - 1 of them for a level of U^k
+    codes. A query adds its own buckets to the floor to get the spine lower
+    bound on the work of the setting.
     """
 
     dataset: Dataset
@@ -214,32 +213,18 @@ class MultiLevelIndex:
     levels: int
     repetitions: tuple[Repetition, ...]
     directions: np.ndarray
-    reps_table: np.ndarray = field(init=False, repr=False)
-    probe_floor: np.ndarray = field(init=False, repr=False)
-    schedule: tuple[tuple[float, int, int], ...] = field(init=False, repr=False)
+    schedule: tuple[tuple[float, int, int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        cal, R = self.calibration, self.num_repetitions
-        table = np.array(
-            [
-                [consulted_reps(cal, k, j, R) for j in range(1, cal.max_probes + 1)]
-                for k in range(1, self.levels + 1)
-            ],
-            dtype=np.int64,
-        )
-        # the U^k codes of level k, counted only up to the widest probe count
-        universe, width = self.family.bucket_universe, cal.max_probes
-        codes = np.array([min(universe**k, width) for k in range(1, self.levels + 1)])
-        floor = table * (np.minimum(np.arange(1, width + 1), codes[:, None]) - 1)
-        for name, value in (("reps_table", table), ("probe_floor", floor)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        schedule = sorted(
-            (float(j * reps), k, j)
-            for k, row in enumerate(table.tolist(), start=1)
-            for j, reps in enumerate(row, start=1)
-        )
-        object.__setattr__(self, "schedule", tuple(schedule))
+        cal, R, universe = self.calibration, self.num_repetitions, self.family.bucket_universe
+        entries = []
+        for k in range(1, self.levels + 1):
+            for j in range(1, cal.max_probes + 1):
+                count = consulted_reps(cal, k, j, R)
+                floor = count * (min(j, universe**k) - 1)
+                entries.append((float(j * count), k, j, count, floor))
+        # each (k, j) occurs once, so the sort never compares past it
+        object.__setattr__(self, "schedule", tuple(sorted(entries)))
 
     @property
     def family(self) -> FamilyParams:

@@ -2,14 +2,15 @@
 
 A query setting is a pair (k, j): consult level k and probe the first j
 code tuples of the probe order per repetition, the order `first_tuples`
-defines and the probe-success table was calibrated on. The scheduler walks
-settings in order of increasing cost estimate j * reps(k, j), an order the
-index builds once and every query shares, measures the true candidate work
-of each, and stops at the first setting whose cost reaches the best work
-seen. Before it measures a multi-probe setting it checks a tighter lower
-bound taken from the spine, the query's own bucket at every level of every
-repetition, which the query reads anyway: each consulted repetition costs
-its own bucket plus one unit for each further probe. A setting whose bound
+defines and the probe-success table was calibrated on. The index states
+each setting once, as an entry (cost, k, j, reps, floor) of its sorted
+`schedule`: the repetitions it consults, its cost estimate, probes times
+those repetitions, and the least work they spend past their own buckets.
+Every query walks that one order, measures the true candidate work of
+each entry, and stops at the first entry whose cost reaches the best work
+seen. Before it measures a multi-probe entry it checks a tighter lower
+bound: the floor plus the spine, the query's own bucket at every level of
+every repetition, which the query reads anyway. An entry whose bound
 reaches the best work cannot replace it and is skipped unmeasured, so
 pruning changes the trace but never the answer. Probe counts never pass
 the calibrated table width, so a query never re-estimates the table and
@@ -17,9 +18,10 @@ its work is bounded before it starts. A brute-force scan is the standing
 fallback, so the reported work never exceeds n.
 
 All four modes check the query row and the radius in one function and build
-their report in another. Adaptive and single-probe queries run the
-scheduler, a fixed query pins one setting, and brute force reports the
-full-scan setting (0, 0) without an index; `run_query` picks a mode by name.
+their report in another from one schedule entry. Adaptive and single-probe
+queries run the scheduler, a fixed query pins one entry, and brute force
+reports the full-scan setting (0, 0) without an index; `run_query` picks a
+mode by name.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .families import _pack, _prefixes, bucket_codes, first_tuples, slot_bits, s
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, range_scan
-from .index import MultiLevelIndex, bucket_runs, consulted_reps
+from .index import MultiLevelIndex, bucket_runs
 
 
 @dataclass(frozen=True)
@@ -106,17 +108,16 @@ class QueryReport:
 
 class _QueryProbes:
     """Everything one query reads from the index, shared by every setting the
-    scheduler measures.
+    scheduler measures. Each method takes a setting as its `index.schedule`
+    entry (cost, k, j, reps, floor).
 
     One matmul projects the query on all R * K hash functions. The prefixes
     of its own key in each repetition give the spine, its own bucket at
     every level of every repetition, in one `bucket_runs` search; that is
-    all a single-probe setting reads. A running sum over repetitions, taken
-    at the index's `reps_table` and added to its `probe_floor`, turns the
-    spine into `bounds`, nested lists of ints read once per setting:
-    bounds[k - 1][j - 1] is the work of setting (k, j) at j = 1 and a lower
-    bound on it past that. Only a multi-probe query gathers the columns past
-    j = 1.
+    all a single-probe setting reads. A running sum of the spine over
+    repetitions, read at an entry's `reps` and added to its `floor`, is the
+    entry's `bound`: the work of the setting at j = 1 and a lower bound on
+    it past that.
 
     The first setting past one probe ranks every slot with one
     `slot_rankings` call and starts `first_tuples` on all repetitions at
@@ -125,7 +126,7 @@ class _QueryProbes:
     setting asks, and a setting finds its buckets with one `bucket_runs` call.
     """
 
-    def __init__(self, index: MultiLevelIndex, q: np.ndarray, multi_probe: bool = True):
+    def __init__(self, index: MultiLevelIndex, q: np.ndarray):
         self._index = index
         family, K = index.family, index.levels
         self._bits = slot_bits(family, K)
@@ -135,55 +136,55 @@ class _QueryProbes:
         self._lo, self._hi = bucket_runs(index.repetitions, own_prefixes, np.arange(1, K + 1))
         # spine[r, k - 1]: one unit plus the own bucket, summed over
         # repetitions 0..r at level k
-        spine = np.cumsum(1 + self._hi - self._lo, axis=0)
-        width = index.calibration.max_probes if multi_probe else 1
-        rows = index.reps_table[:, :width] - 1
-        bounds = spine[rows, np.arange(K)[:, None]] + index.probe_floor[:, :width]
-        self.bounds: list[list[int]] = bounds.tolist()
+        self._spine = np.cumsum(1 + self._hi - self._lo, axis=0)
         # the probe order of every repetition, started on first use, and the
         # (R, probes) keys of the levels it has yielded so far
         self._tuples: Iterator[np.ndarray] | None = None
         self._levels: list[np.ndarray] = []
 
-    def _runs(self, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    def bound(self, entry) -> int:
+        """Spine lower bound on the work of the setting of `entry`: its
+        consulted repetitions' own buckets plus its `floor`."""
+        _, k, _, reps, floor = entry
+        return int(self._spine[reps - 1, k - 1]) + floor
+
+    def _runs(self, entry) -> tuple[np.ndarray, np.ndarray]:
         """Sorted runs [lo, hi) of the buckets that the first j probes of
         level k reach in each consulted repetition, two (reps, probes)
         arrays; fewer probes if a tiny code universe runs out."""
-        index, count = self._index, int(self._index.reps_table[k - 1, j - 1])
+        _, k, j, reps, _ = entry
         if j == 1:
-            return self._lo[:count, k - 1 : k], self._hi[:count, k - 1 : k]
+            return self._lo[:reps, k - 1 : k], self._hi[:reps, k - 1 : k]
+        index = self._index
         if self._tuples is None:
             slots = slot_rankings(index.family, self._proj, index.levels)
             self._tuples = first_tuples(slots, index.calibration.max_probes, self._bits)
         while len(self._levels) < k:
             self._levels.append(next(self._tuples))
-        return bucket_runs(index.repetitions[:count], self._levels[k - 1][:count, :j], k)
+        return bucket_runs(index.repetitions[:reps], self._levels[k - 1][:reps, :j], k)
 
-    def work(self, k: int, j: int) -> float:
-        """True candidate work of setting (k, j): per consulted repetition,
-        one unit per probe plus the size of each probed bucket."""
+    def work(self, entry) -> float:
+        """True candidate work of the setting of `entry`: per consulted
+        repetition, one unit per probe plus the size of each probed bucket."""
+        _, _, j, _, _ = entry
         if j == 1:
-            return float(self.bounds[k - 1][0])
-        lo, hi = self._runs(k, j)
+            return float(self.bound(entry))
+        lo, hi = self._runs(entry)
         return float((1 + hi - lo).sum())
 
-    def candidates(self, k: int, j: int) -> tuple[np.ndarray, int]:
-        """Distinct point ids in the buckets setting (k, j) probes, and how
-        many buckets that is."""
-        lo, hi = self._runs(k, j)
+    def candidates(self, entry) -> tuple[np.ndarray, int]:
+        """Distinct point ids, ascending, in the buckets the setting of
+        `entry` probes, and how many buckets that is."""
+        lo, hi = self._runs(entry)
         parts = [
             rep.order[a:b]
             for rep, starts, ends in zip(self._index.repetitions, lo.tolist(), hi.tolist())
             for a, b in zip(starts, ends)
         ]
-        return np.unique(np.concatenate(parts)), lo.size
-
-
-def cost(k: int, j: int, calibration, rep_cap: int) -> float:
-    """Scheduler cost estimate for setting (k, j): probes times repetitions.
-    An index reads the repetitions from its `reps_table`, built from the
-    same `consulted_reps`."""
-    return float(j * consulted_reps(calibration, k, j, rep_cap))
+        # a sort and a neighbour mask: np.unique imports numpy.ma on its
+        # first call, which made the first query of a process the slowest
+        ids = np.sort(np.concatenate(parts))
+        return np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]])), lo.size
 
 
 def _check_query(dim: int, q: np.ndarray, radius: float) -> np.ndarray:
@@ -199,19 +200,23 @@ def _check_query(dim: int, q: np.ndarray, radius: float) -> np.ndarray:
     return q
 
 
+# the full-scan setting (0, 0) as a schedule entry; it reads no index
+_FULL_SCAN = (0.0, 0, 0, 0, 0)
+
+
 def _report(
     dataset: Dataset, q: np.ndarray, radius: float, mode: str, t0: float,
-    setting: tuple[int, int, float], probes: _QueryProbes | None, examined, pruned: int,
+    entry: tuple, w: float, probes: _QueryProbes | None, examined, pruned: int,
 ) -> QueryReport:
-    """The report of setting (k, j) with work w: the range members among the
-    buckets it probes, or among every point for the full-scan setting (0, 0).
+    """The report of schedule entry `entry` with work w: the range members
+    among the buckets it probes, or among every point for `_FULL_SCAN`.
     `examined` and `pruned` are the scheduler's trace and pruning count."""
-    k, j, w = setting
+    _, k, j, _, _ = entry
     if k == 0:
         ids, dists = range_scan(dataset.matrix, q, radius)
         buckets = 0
     else:
-        cand, buckets = probes.candidates(k, j)
+        cand, buckets = probes.candidates(entry)
         keep, dists = range_scan(dataset.matrix[cand], q, radius)
         ids = cand[keep]
     return QueryReport(
@@ -233,50 +238,49 @@ def _query(
 ) -> QueryReport:
     """The front door of every index mode: default the radius to the
     calibrated r, validate the row and the radius, project the query once,
-    and report the setting (k, j, work) that `choose(probes)` returns
-    together with its trace and the number of settings it pruned. Only the
-    adaptive mode reads the bounds past one probe."""
+    and report the schedule entry and work that `choose(probes)` returns
+    together with its trace and the number of settings it pruned."""
     t0 = time.perf_counter()
     if radius is None:
         radius = index.calibration.r
     q = _check_query(index.dataset.dim, q, radius)
-    probes = _QueryProbes(index, q, multi_probe=mode == "adaptive")
-    setting, examined, pruned = choose(probes)
-    return _report(index.dataset, q, radius, mode, t0, setting, probes, examined, pruned)
+    probes = _QueryProbes(index, q)
+    entry, w, examined, pruned = choose(probes)
+    return _report(index.dataset, q, radius, mode, t0, entry, w, probes, examined, pruned)
 
 
 def _schedule(index: MultiLevelIndex, probes: _QueryProbes, multi_probe: bool):
-    """The cheapest setting (k, j, work) the adaptive walk finds, the trace
-    of settings it measured, and how many more it pruned unmeasured.
+    """The cheapest schedule entry the adaptive walk finds and its work, the
+    trace of settings it measured, and how many more it pruned unmeasured.
 
-    Settings come from `index.schedule`, built once per index in order of
-    cost j * reps(k, j). The walk stops at the first setting whose cost
-    reaches the best work so far, as every later one costs at least as
-    much. A multi-probe setting whose spine lower bound is at least the best
-    work is pruned: the best is replaced only on a strict <, so it could
-    never win. Single-probe settings are always measured; their bound is
-    their work, read off the spine. Single mode skips every multi-probe
-    setting; its own come in level order, as cost(k, 1) never falls with k.
+    Entries come from `index.schedule`, built once per index in order of
+    cost. The walk stops at the first entry whose cost reaches the best work
+    so far, as every later one costs at least as much. A multi-probe entry
+    whose spine lower bound is at least the best work is pruned: the best
+    is replaced only on a strict <, so it could never win. Single-probe
+    entries are always measured; their bound is their work, read off the
+    spine. Single mode skips every multi-probe entry; its own come in level
+    order, as the cost of (k, 1) never falls with k.
     """
-    w_best = float(index.size)
-    k_best, j_best = 0, 0
+    w_best, best = float(index.size), _FULL_SCAN
     examined: list[ExaminedSetting] = []
     pruned = 0
-    for c, k, j in index.schedule:
+    for entry in index.schedule:
+        c, k, j, _, _ = entry
         if c >= w_best:
             break
         if j > 1:
             if not multi_probe:
                 continue
-            if probes.bounds[k - 1][j - 1] >= w_best:
+            if probes.bound(entry) >= w_best:
                 pruned += 1
                 continue
-        w = probes.work(k, j)
+        w = probes.work(entry)
         examined.append(ExaminedSetting(k, j, c, w))
         if w < w_best:
-            w_best, k_best, j_best = w, k, j
+            w_best, best = w, entry
 
-    return (k_best, j_best, w_best), examined, pruned
+    return best, w_best, examined, pruned
 
 
 def adaptive_multiprobe(
@@ -314,11 +318,11 @@ def fixed_level_query(
     if not 1 <= k <= index.levels:
         raise ValueError(f"level {k} outside 1..{index.levels}")
     index.calibration.ensure_probes(j)
+    entry = next(e for e in index.schedule if e[1:3] == (k, j))
 
     def pinned(probes: _QueryProbes):
-        w = probes.work(k, j)
-        c = float(j * index.reps_table[k - 1, j - 1])
-        return (k, j, w), [ExaminedSetting(k, j, c, w)], 0
+        w = probes.work(entry)
+        return entry, w, [ExaminedSetting(k, j, entry[0], w)], 0
 
     return _query(index, q, radius, "fixed", pinned)
 
@@ -327,7 +331,7 @@ def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryRe
     """Exact range reporting by full scan; the reference the index is judged against."""
     t0 = time.perf_counter()
     q = _check_query(dataset.dim, q, radius)
-    return _report(dataset, q, radius, "brute", t0, (0, 0, float(dataset.size)), None, (), 0)
+    return _report(dataset, q, radius, "brute", t0, _FULL_SCAN, float(dataset.size), None, (), 0)
 
 
 MODES = ("adaptive", "single", "fixed", "brute")

@@ -3,6 +3,7 @@ import pytest
 
 import mlslsh.calibration as calmod
 from mlslsh.calibration import FamilyCalibration
+from mlslsh.index import consulted_reps
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -41,3 +42,9 @@ def toy_calibration(params, p1=0.8, p2=0.3, levels=6, max_probes=16, slope=0.25)
         trials=1000,
         seed=0,
     )
+
+
+def setting_cost(index, k, j):
+    """The scheduler's cost estimate of setting (k, j) on `index`, worked
+    out afresh: j probes in each of its consulted repetitions."""
+    return float(j * consulted_reps(index.calibration, k, j, index.num_repetitions))

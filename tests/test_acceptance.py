@@ -22,7 +22,6 @@ from mlslsh.index import build_index, compute_k, compute_numreps, load_index, re
 from mlslsh.query import (
     adaptive_multiprobe,
     brute_force_range,
-    cost,
     fixed_level_query,
     single_probe_adaptive,
 )

@@ -190,7 +190,7 @@ def test_probe_success_single_level_matches_direct_walk():
         data, query = _pairs_at_distance(rng, 8, m, r)
         buckets = hash_batch(params, fn, data)
         for i in range(m):
-            ranked, _ = probe_sequence(params, fn, query[i], j_max=j_max)
+            ranked = probe_sequence(params, fn, query[i])[0][:j_max]
             where = np.nonzero(ranked == buckets[i])[0]
             if where.size:
                 hits[where[0] :] += 1

@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from mlslsh.cli import main

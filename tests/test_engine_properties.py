@@ -8,7 +8,7 @@ gives afresh, one function's rows of the direction stack at a time, with no
 packed keys, no key-range search and no stacked projection. The probe order
 itself is checked against an oracle that shares no code with the merge, the
 sorted full code grid of `test_enumerator_matches_the_sorted_grid` in
-test_families.py. Its scheduler sorts every setting by `cost` itself and
+test_families.py. Its scheduler sorts every setting by its own cost and
 measures each one it reaches, with no spine lower bound. Reports
 must agree exactly: ids, distances, work, buckets and best setting. The
 engine's adaptive trace is the reference trace less the settings it pruned,
@@ -22,16 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_calibration
+from conftest import setting_cost, toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.families import slot_bits
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
-from mlslsh.index import build_index, compute_k
+from mlslsh.index import build_index, compute_k, consulted_reps
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
     brute_force_range,
-    cost,
     fixed_level_query,
     single_probe_adaptive,
 )
@@ -90,8 +89,7 @@ class Reference:
         self.enums = {}
 
     def reps(self, k, j):
-        cal = self.index.calibration
-        return int(cost(k, j, cal, self.index.num_repetitions)) // j
+        return consulted_reps(self.index.calibration, k, j, self.index.num_repetitions)
 
     def probes(self, rep, k, j):
         if (rep, k) not in self.enums:
@@ -145,11 +143,11 @@ class Reference:
 
 def reference_schedule(index, q, radius, multi_probe, mode):
     ref = Reference(index, q)
-    cal = index.calibration
-    R = index.num_repetitions
-    max_j = cal.max_probes if multi_probe else 1
+    max_j = index.calibration.max_probes if multi_probe else 1
     settings = sorted(
-        (cost(k, j, cal, R), k, j) for k in range(1, index.levels + 1) for j in range(1, max_j + 1)
+        (setting_cost(index, k, j), k, j)
+        for k in range(1, index.levels + 1)
+        for j in range(1, max_j + 1)
     )
     w_best, k_best, j_best = float(index.size), 0, 0
     examined = []
@@ -205,18 +203,18 @@ def test_spine_lower_bound_is_admissible(case):
     universe = index.family.bucket_universe
     for q in queries:
         ref, probes = Reference(index, q), _QueryProbes(index, q)
-        for k in range(1, index.levels + 1):
-            for j in range(1, index.calibration.max_probes + 1):
-                r_count = ref.reps(k, j)
-                own = sum(
-                    1 + ref.members(rep, ref.probes(rep, k, 1)[0]).size for rep in range(r_count)
-                )
-                bound = probes.bounds[k - 1][j - 1]
-                assert bound == own + r_count * (min(j, universe**k) - 1)
-                work = fixed_level_query(index, q, radius, k, j).work_examined
-                assert bound <= work
-                if j == 1:
-                    assert bound == work
+        for entry in index.schedule:
+            _, k, j, _, _ = entry
+            r_count = ref.reps(k, j)
+            own = sum(
+                1 + ref.members(rep, ref.probes(rep, k, 1)[0]).size for rep in range(r_count)
+            )
+            bound = probes.bound(entry)
+            assert bound == own + r_count * (min(j, universe**k) - 1)
+            work = fixed_level_query(index, q, radius, k, j).work_examined
+            assert bound <= work
+            if j == 1:
+                assert bound == work
 
 
 @pytest.mark.parametrize("kind", ["cross_polytope", "spherical_cap"])
@@ -244,9 +242,8 @@ def test_adaptive_follows_cost_order_where_a_level_cost_dips():
     inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=3)
     cal = toy_calibration(family, 0.5, 0.2, 4, 6, 3.0)
     index = build_index(inst.dataset, cal, seed=3)
-    R = index.num_repetitions
     costs = {
-        (k, j): cost(k, j, cal, R)
+        (k, j): setting_cost(index, k, j)
         for k in range(1, index.levels + 1)
         for j in range(1, cal.max_probes + 1)
     }
@@ -270,7 +267,7 @@ def test_fixed_matches_the_reference(case, data):
     for q in queries:
         ref = Reference(index, q)
         w = ref.work(k, j)
-        c = cost(k, j, cal, index.num_repetitions)
+        c = setting_cost(index, k, j)
         expected = ref.report(radius, k, j, w, [(k, j, c, w)], "fixed")
         assert fixed_level_query(index, q, radius, k, j).to_json_dict() == expected
 

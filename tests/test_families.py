@@ -286,17 +286,6 @@ def test_probe_sequence_matches_recount(kind, dim):
         assert np.allclose(deficits, [desc[0] - s for s in desc], atol=1e-12)
 
 
-def test_probe_sequence_truncation_is_a_prefix():
-    params = FamilyParams(kind="spherical_cap", dim=6, cap_count=20)
-    fn = one_function(params, 2)
-    q = unit(np.arange(1.0, 7.0))
-    full_buckets, full_deficits = probe_sequence(params, fn, q)
-    buckets, deficits = probe_sequence(params, fn, q, j_max=5)
-    assert len(buckets) == len(deficits) == 5
-    assert np.array_equal(buckets, full_buckets[:5])
-    assert np.array_equal(deficits, full_deficits[:5])
-
-
 def test_enumerator_first_code_is_own_buckets():
     params = FamilyParams(kind="cross_polytope", dim=8)
     fns = sample_directions(params, [0, 1, 2])

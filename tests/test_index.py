@@ -16,15 +16,14 @@ from mlslsh.families import HASH_BLOCK, FamilyParams, derived_seed, hash_batch, 
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
     IndexFormatError,
-    MultiLevelIndex,
     Repetition,
     build_index,
     compute_k,
     compute_numreps,
+    consulted_reps,
     load_index,
     reps,
 )
-from mlslsh.query import cost
 
 
 # depth and repetition formulas, checked against an independent search
@@ -135,28 +134,31 @@ def test_space_budget_must_be_a_positive_integer(built, budget):
         build_index(inst.dataset, index.calibration, space_budget=budget, seed=7)
 
 
-def test_reps_table_matches_the_scheduler_cost(tmp_path, built):
-    # build and load both fill the table and the schedule the scheduler
-    # reads from the same capped repetition count that `cost` uses, binding
-    # cap included; the schedule lists every setting once, in cost order
+def test_schedule_entries_match_consulted_reps(tmp_path, built):
+    # build and load both state every setting once as a schedule entry, in
+    # sorted order, with the capped repetition count of `consulted_reps`,
+    # binding cap included, its cost and its probe floor
     inst, index = built
     cal = index.calibration
+    universe = index.family.bucket_universe
     capped = build_index(inst.dataset, cal, space_budget=2, seed=7)
     path = str(tmp_path / "capped.idx")
     capped.save(path)
     for idx in (index, capped, load_index(path)):
-        assert idx.reps_table.shape == (idx.levels, cal.max_probes)
-        assert not idx.reps_table.flags.writeable
-        for k in range(1, idx.levels + 1):
-            for j in range(1, cal.max_probes + 1):
-                expected = cost(k, j, cal, idx.num_repetitions)
-                assert j * idx.reps_table[k - 1, j - 1] == expected
         assert isinstance(idx.schedule, tuple)
         assert list(idx.schedule) == sorted(idx.schedule)
-        settings = [(k, j) for _, k, j in idx.schedule]
-        assert len(settings) == len(set(settings)) == idx.levels * cal.max_probes
-        for c, k, j in idx.schedule:
-            assert type(c) is float and c == cost(k, j, cal, idx.num_repetitions)
+        settings = [(k, j) for _, k, j, _, _ in idx.schedule]
+        assert sorted(settings) == [
+            (k, j) for k in range(1, idx.levels + 1) for j in range(1, cal.max_probes + 1)
+        ]
+        for c, k, j, count, floor in idx.schedule:
+            assert count == consulted_reps(cal, k, j, idx.num_repetitions)
+            assert type(c) is float and c == j * count
+            # one unit for each probe past the first that level k has a code for
+            further = len([p for p in range(2, j + 1) if p <= universe**k])
+            assert floor == count * further
+    assert capped.num_repetitions == 2
+    assert any(count == 2 for _, _, _, count, _ in capped.schedule)
 
 
 def rehashed(index, r):

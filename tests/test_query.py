@@ -1,18 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mlslsh.query as querymod
-from conftest import toy_calibration
+from conftest import setting_cost, toy_calibration
 from mlslsh.families import CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
-from mlslsh.index import build_index, compute_k, compute_numreps, reps
+from mlslsh.index import build_index, compute_k, compute_numreps, consulted_reps, reps
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
     brute_force_range,
-    cost,
     fixed_level_query,
     run_query,
     single_probe_adaptive,
@@ -31,14 +34,14 @@ def test_cost_known_values():
     params = FamilyParams(kind="cross_polytope", dim=8)
     cal = toy_calibration(params, p1=1.0, p2=0.5, levels=1, max_probes=2)
     # reps(1, 1, 1.0) = ceil(2 ln 2) = 2
-    assert cost(1, 1, cal, rep_cap=100) == 2.0
+    assert consulted_reps(cal, 1, 1, rep_cap=100) == 2
     cal2 = toy_calibration(params, p1=0.25, p2=0.2, levels=2, max_probes=1)
     # reps(2, 1, 0.25^2=0.0625) would be huge; table floor keeps it finite
-    assert cost(2, 1, cal2, rep_cap=100) == float(
-        min(100, reps(2, 1, cal2.probe_probability(2, 1)))
+    assert consulted_reps(cal2, 2, 1, rep_cap=100) == min(
+        100, reps(2, 1, cal2.probe_probability(2, 1))
     )
     # the repetition cap clamps the schedule
-    assert cost(2, 1, cal2, rep_cap=5) == 5.0
+    assert consulted_reps(cal2, 2, 1, rep_cap=5) == 5
 
 
 def test_fixed_level_work_matches_independent_recount(small_index):
@@ -77,10 +80,11 @@ def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
     index = build_index(inst.dataset, toy_calibration(params), seed=0)
     q = np.zeros(6)
     probes = _QueryProbes(index, q)
-    for k in range(1, index.levels + 1):
-        for j in range(1, 17):
-            work = fixed_level_query(index, q, 0.4, k, j).work_examined
-            assert probes.bounds[k - 1][j - 1] <= work
+    assert len(index.schedule) == index.levels * 16
+    for entry in index.schedule:
+        _, k, j, _, _ = entry
+        work = fixed_level_query(index, q, 0.4, k, j).work_examined
+        assert probes.bound(entry) <= work
 
 
 def test_adaptive_reports_only_true_range_members(small_index):
@@ -128,13 +132,11 @@ def test_adaptive_examines_full_cheap_level_spine(small_index):
     # been measured: the walk reaches it in cost order before it stops, and
     # never prunes a single-probe setting
     inst, index = small_index
-    cal = index.calibration
-    R = index.num_repetitions
     for q in inst.queries:
         rep = adaptive_multiprobe(index, q.coords, 0.4)
         seen = {(e.level, e.probes) for e in rep.examined}
         for k in range(1, index.levels + 1):
-            if cost(k, 1, cal, R) < rep.w_best:
+            if setting_cost(index, k, 1) < rep.w_best:
                 assert (k, 1) in seen
 
 
@@ -341,3 +343,27 @@ def test_reports_are_deterministic(small_index):
     a = adaptive_multiprobe(index, q, 0.4).to_json_dict()
     b = adaptive_multiprobe(index, q, 0.4).to_json_dict()
     assert a == b
+
+
+def test_a_first_query_imports_no_masked_arrays():
+    # np.unique imports numpy.ma on its first call, which made the first
+    # query of a process the slowest; only a fresh interpreter shows whether
+    # the query path still reaches it
+    script = """
+import sys
+from mlslsh import FamilyParams, adaptive_multiprobe, build_index, calibrate
+from mlslsh import generate_planted_instance
+inst = generate_planted_instance(n=200, d=8, r=0.4, t=3, seed=0, num_queries=1)
+params = FamilyParams(kind="cross_polytope", dim=8)
+cal = calibrate(params, r=0.4, c=2.0, levels=8, max_probes=4, trials=1000, seed=0)
+report = adaptive_multiprobe(build_index(inst.dataset, cal, seed=0), inst.queries[0].coords)
+assert report.k_best > 0 and report.ids, report
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(querymod.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

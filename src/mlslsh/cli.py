@@ -189,9 +189,22 @@ def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
     """Run one range query against an index file."""
     index = load_index(index_path)
     q = map_query(index.dataset, _parse_vector(vector))
+    calibrated = index.calibration.r
     if radius is None:
-        radius = index.calibration.r
+        radius = calibrated
     report = run_query(mode, index, index.dataset, q, radius, (fixed_k, fixed_j))
+    if radius != calibrated:
+        click.echo(
+            f"warning: radius {radius} differs from the calibrated radius {calibrated}; "
+            "the repetition counts of the query settings assume the calibrated one",
+            err=True,
+        )
+    if report.infeasible:
+        click.echo(
+            f"note: setting ({fixed_k}, {fixed_j}) needs more repetitions than the "
+            f"{index.num_repetitions} built; answered with all of them",
+            err=True,
+        )
     _echo(report.to_json_dict(include_timing=timing))
 
 

@@ -205,6 +205,9 @@ def slot_rankings(
 
     Each row is ranked on its own. For the cap family the overflow bucket
     scores one unit below the row's worst cap so it always ranks last.
+    A row of distinct scores has one order, which the fast default sort
+    finds; a row with a tie takes the stable sort, which breaks it on the
+    smaller id.
     """
     m = proj.shape[0]
     own = bucket_codes(params, proj)
@@ -218,7 +221,10 @@ def slot_rankings(
     desc = -np.sort(neg, axis=1)
     deficits = desc[:, :1] - desc
     neg[np.arange(m), own] = -np.inf
-    orders = np.argsort(neg, axis=1, kind="stable")
+    orders = np.argsort(neg, axis=1)
+    tied = (desc[:, 1:] == desc[:, :-1]).any(axis=1)
+    if tied.any():
+        orders[tied] = np.argsort(neg[tied], axis=1, kind="stable")
     return [(orders[s::depth], deficits[s::depth]) for s in range(depth)]
 
 
@@ -292,7 +298,10 @@ def first_tuples(slots, count: int, bits: int) -> Iterator[np.ndarray]:
     (i + 1)(r + 1) <= count: any other pair is dominated by the
     (i + 1)(r + 1) - 1 >= count pairs at positions <= i and ranks <= r, none
     of higher priority. So the merge cuts every ranking to its first `count`
-    columns itself, and callers pass rankings uncut.
+    columns itself, and callers pass rankings uncut. A row whose first
+    `count` + 1 sorted priorities are distinct keeps the first `count` of
+    the fast default sort, which no tie-break could reorder; a row with a
+    tie there is sorted again with the tie-breaks.
     """
     m = len(slots[0][0])
     keys, prio = np.zeros((m, 1), dtype=np.int64), np.zeros((m, 1))  # level 0: the empty tuple
@@ -301,11 +310,16 @@ def first_tuples(slots, count: int, bits: int) -> Iterator[np.ndarray]:
         i, r = np.nonzero(np.outer(np.arange(1, keys.shape[1] + 1), ranks) <= count)
         cand_keys = keys[:, i] << bits | buckets[:, r].astype(np.int64)
         cand_prio = prio[:, i] + deficits[:, r]
-        # the pair (0, 0) is the all-own tuple
-        own_last = np.broadcast_to(i + r > 0, cand_keys.shape)
-        order = np.lexsort((cand_keys, own_last, cand_prio))[:, :count]
+        order = np.argsort(cand_prio, axis=1)[:, : count + 1]
+        head = np.take_along_axis(cand_prio, order, axis=1)
+        tied = (head[:, 1:] == head[:, :-1]).any(axis=1)
+        # any tie-break leaves the sorted priorities as they are
+        order, prio = order[:, :count], head[:, :count]
+        if tied.any():
+            # the pair (0, 0) is the all-own tuple
+            own_last = np.broadcast_to(i + r > 0, (int(tied.sum()), i.size))
+            order[tied] = np.lexsort((cand_keys[tied], own_last, cand_prio[tied]))[:, :count]
         keys = np.take_along_axis(cand_keys, order, axis=1)
-        prio = np.take_along_axis(cand_prio, order, axis=1)
         yield keys
 
 

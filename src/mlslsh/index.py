@@ -18,7 +18,8 @@ either. A build sizes by it, and a load checks the header's K and R
 against it before reading any array. Both then sample the direction block
 and sort the repetitions through `_assemble`: the stacks of all R
 repetitions are consecutive slices of one read-only (R * K, rows, dim)
-block, so one matmul projects a query on every function.
+block, so one matmul projects a query on the functions of the first r
+repetitions' first k slots, the read extent of its mode.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -81,8 +84,8 @@ def reps(k: int, j: int, probe_success: float) -> int:
     """Repetitions to consult at level k with j probes: ceil(2 ln(2jk) / P).
 
     P is the calibrated probability that one repetition's first j probes
-    reach a point at the target radius. Unclamped; callers cap at the number
-    of repetitions actually built.
+    reach a point at the target radius. Unclamped: a setting that needs more
+    repetitions than were built is left out of the schedule.
     """
     if k < 1 or j < 1:
         raise ValueError(f"level and probe count must be positive, got k={k}, j={j}")
@@ -92,12 +95,29 @@ def reps(k: int, j: int, probe_success: float) -> int:
 
 
 def consulted_reps(calibration: FamilyCalibration, k: int, j: int, rep_cap: int) -> int:
-    """Repetitions setting (k, j) consults: reps(k, j) capped at the rep_cap
-    built, and all of them when the calibrated success probability is 0."""
+    """Repetitions a fixed query pinned to (k, j) consults: reps(k, j) capped
+    at the rep_cap built, and all of them when the calibrated success
+    probability is 0. A capped setting cannot reach its success probability,
+    so only a pin reads it; the schedule holds no such setting."""
     p = calibration.probe_probability(k, j)
     if p <= 0.0:
         return rep_cap
     return max(1, min(reps(k, j, p), rep_cap))
+
+
+def schedule_entry(k: int, j: int, count: int, universe: int) -> tuple[float, int, int, int, int]:
+    """The entry (cost, k, j, reps, floor) of setting (k, j) consulting
+    `count` repetitions of a family with `universe` buckets: cost j * count
+    probes, and a floor of one unit per probe past the own bucket that a
+    level of universe**k codes has, min(j, universe**k) - 1 per repetition."""
+    return float(j * count), k, j, count, count * (min(j, universe**k) - 1)
+
+
+def read_extent(entries) -> tuple[int, int]:
+    """(r, k): the most repetitions and the deepest level over schedule
+    entries, (0, 0) for none. A query whose walk stays within `entries`
+    reads slots 0..k - 1 of repetitions 0..r - 1 and nothing else."""
+    return max((e[3] for e in entries), default=0), max((e[1] for e in entries), default=0)
 
 
 def check_space_budget(budget) -> None:
@@ -196,14 +216,23 @@ class MultiLevelIndex:
     calibration and space budget; the calibration's family and the seed
     give every hash function. `directions` is the (R * K, rows, dim) block
     behind them: repetition r's stack is directions[r * K : (r + 1) * K].
-    `schedule` holds every setting (k, j), k <= K and j <= max_probes, once
-    as a (cost, k, j, reps, floor) entry, sorted: the order in which an
-    adaptive query examines settings, built once per index. `reps` is the
-    `consulted_reps` of the setting and `cost` = j * reps its probes. `floor`
-    is the least work those repetitions spend past their own buckets: one
-    unit per further probe, min(j, U^k) - 1 of them for a level of U^k
-    codes. A query adds its own buckets to the floor to get the spine lower
-    bound on the work of the setting.
+
+    `schedule` holds every feasible setting (k, j), k <= K and
+    j <= max_probes, once as a (cost, k, j, reps, floor) `schedule_entry`,
+    sorted: the order in which an adaptive query examines settings, built
+    once per index. A setting is feasible when its calibrated success
+    probability P(k, j) is positive and reps = reps(k, j, P) <= R: only then
+    do its repetitions reach that probability. `cost` = j * reps is its
+    probes. `floor` is the least work those repetitions spend past their own
+    buckets: one unit per further probe, min(j, U^k) - 1 of them for a level
+    of U^k codes. A query adds its own buckets to the floor to get the spine
+    lower bound on the work of the setting. With nothing feasible, the
+    schedule is empty and every adaptive or single query is a full scan.
+
+    `extents` maps "adaptive" and "single" to the `read_extent` of the
+    entries that mode walks, all of them or those with j = 1: the (r, k)
+    rectangle of repetitions and slots a query of that mode projects and
+    searches, which holds the repetitions and levels of every entry it walks.
     """
 
     dataset: Dataset
@@ -214,17 +243,23 @@ class MultiLevelIndex:
     repetitions: tuple[Repetition, ...]
     directions: np.ndarray
     schedule: tuple[tuple[float, int, int, int, int], ...] = field(init=False, repr=False)
+    extents: Mapping[str, tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cal, R, universe = self.calibration, self.num_repetitions, self.family.bucket_universe
         entries = []
         for k in range(1, self.levels + 1):
             for j in range(1, cal.max_probes + 1):
-                count = consulted_reps(cal, k, j, R)
-                floor = count * (min(j, universe**k) - 1)
-                entries.append((float(j * count), k, j, count, floor))
+                p = cal.probe_probability(k, j)
+                if p > 0.0 and (count := reps(k, j, p)) <= R:
+                    entries.append(schedule_entry(k, j, count, universe))
         # each (k, j) occurs once, so the sort never compares past it
-        object.__setattr__(self, "schedule", tuple(sorted(entries)))
+        schedule = tuple(sorted(entries))
+        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "extents", MappingProxyType({
+            "adaptive": read_extent(schedule),
+            "single": read_extent([e for e in schedule if e[2] == 1]),
+        }))
 
     @property
     def family(self) -> FamilyParams:

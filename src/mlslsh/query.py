@@ -3,10 +3,17 @@
 A query setting is a pair (k, j): consult level k and probe the first j
 code tuples of the probe order per repetition, the order `first_tuples`
 defines and the probe-success table was calibrated on. The index states
-each setting once, as an entry (cost, k, j, reps, floor) of its sorted
-`schedule`: the repetitions it consults, its cost estimate, probes times
-those repetitions, and the least work they spend past their own buckets.
-Every query walks that one order, measures the true candidate work of
+each feasible setting once, as an entry (cost, k, j, reps, floor) of its
+sorted `schedule`: the repetitions it consults, reps(k, j) of them and no
+more than were built, its cost estimate, probes times those repetitions,
+and the least work they spend past their own buckets. A setting that would
+need more repetitions than the index has cannot reach its success
+probability and is not in the schedule.
+
+A query projects and searches only the read extent of its mode, the first
+r repetitions' first k slots that the entries it may walk consult; it
+never reads the rest of the direction block. Every query walks the
+schedule in order, measures the true candidate work of
 each entry, and stops at the first entry whose cost reaches the best work
 seen. Before it measures a multi-probe entry it checks a tighter lower
 bound: the floor plus the spine, the query's own bucket at every level of
@@ -21,13 +28,14 @@ All four modes check the query row and the radius in one function and build
 their report in another from one schedule entry. Adaptive and single-probe
 queries run the scheduler, a fixed query pins one entry, and brute force
 reports the full-scan setting (0, 0) without an index; `run_query` picks a
-mode by name.
+mode by name. A fixed query also answers a pin the schedule leaves out, with
+the repetitions capped at those built, and marks its report `infeasible`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -36,7 +44,7 @@ from .families import _pack, _prefixes, bucket_codes, first_tuples, slot_bits, s
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, range_scan
-from .index import MultiLevelIndex, bucket_runs
+from .index import MultiLevelIndex, bucket_runs, consulted_reps, schedule_entry
 
 
 @dataclass(frozen=True)
@@ -60,9 +68,10 @@ class QueryReport:
     the scheduler fell back to a full scan. `examined` lists the settings
     the scheduler measured; `settings_pruned` counts those it ruled out by
     their spine lower bound without measuring (always 0 in single, fixed
-    and brute mode). Both wall_time and settings_pruned are excluded from
-    the JSON form unless timing is asked for, so serialized reports are
-    deterministic.
+    and brute mode). `infeasible` marks a fixed query pinned to a setting
+    the schedule leaves out. wall_time, settings_pruned and infeasible are
+    excluded from the JSON form unless timing is asked for, so serialized
+    reports are deterministic and a fixed report reads as it always has.
     """
 
     ids: tuple[int, ...]
@@ -75,6 +84,7 @@ class QueryReport:
     mode: str
     examined: tuple[ExaminedSetting, ...] = ()
     settings_pruned: int = 0
+    infeasible: bool = False
 
     @property
     def t_reported(self) -> int:
@@ -103,37 +113,45 @@ class QueryReport:
         if include_timing:
             doc["wall_time"] = self.wall_time
             doc["settings_pruned"] = self.settings_pruned
+            doc["infeasible"] = self.infeasible
         return doc
 
 
 class _QueryProbes:
     """Everything one query reads from the index, shared by every setting the
-    scheduler measures. Each method takes a setting as its `index.schedule`
-    entry (cost, k, j, reps, floor).
+    scheduler measures. Each method takes a setting as its schedule entry
+    (cost, k, j, reps, floor), one with reps <= r and k <= depth for the
+    read extent (r, depth) the probes were made for.
 
-    One matmul projects the query on all R * K hash functions. The prefixes
-    of its own key in each repetition give the spine, its own bucket at
-    every level of every repetition, in one `bucket_runs` search; that is
-    all a single-probe setting reads. A running sum of the spine over
-    repetitions, read at an entry's `reps` and added to its `floor`, is the
-    entry's `bound`: the work of the setting at j = 1 and a lower bound on
-    it past that.
+    One matmul projects the query on the functions of slots 0..depth - 1 of
+    repetitions 0..r - 1, a view of the direction block; numpy runs one
+    product per function on it, so each projection equals that of the whole
+    block bit for bit. The prefixes of the query's own key in each of those
+    repetitions give the spine, its own bucket at levels 1..depth, in one
+    `bucket_runs` search; that is all a single-probe setting reads. A running
+    sum of the spine over repetitions, read at an entry's `reps` and added to
+    its `floor`, is the entry's `bound`: the work of the setting at j = 1 and
+    a lower bound on it past that.
 
-    The first setting past one probe ranks every slot with one
-    `slot_rankings` call and starts `first_tuples` on all repetitions at
+    The first setting past one probe ranks the extent's slots with one
+    `slot_rankings` call and starts `first_tuples` on its r repetitions at
     once, one row each, at the calibrated probe width; `first_tuples` cuts
     the rankings to that width itself. It yields levels only as deep as a
     setting asks, and a setting finds its buckets with one `bucket_runs` call.
     """
 
-    def __init__(self, index: MultiLevelIndex, q: np.ndarray):
+    def __init__(self, index: MultiLevelIndex, q: np.ndarray, extent: tuple[int, int]):
         self._index = index
-        family, K = index.family, index.levels
-        self._bits = slot_bits(family, K)
-        self._proj = index.directions @ np.asarray(q, dtype=np.float64)
-        own = bucket_codes(family, self._proj).reshape(index.num_repetitions, K)
-        own_prefixes = _prefixes(_pack(own, self._bits), self._bits, K)
-        self._lo, self._hi = bucket_runs(index.repetitions, own_prefixes, np.arange(1, K + 1))
+        (count, depth), family = extent, index.family
+        self._bits, self._depth = slot_bits(family, index.levels), depth
+        block = index.directions.reshape(index.num_repetitions, index.levels, -1, family.dim)
+        # row r * depth + s projects on slot s of repetition r
+        self._proj = (block[:count, :depth] @ q).reshape(count * depth, -1)
+        own = bucket_codes(family, self._proj).reshape(count, depth)
+        own_prefixes = _prefixes(_pack(own, self._bits), self._bits, depth)
+        self._lo, self._hi = bucket_runs(
+            index.repetitions[:count], own_prefixes, np.arange(1, depth + 1)
+        )
         # spine[r, k - 1]: one unit plus the own bucket, summed over
         # repetitions 0..r at level k
         self._spine = np.cumsum(1 + self._hi - self._lo, axis=0)
@@ -157,7 +175,7 @@ class _QueryProbes:
             return self._lo[:reps, k - 1 : k], self._hi[:reps, k - 1 : k]
         index = self._index
         if self._tuples is None:
-            slots = slot_rankings(index.family, self._proj, index.levels)
+            slots = slot_rankings(index.family, self._proj, self._depth)
             self._tuples = first_tuples(slots, index.calibration.max_probes, self._bits)
         while len(self._levels) < k:
             self._levels.append(next(self._tuples))
@@ -234,17 +252,19 @@ def _report(
 
 
 def _query(
-    index: MultiLevelIndex, q: np.ndarray, radius: float | None, mode: str, choose
+    index: MultiLevelIndex, q: np.ndarray, radius: float | None, mode: str, extent, choose
 ) -> QueryReport:
     """The front door of every index mode: default the radius to the
-    calibrated r, validate the row and the radius, project the query once,
-    and report the schedule entry and work that `choose(probes)` returns
-    together with its trace and the number of settings it pruned."""
+    calibrated r, validate the row and the radius, project the query once
+    on the read extent (r, k), and report the schedule entry and work that
+    `choose(probes)` returns together with its trace and the number of
+    settings it pruned. An empty extent reads no index: `choose` gets None
+    and has no entry to walk."""
     t0 = time.perf_counter()
     if radius is None:
         radius = index.calibration.r
     q = _check_query(index.dataset.dim, q, radius)
-    probes = _QueryProbes(index, q)
+    probes = _QueryProbes(index, q, extent) if extent[0] else None
     entry, w, examined, pruned = choose(probes)
     return _report(index.dataset, q, radius, mode, t0, entry, w, probes, examined, pruned)
 
@@ -254,13 +274,14 @@ def _schedule(index: MultiLevelIndex, probes: _QueryProbes, multi_probe: bool):
     trace of settings it measured, and how many more it pruned unmeasured.
 
     Entries come from `index.schedule`, built once per index in order of
-    cost. The walk stops at the first entry whose cost reaches the best work
-    so far, as every later one costs at least as much. A multi-probe entry
-    whose spine lower bound is at least the best work is pruned: the best
-    is replaced only on a strict <, so it could never win. Single-probe
-    entries are always measured; their bound is their work, read off the
-    spine. Single mode skips every multi-probe entry; its own come in level
-    order, as the cost of (k, 1) never falls with k.
+    cost; with none, the full scan stands. The walk stops at the first entry
+    whose cost reaches the best work so far, as every later one costs at
+    least as much. A multi-probe entry whose spine lower bound is at least
+    the best work is pruned: the best is replaced only on a strict <, so it
+    could never win. Single-probe entries are always measured; their bound
+    is their work, read off the spine. Single mode skips every multi-probe
+    entry; its own come in level order, as the cost of (k, 1) never falls
+    with k.
     """
     w_best, best = float(index.size), _FULL_SCAN
     examined: list[ExaminedSetting] = []
@@ -292,14 +313,20 @@ def adaptive_multiprobe(
     always true range members; the scheduler only decides how much of the
     index to look at.
     """
-    return _query(index, q, radius, "adaptive", lambda p: _schedule(index, p, multi_probe=True))
+    return _query(
+        index, q, radius, "adaptive", index.extents["adaptive"],
+        lambda p: _schedule(index, p, multi_probe=True),
+    )
 
 
 def single_probe_adaptive(
     index: MultiLevelIndex, q: np.ndarray, radius: float | None = None
 ) -> QueryReport:
     """Adaptive level selection with exactly one probe per repetition."""
-    return _query(index, q, radius, "single", lambda p: _schedule(index, p, multi_probe=False))
+    return _query(
+        index, q, radius, "single", index.extents["single"],
+        lambda p: _schedule(index, p, multi_probe=False),
+    )
 
 
 def fixed_level_query(
@@ -310,6 +337,9 @@ def fixed_level_query(
 
     Useful as a baseline: the adaptive scheduler should never examine more
     work than the best fixed setting by more than its exploration overhead.
+    A pin the schedule leaves out as infeasible is still answered: it
+    consults `consulted_reps`, reps(k, j) capped at the repetitions built,
+    or all of them at P = 0, and its report carries infeasible=True.
     """
     for name, value in (("level k", k), ("probe count j", j)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -318,13 +348,15 @@ def fixed_level_query(
     if not 1 <= k <= index.levels:
         raise ValueError(f"level {k} outside 1..{index.levels}")
     index.calibration.ensure_probes(j)
-    entry = next(e for e in index.schedule if e[1:3] == (k, j))
+    count = consulted_reps(index.calibration, k, j, index.num_repetitions)
+    entry = schedule_entry(k, j, count, index.family.bucket_universe)
 
     def pinned(probes: _QueryProbes):
         w = probes.work(entry)
         return entry, w, [ExaminedSetting(k, j, entry[0], w)], 0
 
-    return _query(index, q, radius, "fixed", pinned)
+    report = _query(index, q, radius, "fixed", (count, k), pinned)
+    return report if entry in index.schedule else replace(report, infeasible=True)
 
 
 def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryReport:

@@ -3,7 +3,7 @@ import pytest
 
 import mlslsh.calibration as calmod
 from mlslsh.calibration import FamilyCalibration
-from mlslsh.index import consulted_reps
+from mlslsh.index import reps
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -44,7 +44,20 @@ def toy_calibration(params, p1=0.8, p2=0.3, levels=6, max_probes=16, slope=0.25)
     )
 
 
+def feasible_reps(index, k, j):
+    """reps(k, j) of setting (k, j) on `index`, worked out afresh from the
+    calibration table, or None when the setting is infeasible: its success
+    probability is 0 or it needs more repetitions than were built."""
+    p = float(index.calibration.probe_success[k - 1, j - 1])
+    if p == 0.0:
+        return None
+    count = reps(k, j, p)
+    return count if count <= index.num_repetitions else None
+
+
 def setting_cost(index, k, j):
     """The scheduler's cost estimate of setting (k, j) on `index`, worked
-    out afresh: j probes in each of its consulted repetitions."""
-    return float(j * consulted_reps(index.calibration, k, j, index.num_repetitions))
+    out afresh: j probes in each of its repetitions; None for an infeasible
+    setting, which the schedule leaves out."""
+    count = feasible_reps(index, k, j)
+    return None if count is None else float(j * count)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 from click.testing import CliRunner
@@ -206,3 +207,28 @@ def test_csv_input_through_cli(tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert doc["aggregates"]["brute"]["num_queries"] == 3
+
+
+def test_query_notes_an_infeasible_pin_and_an_uncalibrated_radius():
+    # the committed version 1 index (K = 4, R = 3) affords only (1, 1); a pin
+    # past it and a radius other than the calibrated 0.4 are answered, with
+    # one line each on stderr and the JSON on stdout as before
+    path = str(Path(__file__).parent / "data" / "v1_full.idx")
+    vec = "0.2332,0.1534,0.0242,0.1771,-0.7474,0.2699,-0.2536,-0.4409"
+    cases = [
+        (["--mode", "fixed", "--fixed-k", "1", "--fixed-j", "1"], []),
+        (["--mode", "fixed", "--fixed-k", "4", "--fixed-j", "4"],
+         ["note: setting (4, 4) needs more repetitions than the 3 built"]),
+        (["--mode", "adaptive", "--radius", "0.4"], []),
+        (["--mode", "adaptive", "--radius", "1.2"],
+         ["warning: radius 1.2 differs from the calibrated radius 0.4"]),
+        (["--mode", "fixed", "--fixed-k", "2", "--fixed-j", "3", "--radius", "1.2"],
+         ["warning: radius 1.2", "note: setting (2, 3)"]),
+    ]
+    for args, notes in cases:
+        result = make_runner().invoke(main, ["query", "--index", path, "--vector", vec, *args])
+        assert result.exit_code == 0, result.output
+        lines = _stderr_of(result).splitlines()
+        assert len(lines) == len(notes)
+        assert all(line.startswith(note) for line, note in zip(lines, notes))
+        assert json.loads(result.stdout)["mode"] == args[1]

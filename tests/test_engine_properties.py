@@ -22,11 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import setting_cost, toy_calibration
+from conftest import feasible_reps, setting_cost, toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
-from mlslsh.families import slot_bits
+from mlslsh.families import _pack, _prefixes, bucket_codes, first_tuples, slot_bits, slot_rankings
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
-from mlslsh.index import build_index, compute_k, consulted_reps
+from mlslsh.index import bucket_runs, build_index, compute_k, reps
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
@@ -39,9 +39,11 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def instances(draw):
-    """A small index with duplicate and degenerate rows, and its queries."""
-    d = draw(st.integers(2, 8))
+def instances(draw, dims=st.integers(2, 8), max_p2=0.6, budgets=st.integers(1, 12), min_p1=0.5):
+    """A small index with duplicate and degenerate rows, and its queries.
+    p2 <= 0.5 keeps the at most 9 levels of 300 points within the key bits
+    of 66 buckets."""
+    d = draw(dims)
     n = draw(st.integers(1, 300))
     if draw(st.booleans()):
         family = FamilyParams(kind="cross_polytope", dim=d)
@@ -59,15 +61,15 @@ def instances(draw):
         raw[rng.integers(0, n, size=draw(st.integers(1, n)))] = raw.mean(axis=0)
     dataset = normalize_dataset(raw)
 
-    p1 = draw(st.floats(0.5, 0.95))
-    p2 = draw(st.floats(0.05, min(0.6, p1 - 0.05)))
+    p1 = draw(st.floats(min_p1, 0.95))
+    p2 = draw(st.floats(0.05, min(max_p2, p1 - 0.05)))
     max_probes = draw(st.integers(1, 8))
     cal = toy_calibration(
         family, p1, p2, compute_k(n, p2) + draw(st.integers(0, 2)), max_probes,
         draw(st.floats(0.0, 0.5)),
     )
     index = build_index(
-        dataset, cal, space_budget=draw(st.integers(1, 12)), seed=draw(st.integers(0, 1000))
+        dataset, cal, space_budget=draw(budgets), seed=draw(st.integers(0, 1000))
     )
     queries = rng.standard_normal((3, d))
     queries[0] = dataset.matrix[rng.integers(0, n)]
@@ -78,7 +80,8 @@ def instances(draw):
 
 
 class Reference:
-    """Per-probe query path for one query."""
+    """Per-probe query path for one query; a setting (k, j) consults the
+    first `count` repetitions."""
 
     def __init__(self, index, q):
         self.index, self.q = index, q
@@ -87,9 +90,6 @@ class Reference:
             for rep in index.repetitions
         ]
         self.enums = {}
-
-    def reps(self, k, j):
-        return consulted_reps(self.index.calibration, k, j, self.index.num_repetitions)
 
     def probes(self, rep, k, j):
         if (rep, k) not in self.enums:
@@ -103,16 +103,16 @@ class Reference:
         codes = self.codes[rep][:, : len(code)]
         return np.flatnonzero(np.all(codes == np.array(code), axis=1))
 
-    def work(self, k, j):
+    def work(self, k, j, count):
         return float(
             sum(
                 1 + self.members(rep, code).size
-                for rep in range(self.reps(k, j))
+                for rep in range(count)
                 for code in self.probes(rep, k, j)
             )
         )
 
-    def report(self, radius, k, j, w, examined, mode):
+    def report(self, radius, k, j, count, w, examined, mode):
         trace = [{"level": a, "probes": b, "cost": c, "work": e} for a, b, c, e in examined]
         if k == 0:
             doc = brute_force_range(self.index.dataset, self.q, radius).to_json_dict()
@@ -120,7 +120,7 @@ class Reference:
             return doc
         parts = [
             self.members(rep, code)
-            for rep in range(self.reps(k, j))
+            for rep in range(count)
             for code in self.probes(rep, k, j)
         ]
         cand = np.unique(np.concatenate(parts))
@@ -142,23 +142,25 @@ class Reference:
 
 
 def reference_schedule(index, q, radius, multi_probe, mode):
+    """The walk over every feasible setting in cost order, measuring each."""
     ref = Reference(index, q)
     max_j = index.calibration.max_probes if multi_probe else 1
     settings = sorted(
-        (setting_cost(index, k, j), k, j)
+        (setting_cost(index, k, j), k, j, feasible_reps(index, k, j))
         for k in range(1, index.levels + 1)
         for j in range(1, max_j + 1)
+        if feasible_reps(index, k, j) is not None
     )
-    w_best, k_best, j_best = float(index.size), 0, 0
+    w_best, best = float(index.size), (0, 0, 0)
     examined = []
-    for c, k, j in settings:
+    for c, k, j, count in settings:
         if c >= w_best:
             break
-        w = ref.work(k, j)
+        w = ref.work(k, j, count)
         examined.append((k, j, c, w))
         if w < w_best:
-            w_best, k_best, j_best = w, k, j
-    return ref.report(radius, k_best, j_best, w_best, examined, mode)
+            w_best, best = w, (k, j, count)
+    return ref.report(radius, *best, w_best, examined, mode)
 
 
 def check_pruned_trace(trace, full, pruned, n):
@@ -202,10 +204,12 @@ def test_spine_lower_bound_is_admissible(case):
     index, queries, radius = case
     universe = index.family.bucket_universe
     for q in queries:
-        ref, probes = Reference(index, q), _QueryProbes(index, q)
+        if not index.schedule:
+            continue
+        ref, probes = Reference(index, q), _QueryProbes(index, q, index.extents["adaptive"])
         for entry in index.schedule:
-            _, k, j, _, _ = entry
-            r_count = ref.reps(k, j)
+            _, k, j, r_count, _ = entry
+            assert r_count == feasible_reps(index, k, j)
             own = sum(
                 1 + ref.members(rep, ref.probes(rep, k, 1)[0]).size for rep in range(r_count)
             )
@@ -215,6 +219,69 @@ def test_spine_lower_bound_is_admissible(case):
             assert bound <= work
             if j == 1:
                 assert bound == work
+
+
+class FullProjection:
+    """The query path over the whole direction block: the query projected on
+    all R * K functions in one product, its own bucket searched at every
+    level of every repetition, and every slot ranked, as a query read the
+    index before read extents."""
+
+    def __init__(self, index, q):
+        K, R = index.levels, index.num_repetitions
+        self.index, bits = index, slot_bits(index.family, K)
+        self.proj = index.directions @ q
+        own = bucket_codes(index.family, self.proj).reshape(R, K)
+        prefixes = _prefixes(_pack(own, bits), bits, K)
+        self.lo, self.hi = bucket_runs(index.repetitions, prefixes, np.arange(1, K + 1))
+        slots = slot_rankings(index.family, self.proj, K)
+        self.levels = list(first_tuples(slots, index.calibration.max_probes, bits))
+
+    def runs(self, k, j, count):
+        if j == 1:
+            return self.lo[:count, k - 1 : k], self.hi[:count, k - 1 : k]
+        return bucket_runs(self.index.repetitions[:count], self.levels[k - 1][:count, :j], k)
+
+
+@SETTINGS
+@given(
+    instances(
+        dims=st.sampled_from([3, 5, 6, 17, 30, 31, 33]), max_p2=0.5, budgets=st.integers(1, 64),
+        min_p1=0.35,
+    )
+)
+def test_read_extents_match_a_full_projection(case):
+    # each mode reads only its extent of the direction block, yet projects,
+    # bounds, measures and collects every entry it may walk exactly as the
+    # whole block does, at dimensions whose products take different kernels
+    index, queries, _ = case
+    K, R = index.levels, index.num_repetitions
+    walks = {"adaptive": index.schedule, "single": [e for e in index.schedule if e[2] == 1]}
+    for q in queries:
+        full = FullProjection(index, q)
+        for mode, entries in walks.items():
+            r, depth = index.extents[mode]
+            if not entries:
+                assert (r, depth) == (0, 0)
+                continue
+            probes = _QueryProbes(index, q, (r, depth))
+            read = full.proj.reshape(R, K, -1)[:r, :depth]
+            assert np.array_equal(probes._proj, read.reshape(r * depth, -1))
+            for entry in entries:
+                _, k, j, count, floor = entry
+                assert count <= r and k <= depth
+                spine = int((1 + full.hi - full.lo)[:count, k - 1].sum())
+                assert probes.bound(entry) == spine + floor
+                lo, hi = full.runs(k, j, count)
+                assert probes.work(entry) == float((1 + hi - lo).sum())
+                parts = [
+                    rep.order[a:b]
+                    for rep, starts, ends in zip(index.repetitions, lo, hi)
+                    for a, b in zip(starts, ends)
+                ]
+                ids, buckets = probes.candidates(entry)
+                assert np.array_equal(ids, np.unique(np.concatenate(parts)))
+                assert buckets == lo.size
 
 
 @pytest.mark.parametrize("kind", ["cross_polytope", "spherical_cap"])
@@ -246,6 +313,7 @@ def test_adaptive_follows_cost_order_where_a_level_cost_dips():
         (k, j): setting_cost(index, k, j)
         for k in range(1, index.levels + 1)
         for j in range(1, cal.max_probes + 1)
+        if setting_cost(index, k, j) is not None
     }
     assert [costs[2, j] for j in (1, 2, 3)] == [12.0, 10.0, 15.0]
     for q in inst.queries:
@@ -264,12 +332,18 @@ def test_fixed_matches_the_reference(case, data):
     cal = index.calibration
     k = data.draw(st.integers(1, index.levels))
     j = data.draw(st.integers(1, cal.max_probes))
+    # a pin the schedule leaves out still reads reps(k, j) repetitions, capped
+    # at those built, or all of them when P(k, j) = 0
+    p, R = cal.probe_probability(k, j), index.num_repetitions
+    count = R if p == 0.0 else min(reps(k, j, p), R)
+    infeasible = feasible_reps(index, k, j) is None
     for q in queries:
         ref = Reference(index, q)
-        w = ref.work(k, j)
-        c = setting_cost(index, k, j)
-        expected = ref.report(radius, k, j, w, [(k, j, c, w)], "fixed")
-        assert fixed_level_query(index, q, radius, k, j).to_json_dict() == expected
+        w = ref.work(k, j, count)
+        expected = ref.report(radius, k, j, count, w, [(k, j, float(j * count), w)], "fixed")
+        report = fixed_level_query(index, q, radius, k, j)
+        assert report.to_json_dict() == expected
+        assert report.infeasible is infeasible
 
 
 @SETTINGS

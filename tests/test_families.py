@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlslsh.families as fam
 from mlslsh.families import (
     HASH_BLOCK,
     KEY_BITS,
@@ -420,3 +421,101 @@ def test_family_params_validation_and_json():
     cp = FamilyParams(kind="cross_polytope", dim=6)
     assert cp.bucket_universe == 12
     assert FamilyParams.from_json_dict(cp.to_json_dict()) == cp
+
+
+def stable_slot_rankings(params, proj, depth):
+    """`families.slot_rankings` as a stable argsort of every row: the own
+    bucket first, then descending scores, ties on the smaller id."""
+    m = proj.shape[0]
+    own = fam.bucket_codes(params, proj)
+    if params.kind == "spherical_cap":
+        scores = np.hstack([proj, proj.min(axis=1, keepdims=True) - 1.0])
+    else:
+        scores = np.empty((m, 2 * proj.shape[1]))
+        scores[:, 0::2] = proj
+        scores[:, 1::2] = -proj
+    neg = -scores
+    desc = -np.sort(neg, axis=1)
+    neg[np.arange(m), own] = -np.inf
+    orders = np.argsort(neg, axis=1, kind="stable")
+    deficits = desc[:, :1] - desc
+    return [(orders[s::depth], deficits[s::depth]) for s in range(depth)]
+
+
+def lexsorted_first_tuples(slots, count, bits):
+    """`families.first_tuples` with every row's candidates lexsorted on
+    (priority, all-own tuple first, key)."""
+    m = len(slots[0][0])
+    keys, prio = np.zeros((m, 1), dtype=np.int64), np.zeros((m, 1))
+    for buckets, deficits in slots:
+        ranks = np.arange(1, min(count, buckets.shape[1]) + 1)
+        i, r = np.nonzero(np.outer(np.arange(1, keys.shape[1] + 1), ranks) <= count)
+        cand_keys = keys[:, i] << bits | buckets[:, r].astype(np.int64)
+        cand_prio = prio[:, i] + deficits[:, r]
+        own_last = np.broadcast_to(i + r > 0, cand_keys.shape)
+        order = np.lexsort((cand_keys, own_last, cand_prio))[:, :count]
+        keys = np.take_along_axis(cand_keys, order, axis=1)
+        prio = np.take_along_axis(cand_prio, order, axis=1)
+        yield keys
+
+
+@st.composite
+def projection_cases(draw):
+    """Query rows projected on a stack of `depth` functions, rich in ties:
+    zero rows, rows of entries in {-1, 0, 1} under signed basis directions,
+    which tie cross-polytope scores and zero coordinates, and caps whose
+    direction repeats another's, which tie cap projections. The probe
+    count may pass the bucket universe."""
+    kind = draw(st.sampled_from(["spherical_cap", "cross_polytope"]))
+    dim = draw(st.integers(2, 12))
+    params = FamilyParams(kind=kind, dim=dim, cap_count=draw(st.integers(2, 20)))
+    depth = draw(st.integers(1, min(4, KEY_BITS // slot_bits(params, 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.empty((depth, params.direction_count, dim))
+    for s in range(depth):
+        if draw(st.booleans()):
+            stack[s] = one_function(params, int(rng.integers(2**31)))
+        else:
+            axes = rng.permutation(np.arange(params.direction_count) % dim)
+            stack[s] = np.eye(dim)[axes] * rng.choice([-1.0, 1.0], size=(len(axes), 1))
+        if kind == "spherical_cap" and draw(st.booleans()):
+            stack[s, rng.integers(params.cap_count)] = stack[s, rng.integers(params.cap_count)]
+    m = draw(st.integers(1, 20))
+    rows = rng.normal(size=(m, dim))
+    kinds = rng.integers(0, 3, size=m)
+    rows[kinds == 1] = 0.0
+    rows[kinds == 2] = rng.integers(-1, 2, size=(np.count_nonzero(kinds == 2), dim))
+    proj = (rows @ stack.reshape(-1, dim).T).reshape(m * depth, -1)
+    count = draw(st.integers(1, params.bucket_universe + 3))
+    return params, depth, proj, count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(projection_cases())
+def test_fast_probe_sorts_match_the_stable_references(case):
+    # the default sorts plus their tie fallbacks rank, and merge, exactly as
+    # the stable argsort and the lexsort do
+    params, depth, proj, count = case
+    got = fam.slot_rankings(params, proj, depth)
+    expected = stable_slot_rankings(params, proj, depth)
+    for (orders, deficits), (ref_orders, ref_deficits) in zip(got, expected):
+        assert np.array_equal(orders, ref_orders)
+        assert deficits.tobytes() == ref_deficits.tobytes()
+    bits = slot_bits(params, depth)
+    levels = list(fam.first_tuples(got, count, bits))
+    ref_levels = list(lexsorted_first_tuples(expected, count, bits))
+    assert len(levels) == len(ref_levels) == depth
+    for keys, ref_keys in zip(levels, ref_levels):
+        assert np.array_equal(keys, ref_keys)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(slot_rankings(), st.data())
+def test_fast_merge_matches_the_lexsort_under_tied_deficits(rankings, data):
+    # dyadic deficits tie sums exactly; a tie at the cut or anywhere above
+    # it must fall back to the lexsort's tie-breaks
+    slots = [(np.array([b], dtype=np.int64), np.array([d], dtype=np.float64)) for b, d in rankings]
+    count = data.draw(st.integers(1, 40))
+    got = list(fam.first_tuples(slots, count, 3))
+    expected = list(lexsorted_first_tuples(slots, count, 3))
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected)) and len(got) == len(expected)

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from mlslsh.calibration import CalibrationError
 from mlslsh.cli import main
-from conftest import toy_calibration
+from conftest import feasible_reps, toy_calibration
 from mlslsh.families import HASH_BLOCK, FamilyParams, derived_seed, hash_batch, sample_directions
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
@@ -134,10 +134,11 @@ def test_space_budget_must_be_a_positive_integer(built, budget):
         build_index(inst.dataset, index.calibration, space_budget=budget, seed=7)
 
 
-def test_schedule_entries_match_consulted_reps(tmp_path, built):
-    # build and load both state every setting once as a schedule entry, in
-    # sorted order, with the capped repetition count of `consulted_reps`,
-    # binding cap included, its cost and its probe floor
+def test_schedule_entries_are_the_feasible_settings(tmp_path, built):
+    # build and load both state every feasible setting once as a schedule
+    # entry, in sorted order: P(k, j) > 0 and reps(k, j) <= R, with that
+    # repetition count, its cost and its probe floor. A binding budget drops
+    # the settings it cannot afford, and one repetition affords none.
     inst, index = built
     cal = index.calibration
     universe = index.family.bucket_universe
@@ -149,9 +150,13 @@ def test_schedule_entries_match_consulted_reps(tmp_path, built):
         assert list(idx.schedule) == sorted(idx.schedule)
         settings = [(k, j) for _, k, j, _, _ in idx.schedule]
         assert sorted(settings) == [
-            (k, j) for k in range(1, idx.levels + 1) for j in range(1, cal.max_probes + 1)
+            (k, j)
+            for k in range(1, idx.levels + 1)
+            for j in range(1, cal.max_probes + 1)
+            if feasible_reps(idx, k, j) is not None
         ]
         for c, k, j, count, floor in idx.schedule:
+            assert count == feasible_reps(idx, k, j) <= idx.num_repetitions
             assert count == consulted_reps(cal, k, j, idx.num_repetitions)
             assert type(c) is float and c == j * count
             # one unit for each probe past the first that level k has a code for
@@ -159,6 +164,44 @@ def test_schedule_entries_match_consulted_reps(tmp_path, built):
             assert floor == count * further
     assert capped.num_repetitions == 2
     assert any(count == 2 for _, _, _, count, _ in capped.schedule)
+    # the budget binds: the full index affords settings that need 3 or 4 repetitions
+    assert set(capped.schedule) < set(index.schedule)
+    assert build_index(inst.dataset, cal, space_budget=1, seed=7).schedule == ()
+
+
+@pytest.mark.parametrize("p1", [0.8, 0.5])
+@pytest.mark.parametrize("budget", [None, 1, 2, 8])
+def test_read_extents_match_a_recount_of_the_table(tmp_path, built, p1, budget):
+    # per mode, the most repetitions and the deepest level over the settings
+    # it may walk, recounted from the probe-success table: P > 0 and
+    # ceil(2 ln(2jk) / P) <= R; single mode walks j = 1 only
+    inst, _ = built
+    cal = toy_calibration(FamilyParams(kind="cross_polytope", dim=12), p1=p1, max_probes=8)
+    index = build_index(inst.dataset, cal, space_budget=budget, seed=7)
+    path = str(tmp_path / "extents.idx")
+    index.save(path, include_codes=False)
+    feasible = {"adaptive": [], "single": []}
+    for k in range(1, index.levels + 1):
+        for j in range(1, cal.max_probes + 1):
+            p = float(cal.probe_success[k - 1, j - 1])
+            needed = math.ceil(2.0 * math.log(2 * j * k) / p - 1e-9) if p > 0.0 else math.inf
+            if needed <= index.num_repetitions:
+                feasible["adaptive"].append((needed, k))
+                if j == 1:
+                    feasible["single"].append((needed, k))
+    expected = {
+        mode: (max((r for r, _ in pairs), default=0), max((k for _, k in pairs), default=0))
+        for mode, pairs in feasible.items()
+    }
+    assert dict(index.extents) == dict(load_index(path).extents) == expected
+    # single-probe settings form a prefix of levels whose repetitions grow
+    # with k, so the deepest one reads the single-mode extent exactly
+    if feasible["single"]:
+        assert max(feasible["single"], key=lambda pair: pair[1]) == expected["single"]
+    if budget == 1:
+        assert expected == {"adaptive": (0, 0), "single": (0, 0)}
+    if p1 == 0.5 and budget is None:
+        assert expected["single"][1] >= 3
 
 
 def rehashed(index, r):
@@ -438,7 +481,7 @@ def cli_answers(path) -> list[dict]:
     for case in json.loads((DATA / "v1_expected.json").read_text()):
         result = CliRunner().invoke(main, ["query", "--index", str(path), *case["args"]])
         assert result.exit_code == 0, result.output
-        answers.append(json.loads(result.output))
+        answers.append(json.loads(result.stdout))
     return answers
 
 

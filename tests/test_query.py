@@ -12,6 +12,7 @@ from conftest import setting_cost, toy_calibration
 from mlslsh.families import CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
 from mlslsh.index import build_index, compute_k, compute_numreps, consulted_reps, reps
+from mlslsh.index import schedule_entry
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
@@ -24,8 +25,9 @@ from mlslsh.query import (
 
 @pytest.fixture(scope="module")
 def small_index():
+    # p1 = 0.5 builds R = 32 repetitions, enough for levels 1 to 3 to be feasible
     params = FamilyParams(kind="cross_polytope", dim=12)
-    cal = toy_calibration(params)
+    cal = toy_calibration(params, p1=0.5)
     inst = generate_planted_instance(n=400, d=12, r=0.4, t=5, seed=31, num_queries=5)
     return inst, build_index(inst.dataset, cal, seed=3)
 
@@ -74,17 +76,47 @@ def test_fixed_level_work_matches_independent_recount(small_index):
 def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
     # a zero row clears no cap: its own bucket is the overflow bucket, whose
     # deficit 0 ties with every cap of smaller id, so the spine lower bound
-    # holds only because the all-own tuple still comes first at every level
+    # holds only because the all-own tuple still comes first at every level.
+    # Probes over the whole index bound every setting, the pins the schedule
+    # leaves out as infeasible included.
     params = FamilyParams(kind="spherical_cap", dim=6, cap_count=8)
     inst = generate_planted_instance(n=40, d=6, r=0.4, t=2, seed=0)
     index = build_index(inst.dataset, toy_calibration(params), seed=0)
     q = np.zeros(6)
-    probes = _QueryProbes(index, q)
-    assert len(index.schedule) == index.levels * 16
-    for entry in index.schedule:
-        _, k, j, _, _ = entry
-        work = fixed_level_query(index, q, 0.4, k, j).work_examined
-        assert probes.bound(entry) <= work
+    probes = _QueryProbes(index, q, (index.num_repetitions, index.levels))
+    cal, universe, checked = index.calibration, index.family.bucket_universe, set()
+    for k in range(1, index.levels + 1):
+        for j in range(1, 17):
+            count = consulted_reps(cal, k, j, index.num_repetitions)
+            entry = schedule_entry(k, j, count, universe)
+            work = fixed_level_query(index, q, 0.4, k, j).work_examined
+            assert probes.bound(entry) <= work
+            checked.add(entry)
+    assert len(checked) == index.levels * 16 and set(index.schedule) <= checked
+
+
+def test_nothing_feasible_means_every_query_is_a_full_scan(small_index, monkeypatch):
+    # one repetition never reaches reps(1, 1) = ceil(2 ln 2 / P) >= 2, so
+    # the schedule is empty: adaptive and single read no index and report
+    # the full scan, and a fixed pin is still answered, marked infeasible
+    inst, _ = small_index
+    params = FamilyParams(kind="cross_polytope", dim=12)
+    index = build_index(inst.dataset, toy_calibration(params), space_budget=1, seed=3)
+    assert index.schedule == ()
+    assert dict(index.extents) == {"adaptive": (0, 0), "single": (0, 0)}
+    pinned = [fixed_level_query(index, q.coords, 0.4, 1, 1) for q in inst.queries]
+    assert all(rep.infeasible and (rep.k_best, rep.j_best) == (1, 1) for rep in pinned)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the query reached the index")
+
+    monkeypatch.setattr(querymod, "_QueryProbes", never)
+    for q in inst.queries:
+        brute = brute_force_range(inst.dataset, q.coords, 0.4).to_json_dict()
+        for mode, run in (("adaptive", adaptive_multiprobe), ("single", single_probe_adaptive)):
+            report = run(index, q.coords, 0.4)
+            assert report.to_json_dict() == {**brute, "mode": mode}
+            assert (report.k_best, report.examined, report.infeasible) == (0, (), False)
 
 
 def test_adaptive_reports_only_true_range_members(small_index):
@@ -136,8 +168,11 @@ def test_adaptive_examines_full_cheap_level_spine(small_index):
         rep = adaptive_multiprobe(index, q.coords, 0.4)
         seen = {(e.level, e.probes) for e in rep.examined}
         for k in range(1, index.levels + 1):
-            if setting_cost(index, k, 1) < rep.w_best:
+            cost = setting_cost(index, k, 1)
+            if cost is not None and cost < rep.w_best:
                 assert (k, 1) in seen
+    # the fixture keeps settings past level 1 feasible, so the walk has a spine to examine
+    assert setting_cost(index, 3, 1) is not None
 
 
 def test_adaptive_beats_or_matches_fixed_settings(small_index):
@@ -331,9 +366,11 @@ def test_report_json_excludes_timing_by_default(small_index):
     timed = rep.to_json_dict(include_timing=True)
     assert timed["wall_time"] == rep.wall_time
     assert timed["settings_pruned"] == rep.settings_pruned
+    assert "infeasible" not in doc and timed["infeasible"] is rep.infeasible is False
     # everything else identical
     timed.pop("wall_time")
     timed.pop("settings_pruned")
+    timed.pop("infeasible")
     assert timed == doc
 
 

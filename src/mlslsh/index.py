@@ -231,8 +231,12 @@ class MultiLevelIndex:
 
     `extents` maps "adaptive" and "single" to the `read_extent` of the
     entries that mode walks, all of them or those with j = 1: the (r, k)
-    rectangle of repetitions and slots a query of that mode projects and
-    searches, which holds the repetitions and levels of every entry it walks.
+    rectangle of repetitions and slots a query of that mode may project and
+    search, which holds the repetitions and levels of every entry it walks.
+    The single extent lies within the adaptive one. A single-probe query
+    reads all of its rectangle; an adaptive one reads the single extent's
+    repetitions first, at the adaptive depth, and the rest only when its
+    walk needs them.
     """
 
     dataset: Dataset

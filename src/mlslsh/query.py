@@ -12,17 +12,22 @@ probability and is not in the schedule.
 
 A query projects and searches only the read extent of its mode, the first
 r repetitions' first k slots that the entries it may walk consult; it
-never reads the rest of the direction block. Every query walks the
-schedule in order, measures the true candidate work of
-each entry, and stops at the first entry whose cost reaches the best work
-seen. Before it measures a multi-probe entry it checks a tighter lower
-bound: the floor plus the spine, the query's own bucket at every level of
-every repetition, which the query reads anyway. An entry whose bound
-reaches the best work cannot replace it and is skipped unmeasured, so
-pruning changes the trace but never the answer. Probe counts never pass
-the calibrated table width, so a query never re-estimates the table and
-its work is bounded before it starts. A brute-force scan is the standing
-fallback, so the reported work never exceeds n.
+never reads the rest of the direction block. A single-probe or fixed query
+reads its extent at once. An adaptive query reads the repetitions of the
+single-probe extent first, at its own depth, and the rest of its extent in
+one more read only when its walk first needs one of them. Every query walks
+the schedule in order, measures the true candidate work of each entry, and
+stops at the first entry whose cost reaches the best work seen. Before it
+measures a multi-probe entry it checks a tighter lower bound: the floor
+plus the spine, the query's own bucket at every level of every repetition
+it consults, which a single-probe setting reads anyway. An entry whose
+bound reaches the best work cannot replace it and is skipped unmeasured,
+so pruning changes the trace but never the answer; a bound that already
+does so from the repetitions read so far, one unit for each other one,
+reads no more. Probe counts never pass the calibrated table width, so a
+query never re-estimates the table and its work is bounded before it
+starts. A brute-force scan is the standing fallback, so the reported work
+never exceeds n.
 
 All four modes check the query row and the radius in one function and build
 their report in another from one schedule entry. Adaptive and single-probe
@@ -69,9 +74,12 @@ class QueryReport:
     the scheduler measured; `settings_pruned` counts those it ruled out by
     their spine lower bound without measuring (always 0 in single, fixed
     and brute mode). `infeasible` marks a fixed query pinned to a setting
-    the schedule leaves out. wall_time, settings_pruned and infeasible are
-    excluded from the JSON form unless timing is asked for, so serialized
-    reports are deterministic and a fixed report reads as it always has.
+    the schedule leaves out. `functions_projected` counts the hash functions
+    the query was projected on, read repetitions times the read depth (0 for
+    a full scan). wall_time, settings_pruned, infeasible and
+    functions_projected are excluded from the JSON form unless timing is
+    asked for, so serialized reports are deterministic and a fixed report
+    reads as it always has.
     """
 
     ids: tuple[int, ...]
@@ -85,6 +93,7 @@ class QueryReport:
     examined: tuple[ExaminedSetting, ...] = ()
     settings_pruned: int = 0
     infeasible: bool = False
+    functions_projected: int = 0
 
     @property
     def t_reported(self) -> int:
@@ -114,6 +123,7 @@ class QueryReport:
             doc["wall_time"] = self.wall_time
             doc["settings_pruned"] = self.settings_pruned
             doc["infeasible"] = self.infeasible
+            doc["functions_projected"] = self.functions_projected
         return doc
 
 
@@ -123,48 +133,94 @@ class _QueryProbes:
     (cost, k, j, reps, floor), one with reps <= r and k <= depth for the
     read extent (r, depth) the probes were made for.
 
-    One matmul projects the query on the functions of slots 0..depth - 1 of
-    repetitions 0..r - 1, a view of the direction block; numpy runs one
-    product per function on it, so each projection equals that of the whole
-    block bit for bit. The prefixes of the query's own key in each of those
-    repetitions give the spine, its own bucket at levels 1..depth, in one
-    `bucket_runs` search; that is all a single-probe setting reads. A running
-    sum of the spine over repetitions, read at an entry's `reps` and added to
-    its `floor`, is the entry's `bound`: the work of the setting at j = 1 and
-    a lower bound on it past that.
+    Repetitions are read as a growing prefix, every one at the extent's
+    depth: the first `first` of them up front, all r by default, and the
+    rest in one more block the first time a setting needs one of them. A
+    read projects the query with one matmul on the functions of slots
+    0..depth - 1 of its repetitions, a view of the direction block; numpy
+    runs one product per function on it, so each projection equals that of
+    the whole block bit for bit. The prefixes of the query's own key in
+    each of those repetitions give the spine, its own bucket at levels
+    1..depth, in one `bucket_runs` search; that is all a single-probe
+    setting reads. A running sum of the spine over repetitions, read at an
+    entry's `reps` and added to its `floor`, is the entry's `bound`: the
+    work of the setting at j = 1 and a lower bound on it past that. Its
+    `partial_bound` reads nothing: the spine of the repetitions read so far
+    plus one unit for each consulted repetition not read yet.
 
-    The first setting past one probe ranks the extent's slots with one
-    `slot_rankings` call and starts `first_tuples` on its r repetitions at
-    once, one row each, at the calibrated probe width; `first_tuples` cuts
-    the rankings to that width itself. It yields levels only as deep as a
-    setting asks, and a setting finds its buckets with one `bucket_runs` call.
+    The first setting past one probe reads every repetition, ranks the
+    extent's slots with one `slot_rankings` call and starts `first_tuples`
+    on its r repetitions at once, one row each, at the calibrated probe
+    width; `first_tuples` cuts the rankings to that width itself. It yields
+    levels only as deep as a setting asks, and a setting finds its buckets
+    with one `bucket_runs` call, which the probes keep: collecting the
+    candidates of a measured setting searches no bucket again.
     """
 
-    def __init__(self, index: MultiLevelIndex, q: np.ndarray, extent: tuple[int, int]):
-        self._index = index
-        (count, depth), family = extent, index.family
+    def __init__(
+        self, index: MultiLevelIndex, q: np.ndarray, extent: tuple[int, int],
+        first: int | None = None,
+    ):
+        self._index, self._q = index, q
+        (self._count, depth), family = extent, index.family
         self._bits, self._depth = slot_bits(family, index.levels), depth
-        block = index.directions.reshape(index.num_repetitions, index.levels, -1, family.dim)
-        # row r * depth + s projects on slot s of repetition r
-        self._proj = (block[:count, :depth] @ q).reshape(count * depth, -1)
-        own = bucket_codes(family, self._proj).reshape(count, depth)
-        own_prefixes = _prefixes(_pack(own, self._bits), self._bits, depth)
-        self._lo, self._hi = bucket_runs(
-            index.repetitions[:count], own_prefixes, np.arange(1, depth + 1)
-        )
+        # row r * depth + s projects on slot s of repetition r; rows and
+        # sums of the repetitions not read yet are unset
+        self._proj = np.empty((self._count * depth, index.directions.shape[1]))
         # spine[r, k - 1]: one unit plus the own bucket, summed over
-        # repetitions 0..r at level k
-        self._spine = np.cumsum(1 + self._hi - self._lo, axis=0)
-        # the probe order of every repetition, started on first use, and the
-        # (R, probes) keys of the levels it has yielded so far
+        # repetitions 0..r - 1 at level k; the first read's own runs are
+        # kept as _lo and _hi
+        self._spine = np.zeros((self._count + 1, depth), dtype=np.int64)
+        self.read = 0
+        self._read(self._count if first is None else first)
+        # the probe order of every repetition, started on first use, the
+        # (R, probes) keys of the levels it has yielded so far, and the runs
+        # of each multi-probe entry looked up
         self._tuples: Iterator[np.ndarray] | None = None
         self._levels: list[np.ndarray] = []
+        self._looked_up: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def functions_projected(self) -> int:
+        """Hash functions the query was projected on so far."""
+        return self.read * self._depth
+
+    def _read(self, stop: int) -> None:
+        """Project, code and search repetitions read..stop - 1, appending
+        their rows and spine sums to those already read. The first read
+        keeps its runs: it holds every single-probe entry's repetitions."""
+        start, depth, index = self.read, self._depth, self._index
+        if stop <= start:
+            return
+        block = index.directions.reshape(index.num_repetitions, index.levels, -1, index.family.dim)
+        proj = self._proj[start * depth : stop * depth]
+        np.matmul(block[start:stop, :depth], self._q, out=proj.reshape(stop - start, depth, -1))
+        own = bucket_codes(index.family, proj).reshape(stop - start, depth)
+        own_prefixes = _prefixes(_pack(own, self._bits), self._bits, depth)
+        lo, hi = bucket_runs(index.repetitions[start:stop], own_prefixes, np.arange(1, depth + 1))
+        spine = np.cumsum(1 + hi - lo, axis=0, out=self._spine[start + 1 : stop + 1])
+        if start:
+            spine += self._spine[start]
+        else:
+            self._lo, self._hi = lo, hi
+        self.read = stop
+
+    def partial_bound(self, entry) -> int:
+        """A lower bound on `bound(entry)` that reads nothing: the spine of
+        the consulted repetitions read so far, one unit for each other one,
+        and the `floor`."""
+        _, k, _, reps, floor = entry
+        c = min(reps, self.read)
+        return int(self._spine[c, k - 1]) + reps - c + floor
 
     def bound(self, entry) -> int:
         """Spine lower bound on the work of the setting of `entry`: its
-        consulted repetitions' own buckets plus its `floor`."""
+        consulted repetitions' own buckets plus its `floor`. A repetition
+        not read yet reads the rest of the extent."""
         _, k, _, reps, floor = entry
-        return int(self._spine[reps - 1, k - 1]) + floor
+        if reps > self.read:
+            self._read(self._count)
+        return int(self._spine[reps, k - 1]) + floor
 
     def _runs(self, entry) -> tuple[np.ndarray, np.ndarray]:
         """Sorted runs [lo, hi) of the buckets that the first j probes of
@@ -173,13 +229,19 @@ class _QueryProbes:
         _, k, j, reps, _ = entry
         if j == 1:
             return self._lo[:reps, k - 1 : k], self._hi[:reps, k - 1 : k]
+        if entry in self._looked_up:
+            return self._looked_up[entry]
         index = self._index
         if self._tuples is None:
+            self._read(self._count)
             slots = slot_rankings(index.family, self._proj, self._depth)
             self._tuples = first_tuples(slots, index.calibration.max_probes, self._bits)
         while len(self._levels) < k:
             self._levels.append(next(self._tuples))
-        return bucket_runs(index.repetitions[:reps], self._levels[k - 1][:reps, :j], k)
+        runs = self._looked_up[entry] = bucket_runs(
+            index.repetitions[:reps], self._levels[k - 1][:reps, :j], k
+        )
+        return runs
 
     def work(self, entry) -> float:
         """True candidate work of the setting of `entry`: per consulted
@@ -248,15 +310,18 @@ def _report(
         mode=mode,
         examined=tuple(examined),
         settings_pruned=pruned,
+        functions_projected=probes.functions_projected if probes else 0,
     )
 
 
 def _query(
-    index: MultiLevelIndex, q: np.ndarray, radius: float | None, mode: str, extent, choose
+    index: MultiLevelIndex, q: np.ndarray, radius: float | None, mode: str, extent, choose,
+    first: int | None = None,
 ) -> QueryReport:
     """The front door of every index mode: default the radius to the
-    calibrated r, validate the row and the radius, project the query once
-    on the read extent (r, k), and report the schedule entry and work that
+    calibrated r, validate the row and the radius, make the probes of the
+    read extent (r, k), reading its first `first` repetitions up front, all
+    of them by default, and report the schedule entry and work that
     `choose(probes)` returns together with its trace and the number of
     settings it pruned. An empty extent reads no index: `choose` gets None
     and has no entry to walk."""
@@ -264,7 +329,7 @@ def _query(
     if radius is None:
         radius = index.calibration.r
     q = _check_query(index.dataset.dim, q, radius)
-    probes = _QueryProbes(index, q, extent) if extent[0] else None
+    probes = _QueryProbes(index, q, extent, first) if extent[0] else None
     entry, w, examined, pruned = choose(probes)
     return _report(index.dataset, q, radius, mode, t0, entry, w, probes, examined, pruned)
 
@@ -278,22 +343,25 @@ def _schedule(index: MultiLevelIndex, probes: _QueryProbes, multi_probe: bool):
     whose cost reaches the best work so far, as every later one costs at
     least as much. A multi-probe entry whose spine lower bound is at least
     the best work is pruned: the best is replaced only on a strict <, so it
-    could never win. Single-probe entries are always measured; their bound
-    is their work, read off the spine. Single mode skips every multi-probe
-    entry; its own come in level order, as the cost of (k, 1) never falls
-    with k.
+    could never win. While it consults repetitions not read yet, its partial
+    bound is checked first, so an entry that it already prunes reads no
+    further repetitions. Single-probe entries are always measured; their
+    bound is their work, read off the spine. Single mode skips every
+    multi-probe entry; its own come in level order, as the cost of (k, 1)
+    never falls with k.
     """
     w_best, best = float(index.size), _FULL_SCAN
     examined: list[ExaminedSetting] = []
     pruned = 0
     for entry in index.schedule:
-        c, k, j, _, _ = entry
+        c, k, j, reps, _ = entry
         if c >= w_best:
             break
         if j > 1:
             if not multi_probe:
                 continue
-            if probes.bound(entry) >= w_best:
+            unread = reps > probes.read
+            if (unread and probes.partial_bound(entry) >= w_best) or probes.bound(entry) >= w_best:
                 pruned += 1
                 continue
         w = probes.work(entry)
@@ -312,10 +380,13 @@ def adaptive_multiprobe(
     With radius omitted, the calibrated radius is used. Reported points are
     always true range members; the scheduler only decides how much of the
     index to look at.
+
+    The query first reads the repetitions of the single-probe extent, which
+    the adaptive one contains, and the rest only when its walk needs them.
     """
     return _query(
         index, q, radius, "adaptive", index.extents["adaptive"],
-        lambda p: _schedule(index, p, multi_probe=True),
+        lambda p: _schedule(index, p, multi_probe=True), first=index.extents["single"][0],
     )
 
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlslsh.query as querymod
 from conftest import feasible_reps, setting_cost, toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.families import _pack, _prefixes, bucket_codes, first_tuples, slot_bits, slot_rankings
@@ -248,15 +249,20 @@ class FullProjection:
     instances(
         dims=st.sampled_from([3, 5, 6, 17, 30, 31, 33]), max_p2=0.5, budgets=st.integers(1, 64),
         min_p1=0.35,
-    )
+    ),
+    st.data(),
 )
-def test_read_extents_match_a_full_projection(case):
-    # each mode reads only its extent of the direction block, yet projects,
-    # bounds, measures and collects every entry it may walk exactly as the
-    # whole block does, at dimensions whose products take different kernels
+def test_read_extents_match_a_full_projection(case, data):
+    # each mode reads only its extent of the direction block, an adaptive
+    # query the single-probe repetitions first and the rest on first need,
+    # yet projects, bounds, measures and collects every entry it may walk
+    # exactly as the whole block does, at dimensions whose products take
+    # different kernels; entries come in any order, so a bound, measurement
+    # or candidate set that read past the repetitions read would differ
     index, queries, _ = case
     K, R = index.levels, index.num_repetitions
     walks = {"adaptive": index.schedule, "single": [e for e in index.schedule if e[2] == 1]}
+    first = {"adaptive": index.extents["single"][0], "single": None}
     for q in queries:
         full = FullProjection(index, q)
         for mode, entries in walks.items():
@@ -264,24 +270,66 @@ def test_read_extents_match_a_full_projection(case):
             if not entries:
                 assert (r, depth) == (0, 0)
                 continue
-            probes = _QueryProbes(index, q, (r, depth))
+            projected = []
+
+            def coded(family, proj):
+                projected.append(proj.copy())
+                return bucket_codes(family, proj)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(querymod, "bucket_codes", coded)
+                probes = _QueryProbes(index, q, (r, depth), first[mode])
+                assert probes.read == (r if first[mode] is None else first[mode])
+                for entry in data.draw(st.permutations(entries)):
+                    _, k, j, count, floor = entry
+                    assert count <= r and k <= depth
+                    spine = int((1 + full.hi - full.lo)[:count, k - 1].sum())
+                    assert probes.partial_bound(entry) <= spine + floor
+                    assert probes.bound(entry) == spine + floor
+                    lo, hi = full.runs(k, j, count)
+                    assert probes.work(entry) == float((1 + hi - lo).sum())
+                    parts = [
+                        rep.order[a:b]
+                        for rep, starts, ends in zip(index.repetitions, lo, hi)
+                        for a, b in zip(starts, ends)
+                    ]
+                    ids, buckets = probes.candidates(entry)
+                    assert np.array_equal(ids, np.unique(np.concatenate(parts)))
+                    assert buckets == lo.size
+            # at most two reads, together the extent: an entry consults its last
+            # repetition
+            assert len(projected) <= 2 and probes.read == r
             read = full.proj.reshape(R, K, -1)[:r, :depth]
-            assert np.array_equal(probes._proj, read.reshape(r * depth, -1))
-            for entry in entries:
-                _, k, j, count, floor = entry
-                assert count <= r and k <= depth
-                spine = int((1 + full.hi - full.lo)[:count, k - 1].sum())
-                assert probes.bound(entry) == spine + floor
-                lo, hi = full.runs(k, j, count)
-                assert probes.work(entry) == float((1 + hi - lo).sum())
-                parts = [
-                    rep.order[a:b]
-                    for rep, starts, ends in zip(index.repetitions, lo, hi)
-                    for a, b in zip(starts, ends)
-                ]
-                ids, buckets = probes.candidates(entry)
-                assert np.array_equal(ids, np.unique(np.concatenate(parts)))
-                assert buckets == lo.size
+            assert np.array_equal(np.concatenate(projected), read.reshape(r * depth, -1))
+            assert probes.functions_projected == r * depth
+
+
+def test_an_empty_single_extent_reads_the_whole_adaptive_extent_on_first_need():
+    # no single-probe setting reaches its repetitions in R = 4, but (1, 2)
+    # and (1, 3) do: an adaptive query reads nothing up front, then all four
+    # repetitions at level 1 when it first bounds (1, 2)
+    family = FamilyParams(kind="cross_polytope", dim=12)
+    inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=3)
+    cal = toy_calibration(family, 0.3, 0.2, compute_k(600, 0.2), 4, 10.0)
+    index = build_index(inst.dataset, cal, space_budget=4, seed=3)
+    assert dict(index.extents) == {"adaptive": (4, 1), "single": (0, 0)}
+    for q in inst.queries:
+        probes = _QueryProbes(index, q.coords, index.extents["adaptive"], 0)
+        assert probes.read == probes.functions_projected == 0
+        entry = index.schedule[0]
+        assert probes.partial_bound(entry) == entry[3] + entry[4]
+        assert probes.read == 0
+        probes.bound(entry)
+        assert probes.read == 4
+        report = adaptive_multiprobe(index, q.coords, 0.4)
+        assert report.functions_projected == 4 and report.j_best > 1
+        got = report.to_json_dict()
+        expected = reference_schedule(index, q.coords, 0.4, True, "adaptive")
+        trace, full = got.pop("examined"), expected.pop("examined")
+        assert got == expected
+        check_pruned_trace(trace, full, report.settings_pruned, index.size)
+        single = single_probe_adaptive(index, q.coords, 0.4)
+        assert (single.k_best, single.functions_projected) == (0, 0)
 
 
 @pytest.mark.parametrize("kind", ["cross_polytope", "spherical_cap"])

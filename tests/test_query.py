@@ -9,9 +9,9 @@ import pytest
 
 import mlslsh.query as querymod
 from conftest import setting_cost, toy_calibration
-from mlslsh.families import CodeEnumerator, FamilyParams, hash_batch, probe_sequence
+from mlslsh.families import CodeEnumerator, FamilyParams, bucket_codes, hash_batch, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
-from mlslsh.index import build_index, compute_k, compute_numreps, consulted_reps, reps
+from mlslsh.index import bucket_runs, build_index, compute_k, compute_numreps, consulted_reps, reps
 from mlslsh.index import schedule_entry
 from mlslsh.query import (
     _QueryProbes,
@@ -117,6 +117,83 @@ def test_nothing_feasible_means_every_query_is_a_full_scan(small_index, monkeypa
             report = run(index, q.coords, 0.4)
             assert report.to_json_dict() == {**brute, "mode": mode}
             assert (report.k_best, report.examined, report.infeasible) == (0, (), False)
+
+
+@pytest.fixture(scope="module")
+def multi_probe_index():
+    # slope 3 makes a second and third probe worth more repetitions than a
+    # deeper level, so every query settles on a multi-probe setting
+    family = FamilyParams(kind="spherical_cap", dim=12, cap_count=16)
+    inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=12)
+    return inst, build_index(inst.dataset, toy_calibration(family, 0.5, 0.2, 4, 6, 3.0), seed=3)
+
+
+def test_candidates_reuse_the_lookup_of_a_measured_setting(multi_probe_index, monkeypatch):
+    # the spine is searched at every level at once and a multi-probe entry at
+    # one level, once per query: collecting the winner's candidates searches
+    # no bucket again, whichever multi-probe entry the walk measured last
+    inst, index = multi_probe_index
+    levels = []
+
+    def counted(repetitions, prefixes, level):
+        levels.append(np.ndim(level))
+        return bucket_runs(repetitions, prefixes, level)
+
+    monkeypatch.setattr(querymod, "bucket_runs", counted)
+    last = earlier = 0
+    for q in inst.queries:
+        levels.clear()
+        report = adaptive_multiprobe(index, q.coords, 0.4)
+        multi = [(e.level, e.probes) for e in report.examined if e.probes > 1]
+        assert report.j_best > 1
+        assert levels.count(0) == len(multi)
+        last += multi[-1] == (report.k_best, report.j_best)
+        earlier += multi[-1] != (report.k_best, report.j_best)
+        levels.clear()
+        fixed_level_query(index, q.coords, 0.4, 2, 3)
+        assert levels == [1, 0]
+    assert last > 0 and earlier > 0
+
+
+def test_functions_projected_match_an_independent_recount(
+    small_index, multi_probe_index, monkeypatch
+):
+    # every read codes its projection once, so the rows coded count the
+    # functions a query was projected on: the single-probe repetitions at
+    # the adaptive depth, and the whole extent once a walk needs more
+    rows = []
+
+    def coded(family, proj):
+        rows.append(len(proj))
+        return bucket_codes(family, proj)
+
+    monkeypatch.setattr(querymod, "bucket_codes", coded)
+    stayed = grew = 0
+    for inst, index in (small_index, multi_probe_index):
+        (r, depth), (r_single, _) = index.extents["adaptive"], index.extents["single"]
+        runs = {
+            "adaptive": lambda q: adaptive_multiprobe(index, q, 0.4),
+            "single": lambda q: single_probe_adaptive(index, q, 0.4),
+            "fixed": lambda q: fixed_level_query(index, q, 0.4, 2, 3),
+            "brute": lambda q: brute_force_range(inst.dataset, q, 0.4),
+        }
+        for q in inst.queries:
+            for mode, run in runs.items():
+                rows.clear()
+                report = run(q.coords)
+                assert report.functions_projected == sum(rows)
+                assert report.to_json_dict(include_timing=True)["functions_projected"] == sum(rows)
+            rows.clear()
+            report = adaptive_multiprobe(index, q.coords, 0.4)
+            assert rows[0] == r_single * depth and sum(rows) in (r_single * depth, r * depth)
+            if any(e.probes > 1 for e in report.examined):
+                assert sum(rows) == r * depth
+            stayed += sum(rows) < r * depth
+            grew += len(rows) == 2
+    # every walk on the small index stays in the first read, as it prunes
+    # each entry that consults more repetitions by its partial bound; every
+    # walk on the multi-probe index measures a multi-probe entry and reads on
+    assert (stayed, grew) == (len(small_index[0].queries), len(multi_probe_index[0].queries))
 
 
 def test_adaptive_reports_only_true_range_members(small_index):
@@ -367,10 +444,13 @@ def test_report_json_excludes_timing_by_default(small_index):
     assert timed["wall_time"] == rep.wall_time
     assert timed["settings_pruned"] == rep.settings_pruned
     assert "infeasible" not in doc and timed["infeasible"] is rep.infeasible is False
+    assert "functions_projected" not in doc
+    assert timed["functions_projected"] == rep.functions_projected > 0
     # everything else identical
     timed.pop("wall_time")
     timed.pop("settings_pruned")
     timed.pop("infeasible")
+    timed.pop("functions_projected")
     assert timed == doc
 
 

@@ -96,6 +96,10 @@ def load_vectors(path: str, fmt: str) -> np.ndarray:
     raise ValueError(f"unknown input format {fmt!r}, expected 'fvecs' or 'csv'")
 
 
+class WrongAnswerError(RuntimeError):
+    """Raised when a query reports a point outside the true range."""
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     radius: float
@@ -342,7 +346,8 @@ def _run_queries(
     returns its records and wall times.
 
     Every answer is checked against the ground truth: a reported id outside
-    the true range raises, and the record carries the recall.
+    the true range raises WrongAnswerError, and the record carries the
+    recall.
     """
     dataset, queries, truth = instance
     fixed = (config.fixed_level, config.fixed_probes)
@@ -352,7 +357,7 @@ def _run_queries(
         walls.append(report.wall_time)
         extra = set(report.ids) - gt
         if extra:
-            raise AssertionError(
+            raise WrongAnswerError(
                 f"mode {mode} reported non-members {sorted(extra)[:5]} for query {qi}"
             )
         recall = len(set(report.ids) & gt) / len(gt) if gt else 1.0

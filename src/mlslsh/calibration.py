@@ -154,14 +154,15 @@ def theoretical_rho(space: str, c: float) -> float:
     raise ValueError(f"unknown space {space!r}, expected 'euclidean' or 'hamming'")
 
 
-def _check_radii(r: float, c: float) -> None:
-    """The near radius r and the far radius c * r must both lie on the sphere."""
+def _check_radii(r: float, c: float, error: type[Exception] = ValueError) -> None:
+    """The near radius r and the far radius c * r must both lie on the
+    sphere; `error` is raised when they do not."""
     if not 0.0 < r < 2.0:
-        raise ValueError(f"radius must lie in (0, 2), got {r}")
+        raise error(f"radius must lie in (0, 2), got {r}")
     if not c > 1.0:
-        raise ValueError(f"approximation factor must exceed 1, got {c}")
+        raise error(f"approximation factor must exceed 1, got {c}")
     if c * r > 2.0:
-        raise ValueError(
+        raise error(
             f"far distance c*r = {c * r:.4g} exceeds the sphere diameter; "
             "shrink r or c"
         )
@@ -249,7 +250,11 @@ class FamilyCalibration:
     from the query appears among the first j tuples of the query's k-slot
     multi-probe enumeration. The table is non-decreasing along j and
     non-increasing along k by construction. Its width is the probe budget of
-    every query on an index built from it; nothing widens it later.
+    every query on an index built from it; nothing widens it later. A
+    calibration whose radii `_check_radii` rejects, whose table holds a value
+    outside [0, 1] or a NaN, or whose standard errors are not finite and
+    non-negative raises CalibrationError, so a document read back with
+    `from_json_dict` holds no setting a schedule would have to drop.
     """
 
     params: FamilyParams
@@ -271,12 +276,16 @@ class FamilyCalibration:
             raise CalibrationError(f"probe-success table has shape {table.shape}")
         if se.shape != table.shape:
             raise CalibrationError("probe-success table and its errors disagree in shape")
+        _check_radii(self.r, self.c, CalibrationError)
         if not (0.0 < self.p2 <= self.p1 <= 1.0 and self.p2 < 1.0):
             raise CalibrationError(
                 f"need 0 < p2 <= p1 <= 1 and p2 < 1, got p1={self.p1}, p2={self.p2}"
             )
-        if np.any(table < 0.0) or np.any(table > 1.0):
+        # written as "lies inside" so that a NaN fails too
+        if not np.all((table >= 0.0) & (table <= 1.0)):
             raise CalibrationError("probe-success values must lie in [0, 1]")
+        if not np.all((se >= 0.0) & np.isfinite(se)):
+            raise CalibrationError("probe-success standard errors must be finite and non-negative")
         if np.any(np.diff(table, axis=1) < 0.0):
             raise CalibrationError("probe-success table must be non-decreasing along j")
         if np.any(np.diff(table, axis=0) > 0.0):

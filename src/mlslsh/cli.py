@@ -17,6 +17,7 @@ import numpy as np
 
 from .bench import (
     BenchConfig,
+    WrongAnswerError,
     build_for_config,
     load_vectors,
     run_benchmark,
@@ -43,7 +44,7 @@ def _json_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValueError, CalibrationError, IndexFormatError, OSError) as e:
+        except (ValueError, CalibrationError, IndexFormatError, OSError, WrongAnswerError) as e:
             _fail(e)
 
     return wrapper

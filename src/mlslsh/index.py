@@ -113,11 +113,30 @@ def schedule_entry(k: int, j: int, count: int, universe: int) -> tuple[float, in
     return float(j * count), k, j, count, count * (min(j, universe**k) - 1)
 
 
-def read_extent(entries) -> tuple[int, int]:
-    """(r, k): the most repetitions and the deepest level over schedule
-    entries, (0, 0) for none. A query whose walk stays within `entries`
-    reads slots 0..k - 1 of repetitions 0..r - 1 and nothing else."""
-    return max((e[3] for e in entries), default=0), max((e[1] for e in entries), default=0)
+@dataclass(frozen=True)
+class Walk:
+    """The walk of one query mode: the sorted schedule `entries` it may
+    measure, all of them in adaptive mode and those with j = 1 in single
+    mode, one entry for a fixed pin and none for a full scan.
+
+    `extent` is (r, k), the most repetitions and the deepest level over the
+    entries, (0, 0) for none: a query of the mode reads slots 0..k - 1 of
+    repetitions 0..r - 1 and nothing else. It reads `first` of those
+    repetitions up front, the most that any of its j = 1 entries consults,
+    as a j = 1 entry's bound is its work and it is never pruned; it reads
+    the rest only when a multi-probe entry first needs one of them. A
+    single-probe walk thus reads its whole extent at once, and an adaptive
+    one the single-probe repetitions first.
+    """
+
+    entries: tuple[tuple[float, int, int, int, int], ...]
+    extent: tuple[int, int]
+    first: int
+
+    @classmethod
+    def over(cls, entries: tuple) -> "Walk":
+        extent = max((e[3] for e in entries), default=0), max((e[1] for e in entries), default=0)
+        return cls(entries, extent, max((e[3] for e in entries if e[2] == 1), default=0))
 
 
 def check_space_budget(budget) -> None:
@@ -229,14 +248,8 @@ class MultiLevelIndex:
     lower bound on the work of the setting. With nothing feasible, the
     schedule is empty and every adaptive or single query is a full scan.
 
-    `extents` maps "adaptive" and "single" to the `read_extent` of the
-    entries that mode walks, all of them or those with j = 1: the (r, k)
-    rectangle of repetitions and slots a query of that mode may project and
-    search, which holds the repetitions and levels of every entry it walks.
-    The single extent lies within the adaptive one. A single-probe query
-    reads all of its rectangle; an adaptive one reads the single extent's
-    repetitions first, at the adaptive depth, and the rest only when its
-    walk needs them.
+    `walks` maps "adaptive" and "single" to the `Walk` of that mode, which
+    states what it walks and reads first.
     """
 
     dataset: Dataset
@@ -247,7 +260,7 @@ class MultiLevelIndex:
     repetitions: tuple[Repetition, ...]
     directions: np.ndarray
     schedule: tuple[tuple[float, int, int, int, int], ...] = field(init=False, repr=False)
-    extents: Mapping[str, tuple[int, int]] = field(init=False, repr=False)
+    walks: Mapping[str, Walk] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cal, R, universe = self.calibration, self.num_repetitions, self.family.bucket_universe
@@ -260,9 +273,9 @@ class MultiLevelIndex:
         # each (k, j) occurs once, so the sort never compares past it
         schedule = tuple(sorted(entries))
         object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "extents", MappingProxyType({
-            "adaptive": read_extent(schedule),
-            "single": read_extent([e for e in schedule if e[2] == 1]),
+        object.__setattr__(self, "walks", MappingProxyType({
+            "adaptive": Walk.over(schedule),
+            "single": Walk.over(tuple(e for e in schedule if e[2] == 1)),
         }))
 
     @property

@@ -10,35 +10,32 @@ and the least work they spend past their own buckets. A setting that would
 need more repetitions than the index has cannot reach its success
 probability and is not in the schedule.
 
-A query projects and searches only the read extent of its mode, the first
-r repetitions' first k slots that the entries it may walk consult; it
-never reads the rest of the direction block. A single-probe or fixed query
-reads its extent at once. An adaptive query reads the repetitions of the
-single-probe extent first, at its own depth, and the rest of its extent in
-one more read only when its walk first needs one of them. Every query walks
-the schedule in order, measures the true candidate work of each entry, and
-stops at the first entry whose cost reaches the best work seen. Before it
-measures a multi-probe entry it checks a tighter lower bound: the floor
-plus the spine, the query's own bucket at every level of every repetition
-it consults, which a single-probe setting reads anyway. An entry whose
-bound reaches the best work cannot replace it and is skipped unmeasured,
-so pruning changes the trace but never the answer; a bound that already
-does so from the repetitions read so far, one unit for each other one,
-reads no more. Probe counts never pass the calibrated table width, so a
+Every mode is one walk, `index.Walk`: the entries it may measure, the
+extent of the index it reads and how much of it up front. `_schedule` runs
+the walk in order, measures the true candidate work of each entry, and
+stops at the first entry whose cost reaches the best work seen, which
+starts at the walk's ceiling, the work of the full scan it falls back to.
+Before it measures a multi-probe entry it checks the spine lower bound of
+`_QueryProbes.bound`; an entry whose bound reaches the best work cannot
+replace it and is skipped unmeasured, so pruning changes the trace but
+never the answer. Probe counts never pass the calibrated table width, so a
 query never re-estimates the table and its work is bounded before it
-starts. A brute-force scan is the standing fallback, so the reported work
-never exceeds n.
+starts.
 
-All four modes check the query row and the radius in one function and build
-their report in another from one schedule entry. Adaptive and single-probe
-queries run the scheduler, a fixed query pins one entry, and brute force
-reports the full-scan setting (0, 0) without an index; `run_query` picks a
-mode by name. A fixed query also answers a pin the schedule leaves out, with
-the repetitions capped at those built, and marks its report `infeasible`.
+Adaptive and single-probe queries walk the index's `walks`, starting from
+the full scan of n points, so the reported work never exceeds n. A fixed
+query walks its one pinned entry from an unbounded start, so the entry is
+always measured; it also answers a pin the schedule leaves out, with the
+repetitions capped at those built, and marks its report `infeasible`.
+Brute force is the walk of no entries: the full-scan setting (0, 0),
+without an index. All four modes check the query row and the radius in one
+function and build their report in another; `run_query` picks a mode by
+name.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Iterator
@@ -49,7 +46,7 @@ from .families import _pack, _prefixes, bucket_codes, first_tuples, slot_bits, s
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, range_scan
-from .index import MultiLevelIndex, bucket_runs, consulted_reps, schedule_entry
+from .index import MultiLevelIndex, Walk, bucket_runs, consulted_reps, schedule_entry
 
 
 @dataclass(frozen=True)
@@ -134,19 +131,18 @@ class _QueryProbes:
     read extent (r, depth) the probes were made for.
 
     Repetitions are read as a growing prefix, every one at the extent's
-    depth: the first `first` of them up front, all r by default, and the
-    rest in one more block the first time a setting needs one of them. A
-    read projects the query with one matmul on the functions of slots
-    0..depth - 1 of its repetitions, a view of the direction block; numpy
-    runs one product per function on it, so each projection equals that of
-    the whole block bit for bit. The prefixes of the query's own key in
-    each of those repetitions give the spine, its own bucket at levels
-    1..depth, in one `bucket_runs` search; that is all a single-probe
-    setting reads. A running sum of the spine over repetitions, read at an
-    entry's `reps` and added to its `floor`, is the entry's `bound`: the
-    work of the setting at j = 1 and a lower bound on it past that. Its
-    `partial_bound` reads nothing: the spine of the repetitions read so far
-    plus one unit for each consulted repetition not read yet.
+    depth: the first `first` of them up front, and the rest in one more read
+    the first time a setting needs one of them. A read projects the query
+    with one matmul on the functions of slots 0..depth - 1 of its
+    repetitions, a view of the direction block; numpy runs one product per
+    function on it, so each projection equals that of the whole block bit
+    for bit. The prefixes of the query's own key in each of those
+    repetitions give the spine, its own bucket at levels 1..depth, in one
+    `bucket_runs` search, whose runs every read keeps; that is all a
+    single-probe setting reads. A running sum of the spine over
+    repetitions, read at an entry's `reps` and added to its `floor`, is the
+    entry's `bound`: the work of the setting at j = 1 and a lower bound on
+    it past that.
 
     The first setting past one probe reads every repetition, ranks the
     extent's slots with one `slot_rankings` call and starts `first_tuples`
@@ -157,22 +153,21 @@ class _QueryProbes:
     candidates of a measured setting searches no bucket again.
     """
 
-    def __init__(
-        self, index: MultiLevelIndex, q: np.ndarray, extent: tuple[int, int],
-        first: int | None = None,
-    ):
+    def __init__(self, index: MultiLevelIndex, q: np.ndarray, extent: tuple[int, int], first: int):
         self._index, self._q = index, q
         (self._count, depth), family = extent, index.family
         self._bits, self._depth = slot_bits(family, index.levels), depth
-        # row r * depth + s projects on slot s of repetition r; rows and
-        # sums of the repetitions not read yet are unset
+        # row r * depth + s projects on slot s of repetition r, and
+        # [lo, hi)[r, k - 1] is its own bucket at level k; rows and runs of
+        # the repetitions not read yet are unset
         self._proj = np.empty((self._count * depth, index.directions.shape[1]))
+        self._lo = np.empty((self._count, depth), dtype=np.int64)
+        self._hi = np.empty((self._count, depth), dtype=np.int64)
         # spine[r, k - 1]: one unit plus the own bucket, summed over
-        # repetitions 0..r - 1 at level k; the first read's own runs are
-        # kept as _lo and _hi
+        # repetitions 0..r - 1 at level k
         self._spine = np.zeros((self._count + 1, depth), dtype=np.int64)
         self.read = 0
-        self._read(self._count if first is None else first)
+        self._read(first)
         # the probe order of every repetition, started on first use, the
         # (R, probes) keys of the levels it has yielded so far, and the runs
         # of each multi-probe entry looked up
@@ -187,8 +182,7 @@ class _QueryProbes:
 
     def _read(self, stop: int) -> None:
         """Project, code and search repetitions read..stop - 1, appending
-        their rows and spine sums to those already read. The first read
-        keeps its runs: it holds every single-probe entry's repetitions."""
+        their rows, runs and spine sums to those already read."""
         start, depth, index = self.read, self._depth, self._index
         if stop <= start:
             return
@@ -198,27 +192,22 @@ class _QueryProbes:
         own = bucket_codes(index.family, proj).reshape(stop - start, depth)
         own_prefixes = _prefixes(_pack(own, self._bits), self._bits, depth)
         lo, hi = bucket_runs(index.repetitions[start:stop], own_prefixes, np.arange(1, depth + 1))
+        self._lo[start:stop], self._hi[start:stop] = lo, hi
         spine = np.cumsum(1 + hi - lo, axis=0, out=self._spine[start + 1 : stop + 1])
-        if start:
-            spine += self._spine[start]
-        else:
-            self._lo, self._hi = lo, hi
+        spine += self._spine[start]
         self.read = stop
 
-    def partial_bound(self, entry) -> int:
-        """A lower bound on `bound(entry)` that reads nothing: the spine of
-        the consulted repetitions read so far, one unit for each other one,
-        and the `floor`."""
-        _, k, _, reps, floor = entry
-        c = min(reps, self.read)
-        return int(self._spine[c, k - 1]) + reps - c + floor
-
-    def bound(self, entry) -> int:
+    def bound(self, entry, best: float = math.inf) -> int:
         """Spine lower bound on the work of the setting of `entry`: its
-        consulted repetitions' own buckets plus its `floor`. A repetition
-        not read yet reads the rest of the extent."""
+        consulted repetitions' own buckets plus its `floor`. While it
+        consults repetitions not read yet, it first counts one unit for each
+        of them; if that already reaches `best` it returns that lower value
+        and reads nothing, and otherwise it reads the rest of the extent."""
         _, k, _, reps, floor = entry
         if reps > self.read:
+            partial = int(self._spine[self.read, k - 1]) + reps - self.read + floor
+            if partial >= best:
+                return partial
             self._read(self._count)
         return int(self._spine[reps, k - 1]) + floor
 
@@ -286,11 +275,11 @@ _FULL_SCAN = (0.0, 0, 0, 0, 0)
 
 def _report(
     dataset: Dataset, q: np.ndarray, radius: float, mode: str, t0: float,
-    entry: tuple, w: float, probes: _QueryProbes | None, examined, pruned: int,
+    probes: _QueryProbes | None, entry: tuple, w: float, examined, pruned: int,
 ) -> QueryReport:
-    """The report of schedule entry `entry` with work w: the range members
-    among the buckets it probes, or among every point for `_FULL_SCAN`.
-    `examined` and `pruned` are the scheduler's trace and pruning count."""
+    """The report of the walk `_schedule` ended at `entry` with work w: the
+    range members among the buckets it probes, or among every point for
+    `_FULL_SCAN`, with the walk's trace and pruning count."""
     _, k, j, _, _ = entry
     if k == 0:
         ids, dists = range_scan(dataset.matrix, q, radius)
@@ -315,55 +304,42 @@ def _report(
 
 
 def _query(
-    index: MultiLevelIndex, q: np.ndarray, radius: float | None, mode: str, extent, choose,
-    first: int | None = None,
+    index: MultiLevelIndex, q: np.ndarray, radius: float | None, mode: str, walk: Walk,
+    ceiling: float,
 ) -> QueryReport:
     """The front door of every index mode: default the radius to the
     calibrated r, validate the row and the radius, make the probes of the
-    read extent (r, k), reading its first `first` repetitions up front, all
-    of them by default, and report the schedule entry and work that
-    `choose(probes)` returns together with its trace and the number of
-    settings it pruned. An empty extent reads no index: `choose` gets None
-    and has no entry to walk."""
+    walk and report where `_schedule` ends it from `ceiling`. A walk of no
+    entries reads no index."""
     t0 = time.perf_counter()
     if radius is None:
         radius = index.calibration.r
     q = _check_query(index.dataset.dim, q, radius)
-    probes = _QueryProbes(index, q, extent, first) if extent[0] else None
-    entry, w, examined, pruned = choose(probes)
-    return _report(index.dataset, q, radius, mode, t0, entry, w, probes, examined, pruned)
+    probes = _QueryProbes(index, q, walk.extent, walk.first) if walk.entries else None
+    found = _schedule(probes, walk.entries, ceiling)
+    return _report(index.dataset, q, radius, mode, t0, probes, *found)
 
 
-def _schedule(index: MultiLevelIndex, probes: _QueryProbes, multi_probe: bool):
-    """The cheapest schedule entry the adaptive walk finds and its work, the
-    trace of settings it measured, and how many more it pruned unmeasured.
+def _schedule(probes: _QueryProbes | None, entries, ceiling: float):
+    """The cheapest of `entries` the walk finds and its work, the trace of
+    settings it measured, and how many more it pruned unmeasured.
 
-    Entries come from `index.schedule`, built once per index in order of
-    cost; with none, the full scan stands. The walk stops at the first entry
-    whose cost reaches the best work so far, as every later one costs at
-    least as much. A multi-probe entry whose spine lower bound is at least
-    the best work is pruned: the best is replaced only on a strict <, so it
-    could never win. While it consults repetitions not read yet, its partial
-    bound is checked first, so an entry that it already prunes reads no
-    further repetitions. Single-probe entries are always measured; their
-    bound is their work, read off the spine. Single mode skips every
-    multi-probe entry; its own come in level order, as the cost of (k, 1)
-    never falls with k.
+    The best starts as the full scan at work `ceiling`, and entries come in
+    order of cost. The walk stops at the first entry whose cost reaches the
+    best work so far, as every later one costs at least as much. A
+    multi-probe entry whose spine lower bound is at least the best work is
+    pruned: the best is replaced only on a strict <, so it could never win.
+    Single-probe entries are always measured; their bound is their work.
     """
-    w_best, best = float(index.size), _FULL_SCAN
-    examined: list[ExaminedSetting] = []
-    pruned = 0
-    for entry in index.schedule:
-        c, k, j, reps, _ = entry
+    w_best, best = float(ceiling), _FULL_SCAN
+    examined, pruned = [], 0
+    for entry in entries:
+        c, k, j, _, _ = entry
         if c >= w_best:
             break
-        if j > 1:
-            if not multi_probe:
-                continue
-            unread = reps > probes.read
-            if (unread and probes.partial_bound(entry) >= w_best) or probes.bound(entry) >= w_best:
-                pruned += 1
-                continue
+        if j > 1 and probes.bound(entry, w_best) >= w_best:
+            pruned += 1
+            continue
         w = probes.work(entry)
         examined.append(ExaminedSetting(k, j, c, w))
         if w < w_best:
@@ -375,29 +351,22 @@ def _schedule(index: MultiLevelIndex, probes: _QueryProbes, multi_probe: bool):
 def adaptive_multiprobe(
     index: MultiLevelIndex, q: np.ndarray, radius: float | None = None
 ) -> QueryReport:
-    """Range query with adaptive level and probe-count selection.
+    """Range query with adaptive level and probe-count selection, the walk
+    `index.walks["adaptive"]` over every feasible setting.
 
     With radius omitted, the calibrated radius is used. Reported points are
     always true range members; the scheduler only decides how much of the
     index to look at.
-
-    The query first reads the repetitions of the single-probe extent, which
-    the adaptive one contains, and the rest only when its walk needs them.
     """
-    return _query(
-        index, q, radius, "adaptive", index.extents["adaptive"],
-        lambda p: _schedule(index, p, multi_probe=True), first=index.extents["single"][0],
-    )
+    return _query(index, q, radius, "adaptive", index.walks["adaptive"], index.size)
 
 
 def single_probe_adaptive(
     index: MultiLevelIndex, q: np.ndarray, radius: float | None = None
 ) -> QueryReport:
-    """Adaptive level selection with exactly one probe per repetition."""
-    return _query(
-        index, q, radius, "single", index.extents["single"],
-        lambda p: _schedule(index, p, multi_probe=False),
-    )
+    """Adaptive level selection with exactly one probe per repetition, the
+    walk `index.walks["single"]`."""
+    return _query(index, q, radius, "single", index.walks["single"], index.size)
 
 
 def fixed_level_query(
@@ -421,12 +390,7 @@ def fixed_level_query(
     index.calibration.ensure_probes(j)
     count = consulted_reps(index.calibration, k, j, index.num_repetitions)
     entry = schedule_entry(k, j, count, index.family.bucket_universe)
-
-    def pinned(probes: _QueryProbes):
-        w = probes.work(entry)
-        return entry, w, [ExaminedSetting(k, j, entry[0], w)], 0
-
-    report = _query(index, q, radius, "fixed", (count, k), pinned)
+    report = _query(index, q, radius, "fixed", Walk.over((entry,)), math.inf)
     return report if entry in index.schedule else replace(report, infeasible=True)
 
 
@@ -434,7 +398,7 @@ def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryRe
     """Exact range reporting by full scan; the reference the index is judged against."""
     t0 = time.perf_counter()
     q = _check_query(dataset.dim, q, radius)
-    return _report(dataset, q, radius, "brute", t0, _FULL_SCAN, float(dataset.size), None, (), 0)
+    return _report(dataset, q, radius, "brute", t0, None, *_schedule(None, (), dataset.size))
 
 
 MODES = ("adaptive", "single", "fixed", "brute")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from mlslsh.bench import (
     BenchConfig,
+    WrongAnswerError,
     build_for_config,
     calibrate_cached,
     default_cache_dir,
@@ -308,7 +310,7 @@ def test_scaling_trend_checks_every_answer(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_mod, "run_query", with_a_far_point)
     config = _tiny_config(tmp_path, modes=("brute",), num_queries=5, planted=3)
-    with pytest.raises(AssertionError, match="non-members"):
+    with pytest.raises(WrongAnswerError, match="non-members"):
         scaling_trend([200, 400, 800], config)
 
 
@@ -345,12 +347,17 @@ def test_fvecs_dimension_change_past_the_second_record(tmp_path):
         lambda doc: {**doc, "r": None},
         # a table that decreases along j
         lambda doc: {**doc, "probe_success": [row[::-1] for row in doc["probe_success"]]},
+        # a NaN in the table, which JSON writes as NaN and reads back
+        lambda doc: {**doc, "probe_success": [[math.nan] + row[1:] for row in doc["probe_success"]]},
         # a rho that is not the one p1 and p2 give
         lambda doc: {**doc, "rho": doc["rho"] + 1e-3},
         # a family field that only ever holds null
         lambda doc: {**doc, "family": {**doc["family"], "cap_threshold": 0.3}},
     ],
-    ids=["list", "null-radius", "decreasing-table", "rho-not-derived", "family-threshold-set"],
+    ids=[
+        "list", "null-radius", "decreasing-table", "nan-table", "rho-not-derived",
+        "family-threshold-set",
+    ],
 )
 def test_calibrate_cached_recomputes_malformed_entries(tmp_path, corrupt):
     params = FamilyParams(kind="cross_polytope", dim=6)

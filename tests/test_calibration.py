@@ -306,6 +306,23 @@ def test_calibration_validation():
     bad = dict(base, p1=1.0, p2=1.0)  # no finite depth or rho
     with pytest.raises(CalibrationError, match="p2 < 1"):
         FamilyCalibration(**bad)
+    # a NaN compares false both ways, so it must fail as a value outside [0, 1]
+    for table in ([[0.5, np.nan], [0.3, 0.4]], [[np.nan, np.nan], [np.nan, np.nan]]):
+        with pytest.raises(CalibrationError, match="lie in"):
+            FamilyCalibration(**dict(base, probe_success=np.array(table)))
+    for value in (np.nan, np.inf, -0.01):
+        errors = se.copy()
+        errors[1, 0] = value
+        with pytest.raises(CalibrationError, match="standard errors"):
+            FamilyCalibration(**dict(base, probe_success_se=errors))
+    # the radii checks of `calibrate`, raised as a CalibrationError
+    for r, c, message in [
+        (-3.0, 0.1, "radius"), (0.0, 2.0, "radius"), (2.0, 1.5, "radius"), (np.nan, 2.0, "radius"),
+        (0.4, 1.0, "approximation factor"), (0.4, np.nan, "approximation factor"),
+        (1.5, 2.0, "far distance"),
+    ]:
+        with pytest.raises(CalibrationError, match=message):
+            FamilyCalibration(**dict(base, r=r, c=c))
 
 
 def test_calibrate_argument_validation():

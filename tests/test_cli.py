@@ -1,7 +1,9 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from mlslsh.cli import main
@@ -194,6 +196,30 @@ def test_semantic_error_reports_json_error(tmp_path):
     assert result.exit_code == 1
     err = json.loads(_stderr_of(result))
     assert err["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("verb", [
+    ["bench", "--input", "synth:n=300,d=8,t=4", "--radius", "0.4"],
+    ["trend", "--sizes", "200,400,800", "--dim", "8", "--radius", "0.4", "--planted", "3"],
+], ids=["bench", "trend"])
+def test_a_wrong_answer_reports_json_error(monkeypatch, verb):
+    # a reported point outside the true range stops the run with the JSON
+    # error every other failure gives, not a traceback
+    import mlslsh.bench as bench_mod
+
+    original = bench_mod.run_query
+
+    def with_a_far_point(mode, index, dataset, q, radius, fixed):
+        report = original(mode, index, dataset, q, radius, fixed)
+        far = int(np.argmax(np.linalg.norm(dataset.matrix - q, axis=1)))
+        return dataclasses.replace(report, ids=report.ids + (far,))
+
+    monkeypatch.setattr(bench_mod, "run_query", with_a_far_point)
+    result = make_runner().invoke(main, verb + ["--mode", "brute", "--queries", "5"] + COMMON)
+    assert result.exit_code == 1
+    err = json.loads(_stderr_of(result))
+    assert err["error"]["type"] == "WrongAnswerError"
+    assert "non-members" in err["error"]["message"]
 
 
 def test_csv_input_through_cli(tmp_path):

@@ -27,7 +27,7 @@ from conftest import feasible_reps, setting_cost, toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.families import _pack, _prefixes, bucket_codes, first_tuples, slot_bits, slot_rankings
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
-from mlslsh.index import bucket_runs, build_index, compute_k, reps
+from mlslsh.index import Walk, bucket_runs, build_index, compute_k, reps
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
@@ -207,7 +207,8 @@ def test_spine_lower_bound_is_admissible(case):
     for q in queries:
         if not index.schedule:
             continue
-        ref, probes = Reference(index, q), _QueryProbes(index, q, index.extents["adaptive"])
+        walk = index.walks["adaptive"]
+        ref, probes = Reference(index, q), _QueryProbes(index, q, walk.extent, walk.first)
         for entry in index.schedule:
             _, k, j, r_count, _ = entry
             assert r_count == feasible_reps(index, k, j)
@@ -253,20 +254,20 @@ class FullProjection:
     st.data(),
 )
 def test_read_extents_match_a_full_projection(case, data):
-    # each mode reads only its extent of the direction block, an adaptive
-    # query the single-probe repetitions first and the rest on first need,
-    # yet projects, bounds, measures and collects every entry it may walk
-    # exactly as the whole block does, at dimensions whose products take
-    # different kernels; entries come in any order, so a bound, measurement
-    # or candidate set that read past the repetitions read would differ
+    # each mode reads only its walk's extent of the direction block, its
+    # first repetitions up front and the rest on first need, yet projects,
+    # bounds, measures and collects every entry it may walk exactly as the
+    # whole block does, at dimensions whose products take different kernels;
+    # entries come in any order, so a bound, measurement or candidate set
+    # that read past the repetitions read would differ. A bound given the
+    # best work so far never passes the full one; it stops short of it only
+    # to return a value that reaches that best without reading on.
     index, queries, _ = case
     K, R = index.levels, index.num_repetitions
-    walks = {"adaptive": index.schedule, "single": [e for e in index.schedule if e[2] == 1]}
-    first = {"adaptive": index.extents["single"][0], "single": None}
     for q in queries:
         full = FullProjection(index, q)
-        for mode, entries in walks.items():
-            r, depth = index.extents[mode]
+        for walk in index.walks.values():
+            (r, depth), entries = walk.extent, walk.entries
             if not entries:
                 assert (r, depth) == (0, 0)
                 continue
@@ -278,13 +279,19 @@ def test_read_extents_match_a_full_projection(case, data):
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(querymod, "bucket_codes", coded)
-                probes = _QueryProbes(index, q, (r, depth), first[mode])
-                assert probes.read == (r if first[mode] is None else first[mode])
+                probes = _QueryProbes(index, q, walk.extent, walk.first)
+                assert probes.read == walk.first
                 for entry in data.draw(st.permutations(entries)):
                     _, k, j, count, floor = entry
                     assert count <= r and k <= depth
                     spine = int((1 + full.hi - full.lo)[:count, k - 1].sum())
-                    assert probes.partial_bound(entry) <= spine + floor
+                    read, best = probes.read, data.draw(st.integers(0, spine + floor + 1))
+                    bound = probes.bound(entry, best)
+                    assert bound <= spine + floor
+                    if probes.read > read:
+                        assert bound == spine + floor
+                    if bound < spine + floor:
+                        assert probes.read == read and bound >= best
                     assert probes.bound(entry) == spine + floor
                     lo, hi = full.runs(k, j, count)
                     assert probes.work(entry) == float((1 + hi - lo).sum())
@@ -312,12 +319,14 @@ def test_an_empty_single_extent_reads_the_whole_adaptive_extent_on_first_need():
     inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=3)
     cal = toy_calibration(family, 0.3, 0.2, compute_k(600, 0.2), 4, 10.0)
     index = build_index(inst.dataset, cal, space_budget=4, seed=3)
-    assert dict(index.extents) == {"adaptive": (4, 1), "single": (0, 0)}
+    walk = index.walks["adaptive"]
+    assert (walk.entries, walk.extent, walk.first) == (index.schedule, (4, 1), 0)
+    assert index.walks["single"] == Walk((), (0, 0), 0)
     for q in inst.queries:
-        probes = _QueryProbes(index, q.coords, index.extents["adaptive"], 0)
+        probes = _QueryProbes(index, q.coords, walk.extent, walk.first)
         assert probes.read == probes.functions_projected == 0
         entry = index.schedule[0]
-        assert probes.partial_bound(entry) == entry[3] + entry[4]
+        assert probes.bound(entry, entry[3] + entry[4]) == entry[3] + entry[4]
         assert probes.read == 0
         probes.bound(entry)
         assert probes.read == 4

@@ -172,36 +172,42 @@ def test_schedule_entries_are_the_feasible_settings(tmp_path, built):
 @pytest.mark.parametrize("p1", [0.8, 0.5])
 @pytest.mark.parametrize("budget", [None, 1, 2, 8])
 def test_read_extents_match_a_recount_of_the_table(tmp_path, built, p1, budget):
-    # per mode, the most repetitions and the deepest level over the settings
-    # it may walk, recounted from the probe-success table: P > 0 and
-    # ceil(2 ln(2jk) / P) <= R; single mode walks j = 1 only
+    # per mode, the walk recounted from the probe-success table: the settings
+    # it may measure, P > 0 and ceil(2 ln(2jk) / P) <= R, as sorted entries;
+    # the most repetitions and the deepest level over them; and the most
+    # repetitions over those with j = 1. Single mode walks j = 1 only
     inst, _ = built
     cal = toy_calibration(FamilyParams(kind="cross_polytope", dim=12), p1=p1, max_probes=8)
     index = build_index(inst.dataset, cal, space_budget=budget, seed=7)
     path = str(tmp_path / "extents.idx")
     index.save(path, include_codes=False)
+    universe = index.family.bucket_universe
     feasible = {"adaptive": [], "single": []}
     for k in range(1, index.levels + 1):
         for j in range(1, cal.max_probes + 1):
             p = float(cal.probe_success[k - 1, j - 1])
             needed = math.ceil(2.0 * math.log(2 * j * k) / p - 1e-9) if p > 0.0 else math.inf
             if needed <= index.num_repetitions:
-                feasible["adaptive"].append((needed, k))
+                entry = (float(j * needed), k, j, needed, needed * (min(j, universe**k) - 1))
+                feasible["adaptive"].append(entry)
                 if j == 1:
-                    feasible["single"].append((needed, k))
-    expected = {
-        mode: (max((r for r, _ in pairs), default=0), max((k for _, k in pairs), default=0))
-        for mode, pairs in feasible.items()
-    }
-    assert dict(index.extents) == dict(load_index(path).extents) == expected
+                    feasible["single"].append(entry)
+    loaded = load_index(path)
+    assert set(index.walks) == set(loaded.walks) == set(feasible)
+    for mode, entries in feasible.items():
+        extent = (max((e[3] for e in entries), default=0), max((e[1] for e in entries), default=0))
+        first = max((e[3] for e in entries if e[2] == 1), default=0)
+        for walk in (index.walks[mode], loaded.walks[mode]):
+            assert walk.entries == tuple(sorted(entries))
+            assert (walk.extent, walk.first) == (extent, first)
     # single-probe settings form a prefix of levels whose repetitions grow
-    # with k, so the deepest one reads the single-mode extent exactly
+    # with k, so the deepest one reads the single-mode extent exactly, and
+    # an adaptive walk reads that extent's repetitions first
+    single = index.walks["single"]
+    assert single.first == single.extent[0] == index.walks["adaptive"].first
     if feasible["single"]:
-        assert max(feasible["single"], key=lambda pair: pair[1]) == expected["single"]
-    if budget == 1:
-        assert expected == {"adaptive": (0, 0), "single": (0, 0)}
-    if p1 == 0.5 and budget is None:
-        assert expected["single"][1] >= 3
+        deepest = max(feasible["single"], key=lambda e: e[1])
+        assert (deepest[3], deepest[1]) == single.extent
 
 
 def rehashed(index, r):
@@ -592,6 +598,9 @@ def _cap_family(meta):
         (_cap_family, "key bits"),
         (lambda meta: meta["family"].update(kind="spherical_cap"), "differs from the calibration's"),
         (lambda meta: meta["calibration"].update(rho=0.5), "stored rho=0.5 differs"),
+        (lambda meta: meta["calibration"]["probe_success"][0].__setitem__(0, math.nan), "lie in"),
+        (lambda meta: meta["calibration"]["probe_success_se"][1].__setitem__(0, -1.0), "errors"),
+        (lambda meta: meta["calibration"].update(r=-3.0, c=0.1), "radius"),
         (_set("n", 19), "trailing"),
         (_set("degenerate_ids", ["x", -5, 1000000000]), "degenerate ids"),
         (_set("degenerate_ids", [3, 3]), "degenerate ids"),
@@ -601,7 +610,7 @@ def _cap_family(meta):
         "n-huge", "n-past-int32", "n-zero", "d-string", "d-mismatch", "levels-past-calibration",
         "levels-not-compute-k", "repetitions-huge", "seed-float", "budget-zero", "budget-float",
         "family-missing", "calibration-not-object", "bit-budget", "family-differs",
-        "rho-not-derived",
+        "rho-not-derived", "nan-table", "negative-error", "radius-off-the-sphere",
         "n-short", "degenerate-not-ids", "degenerate-repeated", "degenerate-past-n",
     ],
 )

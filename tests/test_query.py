@@ -12,7 +12,7 @@ from conftest import setting_cost, toy_calibration
 from mlslsh.families import CodeEnumerator, FamilyParams, bucket_codes, hash_batch, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
 from mlslsh.index import bucket_runs, build_index, compute_k, compute_numreps, consulted_reps, reps
-from mlslsh.index import schedule_entry
+from mlslsh.index import Walk, schedule_entry
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
@@ -23,13 +23,28 @@ from mlslsh.query import (
 )
 
 
-@pytest.fixture(scope="module")
-def small_index():
+WALK_EXPECTED = Path(__file__).resolve().parent / "data" / "walk_expected.json"
+
+
+def build_small_index():
     # p1 = 0.5 builds R = 32 repetitions, enough for levels 1 to 3 to be feasible
     params = FamilyParams(kind="cross_polytope", dim=12)
     cal = toy_calibration(params, p1=0.5)
     inst = generate_planted_instance(n=400, d=12, r=0.4, t=5, seed=31, num_queries=5)
     return inst, build_index(inst.dataset, cal, seed=3)
+
+
+def build_multi_probe_index():
+    # slope 3 makes a second and third probe worth more repetitions than a
+    # deeper level, so every query settles on a multi-probe setting
+    family = FamilyParams(kind="spherical_cap", dim=12, cap_count=16)
+    inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=12)
+    return inst, build_index(inst.dataset, toy_calibration(family, 0.5, 0.2, 4, 6, 3.0), seed=3)
+
+
+@pytest.fixture(scope="module")
+def small_index():
+    return build_small_index()
 
 
 def test_cost_known_values():
@@ -83,7 +98,7 @@ def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
     inst = generate_planted_instance(n=40, d=6, r=0.4, t=2, seed=0)
     index = build_index(inst.dataset, toy_calibration(params), seed=0)
     q = np.zeros(6)
-    probes = _QueryProbes(index, q, (index.num_repetitions, index.levels))
+    probes = _QueryProbes(index, q, (index.num_repetitions, index.levels), index.num_repetitions)
     cal, universe, checked = index.calibration, index.family.bucket_universe, set()
     for k in range(1, index.levels + 1):
         for j in range(1, 17):
@@ -103,7 +118,7 @@ def test_nothing_feasible_means_every_query_is_a_full_scan(small_index, monkeypa
     params = FamilyParams(kind="cross_polytope", dim=12)
     index = build_index(inst.dataset, toy_calibration(params), space_budget=1, seed=3)
     assert index.schedule == ()
-    assert dict(index.extents) == {"adaptive": (0, 0), "single": (0, 0)}
+    assert dict(index.walks) == {"adaptive": Walk((), (0, 0), 0), "single": Walk((), (0, 0), 0)}
     pinned = [fixed_level_query(index, q.coords, 0.4, 1, 1) for q in inst.queries]
     assert all(rep.infeasible and (rep.k_best, rep.j_best) == (1, 1) for rep in pinned)
 
@@ -121,11 +136,7 @@ def test_nothing_feasible_means_every_query_is_a_full_scan(small_index, monkeypa
 
 @pytest.fixture(scope="module")
 def multi_probe_index():
-    # slope 3 makes a second and third probe worth more repetitions than a
-    # deeper level, so every query settles on a multi-probe setting
-    family = FamilyParams(kind="spherical_cap", dim=12, cap_count=16)
-    inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=12)
-    return inst, build_index(inst.dataset, toy_calibration(family, 0.5, 0.2, 4, 6, 3.0), seed=3)
+    return build_multi_probe_index()
 
 
 def test_candidates_reuse_the_lookup_of_a_measured_setting(multi_probe_index, monkeypatch):
@@ -170,7 +181,7 @@ def test_functions_projected_match_an_independent_recount(
     monkeypatch.setattr(querymod, "bucket_codes", coded)
     stayed = grew = 0
     for inst, index in (small_index, multi_probe_index):
-        (r, depth), (r_single, _) = index.extents["adaptive"], index.extents["single"]
+        (r, depth), r_single = index.walks["adaptive"].extent, index.walks["adaptive"].first
         runs = {
             "adaptive": lambda q: adaptive_multiprobe(index, q, 0.4),
             "single": lambda q: single_probe_adaptive(index, q, 0.4),
@@ -191,8 +202,9 @@ def test_functions_projected_match_an_independent_recount(
             stayed += sum(rows) < r * depth
             grew += len(rows) == 2
     # every walk on the small index stays in the first read, as it prunes
-    # each entry that consults more repetitions by its partial bound; every
-    # walk on the multi-probe index measures a multi-probe entry and reads on
+    # each entry that consults more repetitions by its bound from the
+    # repetitions read so far; every walk on the multi-probe index measures
+    # a multi-probe entry and reads on
     assert (stayed, grew) == (len(small_index[0].queries), len(multi_probe_index[0].queries))
 
 
@@ -484,3 +496,41 @@ print("numpy.ma" in sys.modules)
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def walk_reports(inst, index) -> list[dict]:
+    """Per query of `inst`, the timed JSON report less `wall_time` of each
+    mode and of the pins (1, 1), (2, 3) and (K, max_probes)."""
+    K, width = index.levels, index.calibration.max_probes
+    runs = {
+        "adaptive": lambda q: adaptive_multiprobe(index, q, 0.4),
+        "single": lambda q: single_probe_adaptive(index, q, 0.4),
+        "brute": lambda q: brute_force_range(inst.dataset, q, 0.4),
+    }
+    for k, j in ((1, 1), (2, 3), (K, width)):
+        runs[f"fixed {k},{j}"] = lambda q, k=k, j=j: fixed_level_query(index, q, 0.4, k, j)
+    out = []
+    for q in inst.queries:
+        docs = {name: run(q.coords).to_json_dict(include_timing=True) for name, run in runs.items()}
+        for doc in docs.values():
+            doc.pop("wall_time")
+        out.append(docs)
+    return out
+
+
+def test_walks_give_the_recorded_reports(small_index, multi_probe_index):
+    # ids, distances, work, traces, pruning counts and functions projected of
+    # every mode, byte for byte as tests/data/walk_expected.json records them
+    expected = json.loads(WALK_EXPECTED.read_text())
+    got = {"small_index": walk_reports(*small_index)}
+    got["multi_probe_index"] = walk_reports(*multi_probe_index)
+    assert json.loads(json.dumps(got)) == expected
+    # the second walk settles on a multi-probe setting
+    assert any(doc["adaptive"]["j_best"] > 1 for doc in expected["multi_probe_index"])
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_query.py > tests/data/walk_expected.json
+    doc = {"small_index": walk_reports(*build_small_index())}
+    doc["multi_probe_index"] = walk_reports(*build_multi_probe_index())
+    print(json.dumps(doc, indent=1, sort_keys=True))

@@ -138,11 +138,11 @@ class _QueryProbes:
     function on it, so each projection equals that of the whole block bit
     for bit. The prefixes of the query's own key in each of those
     repetitions give the spine, its own bucket at levels 1..depth, in one
-    `bucket_runs` search, whose runs every read keeps; that is all a
-    single-probe setting reads. A running sum of the spine over
-    repetitions, read at an entry's `reps` and added to its `floor`, is the
-    entry's `bound`: the work of the setting at j = 1 and a lower bound on
-    it past that.
+    `bucket_runs` search. The first read keeps its runs: it holds every
+    repetition a single-probe setting of the walk consults, and that is all
+    such a setting reads. A running sum of the spine over repetitions, read
+    at an entry's `reps` and added to its `floor`, is the entry's `bound`:
+    the work of the setting at j = 1 and a lower bound on it past that.
 
     The first setting past one probe reads every repetition, ranks the
     extent's slots with one `slot_rankings` call and starts `first_tuples`
@@ -157,14 +157,12 @@ class _QueryProbes:
         self._index, self._q = index, q
         (self._count, depth), family = extent, index.family
         self._bits, self._depth = slot_bits(family, index.levels), depth
-        # row r * depth + s projects on slot s of repetition r, and
-        # [lo, hi)[r, k - 1] is its own bucket at level k; rows and runs of
-        # the repetitions not read yet are unset
+        # row r * depth + s projects on slot s of repetition r; rows and
+        # sums of the repetitions not read yet are unset
         self._proj = np.empty((self._count * depth, index.directions.shape[1]))
-        self._lo = np.empty((self._count, depth), dtype=np.int64)
-        self._hi = np.empty((self._count, depth), dtype=np.int64)
         # spine[r, k - 1]: one unit plus the own bucket, summed over
-        # repetitions 0..r - 1 at level k
+        # repetitions 0..r - 1 at level k; the first read's own runs are
+        # kept as _lo and _hi, [lo, hi)[r, k - 1] the bucket at level k
         self._spine = np.zeros((self._count + 1, depth), dtype=np.int64)
         self.read = 0
         self._read(first)
@@ -182,7 +180,7 @@ class _QueryProbes:
 
     def _read(self, stop: int) -> None:
         """Project, code and search repetitions read..stop - 1, appending
-        their rows, runs and spine sums to those already read."""
+        their rows and spine sums to those already read."""
         start, depth, index = self.read, self._depth, self._index
         if stop <= start:
             return
@@ -192,9 +190,11 @@ class _QueryProbes:
         own = bucket_codes(index.family, proj).reshape(stop - start, depth)
         own_prefixes = _prefixes(_pack(own, self._bits), self._bits, depth)
         lo, hi = bucket_runs(index.repetitions[start:stop], own_prefixes, np.arange(1, depth + 1))
-        self._lo[start:stop], self._hi[start:stop] = lo, hi
         spine = np.cumsum(1 + hi - lo, axis=0, out=self._spine[start + 1 : stop + 1])
-        spine += self._spine[start]
+        if start:
+            spine += self._spine[start]
+        else:
+            self._lo, self._hi = lo, hi
         self.read = stop
 
     def bound(self, entry, best: float = math.inf) -> int:
@@ -398,7 +398,7 @@ def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryRe
     """Exact range reporting by full scan; the reference the index is judged against."""
     t0 = time.perf_counter()
     q = _check_query(dataset.dim, q, radius)
-    return _report(dataset, q, radius, "brute", t0, None, *_schedule(None, (), dataset.size))
+    return _report(dataset, q, radius, "brute", t0, None, _FULL_SCAN, float(dataset.size), (), 0)
 
 
 MODES = ("adaptive", "single", "fixed", "brute")

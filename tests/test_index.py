@@ -17,6 +17,7 @@ from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
     IndexFormatError,
     Repetition,
+    Walk,
     build_index,
     compute_k,
     compute_numreps,
@@ -208,6 +209,10 @@ def test_read_extents_match_a_recount_of_the_table(tmp_path, built, p1, budget):
     if feasible["single"]:
         deepest = max(feasible["single"], key=lambda e: e[1])
         assert (deepest[3], deepest[1]) == single.extent
+    if budget == 1:
+        assert index.walks["single"] == index.walks["adaptive"] == Walk((), (0, 0), 0)
+    if p1 == 0.5 and budget is None:
+        assert single.extent[1] >= 3
 
 
 def rehashed(index, r):

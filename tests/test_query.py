@@ -518,13 +518,31 @@ def walk_reports(inst, index) -> list[dict]:
     return out
 
 
+def pop_distances(doc: dict) -> list[float]:
+    """Remove the distances of every report in `doc`, a document of
+    `walk_reports` per fixture, and return them in sorted key order."""
+    return [
+        d
+        for name in sorted(doc)
+        for reports in doc[name]
+        for mode in sorted(reports)
+        for d in reports[mode].pop("distances")
+    ]
+
+
 def test_walks_give_the_recorded_reports(small_index, multi_probe_index):
-    # ids, distances, work, traces, pruning counts and functions projected of
-    # every mode, byte for byte as tests/data/walk_expected.json records them
+    # ids, work, traces, pruning counts and functions projected of every mode
+    # exactly as tests/data/walk_expected.json records them, and distances to
+    # within rounding. The fixtures are built and hashed afresh, so the file
+    # holds for a numpy and BLAS that round these products as the one it was
+    # written with; another rounding can move a point across a bucket or the
+    # radius and fail this test without a fault in the walk
     expected = json.loads(WALK_EXPECTED.read_text())
     got = {"small_index": walk_reports(*small_index)}
     got["multi_probe_index"] = walk_reports(*multi_probe_index)
-    assert json.loads(json.dumps(got)) == expected
+    got = json.loads(json.dumps(got))
+    assert pop_distances(got) == pytest.approx(pop_distances(expected), rel=1e-9, abs=1e-12)
+    assert got == expected
     # the second walk settles on a multi-probe setting
     assert any(doc["adaptive"]["j_best"] > 1 for doc in expected["multi_probe_index"])
 

@@ -252,9 +252,12 @@ class FamilyCalibration:
     non-increasing along k by construction. Its width is the probe budget of
     every query on an index built from it; nothing widens it later. A
     calibration whose radii `_check_radii` rejects, whose table holds a value
-    outside [0, 1] or a NaN, or whose standard errors are not finite and
-    non-negative raises CalibrationError, so a document read back with
-    `from_json_dict` holds no setting a schedule would have to drop.
+    outside [0, 1] or a NaN, whose standard errors (the table's, p1's and
+    p2's) are not finite and non-negative, or whose trial count is below 1
+    raises CalibrationError, so a document read back with `from_json_dict`
+    holds no setting a schedule would have to drop and no error or trial
+    count that `calibrate` cannot make. A negative seed is valid: derived
+    seeds are masked to 63 bits.
     """
 
     params: FamilyParams
@@ -284,8 +287,11 @@ class FamilyCalibration:
         # written as "lies inside" so that a NaN fails too
         if not np.all((table >= 0.0) & (table <= 1.0)):
             raise CalibrationError("probe-success values must lie in [0, 1]")
-        if not np.all((se >= 0.0) & np.isfinite(se)):
-            raise CalibrationError("probe-success standard errors must be finite and non-negative")
+        errors = np.append(se, [self.p1_std_error, self.p2_std_error])
+        if not np.all((errors >= 0.0) & np.isfinite(errors)):
+            raise CalibrationError("standard errors must be finite and non-negative")
+        if not self.trials >= 1:
+            raise CalibrationError(f"need at least one trial, got {self.trials}")
         if np.any(np.diff(table, axis=1) < 0.0):
             raise CalibrationError("probe-success table must be non-decreasing along j")
         if np.any(np.diff(table, axis=0) > 0.0):
@@ -306,24 +312,24 @@ class FamilyCalibration:
         return int(self.probe_success.shape[1])
 
     def probe_probability(self, k: int, j: int) -> float:
-        """Table entry for level k (1-based) and probe count j (1-based)."""
-        if not 1 <= k <= self.levels:
-            raise ValueError(f"level {k} outside calibrated range 1..{self.levels}")
-        if not 1 <= j <= self.max_probes:
-            raise ValueError(f"probe count {j} outside calibrated range 1..{self.max_probes}")
-        return float(self.probe_success[k - 1, j - 1])
-
-    def ensure_probes(self, j: int) -> "FamilyCalibration":
-        """This calibration, if its table covers `j` probes; never re-estimates.
+        """Table entry for level k (1-based) and probe count j (1-based).
 
         The table width is fixed when the family is calibrated, so a probe
         count past it is an error rather than a reason to sample more.
         """
+        if not 1 <= k <= self.levels:
+            raise ValueError(f"level {k} outside calibrated range 1..{self.levels}")
         if not 1 <= j <= self.max_probes:
             raise ValueError(
                 f"probe count {j} outside the calibrated range 1..{self.max_probes}; "
                 "re-calibrate with a larger max_probes"
             )
+        return float(self.probe_success[k - 1, j - 1])
+
+    def ensure_probes(self, j: int) -> "FamilyCalibration":
+        """This calibration, if its table covers `j` probes; never re-estimates.
+        Nothing in the library calls it; the benchmark's span tracer wraps it."""
+        self.probe_probability(1, j)
         return self
 
     def to_json_dict(self) -> dict:
@@ -369,30 +375,6 @@ class FamilyCalibration:
         return cal
 
 
-def _check_edge_consistency(
-    table: np.ndarray, se_table: np.ndarray, near: CollisionEstimate, levels: int
-) -> None:
-    """The first table column must agree with powers of p1 within 3 sigma.
-
-    Both estimates target the same quantity through independent substreams,
-    so a disagreement beyond combined noise indicates a broken sampler.
-    Checked for the shallow levels where the comparison has statistical power.
-    """
-    p1 = near.probability
-    for k in range(1, min(4, levels) + 1):
-        expected = p1**k
-        got = float(table[k - 1, 0])
-        sigma = math.sqrt(
-            float(se_table[k - 1, 0]) ** 2
-            + (k * p1 ** (k - 1) * near.std_error) ** 2
-        )
-        if abs(got - expected) > 3.0 * sigma and sigma > 0.0:
-            raise CalibrationError(
-                f"probe-success check failed at k={k}: table says {got:.5g}, "
-                f"p1^k says {expected:.5g}, 3 sigma is {3 * sigma:.5g}"
-            )
-
-
 def calibrate(
     params: FamilyParams,
     r: float,
@@ -405,12 +387,17 @@ def calibrate(
 ) -> FamilyCalibration:
     """Measure p1, p2, rho, and the probe-success table for one family.
 
-    Deterministic for a fixed seed; the far probability is clamped away from
-    zero (with a warning) and an inseparable pair of radii raises. A caller
-    that already ran edge_probabilities(params, r, c, trials, seed) passes
-    its result as `edges`, which is then used instead of measuring again.
-    Levels whose packed keys would pass 63 bits raise ValueError before
-    anything is measured.
+    Deterministic for a fixed seed. Before anything is measured, ValueError
+    is raised for radii off the sphere (r outside (0, 2), c not above 1, or
+    c * r past 2), fewer than one level, a probe budget below 1, levels
+    whose packed keys would pass 63 bits, and, when the edges are measured
+    here, fewer than 1000 trials. After measuring, CalibrationError is
+    raised only for an inseparable pair of radii; a far probability of 0 is
+    clamped away from zero with a warning. No comparison of two Monte-Carlo
+    estimates raises: the agreement of the table's first column with powers
+    of p1 is checked by the test suite, not on every call. A caller that
+    already ran edge_probabilities(params, r, c, trials, seed) passes its
+    result as `edges`, which is then used instead of measuring again.
     """
     _check_radii(r, c)
     if levels < 1:
@@ -419,7 +406,6 @@ def calibrate(
     slot_bits(params, levels)  # the probe table packs codes of every level into one key
     near, far, p2 = edges or edge_probabilities(params, r, c, trials, seed)
     table, se_table = _estimate_probe_success(params, r, levels, max_probes, trials, seed)
-    _check_edge_consistency(table, se_table, near, levels)
     return FamilyCalibration(
         params=params,
         r=r,

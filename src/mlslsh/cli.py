@@ -81,25 +81,20 @@ def _echo(doc: dict) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
-_family_option = click.option(
-    "--family",
-    type=click.Choice(sorted(_FAMILY_CHOICES)),
-    default="cross-polytope",
-    show_default=True,
-    help="Hash family.",
-)
-
-_INDEX_OPTIONS = [
-    click.option("--radius", type=float, required=True, help="Target query radius."),
-    click.option("--approx-c", type=float, default=2.0, show_default=True),
-    click.option("--budget-L", "budget", type=int, default=None, help="Cap on repetitions."),
-    _family_option,
-    click.option("--cap-count", type=int, default=64, show_default=True),
-    click.option("--trials", type=int, default=20000, show_default=True),
-    click.option("--max-probes", type=int, default=16, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--cache-dir", default=None, help="Calibration cache directory."),
-]
+# every option of the verbs that calibrate, declared once and keyed by its
+# parameter: build, bench and trend take all of them, probs a few
+_SHARED_OPTIONS = {
+    "radius": click.option("--radius", type=float, required=True, help="Target query radius."),
+    "approx_c": click.option("--approx-c", type=float, default=2.0, show_default=True),
+    "budget": click.option("--budget-L", "budget", type=int, default=None, help="Cap on repetitions."),
+    "family": click.option("--family", type=click.Choice(sorted(_FAMILY_CHOICES)),
+                           default="cross-polytope", show_default=True, help="Hash family."),
+    "cap_count": click.option("--cap-count", type=int, default=64, show_default=True),
+    "trials": click.option("--trials", type=int, default=20000, show_default=True),
+    "max_probes": click.option("--max-probes", type=int, default=16, show_default=True),
+    "seed": click.option("--seed", type=int, default=0, show_default=True),
+    "cache_dir": click.option("--cache-dir", default=None, help="Calibration cache directory."),
+}
 
 
 def _index_options(fn):
@@ -124,7 +119,7 @@ def _index_options(fn):
         )
         return fn(index_fields, **kwargs)
 
-    for option in reversed(_INDEX_OPTIONS):
+    for option in reversed(_SHARED_OPTIONS.values()):
         wrapper = option(wrapper)
     return wrapper
 
@@ -254,13 +249,13 @@ def bench(index_fields, input_, fmt, modes, queries, fixed_k, fixed_j, output):
 
 
 @main.command()
-@_family_option
+@_SHARED_OPTIONS["family"]
 @click.option("--dim", type=int, required=True)
-@click.option("--radius", type=float, required=True)
-@click.option("--approx-c", type=float, default=2.0, show_default=True)
-@click.option("--cap-count", type=int, default=64, show_default=True)
-@click.option("--trials", type=int, default=20000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_SHARED_OPTIONS["radius"]
+@_SHARED_OPTIONS["approx_c"]
+@_SHARED_OPTIONS["cap_count"]
+@_SHARED_OPTIONS["trials"]
+@_SHARED_OPTIONS["seed"]
 @_json_errors
 def probs(family, dim, radius, approx_c, cap_count, trials, seed):
     """Measure a family's collision probabilities at r and c*r."""

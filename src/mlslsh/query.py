@@ -379,7 +379,8 @@ def fixed_level_query(
     work than the best fixed setting by more than its exploration overhead.
     A pin the schedule leaves out as infeasible is still answered: it
     consults `consulted_reps`, reps(k, j) capped at the repetitions built,
-    or all of them at P = 0, and its report carries infeasible=True.
+    or all of them at P = 0, and its report carries infeasible=True. A
+    probe count outside the calibrated table raises there.
     """
     for name, value in (("level k", k), ("probe count j", j)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -387,7 +388,6 @@ def fixed_level_query(
     k, j = int(k), int(j)
     if not 1 <= k <= index.levels:
         raise ValueError(f"level {k} outside 1..{index.levels}")
-    index.calibration.ensure_probes(j)
     count = consulted_reps(index.calibration, k, j, index.num_repetitions)
     entry = schedule_entry(k, j, count, index.family.bucket_universe)
     report = _query(index, q, radius, "fixed", Walk.over((entry,)), math.inf)

@@ -353,10 +353,12 @@ def test_fvecs_dimension_change_past_the_second_record(tmp_path):
         lambda doc: {**doc, "rho": doc["rho"] + 1e-3},
         # a family field that only ever holds null
         lambda doc: {**doc, "family": {**doc["family"], "cap_threshold": 0.3}},
+        # a standard error no estimate makes
+        lambda doc: {**doc, "p1_std_error": math.nan},
     ],
     ids=[
         "list", "null-radius", "decreasing-table", "nan-table", "rho-not-derived",
-        "family-threshold-set",
+        "family-threshold-set", "nan-p1-error",
     ],
 )
 def test_calibrate_cached_recomputes_malformed_entries(tmp_path, corrupt):

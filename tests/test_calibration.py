@@ -174,6 +174,35 @@ def test_probe_success_first_column_tracks_p1(small_calibration):
         assert abs(cal.probe_success[k - 1, 0] - cal.p1**k) <= 3.0 * sigma
 
 
+@pytest.mark.parametrize("kind", ["cross_polytope", "spherical_cap"])
+def test_probe_table_first_column_agrees_with_powers_of_p1(kind):
+    # the table's first column and the collision estimator measure p1**k
+    # through independent substreams. At 50,000 trials and this seed the
+    # correct samplers stay within 1.7 sigma at every level, while table
+    # pairs drawn at 1.1 r fall more than 10 sigma off at every level, so a
+    # 5-sigma band tells a broken sampler from noise
+    params = FamilyParams(kind=kind, dim=32)
+    cal = calibrate(params, r=0.4, c=2.0, levels=4, max_probes=1, trials=50000, seed=0)
+    for k in (1, 2, 3, 4):
+        sigma = math.hypot(
+            cal.probe_success_se[k - 1, 0],
+            k * cal.p1 ** (k - 1) * cal.p1_std_error,
+        )
+        assert abs(cal.probe_success[k - 1, 0] - cal.p1**k) <= 5.0 * sigma, k
+
+
+@pytest.mark.parametrize("kind", ["cross_polytope", "spherical_cap"])
+def test_calibrate_returns_at_every_seed(kind):
+    # calibrate raises only on rules every correct run keeps; a 3-sigma
+    # comparison of the table with p1**k at four levels would reject about
+    # one correct calibration in thirty here (cross-polytope seed 35, cap
+    # seed 42)
+    params = FamilyParams(kind=kind, dim=32)
+    for seed in range(50):
+        cal = calibrate(params, r=0.4, c=2.0, levels=4, max_probes=1, trials=1000, seed=seed)
+        assert cal.seed == seed and cal.probe_success.shape == (4, 1)
+
+
 def test_probe_success_single_level_matches_direct_walk():
     # independent oracle: walk the probe sequence directly and record where
     # the partner's bucket sits, without the tuple enumerator
@@ -315,6 +344,16 @@ def test_calibration_validation():
         errors[1, 0] = value
         with pytest.raises(CalibrationError, match="standard errors"):
             FamilyCalibration(**dict(base, probe_success_se=errors))
+    for field in ("p1_std_error", "p2_std_error"):
+        for value in (np.nan, np.inf, -1.0):
+            with pytest.raises(CalibrationError, match="standard errors"):
+                FamilyCalibration(**dict(base, **{field: value}))
+    for trials in (0, -5):
+        with pytest.raises(CalibrationError, match="at least one trial"):
+            FamilyCalibration(**dict(base, trials=trials))
+    # derived seeds are masked to 63 bits, so a negative seed is valid
+    assert FamilyCalibration(**dict(base, seed=-1)).seed == -1
+    assert calibrate(params, 0.4, 2.0, levels=1, max_probes=1, trials=1000, seed=-1).seed == -1
     # the radii checks of `calibrate`, raised as a CalibrationError
     for r, c, message in [
         (-3.0, 0.1, "radius"), (0.0, 2.0, "radius"), (2.0, 1.5, "radius"), (np.nan, 2.0, "radius"),

@@ -104,6 +104,21 @@ def test_build_past_the_key_bit_budget_fails_before_the_probe_table(tmp_path, no
     assert "key bits" in err["error"]["message"]
 
 
+def test_build_succeeds_where_the_table_strays_from_powers_of_p1(tmp_path):
+    # at this seed and 1000 trials the table's level-2 entry lies more than
+    # 3 sigma from p1**2; set-up compares no two Monte-Carlo estimates, so
+    # the build goes through
+    output = str(tmp_path / "x.idx")
+    result = run_cli(
+        ["build", "--input", "synth:n=10000,d=32", "--radius", "0.4", "--trials", "1000",
+         "--budget-L", "2", "--seed", "35", "--cache-dir", str(tmp_path / "cache"),
+         "--output", output]
+    )
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["output"] == output and doc["n"] == 10000 and doc["repetitions"] == 2
+
+
 def test_build_rebuildable_flag(tmp_path):
     full = str(tmp_path / "full.idx")
     slim = str(tmp_path / "slim.idx")

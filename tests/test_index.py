@@ -606,6 +606,7 @@ def _cap_family(meta):
         (lambda meta: meta["calibration"]["probe_success"][0].__setitem__(0, math.nan), "lie in"),
         (lambda meta: meta["calibration"]["probe_success_se"][1].__setitem__(0, -1.0), "errors"),
         (lambda meta: meta["calibration"].update(r=-3.0, c=0.1), "radius"),
+        (lambda meta: meta["calibration"].update(trials=-5), "at least one trial"),
         (_set("n", 19), "trailing"),
         (_set("degenerate_ids", ["x", -5, 1000000000]), "degenerate ids"),
         (_set("degenerate_ids", [3, 3]), "degenerate ids"),
@@ -615,7 +616,7 @@ def _cap_family(meta):
         "n-huge", "n-past-int32", "n-zero", "d-string", "d-mismatch", "levels-past-calibration",
         "levels-not-compute-k", "repetitions-huge", "seed-float", "budget-zero", "budget-float",
         "family-missing", "calibration-not-object", "bit-budget", "family-differs",
-        "rho-not-derived", "nan-table", "negative-error", "radius-off-the-sphere",
+        "rho-not-derived", "nan-table", "negative-error", "radius-off-the-sphere", "trials-negative",
         "n-short", "degenerate-not-ids", "degenerate-repeated", "degenerate-past-n",
     ],
 )

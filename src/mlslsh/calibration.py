@@ -390,10 +390,11 @@ def calibrate(
     Deterministic for a fixed seed. Before anything is measured, ValueError
     is raised for radii off the sphere (r outside (0, 2), c not above 1, or
     c * r past 2), fewer than one level, a probe budget below 1, levels
-    whose packed keys would pass 63 bits, and, when the edges are measured
-    here, fewer than 1000 trials. After measuring, CalibrationError is
-    raised only for an inseparable pair of radii; a far probability of 0 is
-    clamped away from zero with a warning. No comparison of two Monte-Carlo
+    whose packed keys would pass 63 bits, fewer than 1000 trials, and
+    passed `edges` whose near or far estimate was made from other than
+    `trials` trials. After measuring, CalibrationError is raised only for
+    an inseparable pair of radii; a far probability of 0 is clamped away
+    from zero with a warning. No comparison of two Monte-Carlo
     estimates raises: the agreement of the table's first column with powers
     of p1 is checked by the test suite, not on every call. A caller that
     already ran edge_probabilities(params, r, c, trials, seed) passes its
@@ -404,6 +405,14 @@ def calibrate(
         raise ValueError(f"need at least one level, got {levels}")
     check_max_probes(max_probes)
     slot_bits(params, levels)  # the probe table packs codes of every level into one key
+    if trials < _MIN_TRIALS:
+        raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
+    # the calibration records one trial count for p1, p2 and the table alike
+    if edges is not None and (edges[0].trials, edges[1].trials) != (trials, trials):
+        raise ValueError(
+            f"edges were measured with {edges[0].trials} near and {edges[1].trials} far "
+            f"trials, the calibration asks for {trials}"
+        )
     near, far, p2 = edges or edge_probabilities(params, r, c, trials, seed)
     table, se_table = _estimate_probe_success(params, r, levels, max_probes, trials, seed)
     return FamilyCalibration(

@@ -9,7 +9,8 @@ reload of a file saved without keys both hash through it, so they cannot
 disagree. Sorting by key sorts the code tuples lexicographically, so one
 sorted array serves every level: the level-k bucket of a k-code prefix key
 p is the key range [p << s, (p + 1) << s) with s = bits * (K - k), which
-`bucket_runs`, the one key-range search, finds with one binary-search pair.
+`bucket_runs`, the one key-range search, finds from its first key p << s
+and s with one binary-search pair.
 `index_shape` is the one sizing rule: depth K and repetition count R follow
 from the calibrated p1 and p2, n and the space budget. A key holds at most
 63 bits, so K * ceil(log2 U) <= 63, and the sorted order holds point ids as
@@ -164,24 +165,25 @@ def index_shape(calibration: FamilyCalibration, n: int, space_budget: int | None
     return K, R if space_budget is None else min(R, space_budget)
 
 
-def bucket_runs(repetitions, prefixes: np.ndarray, level) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted runs [lo, hi) of level-k buckets, one row per repetition.
+def bucket_runs(repetitions, first: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted runs [lo, hi) of buckets, one row per repetition.
 
-    Row r of the (R', m) int64 `prefixes` holds k-slot prefix keys, searched
-    in repetitions[r]; `level` is k, or an array of levels that broadcasts
-    against the prefixes. The bucket of prefix p is the key range
-    [p << s, (p + 1) << s) with s = bits * (K - k), searched as the keys in
-    (first - 1, last], both ends on the right, which keeps every needle
-    below 2**63. Returns lo and hi, each shaped like `prefixes`.
+    Row r of the (R', m) int64 `first` holds first keys p << s of buckets,
+    searched in repetitions[r]: p is a k-slot prefix key and s its `shift`,
+    bits * (K - k), an int or an array that broadcasts against `first`.
+    The bucket is the key range [p << s, (p + 1) << s), searched as the keys
+    in (first - 1, last] with last = first | (2**s - 1), both ends on the
+    right, which keeps every needle below 2**63. One (R', 2, m) needle block
+    and one runs block are filled in place, one searchsorted per repetition.
+    Returns lo and hi, each shaped like `first`.
     """
-    bits, depth = repetitions[0].bits, repetitions[0].depth
-    shift = bits * (depth - np.asarray(level, dtype=np.int64))
-    first = prefixes << shift
-    # one contiguous (2, m) block per repetition; a strided one is copied per search
-    needles = np.stack([first - 1, first | ((1 << shift) - 1)], axis=1)
-    runs = np.array(
-        [rep.keys.searchsorted(x, side="right") for rep, x in zip(repetitions, needles)]
-    )
+    needles = np.empty((len(first), 2, first.shape[1]), dtype=np.int64)
+    np.subtract(first, 1, out=needles[:, 0])
+    np.bitwise_or(first, (1 << shift) - 1, out=needles[:, 1])
+    # a contiguous (2, m) block per repetition; a strided one is copied per search
+    runs = np.empty(needles.shape, dtype=np.intp)
+    for r in range(len(first)):
+        runs[r] = repetitions[r].keys.searchsorted(needles[r], "right")
     return runs[:, 0], runs[:, 1]
 
 
@@ -224,8 +226,9 @@ class Repetition:
             )
         if not all(0 <= code < 1 << self.bits for code in prefix):
             return 0, 0  # no key holds a code this wide
-        p = _pack(np.array([[prefix]], dtype=np.int64), self.bits)
-        lo, hi = bucket_runs((self,), p, len(prefix))
+        shift = self.bits * (self.depth - len(prefix))
+        first = _pack(np.array([[prefix]], dtype=np.int64), self.bits) << shift
+        lo, hi = bucket_runs((self,), first, shift)
         return lo.item(), hi.item()
 
 

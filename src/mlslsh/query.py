@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .families import _pack, _prefixes, bucket_codes, first_tuples, slot_bits, slot_rankings
+from .families import bucket_codes, first_tuples, slot_bits, slot_rankings
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, range_scan
@@ -136,9 +136,10 @@ class _QueryProbes:
     with one matmul on the functions of slots 0..depth - 1 of its
     repetitions, a view of the direction block; numpy runs one product per
     function on it, so each projection equals that of the whole block bit
-    for bit. The prefixes of the query's own key in each of those
-    repetitions give the spine, its own bucket at levels 1..depth, in one
-    `bucket_runs` search. The first read keeps its runs: it holds every
+    for bit. One cumulative sum over the query's own codes, each shifted to
+    its slot, gives the first key of its own bucket at levels 1..depth in
+    each of those repetitions, and one `bucket_runs` search gives the spine,
+    the runs of those buckets. The first read keeps its runs: it holds every
     repetition a single-probe setting of the walk consults, and that is all
     such a setting reads. A running sum of the spine over repetitions, read
     at an entry's `reps` and added to its `floor`, is the entry's `bound`:
@@ -148,15 +149,19 @@ class _QueryProbes:
     extent's slots with one `slot_rankings` call and starts `first_tuples`
     on its r repetitions at once, one row each, at the calibrated probe
     width; `first_tuples` cuts the rankings to that width itself. It yields
-    levels only as deep as a setting asks, and a setting finds its buckets
-    with one `bucket_runs` call, which the probes keep: collecting the
-    candidates of a measured setting searches no bucket again.
+    levels only as deep as a setting asks, each shifted once to first keys,
+    and a setting finds its buckets with one `bucket_runs` call, which the
+    probes keep: collecting the candidates of a measured setting searches
+    no bucket again.
     """
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray, extent: tuple[int, int], first: int):
         self._index, self._q = index, q
         (self._count, depth), family = extent, index.family
         self._bits, self._depth = slot_bits(family, index.levels), depth
+        # the place of slot s in a key, bits * (K - 1 - s), is also the
+        # shift of level s + 1: a level-k first key ends in that many zeros
+        self._shifts = self._bits * (index.levels - 1 - np.arange(depth, dtype=np.int64))
         # row r * depth + s projects on slot s of repetition r; rows and
         # sums of the repetitions not read yet are unset
         self._proj = np.empty((self._count * depth, index.directions.shape[1]))
@@ -167,7 +172,7 @@ class _QueryProbes:
         self.read = 0
         self._read(first)
         # the probe order of every repetition, started on first use, the
-        # (R, probes) keys of the levels it has yielded so far, and the runs
+        # (R, probes) first keys of the levels it has yielded so far, and the runs
         # of each multi-probe entry looked up
         self._tuples: Iterator[np.ndarray] | None = None
         self._levels: list[np.ndarray] = []
@@ -188,8 +193,8 @@ class _QueryProbes:
         proj = self._proj[start * depth : stop * depth]
         np.matmul(block[start:stop, :depth], self._q, out=proj.reshape(stop - start, depth, -1))
         own = bucket_codes(index.family, proj).reshape(stop - start, depth)
-        own_prefixes = _prefixes(_pack(own, self._bits), self._bits, depth)
-        lo, hi = bucket_runs(index.repetitions[start:stop], own_prefixes, np.arange(1, depth + 1))
+        first = np.cumsum(own << self._shifts, axis=1)
+        lo, hi = bucket_runs(index.repetitions[start:stop], first, self._shifts)
         spine = np.cumsum(1 + hi - lo, axis=0, out=self._spine[start + 1 : stop + 1])
         if start:
             spine += self._spine[start]
@@ -226,9 +231,9 @@ class _QueryProbes:
             slots = slot_rankings(index.family, self._proj, self._depth)
             self._tuples = first_tuples(slots, index.calibration.max_probes, self._bits)
         while len(self._levels) < k:
-            self._levels.append(next(self._tuples))
+            self._levels.append(next(self._tuples) << self._shifts[len(self._levels)])
         runs = self._looked_up[entry] = bucket_runs(
-            index.repetitions[:reps], self._levels[k - 1][:reps, :j], k
+            index.repetitions[:reps], self._levels[k - 1][:reps, :j], self._shifts[k - 1]
         )
         return runs
 
@@ -245,11 +250,15 @@ class _QueryProbes:
         """Distinct point ids, ascending, in the buckets the setting of
         `entry` probes, and how many buckets that is."""
         lo, hi = self._runs(entry)
+        # run i lies in the repetition of row i // width
+        width, repetitions = lo.shape[1], self._index.repetitions
         parts = [
-            rep.order[a:b]
-            for rep, starts, ends in zip(self._index.repetitions, lo.tolist(), hi.tolist())
-            for a, b in zip(starts, ends)
+            repetitions[i // width].order[a:b]
+            for i, (a, b) in enumerate(zip(lo.ravel().tolist(), hi.ravel().tolist()))
+            if a < b
         ]
+        if not parts:
+            return np.empty(0, dtype=np.int32), lo.size
         # a sort and a neighbour mask: np.unique imports numpy.ma on its
         # first call, which made the first query of a process the slowest
         ids = np.sort(np.concatenate(parts))
@@ -289,8 +298,8 @@ def _report(
         keep, dists = range_scan(dataset.matrix[cand], q, radius)
         ids = cand[keep]
     return QueryReport(
-        ids=tuple(int(i) for i in ids),
-        distances=tuple(float(v) for v in dists),
+        ids=tuple(ids.tolist()),
+        distances=tuple(dists.tolist()),
         work_examined=w,
         buckets_probed=buckets,
         k_best=k,

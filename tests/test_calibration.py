@@ -364,6 +364,40 @@ def test_calibration_validation():
             FamilyCalibration(**dict(base, r=r, c=c))
 
 
+def test_calibrate_checks_trials_before_sampling(monkeypatch):
+    # passed edges once skipped the 1000-trial floor: trials=0 failed deep in
+    # the table's pooling, and trials=10 recorded a table of 10 pairs beside
+    # p1 and p2 of 1000 as one calibration of 10 trials
+    params = FamilyParams(kind="cross_polytope", dim=8)
+    edges = edge_probabilities(params, 0.4, 2.0, 1000, 0)
+    expected = calibrate(params, 0.4, 2.0, levels=2, max_probes=2, trials=1000, seed=0)
+    assert calibrate(
+        params, 0.4, 2.0, levels=2, max_probes=2, trials=1000, seed=0, edges=edges
+    ).to_json_dict() == expected.to_json_dict()
+
+    def sampled(*args):
+        raise AssertionError("sampled before the trial count was checked")
+
+    monkeypatch.setattr(calmod, "_estimate_probe_success", sampled)
+    monkeypatch.setattr(calmod, "estimate_collision_prob", sampled)
+    for trials, given in [(0, edges), (10, edges), (999, None), (-1, None)]:
+        with pytest.raises(ValueError, match="at least 1000 trials"):
+            calibrate(params, 0.4, 2.0, levels=2, max_probes=2, trials=trials, seed=0, edges=given)
+    near, far, p2 = edges
+    for mixed in [
+        (near, far, p2),
+        (dataclasses.replace(near, trials=2000), far, p2),
+        (near, dataclasses.replace(far, trials=2000), p2),
+    ]:
+        with pytest.raises(ValueError, match="trials, the calibration asks for 2000"):
+            calibrate(params, 0.4, 2.0, levels=2, max_probes=2, trials=2000, seed=0, edges=mixed)
+    with pytest.raises(ValueError, match="1000 near and 2000 far"):
+        calibrate(
+            params, 0.4, 2.0, levels=2, max_probes=2, trials=1000, seed=0,
+            edges=(near, dataclasses.replace(far, trials=2000), p2),
+        )
+
+
 def test_calibrate_argument_validation():
     params = FamilyParams(kind="cross_polytope", dim=8)
     with pytest.raises(ValueError):

@@ -25,9 +25,11 @@ from hypothesis import strategies as st
 import mlslsh.query as querymod
 from conftest import feasible_reps, setting_cost, toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
-from mlslsh.families import _pack, _prefixes, bucket_codes, first_tuples, slot_bits, slot_rankings
+from mlslsh.families import _pack, _prefixes, bucket_codes, first_tuples, sample_directions
+from mlslsh.families import slot_bits, slot_rankings
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
-from mlslsh.index import Walk, bucket_runs, build_index, compute_k, reps
+from mlslsh.index import MultiLevelIndex, Repetition, Walk, bucket_runs, build_index, compute_k
+from mlslsh.index import reps
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
@@ -234,15 +236,19 @@ class FullProjection:
         self.index, bits = index, slot_bits(index.family, K)
         self.proj = index.directions @ q
         own = bucket_codes(index.family, self.proj).reshape(R, K)
+        # the level-k bucket of prefix key p starts at p << bits * (K - k)
+        self.shifts = bits * (K - np.arange(1, K + 1))
         prefixes = _prefixes(_pack(own, bits), bits, K)
-        self.lo, self.hi = bucket_runs(index.repetitions, prefixes, np.arange(1, K + 1))
+        self.lo, self.hi = bucket_runs(index.repetitions, prefixes << self.shifts, self.shifts)
         slots = slot_rankings(index.family, self.proj, K)
         self.levels = list(first_tuples(slots, index.calibration.max_probes, bits))
 
     def runs(self, k, j, count):
         if j == 1:
             return self.lo[:count, k - 1 : k], self.hi[:count, k - 1 : k]
-        return bucket_runs(self.index.repetitions[:count], self.levels[k - 1][:count, :j], k)
+        shift = int(self.shifts[k - 1])
+        prefixes = self.levels[k - 1][:count, :j]
+        return bucket_runs(self.index.repetitions[:count], prefixes << shift, shift)
 
 
 @SETTINGS
@@ -424,6 +430,90 @@ def test_keys_match_a_linear_scan(case, data):
             lo, hi = rep.prefix_range(prefix)
             assert hi - lo == expected.size
             assert np.array_equal(np.sort(rep.order[lo:hi]), expected)
+
+
+def searched_runs(keys, prefixes, bits, K, k):
+    """Runs [lo, hi) of the k-slot `prefixes` among sorted K-slot `keys`:
+    one plain searchsorted of each end over the keys cut to k slots."""
+    cut = _prefixes(keys, bits, K)[:, k - 1]
+    return np.searchsorted(cut, prefixes, "left"), np.searchsorted(cut, prefixes, "right")
+
+
+@SETTINGS
+@given(
+    st.sampled_from([
+        # 9 slots of the 65 cap buckets take all 63 key bits
+        (FamilyParams(kind="spherical_cap", dim=8, cap_count=64), 9),
+        (FamilyParams(kind="spherical_cap", dim=3, cap_count=2), 4),
+        (FamilyParams(kind="cross_polytope", dim=4), 5),
+        (FamilyParams(kind="cross_polytope", dim=2), 1),
+    ]),
+    st.integers(1, 200),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m, seed):
+    # a read's first keys, one cumulative sum of its codes shifted to their
+    # slots, and the shifted probe keys of a multi-probe lookup, both
+    # searched by `bucket_runs`, against keys packed by `_pack` and
+    # `_prefixes` and one searchsorted per repetition and level, and the
+    # candidates of those runs. Codes 0 and 2**bits - 1 at every level put
+    # needles at -1 and at 2**63 - 1, and the widest codes, which no key
+    # holds, leave every run empty; codes from a small pool make the stored
+    # buckets large
+    family, K = family_depth
+    bits, universe = slot_bits(family, K), family.bucket_universe
+    top = (1 << bits) - 1
+    rng = np.random.default_rng(seed)
+    pool = np.unique(np.concatenate(([0, universe - 1], rng.integers(0, universe, 3))))
+    block = sample_directions(family, range(R * K))
+    repetitions = tuple(
+        Repetition(family, stack, _pack(rng.choice(pool, (n, K)), bits))
+        for stack in block.reshape(R, K, *block.shape[1:])
+    )
+    dataset = normalize_dataset(rng.standard_normal((n, family.dim)))
+    cal = toy_calibration(family, levels=K, max_probes=m)
+    index = MultiLevelIndex(dataset, cal, 0, None, K, repetitions, block)
+    wide = np.concatenate((pool, [top]))
+    mixed = np.tile(np.where(np.arange(K) % 2, top, 0), (R, 1))
+    for own in (np.zeros((R, K)), np.full((R, K), top), mixed, rng.choice(wide, (R, K))):
+        own = own.astype(np.int64)
+        probe_codes = rng.choice(wide, (R, m, K))
+        probe_codes[:, 0] = own
+        probe_codes[0, -1] = top
+        probe_keys = _prefixes(_pack(probe_codes, bits), bits, K)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(querymod, "bucket_codes", lambda fam, proj: own.reshape(-1).astype(np.int32))
+            mp.setattr(querymod, "slot_rankings", lambda fam, proj, depth: None)
+            mp.setattr(
+                querymod, "first_tuples",
+                lambda slots, count, b: iter(probe_keys[..., k] for k in range(K)),
+            )
+            probes = _QueryProbes(index, dataset.matrix[0], (R, K), R)
+            own_keys = _prefixes(_pack(own, bits), bits, K)
+            for k in range(1, K + 1):
+                looked_up = {1: own_keys[:, k - 1 : k]}
+                if m > 1:
+                    looked_up[m] = probe_keys[..., k - 1]
+                for j, keys in looked_up.items():
+                    entry = (float(j * R), k, j, R, 0)
+                    lo, hi = probes._runs(entry)
+                    runs = [
+                        searched_runs(rep.keys, keys[r], bits, K, k)
+                        for r, rep in enumerate(repetitions)
+                    ]
+                    assert np.array_equal(lo, [a for a, _ in runs])
+                    assert np.array_equal(hi, [b for _, b in runs])
+                    # every run counts as a bucket probed, an empty one too
+                    ids, buckets = probes.candidates(entry)
+                    parts = [
+                        rep.order[a:b]
+                        for rep, (starts, ends) in zip(repetitions, runs)
+                        for a, b in zip(starts, ends)
+                    ]
+                    assert buckets == R * j
+                    assert np.array_equal(ids, np.unique(np.concatenate(parts)))
 
 
 @settings(deadline=None, derandomize=True)

@@ -146,9 +146,9 @@ def test_candidates_reuse_the_lookup_of_a_measured_setting(multi_probe_index, mo
     inst, index = multi_probe_index
     levels = []
 
-    def counted(repetitions, prefixes, level):
-        levels.append(np.ndim(level))
-        return bucket_runs(repetitions, prefixes, level)
+    def counted(repetitions, first, shift):
+        levels.append(np.ndim(shift))
+        return bucket_runs(repetitions, first, shift)
 
     monkeypatch.setattr(querymod, "bucket_runs", counted)
     last = earlier = 0

@@ -124,20 +124,38 @@ class Walk:
     entries, (0, 0) for none: a query of the mode reads slots 0..k - 1 of
     repetitions 0..r - 1 and nothing else. It reads `first` of those
     repetitions up front, the most that any of its j = 1 entries consults,
-    as a j = 1 entry's bound is its work and it is never pruned; it reads
-    the rest only when a multi-probe entry first needs one of them. A
-    single-probe walk thus reads its whole extent at once, and an adaptive
-    one the single-probe repetitions first.
+    as a j = 1 entry's bound is its work and it is never pruned, and reads
+    them `depth` slots deep, at least as deep as its deepest j = 1 entry.
+    It deepens what it has read to the extent's depth only when an entry
+    first needs a deeper level, and reads the rest of the repetitions only
+    when a multi-probe entry first needs one of them. A single-probe walk
+    thus reads its whole extent at once, and an adaptive one the
+    single-probe repetitions first, as deep as it expects to walk.
     """
 
     entries: tuple[tuple[float, int, int, int, int], ...]
     extent: tuple[int, int]
     first: int
+    depth: int
+
+    def __post_init__(self) -> None:
+        single = max((e[1] for e in self.entries if e[2] == 1), default=0)
+        least = max(single, 1) if self.entries else 0
+        if not least <= self.depth <= self.extent[1]:
+            raise ValueError(
+                f"a walk of extent {self.extent} whose j = 1 entries reach level "
+                f"{single} cannot read {self.depth} levels first"
+            )
 
     @classmethod
-    def over(cls, entries: tuple) -> "Walk":
+    def over(cls, entries: tuple, work: float = math.inf) -> "Walk":
+        """The walk of `entries` that reads first as deep as its j = 1
+        entries and every entry that costs less than `work`, the work it
+        expects to settle at; all of its extent by default."""
         extent = max((e[3] for e in entries), default=0), max((e[1] for e in entries), default=0)
-        return cls(entries, extent, max((e[3] for e in entries if e[2] == 1), default=0))
+        first = max((e[3] for e in entries if e[2] == 1), default=0)
+        depth = max((e[1] for e in entries if e[2] == 1 or e[0] < work), default=0)
+        return cls(entries, extent, first, depth)
 
 
 def check_space_budget(budget) -> None:
@@ -185,6 +203,26 @@ def bucket_runs(repetitions, first: np.ndarray, shift) -> tuple[np.ndarray, np.n
     for r in range(len(first)):
         runs[r] = repetitions[r].keys.searchsorted(needles[r], "right")
     return runs[:, 0], runs[:, 1]
+
+
+def bucket_loads(repetitions, levels: int) -> list[float]:
+    """m_k of levels k = 1..levels, averaged over `repetitions`: the mean
+    size of the level-k bucket of a point drawn at random, sum_b s_b**2 / n
+    over buckets of s_b points. One pass per level over each repetition's
+    sorted keys: two neighbours share a level-k bucket exactly when their
+    XOR is below 1 << s, s the level's shift, so the positions where it is
+    not start the buckets. The sums are exact integers, divided once."""
+    squares = [0] * levels
+    for rep in repetitions:
+        n = len(rep.keys)
+        change = rep.keys[1:] ^ rep.keys[:-1]
+        # bucket starts at 0..n - 1, and the end of the last bucket at n
+        starts = np.ones(n + 1, dtype=bool)
+        for k in range(1, levels + 1):
+            np.greater_equal(change, 1 << rep.bits * (rep.depth - k), out=starts[1:n])
+            sizes = np.diff(np.flatnonzero(starts))
+            squares[k - 1] += int(sizes @ sizes)
+    return [total / (n * len(repetitions)) for total in squares]
 
 
 class Repetition:
@@ -252,7 +290,14 @@ class MultiLevelIndex:
     schedule is empty and every adaptive or single query is a full scan.
 
     `walks` maps "adaptive" and "single" to the `Walk` of that mode, which
-    states what it walks and reads first.
+    states what it walks and reads first. A single-probe walk reads its
+    whole extent first. An adaptive walk reads the single-probe repetitions
+    first, as deep as its j = 1 entries and every entry cheaper than W, the
+    least expected work of a j = 1 entry (k, 1, reps): reps * (1 + m_k),
+    with m_k the `bucket_loads` of level k over those repetitions. A walk
+    stops at the first entry whose cost reaches the best work it measured,
+    so a query rarely goes past that depth. Both walks are fixed at build
+    and load; no query changes them.
     """
 
     dataset: Dataset
@@ -275,10 +320,15 @@ class MultiLevelIndex:
                     entries.append(schedule_entry(k, j, count, universe))
         # each (k, j) occurs once, so the sort never compares past it
         schedule = tuple(sorted(entries))
+        single = Walk.over(tuple(e for e in schedule if e[2] == 1))
+        loads = bucket_loads(self.repetitions[: single.first], single.extent[1])
+        work = min(
+            (count * (1.0 + loads[k - 1]) for _, k, _, count, _ in single.entries), default=math.inf
+        )
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "walks", MappingProxyType({
-            "adaptive": Walk.over(schedule),
-            "single": Walk.over(tuple(e for e in schedule if e[2] == 1)),
+            "adaptive": Walk.over(schedule, work),
+            "single": single,
         }))
 
     @property

@@ -11,10 +11,11 @@ need more repetitions than the index has cannot reach its success
 probability and is not in the schedule.
 
 Every mode is one walk, `index.Walk`: the entries it may measure, the
-extent of the index it reads and how much of it up front. `_schedule` runs
-the walk in order, measures the true candidate work of each entry, and
-stops at the first entry whose cost reaches the best work seen, which
-starts at the walk's ceiling, the work of the full scan it falls back to.
+extent of the index it reads, and how much of it and how deep up front.
+`_schedule` runs the walk in order, measures the true candidate work of
+each entry, and stops at the first entry whose cost reaches the best work
+seen, which starts at the walk's ceiling, the work of the full scan it
+falls back to.
 Before it measures a multi-probe entry it checks the spine lower bound of
 `_QueryProbes.bound`; an entry whose bound reaches the best work cannot
 replace it and is skipped unmeasured, so pruning changes the trace but
@@ -72,8 +73,10 @@ class QueryReport:
     their spine lower bound without measuring (always 0 in single, fixed
     and brute mode). `infeasible` marks a fixed query pinned to a setting
     the schedule leaves out. `functions_projected` counts the hash functions
-    the query was projected on, read repetitions times the read depth (0 for
-    a full scan). wall_time, settings_pruned, infeasible and
+    the query was projected on, each once: the repetitions it read times the
+    depth it read them to, its walk's first-read `depth` or, once a setting
+    needed a deeper level, the depth of the walk's extent (0 for a full
+    scan). wall_time, settings_pruned, infeasible and
     functions_projected are excluded from the JSON form unless timing is
     asked for, so serialized reports are deterministic and a fixed report
     reads as it always has.
@@ -126,54 +129,66 @@ class QueryReport:
 
 class _QueryProbes:
     """Everything one query reads from the index, shared by every setting the
-    scheduler measures. Each method takes a setting as its schedule entry
-    (cost, k, j, reps, floor), one with reps <= r and k <= depth for the
-    read extent (r, depth) the probes were made for.
+    scheduler measures. The probes read within the extent (r, D) of their
+    `Walk`, and each method takes a setting as its schedule entry (cost, k,
+    j, reps, floor), one with reps <= r and k <= D.
 
-    Repetitions are read as a growing prefix, every one at the extent's
-    depth: the first `first` of them up front, and the rest in one more read
-    the first time a setting needs one of them. A read projects the query
-    with one matmul on the functions of slots 0..depth - 1 of its
-    repetitions, a view of the direction block; numpy runs one product per
+    Repetitions are read as a growing prefix: the walk's `first` of them up
+    front, its `depth` slots deep, and the rest in one more read the first
+    time a setting needs one of them. A setting at a level deeper than read
+    so far first deepens every repetition read to D, on their missing slots
+    only, so no function is projected twice; a read after that reads D
+    slots deep. A read or a deepening projects the query with one matmul on
+    those slots, a view of the direction block; numpy runs one product per
     function on it, so each projection equals that of the whole block bit
     for bit. One cumulative sum over the query's own codes, each shifted to
-    its slot, gives the first key of its own bucket at levels 1..depth in
-    each of those repetitions, and one `bucket_runs` search gives the spine,
-    the runs of those buckets. The first read keeps its runs: it holds every
-    repetition a single-probe setting of the walk consults, and that is all
-    such a setting reads. A running sum of the spine over repetitions, read
-    at an entry's `reps` and added to its `floor`, is the entry's `bound`:
-    the work of the setting at j = 1 and a lower bound on it past that.
+    its slot and started from the first key of the last level read, gives
+    the first key of its own bucket at each new level of those repetitions,
+    and one `bucket_runs` search gives the spine, the runs of those buckets.
+    The first read keeps its runs: it holds every repetition and level a
+    single-probe setting of the walk consults, and that is all such a
+    setting reads. A running sum of the spine over repetitions, read at an
+    entry's `reps` and added to its `floor`, is the entry's `bound`: the
+    work of the setting at j = 1 and a lower bound on it past that.
 
-    The first setting past one probe reads every repetition, ranks the
-    extent's slots with one `slot_rankings` call and starts `first_tuples`
-    on its r repetitions at once, one row each, at the calibrated probe
-    width; `first_tuples` cuts the rankings to that width itself. It yields
-    levels only as deep as a setting asks, each shifted once to first keys,
-    and a setting finds its buckets with one `bucket_runs` call, which the
-    probes keep: collecting the candidates of a measured setting searches
-    no bucket again.
+    A setting past one probe ranks slots 0..k - 1 of repetitions 0..reps - 1
+    with one `slot_rankings` call and starts `first_tuples` on those rows at
+    once, at the calibrated probe width; `first_tuples` cuts the rankings to
+    that width itself. Both treat each row on its own, so a row ranks alike
+    in any rectangle, and a later setting that needs more rows or levels
+    ranks the larger rectangle afresh. The merge yields levels only as deep
+    as a setting asks, each shifted once to first keys, and a setting finds
+    its buckets with one `bucket_runs` call, which the probes keep:
+    collecting the candidates of a measured setting searches no bucket
+    again.
     """
 
-    def __init__(self, index: MultiLevelIndex, q: np.ndarray, extent: tuple[int, int], first: int):
+    def __init__(self, index: MultiLevelIndex, q: np.ndarray, walk: Walk):
         self._index, self._q = index, q
-        (self._count, depth), family = extent, index.family
-        self._bits, self._depth = slot_bits(family, index.levels), depth
+        (self._count, self._deepest), family = walk.extent, index.family
+        self._bits = slot_bits(family, index.levels)
         # the place of slot s in a key, bits * (K - 1 - s), is also the
         # shift of level s + 1: a level-k first key ends in that many zeros
-        self._shifts = self._bits * (index.levels - 1 - np.arange(depth, dtype=np.int64))
-        # row r * depth + s projects on slot s of repetition r; rows and
-        # sums of the repetitions not read yet are unset
-        self._proj = np.empty((self._count * depth, index.directions.shape[1]))
+        self._shifts = self._bits * (index.levels - 1 - np.arange(self._deepest, dtype=np.int64))
+        # _proj[r, s] projects on slot s of repetition r; the slots and
+        # repetitions not read yet are unset, as are their spine sums
+        self._proj = np.empty((self._count, self._deepest, index.directions.shape[1]))
         # spine[r, k - 1]: one unit plus the own bucket, summed over
         # repetitions 0..r - 1 at level k; the first read's own runs are
         # kept as _lo and _hi, [lo, hi)[r, k - 1] the bucket at level k
-        self._spine = np.zeros((self._count + 1, depth), dtype=np.int64)
-        self.read = 0
-        self._read(first)
-        # the probe order of every repetition, started on first use, the
-        # (R, probes) first keys of the levels it has yielded so far, and the runs
-        # of each multi-probe entry looked up
+        self._spine = np.zeros((self._count + 1, self._deepest), dtype=np.int64)
+        # a read shallower than the extent keeps the first key of the last
+        # level it read, where deepening its repetitions starts
+        shallow = walk.depth < self._deepest
+        self._last = np.empty(self._count, dtype=np.int64) if shallow else None
+        # slots 0..depth - 1 of repetitions 0..read - 1 are read
+        self.read, self.depth = 0, walk.depth
+        self._read(walk.first)
+        # the probe order of the (rows, levels) rectangle ranked so far,
+        # started on first use, the (rows, probes) first keys of the levels
+        # it has yielded so far, and the runs of each multi-probe entry
+        # looked up
+        self._ranked = (0, 0)
         self._tuples: Iterator[np.ndarray] | None = None
         self._levels: list[np.ndarray] = []
         self._looked_up: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -181,34 +196,53 @@ class _QueryProbes:
     @property
     def functions_projected(self) -> int:
         """Hash functions the query was projected on so far."""
-        return self.read * self._depth
+        return self.read * self.depth
+
+    def _project(self, start: int, stop: int, top: int, bottom: int) -> tuple:
+        """Project, code and search slots top..bottom - 1 of repetitions
+        start..stop - 1, whose slots 0..top - 1 are read, and write their
+        spine sums; returns the runs of their own buckets at those levels."""
+        index = self._index
+        block = index.directions.reshape(index.num_repetitions, index.levels, -1, index.family.dim)
+        proj = self._proj[start:stop, top:bottom]
+        np.matmul(block[start:stop, top:bottom], self._q, out=proj)
+        own = bucket_codes(index.family, proj.reshape(-1, proj.shape[2]))
+        first = np.cumsum(own.reshape(stop - start, -1) << self._shifts[top:bottom], axis=1)
+        if top:
+            first += self._last[start:stop, None]
+        elif bottom < self._deepest:
+            self._last[start:stop] = first[:, -1]
+        lo, hi = bucket_runs(index.repetitions[start:stop], first, self._shifts[top:bottom])
+        spine = np.cumsum(1 + hi - lo, axis=0, out=self._spine[start + 1 : stop + 1, top:bottom])
+        if start:
+            spine += self._spine[start, top:bottom]
+        return lo, hi
 
     def _read(self, stop: int) -> None:
-        """Project, code and search repetitions read..stop - 1, appending
-        their rows and spine sums to those already read."""
-        start, depth, index = self.read, self._depth, self._index
-        if stop <= start:
+        """Read repetitions read..stop - 1 as deep as those read already."""
+        if stop <= self.read:
             return
-        block = index.directions.reshape(index.num_repetitions, index.levels, -1, index.family.dim)
-        proj = self._proj[start * depth : stop * depth]
-        np.matmul(block[start:stop, :depth], self._q, out=proj.reshape(stop - start, depth, -1))
-        own = bucket_codes(index.family, proj).reshape(stop - start, depth)
-        first = np.cumsum(own << self._shifts, axis=1)
-        lo, hi = bucket_runs(index.repetitions[start:stop], first, self._shifts)
-        spine = np.cumsum(1 + hi - lo, axis=0, out=self._spine[start + 1 : stop + 1])
-        if start:
-            spine += self._spine[start]
-        else:
+        lo, hi = self._project(self.read, stop, 0, self.depth)
+        if not self.read:
             self._lo, self._hi = lo, hi
         self.read = stop
 
+    def _deepen(self) -> None:
+        """Read the repetitions read so far to the extent's depth."""
+        if self.read:
+            self._project(0, self.read, self.depth, self._deepest)
+        self.depth = self._deepest
+
     def bound(self, entry, best: float = math.inf) -> int:
         """Spine lower bound on the work of the setting of `entry`: its
-        consulted repetitions' own buckets plus its `floor`. While it
-        consults repetitions not read yet, it first counts one unit for each
-        of them; if that already reaches `best` it returns that lower value
-        and reads nothing, and otherwise it reads the rest of the extent."""
+        consulted repetitions' own buckets plus its `floor`. A level deeper
+        than read first deepens the repetitions read. While it consults
+        repetitions not read yet, it first counts one unit for each of them;
+        if that already reaches `best` it returns that lower value and reads
+        no more repetitions, and otherwise it reads the rest of the extent."""
         _, k, _, reps, floor = entry
+        if k > self.depth:
+            self._deepen()
         if reps > self.read:
             partial = int(self._spine[self.read, k - 1]) + reps - self.read + floor
             if partial >= best:
@@ -226,10 +260,17 @@ class _QueryProbes:
         if entry in self._looked_up:
             return self._looked_up[entry]
         index = self._index
-        if self._tuples is None:
-            self._read(self._count)
-            slots = slot_rankings(index.family, self._proj, self._depth)
+        rows, levels = self._ranked
+        if reps > rows or k > levels:
+            rows, levels = self._ranked = max(reps, rows), max(k, levels)
+            if levels > self.depth:
+                self._deepen()
+            if rows > self.read:
+                self._read(self._count)
+            proj = self._proj[:rows, :levels].reshape(rows * levels, -1)
+            slots = slot_rankings(index.family, proj, levels)
             self._tuples = first_tuples(slots, index.calibration.max_probes, self._bits)
+            self._levels = []
         while len(self._levels) < k:
             self._levels.append(next(self._tuples) << self._shifts[len(self._levels)])
         runs = self._looked_up[entry] = bucket_runs(
@@ -324,7 +365,7 @@ def _query(
     if radius is None:
         radius = index.calibration.r
     q = _check_query(index.dataset.dim, q, radius)
-    probes = _QueryProbes(index, q, walk.extent, walk.first) if walk.entries else None
+    probes = _QueryProbes(index, q, walk) if walk.entries else None
     found = _schedule(probes, walk.entries, ceiling)
     return _report(index.dataset, q, radius, mode, t0, probes, *found)
 

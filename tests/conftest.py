@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,24 @@ def setting_cost(index, k, j):
     setting, which the schedule leaves out."""
     count = feasible_reps(index, k, j)
     return None if count is None else float(j * count)
+
+
+def first_depth(index):
+    """The depth of the adaptive walk's first read, worked out afresh from
+    the schedule and the keys: m_k = sum_b s_b**2 / n over the level-k
+    buckets of each repetition a j = 1 entry consults, counted by np.unique
+    over the keys cut to k slots and averaged; W the least reps * (1 + m_k)
+    over the j = 1 entries; and the deepest level of a j = 1 entry or of
+    an entry that costs less than W."""
+    single = [e for e in index.schedule if e[2] == 1]
+    first = max((count for _, _, _, count, _ in single), default=0)
+
+    def load(k):
+        squares = 0
+        for rep in index.repetitions[:first]:
+            _, sizes = np.unique(rep.keys >> rep.bits * (index.levels - k), return_counts=True)
+            squares += sum(int(s) ** 2 for s in sizes)
+        return squares / (index.size * first)
+
+    work = min((count * (1.0 + load(k)) for _, k, _, count, _ in single), default=math.inf)
+    return max((e[1] for e in index.schedule if e[2] == 1 or e[0] < work), default=0)

@@ -16,6 +16,7 @@ each of which could not have won.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlslsh.query as querymod
-from conftest import feasible_reps, setting_cost, toy_calibration
+from conftest import feasible_reps, first_depth, setting_cost, toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.families import _pack, _prefixes, bucket_codes, first_tuples, sample_directions
 from mlslsh.families import slot_bits, slot_rankings
@@ -42,10 +43,14 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def instances(draw, dims=st.integers(2, 8), max_p2=0.6, budgets=st.integers(1, 12), min_p1=0.5):
+def instances(
+    draw, dims=st.integers(2, 8), max_p2=0.6, budgets=st.integers(1, 12), min_p1=0.5,
+    slopes=st.floats(0.0, 0.5),
+):
     """A small index with duplicate and degenerate rows, and its queries.
     p2 <= 0.5 keeps the at most 9 levels of 300 points within the key bits
-    of 66 buckets."""
+    of 66 buckets. A steeper probe-success slope makes more multi-probe
+    settings feasible, some at deeper levels than any single-probe one."""
     d = draw(dims)
     n = draw(st.integers(1, 300))
     if draw(st.booleans()):
@@ -68,8 +73,7 @@ def instances(draw, dims=st.integers(2, 8), max_p2=0.6, budgets=st.integers(1, 1
     p2 = draw(st.floats(0.05, min(max_p2, p1 - 0.05)))
     max_probes = draw(st.integers(1, 8))
     cal = toy_calibration(
-        family, p1, p2, compute_k(n, p2) + draw(st.integers(0, 2)), max_probes,
-        draw(st.floats(0.0, 0.5)),
+        family, p1, p2, compute_k(n, p2) + draw(st.integers(0, 2)), max_probes, draw(slopes),
     )
     index = build_index(
         dataset, cal, space_budget=draw(budgets), seed=draw(st.integers(0, 1000))
@@ -210,7 +214,7 @@ def test_spine_lower_bound_is_admissible(case):
         if not index.schedule:
             continue
         walk = index.walks["adaptive"]
-        ref, probes = Reference(index, q), _QueryProbes(index, q, walk.extent, walk.first)
+        ref, probes = Reference(index, q), _QueryProbes(index, q, walk)
         for entry in index.schedule:
             _, k, j, r_count, _ = entry
             assert r_count == feasible_reps(index, k, j)
@@ -252,27 +256,53 @@ class FullProjection:
 
 
 @SETTINGS
+@given(instances(budgets=st.integers(1, 64), slopes=st.floats(0.0, 3.0)))
+def test_first_depth_matches_a_recount(case):
+    # a single-probe walk reads its whole extent first; an adaptive walk
+    # reads as deep as `first_depth` recounts from the keys, between the
+    # deepest single-probe level and its extent's depth
+    index = case[0]
+    single, adaptive = index.walks["single"], index.walks["adaptive"]
+    assert single.depth == single.extent[1]
+    assert adaptive.depth == first_depth(index)
+    assert single.extent[1] <= adaptive.depth <= adaptive.extent[1]
+
+
+def first_depths(index):
+    """The walks of `index` with the adaptive walk read first from every
+    depth between its deepest j = 1 level and its extent's depth."""
+    single, adaptive = index.walks["single"], index.walks["adaptive"]
+    depths = range(max(1, single.extent[1]), adaptive.extent[1] + 1)
+    return [single, *(replace(adaptive, depth=depth) for depth in depths)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     instances(
         dims=st.sampled_from([3, 5, 6, 17, 30, 31, 33]), max_p2=0.5, budgets=st.integers(1, 64),
-        min_p1=0.35,
+        min_p1=0.35, slopes=st.floats(0.0, 3.0),
     ),
     st.data(),
 )
 def test_read_extents_match_a_full_projection(case, data):
     # each mode reads only its walk's extent of the direction block, its
-    # first repetitions up front and the rest on first need, yet projects,
-    # bounds, measures and collects every entry it may walk exactly as the
-    # whole block does, at dimensions whose products take different kernels;
-    # entries come in any order, so a bound, measurement or candidate set
-    # that read past the repetitions read would differ. A bound given the
+    # first repetitions up front as deep as the walk says, and deeper levels
+    # and the rest of the repetitions on first need, yet projects, bounds,
+    # measures and collects every entry it may walk exactly as the whole
+    # block does, at dimensions whose products take different kernels. An
+    # adaptive walk runs from every first depth it could be given. Entries
+    # come in any order, so a bound, measurement or candidate set that read
+    # past the repetitions or levels read would differ. A bound given the
     # best work so far never passes the full one; it stops short of it only
-    # to return a value that reaches that best without reading on.
+    # to return a value that reaches that best without reading on. After
+    # each entry, the functions projected are exactly the rectangle of
+    # repetitions and levels the entries so far consulted, each once
     index, queries, _ = case
     K, R = index.levels, index.num_repetitions
     for q in queries:
         full = FullProjection(index, q)
-        for walk in index.walks.values():
+        functions = full.proj.reshape(R, K, -1)
+        for walk in first_depths(index):
             (r, depth), entries = walk.extent, walk.entries
             if not entries:
                 assert (r, depth) == (0, 0)
@@ -283,15 +313,31 @@ def test_read_extents_match_a_full_projection(case, data):
                 projected.append(proj.copy())
                 return bucket_codes(family, proj)
 
+            def check_rectangle(reps, levels, blocks):
+                # each block is one read or one deepening
+                assert (probes.read, probes.depth) == (reps, levels)
+                assert len(projected) == blocks
+                got = sorted(row.tobytes() for block in projected for row in block)
+                rectangle = functions[:reps, :levels].reshape(-1, functions.shape[2])
+                assert got == sorted(row.tobytes() for row in rectangle)
+                assert probes.functions_projected == reps * levels
+
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(querymod, "bucket_codes", coded)
-                probes = _QueryProbes(index, q, walk.extent, walk.first)
-                assert probes.read == walk.first
+                probes = _QueryProbes(index, q, walk)
+                reps, levels = walk.first, walk.depth
+                check_rectangle(reps, levels, int(reps > 0))
                 for entry in data.draw(st.permutations(entries)):
                     _, k, j, count, floor = entry
                     assert count <= r and k <= depth
                     spine = int((1 + full.hi - full.lo)[:count, k - 1].sum())
                     read, best = probes.read, data.draw(st.integers(0, spine + floor + 1))
+                    blocks = len(projected)
+                    lo, hi = full.runs(k, j, count)
+                    # measured before or after it is bounded
+                    measured_first = data.draw(st.booleans())
+                    if measured_first:
+                        assert probes.work(entry) == float((1 + hi - lo).sum())
                     bound = probes.bound(entry, best)
                     assert bound <= spine + floor
                     if probes.read > read:
@@ -299,8 +345,8 @@ def test_read_extents_match_a_full_projection(case, data):
                     if bound < spine + floor:
                         assert probes.read == read and bound >= best
                     assert probes.bound(entry) == spine + floor
-                    lo, hi = full.runs(k, j, count)
-                    assert probes.work(entry) == float((1 + hi - lo).sum())
+                    if not measured_first:
+                        assert probes.work(entry) == float((1 + hi - lo).sum())
                     parts = [
                         rep.order[a:b]
                         for rep, starts, ends in zip(index.repetitions, lo, hi)
@@ -309,12 +355,13 @@ def test_read_extents_match_a_full_projection(case, data):
                     ids, buckets = probes.candidates(entry)
                     assert np.array_equal(ids, np.unique(np.concatenate(parts)))
                     assert buckets == lo.size
-            # at most two reads, together the extent: an entry consults its last
-            # repetition
-            assert len(projected) <= 2 and probes.read == r
-            read = full.proj.reshape(R, K, -1)[:r, :depth]
-            assert np.array_equal(np.concatenate(projected), read.reshape(r * depth, -1))
-            assert probes.functions_projected == r * depth
+                    # a deeper level deepens every repetition read, and a
+                    # repetition not read yet reads the rest of the extent
+                    if k > levels:
+                        blocks, levels = blocks + (reps > 0), depth
+                    if count > reps:
+                        blocks, reps = blocks + 1, r
+                    check_rectangle(reps, levels, blocks)
 
 
 def test_an_empty_single_extent_reads_the_whole_adaptive_extent_on_first_need():
@@ -327,9 +374,9 @@ def test_an_empty_single_extent_reads_the_whole_adaptive_extent_on_first_need():
     index = build_index(inst.dataset, cal, space_budget=4, seed=3)
     walk = index.walks["adaptive"]
     assert (walk.entries, walk.extent, walk.first) == (index.schedule, (4, 1), 0)
-    assert index.walks["single"] == Walk((), (0, 0), 0)
+    assert index.walks["single"] == Walk((), (0, 0), 0, 0)
     for q in inst.queries:
-        probes = _QueryProbes(index, q.coords, walk.extent, walk.first)
+        probes = _QueryProbes(index, q.coords, walk)
         assert probes.read == probes.functions_projected == 0
         entry = index.schedule[0]
         assert probes.bound(entry, entry[3] + entry[4]) == entry[3] + entry[4]
@@ -490,7 +537,7 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
                 querymod, "first_tuples",
                 lambda slots, count, b: iter(probe_keys[..., k] for k in range(K)),
             )
-            probes = _QueryProbes(index, dataset.matrix[0], (R, K), R)
+            probes = _QueryProbes(index, dataset.matrix[0], Walk((), (R, K), R, K))
             own_keys = _prefixes(_pack(own, bits), bits, K)
             for k in range(1, K + 1):
                 looked_up = {1: own_keys[:, k - 1 : k]}

@@ -464,8 +464,9 @@ def projection_cases(draw):
     """Query rows projected on a stack of `depth` functions, rich in ties:
     zero rows, rows of entries in {-1, 0, 1} under signed basis directions,
     which tie cross-polytope scores and zero coordinates, and caps whose
-    direction repeats another's, which tie cap projections. The probe
-    count may pass the bucket universe."""
+    direction repeats another's, which tie cap projections. A zero
+    coordinate takes either sign. The probe count may pass the bucket
+    universe."""
     kind = draw(st.sampled_from(["spherical_cap", "cross_polytope"]))
     dim = draw(st.integers(2, 12))
     params = FamilyParams(kind=kind, dim=dim, cap_count=draw(st.integers(2, 20)))
@@ -486,15 +487,19 @@ def projection_cases(draw):
     rows[kinds == 1] = 0.0
     rows[kinds == 2] = rng.integers(-1, 2, size=(np.count_nonzero(kinds == 2), dim))
     proj = (rows @ stack.reshape(-1, dim).T).reshape(m * depth, -1)
+    zeros = proj == 0.0
+    proj[zeros] = np.copysign(0.0, rng.choice([-1.0, 1.0], size=int(zeros.sum())))
     count = draw(st.integers(1, params.bucket_universe + 3))
     return params, depth, proj, count
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(projection_cases())
-def test_fast_probe_sorts_match_the_stable_references(case):
+@given(projection_cases(), st.data())
+def test_fast_probe_sorts_match_the_stable_references(case, data):
     # the default sorts plus their tie fallbacks rank, and merge, exactly as
-    # the stable argsort and the lexsort do
+    # the stable argsort and the lexsort do. Each row ranks and merges on
+    # its own: the first rows and slots of the projection, the rectangle a
+    # multi-probe setting ranks, give the rows of the whole
     params, depth, proj, count = case
     got = fam.slot_rankings(params, proj, depth)
     expected = stable_slot_rankings(params, proj, depth)
@@ -507,6 +512,18 @@ def test_fast_probe_sorts_match_the_stable_references(case):
     assert len(levels) == len(ref_levels) == depth
     for keys, ref_keys in zip(levels, ref_levels):
         assert np.array_equal(keys, ref_keys)
+    m = len(proj) // depth
+    rows, cut = data.draw(st.integers(1, m)), data.draw(st.integers(1, depth))
+    rectangle = proj.reshape(m, depth, -1)[:rows, :cut].reshape(rows * cut, -1)
+    part = fam.slot_rankings(params, rectangle, cut)
+    assert len(part) == cut
+    for (orders, deficits), (whole_orders, whole_deficits) in zip(part, got):
+        assert np.array_equal(orders, whole_orders[:rows])
+        assert deficits.tobytes() == whole_deficits[:rows].tobytes()
+    part_levels = list(fam.first_tuples(part, count, bits))
+    assert len(part_levels) == cut
+    for keys, whole_keys in zip(part_levels, levels):
+        assert np.array_equal(keys, whole_keys[:rows])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

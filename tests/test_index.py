@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from mlslsh.calibration import CalibrationError
 from mlslsh.cli import main
-from conftest import feasible_reps, toy_calibration
+from conftest import feasible_reps, first_depth, toy_calibration
 from mlslsh.families import HASH_BLOCK, FamilyParams, derived_seed, hash_batch, sample_directions
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
@@ -198,19 +198,23 @@ def test_read_extents_match_a_recount_of_the_table(tmp_path, built, p1, budget):
     for mode, entries in feasible.items():
         extent = (max((e[3] for e in entries), default=0), max((e[1] for e in entries), default=0))
         first = max((e[3] for e in entries if e[2] == 1), default=0)
+        # a single-probe walk reads its whole extent first, an adaptive one
+        # as deep as `first_depth` recounts from the keys
+        depth = first_depth(index) if mode == "adaptive" else extent[1]
         for walk in (index.walks[mode], loaded.walks[mode]):
             assert walk.entries == tuple(sorted(entries))
-            assert (walk.extent, walk.first) == (extent, first)
+            assert (walk.extent, walk.first, walk.depth) == (extent, first, depth)
     # single-probe settings form a prefix of levels whose repetitions grow
     # with k, so the deepest one reads the single-mode extent exactly, and
     # an adaptive walk reads that extent's repetitions first
     single = index.walks["single"]
     assert single.first == single.extent[0] == index.walks["adaptive"].first
+    assert single.extent[1] <= index.walks["adaptive"].depth <= index.walks["adaptive"].extent[1]
     if feasible["single"]:
         deepest = max(feasible["single"], key=lambda e: e[1])
         assert (deepest[3], deepest[1]) == single.extent
     if budget == 1:
-        assert index.walks["single"] == index.walks["adaptive"] == Walk((), (0, 0), 0)
+        assert index.walks["single"] == index.walks["adaptive"] == Walk((), (0, 0), 0, 0)
     if p1 == 0.5 and budget is None:
         assert single.extent[1] >= 3
 

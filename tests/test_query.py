@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mlslsh.query as querymod
-from conftest import setting_cost, toy_calibration
+from conftest import first_depth, setting_cost, toy_calibration
 from mlslsh.families import CodeEnumerator, FamilyParams, bucket_codes, hash_batch, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
 from mlslsh.index import bucket_runs, build_index, compute_k, compute_numreps, consulted_reps, reps
@@ -98,7 +99,8 @@ def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
     inst = generate_planted_instance(n=40, d=6, r=0.4, t=2, seed=0)
     index = build_index(inst.dataset, toy_calibration(params), seed=0)
     q = np.zeros(6)
-    probes = _QueryProbes(index, q, (index.num_repetitions, index.levels), index.num_repetitions)
+    K, R = index.levels, index.num_repetitions
+    probes = _QueryProbes(index, q, Walk((), (R, K), R, K))
     cal, universe, checked = index.calibration, index.family.bucket_universe, set()
     for k in range(1, index.levels + 1):
         for j in range(1, 17):
@@ -118,7 +120,8 @@ def test_nothing_feasible_means_every_query_is_a_full_scan(small_index, monkeypa
     params = FamilyParams(kind="cross_polytope", dim=12)
     index = build_index(inst.dataset, toy_calibration(params), space_budget=1, seed=3)
     assert index.schedule == ()
-    assert dict(index.walks) == {"adaptive": Walk((), (0, 0), 0), "single": Walk((), (0, 0), 0)}
+    empty = Walk((), (0, 0), 0, 0)
+    assert dict(index.walks) == {"adaptive": empty, "single": empty}
     pinned = [fixed_level_query(index, q.coords, 0.4, 1, 1) for q in inst.queries]
     assert all(rep.infeasible and (rep.k_best, rep.j_best) == (1, 1) for rep in pinned)
 
@@ -166,12 +169,28 @@ def test_candidates_reuse_the_lookup_of_a_measured_setting(multi_probe_index, mo
     assert last > 0 and earlier > 0
 
 
+def build_first_depth_index(kind, p1):
+    """A 600-point index of 5 levels whose multi-probe settings reach levels
+    no single-probe one does: slope 1 doubles P(k, 2) over P(k, 1)."""
+    family = FamilyParams(kind=kind, dim=12, cap_count=16)
+    inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=6)
+    cal = toy_calibration(family, p1, 0.3, compute_k(600, 0.3), 6, 1.0)
+    return inst, build_index(inst.dataset, cal, seed=3)
+
+
+@pytest.fixture(scope="module")
+def shallow_index():
+    return build_first_depth_index("cross_polytope", 0.6)
+
+
 def test_functions_projected_match_an_independent_recount(
-    small_index, multi_probe_index, monkeypatch
+    small_index, multi_probe_index, shallow_index, monkeypatch
 ):
-    # every read codes its projection once, so the rows coded count the
-    # functions a query was projected on: the single-probe repetitions at
-    # the adaptive depth, and the whole extent once a walk needs more
+    # every read and every deepening codes its projection once, so the rows
+    # coded count the functions a query was projected on: the first
+    # repetitions at the walk's first depth, the rest of the repetitions
+    # once an entry needs one of them, and the levels down to the extent's
+    # depth once an entry needs one of them
     rows = []
 
     def coded(family, proj):
@@ -179,9 +198,11 @@ def test_functions_projected_match_an_independent_recount(
         return bucket_codes(family, proj)
 
     monkeypatch.setattr(querymod, "bucket_codes", coded)
-    stayed = grew = 0
-    for inst, index in (small_index, multi_probe_index):
-        (r, depth), r_single = index.walks["adaptive"].extent, index.walks["adaptive"].first
+    totals = []
+    for inst, index in (small_index, multi_probe_index, shallow_index):
+        walk = index.walks["adaptive"]
+        (r, depth), first, top = walk.extent, walk.first, walk.depth
+        consulted = {(k, j): count for _, k, j, count, _ in index.schedule}
         runs = {
             "adaptive": lambda q: adaptive_multiprobe(index, q, 0.4),
             "single": lambda q: single_probe_adaptive(index, q, 0.4),
@@ -196,16 +217,74 @@ def test_functions_projected_match_an_independent_recount(
                 assert report.to_json_dict(include_timing=True)["functions_projected"] == sum(rows)
             rows.clear()
             report = adaptive_multiprobe(index, q.coords, 0.4)
-            assert rows[0] == r_single * depth and sum(rows) in (r_single * depth, r * depth)
-            if any(e.probes > 1 for e in report.examined):
-                assert sum(rows) == r * depth
-            stayed += sum(rows) < r * depth
-            grew += len(rows) == 2
+            assert rows[0] == first * top and len(rows) <= 3
+            assert sum(rows) in (first * top, first * depth, r * top, r * depth)
+            # a measured entry past the first read has been read
+            past = any(consulted[e.level, e.probes] > first for e in report.examined)
+            deeper = any(e.level > top for e in report.examined)
+            assert sum(rows) >= (r if past else first) * (depth if deeper else top)
+            totals.append(sum(rows))
     # every walk on the small index stays in the first read, as it prunes
     # each entry that consults more repetitions by its bound from the
-    # repetitions read so far; every walk on the multi-probe index measures
-    # a multi-probe entry and reads on
-    assert (stayed, grew) == (len(small_index[0].queries), len(multi_probe_index[0].queries))
+    # repetitions read so far. Every walk on the multi-probe index measures
+    # multi-probe entries; nine of them rank only repetitions read first
+    # and read nothing more, and three read on. On the shallow index five
+    # walks need a level past the first 3 and one stays within them
+    multi_probe = [12 * 4] * 12
+    multi_probe[2] = multi_probe[5] = multi_probe[11] = 15 * 4
+    shallow = [17 * 5] * 6
+    shallow[3] = 17 * 3
+    assert totals == [29 * 3] * 5 + multi_probe + shallow
+
+
+@pytest.mark.parametrize(
+    "kind, p1, walks",
+    [
+        # levels 4 and 5 cost more than the least expected single-probe work
+        ("cross_polytope", 0.6, ((17, 3), (22, 5), 3)),
+        # a multi-probe setting at every level costs less than it
+        ("spherical_cap", 0.7, ((6, 2), (9, 5), 5)),
+    ],
+)
+def test_the_first_depth_changes_no_report(kind, p1, walks, monkeypatch):
+    # two indexes pinned to a shallow and to the full first depth, both as
+    # `first_depth` recounts them. An adaptive walk read first from any
+    # depth between its single-probe one and its extent's gives the same
+    # report but for the functions projected; a single or fixed walk reads
+    # its whole extent first
+    inst, index = build_first_depth_index(kind, p1)
+    single, adaptive = index.walks["single"], index.walks["adaptive"]
+    assert (single.extent, adaptive.extent, adaptive.depth) == walks
+    assert adaptive.depth == first_depth(index)
+    # no walk reads first shallower than a j = 1 entry or deeper than its extent
+    for depth in (single.extent[1] - 1, adaptive.extent[1] + 1):
+        with pytest.raises(ValueError, match="levels first"):
+            replace(adaptive, depth=depth)
+    read = []
+
+    class Recorded(_QueryProbes):
+        def __init__(self, index, q, walk):
+            read.append(walk)
+            super().__init__(index, q, walk)
+
+    def untimed(report):
+        doc = report.to_json_dict(include_timing=True)
+        del doc["wall_time"], doc["functions_projected"]
+        return doc
+
+    monkeypatch.setattr(querymod, "_QueryProbes", Recorded)
+    for q in inst.queries:
+        report = untimed(adaptive_multiprobe(index, q.coords, 0.4))
+        for depth in range(single.extent[1], adaptive.extent[1] + 1):
+            walk = replace(adaptive, depth=depth)
+            other = querymod._query(index, q.coords, 0.4, "adaptive", walk, index.size)
+            assert untimed(other) == report
+        read.clear()
+        single_probe_adaptive(index, q.coords, 0.4)
+        for k, j in ((1, 1), (2, 3), (index.levels, 6)):
+            fixed_level_query(index, q.coords, 0.4, k, j)
+        depths = [single.extent[1], 1, 2, index.levels]
+        assert [w.depth for w in read] == [w.extent[1] for w in read] == depths
 
 
 def test_adaptive_reports_only_true_range_members(small_index):

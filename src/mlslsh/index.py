@@ -8,16 +8,22 @@ ceil(log2 U) bits per slot for a family with U buckets. A build and the
 reload of a file saved without keys both hash through it, so they cannot
 disagree. Sorting by key sorts the code tuples lexicographically, so one
 sorted array serves every level: the level-k bucket of a k-code prefix key
-p is the key range [p << s, (p + 1) << s) with s = bits * (K - k), which
-`bucket_runs`, the one key-range search, finds from its first key p << s
-and s with one binary-search pair.
+p is the key range [p << s, (p + 1) << s) with s = bits * (K - k).
+The sorted keys and point order of all R repetitions are the rows of one
+(R, n) int64 key block and one (R, n) int32 order block, and each
+`Repetition` views its rows. Row r's keys carry a tag above their K * bits
+key bits, r's place in its group of up to 2**(63 - K * bits) consecutive
+repetitions (`repetition_tags`), so a group's rows read as one sorted
+array. `bucket_runs`, the one key-range search, finds buckets of any
+repetitions of a group with one binary-search pair each and one
+`searchsorted` call per group.
 `index_shape` is the one sizing rule: depth K and repetition count R follow
 from the calibrated p1 and p2, n and the space budget. A key holds at most
 63 bits, so K * ceil(log2 U) <= 63, and the sorted order holds point ids as
 int32, so an index holds at most MAX_POINTS points; the rule rejects
 either. A build sizes by it, and a load checks the header's K and R
 against it before reading any array. Both then sample the direction block
-and sort the repetitions through `_assemble`: the stacks of all R
+and sort the key blocks through `_assemble`: the stacks of all R
 repetitions are consecutive slices of one read-only (R * K, rows, dim)
 block, so one matmul projects a query on the functions of the first r
 repetitions' first k slots, the read extent of its mode.
@@ -31,12 +37,12 @@ import os
 import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .calibration import DOCUMENT_ERRORS, CalibrationError, FamilyCalibration
-from .families import FamilyParams, _pack, _unpack, derived_seed, hash_keys
+from .families import KEY_BITS, FamilyParams, _pack, _unpack, derived_seed, hash_keys
 from .families import sample_directions, slot_bits
 # not called here; perfbench/spans.py wraps index.hash_batch by name
 from .families import hash_batch  # noqa: F401
@@ -120,42 +126,56 @@ class Walk:
     measure, all of them in adaptive mode and those with j = 1 in single
     mode, one entry for a fixed pin and none for a full scan.
 
-    `extent` is (r, k), the most repetitions and the deepest level over the
-    entries, (0, 0) for none: a query of the mode reads slots 0..k - 1 of
-    repetitions 0..r - 1 and nothing else. It reads `first` of those
-    repetitions up front, the most that any of its j = 1 entries consults,
-    as a j = 1 entry's bound is its work and it is never pruned, and reads
-    them `depth` slots deep, at least as deep as its deepest j = 1 entry.
-    It deepens what it has read to the extent's depth only when an entry
-    first needs a deeper level, and reads the rest of the repetitions only
-    when a multi-probe entry first needs one of them. A single-probe walk
-    thus reads its whole extent at once, and an adaptive one the
-    single-probe repetitions first, as deep as it expects to walk.
+    `reach[k - 1]` is the most repetitions any entry consults at level k,
+    0 where none does, so a query of the mode searches level k's buckets
+    only in repetitions 0..reach[k - 1] - 1. `extent` is (r, k), the most
+    repetitions and the deepest level over the entries, (0, 0) for none:
+    a query of the mode reads slots 0..k - 1 of repetitions 0..r - 1 and
+    nothing else. It reads `first` of those repetitions up front, the most
+    that any of its j = 1 entries consults, as a j = 1 entry's bound is its
+    work and it is never pruned, and reads them `depth` slots deep, at
+    least as deep as its deepest j = 1 entry. It deepens what it has read
+    to the extent's depth only when an entry first needs a deeper level,
+    and reads the rest of the repetitions only when a multi-probe entry
+    first needs one of them. A single-probe walk thus reads its whole
+    extent at once, and an adaptive one the single-probe repetitions
+    first, as deep as it expects to walk.
     """
 
     entries: tuple[tuple[float, int, int, int, int], ...]
-    extent: tuple[int, int]
     first: int
     depth: int
+    reach: tuple[int, ...]
 
     def __post_init__(self) -> None:
         single = max((e[1] for e in self.entries if e[2] == 1), default=0)
         least = max(single, 1) if self.entries else 0
-        if not least <= self.depth <= self.extent[1]:
+        if not least <= self.depth <= len(self.reach):
             raise ValueError(
                 f"a walk of extent {self.extent} whose j = 1 entries reach level "
                 f"{single} cannot read {self.depth} levels first"
             )
+        if self.first > self.extent[0] or any(e[3] > self.reach[e[1] - 1] for e in self.entries):
+            raise ValueError(
+                f"a walk that reaches {self.reach} repetitions per level cannot read "
+                f"{self.first} first or walk all of {self.entries}"
+            )
+
+    @property
+    def extent(self) -> tuple[int, int]:
+        return max(self.reach, default=0), len(self.reach)
 
     @classmethod
     def over(cls, entries: tuple, work: float = math.inf) -> "Walk":
         """The walk of `entries` that reads first as deep as its j = 1
         entries and every entry that costs less than `work`, the work it
         expects to settle at; all of its extent by default."""
-        extent = max((e[3] for e in entries), default=0), max((e[1] for e in entries), default=0)
+        reach = [0] * max((e[1] for e in entries), default=0)
+        for _, k, _, count, _ in entries:
+            reach[k - 1] = max(reach[k - 1], count)
         first = max((e[3] for e in entries if e[2] == 1), default=0)
         depth = max((e[1] for e in entries if e[2] == 1 or e[0] < work), default=0)
-        return cls(entries, extent, first, depth)
+        return cls(entries, first, depth, tuple(reach))
 
 
 def check_space_budget(budget) -> None:
@@ -183,26 +203,38 @@ def index_shape(calibration: FamilyCalibration, n: int, space_budget: int | None
     return K, R if space_budget is None else min(R, space_budget)
 
 
-def bucket_runs(repetitions, first: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted runs [lo, hi) of buckets, one row per repetition.
+def repetition_tags(count: int, key_bits: int) -> np.ndarray:
+    """The int64 tag of each of `count` repetitions whose keys take
+    `key_bits` bits: its place in its group, shifted above the key bits.
+    A group is up to 2**(63 - key_bits) consecutive repetitions, as many
+    as the tags keep below 2**63, so a group starts where its tag is 0 and
+    the tagged keys of its rows rise from row to row. ValueError when the
+    key bits leave no room for a tag."""
+    if not 0 < key_bits <= KEY_BITS:
+        raise ValueError(f"{key_bits} key bits leave no room below 2**{KEY_BITS} for a tag")
+    group = 1 << (KEY_BITS - key_bits)
+    return (np.arange(count, dtype=np.int64) % group) << key_bits
 
-    Row r of the (R', m) int64 `first` holds first keys p << s of buckets,
-    searched in repetitions[r]: p is a k-slot prefix key and s its `shift`,
-    bits * (K - k), an int or an array that broadcasts against `first`.
-    The bucket is the key range [p << s, (p + 1) << s), searched as the keys
-    in (first - 1, last] with last = first | (2**s - 1), both ends on the
-    right, which keeps every needle below 2**63. One (R', 2, m) needle block
-    and one runs block are filled in place, one searchsorted per repetition.
-    Returns lo and hi, each shaped like `first`.
+
+def bucket_runs(parts, needles: np.ndarray) -> np.ndarray:
+    """Runs [lo, hi) of buckets, one searchsorted per key group.
+
+    Needle pair i, needles[i] = (f - 1, f + 2**s - 1) with f = (p << s) +
+    tag, stands for the level bucket of k-slot prefix key p, s its shift
+    bits * (K - k), in the repetition of that tag: the tagged keys in
+    (f - 1, f + 2**s - 1], searched with both ends on the right, which
+    keeps every needle below 2**63. `parts` lists one (a, b, keys, offset)
+    per group searched: needles a..b - 1 on the first axis lie in its rows,
+    `keys` is the group's rows as one sorted array and `offset` the
+    position of its first key in the whole block. Returns the runs shaped
+    like `needles`, as positions in the flattened block.
     """
-    needles = np.empty((len(first), 2, first.shape[1]), dtype=np.int64)
-    np.subtract(first, 1, out=needles[:, 0])
-    np.bitwise_or(first, (1 << shift) - 1, out=needles[:, 1])
-    # a contiguous (2, m) block per repetition; a strided one is copied per search
     runs = np.empty(needles.shape, dtype=np.intp)
-    for r in range(len(first)):
-        runs[r] = repetitions[r].keys.searchsorted(needles[r], "right")
-    return runs[:, 0], runs[:, 1]
+    for a, b, keys, offset in parts:
+        runs[a:b] = keys.searchsorted(needles[a:b], "right")
+        if offset:
+            runs[a:b] += offset
+    return runs
 
 
 def bucket_loads(repetitions, levels: int) -> list[float]:
@@ -225,27 +257,45 @@ def bucket_loads(repetitions, levels: int) -> list[float]:
     return [total / (n * len(repetitions)) for total in squares]
 
 
+def key_blocks(family: FamilyParams, depth: int, shape: tuple[int, int], keys) -> tuple:
+    """The (R, n) int64 key block and int32 order block of R repetitions of
+    `depth` slots, row r sorted from the r-th array of `keys`: the n packed
+    keys of the points in input order, checked for valid codes first.
+    order[r, i] is the dataset index of the point at sorted position i of
+    repetition r, and keys[r, i] its key plus the tag of r
+    (`repetition_tags`). The sort is stable, so points with equal codes
+    keep their input order. `keys` is read one array at a time, so a file
+    reader holds one repetition's keys at a time."""
+    bits, universe = slot_bits(family, depth), family.bucket_universe
+    tags = repetition_tags(shape[0], bits * depth)
+    block, order = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int32)
+    for r, row in zip(range(shape[0]), keys):
+        if row.min() < 0 or int(row.max()) >> bits * depth:
+            raise ValueError(f"keys must lie in 0..2**{bits * depth} - 1")
+        if _unpack(row, bits, depth).max() >= universe:
+            raise ValueError(f"slot codes must lie in 0..{universe - 1}")
+        perm = np.argsort(row, kind="stable")
+        order[r] = perm
+        np.take(row, perm, out=block[r])
+        block[r] += tags[r]
+        # hold nothing of this repetition while the next one's keys are made
+        del row, perm
+    return block, order
+
+
 class Repetition:
     """One repetition: the (K, rows, dim) direction stack of its K hash
-    functions plus the points sorted by packed key.
+    functions plus views of its rows of the index's key and order blocks.
 
-    Built from one key per point in input order. keys[i] is the packed code
-    tuple of the point at sorted position i and order[i] its dataset index.
-    The sort is stable, so points with equal codes keep their input order.
+    keys[i] is the packed code tuple of the point at sorted position i plus
+    the repetition's `tag`, and order[i] its dataset index.
     """
 
-    __slots__ = ("directions", "keys", "order", "bits")
+    __slots__ = ("directions", "keys", "order", "bits", "tag")
 
-    def __init__(self, family: FamilyParams, directions: np.ndarray, keys: np.ndarray):
-        universe, depth = family.bucket_universe, len(directions)
-        self.bits = slot_bits(family, depth)
-        if keys.min() < 0 or int(keys.max()) >> self.bits * depth:
-            raise ValueError(f"keys must lie in 0..2**{self.bits * depth} - 1")
-        if _unpack(keys, self.bits, depth).max() >= universe:
-            raise ValueError(f"slot codes must lie in 0..{universe - 1}")
-        self.directions = directions
-        self.order = np.argsort(keys, kind="stable").astype(np.int32)
-        self.keys = keys[self.order]
+    def __init__(self, directions: np.ndarray, keys: np.ndarray, order: np.ndarray, bits, tag):
+        self.directions, self.keys, self.order = directions, keys, order
+        self.bits, self.tag = bits, tag
 
     @property
     def depth(self) -> int:
@@ -265,9 +315,30 @@ class Repetition:
         if not all(0 <= code < 1 << self.bits for code in prefix):
             return 0, 0  # no key holds a code this wide
         shift = self.bits * (self.depth - len(prefix))
-        first = _pack(np.array([[prefix]], dtype=np.int64), self.bits) << shift
-        lo, hi = bucket_runs((self,), first, shift)
-        return lo.item(), hi.item()
+        first = (int(_pack(np.array(prefix, dtype=np.int64), self.bits)) << shift) + self.tag
+        needles = np.array([[first - 1, first + (1 << shift) - 1]], dtype=np.int64)
+        lo, hi = bucket_runs(((0, 1, self.keys, 0),), needles)[0].tolist()
+        return lo, hi
+
+
+class ReadPlan(NamedTuple):
+    """The buckets one read of a walk searches: the own buckets of a
+    rectangle of repetitions and levels, cut to the walk's reach. `cells`
+    are their places in the read's flattened (repetitions, levels) block
+    of first keys, `ends` the (tag - 1, tag + 2**s - 1) each adds to its
+    first key to make its needle pair, `dest` their places in the
+    flattened (r, k) grid of the walk's extent, and `parts` the
+    `bucket_runs` groups of the cells."""
+
+    cells: np.ndarray
+    ends: np.ndarray
+    dest: np.ndarray
+    parts: tuple
+
+    def runs(self, first: np.ndarray) -> np.ndarray:
+        """The (cells, 2) runs of the planned buckets of the read whose
+        first keys, untagged, are `first`."""
+        return bucket_runs(self.parts, first.reshape(-1).take(self.cells)[:, None] + self.ends)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,8 +367,12 @@ class MultiLevelIndex:
     least expected work of a j = 1 entry (k, 1, reps): reps * (1 + m_k),
     with m_k the `bucket_loads` of level k over those repetitions. A walk
     stops at the first entry whose cost reaches the best work it measured,
-    so a query rarely goes past that depth. Both walks are fixed at build
-    and load; no query changes them.
+    so a query rarely goes past that depth. Both walks, and the
+    `read_plan` of every read they can make, are fixed at build and load;
+    no query changes them.
+
+    `keys` and `order` are the (R, n) key and order blocks of `key_blocks`,
+    and `repetitions` views their rows beside each direction stack.
     """
 
     dataset: Dataset
@@ -305,13 +380,43 @@ class MultiLevelIndex:
     seed: int
     space_budget: int | None
     levels: int
-    repetitions: tuple[Repetition, ...]
     directions: np.ndarray
+    keys: np.ndarray
+    order: np.ndarray
+    repetitions: tuple[Repetition, ...] = field(init=False, repr=False)
     schedule: tuple[tuple[float, int, int, int, int], ...] = field(init=False, repr=False)
     walks: Mapping[str, Walk] = field(init=False, repr=False)
+    # per group (first row, end row, its rows as one sorted array, offset);
+    # the (K, R, 2) needle ends of every level and repetition; the plans of
+    # the walks' reads
+    _groups: tuple = field(init=False, repr=False)
+    _ends: np.ndarray = field(init=False, repr=False)
+    _plans: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        cal, R, universe = self.calibration, self.num_repetitions, self.family.bucket_universe
+        K, (R, n) = self.levels, self.keys.shape
+        if self.order.shape != (R, n) or len(self.directions) != R * K or n != self.size:
+            raise ValueError(
+                f"{R} x {n} keys, {self.order.shape[0]} x {self.order.shape[1]} ids and "
+                f"{len(self.directions)} functions do not make {R} repetitions of "
+                f"{K} levels over {self.size} points"
+            )
+        bits = slot_bits(self.family, K)
+        tags = repetition_tags(R, bits * K)
+        stacks = self.directions.reshape(R, K, *self.directions.shape[1:])
+        object.__setattr__(self, "repetitions", tuple(
+            Repetition(stack, keys, order, bits, int(tag))
+            for stack, keys, order, tag in zip(stacks, self.keys, self.order, tags)
+        ))
+        starts = [*np.flatnonzero(tags == 0).tolist(), R]
+        object.__setattr__(self, "_groups", tuple(
+            (a, b, self.keys[a:b].reshape(-1), a * n) for a, b in zip(starts, starts[1:])
+        ))
+        masks = (1 << bits * (K - 1 - np.arange(K, dtype=np.int64))) - 1
+        ends = np.stack(np.broadcast_arrays(tags - 1, tags + masks[:, None]), axis=-1)
+        object.__setattr__(self, "_ends", ends)
+
+        cal, universe = self.calibration, self.family.bucket_universe
         entries = []
         for k in range(1, self.levels + 1):
             for j in range(1, cal.max_probes + 1):
@@ -325,11 +430,52 @@ class MultiLevelIndex:
         work = min(
             (count * (1.0 + loads[k - 1]) for _, k, _, count, _ in single.entries), default=math.inf
         )
+        walks = {"adaptive": Walk.over(schedule, work), "single": single}
         object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "walks", MappingProxyType({
-            "adaptive": Walk.over(schedule, work),
-            "single": single,
-        }))
+        object.__setattr__(self, "walks", MappingProxyType(walks))
+        # a walk reads its first repetitions, then deepens them or reads
+        # the rest, at its first depth or the extent's, in either order
+        plans = {}
+        for walk in walks.values():
+            (count, deepest), first, depth = walk.extent, walk.first, walk.depth
+            for read in (
+                (0, first, 0, depth), (first, count, 0, depth), (first, count, 0, deepest),
+                (0, first, depth, deepest), (0, count, depth, deepest),
+            ):
+                plans[walk.reach, *read] = self._plan(walk.reach, *read)
+        object.__setattr__(self, "_plans", plans)
+
+    def _plan(self, reach: tuple, start: int, stop: int, top: int, bottom: int) -> ReadPlan:
+        rows, levels = np.nonzero(
+            np.arange(start, stop)[:, None] < np.array(reach[top:bottom], dtype=np.intp)
+        )
+        cells = rows * (bottom - top) + levels
+        rows += start
+        levels += top
+        # rows ascend, so the cells of each group are consecutive
+        parts = []
+        for a, b, keys, offset in self._groups:
+            lo, hi = np.searchsorted(rows, (a, b)).tolist()
+            if lo < hi:
+                parts.append((lo, hi, keys, offset))
+        return ReadPlan(cells, self._ends[levels, rows], rows * len(reach) + levels, tuple(parts))
+
+    def read_plan(self, reach: tuple, start: int, stop: int, top: int, bottom: int) -> ReadPlan:
+        """The `ReadPlan` of a read of repetitions start..stop - 1 at levels
+        top + 1..bottom by a walk of `reach`: the own buckets of those
+        repetitions and levels that reach keeps, each repetition r at level
+        k only if r < reach[k - 1]. The plans of the walks' reads are made
+        with the index; any other walk's on each read."""
+        plan = self._plans.get((reach, start, stop, top, bottom))
+        return plan if plan is not None else self._plan(reach, start, stop, top, bottom)
+
+    def probe_runs(self, first: np.ndarray, level: int) -> np.ndarray:
+        """The (r, m, 2) runs of the level buckets whose untagged first keys
+        are the (r, m) `first`, row i searched in repetition i: one needle
+        pair each and one `bucket_runs` search per group."""
+        count = len(first)
+        parts = tuple((a, min(b, count), keys, at) for a, b, keys, at in self._groups if a < count)
+        return bucket_runs(parts, first[..., None] + self._ends[level - 1, :count, None])
 
     @property
     def family(self) -> FamilyParams:
@@ -337,7 +483,7 @@ class MultiLevelIndex:
 
     @property
     def num_repetitions(self) -> int:
-        return len(self.repetitions)
+        return len(self.keys)
 
     @property
     def size(self) -> int:
@@ -376,18 +522,20 @@ class MultiLevelIndex:
                 for rep in self.repetitions:
                     keys = np.empty_like(rep.keys)
                     keys[rep.order] = rep.keys
+                    keys -= rep.tag
                     f.write(keys.astype("<i8").tobytes())
 
 
 def _assemble(dataset, calibration, seed, space_budget, shape, keys) -> MultiLevelIndex:
     """The index of shape (K, R): its direction block, repetition by slot,
-    and R repetitions, each sorted by keys(stack). `keys` is called once per
-    repetition in order, so a file reader holds one repetition's keys at a time."""
+    and its key blocks, row r sorted from keys(stack r). `keys` is called
+    once per repetition in order, so a file reader holds one repetition's
+    keys at a time."""
     (K, R), family = shape, calibration.params
     block = sample_directions(family, [derived_seed(seed, r, s) for r in range(R) for s in range(K)])
     stacks = block.reshape(R, K, *block.shape[1:])
-    repetitions = tuple(Repetition(family, stack, keys(stack)) for stack in stacks)
-    return MultiLevelIndex(dataset, calibration, seed, space_budget, K, repetitions, block)
+    blocks = key_blocks(family, K, (R, dataset.size), (keys(stack) for stack in stacks))
+    return MultiLevelIndex(dataset, calibration, seed, space_budget, K, block, *blocks)
 
 
 def build_index(

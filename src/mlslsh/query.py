@@ -11,7 +11,12 @@ need more repetitions than the index has cannot reach its success
 probability and is not in the schedule.
 
 Every mode is one walk, `index.Walk`: the entries it may measure, the
-extent of the index it reads, and how much of it and how deep up front.
+extent of the index it reads, how much of it and how deep up front, and
+its reach, per level the repetitions whose buckets it searches there, the
+most any entry at that level consults. A read searches its buckets in the
+index's key groups, one `searchsorted` per group, as the read's
+`index.ReadPlan` lists them; the index plans every read of its own walks
+once.
 `_schedule` runs the walk in order, measures the true candidate work of
 each entry, and stops at the first entry whose cost reaches the best work
 seen, which starts at the walk's ceiling, the work of the full scan it
@@ -47,7 +52,7 @@ from .families import bucket_codes, first_tuples, slot_bits, slot_rankings
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, range_scan
-from .index import MultiLevelIndex, Walk, bucket_runs, consulted_reps, schedule_entry
+from .index import MultiLevelIndex, Walk, consulted_reps, schedule_entry
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,13 @@ class QueryReport:
     the query was projected on, each once: the repetitions it read times the
     depth it read them to, its walk's first-read `depth` or, once a setting
     needed a deeper level, the depth of the walk's extent (0 for a full
-    scan). wall_time, settings_pruned, infeasible and
-    functions_projected are excluded from the JSON form unless timing is
-    asked for, so serialized reports are deterministic and a fixed report
-    reads as it always has.
+    scan). `key_searches` counts the bucket key ranges the query searched:
+    the own buckets of its spine that its walk's reach keeps, one per
+    repetition and level, plus the probe buckets of each multi-probe
+    setting it looked up. wall_time, settings_pruned, infeasible,
+    functions_projected and key_searches are excluded from the JSON form
+    unless timing is asked for, so serialized reports are deterministic and
+    a fixed report reads as it always has.
     """
 
     ids: tuple[int, ...]
@@ -94,6 +102,7 @@ class QueryReport:
     settings_pruned: int = 0
     infeasible: bool = False
     functions_projected: int = 0
+    key_searches: int = 0
 
     @property
     def t_reported(self) -> int:
@@ -124,6 +133,7 @@ class QueryReport:
             doc["settings_pruned"] = self.settings_pruned
             doc["infeasible"] = self.infeasible
             doc["functions_projected"] = self.functions_projected
+            doc["key_searches"] = self.key_searches
         return doc
 
 
@@ -143,13 +153,14 @@ class _QueryProbes:
     function on it, so each projection equals that of the whole block bit
     for bit. One cumulative sum over the query's own codes, each shifted to
     its slot and started from the first key of the last level read, gives
-    the first key of its own bucket at each new level of those repetitions,
-    and one `bucket_runs` search gives the spine, the runs of those buckets.
-    The first read keeps its runs: it holds every repetition and level a
-    single-probe setting of the walk consults, and that is all such a
-    setting reads. A running sum of the spine over repetitions, read at an
-    entry's `reps` and added to its `floor`, is the entry's `bound`: the
-    work of the setting at j = 1 and a lower bound on it past that.
+    the first key of its own bucket at each new level of those repetitions.
+    The read searches only the buckets its `index.ReadPlan` keeps, level k
+    in repetitions below the walk's reach[k - 1], with one `bucket_runs`
+    call, one searchsorted per key group, and keeps their runs in one
+    (r, D) grid: every entry of the walk reads its own buckets there. A
+    running sum of the spine over repetitions, read at an entry's `reps`
+    and added to its `floor`, is the entry's `bound`: the work of the
+    setting at j = 1 and a lower bound on it past that.
 
     A setting past one probe ranks slots 0..k - 1 of repetitions 0..reps - 1
     with one `slot_rankings` call and starts `first_tuples` on those rows at
@@ -158,31 +169,35 @@ class _QueryProbes:
     in any rectangle, and a later setting that needs more rows or levels
     ranks the larger rectangle afresh. The merge yields levels only as deep
     as a setting asks, each shifted once to first keys, and a setting finds
-    its buckets with one `bucket_runs` call, which the probes keep:
+    its buckets with one `index.probe_runs` call, which the probes keep:
     collecting the candidates of a measured setting searches no bucket
-    again.
+    again, and gathers every run from the order block with one take.
+    `key_searches` counts the buckets searched, spine and probes.
     """
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray, walk: Walk):
-        self._index, self._q = index, q
+        self._index, self._q, self._reach = index, q, walk.reach
         (self._count, self._deepest), family = walk.extent, index.family
         self._bits = slot_bits(family, index.levels)
         # the place of slot s in a key, bits * (K - 1 - s), is also the
         # shift of level s + 1: a level-k first key ends in that many zeros
         self._shifts = self._bits * (index.levels - 1 - np.arange(self._deepest, dtype=np.int64))
         # _proj[r, s] projects on slot s of repetition r; the slots and
-        # repetitions not read yet are unset, as are their spine sums
+        # repetitions not read yet are unset
         self._proj = np.empty((self._count, self._deepest, index.directions.shape[1]))
-        # spine[r, k - 1]: one unit plus the own bucket, summed over
-        # repetitions 0..r - 1 at level k; the first read's own runs are
-        # kept as _lo and _hi, [lo, hi)[r, k - 1] the bucket at level k
+        # _own[r, k - 1] is the run [lo, hi) of the own bucket at level k of
+        # repetition r, positions in the flattened order block, once a read
+        # searched it; spine[r, k - 1] is one unit plus the own bucket,
+        # summed over repetitions 0..r - 1 at level k, valid for r up to
+        # the repetitions searched there
+        self._own = np.zeros((self._count, self._deepest, 2), dtype=np.intp)
         self._spine = np.zeros((self._count + 1, self._deepest), dtype=np.int64)
         # a read shallower than the extent keeps the first key of the last
         # level it read, where deepening its repetitions starts
         shallow = walk.depth < self._deepest
         self._last = np.empty(self._count, dtype=np.int64) if shallow else None
         # slots 0..depth - 1 of repetitions 0..read - 1 are read
-        self.read, self.depth = 0, walk.depth
+        self.read, self.depth, self.key_searches = 0, walk.depth, 0
         self._read(walk.first)
         # the probe order of the (rows, levels) rectangle ranked so far,
         # started on first use, the (rows, probes) first keys of the levels
@@ -198,10 +213,10 @@ class _QueryProbes:
         """Hash functions the query was projected on so far."""
         return self.read * self.depth
 
-    def _project(self, start: int, stop: int, top: int, bottom: int) -> tuple:
+    def _project(self, start: int, stop: int, top: int, bottom: int) -> None:
         """Project, code and search slots top..bottom - 1 of repetitions
-        start..stop - 1, whose slots 0..top - 1 are read, and write their
-        spine sums; returns the runs of their own buckets at those levels."""
+        start..stop - 1, whose slots 0..top - 1 are read: keep the runs of
+        the own buckets the walk's reach keeps and update the spine sums."""
         index = self._index
         block = index.directions.reshape(index.num_repetitions, index.levels, -1, index.family.dim)
         proj = self._proj[start:stop, top:bottom]
@@ -212,20 +227,18 @@ class _QueryProbes:
             first += self._last[start:stop, None]
         elif bottom < self._deepest:
             self._last[start:stop] = first[:, -1]
-        lo, hi = bucket_runs(index.repetitions[start:stop], first, self._shifts[top:bottom])
-        spine = np.cumsum(1 + hi - lo, axis=0, out=self._spine[start + 1 : stop + 1, top:bottom])
-        if start:
-            spine += self._spine[start, top:bottom]
-        return lo, hi
+        plan = index.read_plan(self._reach, start, stop, top, bottom)
+        if len(plan.cells):
+            self._own.reshape(-1, 2)[plan.dest] = plan.runs(first)
+            self.key_searches += len(plan.cells)
+            sizes = self._own[..., 1] - self._own[..., 0]
+            np.cumsum(sizes + 1, axis=0, out=self._spine[1:])
 
     def _read(self, stop: int) -> None:
         """Read repetitions read..stop - 1 as deep as those read already."""
-        if stop <= self.read:
-            return
-        lo, hi = self._project(self.read, stop, 0, self.depth)
-        if not self.read:
-            self._lo, self._hi = lo, hi
-        self.read = stop
+        if stop > self.read:
+            self._project(self.read, stop, 0, self.depth)
+            self.read = stop
 
     def _deepen(self) -> None:
         """Read the repetitions read so far to the extent's depth."""
@@ -253,10 +266,12 @@ class _QueryProbes:
     def _runs(self, entry) -> tuple[np.ndarray, np.ndarray]:
         """Sorted runs [lo, hi) of the buckets that the first j probes of
         level k reach in each consulted repetition, two (reps, probes)
-        arrays; fewer probes if a tiny code universe runs out."""
+        arrays of positions in the flattened order block; fewer probes if a
+        tiny code universe runs out."""
         _, k, j, reps, _ = entry
         if j == 1:
-            return self._lo[:reps, k - 1 : k], self._hi[:reps, k - 1 : k]
+            own = self._own[:reps, k - 1]
+            return own[:, :1], own[:, 1:]
         if entry in self._looked_up:
             return self._looked_up[entry]
         index = self._index
@@ -273,10 +288,11 @@ class _QueryProbes:
             self._levels = []
         while len(self._levels) < k:
             self._levels.append(next(self._tuples) << self._shifts[len(self._levels)])
-        runs = self._looked_up[entry] = bucket_runs(
-            index.repetitions[:reps], self._levels[k - 1][:reps, :j], self._shifts[k - 1]
-        )
-        return runs
+        first = self._levels[k - 1][:reps, :j]
+        self.key_searches += first.size
+        runs = index.probe_runs(first, k)
+        self._looked_up[entry] = runs[..., 0], runs[..., 1]
+        return self._looked_up[entry]
 
     def work(self, entry) -> float:
         """True candidate work of the setting of `entry`: per consulted
@@ -291,18 +307,18 @@ class _QueryProbes:
         """Distinct point ids, ascending, in the buckets the setting of
         `entry` probes, and how many buckets that is."""
         lo, hi = self._runs(entry)
-        # run i lies in the repetition of row i // width
-        width, repetitions = lo.shape[1], self._index.repetitions
-        parts = [
-            repetitions[i // width].order[a:b]
-            for i, (a, b) in enumerate(zip(lo.ravel().tolist(), hi.ravel().tolist()))
-            if a < b
-        ]
-        if not parts:
+        sizes = (hi - lo).ravel()
+        ends = np.cumsum(sizes)
+        if not ends[-1]:
             return np.empty(0, dtype=np.int32), lo.size
+        # run i fills places ends_i - sizes_i..ends_i - 1 of the gather, and
+        # place p holds position hi_i - ends_i + p, from lo_i to hi_i - 1
+        at = np.repeat(hi.ravel() - ends, sizes)
+        at += np.arange(ends[-1])
+        ids = self._index.order.reshape(-1).take(at)
         # a sort and a neighbour mask: np.unique imports numpy.ma on its
         # first call, which made the first query of a process the slowest
-        ids = np.sort(np.concatenate(parts))
+        ids.sort()
         return np.concatenate((ids[:1], ids[1:][ids[1:] != ids[:-1]])), lo.size
 
 
@@ -350,6 +366,7 @@ def _report(
         examined=tuple(examined),
         settings_pruned=pruned,
         functions_projected=probes.functions_projected if probes else 0,
+        key_searches=probes.key_searches if probes else 0,
     )
 
 

@@ -29,8 +29,7 @@ from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, 
 from mlslsh.families import _pack, _prefixes, bucket_codes, first_tuples, sample_directions
 from mlslsh.families import slot_bits, slot_rankings
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
-from mlslsh.index import MultiLevelIndex, Repetition, Walk, bucket_runs, build_index, compute_k
-from mlslsh.index import reps
+from mlslsh.index import MultiLevelIndex, Walk, build_index, compute_k, key_blocks, reps
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
@@ -233,26 +232,32 @@ class FullProjection:
     """The query path over the whole direction block: the query projected on
     all R * K functions in one product, its own bucket searched at every
     level of every repetition, and every slot ranked, as a query read the
-    index before read extents."""
+    index before read extents. Buckets are found by `searched_runs`, one
+    plain search per repetition and level over keys without tags."""
 
     def __init__(self, index, q):
         K, R = index.levels, index.num_repetitions
-        self.index, bits = index, slot_bits(index.family, K)
+        self.index, self.bits = index, slot_bits(index.family, K)
         self.proj = index.directions @ q
         own = bucket_codes(index.family, self.proj).reshape(R, K)
-        # the level-k bucket of prefix key p starts at p << bits * (K - k)
-        self.shifts = bits * (K - np.arange(1, K + 1))
-        prefixes = _prefixes(_pack(own, bits), bits, K)
-        self.lo, self.hi = bucket_runs(index.repetitions, prefixes << self.shifts, self.shifts)
+        # the level-k prefix key of the own bucket of every repetition
+        self.own = _prefixes(_pack(own, self.bits), self.bits, K)
+        self.keys = [_pack(rep.sorted_codes, self.bits) for rep in index.repetitions]
+        self.lo, self.hi = np.zeros((R, K), dtype=np.intp), np.zeros((R, K), dtype=np.intp)
+        for k in range(1, K + 1):
+            lo, hi = self.runs(k, 1, R)
+            self.lo[:, k - 1], self.hi[:, k - 1] = lo[:, 0], hi[:, 0]
         slots = slot_rankings(index.family, self.proj, K)
-        self.levels = list(first_tuples(slots, index.calibration.max_probes, bits))
+        self.levels = list(first_tuples(slots, index.calibration.max_probes, self.bits))
 
     def runs(self, k, j, count):
-        if j == 1:
-            return self.lo[:count, k - 1 : k], self.hi[:count, k - 1 : k]
-        shift = int(self.shifts[k - 1])
-        prefixes = self.levels[k - 1][:count, :j]
-        return bucket_runs(self.index.repetitions[:count], prefixes << shift, shift)
+        """Runs [lo, hi) of repetition-local positions, two (count, probes) arrays."""
+        prefixes = self.own[:count, k - 1 : k] if j == 1 else self.levels[k - 1][:count, :j]
+        runs = [
+            searched_runs(self.keys[r], prefixes[r], self.bits, self.index.levels, k)
+            for r in range(count)
+        ]
+        return np.array([a for a, _ in runs]), np.array([b for _, b in runs])
 
 
 @SETTINGS
@@ -296,7 +301,9 @@ def test_read_extents_match_a_full_projection(case, data):
     # best work so far never passes the full one; it stops short of it only
     # to return a value that reaches that best without reading on. After
     # each entry, the functions projected are exactly the rectangle of
-    # repetitions and levels the entries so far consulted, each once
+    # repetitions and levels the entries so far consulted, each once, and
+    # the buckets searched are the own buckets of that rectangle that the
+    # walk's reach keeps plus the probes of each multi-probe entry
     index, queries, _ = case
     K, R = index.levels, index.num_repetitions
     for q in queries:
@@ -327,6 +334,7 @@ def test_read_extents_match_a_full_projection(case, data):
                 probes = _QueryProbes(index, q, walk)
                 reps, levels = walk.first, walk.depth
                 check_rectangle(reps, levels, int(reps > 0))
+                looked_up = 0
                 for entry in data.draw(st.permutations(entries)):
                     _, k, j, count, floor = entry
                     assert count <= r and k <= depth
@@ -362,6 +370,9 @@ def test_read_extents_match_a_full_projection(case, data):
                     if count > reps:
                         blocks, reps = blocks + 1, r
                     check_rectangle(reps, levels, blocks)
+                    looked_up += lo.size if j > 1 else 0
+                    spine = sum(min(reps, walk.reach[level]) for level in range(levels))
+                    assert probes.key_searches == spine + looked_up
 
 
 def test_an_empty_single_extent_reads_the_whole_adaptive_extent_on_first_need():
@@ -374,7 +385,7 @@ def test_an_empty_single_extent_reads_the_whole_adaptive_extent_on_first_need():
     index = build_index(inst.dataset, cal, space_budget=4, seed=3)
     walk = index.walks["adaptive"]
     assert (walk.entries, walk.extent, walk.first) == (index.schedule, (4, 1), 0)
-    assert index.walks["single"] == Walk((), (0, 0), 0, 0)
+    assert index.walks["single"] == Walk((), 0, 0, ())
     for q in inst.queries:
         probes = _QueryProbes(index, q.coords, walk)
         assert probes.read == probes.functions_projected == 0
@@ -392,6 +403,41 @@ def test_an_empty_single_extent_reads_the_whole_adaptive_extent_on_first_need():
         check_pruned_trace(trace, full, report.settings_pruned, index.size)
         single = single_probe_adaptive(index, q.coords, 0.4)
         assert (single.k_best, single.functions_projected) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "levels, p1, p2, groups",
+    [
+        # 9 slots of the 65 cap buckets take all 63 key bits: no room for a
+        # tag, so each of the 25 repetitions is a group of its own
+        (9, 0.7, 0.5, [(r, r + 1) for r in range(25)]),
+        # 8 slots take 56 bits, so 128 repetitions share a group and the
+        # 139th is the second group's 11th; a pin deeper than the schedule
+        # reads all 139
+        (8, 0.54, 0.46, [(0, 128), (128, 139)]),
+    ],
+)
+def test_key_groups_answer_as_the_reference(levels, p1, p2, groups):
+    family = FamilyParams(kind="spherical_cap", dim=8, cap_count=64)
+    inst = generate_planted_instance(n=300, d=8, r=0.4, t=5, seed=5, num_queries=3)
+    index = build_index(inst.dataset, toy_calibration(family, p1, p2, levels, 4, 1.0), seed=3)
+    assert index.levels == levels and [g[:2] for g in index._groups] == groups
+    for q in inst.queries:
+        q = q.coords
+        report = adaptive_multiprobe(index, q, 0.4)
+        got = report.to_json_dict()
+        expected = reference_schedule(index, q, 0.4, True, "adaptive")
+        trace, full = got.pop("examined"), expected.pop("examined")
+        assert got == expected
+        check_pruned_trace(trace, full, report.settings_pruned, index.size)
+        single = single_probe_adaptive(index, q, 0.4).to_json_dict()
+        assert single == reference_schedule(index, q, 0.4, False, "single")
+        ref = Reference(index, q)
+        for k, j in ((1, 1), (2, 3), (6, 1), (levels, 4)):
+            count = feasible_reps(index, k, j) or index.num_repetitions
+            w = ref.work(k, j, count)
+            expected = ref.report(0.4, k, j, count, w, [(k, j, float(j * count), w)], "fixed")
+            assert fixed_level_query(index, q, 0.4, k, j).to_json_dict() == expected
 
 
 @pytest.mark.parametrize("kind", ["cross_polytope", "spherical_cap"])
@@ -489,39 +535,47 @@ def searched_runs(keys, prefixes, bits, K, k):
 @SETTINGS
 @given(
     st.sampled_from([
-        # 9 slots of the 65 cap buckets take all 63 key bits
+        # 9 slots of the 65 cap buckets take all 63 key bits: groups of one
         (FamilyParams(kind="spherical_cap", dim=8, cap_count=64), 9),
+        # 31 slots of 4 buckets take 62 bits, 10 of 64 take 60: groups of
+        # two and of eight repetitions
+        (FamilyParams(kind="cross_polytope", dim=2), 31),
+        (FamilyParams(kind="cross_polytope", dim=32), 10),
         (FamilyParams(kind="spherical_cap", dim=3, cap_count=2), 4),
         (FamilyParams(kind="cross_polytope", dim=4), 5),
         (FamilyParams(kind="cross_polytope", dim=2), 1),
     ]),
     st.integers(1, 200),
-    st.integers(1, 4),
+    st.integers(1, 10),
     st.integers(1, 5),
     st.integers(0, 2**32 - 1),
 )
 def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m, seed):
     # a read's first keys, one cumulative sum of its codes shifted to their
     # slots, and the shifted probe keys of a multi-probe lookup, both
-    # searched by `bucket_runs`, against keys packed by `_pack` and
-    # `_prefixes` and one searchsorted per repetition and level, and the
-    # candidates of those runs. Codes 0 and 2**bits - 1 at every level put
-    # needles at -1 and at 2**63 - 1, and the widest codes, which no key
-    # holds, leave every run empty; codes from a small pool make the stored
-    # buckets large
+    # searched by `bucket_runs` in tagged key groups, against keys packed
+    # by `_pack` and `_prefixes` and one plain searchsorted per repetition
+    # and level on keys without tags, and the bounds and candidates of those
+    # runs. A read searches level k only in the repetitions below a random
+    # reach[k - 1], and an entry at level k reads all of them. Codes 0 and
+    # 2**bits - 1 at every level put needles at the ends of a tag's key
+    # range, and the widest codes, which no key holds, leave every run
+    # empty; codes from a small pool make the stored buckets large
     family, K = family_depth
     bits, universe = slot_bits(family, K), family.bucket_universe
     top = (1 << bits) - 1
     rng = np.random.default_rng(seed)
     pool = np.unique(np.concatenate(([0, universe - 1], rng.integers(0, universe, 3))))
     block = sample_directions(family, range(R * K))
-    repetitions = tuple(
-        Repetition(family, stack, _pack(rng.choice(pool, (n, K)), bits))
-        for stack in block.reshape(R, K, *block.shape[1:])
-    )
+    keys = _pack(rng.choice(pool, (R, n, K)), bits)
     dataset = normalize_dataset(rng.standard_normal((n, family.dim)))
     cal = toy_calibration(family, levels=K, max_probes=m)
-    index = MultiLevelIndex(dataset, cal, 0, None, K, repetitions, block)
+    index = MultiLevelIndex(dataset, cal, 0, None, K, block, *key_blocks(family, K, (R, n), keys))
+    # one plain search over each repetition's sorted keys, untagged
+    stored = np.sort(keys, axis=1, kind="stable")
+    reach = rng.integers(0, R + 1, K)
+    reach[rng.integers(0, K)] = max(1, reach.max())
+    count = int(reach.max())
     wide = np.concatenate((pool, [top]))
     mixed = np.tile(np.where(np.arange(K) % 2, top, 0), (R, 1))
     for own in (np.zeros((R, K)), np.full((R, K), top), mixed, rng.choice(wide, (R, K))):
@@ -531,36 +585,47 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
         probe_codes[0, -1] = top
         probe_keys = _prefixes(_pack(probe_codes, bits), bits, K)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(querymod, "bucket_codes", lambda fam, proj: own.reshape(-1).astype(np.int32))
+            mp.setattr(
+                querymod, "bucket_codes", lambda fam, proj: own[:count].reshape(-1).astype(np.int32)
+            )
             mp.setattr(querymod, "slot_rankings", lambda fam, proj, depth: None)
             mp.setattr(
                 querymod, "first_tuples",
-                lambda slots, count, b: iter(probe_keys[..., k] for k in range(K)),
+                lambda slots, width, b: iter(probe_keys[..., k] for k in range(K)),
             )
-            probes = _QueryProbes(index, dataset.matrix[0], Walk((), (R, K), R, K))
+            walk = Walk((), count, K, tuple(int(r) for r in reach))
+            probes = _QueryProbes(index, dataset.matrix[0], walk)
+            # the read searched the own buckets its reach keeps, no more
+            assert probes.key_searches == reach.sum()
             own_keys = _prefixes(_pack(own, bits), bits, K)
             for k in range(1, K + 1):
+                if not reach[k - 1]:
+                    continue
                 looked_up = {1: own_keys[:, k - 1 : k]}
                 if m > 1:
                     looked_up[m] = probe_keys[..., k - 1]
-                for j, keys in looked_up.items():
-                    entry = (float(j * R), k, j, R, 0)
-                    lo, hi = probes._runs(entry)
-                    runs = [
-                        searched_runs(rep.keys, keys[r], bits, K, k)
-                        for r, rep in enumerate(repetitions)
-                    ]
-                    assert np.array_equal(lo, [a for a, _ in runs])
-                    assert np.array_equal(hi, [b for _, b in runs])
-                    # every run counts as a bucket probed, an empty one too
-                    ids, buckets = probes.candidates(entry)
-                    parts = [
-                        rep.order[a:b]
-                        for rep, (starts, ends) in zip(repetitions, runs)
-                        for a, b in zip(starts, ends)
-                    ]
-                    assert buckets == R * j
-                    assert np.array_equal(ids, np.unique(np.concatenate(parts)))
+                for j, prefixes in looked_up.items():
+                    for reps in {int(reach[k - 1]), int(rng.integers(1, reach[k - 1] + 1))}:
+                        entry = (float(j * reps), k, j, reps, 0)
+                        runs = [
+                            searched_runs(stored[r], prefixes[r], bits, K, k) for r in range(reps)
+                        ]
+                        lo, hi = probes._runs(entry)
+                        # positions in the flattened order block, row r from r * n
+                        rows = n * np.arange(reps)[:, None]
+                        assert np.array_equal(lo, [a for a, _ in runs] + rows)
+                        assert np.array_equal(hi, [b for _, b in runs] + rows)
+                        spine = sum(int(b[0] - a[0]) + 1 for a, b in runs)
+                        assert probes.bound(entry) == spine
+                        # every run counts as a bucket probed, an empty one too
+                        ids, buckets = probes.candidates(entry)
+                        parts = [
+                            rep.order[a:b]
+                            for rep, (starts, ends) in zip(index.repetitions, runs)
+                            for a, b in zip(starts, ends)
+                        ]
+                        assert buckets == reps * j
+                        assert np.array_equal(ids, np.unique(np.concatenate(parts)))
 
 
 @settings(deadline=None, derandomize=True)

@@ -22,7 +22,9 @@ from mlslsh.index import (
     compute_k,
     compute_numreps,
     consulted_reps,
+    key_blocks,
     load_index,
+    repetition_tags,
     reps,
 )
 
@@ -175,7 +177,8 @@ def test_schedule_entries_are_the_feasible_settings(tmp_path, built):
 def test_read_extents_match_a_recount_of_the_table(tmp_path, built, p1, budget):
     # per mode, the walk recounted from the probe-success table: the settings
     # it may measure, P > 0 and ceil(2 ln(2jk) / P) <= R, as sorted entries;
-    # the most repetitions and the deepest level over them; and the most
+    # the most repetitions and the deepest level over them, and per level
+    # the most repetitions over the entries there; and the most
     # repetitions over those with j = 1. Single mode walks j = 1 only
     inst, _ = built
     cal = toy_calibration(FamilyParams(kind="cross_polytope", dim=12), p1=p1, max_probes=8)
@@ -198,12 +201,15 @@ def test_read_extents_match_a_recount_of_the_table(tmp_path, built, p1, budget):
     for mode, entries in feasible.items():
         extent = (max((e[3] for e in entries), default=0), max((e[1] for e in entries), default=0))
         first = max((e[3] for e in entries if e[2] == 1), default=0)
+        reach = tuple(
+            max((e[3] for e in entries if e[1] == k), default=0) for k in range(1, extent[1] + 1)
+        )
         # a single-probe walk reads its whole extent first, an adaptive one
         # as deep as `first_depth` recounts from the keys
         depth = first_depth(index) if mode == "adaptive" else extent[1]
         for walk in (index.walks[mode], loaded.walks[mode]):
             assert walk.entries == tuple(sorted(entries))
-            assert (walk.extent, walk.first, walk.depth) == (extent, first, depth)
+            assert (walk.extent, walk.first, walk.depth, walk.reach) == (extent, first, depth, reach)
     # single-probe settings form a prefix of levels whose repetitions grow
     # with k, so the deepest one reads the single-mode extent exactly, and
     # an adaptive walk reads that extent's repetitions first
@@ -214,7 +220,7 @@ def test_read_extents_match_a_recount_of_the_table(tmp_path, built, p1, budget):
         deepest = max(feasible["single"], key=lambda e: e[1])
         assert (deepest[3], deepest[1]) == single.extent
     if budget == 1:
-        assert index.walks["single"] == index.walks["adaptive"] == Walk((), (0, 0), 0, 0)
+        assert index.walks["single"] == index.walks["adaptive"] == Walk((), 0, 0, ())
     if p1 == 0.5 and budget is None:
         assert single.extent[1] >= 3
 
@@ -438,7 +444,8 @@ def test_repetition_rejects_invalid_keys():
     # two slots of a 65-bucket cap family take 7 bits each: codes 0..64
     params = FamilyParams(kind="spherical_cap", dim=8)
     stack = sample_directions(params, [0, 1])
-    rep = Repetition(params, stack, np.array([64 << 7 | 64, 0, 3 << 7 | 1], dtype=np.int64))
+    keys, order = key_blocks(params, 2, (1, 3), [np.array([64 << 7 | 64, 0, 3 << 7 | 1])])
+    rep = Repetition(stack, keys[0], order[0], 7, 0)
     assert rep.order.tolist() == [1, 2, 0] and rep.order.dtype == np.int32
     assert rep.sorted_codes.tolist() == [[0, 0], [3, 1], [64, 64]]
     for bad, message in [
@@ -449,7 +456,38 @@ def test_repetition_rejects_invalid_keys():
         (127 << 7 | 127, "slot codes"),
     ]:
         with pytest.raises(ValueError, match=message):
-            Repetition(params, stack, np.array([0, bad], dtype=np.int64))
+            key_blocks(params, 2, (1, 2), [np.array([0, bad], dtype=np.int64)])
+
+
+def test_repetitions_view_rows_of_tagged_key_groups(tmp_path, built):
+    # the repetitions' keys and ids are rows of the index's two blocks, held
+    # once; each row's keys carry its place in its group above the key bits,
+    # so a group's rows read as one sorted array, and the saved keys carry
+    # no tag
+    _, index = built
+    K, R, n = index.levels, index.num_repetitions, index.size
+    key_bits = index.repetitions[0].bits * K
+    assert index.keys.shape == index.order.shape == (R, n)
+    for r, rep in enumerate(index.repetitions):
+        assert np.shares_memory(rep.keys, index.keys) and np.shares_memory(rep.order, index.order)
+        assert rep.tag == r << key_bits and np.all(rep.keys >> key_bits == r)
+    assert np.all(np.diff(index.keys.reshape(-1)) >= 0)
+    path = tmp_path / "tags.idx"
+    index.save(str(path))
+    stored = np.frombuffer(path.read_bytes()[-8 * n * R :], dtype="<i8").reshape(R, n)
+    assert stored.min() >= 0 and int(stored.max()) >> key_bits == 0
+    assert np.array_equal(np.sort(stored, axis=1), index.keys - (np.arange(R)[:, None] << key_bits))
+
+
+def test_tags_never_pass_63_bits():
+    # a group holds as many repetitions as the bits above the keys count,
+    # one when the keys take all 63 bits, and no key width past 63 is tagged
+    assert repetition_tags(5, 63).tolist() == [0] * 5
+    assert repetition_tags(5, 62).tolist() == [0, 1 << 62, 0, 1 << 62, 0]
+    assert repetition_tags(3, 1).tolist() == [0, 2, 4]
+    for bits in (64, 70, 0):
+        with pytest.raises(ValueError, match="no room"):
+            repetition_tags(3, bits)
 
 
 # packed keys, the bit budget and header checks

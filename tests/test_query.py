@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mlslsh.index as indexmod
 import mlslsh.query as querymod
-from conftest import first_depth, setting_cost, toy_calibration
+from conftest import feasible_reps, first_depth, setting_cost, toy_calibration
+from mlslsh.bench import BenchConfig, build_for_config
 from mlslsh.families import CodeEnumerator, FamilyParams, bucket_codes, hash_batch, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
 from mlslsh.index import bucket_runs, build_index, compute_k, compute_numreps, consulted_reps, reps
@@ -100,7 +102,7 @@ def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
     index = build_index(inst.dataset, toy_calibration(params), seed=0)
     q = np.zeros(6)
     K, R = index.levels, index.num_repetitions
-    probes = _QueryProbes(index, q, Walk((), (R, K), R, K))
+    probes = _QueryProbes(index, q, Walk((), R, K, (R,) * K))
     cal, universe, checked = index.calibration, index.family.bucket_universe, set()
     for k in range(1, index.levels + 1):
         for j in range(1, 17):
@@ -120,7 +122,7 @@ def test_nothing_feasible_means_every_query_is_a_full_scan(small_index, monkeypa
     params = FamilyParams(kind="cross_polytope", dim=12)
     index = build_index(inst.dataset, toy_calibration(params), space_budget=1, seed=3)
     assert index.schedule == ()
-    empty = Walk((), (0, 0), 0, 0)
+    empty = Walk((), 0, 0, ())
     assert dict(index.walks) == {"adaptive": empty, "single": empty}
     pinned = [fixed_level_query(index, q.coords, 0.4, 1, 1) for q in inst.queries]
     assert all(rep.infeasible and (rep.k_best, rep.j_best) == (1, 1) for rep in pinned)
@@ -145,27 +147,29 @@ def multi_probe_index():
 def test_candidates_reuse_the_lookup_of_a_measured_setting(multi_probe_index, monkeypatch):
     # the spine is searched at every level at once and a multi-probe entry at
     # one level, once per query: collecting the winner's candidates searches
-    # no bucket again, whichever multi-probe entry the walk measured last
+    # no bucket again, whichever multi-probe entry the walk measured last.
+    # A read searches a flat list of (repetition, level) buckets, a lookup a
+    # (repetitions, probes) block, each as needle pairs
     inst, index = multi_probe_index
     levels = []
 
-    def counted(repetitions, first, shift):
-        levels.append(np.ndim(shift))
-        return bucket_runs(repetitions, first, shift)
+    def counted(parts, needles):
+        levels.append(needles.ndim - 2)
+        return bucket_runs(parts, needles)
 
-    monkeypatch.setattr(querymod, "bucket_runs", counted)
+    monkeypatch.setattr(indexmod, "bucket_runs", counted)
     last = earlier = 0
     for q in inst.queries:
         levels.clear()
         report = adaptive_multiprobe(index, q.coords, 0.4)
         multi = [(e.level, e.probes) for e in report.examined if e.probes > 1]
         assert report.j_best > 1
-        assert levels.count(0) == len(multi)
+        assert levels.count(1) == len(multi)
         last += multi[-1] == (report.k_best, report.j_best)
         earlier += multi[-1] != (report.k_best, report.j_best)
         levels.clear()
         fixed_level_query(index, q.coords, 0.4, 2, 3)
-        assert levels == [1, 0]
+        assert levels == [0, 1]
     assert last > 0 and earlier > 0
 
 
@@ -237,6 +241,68 @@ def test_functions_projected_match_an_independent_recount(
     assert totals == [29 * 3] * 5 + multi_probe + shallow
 
 
+def test_key_searches_match_an_independent_recount(
+    small_index, multi_probe_index, shallow_index, monkeypatch
+):
+    # every bucket a query searches is one needle pair of one `bucket_runs`
+    # call, so the pairs searched count its key ranges in every mode. A
+    # single-probe query searches the own bucket of each repetition a j = 1
+    # entry consults at that entry's level, recounted from the table, and a
+    # fixed one its pin's repetitions at its level plus, past one probe,
+    # min(j, U**k) probe buckets in each
+    searched = []
+
+    def counted(parts, needles):
+        searched.append(needles.size // 2)
+        return bucket_runs(parts, needles)
+
+    monkeypatch.setattr(indexmod, "bucket_runs", counted)
+    for inst, index in (small_index, multi_probe_index, shallow_index):
+        universe = index.family.bucket_universe
+        spine = sum(feasible_reps(index, k, 1) or 0 for k in range(1, index.levels + 1))
+        runs = {
+            "adaptive": lambda q: adaptive_multiprobe(index, q, 0.4),
+            "single": lambda q: single_probe_adaptive(index, q, 0.4),
+            "brute": lambda q: brute_force_range(inst.dataset, q, 0.4),
+        }
+        pins = {(k, j): consulted_reps(index.calibration, k, j, index.num_repetitions)
+                for k, j in ((1, 1), (2, 3), (index.levels, 6))}
+        for (k, j), count in pins.items():
+            runs[k, j] = lambda q, k=k, j=j: fixed_level_query(index, q, 0.4, k, j)
+        for q in inst.queries:
+            reports = {}
+            for name, run in runs.items():
+                searched.clear()
+                reports[name] = run(q.coords)
+                assert reports[name].key_searches == sum(searched)
+            assert reports["single"].key_searches == spine
+            assert reports["brute"].key_searches == 0
+            for (k, j), count in pins.items():
+                probes = count * min(j, universe**k) if j > 1 else 0
+                assert reports[k, j].key_searches == count + probes
+
+
+def test_benchmark_single_queries_search_only_the_buckets_their_walk_reads(tmp_path):
+    # the perfbench workloads at workload seed 1, index seed 7: a
+    # single-probe query searches 83 own buckets on cp-10k (K = 7, R = 70)
+    # and 72 on cap-10k (K = 8, R = 74), the j = 1 entries' repetitions
+    # summed over their levels, against 47 * 4 = 188 and 40 * 4 = 160 for
+    # a search of every repetition and level its first read projects
+    inst = generate_planted_instance(n=10_000, d=32, r=0.4, t=10, seed=1, num_queries=2)
+    for kind, expected, first_read in (("cross_polytope", 83, 188), ("spherical_cap", 72, 160)):
+        config = BenchConfig(
+            radius=0.4, approx_c=2.0, seed=7, synthetic_n=10_000, synthetic_d=32,
+            family_kind=kind, cap_count=64, trials=4000, max_probes=16,
+            cache_dir=str(tmp_path / kind),
+        )
+        index = build_for_config(config, inst.dataset)
+        single = index.walks["single"]
+        assert sum(feasible_reps(index, k, 1) or 0 for k in range(1, index.levels + 1)) == expected
+        assert single.first * single.depth == first_read
+        for q in inst.queries:
+            assert single_probe_adaptive(index, q.coords).key_searches == expected
+
+
 @pytest.mark.parametrize(
     "kind, p1, walks",
     [
@@ -250,8 +316,8 @@ def test_the_first_depth_changes_no_report(kind, p1, walks, monkeypatch):
     # two indexes pinned to a shallow and to the full first depth, both as
     # `first_depth` recounts them. An adaptive walk read first from any
     # depth between its single-probe one and its extent's gives the same
-    # report but for the functions projected; a single or fixed walk reads
-    # its whole extent first
+    # report but for the functions projected and the buckets searched; a
+    # single or fixed walk reads its whole extent first
     inst, index = build_first_depth_index(kind, p1)
     single, adaptive = index.walks["single"], index.walks["adaptive"]
     assert (single.extent, adaptive.extent, adaptive.depth) == walks
@@ -260,6 +326,9 @@ def test_the_first_depth_changes_no_report(kind, p1, walks, monkeypatch):
     for depth in (single.extent[1] - 1, adaptive.extent[1] + 1):
         with pytest.raises(ValueError, match="levels first"):
             replace(adaptive, depth=depth)
+    # nor searches fewer repetitions at a level than an entry there consults
+    with pytest.raises(ValueError, match="cannot read"):
+        replace(adaptive, reach=(*adaptive.reach[:-1], adaptive.reach[-1] - 1))
     read = []
 
     class Recorded(_QueryProbes):
@@ -269,7 +338,7 @@ def test_the_first_depth_changes_no_report(kind, p1, walks, monkeypatch):
 
     def untimed(report):
         doc = report.to_json_dict(include_timing=True)
-        del doc["wall_time"], doc["functions_projected"]
+        del doc["wall_time"], doc["functions_projected"], doc["key_searches"]
         return doc
 
     monkeypatch.setattr(querymod, "_QueryProbes", Recorded)
@@ -535,13 +604,15 @@ def test_report_json_excludes_timing_by_default(small_index):
     assert timed["wall_time"] == rep.wall_time
     assert timed["settings_pruned"] == rep.settings_pruned
     assert "infeasible" not in doc and timed["infeasible"] is rep.infeasible is False
-    assert "functions_projected" not in doc
+    assert "functions_projected" not in doc and "key_searches" not in doc
     assert timed["functions_projected"] == rep.functions_projected > 0
+    assert timed["key_searches"] == rep.key_searches > 0
     # everything else identical
     timed.pop("wall_time")
     timed.pop("settings_pruned")
     timed.pop("infeasible")
     timed.pop("functions_projected")
+    timed.pop("key_searches")
     assert timed == doc
 
 
@@ -610,12 +681,13 @@ def pop_distances(doc: dict) -> list[float]:
 
 
 def test_walks_give_the_recorded_reports(small_index, multi_probe_index):
-    # ids, work, traces, pruning counts and functions projected of every mode
-    # exactly as tests/data/walk_expected.json records them, and distances to
-    # within rounding. The fixtures are built and hashed afresh, so the file
-    # holds for a numpy and BLAS that round these products as the one it was
-    # written with; another rounding can move a point across a bucket or the
-    # radius and fail this test without a fault in the walk
+    # ids, work, traces, pruning counts, functions projected and buckets
+    # searched of every mode exactly as tests/data/walk_expected.json
+    # records them, and distances to within rounding. The fixtures are
+    # built and hashed afresh, so the file holds for a numpy and BLAS that
+    # round these products as the one it was written with; another
+    # rounding can move a point across a bucket or the radius and fail
+    # this test without a fault in the walk
     expected = json.loads(WALK_EXPECTED.read_text())
     got = {"small_index": walk_reports(*small_index)}
     got["multi_probe_index"] = walk_reports(*multi_probe_index)

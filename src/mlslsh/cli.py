@@ -63,6 +63,8 @@ def _parse_synth(spec: str) -> dict | None:
         key = key.strip()
         if key not in ("n", "d", "t"):
             raise ValueError(f"unknown synthetic field {key!r}, expected n, d, or t")
+        if key in out:
+            raise ValueError(f"synthetic field {key!r} given twice")
         out[key] = int(val)
     if "n" not in out or "d" not in out:
         raise ValueError("synthetic spec needs at least n and d, e.g. synth:n=1000,d=32")

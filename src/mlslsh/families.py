@@ -37,11 +37,10 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .geometry import uniform_unit_vectors
+from .geometry import _SEED_MASK, uniform_unit_vectors
 
 FamilyKind = Literal["spherical_cap", "cross_polytope"]
 
-_SEED_MASK = (1 << 63) - 1
 KEY_BITS = 63
 # rows per block of `hash_keys`. At n = 10^4, d = 32, cross-polytope hashed
 # fastest in blocks of 256 rows among 128 to 1024, and 64 caps were within

@@ -10,6 +10,7 @@ import numpy as np
 
 UNIT_NORM_TOL = 1e-6
 DEGENERATE_NORM = 1e-12
+_SEED_MASK = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,9 @@ def generate_planted_instance(
     radius, so floating-point recomputation can never evict a planted point
     from the ground truth. The ground truth itself is recomputed by brute
     force over the assembled dataset and therefore also contains accidental
-    near points. Everything is deterministic for a fixed seed.
+    near points. Everything is deterministic for a fixed seed, taken modulo
+    2**63 as `families.derived_seed` takes its keys, so a negative seed is
+    valid too.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -210,7 +213,7 @@ def generate_planted_instance(
     if not 0.0 < r < 2.0:
         raise ValueError(f"radius must lie in (0, 2), got {r}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & _SEED_MASK)
     qmat = uniform_unit_vectors(rng, num_queries, d)
     blocks = [uniform_unit_vectors(rng, n - t * num_queries, d)]
     for qi in range(num_queries):

@@ -42,7 +42,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .calibration import DOCUMENT_ERRORS, CalibrationError, FamilyCalibration
-from .families import KEY_BITS, FamilyParams, _pack, _unpack, derived_seed, hash_keys
+from .families import KEY_BITS, FamilyParams, _pack, _shifts, _unpack, derived_seed, hash_keys
 from .families import sample_directions, slot_bits
 # not called here; perfbench/spans.py wraps index.hash_batch by name
 from .families import hash_batch  # noqa: F401
@@ -324,20 +324,18 @@ class Repetition:
 class ReadPlan(NamedTuple):
     """The buckets one read of a walk searches: the own buckets of a
     rectangle of repetitions and levels, cut to the walk's reach. `cells`
-    are their places in the read's flattened (repetitions, levels) block
-    of first keys, `ends` the (tag - 1, tag + 2**s - 1) each adds to its
-    first key to make its needle pair, `dest` their places in the
-    flattened (r, k) grid of the walk's extent, and `parts` the
-    `bucket_runs` groups of the cells."""
+    are their places in the flattened (r, k) grid of the walk's extent,
+    which holds a query's first keys and runs, `ends` the (tag - 1,
+    tag + 2**s - 1) each adds to its first key to make its needle pair, and
+    `parts` the `bucket_runs` groups of the cells."""
 
     cells: np.ndarray
     ends: np.ndarray
-    dest: np.ndarray
     parts: tuple
 
     def runs(self, first: np.ndarray) -> np.ndarray:
-        """The (cells, 2) runs of the planned buckets of the read whose
-        first keys, untagged, are `first`."""
+        """The (cells, 2) runs of the planned buckets, given the (r, k) grid
+        `first` of untagged first keys."""
         return bucket_runs(self.parts, first.reshape(-1).take(self.cells)[:, None] + self.ends)
 
 
@@ -412,7 +410,7 @@ class MultiLevelIndex:
         object.__setattr__(self, "_groups", tuple(
             (a, b, self.keys[a:b].reshape(-1), a * n) for a, b in zip(starts, starts[1:])
         ))
-        masks = (1 << bits * (K - 1 - np.arange(K, dtype=np.int64))) - 1
+        masks = (1 << _shifts(bits, K)) - 1
         ends = np.stack(np.broadcast_arrays(tags - 1, tags + masks[:, None]), axis=-1)
         object.__setattr__(self, "_ends", ends)
 
@@ -449,7 +447,6 @@ class MultiLevelIndex:
         rows, levels = np.nonzero(
             np.arange(start, stop)[:, None] < np.array(reach[top:bottom], dtype=np.intp)
         )
-        cells = rows * (bottom - top) + levels
         rows += start
         levels += top
         # rows ascend, so the cells of each group are consecutive
@@ -458,7 +455,7 @@ class MultiLevelIndex:
             lo, hi = np.searchsorted(rows, (a, b)).tolist()
             if lo < hi:
                 parts.append((lo, hi, keys, offset))
-        return ReadPlan(cells, self._ends[levels, rows], rows * len(reach) + levels, tuple(parts))
+        return ReadPlan(rows * len(reach) + levels, self._ends[levels, rows], tuple(parts))
 
     def read_plan(self, reach: tuple, start: int, stop: int, top: int, bottom: int) -> ReadPlan:
         """The `ReadPlan` of a read of repetitions start..stop - 1 at levels

@@ -13,10 +13,11 @@ probability and is not in the schedule.
 Every mode is one walk, `index.Walk`: the entries it may measure, the
 extent of the index it reads, how much of it and how deep up front, and
 its reach, per level the repetitions whose buckets it searches there, the
-most any entry at that level consults. A read searches its buckets in the
-index's key groups, one `searchsorted` per group, as the read's
-`index.ReadPlan` lists them; the index plans every read of its own walks
-once.
+most any entry at that level consults. A query keeps the first keys and
+runs of its own buckets in one grid of the extent's repetitions and
+levels. A read fills its cells of the grid and searches those its
+`index.ReadPlan` names, one `searchsorted` per key group of the index; the
+index plans every read of its own walks once.
 `_schedule` runs the walk in order, measures the true candidate work of
 each entry, and stops at the first entry whose cost reaches the best work
 seen, which starts at the walk's ceiling, the work of the full scan it
@@ -44,11 +45,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
-from .families import bucket_codes, first_tuples, slot_bits, slot_rankings
+from .families import _shifts, bucket_codes, first_tuples, slot_bits, slot_rankings
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, range_scan
@@ -143,68 +143,59 @@ class _QueryProbes:
     `Walk`, and each method takes a setting as its schedule entry (cost, k,
     j, reps, floor), one with reps <= r and k <= D.
 
-    Repetitions are read as a growing prefix: the walk's `first` of them up
-    front, its `depth` slots deep, and the rest in one more read the first
-    time a setting needs one of them. A setting at a level deeper than read
-    so far first deepens every repetition read to D, on their missing slots
-    only, so no function is projected twice; a read after that reads D
-    slots deep. A read or a deepening projects the query with one matmul on
-    those slots, a view of the direction block; numpy runs one product per
-    function on it, so each projection equals that of the whole block bit
-    for bit. One cumulative sum over the query's own codes, each shifted to
-    its slot and started from the first key of the last level read, gives
-    the first key of its own bucket at each new level of those repetitions.
-    The read searches only the buckets its `index.ReadPlan` keeps, level k
-    in repetitions below the walk's reach[k - 1], with one `bucket_runs`
-    call, one searchsorted per key group, and keeps their runs in one
-    (r, D) grid: every entry of the walk reads its own buckets there. A
-    running sum of the spine over repetitions, read at an entry's `reps`
-    and added to its `floor`, is the entry's `bound`: the work of the
+    What the query reads of its own buckets lives in one (r, D) grid, cell
+    [i, k - 1] for level k of repetition i, as two arrays: `_first`, the
+    bucket's first key, and `_own`, its run in the order block. Repetitions
+    are read as a growing prefix: the walk's `first` of them up front, its
+    `depth` slots deep, and the rest in one more read the first time a
+    setting needs one of them. A setting at a level deeper than read first
+    deepens every repetition read to D, on their missing slots only, so no
+    function is projected twice. A read or a deepening projects the query
+    with one matmul on a view of the direction block, whose products equal
+    those of the whole block bit for bit, and fills its cells of `_first`
+    with one cumulative sum of its codes, each shifted to its slot; a
+    deepening continues the sum from the last column read. It then searches
+    the cells its `index.ReadPlan` names, those the walk's reach keeps, with
+    one `bucket_runs` call and writes their runs to the same cells of
+    `_own`. A running sum of the spine over repetitions, read at an entry's
+    `reps` and added to its `floor`, is the entry's `bound`: the work of the
     setting at j = 1 and a lower bound on it past that.
 
     A setting past one probe ranks slots 0..k - 1 of repetitions 0..reps - 1
-    with one `slot_rankings` call and starts `first_tuples` on those rows at
-    once, at the calibrated probe width; `first_tuples` cuts the rankings to
-    that width itself. Both treat each row on its own, so a row ranks alike
-    in any rectangle, and a later setting that needs more rows or levels
-    ranks the larger rectangle afresh. The merge yields levels only as deep
-    as a setting asks, each shifted once to first keys, and a setting finds
-    its buckets with one `index.probe_runs` call, which the probes keep:
-    collecting the candidates of a measured setting searches no bucket
-    again, and gathers every run from the order block with one take.
-    `key_searches` counts the buckets searched, spine and probes.
+    with one `slot_rankings` call and merges every level of that rectangle
+    at once with `first_tuples`, at the calibrated probe width, shifting
+    each level to first keys. Both treat each row on its own, so a row ranks
+    alike in any rectangle, and a later setting that needs more rows or
+    levels ranks the larger rectangle afresh. A setting finds its buckets
+    with one `index.probe_runs` call, which the probes keep: collecting the
+    candidates of a measured setting searches no bucket again.
     """
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray, walk: Walk):
         self._index, self._q, self._reach = index, q, walk.reach
         (self._count, self._deepest), family = walk.extent, index.family
         self._bits = slot_bits(family, index.levels)
-        # the place of slot s in a key, bits * (K - 1 - s), is also the
-        # shift of level s + 1: a level-k first key ends in that many zeros
-        self._shifts = self._bits * (index.levels - 1 - np.arange(self._deepest, dtype=np.int64))
+        # the place of slot s in a key is also the shift of level s + 1: a
+        # level-k first key ends in that many zeros
+        self._shifts = _shifts(self._bits, index.levels)[: self._deepest]
         # _proj[r, s] projects on slot s of repetition r; the slots and
         # repetitions not read yet are unset
         self._proj = np.empty((self._count, self._deepest, index.directions.shape[1]))
-        # _own[r, k - 1] is the run [lo, hi) of the own bucket at level k of
-        # repetition r, positions in the flattened order block, once a read
-        # searched it; spine[r, k - 1] is one unit plus the own bucket,
-        # summed over repetitions 0..r - 1 at level k, valid for r up to
-        # the repetitions searched there
+        # the grid: untagged first keys, set once a read projected a cell,
+        # and runs [lo, hi) in the flattened order block, once it searched
+        # one; spine[r, k - 1] is one unit plus the own bucket, summed over
+        # repetitions 0..r - 1 at level k, valid for r up to the repetitions
+        # searched there
+        self._first = np.empty((self._count, self._deepest), dtype=np.int64)
         self._own = np.zeros((self._count, self._deepest, 2), dtype=np.intp)
         self._spine = np.zeros((self._count + 1, self._deepest), dtype=np.int64)
-        # a read shallower than the extent keeps the first key of the last
-        # level it read, where deepening its repetitions starts
-        shallow = walk.depth < self._deepest
-        self._last = np.empty(self._count, dtype=np.int64) if shallow else None
         # slots 0..depth - 1 of repetitions 0..read - 1 are read
         self.read, self.depth, self.key_searches = 0, walk.depth, 0
         self._read(walk.first)
-        # the probe order of the (rows, levels) rectangle ranked so far,
-        # started on first use, the (rows, probes) first keys of the levels
-        # it has yielded so far, and the runs of each multi-probe entry
-        # looked up
+        # the (rows, levels) rectangle ranked so far, the (rows, probes)
+        # first keys of each of its levels, and the runs of each multi-probe
+        # entry looked up
         self._ranked = (0, 0)
-        self._tuples: Iterator[np.ndarray] | None = None
         self._levels: list[np.ndarray] = []
         self._looked_up: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -215,21 +206,21 @@ class _QueryProbes:
 
     def _project(self, start: int, stop: int, top: int, bottom: int) -> None:
         """Project, code and search slots top..bottom - 1 of repetitions
-        start..stop - 1, whose slots 0..top - 1 are read: keep the runs of
-        the own buckets the walk's reach keeps and update the spine sums."""
+        start..stop - 1, whose slots 0..top - 1 are read: fill their cells
+        of the grid, the runs only where the walk's reach keeps them, and
+        update the spine sums."""
         index = self._index
         block = index.directions.reshape(index.num_repetitions, index.levels, -1, index.family.dim)
         proj = self._proj[start:stop, top:bottom]
         np.matmul(block[start:stop, top:bottom], self._q, out=proj)
         own = bucket_codes(index.family, proj.reshape(-1, proj.shape[2]))
-        first = np.cumsum(own.reshape(stop - start, -1) << self._shifts[top:bottom], axis=1)
+        first = self._first[start:stop, top:bottom]
+        np.cumsum(own.reshape(stop - start, -1) << self._shifts[top:bottom], axis=1, out=first)
         if top:
-            first += self._last[start:stop, None]
-        elif bottom < self._deepest:
-            self._last[start:stop] = first[:, -1]
+            first += self._first[start:stop, top - 1, None]
         plan = index.read_plan(self._reach, start, stop, top, bottom)
         if len(plan.cells):
-            self._own.reshape(-1, 2)[plan.dest] = plan.runs(first)
+            self._own.reshape(-1, 2)[plan.cells] = plan.runs(self._first)
             self.key_searches += len(plan.cells)
             sizes = self._own[..., 1] - self._own[..., 0]
             np.cumsum(sizes + 1, axis=0, out=self._spine[1:])
@@ -284,10 +275,8 @@ class _QueryProbes:
                 self._read(self._count)
             proj = self._proj[:rows, :levels].reshape(rows * levels, -1)
             slots = slot_rankings(index.family, proj, levels)
-            self._tuples = first_tuples(slots, index.calibration.max_probes, self._bits)
-            self._levels = []
-        while len(self._levels) < k:
-            self._levels.append(next(self._tuples) << self._shifts[len(self._levels)])
+            merged = first_tuples(slots, index.calibration.max_probes, self._bits)
+            self._levels = [keys << shift for keys, shift in zip(merged, self._shifts)]
         first = self._levels[k - 1][:reps, :j]
         self.key_searches += first.size
         runs = index.probe_runs(first, k)

@@ -128,6 +128,9 @@ def test_build_rebuildable_flag(tmp_path):
     r2 = run_cli(base + ["--output", slim, "--rebuildable"])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert json.loads(r2.output)["bytes"] < json.loads(r1.output)["bytes"]
+    # a negative seed, valid for a calibration, builds from synthetic input too
+    r3 = run_cli(base + ["--output", slim, "--rebuildable", "--seed", "-1"])
+    assert r3.exit_code == 0, r3.output
 
 
 def test_bench_brute_synthetic(tmp_path):
@@ -146,6 +149,13 @@ def test_bench_brute_synthetic(tmp_path):
     with open(doc["records_path"]) as f:
         records = [json.loads(line) for line in f]
     assert len(records) == 5
+    # a negative seed plants its instance as its 63-bit mask does
+    again = run_cli(
+        ["bench", "--input", "synth:n=300,d=8,t=4", "--radius", "0.4",
+         "--mode", "brute", "--queries", "5", "--output", out] + COMMON + ["--seed", "-1"]
+    )
+    assert again.exit_code == 0, again.output
+    assert json.loads(again.output)["aggregates"]["brute"]["mean_recall"] == 1.0
 
 
 def test_bench_adaptive_synthetic(tmp_path):
@@ -190,15 +200,17 @@ def test_missing_index_file_reports_json_error(tmp_path):
 
 
 def test_bad_synth_spec_reports_json_error():
-    result = make_runner().invoke(
-        main,
-        ["build", "--input", "synth:n=100", "--radius", "0.4",
-         "--output", "/tmp/never-written.idx"],
-    )
-    assert result.exit_code == 1
-    err = json.loads(_stderr_of(result))
-    assert err["error"]["type"] == "ValueError"
-    assert "d" in err["error"]["message"]
+    # a missing field, and a field given twice, whose last value would win
+    for spec, message in (("synth:n=100", "needs at least n and d"),
+                          ("synth:n=500,d=8,n=600", "field 'n' given twice")):
+        result = make_runner().invoke(
+            main,
+            ["build", "--input", spec, "--radius", "0.4", "--output", "/tmp/never-written.idx"],
+        )
+        assert result.exit_code == 1
+        err = json.loads(_stderr_of(result))
+        assert err["error"]["type"] == "ValueError"
+        assert message in err["error"]["message"]
 
 
 def test_semantic_error_reports_json_error(tmp_path):

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 import mlslsh.query as querymod
 from conftest import feasible_reps, first_depth, setting_cost, toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
-from mlslsh.families import _pack, _prefixes, bucket_codes, first_tuples, sample_directions
-from mlslsh.families import slot_bits, slot_rankings
+from mlslsh.families import _pack, _prefixes, _shifts, bucket_codes, first_tuples
+from mlslsh.families import sample_directions, slot_bits, slot_rankings
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
 from mlslsh.index import MultiLevelIndex, Walk, build_index, compute_k, key_blocks, reps
 from mlslsh.query import (
@@ -273,6 +273,37 @@ def test_first_depth_matches_a_recount(case):
     assert single.extent[1] <= adaptive.depth <= adaptive.extent[1]
 
 
+@SETTINGS
+@given(instances(budgets=st.integers(1, 64), slopes=st.floats(0.0, 3.0)))
+def test_read_plans_search_each_bucket_of_the_reach_once(case):
+    # a walk reads its first repetitions, then either the rest at its first
+    # depth and deepens all, or deepens the first and reads the rest at the
+    # extent's depth: each order searches every own bucket its reach keeps
+    # once and no other, each plan only cells of its own read, and each
+    # cell's needle ends hold its repetition's tag and its level's shift
+    index = case[0]
+    K, bits = index.levels, slot_bits(index.family, index.levels)
+    for walk in index.walks.values():
+        if not walk.entries:
+            continue
+        (count, deepest), first, depth = walk.extent, walk.first, walk.depth
+        kept = [r * deepest + k for r in range(count) for k in range(deepest) if r < walk.reach[k]]
+        for reads in (
+            ((0, first, 0, depth), (first, count, 0, depth), (0, count, depth, deepest)),
+            ((0, first, 0, depth), (0, first, depth, deepest), (first, count, 0, deepest)),
+        ):
+            cells = []
+            for start, stop, top, bottom in reads:
+                plan = index.read_plan(walk.reach, start, stop, top, bottom)
+                rows, levels = np.divmod(plan.cells, deepest)
+                assert np.all((start <= rows) & (rows < stop) & (top <= levels) & (levels < bottom))
+                tags = np.array([index.repetitions[r].tag for r in rows], dtype=np.int64)
+                masks = (1 << bits * (K - 1 - levels)) - 1
+                assert np.array_equal(plan.ends, np.stack([tags - 1, tags + masks], axis=-1))
+                cells.extend(plan.cells.tolist())
+            assert sorted(cells) == kept
+
+
 def first_depths(index):
     """The walks of `index` with the adaptive walk read first from every
     depth between its deepest j = 1 level and its extent's depth."""
@@ -297,18 +328,28 @@ def test_read_extents_match_a_full_projection(case, data):
     # block does, at dimensions whose products take different kernels. An
     # adaptive walk runs from every first depth it could be given. Entries
     # come in any order, so a bound, measurement or candidate set that read
-    # past the repetitions or levels read would differ. A bound given the
-    # best work so far never passes the full one; it stops short of it only
-    # to return a value that reaches that best without reading on. After
-    # each entry, the functions projected are exactly the rectangle of
-    # repetitions and levels the entries so far consulted, each once, and
-    # the buckets searched are the own buckets of that rectangle that the
-    # walk's reach keeps plus the probes of each multi-probe entry
+    # past the repetitions or levels read would differ, and a walk deepens
+    # before it reads the rest of its repetitions or after. A bound given
+    # the best work so far never passes the full one; it stops short of it
+    # only to return a value that reaches that best without reading on.
+    # After every call, each cell of the grid read so far holds the first
+    # key of its own bucket, and after each entry, the functions projected
+    # are exactly the rectangle of repetitions and levels the entries so far
+    # consulted, each once, and the buckets searched are the own buckets of
+    # that rectangle that the walk's reach keeps plus the probes of each
+    # multi-probe entry
     index, queries, _ = case
     K, R = index.levels, index.num_repetitions
     for q in queries:
         full = FullProjection(index, q)
         functions = full.proj.reshape(R, K, -1)
+        first_keys = full.own << _shifts(full.bits, K)
+
+        def checked(value):
+            cells = np.s_[: probes.read, : probes.depth]
+            assert np.array_equal(probes._first[cells], first_keys[cells])
+            return value
+
         for walk in first_depths(index):
             (r, depth), entries = walk.extent, walk.entries
             if not entries:
@@ -332,6 +373,7 @@ def test_read_extents_match_a_full_projection(case, data):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(querymod, "bucket_codes", coded)
                 probes = _QueryProbes(index, q, walk)
+                checked(probes)
                 reps, levels = walk.first, walk.depth
                 check_rectangle(reps, levels, int(reps > 0))
                 looked_up = 0
@@ -345,22 +387,22 @@ def test_read_extents_match_a_full_projection(case, data):
                     # measured before or after it is bounded
                     measured_first = data.draw(st.booleans())
                     if measured_first:
-                        assert probes.work(entry) == float((1 + hi - lo).sum())
-                    bound = probes.bound(entry, best)
+                        assert checked(probes.work(entry)) == float((1 + hi - lo).sum())
+                    bound = checked(probes.bound(entry, best))
                     assert bound <= spine + floor
                     if probes.read > read:
                         assert bound == spine + floor
                     if bound < spine + floor:
                         assert probes.read == read and bound >= best
-                    assert probes.bound(entry) == spine + floor
+                    assert checked(probes.bound(entry)) == spine + floor
                     if not measured_first:
-                        assert probes.work(entry) == float((1 + hi - lo).sum())
+                        assert checked(probes.work(entry)) == float((1 + hi - lo).sum())
                     parts = [
                         rep.order[a:b]
                         for rep, starts, ends in zip(index.repetitions, lo, hi)
                         for a, b in zip(starts, ends)
                     ]
-                    ids, buckets = probes.candidates(entry)
+                    ids, buckets = checked(probes.candidates(entry))
                     assert np.array_equal(ids, np.unique(np.concatenate(parts)))
                     assert buckets == lo.size
                     # a deeper level deepens every repetition read, and a

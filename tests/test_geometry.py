@@ -129,6 +129,10 @@ def test_planted_instance_determinism():
     assert np.array_equal(a.dataset.matrix, b.dataset.matrix)
     assert a.ground_truth == b.ground_truth
     assert not np.array_equal(a.dataset.matrix, c.dataset.matrix)
+    # seeds are taken modulo 2**63, as `derived_seed` takes them
+    d = generate_planted_instance(n=80, d=8, r=0.3, t=4, seed=-1)
+    e = generate_planted_instance(n=80, d=8, r=0.3, t=4, seed=2**63 - 1)
+    assert np.array_equal(d.dataset.matrix, e.dataset.matrix)
 
 
 def test_unplanted_far_query_has_empty_truth():

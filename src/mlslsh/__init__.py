@@ -6,7 +6,8 @@ collision probabilities, and each query adaptively picks how deep to look
 and how many buckets to probe.
 """
 
-from .calibration import (
+# the package re-exports these names
+from .calibration import (  # noqa: F401
     CalibrationError,
     CollisionEstimate,
     FamilyCalibration,
@@ -16,20 +17,20 @@ from .calibration import (
     rho,
     theoretical_rho,
 )
-from .families import (
+from .families import (  # noqa: F401
     CodeEnumerator,
     FamilyParams,
     hash_batch,
     probe_sequence,
 )
-from .geometry import (
+from .geometry import (  # noqa: F401
     Dataset,
     PlantedInstance,
     generate_planted_instance,
     map_query,
     normalize_dataset,
 )
-from .index import (
+from .index import (  # noqa: F401
     IndexFormatError,
     MultiLevelIndex,
     build_index,
@@ -38,7 +39,7 @@ from .index import (
     load_index,
     reps,
 )
-from .query import (
+from .query import (  # noqa: F401
     ExaminedSetting,
     QueryReport,
     adaptive_multiprobe,

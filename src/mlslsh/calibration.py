@@ -53,6 +53,16 @@ class CalibrationError(RuntimeError):
 DOCUMENT_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError, CalibrationError)
 
 
+def _typed(doc: dict, key: str, kinds: tuple = (int, float)):
+    """doc[key] if it is one of `kinds` and not a bool, else ValueError: a
+    document's numbers are read as written, never truncated."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{key} must be {names}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CollisionEstimate:
     probability: float
@@ -256,8 +266,10 @@ class FamilyCalibration:
     p2's) are not finite and non-negative, or whose trial count is below 1
     raises CalibrationError, so a document read back with `from_json_dict`
     holds no setting a schedule would have to drop and no error or trial
-    count that `calibrate` cannot make. A negative seed is valid: derived
-    seeds are masked to 63 bits.
+    count that `calibrate` cannot make. `from_json_dict` reads numbers as
+    written: a bool or a string for any of them, or a float for `trials`
+    or `seed`, raises ValueError. A negative seed is valid: derived seeds
+    are masked to 63 bits.
     """
 
     params: FamilyParams
@@ -359,18 +371,18 @@ class FamilyCalibration:
             raise ValueError(f"unsupported calibration version {doc.get('version')!r}")
         cal = cls(
             params=FamilyParams.from_json_dict(doc["family"]),
-            r=float(doc["r"]),
-            c=float(doc["c"]),
-            p1=float(doc["p1"]),
-            p2=float(doc["p2"]),
+            r=_typed(doc, "r"),
+            c=_typed(doc, "c"),
+            p1=_typed(doc, "p1"),
+            p2=_typed(doc, "p2"),
             probe_success=np.array(doc["probe_success"], dtype=np.float64),
             probe_success_se=np.array(doc["probe_success_se"], dtype=np.float64),
-            trials=int(doc["trials"]),
-            seed=int(doc["seed"]),
-            p1_std_error=float(doc["p1_std_error"]),
-            p2_std_error=float(doc["p2_std_error"]),
+            trials=_typed(doc, "trials", (int,)),
+            seed=_typed(doc, "seed", (int,)),
+            p1_std_error=_typed(doc, "p1_std_error"),
+            p2_std_error=_typed(doc, "p2_std_error"),
         )
-        if float(doc["rho"]) != cal.rho:
+        if _typed(doc, "rho") != cal.rho:
             raise ValueError(f"stored rho={doc['rho']!r} differs from rho(p1, p2) = {cal.rho!r}")
         return cal
 

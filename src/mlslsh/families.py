@@ -73,6 +73,7 @@ def default_cap_threshold(cap_count: int, dim: int) -> float:
 @dataclass(frozen=True)
 class FamilyParams:
     """Configuration of one hash family; all randomness is derived from seeds.
+    `dim` and `cap_count` are integers, numpy ones included, or ValueError.
     Its JSON form keeps two fixed fields, `cap_threshold` null (the default
     threshold) and `rotation_seed_base` 0, and reads no other value of them."""
 
@@ -83,6 +84,11 @@ class FamilyParams:
     def __post_init__(self) -> None:
         if self.kind not in ("spherical_cap", "cross_polytope"):
             raise ValueError(f"unknown family kind {self.kind!r}")
+        for name in ("dim", "cap_count"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.dim < 2:
             raise ValueError(f"dimension must be >= 2, got {self.dim}")
         if self.kind == "spherical_cap":
@@ -113,7 +119,7 @@ class FamilyParams:
         fixed = (doc["cap_threshold"], doc["rotation_seed_base"])
         if fixed != (None, 0):
             raise ValueError(f"cap_threshold, rotation_seed_base = {fixed}; only (null, 0) is read")
-        return cls(kind=doc["kind"], dim=int(doc["dim"]), cap_count=int(doc["cap_count"]))
+        return cls(kind=doc["kind"], dim=doc["dim"], cap_count=doc["cap_count"])
 
 
 def sample_directions(params: FamilyParams, seeds) -> np.ndarray:

@@ -120,64 +120,6 @@ def schedule_entry(k: int, j: int, count: int, universe: int) -> tuple[float, in
     return float(j * count), k, j, count, count * (min(j, universe**k) - 1)
 
 
-@dataclass(frozen=True)
-class Walk:
-    """The walk of one query mode: the sorted schedule `entries` it may
-    measure, all of them in adaptive mode and those with j = 1 in single
-    mode, one entry for a fixed pin and none for a full scan.
-
-    `reach[k - 1]` is the most repetitions any entry consults at level k,
-    0 where none does, so a query of the mode searches level k's buckets
-    only in repetitions 0..reach[k - 1] - 1. `extent` is (r, k), the most
-    repetitions and the deepest level over the entries, (0, 0) for none:
-    a query of the mode reads slots 0..k - 1 of repetitions 0..r - 1 and
-    nothing else. It reads `first` of those repetitions up front, the most
-    that any of its j = 1 entries consults, as a j = 1 entry's bound is its
-    work and it is never pruned, and reads them `depth` slots deep, at
-    least as deep as its deepest j = 1 entry. It deepens what it has read
-    to the extent's depth only when an entry first needs a deeper level,
-    and reads the rest of the repetitions only when a multi-probe entry
-    first needs one of them. A single-probe walk thus reads its whole
-    extent at once, and an adaptive one the single-probe repetitions
-    first, as deep as it expects to walk.
-    """
-
-    entries: tuple[tuple[float, int, int, int, int], ...]
-    first: int
-    depth: int
-    reach: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        single = max((e[1] for e in self.entries if e[2] == 1), default=0)
-        least = max(single, 1) if self.entries else 0
-        if not least <= self.depth <= len(self.reach):
-            raise ValueError(
-                f"a walk of extent {self.extent} whose j = 1 entries reach level "
-                f"{single} cannot read {self.depth} levels first"
-            )
-        if self.first > self.extent[0] or any(e[3] > self.reach[e[1] - 1] for e in self.entries):
-            raise ValueError(
-                f"a walk that reaches {self.reach} repetitions per level cannot read "
-                f"{self.first} first or walk all of {self.entries}"
-            )
-
-    @property
-    def extent(self) -> tuple[int, int]:
-        return max(self.reach, default=0), len(self.reach)
-
-    @classmethod
-    def over(cls, entries: tuple, work: float = math.inf) -> "Walk":
-        """The walk of `entries` that reads first as deep as its j = 1
-        entries and every entry that costs less than `work`, the work it
-        expects to settle at; all of its extent by default."""
-        reach = [0] * max((e[1] for e in entries), default=0)
-        for _, k, _, count, _ in entries:
-            reach[k - 1] = max(reach[k - 1], count)
-        first = max((e[3] for e in entries if e[2] == 1), default=0)
-        depth = max((e[1] for e in entries if e[2] == 1 or e[0] < work), default=0)
-        return cls(entries, first, depth, tuple(reach))
-
-
 def check_space_budget(budget) -> None:
     """A space budget is None, for no cap, or a positive integer."""
     if budget is not None and (type(budget) is not int or budget < 1):
@@ -322,13 +264,15 @@ class Repetition:
 
 
 class ReadPlan(NamedTuple):
-    """The buckets one read of a walk searches: the own buckets of a
-    rectangle of repetitions and levels, cut to the walk's reach. `cells`
-    are their places in the flattened (r, k) grid of the walk's extent,
-    which holds a query's first keys and runs, `ends` the (tag - 1,
+    """One read of a walk: the `rectangles` (start, stop, top, bottom) of
+    repetitions start..stop - 1 at levels top + 1..bottom it projects, and
+    the own buckets of those cells that the walk's reach keeps. `cells` are
+    their places in the flattened (r, k) grid of the walk's extent, which
+    holds a query's first keys and runs, `ends` the (tag - 1,
     tag + 2**s - 1) each adds to its first key to make its needle pair, and
     `parts` the `bucket_runs` groups of the cells."""
 
+    rectangles: tuple
     cells: np.ndarray
     ends: np.ndarray
     parts: tuple
@@ -337,6 +281,39 @@ class ReadPlan(NamedTuple):
         """The (cells, 2) runs of the planned buckets, given the (r, k) grid
         `first` of untagged first keys."""
         return bucket_runs(self.parts, first.reshape(-1).take(self.cells)[:, None] + self.ends)
+
+
+@dataclass(frozen=True)
+class Walk:
+    """The walk of one query mode, made by `MultiLevelIndex.walk`: the
+    sorted schedule `entries` it may measure, all of them in adaptive mode
+    and those with j = 1 in single mode, one entry for a fixed pin and none
+    for a full scan.
+
+    `reach[k - 1]` is the most repetitions any entry consults at level k,
+    0 where none does, so a query of the mode searches level k's buckets
+    only in repetitions 0..reach[k - 1] - 1. `extent` is (r, k), the most
+    repetitions and the deepest level over the entries, (0, 0) for none:
+    a query of the mode reads slots 0..k - 1 of repetitions 0..r - 1 and
+    nothing else. It reads them in two `reads`. The first is the `first`
+    repetitions, the most that any of its j = 1 entries consults, as a
+    j = 1 entry's bound is its work and it is never pruned, at levels
+    1..`depth`, at least as deep as its deepest j = 1 entry. The second is
+    the rest of the extent, taken once, when an entry first needs a
+    repetition or a level outside the first. A single-probe walk's first
+    read is its whole extent, and an adaptive one's the single-probe
+    repetitions, as deep as it expects to walk.
+    """
+
+    entries: tuple[tuple[float, int, int, int, int], ...]
+    first: int
+    depth: int
+    reach: tuple[int, ...]
+    reads: tuple[ReadPlan, ReadPlan] = field(compare=False, repr=False)
+
+    @property
+    def extent(self) -> tuple[int, int]:
+        return max(self.reach, default=0), len(self.reach)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,15 +336,15 @@ class MultiLevelIndex:
     schedule is empty and every adaptive or single query is a full scan.
 
     `walks` maps "adaptive" and "single" to the `Walk` of that mode, which
-    states what it walks and reads first. A single-probe walk reads its
-    whole extent first. An adaptive walk reads the single-probe repetitions
-    first, as deep as its j = 1 entries and every entry cheaper than W, the
-    least expected work of a j = 1 entry (k, 1, reps): reps * (1 + m_k),
-    with m_k the `bucket_loads` of level k over those repetitions. A walk
-    stops at the first entry whose cost reaches the best work it measured,
-    so a query rarely goes past that depth. Both walks, and the
-    `read_plan` of every read they can make, are fixed at build and load;
-    no query changes them.
+    states what it walks and plans its two reads; `walk` makes every walk,
+    a fixed query's too. A single-probe walk reads its whole extent first.
+    An adaptive walk reads the single-probe repetitions first, as deep as
+    its j = 1 entries and every entry cheaper than W, the least expected
+    work of a j = 1 entry (k, 1, reps): reps * (1 + m_k), with m_k the
+    `bucket_loads` of level k over those repetitions. A walk stops at the
+    first entry whose cost reaches the best work it measured, so a query
+    rarely needs its second read, the rest of the extent. Both walks are
+    fixed at build and load; no query changes them.
 
     `keys` and `order` are the (R, n) key and order blocks of `key_blocks`,
     and `repetitions` views their rows beside each direction stack.
@@ -385,11 +362,9 @@ class MultiLevelIndex:
     schedule: tuple[tuple[float, int, int, int, int], ...] = field(init=False, repr=False)
     walks: Mapping[str, Walk] = field(init=False, repr=False)
     # per group (first row, end row, its rows as one sorted array, offset);
-    # the (K, R, 2) needle ends of every level and repetition; the plans of
-    # the walks' reads
+    # the (K, R, 2) needle ends of every level and repetition
     _groups: tuple = field(init=False, repr=False)
     _ends: np.ndarray = field(init=False, repr=False)
-    _plans: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         K, (R, n) = self.levels, self.keys.shape
@@ -423,48 +398,60 @@ class MultiLevelIndex:
                     entries.append(schedule_entry(k, j, count, universe))
         # each (k, j) occurs once, so the sort never compares past it
         schedule = tuple(sorted(entries))
-        single = Walk.over(tuple(e for e in schedule if e[2] == 1))
+        object.__setattr__(self, "schedule", schedule)
+        single = self.walk(tuple(e for e in schedule if e[2] == 1))
         loads = bucket_loads(self.repetitions[: single.first], single.extent[1])
         work = min(
             (count * (1.0 + loads[k - 1]) for _, k, _, count, _ in single.entries), default=math.inf
         )
-        walks = {"adaptive": Walk.over(schedule, work), "single": single}
-        object.__setattr__(self, "schedule", schedule)
+        depth = max((e[1] for e in schedule if e[2] == 1 or e[0] < work), default=0)
+        walks = {"adaptive": self.walk(schedule, depth), "single": single}
         object.__setattr__(self, "walks", MappingProxyType(walks))
-        # a walk reads its first repetitions, then deepens them or reads
-        # the rest, at its first depth or the extent's, in either order
-        plans = {}
-        for walk in walks.values():
-            (count, deepest), first, depth = walk.extent, walk.first, walk.depth
-            for read in (
-                (0, first, 0, depth), (first, count, 0, depth), (first, count, 0, deepest),
-                (0, first, depth, deepest), (0, count, depth, deepest),
-            ):
-                plans[walk.reach, *read] = self._plan(walk.reach, *read)
-        object.__setattr__(self, "_plans", plans)
 
-    def _plan(self, reach: tuple, start: int, stop: int, top: int, bottom: int) -> ReadPlan:
-        rows, levels = np.nonzero(
-            np.arange(start, stop)[:, None] < np.array(reach[top:bottom], dtype=np.intp)
+    def walk(self, entries: tuple, depth: int | None = None) -> Walk:
+        """The `Walk` of the sorted schedule `entries` that reads first
+        `depth` levels deep, its extent's depth by default, with the plans
+        of its two reads. ValueError for a depth shallower than its deepest
+        j = 1 entry (1 with entries) or deeper than its extent."""
+        reach = [0] * max((e[1] for e in entries), default=0)
+        for _, k, _, count, _ in entries:
+            reach[k - 1] = max(reach[k - 1], count)
+        count, deepest = max(reach, default=0), len(reach)
+        first = max((e[3] for e in entries if e[2] == 1), default=0)
+        single = max((e[1] for e in entries if e[2] == 1), default=0)
+        depth = deepest if depth is None else depth
+        if not (max(single, 1) if entries else 0) <= depth <= deepest:
+            raise ValueError(
+                f"a walk of extent {(count, deepest)} whose j = 1 entries reach level "
+                f"{single} cannot read {depth} levels first"
+            )
+        reach = tuple(reach)
+        # the rest deepens the first repetitions before it reads the others,
+        # so the cells of both rectangles come in row order
+        reads = (
+            self._plan(reach, (0, first, 0, depth)),
+            self._plan(reach, (0, first, depth, deepest), (first, count, 0, deepest)),
         )
-        rows += start
-        levels += top
+        return Walk(entries, first, depth, reach, reads)
+
+    def _plan(self, reach: tuple, *rectangles: tuple) -> ReadPlan:
+        """The `ReadPlan` of the read of `rectangles` by a walk of `reach`:
+        their own buckets that reach keeps, repetition r at level k only if
+        r < reach[k - 1]."""
+        rectangles = tuple(r for r in rectangles if r[0] < r[1] and r[2] < r[3])
+        kept = np.zeros((max(reach, default=0), len(reach)), dtype=bool)
+        for start, stop, top, bottom in rectangles:
+            kept[start:stop, top:bottom] = True
+        kept &= np.arange(len(kept))[:, None] < np.array(reach, dtype=np.intp)
+        rows, levels = np.nonzero(kept)
         # rows ascend, so the cells of each group are consecutive
         parts = []
         for a, b, keys, offset in self._groups:
             lo, hi = np.searchsorted(rows, (a, b)).tolist()
             if lo < hi:
                 parts.append((lo, hi, keys, offset))
-        return ReadPlan(rows * len(reach) + levels, self._ends[levels, rows], tuple(parts))
-
-    def read_plan(self, reach: tuple, start: int, stop: int, top: int, bottom: int) -> ReadPlan:
-        """The `ReadPlan` of a read of repetitions start..stop - 1 at levels
-        top + 1..bottom by a walk of `reach`: the own buckets of those
-        repetitions and levels that reach keeps, each repetition r at level
-        k only if r < reach[k - 1]. The plans of the walks' reads are made
-        with the index; any other walk's on each read."""
-        plan = self._plans.get((reach, start, stop, top, bottom))
-        return plan if plan is not None else self._plan(reach, start, stop, top, bottom)
+        cells = rows * len(reach) + levels
+        return ReadPlan(rectangles, cells, self._ends[levels, rows], tuple(parts))
 
     def probe_runs(self, first: np.ndarray, level: int) -> np.ndarray:
         """The (r, m, 2) runs of the level buckets whose untagged first keys

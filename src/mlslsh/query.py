@@ -10,14 +10,15 @@ and the least work they spend past their own buckets. A setting that would
 need more repetitions than the index has cannot reach its success
 probability and is not in the schedule.
 
-Every mode is one walk, `index.Walk`: the entries it may measure, the
-extent of the index it reads, how much of it and how deep up front, and
-its reach, per level the repetitions whose buckets it searches there, the
-most any entry at that level consults. A query keeps the first keys and
-runs of its own buckets in one grid of the extent's repetitions and
-levels. A read fills its cells of the grid and searches those its
-`index.ReadPlan` names, one `searchsorted` per key group of the index; the
-index plans every read of its own walks once.
+Every mode is one walk, `index.Walk`, made by `MultiLevelIndex.walk`: the
+entries it may measure, the extent of the index it reads, its reach, per
+level the repetitions whose buckets it searches there, the most any entry
+at that level consults, and its two planned reads, the first repetitions
+to a first depth up front and the rest of the extent once. A query keeps
+the first keys and runs of its own buckets in one grid of the extent's
+repetitions and levels. A read fills its cells of the grid and searches
+those its `index.ReadPlan` names, one `searchsorted` per key group of the
+index.
 `_schedule` runs the walk in order, measures the true candidate work of
 each entry, and stops at the first entry whose cost reaches the best work
 seen, which starts at the walk's ceiling, the work of the full scan it
@@ -52,7 +53,7 @@ from .families import _shifts, bucket_codes, first_tuples, slot_bits, slot_ranki
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, range_scan
-from .index import MultiLevelIndex, Walk, consulted_reps, schedule_entry
+from .index import MultiLevelIndex, ReadPlan, Walk, consulted_reps, schedule_entry
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,10 @@ class QueryReport:
     their spine lower bound without measuring (always 0 in single, fixed
     and brute mode). `infeasible` marks a fixed query pinned to a setting
     the schedule leaves out. `functions_projected` counts the hash functions
-    the query was projected on, each once: the repetitions it read times the
-    depth it read them to, its walk's first-read `depth` or, once a setting
-    needed a deeper level, the depth of the walk's extent (0 for a full
-    scan). `key_searches` counts the bucket key ranges the query searched:
+    the query was projected on, each once: its walk's first read, `first`
+    repetitions `depth` slots deep, or, once a setting needed a repetition
+    or a level outside it, the walk's whole extent (0 for a full scan).
+    `key_searches` counts the bucket key ranges the query searched:
     the own buckets of its spine that its walk's reach keeps, one per
     repetition and level, plus the probe buckets of each multi-probe
     setting it looked up. wall_time, settings_pruned, infeasible,
@@ -145,53 +146,54 @@ class _QueryProbes:
 
     What the query reads of its own buckets lives in one (r, D) grid, cell
     [i, k - 1] for level k of repetition i, as two arrays: `_first`, the
-    bucket's first key, and `_own`, its run in the order block. Repetitions
-    are read as a growing prefix: the walk's `first` of them up front, its
-    `depth` slots deep, and the rest in one more read the first time a
-    setting needs one of them. A setting at a level deeper than read first
-    deepens every repetition read to D, on their missing slots only, so no
-    function is projected twice. A read or a deepening projects the query
-    with one matmul on a view of the direction block, whose products equal
-    those of the whole block bit for bit, and fills its cells of `_first`
-    with one cumulative sum of its codes, each shifted to its slot; a
-    deepening continues the sum from the last column read. It then searches
-    the cells its `index.ReadPlan` names, those the walk's reach keeps, with
-    one `bucket_runs` call and writes their runs to the same cells of
-    `_own`. A running sum of the spine over repetitions, read at an entry's
-    `reps` and added to its `floor`, is the entry's `bound`: the work of the
-    setting at j = 1 and a lower bound on it past that.
+    bucket's first key, and `_own`, its run in the order block. The query
+    takes the walk's two reads: the first, its `first` repetitions `depth`
+    slots deep, up front, and the rest of the extent once, the first time a
+    bound or a ranking needs a repetition or a level outside the first, so
+    no function is projected twice. A read projects the query with one
+    matmul per rectangle on a view of the direction block, whose products
+    equal those of the whole block bit for bit, and fills the rectangle's
+    cells of `_first` with one cumulative sum of its codes, each shifted to
+    its slot; the rectangle past the first read's depth continues the sum
+    from its last column. It then searches the cells its `index.ReadPlan`
+    names, those the walk's reach keeps, with one `bucket_runs` call and
+    writes their runs to the same cells of `_own`. A running sum of the
+    spine over repetitions, read at an entry's `reps` and added to its
+    `floor`, is the entry's `bound`: the work of the setting at j = 1 and a
+    lower bound on it past that.
 
     A setting past one probe ranks slots 0..k - 1 of repetitions 0..reps - 1
     with one `slot_rankings` call and merges every level of that rectangle
     at once with `first_tuples`, at the calibrated probe width, shifting
     each level to first keys. Both treat each row on its own, so a row ranks
     alike in any rectangle, and a later setting that needs more rows or
-    levels ranks the larger rectangle afresh. A setting finds its buckets
+    levels ranks the larger rectangle afresh, taking the rest of the extent
+    first if the rectangle passes the first read. A setting finds its buckets
     with one `index.probe_runs` call, which the probes keep: collecting the
     candidates of a measured setting searches no bucket again.
     """
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray, walk: Walk):
-        self._index, self._q, self._reach = index, q, walk.reach
-        (self._count, self._deepest), family = walk.extent, index.family
-        self._bits = slot_bits(family, index.levels)
+        self._index, self._q, self._rest = index, q, walk.reads[1]
+        self._extent = count, deepest = walk.extent
+        self._bits = slot_bits(index.family, index.levels)
         # the place of slot s in a key is also the shift of level s + 1: a
         # level-k first key ends in that many zeros
-        self._shifts = _shifts(self._bits, index.levels)[: self._deepest]
+        self._shifts = _shifts(self._bits, index.levels)[:deepest]
         # _proj[r, s] projects on slot s of repetition r; the slots and
         # repetitions not read yet are unset
-        self._proj = np.empty((self._count, self._deepest, index.directions.shape[1]))
+        self._proj = np.empty((count, deepest, index.directions.shape[1]))
         # the grid: untagged first keys, set once a read projected a cell,
         # and runs [lo, hi) in the flattened order block, once it searched
         # one; spine[r, k - 1] is one unit plus the own bucket, summed over
         # repetitions 0..r - 1 at level k, valid for r up to the repetitions
         # searched there
-        self._first = np.empty((self._count, self._deepest), dtype=np.int64)
-        self._own = np.zeros((self._count, self._deepest, 2), dtype=np.intp)
-        self._spine = np.zeros((self._count + 1, self._deepest), dtype=np.int64)
+        self._first = np.empty((count, deepest), dtype=np.int64)
+        self._own = np.zeros((count, deepest, 2), dtype=np.intp)
+        self._spine = np.zeros((count + 1, deepest), dtype=np.int64)
         # slots 0..depth - 1 of repetitions 0..read - 1 are read
-        self.read, self.depth, self.key_searches = 0, walk.depth, 0
-        self._read(walk.first)
+        self.read, self.depth, self.key_searches = walk.first, walk.depth, 0
+        self._take(walk.reads[0])
         # the (rows, levels) rectangle ranked so far, the (rows, probes)
         # first keys of each of its levels, and the runs of each multi-probe
         # entry looked up
@@ -204,54 +206,46 @@ class _QueryProbes:
         """Hash functions the query was projected on so far."""
         return self.read * self.depth
 
-    def _project(self, start: int, stop: int, top: int, bottom: int) -> None:
-        """Project, code and search slots top..bottom - 1 of repetitions
-        start..stop - 1, whose slots 0..top - 1 are read: fill their cells
-        of the grid, the runs only where the walk's reach keeps them, and
-        update the spine sums."""
+    def _take(self, read: ReadPlan) -> None:
+        """Project, code and search one read of the walk: fill the grid
+        cells of its rectangles, the runs only where its plan keeps them,
+        and update the spine sums."""
         index = self._index
         block = index.directions.reshape(index.num_repetitions, index.levels, -1, index.family.dim)
-        proj = self._proj[start:stop, top:bottom]
-        np.matmul(block[start:stop, top:bottom], self._q, out=proj)
-        own = bucket_codes(index.family, proj.reshape(-1, proj.shape[2]))
-        first = self._first[start:stop, top:bottom]
-        np.cumsum(own.reshape(stop - start, -1) << self._shifts[top:bottom], axis=1, out=first)
-        if top:
-            first += self._first[start:stop, top - 1, None]
-        plan = index.read_plan(self._reach, start, stop, top, bottom)
-        if len(plan.cells):
-            self._own.reshape(-1, 2)[plan.cells] = plan.runs(self._first)
-            self.key_searches += len(plan.cells)
+        for start, stop, top, bottom in read.rectangles:
+            proj = self._proj[start:stop, top:bottom]
+            np.matmul(block[start:stop, top:bottom], self._q, out=proj)
+            own = bucket_codes(index.family, proj.reshape(-1, proj.shape[2]))
+            first = self._first[start:stop, top:bottom]
+            np.cumsum(own.reshape(stop - start, -1) << self._shifts[top:bottom], axis=1, out=first)
+            if top:
+                first += self._first[start:stop, top - 1, None]
+        if len(read.cells):
+            self._own.reshape(-1, 2)[read.cells] = read.runs(self._first)
+            self.key_searches += len(read.cells)
             sizes = self._own[..., 1] - self._own[..., 0]
             np.cumsum(sizes + 1, axis=0, out=self._spine[1:])
 
-    def _read(self, stop: int) -> None:
-        """Read repetitions read..stop - 1 as deep as those read already."""
-        if stop > self.read:
-            self._project(self.read, stop, 0, self.depth)
-            self.read = stop
-
-    def _deepen(self) -> None:
-        """Read the repetitions read so far to the extent's depth."""
-        if self.read:
-            self._project(0, self.read, self.depth, self._deepest)
-        self.depth = self._deepest
+    def _cover(self, rows: int, levels: int) -> None:
+        """Take the rest of the extent the first time the repetitions
+        0..rows - 1 at levels 1..levels pass the first read."""
+        if rows > self.read or levels > self.depth:
+            self._take(self._rest)
+            self.read, self.depth = self._extent
 
     def bound(self, entry, best: float = math.inf) -> int:
         """Spine lower bound on the work of the setting of `entry`: its
-        consulted repetitions' own buckets plus its `floor`. A level deeper
-        than read first deepens the repetitions read. While it consults
-        repetitions not read yet, it first counts one unit for each of them;
-        if that already reaches `best` it returns that lower value and reads
-        no more repetitions, and otherwise it reads the rest of the extent."""
+        consulted repetitions' own buckets plus its `floor`. A setting at a
+        level of the first read that consults repetitions not read yet first
+        counts one unit for each of them; if that already reaches `best` it
+        returns that lower value and reads no more. Otherwise a setting
+        outside the first read takes the rest of the extent."""
         _, k, _, reps, floor = entry
-        if k > self.depth:
-            self._deepen()
-        if reps > self.read:
+        if k <= self.depth and reps > self.read:
             partial = int(self._spine[self.read, k - 1]) + reps - self.read + floor
             if partial >= best:
                 return partial
-            self._read(self._count)
+        self._cover(reps, k)
         return int(self._spine[reps, k - 1]) + floor
 
     def _runs(self, entry) -> tuple[np.ndarray, np.ndarray]:
@@ -269,10 +263,7 @@ class _QueryProbes:
         rows, levels = self._ranked
         if reps > rows or k > levels:
             rows, levels = self._ranked = max(reps, rows), max(k, levels)
-            if levels > self.depth:
-                self._deepen()
-            if rows > self.read:
-                self._read(self._count)
+            self._cover(rows, levels)
             proj = self._proj[:rows, :levels].reshape(rows * levels, -1)
             slots = slot_rankings(index.family, proj, levels)
             merged = first_tuples(slots, index.calibration.max_probes, self._bits)
@@ -446,7 +437,7 @@ def fixed_level_query(
         raise ValueError(f"level {k} outside 1..{index.levels}")
     count = consulted_reps(index.calibration, k, j, index.num_repetitions)
     entry = schedule_entry(k, j, count, index.family.bucket_universe)
-    report = _query(index, q, radius, "fixed", Walk.over((entry,)), math.inf)
+    report = _query(index, q, radius, "fixed", index.walk((entry,)), math.inf)
     return report if entry in index.schedule else replace(report, infeasible=True)
 
 

@@ -355,10 +355,17 @@ def test_fvecs_dimension_change_past_the_second_record(tmp_path):
         lambda doc: {**doc, "family": {**doc["family"], "cap_threshold": 0.3}},
         # a standard error no estimate makes
         lambda doc: {**doc, "p1_std_error": math.nan},
+        # numbers of the wrong type, which a cast would have truncated
+        lambda doc: {**doc, "trials": 1000.7},
+        lambda doc: {**doc, "trials": True},
+        lambda doc: {**doc, "seed": "1"},
+        lambda doc: {**doc, "r": "0.4"},
+        lambda doc: {**doc, "family": {**doc["family"], "dim": 6.5}},
     ],
     ids=[
         "list", "null-radius", "decreasing-table", "nan-table", "rho-not-derived",
-        "family-threshold-set", "nan-p1-error",
+        "family-threshold-set", "nan-p1-error", "trials-float", "trials-bool", "seed-string",
+        "radius-string", "family-dim-float",
     ],
 )
 def test_calibrate_cached_recomputes_malformed_entries(tmp_path, corrupt):

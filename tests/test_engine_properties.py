@@ -16,7 +16,6 @@ each of which could not have won.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, 
 from mlslsh.families import _pack, _prefixes, _shifts, bucket_codes, first_tuples
 from mlslsh.families import sample_directions, slot_bits, slot_rankings
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
-from mlslsh.index import MultiLevelIndex, Walk, build_index, compute_k, key_blocks, reps
+from mlslsh.index import MultiLevelIndex, build_index, compute_k, key_blocks, reps, schedule_entry
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
@@ -276,32 +275,32 @@ def test_first_depth_matches_a_recount(case):
 @SETTINGS
 @given(instances(budgets=st.integers(1, 64), slopes=st.floats(0.0, 3.0)))
 def test_read_plans_search_each_bucket_of_the_reach_once(case):
-    # a walk reads its first repetitions, then either the rest at its first
-    # depth and deepens all, or deepens the first and reads the rest at the
-    # extent's depth: each order searches every own bucket its reach keeps
-    # once and no other, each plan only cells of its own read, and each
-    # cell's needle ends hold its repetition's tag and its level's shift
+    # a walk read first from any depth reads its first repetitions that
+    # deep, then the rest of its extent: the two reads project every cell of
+    # the extent once, search every own bucket the reach keeps once and no
+    # other, each plan only cells of its own rectangles, and each cell's
+    # needle ends hold its repetition's tag and its level's shift
     index = case[0]
     K, bits = index.levels, slot_bits(index.family, index.levels)
-    for walk in index.walks.values():
-        if not walk.entries:
-            continue
+    for walk in first_depths(index):
         (count, deepest), first, depth = walk.extent, walk.first, walk.depth
         kept = [r * deepest + k for r in range(count) for k in range(deepest) if r < walk.reach[k]]
-        for reads in (
-            ((0, first, 0, depth), (first, count, 0, depth), (0, count, depth, deepest)),
-            ((0, first, 0, depth), (0, first, depth, deepest), (first, count, 0, deepest)),
-        ):
-            cells = []
-            for start, stop, top, bottom in reads:
-                plan = index.read_plan(walk.reach, start, stop, top, bottom)
-                rows, levels = np.divmod(plan.cells, deepest)
-                assert np.all((start <= rows) & (rows < stop) & (top <= levels) & (levels < bottom))
-                tags = np.array([index.repetitions[r].tag for r in rows], dtype=np.int64)
-                masks = (1 << bits * (K - 1 - levels)) - 1
-                assert np.array_equal(plan.ends, np.stack([tags - 1, tags + masks], axis=-1))
-                cells.extend(plan.cells.tolist())
-            assert sorted(cells) == kept
+        projected, cells = np.zeros((count, deepest), dtype=int), []
+        assert walk.reads[0].rectangles == (((0, first, 0, depth),) if first * depth else ())
+        for plan in walk.reads:
+            inside = np.zeros_like(projected, dtype=bool)
+            for start, stop, top, bottom in plan.rectangles:
+                assert start < stop and top < bottom
+                inside[start:stop, top:bottom] = True
+            projected += inside
+            rows, levels = np.divmod(plan.cells, deepest)
+            assert np.all(inside[rows, levels]) and np.all(np.diff(plan.cells) > 0)
+            tags = np.array([index.repetitions[r].tag for r in rows], dtype=np.int64)
+            masks = (1 << bits * (K - 1 - levels)) - 1
+            assert np.array_equal(plan.ends, np.stack([tags - 1, tags + masks], axis=-1))
+            cells.extend(plan.cells.tolist())
+        assert np.all(projected == 1)
+        assert sorted(cells) == kept
 
 
 def first_depths(index):
@@ -309,7 +308,7 @@ def first_depths(index):
     depth between its deepest j = 1 level and its extent's depth."""
     single, adaptive = index.walks["single"], index.walks["adaptive"]
     depths = range(max(1, single.extent[1]), adaptive.extent[1] + 1)
-    return [single, *(replace(adaptive, depth=depth) for depth in depths)]
+    return [single, *(index.walk(adaptive.entries, depth) for depth in depths)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -322,22 +321,21 @@ def first_depths(index):
 )
 def test_read_extents_match_a_full_projection(case, data):
     # each mode reads only its walk's extent of the direction block, its
-    # first repetitions up front as deep as the walk says, and deeper levels
-    # and the rest of the repetitions on first need, yet projects, bounds,
-    # measures and collects every entry it may walk exactly as the whole
-    # block does, at dimensions whose products take different kernels. An
-    # adaptive walk runs from every first depth it could be given. Entries
-    # come in any order, so a bound, measurement or candidate set that read
-    # past the repetitions or levels read would differ, and a walk deepens
-    # before it reads the rest of its repetitions or after. A bound given
-    # the best work so far never passes the full one; it stops short of it
-    # only to return a value that reaches that best without reading on.
-    # After every call, each cell of the grid read so far holds the first
-    # key of its own bucket, and after each entry, the functions projected
-    # are exactly the rectangle of repetitions and levels the entries so far
-    # consulted, each once, and the buckets searched are the own buckets of
-    # that rectangle that the walk's reach keeps plus the probes of each
-    # multi-probe entry
+    # first repetitions up front as deep as the walk says, and the rest of
+    # the extent when an entry first needs a repetition or a level outside
+    # them, yet projects, bounds, measures and collects every entry it may
+    # walk exactly as the whole block does, at dimensions whose products
+    # take different kernels. An adaptive walk runs from every first depth
+    # it could be given. Entries come in any order, so a bound, measurement
+    # or candidate set that read past the repetitions or levels read would
+    # differ. A bound given the best work so far never passes the full one;
+    # it stops short of it only at a level of the first read, to return a
+    # value that reaches that best without reading on. After every call,
+    # each cell of the grid read so far holds the first key of its own
+    # bucket, and after each entry, the functions projected are the first
+    # read or the whole extent, each once, and the buckets searched are the
+    # own buckets of that rectangle that the walk's reach keeps plus the
+    # probes of each multi-probe entry
     index, queries, _ = case
     K, R = index.levels, index.num_repetitions
     for q in queries:
@@ -362,7 +360,7 @@ def test_read_extents_match_a_full_projection(case, data):
                 return bucket_codes(family, proj)
 
             def check_rectangle(reps, levels, blocks):
-                # each block is one read or one deepening
+                # each block is one rectangle of a read
                 assert (probes.read, probes.depth) == (reps, levels)
                 assert len(projected) == blocks
                 got = sorted(row.tobytes() for block in projected for row in block)
@@ -381,7 +379,8 @@ def test_read_extents_match_a_full_projection(case, data):
                     _, k, j, count, floor = entry
                     assert count <= r and k <= depth
                     spine = int((1 + full.hi - full.lo)[:count, k - 1].sum())
-                    read, best = probes.read, data.draw(st.integers(0, spine + floor + 1))
+                    read = probes.read, probes.depth
+                    best = data.draw(st.integers(0, spine + floor + 1))
                     blocks = len(projected)
                     lo, hi = full.runs(k, j, count)
                     # measured before or after it is bounded
@@ -390,10 +389,11 @@ def test_read_extents_match_a_full_projection(case, data):
                         assert checked(probes.work(entry)) == float((1 + hi - lo).sum())
                     bound = checked(probes.bound(entry, best))
                     assert bound <= spine + floor
-                    if probes.read > read:
+                    if (probes.read, probes.depth) != read:
                         assert bound == spine + floor
                     if bound < spine + floor:
-                        assert probes.read == read and bound >= best
+                        assert (probes.read, probes.depth) == read and bound >= best
+                        assert k <= walk.depth
                     assert checked(probes.bound(entry)) == spine + floor
                     if not measured_first:
                         assert checked(probes.work(entry)) == float((1 + hi - lo).sum())
@@ -405,12 +405,10 @@ def test_read_extents_match_a_full_projection(case, data):
                     ids, buckets = checked(probes.candidates(entry))
                     assert np.array_equal(ids, np.unique(np.concatenate(parts)))
                     assert buckets == lo.size
-                    # a deeper level deepens every repetition read, and a
-                    # repetition not read yet reads the rest of the extent
-                    if k > levels:
-                        blocks, levels = blocks + (reps > 0), depth
-                    if count > reps:
-                        blocks, reps = blocks + 1, r
+                    # a level or a repetition not read yet reads the rest
+                    # of the extent, one block per rectangle of it
+                    if k > levels or count > reps:
+                        blocks, reps, levels = blocks + len(walk.reads[1].rectangles), r, depth
                     check_rectangle(reps, levels, blocks)
                     looked_up += lo.size if j > 1 else 0
                     spine = sum(min(reps, walk.reach[level]) for level in range(levels))
@@ -427,7 +425,7 @@ def test_an_empty_single_extent_reads_the_whole_adaptive_extent_on_first_need():
     index = build_index(inst.dataset, cal, space_budget=4, seed=3)
     walk = index.walks["adaptive"]
     assert (walk.entries, walk.extent, walk.first) == (index.schedule, (4, 1), 0)
-    assert index.walks["single"] == Walk((), 0, 0, ())
+    assert index.walks["single"] == index.walk(())
     for q in inst.queries:
         probes = _QueryProbes(index, q.coords, walk)
         assert probes.read == probes.functions_projected == 0
@@ -617,7 +615,14 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
     stored = np.sort(keys, axis=1, kind="stable")
     reach = rng.integers(0, R + 1, K)
     reach[rng.integers(0, K)] = max(1, reach.max())
-    count = int(reach.max())
+    # one single-probe entry per level that reach keeps, so the walk reads
+    # its whole extent first and searches exactly the buckets reach keeps
+    entries = tuple(sorted(
+        schedule_entry(k, 1, int(count), universe) for k, count in enumerate(reach, 1) if count
+    ))
+    walk = index.walk(entries)
+    count, deepest = walk.extent
+    assert walk.reach == tuple(reach[:deepest]) and walk.first == count
     wide = np.concatenate((pool, [top]))
     mixed = np.tile(np.where(np.arange(K) % 2, top, 0), (R, 1))
     for own in (np.zeros((R, K)), np.full((R, K), top), mixed, rng.choice(wide, (R, K))):
@@ -628,14 +633,14 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
         probe_keys = _prefixes(_pack(probe_codes, bits), bits, K)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
-                querymod, "bucket_codes", lambda fam, proj: own[:count].reshape(-1).astype(np.int32)
+                querymod, "bucket_codes",
+                lambda fam, proj: own[:count, :deepest].reshape(-1).astype(np.int32),
             )
             mp.setattr(querymod, "slot_rankings", lambda fam, proj, depth: None)
             mp.setattr(
                 querymod, "first_tuples",
                 lambda slots, width, b: iter(probe_keys[..., k] for k in range(K)),
             )
-            walk = Walk((), count, K, tuple(int(r) for r in reach))
             probes = _QueryProbes(index, dataset.matrix[0], walk)
             # the read searched the own buckets its reach keeps, no more
             assert probes.key_searches == reach.sum()

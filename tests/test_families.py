@@ -406,6 +406,19 @@ def test_family_params_validation_and_json():
         FamilyParams(kind="cross_polytope", dim=1)
     with pytest.raises(ValueError):
         FamilyParams(kind="spherical_cap", dim=4, cap_count=0)
+    # a count that is not an integer fails here, naming its field, and not
+    # later in `slot_bits` or `sample_directions`; numpy integers are kept
+    for kwargs, name in (
+        (dict(kind="spherical_cap", dim=32, cap_count=64.0), "cap_count"),
+        (dict(kind="cross_polytope", dim=32.0), "dim"),
+        (dict(kind="cross_polytope", dim=True), "dim"),
+        (dict(kind="spherical_cap", dim=8, cap_count="16"), "cap_count"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            FamilyParams(**kwargs)
+    numpy_ints = FamilyParams(kind="spherical_cap", dim=np.int64(6), cap_count=np.int32(10))
+    assert numpy_ints == FamilyParams(kind="spherical_cap", dim=6, cap_count=10)
+    assert type(numpy_ints.dim) is type(numpy_ints.cap_count) is int
     p = FamilyParams(kind="spherical_cap", dim=6, cap_count=10)
     assert p.bucket_universe == 11 and p.threshold == default_cap_threshold(10, 6)
     doc = p.to_json_dict()

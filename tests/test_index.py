@@ -17,7 +17,6 @@ from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
     IndexFormatError,
     Repetition,
-    Walk,
     build_index,
     compute_k,
     compute_numreps,
@@ -220,7 +219,7 @@ def test_read_extents_match_a_recount_of_the_table(tmp_path, built, p1, budget):
         deepest = max(feasible["single"], key=lambda e: e[1])
         assert (deepest[3], deepest[1]) == single.extent
     if budget == 1:
-        assert index.walks["single"] == index.walks["adaptive"] == Walk((), 0, 0, ())
+        assert index.walks["single"] == index.walks["adaptive"] == index.walk(())
     if p1 == 0.5 and budget is None:
         assert single.extent[1] >= 3
 
@@ -653,6 +652,11 @@ def _cap_family(meta):
         (_set("degenerate_ids", ["x", -5, 1000000000]), "degenerate ids"),
         (_set("degenerate_ids", [3, 3]), "degenerate ids"),
         (_set("degenerate_ids", [19, 20]), "degenerate ids"),
+        (lambda meta: meta["family"].update(dim=4.5), "dim must be an integer"),
+        (lambda meta: meta["calibration"].update(trials=1000.7), "trials must be int"),
+        (lambda meta: meta["calibration"].update(trials=True), "trials must be int"),
+        (lambda meta: meta["calibration"].update(seed="0"), "seed must be int"),
+        (lambda meta: meta["calibration"].update(r="0.4"), "r must be int or float"),
     ],
     ids=[
         "n-huge", "n-past-int32", "n-zero", "d-string", "d-mismatch", "levels-past-calibration",
@@ -660,6 +664,7 @@ def _cap_family(meta):
         "family-missing", "calibration-not-object", "bit-budget", "family-differs",
         "rho-not-derived", "nan-table", "negative-error", "radius-off-the-sphere", "trials-negative",
         "n-short", "degenerate-not-ids", "degenerate-repeated", "degenerate-past-n",
+        "family-dim-float", "trials-float", "trials-bool", "seed-string", "radius-string",
     ],
 )
 def test_load_checks_metadata_before_allocating(tmp_path, tiny_file, edit, message):

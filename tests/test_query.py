@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ from mlslsh.bench import BenchConfig, build_for_config
 from mlslsh.families import CodeEnumerator, FamilyParams, bucket_codes, hash_batch, probe_sequence
 from mlslsh.geometry import Dataset, generate_planted_instance
 from mlslsh.index import bucket_runs, build_index, compute_k, compute_numreps, consulted_reps, reps
-from mlslsh.index import Walk, schedule_entry
+from mlslsh.index import schedule_entry
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
@@ -102,8 +101,9 @@ def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
     index = build_index(inst.dataset, toy_calibration(params), seed=0)
     q = np.zeros(6)
     K, R = index.levels, index.num_repetitions
-    probes = _QueryProbes(index, q, Walk((), R, K, (R,) * K))
     cal, universe, checked = index.calibration, index.family.bucket_universe, set()
+    whole = tuple(schedule_entry(k, 1, R, universe) for k in range(1, K + 1))
+    probes = _QueryProbes(index, q, index.walk(whole))
     for k in range(1, index.levels + 1):
         for j in range(1, 17):
             count = consulted_reps(cal, k, j, index.num_repetitions)
@@ -122,7 +122,7 @@ def test_nothing_feasible_means_every_query_is_a_full_scan(small_index, monkeypa
     params = FamilyParams(kind="cross_polytope", dim=12)
     index = build_index(inst.dataset, toy_calibration(params), space_budget=1, seed=3)
     assert index.schedule == ()
-    empty = Walk((), 0, 0, ())
+    empty = index.walk(())
     assert dict(index.walks) == {"adaptive": empty, "single": empty}
     pinned = [fixed_level_query(index, q.coords, 0.4, 1, 1) for q in inst.queries]
     assert all(rep.infeasible and (rep.k_best, rep.j_best) == (1, 1) for rep in pinned)
@@ -190,11 +190,10 @@ def shallow_index():
 def test_functions_projected_match_an_independent_recount(
     small_index, multi_probe_index, shallow_index, monkeypatch
 ):
-    # every read and every deepening codes its projection once, so the rows
+    # every rectangle of a read codes its projection once, so the rows
     # coded count the functions a query was projected on: the first
-    # repetitions at the walk's first depth, the rest of the repetitions
-    # once an entry needs one of them, and the levels down to the extent's
-    # depth once an entry needs one of them
+    # repetitions at the walk's first depth, and the whole extent once an
+    # entry needs a repetition or a level outside them
     rows = []
 
     def coded(family, proj):
@@ -222,21 +221,24 @@ def test_functions_projected_match_an_independent_recount(
             rows.clear()
             report = adaptive_multiprobe(index, q.coords, 0.4)
             assert rows[0] == first * top and len(rows) <= 3
-            assert sum(rows) in (first * top, first * depth, r * top, r * depth)
-            # a measured entry past the first read has been read
-            past = any(consulted[e.level, e.probes] > first for e in report.examined)
-            deeper = any(e.level > top for e in report.examined)
-            assert sum(rows) >= (r if past else first) * (depth if deeper else top)
+            assert sum(rows) in (first * top, r * depth)
+            # a measured entry outside the first read has read the whole extent
+            past = any(
+                consulted[e.level, e.probes] > first or e.level > top for e in report.examined
+            )
+            if past:
+                assert sum(rows) == r * depth
             totals.append(sum(rows))
     # every walk on the small index stays in the first read, as it prunes
     # each entry that consults more repetitions by its bound from the
     # repetitions read so far. Every walk on the multi-probe index measures
     # multi-probe entries; nine of them rank only repetitions read first
     # and read nothing more, and three read on. On the shallow index five
-    # walks need a level past the first 3 and one stays within them
+    # walks need a level past the first 3, so they read all 22 repetitions
+    # 5 deep, and one stays within the first 17 repetitions 3 deep
     multi_probe = [12 * 4] * 12
     multi_probe[2] = multi_probe[5] = multi_probe[11] = 15 * 4
-    shallow = [17 * 5] * 6
+    shallow = [22 * 5] * 6
     shallow[3] = 17 * 3
     assert totals == [29 * 3] * 5 + multi_probe + shallow
 
@@ -283,13 +285,21 @@ def test_key_searches_match_an_independent_recount(
 
 
 def test_benchmark_single_queries_search_only_the_buckets_their_walk_reads(tmp_path):
-    # the perfbench workloads at workload seed 1, index seed 7: a
-    # single-probe query searches 83 own buckets on cp-10k (K = 7, R = 70)
-    # and 72 on cap-10k (K = 8, R = 74), the j = 1 entries' repetitions
-    # summed over their levels, against 47 * 4 = 188 and 40 * 4 = 160 for
-    # a search of every repetition and level its first read projects
-    inst = generate_planted_instance(n=10_000, d=32, r=0.4, t=10, seed=1, num_queries=2)
-    for kind, expected, first_read in (("cross_polytope", 83, 188), ("spherical_cap", 72, 160)):
+    # the perfbench workloads at workload seed 1, index seed 7, with their
+    # 100 queries: a single-probe query searches 83 own buckets on cp-10k
+    # (K = 7, R = 70) and 72 on cap-10k (K = 8, R = 74), the j = 1 entries'
+    # repetitions summed over their levels, against 47 * 4 = 188 and
+    # 40 * 4 = 160 for a search of every repetition and level its first read
+    # projects. An adaptive query projects its first read, 47 * 4 on cp-10k
+    # and 40 * 5 on cap-10k, or its whole extent, 74 * 5 on cap-10k. No
+    # cp-10k query leaves its first read, and the cap-10k first read is as
+    # deep as its extent, so no query reads more repetitions only because it
+    # needs a deeper level
+    inst = generate_planted_instance(n=10_000, d=32, r=0.4, t=10, seed=1, num_queries=100)
+    for kind, expected, first_read, adaptive in (
+        ("cross_polytope", 83, 188, {188: 100}),
+        ("spherical_cap", 72, 160, {200: 60, 370: 40}),
+    ):
         config = BenchConfig(
             radius=0.4, approx_c=2.0, seed=7, synthetic_n=10_000, synthetic_d=32,
             family_kind=kind, cap_count=64, trials=4000, max_probes=16,
@@ -299,8 +309,12 @@ def test_benchmark_single_queries_search_only_the_buckets_their_walk_reads(tmp_p
         single = index.walks["single"]
         assert sum(feasible_reps(index, k, 1) or 0 for k in range(1, index.levels + 1)) == expected
         assert single.first * single.depth == first_read
+        projected = {}
         for q in inst.queries:
             assert single_probe_adaptive(index, q.coords).key_searches == expected
+            count = adaptive_multiprobe(index, q.coords).functions_projected
+            projected[count] = projected.get(count, 0) + 1
+        assert projected == adaptive
 
 
 @pytest.mark.parametrize(
@@ -322,13 +336,14 @@ def test_the_first_depth_changes_no_report(kind, p1, walks, monkeypatch):
     single, adaptive = index.walks["single"], index.walks["adaptive"]
     assert (single.extent, adaptive.extent, adaptive.depth) == walks
     assert adaptive.depth == first_depth(index)
-    # no walk reads first shallower than a j = 1 entry or deeper than its extent
-    for depth in (single.extent[1] - 1, adaptive.extent[1] + 1):
+    # no walk reads first shallower than a j = 1 entry or deeper than its
+    # extent, and a walk of no entries reads nothing
+    for entries, depth in (
+        (adaptive.entries, single.extent[1] - 1), (adaptive.entries, adaptive.extent[1] + 1),
+        ((), 1),
+    ):
         with pytest.raises(ValueError, match="levels first"):
-            replace(adaptive, depth=depth)
-    # nor searches fewer repetitions at a level than an entry there consults
-    with pytest.raises(ValueError, match="cannot read"):
-        replace(adaptive, reach=(*adaptive.reach[:-1], adaptive.reach[-1] - 1))
+            index.walk(entries, depth)
     read = []
 
     class Recorded(_QueryProbes):
@@ -345,7 +360,7 @@ def test_the_first_depth_changes_no_report(kind, p1, walks, monkeypatch):
     for q in inst.queries:
         report = untimed(adaptive_multiprobe(index, q.coords, 0.4))
         for depth in range(single.extent[1], adaptive.extent[1] + 1):
-            walk = replace(adaptive, depth=depth)
+            walk = index.walk(adaptive.entries, depth)
             other = querymod._query(index, q.coords, 0.4, "adaptive", walk, index.size)
             assert untimed(other) == report
         read.clear()

@@ -7,7 +7,7 @@ and how many buckets to probe.
 """
 
 # the package re-exports these names
-from .calibration import (  # noqa: F401
+from .calibration import (
     CalibrationError,
     CollisionEstimate,
     FamilyCalibration,
@@ -17,20 +17,20 @@ from .calibration import (  # noqa: F401
     rho,
     theoretical_rho,
 )
-from .families import (  # noqa: F401
+from .families import (
     CodeEnumerator,
     FamilyParams,
     hash_batch,
     probe_sequence,
 )
-from .geometry import (  # noqa: F401
+from .geometry import (
     Dataset,
     PlantedInstance,
     generate_planted_instance,
     map_query,
     normalize_dataset,
 )
-from .index import (  # noqa: F401
+from .index import (
     IndexFormatError,
     MultiLevelIndex,
     build_index,
@@ -39,7 +39,7 @@ from .index import (  # noqa: F401
     load_index,
     reps,
 )
-from .query import (  # noqa: F401
+from .query import (
     ExaminedSetting,
     QueryReport,
     adaptive_multiprobe,

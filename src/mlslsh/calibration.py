@@ -98,12 +98,13 @@ def _pooled(hits: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarray]
     Pairs inside a batch are correlated through the shared hash function, so
     the batch is the independent unit and the variance is taken over batch
     residuals rather than single pairs. Sums run over the batches in order.
+    Both callers refuse fewer than 1000 trials, so there are at least 4
+    batches of a collision estimate and 16 of a probe table, never fewer
+    than the 2 the variance needs.
     """
     n = float(sum(sizes))
     B = len(sizes)
     p = np.add.accumulate(hits, axis=0)[-1] / n
-    if B < 2:
-        return p, np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n)
     m = np.array(sizes, dtype=np.float64).reshape((B,) + (1,) * (hits.ndim - 1))
     resid_sq = np.add.accumulate((hits - m * p) ** 2, axis=0)[-1]
     return p, np.sqrt(resid_sq * B / (B - 1)) / n
@@ -382,6 +383,8 @@ class FamilyCalibration:
             p1_std_error=_typed(doc, "p1_std_error"),
             p2_std_error=_typed(doc, "p2_std_error"),
         )
+        if _typed(doc, "d", (int,)) != cal.params.dim:
+            raise ValueError(f"stored d={doc['d']!r} differs from the family's dim {cal.params.dim}")
         if _typed(doc, "rho") != cal.rho:
             raise ValueError(f"stored rho={doc['rho']!r} differs from rho(p1, p2) = {cal.rho!r}")
         return cal

@@ -37,7 +37,7 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .geometry import _SEED_MASK, uniform_unit_vectors
+from .geometry import _SEED_MASK, query_row, uniform_unit_vectors
 
 FamilyKind = Literal["spherical_cap", "cross_polytope"]
 
@@ -237,8 +237,9 @@ def probe_sequence(
     params: FamilyParams, directions: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank every bucket of the one function whose (directions, dim) slice
-    of a stack is `directions` for the query row `q`: (buckets, deficits),
-    the one row of `slot_rankings` for one slot.
+    of a stack is `directions` for the query row `q` (a `geometry.query_row`,
+    else ValueError): (buckets, deficits), the one row of `slot_rankings`
+    for one slot.
 
     buckets[0] is the query's own bucket; the rest follow by descending
     score, ties on the smaller id, overflow last. deficits[i] is the gap
@@ -246,9 +247,7 @@ def probe_sequence(
     own bucket costs 0 even when cap carving put the query in a cap without
     the top score.
     """
-    vec = np.asarray(q, dtype=np.float64)
-    if vec.ndim != 1 or vec.size != params.dim:
-        raise ValueError(f"query has shape {vec.shape}, family dimension is {params.dim}")
+    vec = query_row(q, params.dim)
     ((orders, deficits),) = slot_rankings(params, vec[None, :] @ directions.T, 1)
     return np.ascontiguousarray(orders[0]), np.ascontiguousarray(deficits[0])
 

@@ -3,6 +3,7 @@ the one exact range scan."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -22,14 +23,9 @@ class UnitPoint:
     id: int = 0
 
     def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=np.float64)
-        if coords.ndim != 1 or coords.size < 2:
-            raise ValueError(
-                f"expected a vector of dimension >= 2, got shape {coords.shape}"
-            )
-        norm = float(np.linalg.norm(coords))
-        if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
-            raise ValueError(f"coordinates have norm {norm:.9g}, not 1 within {UNIT_NORM_TOL}")
+        coords = query_row(self.coords, np.size(self.coords))
+        if coords.size < 2:
+            raise ValueError(f"expected a vector of dimension >= 2, got shape {coords.shape}")
         if self.id < 0:
             raise ValueError(f"id must be non-negative, got {self.id}")
         object.__setattr__(self, "coords", coords)
@@ -79,6 +75,22 @@ class Dataset:
         return self.matrix.shape[1]
 
 
+def query_row(q: Sequence[float] | np.ndarray, dim: int) -> np.ndarray:
+    """`q` as the row every query function takes, else ValueError: float64
+    of shape (dim,), finite, of Euclidean norm 1 within `UNIT_NORM_TOL` like
+    a `Dataset` row, as both hash families partition the unit sphere.
+    `map_query` makes such a row of a raw-space vector."""
+    row = np.asarray(q, dtype=np.float64)
+    if row.shape != (dim,):
+        raise ValueError(f"query has shape {row.shape}, expected ({dim},)")
+    if not np.isfinite(row).all():
+        raise ValueError("query contains non-finite values")
+    norm = math.sqrt(row @ row)
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+        raise ValueError(f"query has norm {norm:.9g}, not 1 within {UNIT_NORM_TOL}")
+    return row
+
+
 def range_scan(rows: np.ndarray, q: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the rows within `radius` (inclusive) of the row `q`,
     ascending, and their Euclidean distances.
@@ -94,16 +106,8 @@ def range_scan(rows: np.ndarray, q: np.ndarray, radius: float) -> tuple[np.ndarr
 
 
 def _as_matrix(raw: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-    if isinstance(raw, np.ndarray):
-        arr = np.asarray(raw, dtype=np.float64)
-    else:
-        rows = [np.asarray(v, dtype=np.float64) for v in raw]
-        if not rows:
-            raise ValueError("no input vectors")
-        shapes = {r.shape for r in rows}
-        if len(shapes) != 1 or rows[0].ndim != 1:
-            raise ValueError(f"ragged or non-vector input, row shapes {sorted(shapes)}")
-        arr = np.stack(rows)
+    # numpy rejects ragged rows with a ValueError of its own
+    arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected an (n, d) array, got shape {arr.shape}")
     if arr.shape[0] < 1:

@@ -52,7 +52,7 @@ import numpy as np
 from .families import _shifts, bucket_codes, first_tuples, slot_bits, slot_rankings
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
-from .geometry import Dataset, range_scan
+from .geometry import Dataset, query_row, range_scan
 from .index import MultiLevelIndex, ReadPlan, Walk, consulted_reps, schedule_entry
 
 
@@ -303,12 +303,9 @@ class _QueryProbes:
 
 
 def _check_query(dim: int, q: np.ndarray, radius: float) -> np.ndarray:
-    """The query as a float64 row; every mode validates through here."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != dim:
-        raise ValueError(f"query has shape {q.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("query contains non-finite values")
+    """`query_row(q, dim)`, with the radius checked too; every mode
+    validates through here."""
+    q = query_row(q, dim)
     # two is the diameter of the unit sphere; a NaN radius fails too
     if not 0.0 <= radius <= 2.0:
         raise ValueError(f"radius must lie in [0, 2], got {radius}")

@@ -361,11 +361,13 @@ def test_fvecs_dimension_change_past_the_second_record(tmp_path):
         lambda doc: {**doc, "seed": "1"},
         lambda doc: {**doc, "r": "0.4"},
         lambda doc: {**doc, "family": {**doc["family"], "dim": 6.5}},
+        # a d that is not the family's dimension
+        lambda doc: {**doc, "d": 99},
     ],
     ids=[
         "list", "null-radius", "decreasing-table", "nan-table", "rho-not-derived",
         "family-threshold-set", "nan-p1-error", "trials-float", "trials-bool", "seed-string",
-        "radius-string", "family-dim-float",
+        "radius-string", "family-dim-float", "d-not-family-dim",
     ],
 )
 def test_calibrate_cached_recomputes_malformed_entries(tmp_path, corrupt):

@@ -285,6 +285,10 @@ def test_probe_sequence_matches_recount(kind, dim):
         assert deficits[0] == 0.0
         assert np.all(np.diff(deficits) >= 0.0)
         assert np.allclose(deficits, [desc[0] - s for s in desc], atol=1e-12)
+    # a ranking is defined for a row on the unit sphere of the family's dimension
+    for bad, message in ((1.001 * q, "norm"), (q[:-1], "shape")):
+        with pytest.raises(ValueError, match=message):
+            probe_sequence(params, fn, bad)
 
 
 def test_enumerator_first_code_is_own_buckets():

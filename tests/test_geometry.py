@@ -27,6 +27,9 @@ def test_unit_point_validation():
         UnitPoint(np.array([1.0]), id=0)  # too few dimensions
     with pytest.raises(ValueError):
         UnitPoint(np.array([1.0, 0.0]), id=-1)
+    # a NaN norm fails the unit-norm check instead of slipping past it
+    with pytest.raises(ValueError, match="non-finite"):
+        UnitPoint(np.array([np.nan, 0.0]))
 
 
 def test_normalize_two_point_example():
@@ -52,6 +55,11 @@ def test_normalize_rows_are_unit():
     ds = normalize_dataset(raw)
     assert np.allclose(np.linalg.norm(ds.matrix, axis=1), 1.0, atol=1e-12)
     assert ds.size == 50 and ds.dim == 9
+    # a list of rows is the same point set as the array of those rows
+    listed = normalize_dataset([list(row) for row in raw])
+    assert np.array_equal(listed.matrix, ds.matrix)
+    assert np.array_equal(listed.centroid, ds.centroid)
+    assert listed.degenerate_ids == ds.degenerate_ids
 
 
 def test_map_query_matches_training_row():
@@ -70,9 +78,6 @@ def test_map_query_rejects_non_finite_input():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             map_query(ds, [bad, 1.0, 2.0, 3.0])
-    # a NaN norm fails the unit-norm check instead of slipping past it
-    with pytest.raises(ValueError):
-        UnitPoint(np.array([np.nan, 0.0]))
 
 
 def test_normalize_rejects_bad_input():
@@ -82,6 +87,10 @@ def test_normalize_rejects_bad_input():
         normalize_dataset(np.empty((0, 4)))
     with pytest.raises(ValueError):
         normalize_dataset(np.array([[1.0], [2.0]]))  # one-dimensional points
+    with pytest.raises(ValueError):
+        normalize_dataset([[1.0, 2.0], [1.0, 2.0, 3.0]])  # ragged rows
+    with pytest.raises(ValueError):
+        normalize_dataset([])
 
 
 def test_uniform_unit_vectors_are_unit():

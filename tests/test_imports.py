@@ -1,8 +1,10 @@
-"""Every name a module in src/ or tests/ imports is used in that module.
+"""Every name a module in src/ or tests/ imports is used in that module,
+and no library module asserts: a broken invariant raises an exception,
+which `python -O` does not strip.
 
-No linter runs on this repository, so this scan keeps unused imports out.
-An import marked `# noqa: F401` on the line of its name is kept on purpose,
-as is a name the module lists in its `__all__`.
+No linter runs on this repository, so these scans keep unused imports and
+library asserts out. An import marked `# noqa: F401` on the line of its
+name is kept on purpose, as is a name the module lists in its `__all__`.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+LIBRARY = sorted((ROOT / "src").rglob("*.py"))
+MODULES = sorted([*LIBRARY, *(ROOT / "tests").rglob("*.py")])
 
 
 def annotations(tree: ast.AST):
@@ -64,3 +67,18 @@ def test_the_scan_finds_an_unused_import():
         "def f(p: 'Path') -> str:\n    return os.sep + 're'\n"
     )
     assert unused_imports(source) == ["3: dumps", "5: re"]
+
+
+def asserts(source: str) -> list[int]:
+    """The lines of the assert statements in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
+def test_library_module_asserts_nothing(path):
+    assert asserts(path.read_text()) == []
+
+
+def test_the_scan_finds_an_assert():
+    source = "def f(x):\n    # assert x\n    if x:\n        assert x > 0, 'assert'\n    return x\n"
+    assert asserts(source) == [4]

@@ -657,6 +657,7 @@ def _cap_family(meta):
         (lambda meta: meta["calibration"].update(trials=True), "trials must be int"),
         (lambda meta: meta["calibration"].update(seed="0"), "seed must be int"),
         (lambda meta: meta["calibration"].update(r="0.4"), "r must be int or float"),
+        (lambda meta: meta["calibration"].update(d=99), "stored d=99 differs"),
     ],
     ids=[
         "n-huge", "n-past-int32", "n-zero", "d-string", "d-mismatch", "levels-past-calibration",
@@ -665,6 +666,7 @@ def _cap_family(meta):
         "rho-not-derived", "nan-table", "negative-error", "radius-off-the-sphere", "trials-negative",
         "n-short", "degenerate-not-ids", "degenerate-repeated", "degenerate-past-n",
         "family-dim-float", "trials-float", "trials-bool", "seed-string", "radius-string",
+        "calibration-d-not-family-dim",
     ],
 )
 def test_load_checks_metadata_before_allocating(tmp_path, tiny_file, edit, message):

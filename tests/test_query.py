@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,25 @@ def test_cost_known_values():
     assert consulted_reps(cal2, 2, 1, rep_cap=5) == 5
 
 
+def recount_work(index, q, k, j, count) -> float:
+    """The work of setting (k, j) over the first `count` repetitions:
+    enumerate the probe codes independently, then count bucket members by
+    linear prefix scan over the stored codes."""
+    expected = 0
+    for r in range(count):
+        family, stack = index.family, index.repetitions[r].directions
+        codes = np.stack([hash_batch(family, d, index.dataset.matrix) for d in stack], axis=1)
+        seqs = [probe_sequence(family, d, q) for d in stack[:k]]
+        for code in CodeEnumerator(seqs).first(j):
+            members = sum(
+                1
+                for row in range(codes.shape[0])
+                if tuple(int(v) for v in codes[row, :k]) == code
+            )
+            expected += 1 + members
+    return float(expected)
+
+
 def test_fixed_level_work_matches_independent_recount(small_index):
     inst, index = small_index
     cal = index.calibration
@@ -70,24 +90,25 @@ def test_fixed_level_work_matches_independent_recount(small_index):
     q = inst.queries[0].coords
     for k, j in [(1, 1), (1, 3), (2, 2), (3, 1), (2, 5)]:
         got = fixed_level_query(index, q, 0.4, k, j).work_examined
-        # recount: enumerate the probe codes independently, then count bucket
-        # members by linear prefix scan over the stored codes
         p = cal.probe_probability(k, j)
-        r_count = max(1, min(reps(k, j, p), R))
-        expected = 0
-        for r in range(r_count):
-            family, stack = index.family, index.repetitions[r].directions
-            codes = np.stack([hash_batch(family, d, index.dataset.matrix) for d in stack], axis=1)
-            seqs = [probe_sequence(family, d, q) for d in stack[:k]]
-            probes = CodeEnumerator(seqs).first(j)
-            for code in probes:
-                members = sum(
-                    1
-                    for row in range(codes.shape[0])
-                    if tuple(int(v) for v in codes[row, :k]) == code
-                )
-                expected += 1 + members
-        assert got == float(expected)
+        assert got == recount_work(index, q, k, j, max(1, min(reps(k, j, p), R)))
+
+
+def test_a_pin_at_zero_success_consults_every_repetition():
+    # a setting whose calibrated success probability is 0 needs infinitely
+    # many repetitions: a pin there reads all R built and is infeasible
+    params = FamilyParams(kind="cross_polytope", dim=12)
+    inst = generate_planted_instance(n=400, d=12, r=0.4, t=5, seed=31, num_queries=2)
+    K = compute_k(inst.dataset.size, 0.3)
+    cal = toy_calibration(params, p1=0.5, levels=K)
+    table = cal.probe_success.copy()
+    table[-1] = 0.0
+    index = build_index(inst.dataset, replace(cal, probe_success=table), seed=3)
+    assert index.levels == K and index.calibration.probe_probability(K, 2) == 0.0
+    for q in inst.queries:
+        report = fixed_level_query(index, q.coords, 0.4, K, 2)
+        assert report.infeasible and (report.k_best, report.j_best) == (K, 2)
+        assert report.work_examined == recount_work(index, q.coords, K, 2, index.num_repetitions)
 
 
 def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
@@ -95,7 +116,9 @@ def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
     # deficit 0 ties with every cap of smaller id, so the spine lower bound
     # holds only because the all-own tuple still comes first at every level.
     # Probes over the whole index bound every setting, the pins the schedule
-    # leaves out as infeasible included.
+    # leaves out as infeasible included. The query modes refuse a row off the
+    # sphere, so each setting's work is measured as `fixed_level_query`
+    # measures it for a valid row: probes of a walk of that setting alone.
     params = FamilyParams(kind="spherical_cap", dim=6, cap_count=8)
     inst = generate_planted_instance(n=40, d=6, r=0.4, t=2, seed=0)
     index = build_index(inst.dataset, toy_calibration(params), seed=0)
@@ -108,7 +131,7 @@ def test_zero_row_on_a_cap_index_keeps_the_spine_bound():
         for j in range(1, 17):
             count = consulted_reps(cal, k, j, index.num_repetitions)
             entry = schedule_entry(k, j, count, universe)
-            work = fixed_level_query(index, q, 0.4, k, j).work_examined
+            work = _QueryProbes(index, q, index.walk((entry,))).work(entry)
             assert probes.bound(entry) <= work
             checked.add(entry)
     assert len(checked) == index.levels * 16 and set(index.schedule) <= checked
@@ -582,6 +605,9 @@ def test_query_validation(small_index):
         (q[None, :], 0.4, "shape"),
         (nan_row, 0.4, "non-finite"),
         (inf_row, 0.4, "non-finite"),
+        (3 * q, 0.4, "norm"),
+        (0 * q, 0.4, "norm"),
+        (q * (1 + 1e-3), 0.4, "norm"),
         (q, np.nan, "radius"),
         (q, -0.1, "radius"),
         (q, 2.5, "radius"),

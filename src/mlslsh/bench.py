@@ -178,7 +178,13 @@ def prepare_instance(
         )
     train, held = raw[: -config.num_queries], raw[-config.num_queries :]
     dataset = normalize_dataset(train)
-    queries = np.array([map_query(dataset, row) for row in held])
+    queries = []
+    for i, row in enumerate(held, len(train)):
+        try:
+            queries.append(map_query(dataset, row))
+        except ValueError as e:
+            raise ValueError(f"held-out query row {i}: {e}") from e
+    queries = np.array(queries)
     truth = tuple(
         frozenset(int(v) for v in range_scan(dataset.matrix, q, config.radius)[0])
         for q in queries

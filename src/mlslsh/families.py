@@ -166,6 +166,30 @@ def bucket_codes(params: FamilyParams, proj: np.ndarray) -> np.ndarray:
     return (2 * axis + negative).astype(np.int32)
 
 
+def unsettled(params: FamilyParams, proj: np.ndarray, margin: float) -> np.ndarray:
+    """The rows of `proj`, ascending, that may code differently from a
+    product within `margin` of each entry. A cap row is unsettled when a
+    cap's projection lies within `margin` of the threshold. A cross-polytope
+    row is unsettled when a second |value| lies within 2 * margin of the top
+    one; past that gap the top |value| exceeds 2 * margin, so the nearer
+    product keeps both its axis and its sign, and is not zero. Every other
+    row codes as that product does (see `index.screen_margin`). A row is
+    rarely unsettled, so one test over the whole block comes first."""
+    if params.kind == "spherical_cap":
+        threshold = params.threshold
+        near = (proj >= threshold - margin) & (proj <= threshold + margin)
+        if not near.any():
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(near.any(axis=1))
+    scores = np.abs(proj)
+    top = scores[np.arange(len(proj)), scores.argmax(axis=1)]
+    near = scores >= (top - 2.0 * margin)[:, None]
+    # each row counts its top
+    if np.count_nonzero(near) == len(proj):
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+
+
 def hash_batch(params: FamilyParams, directions: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Bucket ids for unit-norm rows under the one function whose
     (directions, dim) slice of a stack is `directions`, shape (m,), dtype

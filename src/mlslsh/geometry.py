@@ -145,13 +145,24 @@ def normalize_dataset(raw: Sequence[Sequence[float]] | np.ndarray) -> Dataset:
 
 def map_query(dataset: Dataset, raw: Sequence[float] | np.ndarray) -> np.ndarray:
     """Center a raw-space query with the dataset's centroid and project it to
-    the sphere; returns the unit float64 row every query function takes."""
+    the sphere; returns the unit float64 row every query function takes.
+
+    A query within `DEGENERATE_NORM` of the centroid has no direction and
+    raises ValueError, naming its norm. A data row there is pinned to
+    (1, 0, ..., 0) instead, but a query pinned so would be answered with
+    the neighbours of a point it never named."""
     vec = np.asarray(raw, dtype=np.float64)
     if vec.ndim != 1 or vec.size != dataset.dim:
         raise ValueError(f"query has shape {vec.shape}, dataset dimension is {dataset.dim}")
     if not np.all(np.isfinite(vec)):
         raise ValueError("query contains non-finite values")
-    unit, _ = unit_rows(vec[None, :] - dataset.centroid)
+    centered = vec[None, :] - dataset.centroid
+    unit, degenerate = unit_rows(centered)
+    if degenerate.size:
+        raise ValueError(
+            f"query has norm {np.linalg.norm(centered):.3g} after centering on the dataset's "
+            f"centroid, below {DEGENERATE_NORM}: it has no direction to search"
+        )
     return unit[0]
 
 

@@ -26,7 +26,12 @@ against it before reading any array. Both then sample the direction block
 and sort the key blocks through `_assemble`: the stacks of all R
 repetitions are consecutive slices of one read-only (R * K, rows, dim)
 block, so one matmul projects a query on the functions of the first r
-repetitions' first k slots, the read extent of its mode.
+repetitions' first k slots, the read extent of its mode. The repetitions
+both walks read first, at levels 1 to the adaptive walk's first depth, also
+have a read-only float32 copy, level-major, so the first read of either
+walk projects with one float32 product over half the bytes; a function
+whose decision lies within `screen_margin` of that product is settled by
+its float64 product.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .families import KEY_BITS, FamilyParams, _pack, _shifts, _unpack, derived_s
 from .families import sample_directions, slot_bits
 # not called here; perfbench/spans.py wraps index.hash_batch by name
 from .families import hash_batch  # noqa: F401
-from .geometry import Dataset
+from .geometry import UNIT_NORM_TOL, Dataset
 
 MAGIC = b"MLSLSH01"
 FORMAT_VERSION = 2
@@ -143,6 +148,59 @@ def index_shape(calibration: FamilyCalibration, n: int, space_budget: int | None
     slot_bits(calibration.params, K)
     R = compute_numreps(calibration.p1, K)
     return K, R if space_budget is None else min(R, space_budget)
+
+
+def screen_margin(dim: int, norm: float) -> float:
+    """A bound on |s32 - s64|, the gap between the widened float32 product
+    and the float64 product of one direction row w of norm at most `norm`
+    with a query row q of `dim` coordinates that `geometry.query_row`
+    accepts, so |q| <= Q = 1 + UNIT_NORM_TOL; infinite past dim = 2**24 / 3.
+    A decision of `families.bucket_codes` whose float32 margin exceeds it is
+    the float64 product's decision (`families.unsettled`).
+
+    With u = 2**-24 and v = 2**-53 the unit roundoffs of float32 and
+    float64, gamma_n(x) = n x / (1 - n x) (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, section 3.1), W = `norm` and
+    sum |w_i q_i| <= W Q (Cauchy-Schwarz):
+
+    - Rounding the inputs to float32 gives a_i = w_i (1 + alpha_i) + xi_i
+      and b_i = q_i (1 + beta_i) + xi'_i, |alpha|, |beta| <= u, with an
+      absolute |xi| <= 2**-150 only where a coordinate lies in the
+      subnormal range.
+    - The float32 sum of the d products a_i b_i, in any order the kernel
+      picks, fused or not, is sum a_i b_i (1 + theta_i) + eta with
+      |theta_i| <= gamma_d(u) and |eta| <= d 2**-150 (1 + gamma_d(u)) for
+      the products that underflow. With the input factors, each term
+      w_i q_i carries d + 2 rounding factors, so
+      |s32 - w.q| <= gamma_{d+2}(u) W Q plus the underflow terms: eta, and
+      the xi terms, at most d 2**-150 ((1 + u)(W + Q) + 2**-150) times
+      1 + gamma_d(u). For d u <= 1/3, gamma_d(u) <= 1/2, so together they
+      stay below 0.76 d 2**-149 (1 + W + Q).
+    - The float64 reference is itself a d-term product:
+      |s64 - w.q| <= gamma_d(v) W Q + d 2**-1074, and d 2**-1074 fits in
+      the 0.24 d 2**-149 (1 + W + Q) left over.
+    - So |s32 - s64| <= (gamma_{d+2}(u) + gamma_d(v)) W Q
+      + d 2**-149 (1 + W + Q).
+    - The screen compares the widened s32, which widening leaves exact,
+      with float64 bounds such as fl(threshold - eps), fl(threshold + eps)
+      or fl(top - 2 eps). fl(x) is the float nearest to x, so a float below
+      fl(x) lies below x and a float above it lies above x: the rounding of
+      the bounds adds nothing.
+
+    The result is scaled by 1 + 2**-20. That covers the rounding of this
+    evaluation, the computed W and the query norm that `query_row`
+    checked, each within (d + 2) v of the true value for d u <= 1/3.
+    """
+    u, v = 2.0**-24, 2.0**-53
+    if dim * u > 1.0 / 3.0:
+        return math.inf
+    q = 1.0 + UNIT_NORM_TOL
+
+    def gamma(n: int, unit: float) -> float:
+        return n * unit / (1.0 - n * unit)
+
+    bound = (gamma(dim + 2, u) + gamma(dim, v)) * norm * q + dim * 2.0**-149 * (1.0 + norm + q)
+    return bound * (1.0 + 2.0**-20)
 
 
 def repetition_tags(count: int, key_bits: int) -> np.ndarray:
@@ -348,6 +406,14 @@ class MultiLevelIndex:
 
     `keys` and `order` are the (R, n) key and order blocks of `key_blocks`,
     and `repetitions` views their rows beside each direction stack.
+
+    `first_directions` is the read-only float32 copy of what both walks read
+    first: the walks' `first` repetitions, as deep as the adaptive walk's
+    first `depth`, level-major, first_directions[s, r] the function of slot
+    s of repetition r. So the first read of either walk, D levels deep, is
+    the contiguous product of first_directions[:D]. `first_margin` is the
+    `screen_margin` of the dimension and the largest direction norm: a
+    decision on that product with a larger margin is the float64 one.
     """
 
     dataset: Dataset
@@ -361,6 +427,8 @@ class MultiLevelIndex:
     repetitions: tuple[Repetition, ...] = field(init=False, repr=False)
     schedule: tuple[tuple[float, int, int, int, int], ...] = field(init=False, repr=False)
     walks: Mapping[str, Walk] = field(init=False, repr=False)
+    first_directions: np.ndarray = field(init=False, repr=False)
+    first_margin: float = field(init=False, repr=False)
     # per group (first row, end row, its rows as one sorted array, offset);
     # the (K, R, 2) needle ends of every level and repetition
     _groups: tuple = field(init=False, repr=False)
@@ -407,6 +475,12 @@ class MultiLevelIndex:
         depth = max((e[1] for e in schedule if e[2] == 1 or e[0] < work), default=0)
         walks = {"adaptive": self.walk(schedule, depth), "single": single}
         object.__setattr__(self, "walks", MappingProxyType(walks))
+        copy = stacks[: single.first, :depth].swapaxes(0, 1).astype(np.float32, order="C")
+        copy.flags.writeable = False
+        object.__setattr__(self, "first_directions", copy)
+        # einsum sums the squares of each row without a temporary as large as the block
+        norm = math.sqrt(np.einsum("...i,...i->...", self.directions, self.directions).max())
+        object.__setattr__(self, "first_margin", screen_margin(self.family.dim, norm))
 
     def walk(self, entries: tuple, depth: int | None = None) -> Walk:
         """The `Walk` of the sorted schedule `entries` that reads first

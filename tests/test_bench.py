@@ -119,6 +119,19 @@ def test_prepare_instance_from_file(tmp_path):
         )
 
 
+def test_prepare_instance_names_a_held_out_query_at_the_centroid(tmp_path):
+    # the last row is the mean of the training rows, so it maps to no direction
+    raw = np.random.default_rng(9).normal(size=(30, 6))
+    raw[-1] = raw[:-4].mean(axis=0)
+    path = str(tmp_path / "data.csv")
+    np.savetxt(path, raw, delimiter=",", fmt="%.17g")
+    config = BenchConfig(
+        radius=0.7, approx_c=2.0, input_path=path, input_format="csv", num_queries=4
+    )
+    with pytest.raises(ValueError, match="held-out query row 29: query has norm"):
+        prepare_instance(config)
+
+
 def test_prepare_instance_needs_enough_rows(tmp_path):
     path = str(tmp_path / "tiny.csv")
     np.savetxt(path, np.eye(3), delimiter=",")

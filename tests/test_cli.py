@@ -182,6 +182,24 @@ def test_trend_brute():
     assert 0.9 <= doc["exponent"] <= 1.1
 
 
+def test_query_at_the_centroid_reports_json_error(tmp_path):
+    # a synthetic dataset is centred at the origin, so the zero vector is
+    # its centroid and has no direction to search
+    idx_path = str(tmp_path / "demo.idx")
+    built = run_cli(
+        ["build", "--input", "synth:n=200,d=8", "--radius", "0.4",
+         "--cache-dir", str(tmp_path / "cache"), "--output", idx_path] + COMMON
+    )
+    assert built.exit_code == 0, built.output
+    result = make_runner().invoke(
+        main, ["query", "--index", idx_path, "--vector", ",".join(["0"] * 8)]
+    )
+    assert result.exit_code == 1
+    err = json.loads(_stderr_of(result))
+    assert err["error"]["type"] == "ValueError"
+    assert "query has norm 0 after centering" in err["error"]["message"]
+
+
 def _stderr_of(result):
     try:
         return result.stderr

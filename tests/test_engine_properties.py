@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlslsh.index as indexmod
 import mlslsh.query as querymod
 from conftest import feasible_reps, first_depth, setting_cost, toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
@@ -29,6 +30,7 @@ from mlslsh.families import _pack, _prefixes, _shifts, bucket_codes, first_tuple
 from mlslsh.families import sample_directions, slot_bits, slot_rankings
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
 from mlslsh.index import MultiLevelIndex, build_index, compute_k, key_blocks, reps, schedule_entry
+from mlslsh.index import screen_margin
 from mlslsh.query import (
     _QueryProbes,
     adaptive_multiprobe,
@@ -323,24 +325,26 @@ def test_read_extents_match_a_full_projection(case, data):
     # each mode reads only its walk's extent of the direction block, its
     # first repetitions up front as deep as the walk says, and the rest of
     # the extent when an entry first needs a repetition or a level outside
-    # them, yet projects, bounds, measures and collects every entry it may
-    # walk exactly as the whole block does, at dimensions whose products
-    # take different kernels. An adaptive walk runs from every first depth
-    # it could be given. Entries come in any order, so a bound, measurement
-    # or candidate set that read past the repetitions or levels read would
-    # differ. A bound given the best work so far never passes the full one;
-    # it stops short of it only at a level of the first read, to return a
-    # value that reaches that best without reading on. After every call,
-    # each cell of the grid read so far holds the first key of its own
-    # bucket, and after each entry, the functions projected are the first
-    # read or the whole extent, each once, and the buckets searched are the
-    # own buckets of that rectangle that the walk's reach keeps plus the
-    # probes of each multi-probe entry
+    # them, yet codes, bounds, measures and collects every entry it may
+    # walk exactly as the whole block's float64 product does, at dimensions
+    # whose products take different kernels, and ranks that product's
+    # bytes, also where the first read was screened in float32. An adaptive
+    # walk runs from every first depth it could be given. Entries come in
+    # any order, so a bound, measurement or candidate set that read past
+    # the repetitions or levels read would differ. A bound given the best
+    # work so far never passes the full one; it stops short of it only at a
+    # level of the first read, to return a value that reaches that best
+    # without reading on. After every call, each cell of the grid read so
+    # far holds the first key of its own bucket, and after each entry, the
+    # functions projected are the first read or the whole extent, each
+    # once, and the buckets searched are the own buckets of that rectangle
+    # that the walk's reach keeps plus the probes of each multi-probe entry
     index, queries, _ = case
     K, R = index.levels, index.num_repetitions
     for q in queries:
         full = FullProjection(index, q)
         functions = full.proj.reshape(R, K, -1)
+        own = bucket_codes(index.family, full.proj).reshape(R, K)
         first_keys = full.own << _shifts(full.bits, K)
 
         def checked(value):
@@ -353,23 +357,33 @@ def test_read_extents_match_a_full_projection(case, data):
             if not entries:
                 assert (r, depth) == (0, 0)
                 continue
-            projected = []
+            coded, ranked = [], []
+            rectangles = [*walk.reads[0].rectangles, *walk.reads[1].rectangles]
 
-            def coded(family, proj):
-                projected.append(proj.copy())
-                return bucket_codes(family, proj)
+            def code(family, proj):
+                coded.append(bucket_codes(family, proj))
+                return coded[-1]
+
+            def rank(family, proj, levels):
+                ranked.append((proj.copy(), levels))
+                return slot_rankings(family, proj, levels)
 
             def check_rectangle(reps, levels, blocks):
-                # each block is one rectangle of a read
+                # each block codes one rectangle of a read, in the order the
+                # reads take them, as the full projection codes it; each
+                # ranking ranks the float64 bytes of the full projection
                 assert (probes.read, probes.depth) == (reps, levels)
-                assert len(projected) == blocks
-                got = sorted(row.tobytes() for block in projected for row in block)
-                rectangle = functions[:reps, :levels].reshape(-1, functions.shape[2])
-                assert got == sorted(row.tobytes() for row in rectangle)
+                assert len(coded) == blocks
+                for got, (start, stop, top, bottom) in zip(coded, rectangles):
+                    assert np.array_equal(got, own[start:stop, top:bottom].reshape(-1))
+                for proj, deep in ranked:
+                    rectangle = functions[: len(proj) // deep, :deep]
+                    assert proj.tobytes() == rectangle.reshape(proj.shape).tobytes()
                 assert probes.functions_projected == reps * levels
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(querymod, "bucket_codes", coded)
+                mp.setattr(querymod, "bucket_codes", code)
+                mp.setattr(querymod, "slot_rankings", rank)
                 probes = _QueryProbes(index, q, walk)
                 checked(probes)
                 reps, levels = walk.first, walk.depth
@@ -381,7 +395,7 @@ def test_read_extents_match_a_full_projection(case, data):
                     spine = int((1 + full.hi - full.lo)[:count, k - 1].sum())
                     read = probes.read, probes.depth
                     best = data.draw(st.integers(0, spine + floor + 1))
-                    blocks = len(projected)
+                    blocks = len(coded)
                     lo, hi = full.runs(k, j, count)
                     # measured before or after it is bounded
                     measured_first = data.draw(st.booleans())
@@ -589,8 +603,9 @@ def searched_runs(keys, prefixes, bits, K, k):
     st.integers(1, 10),
     st.integers(1, 5),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m, seed):
+def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m, seed, settle):
     # a read's first keys, one cumulative sum of its codes shifted to their
     # slots, and the shifted probe keys of a multi-probe lookup, both
     # searched by `bucket_runs` in tagged key groups, against keys packed
@@ -600,7 +615,9 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
     # reach[k - 1], and an entry at level k reads all of them. Codes 0 and
     # 2**bits - 1 at every level put needles at the ends of a tag's key
     # range, and the widest codes, which no key holds, leave every run
-    # empty; codes from a small pool make the stored buckets large
+    # empty; codes from a small pool make the stored buckets large. A walk
+    # the index's float32 copy covers is screened on it, and with `settle`
+    # a margin of 2 sends every function it screens to its float64 product
     family, K = family_depth
     bits, universe = slot_bits(family, K), family.bucket_universe
     top = (1 << bits) - 1
@@ -610,11 +627,21 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
     keys = _pack(rng.choice(pool, (R, n, K)), bits)
     dataset = normalize_dataset(rng.standard_normal((n, family.dim)))
     cal = toy_calibration(family, levels=K, max_probes=m)
-    index = MultiLevelIndex(dataset, cal, 0, None, K, block, *key_blocks(family, K, (R, n), keys))
+    with pytest.MonkeyPatch.context() as mp:
+        if settle:
+            mp.setattr(indexmod, "screen_margin", lambda dim, norm: 2.0)
+        index = MultiLevelIndex(
+            dataset, cal, 0, None, K, block, *key_blocks(family, K, (R, n), keys)
+        )
+    copied = index.first_directions.shape[1::-1]
     # one plain search over each repetition's sorted keys, untagged
     stored = np.sort(keys, axis=1, kind="stable")
-    reach = rng.integers(0, R + 1, K)
-    reach[rng.integers(0, K)] = max(1, reach.max())
+    # half the walks stay within the copy, where the read is screened
+    inside = min(copied) and rng.random() < 0.5
+    reach = rng.integers(0, copied[0] + 1 if inside else R + 1, K)
+    if inside:
+        reach[copied[1] :] = 0
+    reach[rng.integers(0, copied[1] if inside else K)] = max(1, reach.max())
     # one single-probe entry per level that reach keeps, so the walk reads
     # its whole extent first and searches exactly the buckets reach keeps
     entries = tuple(sorted(
@@ -642,6 +669,8 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
                 lambda slots, width, b: iter(probe_keys[..., k] for k in range(K)),
             )
             probes = _QueryProbes(index, dataset.matrix[0], walk)
+            screened = count <= copied[0] and deepest <= copied[1]
+            assert probes._screened == ((count, deepest) if screened else (0, 0))
             # the read searched the own buckets its reach keeps, no more
             assert probes.key_searches == reach.sum()
             own_keys = _prefixes(_pack(own, bits), bits, K)
@@ -673,6 +702,93 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
                         ]
                         assert buckets == reps * j
                         assert np.array_equal(ids, np.unique(np.concatenate(parts)))
+
+
+def decision_projections(family, margin, rng, case):
+    """The float64 projections, one per direction row, of a function whose
+    decision sits where `case` says, 1 ulp either side included: a cap
+    after caps that clear nothing at the threshold or at threshold +- margin;
+    for cross-polytope, equal |top values|, top values 2 * margin apart,
+    all zeros of either sign, or a top value at +- margin."""
+    up, down = (lambda x: np.nextafter(x, np.inf)), (lambda x: np.nextafter(x, -np.inf))
+    if family.kind == "spherical_cap":
+        tau = family.threshold
+        at = [tau, tau + margin, tau - margin][case % 3]
+        at = [at, up(at), down(at), float(np.float32(at))][case // 3 % 4]
+        proj = rng.uniform(-1.0, 1.0, family.cap_count)
+        cap = rng.integers(0, family.cap_count)
+        proj[:cap] = rng.uniform(-1.0, tau - 0.1, cap)
+        proj[cap] = at
+        return proj
+    d = family.dim
+    a, b = rng.choice(d, 2, replace=False)
+    proj = rng.uniform(-0.1, 0.1, d)
+    top = rng.uniform(0.3, 0.9)
+    kind, offset = case % 4, [0.0, 1.0, -1.0][case // 4 % 3]
+    if kind == 0:  # equal |values|, the second a step or none away
+        proj[a], proj[b] = top, rng.choice([-1.0, 1.0]) * top
+    elif kind == 1:  # top values 2 * margin apart
+        proj[a], proj[b] = top, top - 2.0 * margin
+    elif kind == 2:  # zeros of either sign
+        proj = rng.choice([-0.0, 0.0], d)
+    else:  # a top value at +- margin over zeros
+        proj = rng.choice([-0.0, 0.0], d)
+        proj[a] = rng.choice([-1.0, 1.0]) * margin
+    if offset:
+        proj[b if kind < 2 else a] = (up if offset > 0 else down)(proj[b if kind < 2 else a])
+    return proj
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["cross_polytope", "spherical_cap"]),
+    st.sampled_from([2, 17, 32]),
+    st.integers(0, 2**32 - 1),
+)
+def test_screened_codes_match_float64_codes_on_every_decision(kind, d, seed):
+    # the query is a signed axis e_i, so each function's float64 product is
+    # exactly its directions' column i, which puts its projections on a
+    # decision of `bucket_codes` or 1 ulp either side of it: a cap at the
+    # threshold or at threshold +- margin, equal or 2 * margin apart top
+    # |values|, zeros of either sign, a top value at +- margin. The first
+    # read, screened in float32, codes every function as `bucket_codes`
+    # codes its own float64 product
+    family = FamilyParams(kind=kind, dim=d, cap_count=16)
+    rng = np.random.default_rng(seed)
+    K, R, n = 3, 6, 40
+    axis, sign = rng.integers(0, d), rng.choice([-1.0, 1.0])
+    margin = screen_margin(d, 1.0)
+    width = family.direction_count
+    block, placed = np.empty((R * K, width, d)), []
+    offset = rng.integers(0, 12)
+    for f in range(R * K):
+        placed.append(proj := decision_projections(family, margin, rng, offset + f))
+        # unit rows whose column `axis` is sign * proj
+        rest = rng.standard_normal((width, d - 1))
+        rest *= np.sqrt(np.maximum(0.0, 1.0 - proj**2) / (rest**2).sum(axis=1))[:, None]
+        block[f] = np.insert(rest, axis, sign * proj, axis=1)
+    q = np.zeros(d)
+    q[axis] = sign
+    bits = slot_bits(family, K)
+    keys = _pack(rng.integers(0, family.bucket_universe, (R, n, K)), bits)
+    dataset = normalize_dataset(rng.standard_normal((n, d)))
+    index = MultiLevelIndex(
+        dataset, toy_calibration(family, levels=K), 0, None, K, block,
+        *key_blocks(family, K, (R, n), keys),
+    )
+    assert index.first_margin == pytest.approx(margin, rel=1e-12)
+    walk = index.walks["adaptive"]
+    probes = _QueryProbes(index, q, walk)
+    reps, depth = walk.first, walk.depth
+    assert reps and depth and probes._screened == (reps, depth)
+    functions = block.reshape(R, K, width, d)
+    for r in range(reps):
+        for s in range(depth):
+            product = np.matmul(functions[r, s], q)
+            assert np.array_equal(product, placed[r * K + s])
+            expected = bucket_codes(family, product[None, :])[0]
+            code = probes._first[r, s] >> probes._shifts[s] & (1 << bits) - 1
+            assert code == expected, (r, s, product)
 
 
 @settings(deadline=None, derandomize=True)

@@ -73,6 +73,25 @@ def test_map_query_matches_training_row():
         assert np.array_equal(q, ds.matrix[i])
 
 
+def test_map_query_rejects_a_query_at_the_centroid():
+    # a raw query within DEGENERATE_NORM of the centroid has no direction,
+    # so it raises, naming its norm; the data row there keeps its pinned
+    # mapping and its place among the degenerate ids
+    raw = np.random.default_rng(4).normal(size=(12, 5))
+    # the mean of the other rows is the mean of all of them
+    raw[3] = np.delete(raw, 3, axis=0).mean(axis=0)
+    ds = normalize_dataset(raw)
+    assert ds.degenerate_ids == (3,)
+    assert np.array_equal(ds.matrix[3], [1.0, 0.0, 0.0, 0.0, 0.0])
+    for query in (ds.centroid, ds.centroid + 1e-14):
+        with pytest.raises(ValueError, match=r"norm \S+ after centering"):
+            map_query(ds, query)
+    # just past DEGENERATE_NORM a query has a direction again
+    past = ds.centroid.copy()
+    past[1] += 1e-11
+    assert np.array_equal(map_query(ds, past), [0.0, 1.0, 0.0, 0.0, 0.0])
+
+
 def test_map_query_rejects_non_finite_input():
     ds = normalize_dataset(np.random.default_rng(2).normal(size=(10, 4)))
     for bad in (np.nan, np.inf, -np.inf):

@@ -13,7 +13,7 @@ import mlslsh.query as querymod
 from conftest import feasible_reps, first_depth, setting_cost, toy_calibration
 from mlslsh.bench import BenchConfig, build_for_config
 from mlslsh.families import CodeEnumerator, FamilyParams, bucket_codes, hash_batch, probe_sequence
-from mlslsh.geometry import Dataset, generate_planted_instance
+from mlslsh.geometry import Dataset, UnitPoint, generate_planted_instance
 from mlslsh.index import bucket_runs, build_index, compute_k, compute_numreps, consulted_reps, reps
 from mlslsh.index import schedule_entry
 from mlslsh.query import (
@@ -737,6 +737,58 @@ def test_walks_give_the_recorded_reports(small_index, multi_probe_index):
     assert got == expected
     # the second walk settles on a multi-probe setting
     assert any(doc["adaptive"]["j_best"] > 1 for doc in expected["multi_probe_index"])
+
+
+def settled_twin(index):
+    """`index` rebuilt from its arrays with a screening margin of 2, which
+    every function of a first read lies within, so each takes its float64
+    product."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indexmod, "screen_margin", lambda dim, norm: 2.0)
+        return indexmod.MultiLevelIndex(
+            index.dataset, index.calibration, index.seed, index.space_budget, index.levels,
+            index.directions, index.keys, index.order,
+        )
+
+
+def with_more_queries(inst, count, seed):
+    """`inst` queried also at `count` random unit rows and `count` data rows."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((count, inst.dataset.dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = [*rows, *inst.dataset.matrix[rng.integers(0, inst.dataset.size, count)]]
+    return inst._replace(queries=(*inst.queries, *(UnitPoint(row) for row in rows)))
+
+
+@pytest.mark.parametrize("kind, dim", [
+    ("cross_polytope", 17), ("cross_polytope", 32), ("spherical_cap", 17), ("spherical_cap", 32),
+])
+def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, multi_probe_index):
+    # with a margin of 2 every function of a first read takes its float64
+    # product, the path every query took before first reads were screened
+    # in float32: every mode and pin reports alike, every field but the
+    # wall time, on the two fixtures and at dimensions whose products take
+    # different kernels
+    family = FamilyParams(kind=kind, dim=dim)
+    inst = generate_planted_instance(n=800, d=dim, r=0.4, t=5, seed=dim, num_queries=6)
+    cal = toy_calibration(family, 0.6, 0.3, compute_k(800, 0.3), 8, 1.0)
+    cases = [small_index, multi_probe_index] if kind == "cross_polytope" and dim == 17 else []
+    cases.append((with_more_queries(inst, 6, dim), build_index(inst.dataset, cal, seed=dim)))
+    screened, unsettled = [], querymod.unsettled
+
+    def flagged(family, proj, margin):
+        rows = unsettled(family, proj, margin)
+        screened.append(len(rows) == len(proj))
+        return rows
+
+    for case, index in cases:
+        assert len(index.first_directions) and index.first_margin < 1e-5
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(querymod, "unsettled", flagged)
+            settled = walk_reports(case, settled_twin(index))
+        assert screened and all(screened)
+        screened.clear()
+        assert walk_reports(case, index) == settled
 
 
 if __name__ == "__main__":

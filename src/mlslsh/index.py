@@ -26,12 +26,14 @@ against it before reading any array. Both then sample the direction block
 and sort the key blocks through `_assemble`: the stacks of all R
 repetitions are consecutive slices of one read-only (R * K, rows, dim)
 block, so one matmul projects a query on the functions of the first r
-repetitions' first k slots, the read extent of its mode. The repetitions
-both walks read first, at levels 1 to the adaptive walk's first depth, also
-have a read-only float32 copy, level-major, so the first read of either
-walk projects with one float32 product over half the bytes; a function
-whose decision lies within `screen_margin` of that product is settled by
-its float64 product.
+repetitions' first k slots, the read extent of its mode. The extent of the
+adaptive walk, which holds every setting of the schedule, also has a
+read-only float32 copy, level-major. `MultiLevelIndex.query_codes` codes a
+query on any rectangle of repetitions and levels: on the copy with one
+float32 product over half the bytes, each function whose decision lies
+within `screen_margin` of it settled by its float64 product, and past the
+copy, which only a pin deeper than every scheduled level reaches, by the
+float64 product of the block.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .calibration import DOCUMENT_ERRORS, CalibrationError, FamilyCalibration
-from .families import KEY_BITS, FamilyParams, _pack, _shifts, _unpack, derived_seed, hash_keys
-from .families import sample_directions, slot_bits
+from .families import KEY_BITS, FamilyParams, _pack, _shifts, _unpack, bucket_codes, derived_seed
+from .families import hash_keys, sample_directions, slot_bits, unsettled
 # not called here; perfbench/spans.py wraps index.hash_batch by name
 from .families import hash_batch  # noqa: F401
 from .geometry import UNIT_NORM_TOL, Dataset
@@ -57,7 +59,7 @@ MAGIC = b"MLSLSH01"
 FORMAT_VERSION = 2
 _FLAG_CODES = 1
 
-# Repetition.order holds dataset indices as int32
+# the order block holds dataset indices as int32
 MAX_POINTS = 2**31 - 1
 
 # float noise guard for ceil on formula values that are exact integers
@@ -407,13 +409,12 @@ class MultiLevelIndex:
     `keys` and `order` are the (R, n) key and order blocks of `key_blocks`,
     and `repetitions` views their rows beside each direction stack.
 
-    `first_directions` is the read-only float32 copy of what both walks read
-    first: the walks' `first` repetitions, as deep as the adaptive walk's
-    first `depth`, level-major, first_directions[s, r] the function of slot
-    s of repetition r. So the first read of either walk, D levels deep, is
-    the contiguous product of first_directions[:D]. `first_margin` is the
-    `screen_margin` of the dimension and the largest direction norm: a
-    decision on that product with a larger margin is the float64 one.
+    `query_codes` codes a query on any rectangle of repetitions and levels.
+    It reads a read-only float32 copy of the adaptive walk's extent, every
+    repetition and level a scheduled setting consults, level-major: copy
+    cell [s, r] is the function of slot s of repetition r. A decision on
+    its product with a margin past the `screen_margin` of the dimension and
+    the largest direction norm is the float64 product's decision.
     """
 
     dataset: Dataset
@@ -427,8 +428,9 @@ class MultiLevelIndex:
     repetitions: tuple[Repetition, ...] = field(init=False, repr=False)
     schedule: tuple[tuple[float, int, int, int, int], ...] = field(init=False, repr=False)
     walks: Mapping[str, Walk] = field(init=False, repr=False)
-    first_directions: np.ndarray = field(init=False, repr=False)
-    first_margin: float = field(init=False, repr=False)
+    # the float32 copy of the adaptive extent and its screening margin
+    _copy: np.ndarray = field(init=False, repr=False)
+    _margin: float = field(init=False, repr=False)
     # per group (first row, end row, its rows as one sorted array, offset);
     # the (K, R, 2) needle ends of every level and repetition
     _groups: tuple = field(init=False, repr=False)
@@ -475,12 +477,36 @@ class MultiLevelIndex:
         depth = max((e[1] for e in schedule if e[2] == 1 or e[0] < work), default=0)
         walks = {"adaptive": self.walk(schedule, depth), "single": single}
         object.__setattr__(self, "walks", MappingProxyType(walks))
-        copy = stacks[: single.first, :depth].swapaxes(0, 1).astype(np.float32, order="C")
+        count, deepest = walks["adaptive"].extent
+        copy = stacks[:count, :deepest].swapaxes(0, 1).astype(np.float32, order="C")
         copy.flags.writeable = False
-        object.__setattr__(self, "first_directions", copy)
+        object.__setattr__(self, "_copy", copy)
         # einsum sums the squares of each row without a temporary as large as the block
         norm = math.sqrt(np.einsum("...i,...i->...", self.directions, self.directions).max())
-        object.__setattr__(self, "first_margin", screen_margin(self.family.dim, norm))
+        object.__setattr__(self, "_margin", screen_margin(self.family.dim, norm))
+
+    def query_codes(self, q: np.ndarray, start: int, stop: int, top: int, bottom: int) -> np.ndarray:
+        """The (stop - start, bottom - top) int32 bucket ids of the unit
+        float64 row q under slots top..bottom - 1 of repetitions
+        start..stop - 1, those `bucket_codes` gives the float64 product.
+        Within the float32 copy it screens: one batched float32 product on a
+        view of the copy, widened, with each function that `unsettled` flags
+        within the margin projected again by the float64 matmul of that
+        function alone. Past the copy it projects by the float64 matmul of
+        the rectangle of the direction block."""
+        levels, reps = self._copy.shape[:2]
+        if stop <= reps and bottom <= levels:
+            copy = self._copy[top:bottom, start:stop]
+            flat = np.matmul(copy.reshape(bottom - top, -1, self.family.dim), q.astype(np.float32))
+            proj = flat.reshape(copy.shape[:3]).swapaxes(0, 1).astype(np.float64, order="C")
+            functions = proj.reshape(-1, proj.shape[2])
+            for i in unsettled(self.family, functions, self._margin).tolist():
+                r, s = divmod(i, bottom - top)
+                np.matmul(self.repetitions[start + r].directions[top + s], q, out=functions[i])
+        else:
+            stacks = self.directions.reshape(self.num_repetitions, self.levels, -1, self.family.dim)
+            proj = np.matmul(stacks[start:stop, top:bottom], q)
+        return bucket_codes(self.family, proj.reshape(-1, proj.shape[2])).reshape(stop - start, -1)
 
     def walk(self, entries: tuple, depth: int | None = None) -> Walk:
         """The `Walk` of the sorted schedule `entries` that reads first

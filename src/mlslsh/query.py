@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .families import _shifts, bucket_codes, first_tuples, slot_bits, slot_rankings, unsettled
+from .families import _shifts, first_tuples, slot_bits, slot_rankings
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, query_row, range_scan
@@ -79,11 +79,11 @@ class QueryReport:
     their spine lower bound without measuring (always 0 in single, fixed
     and brute mode). `infeasible` marks a fixed query pinned to a setting
     the schedule leaves out. `functions_projected` counts the hash functions
-    the query was projected on, each once: its walk's first read, `first`
+    the query was coded on, each once: its walk's first read, `first`
     repetitions `depth` slots deep, or, once a setting needed a repetition
     or a level outside it, the walk's whole extent (0 for a full scan). A
-    function of a first read screened in float32 still counts once when it
-    is projected again in float64, to settle its code or for a ranking.
+    function screened in float32 still counts once when it is projected
+    again in float64, to settle its code or for a ranking.
     `key_searches` counts the bucket key ranges the query searched:
     the own buckets of its spine that its walk's reach keeps, one per
     repetition and level, plus the probe buckets of each multi-probe
@@ -152,33 +152,28 @@ class _QueryProbes:
     takes the walk's two reads: the first, its `first` repetitions `depth`
     slots deep, up front, and the rest of the extent once, the first time a
     bound or a ranking needs a repetition or a level outside the first, so
-    no function is projected twice. A read projects the query with one
-    matmul per rectangle on a view of the direction block, whose products
-    equal those of the whole block bit for bit. A first read that the
-    index's float32 copy covers, as both index walks' first reads are, is
-    one float32 product on the copy instead, widened; each function that
-    `families.unsettled` flags within the index's `first_margin` takes its
-    float64 product, so the codes are those of the float64 product. The
-    read fills the rectangle's cells of `_first` with one cumulative sum of
-    its codes, each shifted to its slot; the rectangle past the first
-    read's depth continues the sum from its last column. It then searches
-    the cells its `index.ReadPlan` names, those the walk's reach keeps,
-    with one `bucket_runs` call and writes their runs to the same cells of
-    `_own`. A running sum of the spine over repetitions, read at an entry's
-    `reps` and added to its `floor`, is the entry's `bound`: the work of the
-    setting at j = 1 and a lower bound on it past that.
+    no function is coded twice. `MultiLevelIndex.query_codes` codes each
+    rectangle of a read, and the read fills the rectangle's cells of
+    `_first` with one cumulative sum of its codes, each shifted to its slot;
+    the rectangle past the first read's depth continues the sum from its
+    last column. It then searches the cells its `index.ReadPlan` names,
+    those the walk's reach keeps, with one `bucket_runs` call and writes
+    their runs to the same cells of `_own`. A running sum of the spine over
+    repetitions, read at an entry's `reps` and added to its `floor`, is the
+    entry's `bound`: the work of the setting at j = 1 and a lower bound on
+    it past that.
 
-    A setting past one probe ranks slots 0..k - 1 of repetitions 0..reps - 1
-    with one `slot_rankings` call and merges every level of that rectangle
-    at once with `first_tuples`, at the calibrated probe width, shifting
-    each level to first keys. The screened cells of the first read that it
-    ranks are projected in float64 first, so a ranking ranks the float64
-    product. Both treat each row on its own, so a row ranks alike in any
-    rectangle, and a later setting that needs more rows or levels ranks the
-    larger rectangle afresh, taking the rest of the extent first if the
-    rectangle passes the first read. A setting finds its buckets
-    with one `index.probe_runs` call, which the probes keep: collecting the
-    candidates of a measured setting searches no bucket again.
+    A setting past one probe ranks slots 0..k - 1 of repetitions 0..reps - 1:
+    one float64 matmul on a view of the direction block, whose products
+    equal those of the whole block bit for bit, one `slot_rankings` call,
+    and one `first_tuples` merge of every level of that rectangle at once,
+    at the calibrated probe width, shifting each level to first keys. Both
+    treat each row on its own, so a row ranks alike in any rectangle, and a
+    later setting that needs more rows or levels ranks the larger rectangle
+    afresh, taking the rest of the extent first if the rectangle passes the
+    first read. A setting finds its buckets with one `index.probe_runs`
+    call, which the probes keep: collecting the candidates of a measured
+    setting searches no bucket again.
     """
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray, walk: Walk):
@@ -190,10 +185,7 @@ class _QueryProbes:
         # the place of slot s in a key is also the shift of level s + 1: a
         # level-k first key ends in that many zeros
         self._shifts = _shifts(self._bits, index.levels)[:deepest]
-        # _proj[r, s] projects on slot s of repetition r; the slots and
-        # repetitions not read yet are unset
-        self._proj = np.empty((count, deepest, index.directions.shape[1]))
-        # the grid: untagged first keys, set once a read projected a cell,
+        # the grid: untagged first keys, set once a read coded a cell,
         # and runs [lo, hi) in the flattened order block, once it searched
         # one; spine[r, k - 1] is one unit plus the own bucket, summed over
         # repetitions 0..r - 1 at level k, valid for r up to the repetitions
@@ -201,11 +193,9 @@ class _QueryProbes:
         self._first = np.empty((count, deepest), dtype=np.int64)
         self._own = np.zeros((count, deepest, 2), dtype=np.intp)
         self._spine = np.zeros((count + 1, deepest), dtype=np.int64)
-        # slots 0..depth - 1 of repetitions 0..read - 1 are read; the first
-        # (rows, levels) of them were screened in float32 and hold no _proj
+        # slots 0..depth - 1 of repetitions 0..read - 1 are read
         self.read, self.depth, self.key_searches = walk.first, walk.depth, 0
-        self._screened = (0, 0)
-        self._take(walk.reads[0], screen=True)
+        self._take(walk.reads[0])
         # the (rows, levels) rectangle ranked so far, the (rows, probes)
         # first keys of each of its levels, and the runs of each multi-probe
         # entry looked up
@@ -215,26 +205,17 @@ class _QueryProbes:
 
     @property
     def functions_projected(self) -> int:
-        """Hash functions the query was projected on so far."""
+        """Hash functions the query was coded on so far."""
         return self.read * self.depth
 
-    def _take(self, read: ReadPlan, screen: bool = False) -> None:
-        """Project, code and search one read of the walk: fill the grid
-        cells of its rectangles, the runs only where its plan keeps them,
-        and update the spine sums. A first read that the index's float32
-        copy covers is screened on it."""
-        index = self._index
-        levels, reps = index.first_directions.shape[:2]
+    def _take(self, read: ReadPlan) -> None:
+        """Code and search one read of the walk: fill the grid cells of its
+        rectangles, the runs only where its plan keeps them, and update the
+        spine sums."""
         for start, stop, top, bottom in read.rectangles:
-            if screen and stop <= reps and bottom <= levels:
-                proj = self._screen(stop, bottom)
-                self._screened = stop, bottom
-            else:
-                proj = self._proj[start:stop, top:bottom]
-                np.matmul(self._block[start:stop, top:bottom], self._q, out=proj)
-            own = bucket_codes(index.family, proj.reshape(-1, proj.shape[2]))
+            own = self._index.query_codes(self._q, start, stop, top, bottom)
             first = self._first[start:stop, top:bottom]
-            np.cumsum(own.reshape(stop - start, -1) << self._shifts[top:bottom], axis=1, out=first)
+            np.cumsum(own << self._shifts[top:bottom], axis=1, out=first)
             if top:
                 first += self._first[start:stop, top - 1, None]
         if len(read.cells):
@@ -242,21 +223,6 @@ class _QueryProbes:
             self.key_searches += len(read.cells)
             sizes = self._own[..., 1] - self._own[..., 0]
             np.cumsum(sizes + 1, axis=0, out=self._spine[1:])
-
-    def _screen(self, reps: int, depth: int) -> np.ndarray:
-        """The (reps, depth, rows) projection of slots 0..depth - 1 of
-        repetitions 0..reps - 1 that codes as the float64 one: one float32
-        product on the index's copy, widened, with each function that
-        `unsettled` flags within the index's margin projected again by the
-        float64 matmul of that function alone."""
-        index = self._index
-        copy = index.first_directions[:depth]
-        flat = copy.reshape(-1, copy.shape[3]) @ self._q.astype(np.float32)
-        proj = flat.reshape(copy.shape[:3])[:, :reps].swapaxes(0, 1).astype(np.float64, order="C")
-        functions = proj.reshape(-1, proj.shape[2])
-        for i in unsettled(index.family, functions, index.first_margin).tolist():
-            np.matmul(self._block[i // depth, i % depth], self._q, out=functions[i])
-        return proj
 
     def _cover(self, rows: int, levels: int) -> None:
         """Take the rest of the extent the first time the repetitions
@@ -296,11 +262,8 @@ class _QueryProbes:
         if reps > rows or k > levels:
             rows, levels = self._ranked = max(reps, rows), max(k, levels)
             self._cover(rows, levels)
-            # the screened cells it ranks take their float64 products first
-            screened = np.s_[: min(rows, self._screened[0]), : min(levels, self._screened[1])]
-            np.matmul(self._block[screened], self._q, out=self._proj[screened])
-            proj = self._proj[:rows, :levels].reshape(rows * levels, -1)
-            slots = slot_rankings(index.family, proj, levels)
+            proj = np.matmul(self._block[:rows, :levels], self._q)
+            slots = slot_rankings(index.family, proj.reshape(rows * levels, -1), levels)
             merged = first_tuples(slots, index.calibration.max_probes, self._bits)
             self._levels = [keys << shift for keys, shift in zip(merged, self._shifts)]
         first = self._levels[k - 1][:reps, :j]

@@ -382,7 +382,7 @@ def test_read_extents_match_a_full_projection(case, data):
                 assert probes.functions_projected == reps * levels
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(querymod, "bucket_codes", code)
+                mp.setattr(indexmod, "bucket_codes", code)
                 mp.setattr(querymod, "slot_rankings", rank)
                 probes = _QueryProbes(index, q, walk)
                 checked(probes)
@@ -616,8 +616,11 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
     # 2**bits - 1 at every level put needles at the ends of a tag's key
     # range, and the widest codes, which no key holds, leave every run
     # empty; codes from a small pool make the stored buckets large. A walk
-    # the index's float32 copy covers is screened on it, and with `settle`
-    # a margin of 2 sends every function it screens to its float64 product
+    # reaches within the first read of the index's walks, within the float32
+    # copy of the adaptive extent or anywhere in the block; the read is
+    # screened on the copy exactly when the copy covers it, and with
+    # `settle` a margin of 2 sends every function it screens to its float64
+    # product
     family, K = family_depth
     bits, universe = slot_bits(family, K), family.bucket_universe
     top = (1 << bits) - 1
@@ -633,15 +636,17 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
         index = MultiLevelIndex(
             dataset, cal, 0, None, K, block, *key_blocks(family, K, (R, n), keys)
         )
-    copied = index.first_directions.shape[1::-1]
+    copied = index._copy.shape[1::-1]
     # one plain search over each repetition's sorted keys, untagged
     stored = np.sort(keys, axis=1, kind="stable")
-    # half the walks stay within the copy, where the read is screened
-    inside = min(copied) and rng.random() < 0.5
-    reach = rng.integers(0, copied[0] + 1 if inside else R + 1, K)
-    if inside:
-        reach[copied[1] :] = 0
-    reach[rng.integers(0, copied[1] if inside else K)] = max(1, reach.max())
+    adaptive = index.walks["adaptive"]
+    regions = [(adaptive.first, adaptive.depth), copied, (R, K)]
+    rows, levels = regions[rng.integers(0, 3)]
+    if not rows * levels:
+        rows, levels = R, K
+    reach = rng.integers(0, rows + 1, K)
+    reach[levels:] = 0
+    reach[rng.integers(0, levels)] = max(1, reach.max())
     # one single-probe entry per level that reach keeps, so the walk reads
     # its whole extent first and searches exactly the buckets reach keeps
     entries = tuple(sorted(
@@ -658,11 +663,13 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
         probe_codes[:, 0] = own
         probe_codes[0, -1] = top
         probe_keys = _prefixes(_pack(probe_codes, bits), bits, K)
+        screens = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
-                querymod, "bucket_codes",
+                indexmod, "bucket_codes",
                 lambda fam, proj: own[:count, :deepest].reshape(-1).astype(np.int32),
             )
+            mp.setattr(indexmod, "unsettled", counting_screens(screens))
             mp.setattr(querymod, "slot_rankings", lambda fam, proj, depth: None)
             mp.setattr(
                 querymod, "first_tuples",
@@ -670,7 +677,7 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
             )
             probes = _QueryProbes(index, dataset.matrix[0], walk)
             screened = count <= copied[0] and deepest <= copied[1]
-            assert probes._screened == ((count, deepest) if screened else (0, 0))
+            assert screens == ([count * deepest] if screened else [])
             # the read searched the own buckets its reach keeps, no more
             assert probes.key_searches == reach.sum()
             own_keys = _prefixes(_pack(own, bits), bits, K)
@@ -702,6 +709,18 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
                         ]
                         assert buckets == reps * j
                         assert np.array_equal(ids, np.unique(np.concatenate(parts)))
+
+
+def counting_screens(screens):
+    """`index.unsettled` that appends the rows of each block it screens to
+    `screens`, so a test sees which rectangles took the float32 screen."""
+    unsettled = indexmod.unsettled
+
+    def screening(family, proj, margin):
+        screens.append(len(proj))
+        return unsettled(family, proj, margin)
+
+    return screening
 
 
 def decision_projections(family, margin, rng, case):
@@ -750,9 +769,10 @@ def test_screened_codes_match_float64_codes_on_every_decision(kind, d, seed):
     # exactly its directions' column i, which puts its projections on a
     # decision of `bucket_codes` or 1 ulp either side of it: a cap at the
     # threshold or at threshold +- margin, equal or 2 * margin apart top
-    # |values|, zeros of either sign, a top value at +- margin. The first
-    # read, screened in float32, codes every function as `bucket_codes`
-    # codes its own float64 product
+    # |values|, zeros of either sign, a top value at +- margin. Coded on the
+    # float32 copy, the whole adaptive extent, a random rectangle of it and
+    # the first read of the adaptive walk code every function as
+    # `bucket_codes` codes its own float64 product
     family = FamilyParams(kind=kind, dim=d, cap_count=16)
     rng = np.random.default_rng(seed)
     K, R, n = 3, 6, 40
@@ -776,19 +796,30 @@ def test_screened_codes_match_float64_codes_on_every_decision(kind, d, seed):
         dataset, toy_calibration(family, levels=K), 0, None, K, block,
         *key_blocks(family, K, (R, n), keys),
     )
-    assert index.first_margin == pytest.approx(margin, rel=1e-12)
+    assert index._margin == pytest.approx(margin, rel=1e-12)
     walk = index.walks["adaptive"]
-    probes = _QueryProbes(index, q, walk)
-    reps, depth = walk.first, walk.depth
-    assert reps and depth and probes._screened == (reps, depth)
+    (count, deepest), reps, depth = walk.extent, walk.first, walk.depth
+    assert reps and depth and index._copy.shape[:2] == (deepest, count)
     functions = block.reshape(R, K, width, d)
-    for r in range(reps):
-        for s in range(depth):
+    expected = np.empty((count, deepest), dtype=np.int32)
+    for r in range(count):
+        for s in range(deepest):
             product = np.matmul(functions[r, s], q)
             assert np.array_equal(product, placed[r * K + s])
-            expected = bucket_codes(family, product[None, :])[0]
-            code = probes._first[r, s] >> probes._shifts[s] & (1 << bits) - 1
-            assert code == expected, (r, s, product)
+            expected[r, s] = bucket_codes(family, product[None, :])[0]
+    start, stop = np.sort(rng.choice(count + 1, 2, replace=False)).tolist()
+    top, bottom = np.sort(rng.choice(deepest + 1, 2, replace=False)).tolist()
+    screens = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indexmod, "unsettled", counting_screens(screens))
+        assert np.array_equal(index.query_codes(q, 0, count, 0, deepest), expected)
+        rectangle = index.query_codes(q, start, stop, top, bottom)
+        assert np.array_equal(rectangle, expected[start:stop, top:bottom])
+        probes = _QueryProbes(index, q, walk)
+    sizes = [count * deepest, (stop - start) * (bottom - top), reps * depth]
+    assert screens == sizes
+    codes = probes._first[:reps, :depth] >> probes._shifts[:depth] & (1 << bits) - 1
+    assert np.array_equal(codes, expected[:reps, :depth])
 
 
 @settings(deadline=None, derandomize=True)

@@ -553,3 +553,50 @@ def test_fast_merge_matches_the_lexsort_under_tied_deficits(rankings, data):
     got = list(fam.first_tuples(slots, count, 3))
     expected = list(lexsorted_first_tuples(slots, count, 3))
     assert all(np.array_equal(a, b) for a, b in zip(got, expected)) and len(got) == len(expected)
+
+
+def screen_edges(params, margin, rng):
+    """Values on every edge of the `unsettled` screen, each also 1 ulp
+    either side: a cap threshold and threshold +- margin; for
+    cross-polytope a top |value| of either sign, zero or random, and the
+    values 2 * margin below it in |value|; plus zeros of either sign."""
+    if params.kind == "spherical_cap":
+        tau = params.threshold
+        edges = [tau, tau - margin, tau + margin]
+    else:
+        top = [rng.uniform(0.1, 1.0), margin, 2.0 * margin, 0.0][rng.integers(4)]
+        edges = [top, -top, top - 2.0 * margin, 2.0 * margin - top]
+    edges = [x for e in edges for x in (e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf))]
+    return np.array([*edges, 0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["spherical_cap", "cross_polytope"]),
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+)
+def test_unsettled_matches_a_per_row_recount(kind, m, seed):
+    # rows drawn from the screen's edges, with ties and zeros of either
+    # sign, among random values below them; a quarter of the blocks are
+    # random values only, which take the early return when no row is near
+    params = FamilyParams(kind=kind, dim=6, cap_count=6)
+    rng = np.random.default_rng(seed)
+    margin = [0.0, 2.0**-20, 1e-3][rng.integers(3)]
+    edges = screen_edges(params, margin, rng)
+    scale = 1.0 if kind == "spherical_cap" else 0.5 * np.abs(edges).max()
+    proj = rng.uniform(-scale, scale, (m, params.direction_count))
+    if rng.random() < 0.75:
+        placed = rng.random(proj.shape) < 0.4
+        proj[placed] = rng.choice(edges, int(placed.sum()))
+
+    def recount(row):
+        if kind == "spherical_cap":
+            tau = params.threshold
+            return any(tau - margin <= v <= tau + margin for v in row)
+        top = max(abs(v) for v in row)
+        return sum(abs(v) >= top - 2.0 * margin for v in row) > 1
+
+    got = fam.unsettled(params, proj, margin)
+    assert got.dtype == np.intp
+    assert got.tolist() == [i for i, row in enumerate(proj.tolist()) if recount(row)]

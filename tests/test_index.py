@@ -513,6 +513,30 @@ def test_functions_view_one_read_only_direction_block(built):
         assert np.shares_memory(rep.directions, index.directions)
 
 
+@pytest.mark.parametrize("budget", [None, 2, 1])
+def test_float32_copy_holds_the_adaptive_extent_level_major(tmp_path, built, budget):
+    # copy cell [s, r] is the float32 of function r * K + s for every cell
+    # of the adaptive walk's extent, and the copy holds nothing else; it is
+    # read-only, a loaded index copies alike, and it is empty when one
+    # repetition affords no setting
+    inst, index = built
+    if budget:
+        index = build_index(inst.dataset, index.calibration, space_budget=budget, seed=7)
+    path = str(tmp_path / "copy.idx")
+    index.save(path, include_codes=False)
+    K, (count, deepest) = index.levels, index.walks["adaptive"].extent
+    for idx in (index, load_index(path)):
+        copy = idx._copy
+        assert copy.dtype == np.float32 and copy.shape == (deepest, count, 12, 12)
+        assert not copy.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            copy[...] = 0.0
+        for r in range(count):
+            for s in range(deepest):
+                assert np.array_equal(copy[s, r], idx.directions[r * K + s].astype(np.float32))
+    assert (index.schedule == () and copy.size == 0) == (budget == 1)
+
+
 def test_build_past_the_bit_budget_fails_clearly():
     # 1001 buckets take 10 bits per slot, and 7 levels of them need 70
     params = FamilyParams(kind="spherical_cap", dim=8, cap_count=1000)

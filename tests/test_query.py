@@ -223,7 +223,7 @@ def test_functions_projected_match_an_independent_recount(
         rows.append(len(proj))
         return bucket_codes(family, proj)
 
-    monkeypatch.setattr(querymod, "bucket_codes", coded)
+    monkeypatch.setattr(indexmod, "bucket_codes", coded)
     totals = []
     for inst, index in (small_index, multi_probe_index, shallow_index):
         walk = index.walks["adaptive"]
@@ -689,9 +689,9 @@ print("numpy.ma" in sys.modules)
     assert out.stdout.strip() == "False"
 
 
-def walk_reports(inst, index) -> list[dict]:
-    """Per query of `inst`, the timed JSON report less `wall_time` of each
-    mode and of the pins (1, 1), (2, 3) and (K, max_probes)."""
+def walk_runs(inst, index) -> dict:
+    """The runs of `walk_reports` by name: each mode and the pins (1, 1),
+    (2, 3) and (K, max_probes)."""
     K, width = index.levels, index.calibration.max_probes
     runs = {
         "adaptive": lambda q: adaptive_multiprobe(index, q, 0.4),
@@ -700,13 +700,20 @@ def walk_reports(inst, index) -> list[dict]:
     }
     for k, j in ((1, 1), (2, 3), (K, width)):
         runs[f"fixed {k},{j}"] = lambda q, k=k, j=j: fixed_level_query(index, q, 0.4, k, j)
-    out = []
-    for q in inst.queries:
-        docs = {name: run(q.coords).to_json_dict(include_timing=True) for name, run in runs.items()}
-        for doc in docs.values():
-            doc.pop("wall_time")
-        out.append(docs)
-    return out
+    return runs
+
+
+def timed_doc(report) -> dict:
+    """The timed JSON report less `wall_time`."""
+    doc = report.to_json_dict(include_timing=True)
+    doc.pop("wall_time")
+    return doc
+
+
+def walk_reports(inst, index) -> list[dict]:
+    """Per query of `inst`, the `timed_doc` of each of `walk_runs`."""
+    runs = walk_runs(inst, index)
+    return [{name: timed_doc(run(q.coords)) for name, run in runs.items()} for q in inst.queries]
 
 
 def pop_distances(doc: dict) -> list[float]:
@@ -741,8 +748,8 @@ def test_walks_give_the_recorded_reports(small_index, multi_probe_index):
 
 def settled_twin(index):
     """`index` rebuilt from its arrays with a screening margin of 2, which
-    every function of a first read lies within, so each takes its float64
-    product."""
+    every function lies within, so each function it screens takes its
+    float64 product."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(indexmod, "screen_margin", lambda dim, norm: 2.0)
         return indexmod.MultiLevelIndex(
@@ -764,31 +771,69 @@ def with_more_queries(inst, count, seed):
     ("cross_polytope", 17), ("cross_polytope", 32), ("spherical_cap", 17), ("spherical_cap", 32),
 ])
 def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, multi_probe_index):
-    # with a margin of 2 every function of a first read takes its float64
-    # product, the path every query took before first reads were screened
-    # in float32: every mode and pin reports alike, every field but the
+    # with a margin of 2 every function a query codes on the float32 copy
+    # takes its float64 product, the path every query took before reads
+    # were screened: every mode and pin reports alike, every field but the
     # wall time, on the two fixtures and at dimensions whose products take
-    # different kernels
+    # different kernels. A rectangle is screened exactly when the copy
+    # covers it: every read of the adaptive and single walks, the rest of
+    # the extent included, and no read of the pin at level K past the
+    # copy's depth, which projects in float64
     family = FamilyParams(kind=kind, dim=dim)
     inst = generate_planted_instance(n=800, d=dim, r=0.4, t=5, seed=dim, num_queries=6)
     cal = toy_calibration(family, 0.6, 0.3, compute_k(800, 0.3), 8, 1.0)
     cases = [small_index, multi_probe_index] if kind == "cross_polytope" and dim == 17 else []
     cases.append((with_more_queries(inst, 6, dim), build_index(inst.dataset, cal, seed=dim)))
-    screened, unsettled = [], querymod.unsettled
+    screens, unsettled = [], indexmod.unsettled
+    coded, query_codes = [], indexmod.MultiLevelIndex.query_codes
+    ranked, slot_rankings = [], querymod.slot_rankings
 
-    def flagged(family, proj, margin):
+    def screening(family, proj, margin):
         rows = unsettled(family, proj, margin)
-        screened.append(len(rows) == len(proj))
+        screens.append(len(rows) == len(proj))
         return rows
 
+    def coding(self, q, *rectangle):
+        before = len(screens)
+        codes = query_codes(self, q, *rectangle)
+        coded.append((rectangle, len(screens) > before))
+        return codes
+
+    def ranking(family, proj, levels):
+        ranked.append(len(proj))
+        return slot_rankings(family, proj, levels)
+
+    rest = past = 0
     for case, index in cases:
-        assert len(index.first_directions) and index.first_margin < 1e-5
+        (reps, levels), K = index._copy.shape[1::-1], index.levels
+        assert reps and levels and index._margin < 1e-5
+        screens.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(querymod, "unsettled", flagged)
+            mp.setattr(indexmod, "unsettled", screening)
             settled = walk_reports(case, settled_twin(index))
-        assert screened and all(screened)
-        screened.clear()
-        assert walk_reports(case, index) == settled
+            assert screens and all(screens)
+            mp.setattr(indexmod.MultiLevelIndex, "query_codes", coding)
+            mp.setattr(querymod, "slot_rankings", ranking)
+            runs, got = walk_runs(case, index), []
+            for q in case.queries:
+                got.append({})
+                for name, run in runs.items():
+                    coded.clear()
+                    got[-1][name] = timed_doc(run(q.coords))
+                    for (_, stop, _, bottom), took in coded:
+                        assert took == (stop <= reps and bottom <= levels)
+                    if name in index.walks:
+                        assert coded and all(took for _, took in coded)
+                        rest += len(coded) > len(index.walks[name].reads[0].rectangles)
+                    elif name.startswith(f"fixed {K},") and K > levels:
+                        assert coded and not any(took for _, took in coded)
+                        past += 1
+        assert got == settled
+    if kind == "spherical_cap":
+        # adaptive queries take the rest of the extent and rank
+        assert rest and ranked
+    # the pin at level K lies past the copy on the generated index
+    assert past >= len(case.queries)
 
 
 if __name__ == "__main__":

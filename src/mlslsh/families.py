@@ -20,7 +20,10 @@ bucket first, as a (buckets, deficits) row pair. `first_tuples` merges the
 rankings of consecutive slots, level by level, into the best-first order of
 bucket-id tuples that multi-probe querying walks and calibration measures. A
 tuple's priority is the sum of its slot deficits taken left to right; the
-all-own tuple comes first, and ties break on the packed key. A packed key
+all-own tuple comes first, and ties break on the packed key. A query needs
+only the first few tuples of that order, and `ranked_tuples` ranks and
+merges only that far, with a certificate that they are the first of the
+merge at the calibrated width. A packed key
 holds a tuple's bucket ids in one int64, slot 0 in the high bits and
 ceil(log2 U) bits per slot, so keys order like the tuples and at most
 KEY_BITS = 63 bits of slots fit. `_pack` is the one encoder and `_unpack`
@@ -30,6 +33,7 @@ right by bits * (K - k).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
@@ -59,12 +63,15 @@ def derived_seed(*keys: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0]) & _SEED_MASK
 
 
+@functools.lru_cache(maxsize=64)
 def default_cap_threshold(cap_count: int, dim: int) -> float:
     """Dot-product threshold putting roughly 1/cap_count of directions above it.
 
     Uses the Gaussian approximation to one coordinate of a uniform unit
     vector. The approximation only affects bucket balance; calibration
-    measures the realized probabilities afterwards.
+    measures the realized probabilities afterwards. A query codes under it
+    a few times, so the value is kept per (cap_count, dim) instead of
+    inverting the normal CDF on every call.
     """
     eta = NormalDist().inv_cdf(1.0 - 1.0 / cap_count) / math.sqrt(dim)
     return min(max(eta, 1e-3), 0.999)
@@ -226,7 +233,7 @@ def hash_keys(params: FamilyParams, directions: np.ndarray, rows: np.ndarray) ->
 
 
 def slot_rankings(
-    params: FamilyParams, proj: np.ndarray, depth: int
+    params: FamilyParams, proj: np.ndarray, depth: int, width: int | None = None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Probe orders and positional deficits of an (m * depth, directions)
     projection whose row i * depth + s projects row i on slot s of a
@@ -239,7 +246,14 @@ def slot_rankings(
     A row of distinct scores has one order, which the fast default sort
     finds; a row with a tie takes the stable sort, which breaks it on the
     smaller id.
+
+    A `width` w ranks only as far as a merge at count w reads: (m, w)
+    buckets and (m, w + 1) deficits per slot, equal bit for bit to those
+    columns of the whole ranking. A universe of at most w + 1 buckets takes
+    the whole ranking; see `_leading_ranks` for the rest.
     """
+    if width is not None and params.bucket_universe > width + 1:
+        return _leading_ranks(params, proj, depth, width)
     m = proj.shape[0]
     own = bucket_codes(params, proj)
     if params.kind == "spherical_cap":
@@ -256,6 +270,56 @@ def slot_rankings(
     tied = (desc[:, 1:] == desc[:, :-1]).any(axis=1)
     if tied.any():
         orders[tied] = np.argsort(neg[tied], axis=1, kind="stable")
+    return [(orders[s::depth], deficits[s::depth]) for s in range(depth)]
+
+
+def _leading_ranks(
+    params: FamilyParams, proj: np.ndarray, depth: int, width: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`slot_rankings` to `width` w, for a universe of more than w + 1
+    buckets.
+
+    The own bucket is taken first, then w + 1 `argmax` passes take the
+    other scores best first, each pass the first maximum, so the smaller id
+    of a tie, as the stable sort breaks it: the buckets are the first w
+    taken. The top w + 1 scores are the own score merged into the w + 1
+    others, which `maximum` and `minimum` place without a sort, returning
+    scores unchanged. The overflow bucket scores below every cap, so the
+    passes may score it -inf. The sort of the whole ranking can return a
+    zero of either sign where a pass finds the other, and that sign reaches
+    a deficit only when the top score is a zero too, so such a row takes
+    the whole ranking.
+    """
+    m = proj.shape[0]
+    if params.kind == "spherical_cap":
+        scores = np.empty((m, params.cap_count + 1))
+        scores[:, :-1] = proj
+        scores[:, -1] = -np.inf
+    else:
+        scores = np.empty((m, 2 * proj.shape[1]))
+        scores[:, 0::2] = proj
+        scores[:, 1::2] = -proj
+    flat = scores.reshape(-1)
+    start = np.arange(0, flat.size, scores.shape[1])
+    # row t holds the flat place and the score of the bucket taken t-th
+    at, taken = np.empty((width + 2, m), dtype=np.intp), np.empty((width + 2, m))
+    for t in range(width + 2):
+        best = scores.argmax(axis=1) if t else bucket_codes(params, proj)
+        np.add(best, start, out=at[t])
+        flat.take(at[t], out=taken[t])
+        flat[at[t]] = -np.inf
+    orders = (at[:width] - start).T
+    # the own score x into the others v, best first: place c > 0 holds
+    # max(min(x, v_c), v_c+1), the larger of x and v_c+1 unless x passes v_c
+    own, others = taken[0], taken[1:]
+    desc = np.empty((width + 1, m))
+    np.maximum(own, others[0], out=desc[0])
+    np.maximum(np.minimum(own, others[:-1]), others[1:], out=desc[1:])
+    deficits = (desc[:1] - desc).T
+    if not desc[0].all():
+        zero = np.flatnonzero(desc[0] == 0.0)
+        ((whole_orders, whole_deficits),) = slot_rankings(params, proj[zero], 1)
+        orders[zero], deficits[zero] = whole_orders[:, :width], whole_deficits[:, : width + 1]
     return [(orders[s::depth], deficits[s::depth]) for s in range(depth)]
 
 
@@ -314,7 +378,27 @@ def _unpack(keys: np.ndarray, bits: int, depth: int) -> np.ndarray:
     return _prefixes(keys, bits, depth) & ((1 << bits) - 1)
 
 
-def first_tuples(slots, count: int, bits: int) -> Iterator[np.ndarray]:
+@functools.lru_cache(maxsize=256)
+def _plan(kept: int, ranks: int, count: int, deficits: int) -> tuple:
+    """What a merge level at `count` sums from `kept` tuples of the level
+    before and rankings of `ranks` buckets and `deficits` deficits, as
+    positions i and ranks r: first its n candidates, those with
+    (i + 1)(r + 1) <= count, then the lost pairs, each position with the
+    first rank the cut drops there, count // (i + 1), where the deficits
+    reach it. A position whose first dropped rank is that of the position
+    before it is left out, as its prefix priority is no lower. Also
+    whether each candidate is past the all-own pair (0, 0), and n. The
+    arrays are read-only, as every merge of the shape shares them."""
+    i, r = np.nonzero(np.outer(np.arange(1, kept + 1), np.arange(1, ranks + 1)) <= count)
+    first_lost = count // np.arange(1, kept + 1)
+    lost = np.flatnonzero((first_lost < deficits) & (np.diff(first_lost, prepend=0) != 0))
+    plan = (np.concatenate((i, lost)), np.concatenate((r, first_lost[lost])), i + r > 0)
+    for part in plan:
+        part.flags.writeable = False
+    return (*plan, i.size)
+
+
+def first_tuples(slots, count: int, bits: int, certified=None) -> Iterator[np.ndarray]:
     """The first `count` bucket-id tuples of every level, best first, as packed keys.
 
     `slots` holds one (buckets, deficits) pair of (m, w) arrays per slot, row
@@ -327,30 +411,101 @@ def first_tuples(slots, count: int, bits: int) -> Iterator[np.ndarray]:
     the key. The tuple at position i takes the bucket of rank r only if
     (i + 1)(r + 1) <= count: any other pair is dominated by the
     (i + 1)(r + 1) - 1 >= count pairs at positions <= i and ranks <= r, none
-    of higher priority. So the merge cuts every ranking to its first `count`
-    columns itself, and callers pass rankings uncut. A row whose first
-    `count` + 1 sorted priorities are distinct keeps the first `count` of
-    the fast default sort, which no tie-break could reorder; a row with a
-    tie there is sorted again with the tie-breaks.
+    of higher priority. So the merge reads only the first `count` buckets
+    and deficits of a ranking, and callers may pass rankings uncut. A row
+    whose first `count` + 1 sorted priorities are distinct keeps the first
+    `count` of the fast default sort, which no tie-break could reorder; a
+    row with a tie there is sorted again with the tie-breaks.
+
+    The first w tuples of a merge at count w are not in general the first w
+    of a merge at a larger count C: with the ranking ([5, 2], [0.0, 0.0]) on
+    two slots, count 2 gives (5, 5), (2, 5), as (1, 1) fails the cut, while
+    count 16 gives (5, 5), (2, 2). Given an (m,) bool array `certified`, the
+    merge clears row i of it at the first level where it cannot prove that
+    its tuples are the first of the merge at every count C > `count` of the
+    same rankings. A row that kept `count` tuples stays certified if every
+    "lost" sum, prio_i plus the deficit of rank count // (i + 1), the first
+    rank the cut drops at position i, is above the priority of its last
+    tuple; a row that kept fewer, if no rank was lost (none that far
+    exists). This reads only the first `count` buckets and `count` + 1
+    deficits of each ranking, and needs only deficits >= 0 and
+    non-decreasing along a ranking and monotone float addition: a <= b
+    implies fl(a + d) <= fl(b + d).
+
+    Proof. Call the merge at `count` N and the one at C W. A tuple has one
+    priority in both, as its buckets fix its ranks and so its deficits, and
+    both sort candidates by priority, then the all-own tuple, then the key.
+    Suppose that at level l - 1 every candidate of W that N did not keep
+    sorts after N's last tuple, so N's tuples are W's first; at level 0
+    both hold the empty tuple. A level-l candidate of W that N does not keep
+    is one of three:
+      - a candidate of N that N cut: both sort it alike, after N's last;
+      - cut by the rule, r >= count // (i + 1): its priority is >= the lost
+        sum of position i, or of an earlier position with the same first
+        dropped rank and a prefix priority no higher, above N's last;
+      - an extension of a tuple T of W that N did not keep, so N kept
+        `count` tuples at level l - 1 and T sorts after the last of them, of
+        priority p. N's extensions of its tuples by their own buckets keep
+        their priorities, so N's last at level l is <= p. If the extension
+        of T has a larger priority, it sorts after N's last; if not, both
+        equal p. Then each of N's level l - 1 tuples of priority p precedes
+        T, so its own extension precedes T's extension, and those own
+        extensions are at least as many as the places N has left for
+        priority p: every tuple N keeps sorts before T's extension.
+    So the claim holds at level l. Almost every row of real queries
+    certifies (see `ranked_tuples`).
     """
     m = len(slots[0][0])
+    rows = np.arange(m)[:, None]
     keys, prio = np.zeros((m, 1), dtype=np.int64), np.zeros((m, 1))  # level 0: the empty tuple
     for buckets, deficits in slots:
-        ranks = np.arange(1, min(count, buckets.shape[1]) + 1)
-        i, r = np.nonzero(np.outer(np.arange(1, keys.shape[1] + 1), ranks) <= count)
-        cand_keys = keys[:, i] << bits | buckets[:, r].astype(np.int64)
-        cand_prio = prio[:, i] + deficits[:, r]
+        i, r, own_last, n = _plan(keys.shape[1], min(count, buckets.shape[1]), count, deficits.shape[1])
+        # the candidates' priorities, then the lost sums
+        sums = prio[:, i] + deficits[:, r]
+        cand_prio = sums[:, :n]
         order = np.argsort(cand_prio, axis=1)[:, : count + 1]
-        head = np.take_along_axis(cand_prio, order, axis=1)
-        tied = (head[:, 1:] == head[:, :-1]).any(axis=1)
+        head = cand_prio[rows, order]
+        if certified is not None and n < i.size:
+            last = head[:, count - 1] if head.shape[1] >= count else np.inf
+            certified &= sums[:, n:].min(axis=1) > last
         # any tie-break leaves the sorted priorities as they are
         order, prio = order[:, :count], head[:, :count]
-        if tied.any():
-            # the pair (0, 0) is the all-own tuple
-            own_last = np.broadcast_to(i + r > 0, (int(tied.sum()), i.size))
-            order[tied] = np.lexsort((cand_keys[tied], own_last, cand_prio[tied]))[:, :count]
-        keys = np.take_along_axis(cand_keys, order, axis=1)
+        # each row's head starts with the all-own tuple's 0, so the last of
+        # one row equals the first of the next only in a row with a tie
+        run = head.reshape(-1)
+        if (run[1:] == run[:-1]).any():
+            ties = np.flatnonzero((head[:, 1:] == head[:, :-1]).any(axis=1))
+            cand_keys = keys[ties][:, i[:n]] << bits | buckets[ties][:, r[:n]]
+            own = np.broadcast_to(own_last, cand_keys.shape)
+            order[ties] = np.lexsort((cand_keys, own, cand_prio[ties]))[:, :count]
+        keys = keys[rows, i[order]] << bits | buckets[rows, r[order]]
         yield keys
+
+
+def ranked_tuples(
+    params: FamilyParams, proj: np.ndarray, depth: int, width: int, count: int, bits: int
+) -> list[np.ndarray]:
+    """The first `width` <= `count` tuples of every level of the probe order
+    at `count`, as packed keys: `first_tuples(slot_rankings(params, proj,
+    depth), count, bits)` with every level cut to `width` columns, for a
+    projection laid out as `slot_rankings` reads it.
+
+    It ranks to `width` and merges at `width`, certifying each row (see
+    `first_tuples`); a row the certificate does not clear is ranked whole
+    and merged again at `count`, so every row equals the merge at `count`.
+    Real queries rarely need that: every repetition of 100 queries on each
+    benchmark index (n = 10^4, d = 32) certified at widths 2, 4 and 8.
+    """
+    slots = slot_rankings(params, proj, depth, width)
+    certified = np.ones(len(proj) // depth, dtype=bool)
+    levels = list(first_tuples(slots, width, bits, certified if width < count else None))
+    if not certified.all():
+        failed = np.flatnonzero(~certified)
+        rows = proj.reshape(-1, depth, proj.shape[1])[failed].reshape(-1, proj.shape[1])
+        wide = first_tuples(slot_rankings(params, rows, depth), count, bits)
+        for keys, wide_keys in zip(levels, wide):
+            keys[failed] = wide_keys[:, : keys.shape[1]]
+    return levels
 
 
 class CodeEnumerator:

@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .families import _shifts, first_tuples, slot_bits, slot_rankings
+from .families import _shifts, ranked_tuples, slot_bits
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, query_row, range_scan
@@ -165,13 +165,17 @@ class _QueryProbes:
 
     A setting past one probe ranks slots 0..k - 1 of repetitions 0..reps - 1:
     one float64 matmul on a view of the direction block, whose products
-    equal those of the whole block bit for bit, one `slot_rankings` call,
-    and one `first_tuples` merge of every level of that rectangle at once,
-    at the calibrated probe width, shifting each level to first keys. Both
-    treat each row on its own, so a row ranks alike in any rectangle, and a
-    later setting that needs more rows or levels ranks the larger rectangle
-    afresh, taking the rest of the extent first if the rectangle passes the
-    first read. A setting finds its buckets with one `index.probe_runs`
+    equal those of the whole block bit for bit, and one
+    `families.ranked_tuples` call, which ranks every level of that
+    rectangle at once and merges it, shifting each level to first keys. It
+    ranks and merges only to the width j needs, the smallest power of two
+    >= j, at most the calibrated `max_probes`, and certifies each row equal
+    to the merge at `max_probes`, merging again at that width any row it
+    cannot certify. Both steps treat each row on its own, so a row ranks
+    alike in any rectangle, and a later setting that needs more rows,
+    levels or probes ranks the larger rectangle afresh, at the wider of the
+    two widths, taking the rest of the extent first if the rectangle passes
+    the first read. A setting finds its buckets with one `index.probe_runs`
     call, which the probes keep: collecting the candidates of a measured
     setting searches no bucket again.
     """
@@ -196,10 +200,10 @@ class _QueryProbes:
         # slots 0..depth - 1 of repetitions 0..read - 1 are read
         self.read, self.depth, self.key_searches = walk.first, walk.depth, 0
         self._take(walk.reads[0])
-        # the (rows, levels) rectangle ranked so far, the (rows, probes)
-        # first keys of each of its levels, and the runs of each multi-probe
-        # entry looked up
-        self._ranked = (0, 0)
+        # the (rows, levels) rectangle ranked so far and its width, the
+        # (rows, width) first keys of each of its levels, and the runs of
+        # each multi-probe entry looked up
+        self._ranked = (0, 0, 0)
         self._levels: list[np.ndarray] = []
         self._looked_up: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -258,13 +262,18 @@ class _QueryProbes:
         if entry in self._looked_up:
             return self._looked_up[entry]
         index = self._index
-        rows, levels = self._ranked
-        if reps > rows or k > levels:
-            rows, levels = self._ranked = max(reps, rows), max(k, levels)
+        count = index.calibration.max_probes
+        rows, levels, width = self._ranked
+        if reps > rows or k > levels or j > width:
+            rows, levels = max(reps, rows), max(k, levels)
+            # the smallest power of two >= j, at most the table's width
+            width = max(min(1 << (j - 1).bit_length(), count), width)
+            self._ranked = rows, levels, width
             self._cover(rows, levels)
             proj = np.matmul(self._block[:rows, :levels], self._q)
-            slots = slot_rankings(index.family, proj.reshape(rows * levels, -1), levels)
-            merged = first_tuples(slots, index.calibration.max_probes, self._bits)
+            merged = ranked_tuples(
+                index.family, proj.reshape(rows * levels, -1), levels, width, count, self._bits
+            )
             self._levels = [keys << shift for keys, shift in zip(merged, self._shifts)]
         first = self._levels[k - 1][:reps, :j]
         self.key_searches += first.size

@@ -27,7 +27,7 @@ import mlslsh.query as querymod
 from conftest import feasible_reps, first_depth, setting_cost, toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
 from mlslsh.families import _pack, _prefixes, _shifts, bucket_codes, first_tuples
-from mlslsh.families import sample_directions, slot_bits, slot_rankings
+from mlslsh.families import ranked_tuples, sample_directions, slot_bits, slot_rankings
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
 from mlslsh.index import MultiLevelIndex, build_index, compute_k, key_blocks, reps, schedule_entry
 from mlslsh.index import screen_margin
@@ -364,9 +364,9 @@ def test_read_extents_match_a_full_projection(case, data):
                 coded.append(bucket_codes(family, proj))
                 return coded[-1]
 
-            def rank(family, proj, levels):
+            def rank(family, proj, levels, width, count, bits):
                 ranked.append((proj.copy(), levels))
-                return slot_rankings(family, proj, levels)
+                return ranked_tuples(family, proj, levels, width, count, bits)
 
             def check_rectangle(reps, levels, blocks):
                 # each block codes one rectangle of a read, in the order the
@@ -383,7 +383,7 @@ def test_read_extents_match_a_full_projection(case, data):
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(indexmod, "bucket_codes", code)
-                mp.setattr(querymod, "slot_rankings", rank)
+                mp.setattr(querymod, "ranked_tuples", rank)
                 probes = _QueryProbes(index, q, walk)
                 checked(probes)
                 reps, levels = walk.first, walk.depth
@@ -670,10 +670,9 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
                 lambda fam, proj: own[:count, :deepest].reshape(-1).astype(np.int32),
             )
             mp.setattr(indexmod, "unsettled", counting_screens(screens))
-            mp.setattr(querymod, "slot_rankings", lambda fam, proj, depth: None)
             mp.setattr(
-                querymod, "first_tuples",
-                lambda slots, width, b: iter(probe_keys[..., k] for k in range(K)),
+                querymod, "ranked_tuples",
+                lambda fam, proj, depth, width, count, b: [probe_keys[..., k] for k in range(K)],
             )
             probes = _QueryProbes(index, dataset.matrix[0], walk)
             screened = count <= copied[0] and deepest <= copied[1]

@@ -555,6 +555,142 @@ def test_fast_merge_matches_the_lexsort_under_tied_deficits(rankings, data):
     assert all(np.array_equal(a, b) for a, b in zip(got, expected)) and len(got) == len(expected)
 
 
+def rule_widths(count):
+    """Every width a ranking can take under a table of `count` probes: the
+    smallest power of two >= j for j = 2..count, capped at `count`."""
+    return sorted({min(1 << (j - 1).bit_length(), count) for j in range(2, count + 1)})
+
+
+def cut_to(slots, width):
+    """The columns of whole rankings that a ranking to `width` returns: the
+    first `width` buckets and `width` + 1 deficits, or all of a universe of
+    at most `width` + 1 buckets."""
+    return [(b[:, :width], d[:, : width + 1]) if b.shape[1] > width + 1 else (b, d) for b, d in slots]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(projection_cases(), st.data())
+def test_a_ranking_to_a_width_is_the_whole_ranking_cut(case, data):
+    # ties, zero rows and coordinates of either sign, repeated caps and
+    # universes of at most w + 1 buckets: the first w buckets and the bytes
+    # of the first w + 1 deficits of every row
+    params, depth, proj, _ = case
+    width = data.draw(st.integers(1, params.bucket_universe + 2))
+    got = fam.slot_rankings(params, proj, depth, width)
+    expected = stable_slot_rankings(params, proj, depth)
+    assert len(got) == depth
+    for (orders, deficits), (ref_orders, ref_deficits) in zip(got, cut_to(expected, width)):
+        assert orders.shape[1] >= min(width, params.bucket_universe)
+        assert np.array_equal(orders[:, :width], ref_orders[:, :width])
+        assert deficits[:, : width + 1].tobytes() == ref_deficits.tobytes()
+
+
+# a prefix priority and the float 1 ulp above it: both tie once a deficit of
+# 1 or more is added, and the sum rounds the difference away
+ABSORBED = [2.0**-30, float(np.nextafter(2.0**-30, 1.0))]
+
+
+@st.composite
+def merge_cases(draw):
+    """Rankings of 1-6 rows on 1-4 slots of a 2-20 bucket universe, rich in
+    ties: deficits non-decreasing from 0, drawn from dyadic values, whose
+    sums tie exactly, and from ABSORBED; in about half the rows a second
+    bucket ties the own one at deficit 0 with the smaller id. A table width
+    of 2-16 probes."""
+    universe, depth, m = draw(st.integers(2, 20)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slots = []
+    for _ in range(depth):
+        deficits = np.sort(rng.choice(DYADIC + ABSORBED + [1.0, 3.0], (m, universe)), axis=1)
+        deficits[:, 0] = 0.0
+        top_tie = rng.random(m) < 0.5
+        deficits[top_tie, 1] = 0.0
+        buckets = np.argsort(rng.random((m, universe)), axis=1)
+        larger = top_tie & (buckets[:, 0] < buckets[:, 1])
+        buckets[larger, :2] = buckets[larger, 1::-1]
+        slots.append((buckets, deficits))
+    return slots, draw(st.integers(2, 16))
+
+
+def assert_certified_rows_match(slots, count, bits):
+    """Merge `slots` at every width the rule can pick, cut as a ranking to
+    that width is, and compare each row the certificate clears with the
+    lexsorted merge at `count`; return how many rows it did not clear."""
+    wide = list(lexsorted_first_tuples(slots, count, bits))
+    failed = 0
+    for width in rule_widths(count):
+        # at the table width the merge is the wide one and needs no certificate
+        certified = np.ones(len(slots[0][0]), dtype=bool)
+        narrow = list(
+            fam.first_tuples(cut_to(slots, width), width, bits, certified if width < count else None)
+        )
+        assert len(narrow) == len(wide)
+        for keys, wide_keys in zip(narrow, wide):
+            assert keys.shape[1] == min(width, wide_keys.shape[1])
+            assert np.array_equal(keys[certified], wide_keys[certified, :width])
+        failed += int((~certified).sum())
+    return failed
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(merge_cases())
+def test_a_certified_row_merges_at_its_width_as_at_the_table_width(case):
+    slots, count = case
+    assert_certified_rows_match(slots, count, 5)
+
+
+def test_the_certificate_refuses_a_width_whose_first_tuples_differ():
+    # the own bucket 5 ties bucket 2 at deficit 0: at width 2, (1, 1) fails
+    # the cut, so the merge keeps (2, 5) where the table width has (2, 2)
+    slots = [(np.array([[5, 2]]), np.array([[0.0, 0.0]]))] * 2
+    certified = np.ones(1, dtype=bool)
+    narrow = list(fam.first_tuples(slots, 2, 3, certified))
+    wide = list(fam.first_tuples(slots, 16, 3))
+    assert fam._unpack(narrow[1][0], 3, 2).tolist() == [[5, 5], [2, 5]]
+    assert fam._unpack(wide[1][0], 3, 2).tolist() == [[5, 5], [2, 2], [2, 5], [5, 2]]
+    assert not certified[0]
+    assert assert_certified_rows_match(slots, 16, 3) > 0
+    # the first level alone matches, and certifies
+    certified = np.ones(1, dtype=bool)
+    assert np.array_equal(next(fam.first_tuples(slots[:1], 2, 3, certified)), wide[0])
+    assert certified[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(projection_cases())
+def test_ranked_tuples_equal_the_table_width_merge_cut(case):
+    # every row, certified or merged again at the table width, equals the
+    # lexsorted merge of the stable rankings at that width
+    params, depth, proj, count = case
+    count = max(count, 2)
+    bits = slot_bits(params, depth)
+    wide = list(lexsorted_first_tuples(stable_slot_rankings(params, proj, depth), count, bits))
+    for width in rule_widths(count):
+        got = fam.ranked_tuples(params, proj, depth, width, count, bits)
+        assert len(got) == depth
+        for keys, wide_keys in zip(got, wide):
+            assert np.array_equal(keys, wide_keys[:, :width])
+
+
+def test_ranked_tuples_merge_an_uncertified_row_again(monkeypatch):
+    # two axes of a cross-polytope tie at the top in both slots, so nothing
+    # past the own tuple certifies at width 2: the row takes the whole
+    # ranking and the merge at the table width
+    params = FamilyParams(kind="cross_polytope", dim=4)
+    proj = np.array([[1.0, 1.0, 0.5, 0.25]] * 2)
+    merges, first_tuples = [], fam.first_tuples
+
+    def merge(slots, count, bits, certified=None):
+        merges.append((len(slots[0][0]), count, certified is not None))
+        return first_tuples(slots, count, bits, certified)
+
+    monkeypatch.setattr(fam, "first_tuples", merge)
+    got = fam.ranked_tuples(params, proj, 2, 2, 16, 3)
+    assert merges == [(1, 2, True), (1, 16, False)]
+    wide = list(first_tuples(fam.slot_rankings(params, proj, 2), 16, 3))
+    assert all(np.array_equal(keys, wide_keys[:, :2]) for keys, wide_keys in zip(got, wide))
+
+
 def screen_edges(params, margin, rng):
     """Values on every edge of the `unsettled` screen, each also 1 ulp
     either side: a cap threshold and threshold +- margin; for

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import mlslsh.index as indexmod
 import mlslsh.query as querymod
 from conftest import feasible_reps, first_depth, setting_cost, toy_calibration
 from mlslsh.bench import BenchConfig, build_for_config
-from mlslsh.families import CodeEnumerator, FamilyParams, bucket_codes, hash_batch, probe_sequence
+from mlslsh.families import CodeEnumerator, FamilyParams, bucket_codes, first_tuples, hash_batch
+from mlslsh.families import probe_sequence, slot_rankings
 from mlslsh.geometry import Dataset, UnitPoint, generate_planted_instance
 from mlslsh.index import bucket_runs, build_index, compute_k, compute_numreps, consulted_reps, reps
 from mlslsh.index import schedule_entry
@@ -786,7 +788,7 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
     cases.append((with_more_queries(inst, 6, dim), build_index(inst.dataset, cal, seed=dim)))
     screens, unsettled = [], indexmod.unsettled
     coded, query_codes = [], indexmod.MultiLevelIndex.query_codes
-    ranked, slot_rankings = [], querymod.slot_rankings
+    ranked, ranked_tuples = [], querymod.ranked_tuples
 
     def screening(family, proj, margin):
         rows = unsettled(family, proj, margin)
@@ -799,9 +801,9 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
         coded.append((rectangle, len(screens) > before))
         return codes
 
-    def ranking(family, proj, levels):
+    def ranking(family, proj, levels, width, count, bits):
         ranked.append(len(proj))
-        return slot_rankings(family, proj, levels)
+        return ranked_tuples(family, proj, levels, width, count, bits)
 
     rest = past = 0
     for case, index in cases:
@@ -813,7 +815,7 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
             settled = walk_reports(case, settled_twin(index))
             assert screens and all(screens)
             mp.setattr(indexmod.MultiLevelIndex, "query_codes", coding)
-            mp.setattr(querymod, "slot_rankings", ranking)
+            mp.setattr(querymod, "ranked_tuples", ranking)
             runs, got = walk_runs(case, index), []
             for q in case.queries:
                 got.append({})
@@ -834,6 +836,76 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
         assert rest and ranked
     # the pin at level K lies past the copy on the generated index
     assert past >= len(case.queries)
+
+
+def full_width_ranking(family, proj, levels, width, count, bits):
+    """`query.ranked_tuples` as a query ranked before rankings had a width:
+    every bucket of every row ranked and merged at the table width `count`."""
+    return list(first_tuples(slot_rankings(family, proj, levels), count, bits))
+
+
+def ranking_widths(examined, reps_of, count):
+    """The width of each ranking a query makes to measure the settings it
+    `examined`, given the repetitions each (level, probes) setting consults:
+    it ranks when a multi-probe setting needs more repetitions, levels or
+    probes than it ranked before, to the smallest power of two >= the
+    probes, at most `count`, and never narrower than before."""
+    rows = levels = width = 0
+    widths = []
+    for setting in examined:
+        k, j = setting.level, setting.probes
+        if j > 1 and (reps_of[k, j] > rows or k > levels or j > width):
+            rows, levels = max(rows, reps_of[k, j]), max(levels, k)
+            width = max(width, min(2 ** math.ceil(math.log2(j)), count))
+            widths.append(width)
+    return widths
+
+
+@pytest.mark.parametrize("kind, dim", [
+    ("cross_polytope", 17), ("cross_polytope", 32), ("spherical_cap", 17), ("spherical_cap", 32),
+])
+def test_rankings_to_the_width_they_need_report_as_full_width_ones(
+    kind, dim, small_index, multi_probe_index
+):
+    # adaptive queries and the pins (2, 3) and (K, max_probes) report alike,
+    # every field but the wall time, whether each ranking ranks and merges
+    # to the width its setting needs or, as before, every bucket at the
+    # table width; and each ranking takes the width the rule gives
+    family = FamilyParams(kind=kind, dim=dim)
+    inst = generate_planted_instance(n=800, d=dim, r=0.4, t=5, seed=dim, num_queries=6)
+    cal = toy_calibration(family, 0.6, 0.3, compute_k(800, 0.3), 8, 1.0)
+    cases = [small_index, multi_probe_index] if kind == "cross_polytope" and dim == 17 else []
+    cases.append((with_more_queries(inst, 6, dim), build_index(inst.dataset, cal, seed=dim)))
+    widths, ranked_tuples = [], querymod.ranked_tuples
+
+    def ranking(family, proj, levels, width, count, bits):
+        widths.append(width)
+        return ranked_tuples(family, proj, levels, width, count, bits)
+
+    narrow = 0
+    for case, index in cases:
+        K, count = index.levels, index.calibration.max_probes
+        runs = {
+            name: run for name, run in walk_runs(case, index).items()
+            if name in ("adaptive", "fixed 2,3", f"fixed {K},{count}")
+        }
+        reps_of = {(k, j): reps for _, k, j, reps, _ in index.walks["adaptive"].entries}
+        for k, j in ((2, 3), (K, count)):
+            reps_of[k, j] = consulted_reps(index.calibration, k, j, index.num_repetitions)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(querymod, "ranked_tuples", full_width_ranking)
+            twin = [{name: timed_doc(run(q.coords)) for name, run in runs.items()} for q in case.queries]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(querymod, "ranked_tuples", ranking)
+            for q, expected in zip(case.queries, twin):
+                for name, run in runs.items():
+                    widths.clear()
+                    report = run(q.coords)
+                    assert timed_doc(report) == expected[name]
+                    assert widths == ranking_widths(report.examined, reps_of, count)
+                    narrow += sum(w < count for w in widths)
+    # some rankings merged narrower than the table
+    assert narrow
 
 
 if __name__ == "__main__":

@@ -229,8 +229,9 @@ def _estimate_probe_success(
     share functions across pairs; standard errors are computed over batches.
     Each batch samples its K functions as one direction stack and works on
     it the way a repetition of the index does: `hash_keys` packs the
-    partners' keys, one `slot_rankings` call ranks the queries' K slots, and
-    `first_tuples` runs the probe order once for all pairs. Level k then
+    partners' keys, one `slot_rankings` call ranks the queries' K slots to
+    `max_probes`, as far as the merge reads, and `first_tuples` runs the
+    probe order once for all pairs. Level k then
     looks for each partner's level-k prefix key among the first tuples.
     """
     sizes = _batch_sizes(trials, _TABLE_BATCH)
@@ -244,7 +245,7 @@ def _estimate_probe_success(
         data, query = _pairs_at_distance(rng, params.dim, m, r)
         partner = _prefixes(hash_keys(params, stack, data), bits, levels)
         proj = query @ stack.reshape(-1, params.dim).T
-        slots = slot_rankings(params, proj.reshape(m * levels, -1), levels)
+        slots = slot_rankings(params, proj.reshape(m * levels, -1), levels, max_probes)
         for k, tuples in enumerate(first_tuples(slots, max_probes, bits), start=1):
             hits = np.count_nonzero(tuples == partner[:, k - 1 : k], axis=0)
             if not hits.any():

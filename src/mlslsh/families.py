@@ -8,14 +8,15 @@ signed coordinate axis, giving 2 * dim buckets.
 
 A repetition of K functions is one (K, rows, dim) direction stack, sampled
 from K seeds by `sample_directions`. `hash_keys` hashes rows under a stack
-to packed keys, and `slot_rankings` ranks every bucket of each of its K
-slots for a projected query. The index and the probe-success table both
-work on stacks this way, so calibration measures the walk queries take.
-One function is its (rows, dim) slice of a stack: `hash_batch` hashes and
-`probe_sequence` ranks under one slice, for the collision estimate and as
-per-function references.
+to packed keys, and `slot_rankings`, the one ranker, ranks the buckets of
+each of its K slots for a projected query, best first, as far as a merge
+reads. The index and the probe-success table both work on stacks this way,
+so calibration measures the walk queries take. One function is its
+(rows, dim) slice of a stack: `hash_batch` hashes under one slice, for the
+collision estimate and as a per-function reference, and `probe_sequence`
+ranks every bucket of one slice.
 
-A probe ranking orders every bucket of one hash function for a query, own
+A probe ranking orders the buckets of one hash function for a query, own
 bucket first, as a (buckets, deficits) row pair. `first_tuples` merges the
 rankings of consecutive slots, level by level, into the best-first order of
 bucket-id tuples that multi-probe querying walks and calibration measures. A
@@ -233,74 +234,41 @@ def hash_keys(params: FamilyParams, directions: np.ndarray, rows: np.ndarray) ->
 
 
 def slot_rankings(
-    params: FamilyParams, proj: np.ndarray, depth: int, width: int | None = None
+    params: FamilyParams, proj: np.ndarray, depth: int, width: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Probe orders and positional deficits of an (m * depth, directions)
     projection whose row i * depth + s projects row i on slot s of a
-    direction stack: one (buckets, deficits) pair of (m, U) arrays per slot,
-    as `first_tuples` reads them. m is the calibration's query points, the
-    index's repetitions, or one query under one function.
+    direction stack, ranked as far as a merge at count `width` w reads: one
+    (buckets, deficits) pair of (m, min(w, U)) and (m, min(w + 1, U))
+    arrays per slot, as `first_tuples` reads them. m is the calibration's
+    query points, the index's repetitions, or one query under one function.
 
-    Each row is ranked on its own. For the cap family the overflow bucket
-    scores one unit below the row's worst cap so it always ranks last.
-    A row of distinct scores has one order, which the fast default sort
-    finds; a row with a tie takes the stable sort, which breaks it on the
-    smaller id.
+    Each row is ranked on its own. The own bucket is taken first, then
+    w + 1 `argmax` passes take the other buckets best first, each pass the
+    first maximum, so the smaller id wins a tie; a pass past the universe
+    takes a spent bucket at -inf, which the cut drops. The top w + 1 scores
+    are the own score merged into the w + 1 others, which `maximum` and
+    `minimum` place without a sort. A deficit is the gap from the top score
+    to the score at its position, taken from a top of +0.0 when the top is
+    a zero, so no deficit is -0.0.
 
-    A `width` w ranks only as far as a merge at count w reads: (m, w)
-    buckets and (m, w + 1) deficits per slot, equal bit for bit to those
-    columns of the whole ranking. A universe of at most w + 1 buckets takes
-    the whole ranking; see `_leading_ranks` for the rest.
+    The cap family's overflow bucket scores one unit below the row's worst
+    cap, so it ranks last. The passes score it the lowest finite float,
+    below every cap and above a spent bucket, and only a ranking whose
+    deficits reach the overflow's, min(w + 1, U) = U, gives it its score,
+    one below the worst cap among the scores the passes took.
     """
-    if width is not None and params.bucket_universe > width + 1:
-        return _leading_ranks(params, proj, depth, width)
-    m = proj.shape[0]
-    own = bucket_codes(params, proj)
+    m, universe = proj.shape[0], params.bucket_universe
+    width = min(width, universe)  # a wider ranking returns no more columns
+    scores = np.empty((m, universe))
     if params.kind == "spherical_cap":
-        scores = np.hstack([proj, proj.min(axis=1, keepdims=True) - 1.0])
-    else:
-        scores = np.empty((m, 2 * proj.shape[1]))
-        scores[:, 0::2] = proj
-        scores[:, 1::2] = -proj
-    neg = -scores
-    desc = -np.sort(neg, axis=1)
-    deficits = desc[:, :1] - desc
-    neg[np.arange(m), own] = -np.inf
-    orders = np.argsort(neg, axis=1)
-    tied = (desc[:, 1:] == desc[:, :-1]).any(axis=1)
-    if tied.any():
-        orders[tied] = np.argsort(neg[tied], axis=1, kind="stable")
-    return [(orders[s::depth], deficits[s::depth]) for s in range(depth)]
-
-
-def _leading_ranks(
-    params: FamilyParams, proj: np.ndarray, depth: int, width: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """`slot_rankings` to `width` w, for a universe of more than w + 1
-    buckets.
-
-    The own bucket is taken first, then w + 1 `argmax` passes take the
-    other scores best first, each pass the first maximum, so the smaller id
-    of a tie, as the stable sort breaks it: the buckets are the first w
-    taken. The top w + 1 scores are the own score merged into the w + 1
-    others, which `maximum` and `minimum` place without a sort, returning
-    scores unchanged. The overflow bucket scores below every cap, so the
-    passes may score it -inf. The sort of the whole ranking can return a
-    zero of either sign where a pass finds the other, and that sign reaches
-    a deficit only when the top score is a zero too, so such a row takes
-    the whole ranking.
-    """
-    m = proj.shape[0]
-    if params.kind == "spherical_cap":
-        scores = np.empty((m, params.cap_count + 1))
         scores[:, :-1] = proj
-        scores[:, -1] = -np.inf
+        scores[:, -1] = np.finfo(np.float64).min
     else:
-        scores = np.empty((m, 2 * proj.shape[1]))
         scores[:, 0::2] = proj
         scores[:, 1::2] = -proj
     flat = scores.reshape(-1)
-    start = np.arange(0, flat.size, scores.shape[1])
+    start = np.arange(0, flat.size, universe)
     # row t holds the flat place and the score of the bucket taken t-th
     at, taken = np.empty((width + 2, m), dtype=np.intp), np.empty((width + 2, m))
     for t in range(width + 2):
@@ -315,11 +283,11 @@ def _leading_ranks(
     desc = np.empty((width + 1, m))
     np.maximum(own, others[0], out=desc[0])
     np.maximum(np.minimum(own, others[:-1]), others[1:], out=desc[1:])
+    desc = desc[:universe]
+    if params.kind == "spherical_cap" and len(desc) == universe:
+        desc[-1] = desc[-2] - 1.0  # the overflow, below the worst cap
+    desc[0] += 0.0  # x - y is -0.0 only for x = -0.0 and y = +0.0
     deficits = (desc[:1] - desc).T
-    if not desc[0].all():
-        zero = np.flatnonzero(desc[0] == 0.0)
-        ((whole_orders, whole_deficits),) = slot_rankings(params, proj[zero], 1)
-        orders[zero], deficits[zero] = whole_orders[:, :width], whole_deficits[:, : width + 1]
     return [(orders[s::depth], deficits[s::depth]) for s in range(depth)]
 
 
@@ -335,10 +303,11 @@ def probe_sequence(
     score, ties on the smaller id, overflow last. deficits[i] is the gap
     between the best score and the i-th best, assigned by position, so the
     own bucket costs 0 even when cap carving put the query in a cap without
-    the top score.
+    the top score; a zero deficit is +0.0. It ranks to the width of the
+    whole universe.
     """
-    vec = query_row(q, params.dim)
-    ((orders, deficits),) = slot_rankings(params, vec[None, :] @ directions.T, 1)
+    vec = query_row(q, params.dim)[None, :]
+    ((orders, deficits),) = slot_rankings(params, vec @ directions.T, 1, params.bucket_universe)
     return np.ascontiguousarray(orders[0]), np.ascontiguousarray(deficits[0])
 
 
@@ -401,9 +370,10 @@ def _plan(kept: int, ranks: int, count: int, deficits: int) -> tuple:
 def first_tuples(slots, count: int, bits: int, certified=None) -> Iterator[np.ndarray]:
     """The first `count` bucket-id tuples of every level, best first, as packed keys.
 
-    `slots` holds one (buckets, deficits) pair of (m, w) arrays per slot, row
-    i ranking the buckets of that slot's function for query i; w may be the
-    whole universe. Level l yields an (m, min(count, tuples)) int64 array of
+    `slots` holds one (buckets, deficits) pair of (m, w) and (m, w') arrays
+    per slot, row i ranking the buckets of that slot's function for query
+    i, as `slot_rankings` ranks to a width or `CodeEnumerator` takes whole
+    rankings. Level l yields an (m, min(count, tuples)) int64 array of
     l-slot keys and is computed only when asked for. It extends the first
     `count` tuples of level l - 1 by one bucket of slot l, and sorts the
     candidates by priority (the prefix priority plus the bucket's deficit),
@@ -487,12 +457,13 @@ def ranked_tuples(
 ) -> list[np.ndarray]:
     """The first `width` <= `count` tuples of every level of the probe order
     at `count`, as packed keys: `first_tuples(slot_rankings(params, proj,
-    depth), count, bits)` with every level cut to `width` columns, for a
-    projection laid out as `slot_rankings` reads it.
+    depth, count), count, bits)` with every level cut to `width` columns,
+    for a projection laid out as `slot_rankings` reads it.
 
     It ranks to `width` and merges at `width`, certifying each row (see
-    `first_tuples`); a row the certificate does not clear is ranked whole
-    and merged again at `count`, so every row equals the merge at `count`.
+    `first_tuples`); a row the certificate does not clear is ranked to
+    `count` and merged again at `count`, so every row equals the merge at
+    `count`.
     Real queries rarely need that: every repetition of 100 queries on each
     benchmark index (n = 10^4, d = 32) certified at widths 2, 4 and 8.
     """
@@ -502,7 +473,7 @@ def ranked_tuples(
     if not certified.all():
         failed = np.flatnonzero(~certified)
         rows = proj.reshape(-1, depth, proj.shape[1])[failed].reshape(-1, proj.shape[1])
-        wide = first_tuples(slot_rankings(params, rows, depth), count, bits)
+        wide = first_tuples(slot_rankings(params, rows, depth, count), count, bits)
         for keys, wide_keys in zip(levels, wide):
             keys[failed] = wide_keys[:, : keys.shape[1]]
     return levels

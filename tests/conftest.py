@@ -5,6 +5,7 @@ import pytest
 
 import mlslsh.calibration as calmod
 from mlslsh.calibration import FamilyCalibration
+from mlslsh.families import bucket_codes
 from mlslsh.index import reps
 
 
@@ -84,3 +85,35 @@ def first_depth(index):
 
     work = min((count * (1.0 + load(k)) for _, k, _, count, _ in single), default=math.inf)
     return max((e[1] for e in index.schedule if e[2] == 1 or e[0] < work), default=0)
+
+
+def stable_slot_rankings(params, proj, depth):
+    """`families.slot_rankings` of every bucket as a stable argsort of every
+    row: the own bucket first, then descending scores, ties on the smaller
+    id, the cap overflow one unit below the row's worst cap. It shares no
+    ranking code with the library, so the probe references rank with it."""
+    m = proj.shape[0]
+    own = bucket_codes(params, proj)
+    if params.kind == "spherical_cap":
+        scores = np.hstack([proj, proj.min(axis=1, keepdims=True) - 1.0])
+    else:
+        scores = np.empty((m, 2 * proj.shape[1]))
+        scores[:, 0::2] = proj
+        scores[:, 1::2] = -proj
+    neg = -scores
+    desc = -np.sort(neg, axis=1)
+    neg[np.arange(m), own] = -np.inf
+    orders = np.argsort(neg, axis=1, kind="stable")
+    # the sort returns a zero of either sign, and a zero top score minus a
+    # zero of the other sign is -0.0; a ranking's zero deficits are +0.0
+    deficits = desc[:, :1] - desc + 0.0
+    return [(orders[s::depth], deficits[s::depth]) for s in range(depth)]
+
+
+def stable_probe_sequence(params, directions, q):
+    """`families.probe_sequence` by `stable_slot_rankings`: the (buckets,
+    deficits) ranking of the unit row `q` under the one function whose
+    (directions, dim) slice of a stack is `directions`."""
+    proj = np.asarray(q, dtype=np.float64)[None, :] @ directions.T
+    ((orders, deficits),) = stable_slot_rankings(params, proj, 1)
+    return orders[0], deficits[0]

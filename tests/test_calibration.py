@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mlslsh.calibration as calmod
+from conftest import stable_probe_sequence
 from mlslsh.calibration import (
     CalibrationError,
     CollisionEstimate,
@@ -23,7 +24,6 @@ from mlslsh.families import (
     derived_rng,
     derived_seed,
     hash_batch,
-    probe_sequence,
     sample_directions,
 )
 
@@ -219,7 +219,7 @@ def test_probe_success_single_level_matches_direct_walk():
         data, query = _pairs_at_distance(rng, 8, m, r)
         buckets = hash_batch(params, fn, data)
         for i in range(m):
-            ranked = probe_sequence(params, fn, query[i])[0][:j_max]
+            ranked = stable_probe_sequence(params, fn, query[i])[0][:j_max]
             where = np.nonzero(ranked == buckets[i])[0]
             if where.size:
                 hits[where[0] :] += 1
@@ -253,7 +253,7 @@ def test_probe_success_three_levels_match_the_sorted_grid(params):
         data, query = _pairs_at_distance(derived_rng(seed, 22, b), params.dim, m, r)
         partner = np.stack([hash_batch(params, fn, data) for fn in fns], axis=1)
         for i in range(m):
-            rankings = [probe_sequence(params, fn, query[i]) for fn in fns]
+            rankings = [stable_probe_sequence(params, fn, query[i]) for fn in fns]
             for k in range(1, levels + 1):
                 grid = sorted(
                     (

@@ -1,18 +1,20 @@
 """Property tests: the vectorized query engine against a per-probe reference.
 
-The reference ranks each hash function with `probe_sequence`, enumerates
-each (repetition, level) on its own through `CodeEnumerator`, the one-query
-shell over the same `first_tuples` merge the engine runs on all repetitions
-at once, and finds bucket members by a linear scan of the codes `hash_batch`
-gives afresh, one function's rows of the direction stack at a time, with no
-packed keys, no key-range search and no stacked projection. The probe order
-itself is checked against an oracle that shares no code with the merge, the
-sorted full code grid of `test_enumerator_matches_the_sorted_grid` in
-test_families.py. Its scheduler sorts every setting by its own cost and
-measures each one it reaches, with no spine lower bound. Reports
-must agree exactly: ids, distances, work, buckets and best setting. The
-engine's adaptive trace is the reference trace less the settings it pruned,
-each of which could not have won.
+The reference ranks each hash function with `stable_probe_sequence`, a
+stable argsort of every bucket that shares no ranking code with the library,
+enumerates each (repetition, level) on its own through `CodeEnumerator`, the
+one-query shell over the same `first_tuples` merge the engine runs on all
+repetitions at once, and finds bucket members by a linear scan of the codes
+`hash_batch` gives afresh, one function's rows of the direction stack at a
+time, with no packed keys, no key-range search and no stacked projection.
+The probe order itself is checked against an oracle that shares no code
+with the merge, the sorted full code grid of
+`test_enumerator_matches_the_sorted_grid` in test_families.py. Its
+scheduler sorts every setting by its own cost and measures each one it
+reaches, with no spine lower bound. Reports must agree exactly: ids,
+distances, work, buckets and best setting. The engine's adaptive trace is
+the reference trace less the settings it pruned, each of which could not
+have won.
 """
 
 import math
@@ -24,8 +26,9 @@ from hypothesis import strategies as st
 
 import mlslsh.index as indexmod
 import mlslsh.query as querymod
-from conftest import feasible_reps, first_depth, setting_cost, toy_calibration
-from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch, probe_sequence
+from conftest import feasible_reps, first_depth, setting_cost, stable_probe_sequence
+from conftest import toy_calibration
+from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch
 from mlslsh.families import _pack, _prefixes, _shifts, bucket_codes, first_tuples
 from mlslsh.families import ranked_tuples, sample_directions, slot_bits, slot_rankings
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
@@ -102,7 +105,7 @@ class Reference:
         if (rep, k) not in self.enums:
             stack = self.index.repetitions[rep].directions[:k]
             self.enums[rep, k] = CodeEnumerator(
-                [probe_sequence(self.index.family, d, self.q) for d in stack]
+                [stable_probe_sequence(self.index.family, d, self.q) for d in stack]
             )
         return self.enums[rep, k].first(j)
 
@@ -248,7 +251,7 @@ class FullProjection:
         for k in range(1, K + 1):
             lo, hi = self.runs(k, 1, R)
             self.lo[:, k - 1], self.hi[:, k - 1] = lo[:, 0], hi[:, 0]
-        slots = slot_rankings(index.family, self.proj, K)
+        slots = slot_rankings(index.family, self.proj, K, index.family.bucket_universe)
         self.levels = list(first_tuples(slots, index.calibration.max_probes, self.bits))
 
     def runs(self, k, j, count):

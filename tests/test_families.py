@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlslsh.families as fam
+from conftest import stable_probe_sequence, stable_slot_rankings
 from mlslsh.families import (
     HASH_BLOCK,
     KEY_BITS,
@@ -39,7 +40,7 @@ def own_bucket(params, fn, q):
 
 
 def first_codes(params, fns, q, j):
-    return CodeEnumerator([probe_sequence(params, fn, q) for fn in fns]).first(j)
+    return CodeEnumerator([stable_probe_sequence(params, fn, q) for fn in fns]).first(j)
 
 
 def test_derived_seed_is_deterministic_and_distinct():
@@ -440,25 +441,6 @@ def test_family_params_validation_and_json():
     assert FamilyParams.from_json_dict(cp.to_json_dict()) == cp
 
 
-def stable_slot_rankings(params, proj, depth):
-    """`families.slot_rankings` as a stable argsort of every row: the own
-    bucket first, then descending scores, ties on the smaller id."""
-    m = proj.shape[0]
-    own = fam.bucket_codes(params, proj)
-    if params.kind == "spherical_cap":
-        scores = np.hstack([proj, proj.min(axis=1, keepdims=True) - 1.0])
-    else:
-        scores = np.empty((m, 2 * proj.shape[1]))
-        scores[:, 0::2] = proj
-        scores[:, 1::2] = -proj
-    neg = -scores
-    desc = -np.sort(neg, axis=1)
-    neg[np.arange(m), own] = -np.inf
-    orders = np.argsort(neg, axis=1, kind="stable")
-    deficits = desc[:, :1] - desc
-    return [(orders[s::depth], deficits[s::depth]) for s in range(depth)]
-
-
 def lexsorted_first_tuples(slots, count, bits):
     """`families.first_tuples` with every row's candidates lexsorted on
     (priority, all-own tuple first, key)."""
@@ -513,12 +495,13 @@ def projection_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(projection_cases(), st.data())
 def test_fast_probe_sorts_match_the_stable_references(case, data):
-    # the default sorts plus their tie fallbacks rank, and merge, exactly as
-    # the stable argsort and the lexsort do. Each row ranks and merges on
-    # its own: the first rows and slots of the projection, the rectangle a
-    # multi-probe setting ranks, give the rows of the whole
+    # a ranking to the whole universe, and the merge's default sort plus
+    # its tie fallback, rank and merge exactly as the stable argsort and the
+    # lexsort do. Each row ranks and merges on its own: the first rows and
+    # slots of the projection, the rectangle a multi-probe setting ranks,
+    # give the rows of the whole
     params, depth, proj, count = case
-    got = fam.slot_rankings(params, proj, depth)
+    got = fam.slot_rankings(params, proj, depth, params.bucket_universe)
     expected = stable_slot_rankings(params, proj, depth)
     for (orders, deficits), (ref_orders, ref_deficits) in zip(got, expected):
         assert np.array_equal(orders, ref_orders)
@@ -532,7 +515,7 @@ def test_fast_probe_sorts_match_the_stable_references(case, data):
     m = len(proj) // depth
     rows, cut = data.draw(st.integers(1, m)), data.draw(st.integers(1, depth))
     rectangle = proj.reshape(m, depth, -1)[:rows, :cut].reshape(rows * cut, -1)
-    part = fam.slot_rankings(params, rectangle, cut)
+    part = fam.slot_rankings(params, rectangle, cut, params.bucket_universe)
     assert len(part) == cut
     for (orders, deficits), (whole_orders, whole_deficits) in zip(part, got):
         assert np.array_equal(orders, whole_orders[:rows])
@@ -563,26 +546,49 @@ def rule_widths(count):
 
 def cut_to(slots, width):
     """The columns of whole rankings that a ranking to `width` returns: the
-    first `width` buckets and `width` + 1 deficits, or all of a universe of
-    at most `width` + 1 buckets."""
-    return [(b[:, :width], d[:, : width + 1]) if b.shape[1] > width + 1 else (b, d) for b, d in slots]
+    first `width` buckets and `width` + 1 deficits."""
+    return [(b[:, :width], d[:, : width + 1]) for b, d in slots]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(projection_cases(), st.data())
 def test_a_ranking_to_a_width_is_the_whole_ranking_cut(case, data):
     # ties, zero rows and coordinates of either sign, repeated caps and
-    # universes of at most w + 1 buckets: the first w buckets and the bytes
-    # of the first w + 1 deficits of every row
+    # widths up to past the universe: exactly the first w buckets and the
+    # bytes of the first w + 1 deficits of every row, as far as there are.
+    # A zero top score less a zero of the other sign is -0.0, which no
+    # ranking returns
     params, depth, proj, _ = case
-    width = data.draw(st.integers(1, params.bucket_universe + 2))
-    got = fam.slot_rankings(params, proj, depth, width)
+    universe = params.bucket_universe
+    m = len(proj) // depth
     expected = stable_slot_rankings(params, proj, depth)
-    assert len(got) == depth
-    for (orders, deficits), (ref_orders, ref_deficits) in zip(got, cut_to(expected, width)):
-        assert orders.shape[1] >= min(width, params.bucket_universe)
-        assert np.array_equal(orders[:, :width], ref_orders[:, :width])
-        assert deficits[:, : width + 1].tobytes() == ref_deficits.tobytes()
+    for width in range(1, universe + 3):
+        got = fam.slot_rankings(params, proj, depth, width)
+        assert len(got) == depth
+        for (orders, deficits), (ref_orders, ref_deficits) in zip(got, cut_to(expected, width)):
+            assert orders.shape == (m, min(width, universe))
+            assert deficits.shape == (m, min(width + 1, universe))
+            assert np.array_equal(orders, ref_orders)
+            assert deficits.tobytes() == ref_deficits.tobytes()
+            assert not np.signbit(deficits).any()
+
+
+@pytest.mark.parametrize("kind", ["spherical_cap", "cross_polytope"])
+def test_probe_sequence_of_a_zero_projection_has_no_negative_zero(kind):
+    # zero directions project every query to zeros, of either sign once
+    # cross-polytope negates them; every cap misses, so the overflow is own
+    # (a whole sort of d = 8 axes put a -0.0 first, and so a -0.0 deficit)
+    params = FamilyParams(kind=kind, dim=8, cap_count=6)
+    zero, q = np.zeros((params.direction_count, 8)), unit(np.ones(8))
+    buckets, deficits = probe_sequence(params, zero, q)
+    assert not np.signbit(deficits).any()
+    ref_buckets, ref_deficits = stable_probe_sequence(params, zero, q)
+    assert np.array_equal(buckets, ref_buckets)
+    assert deficits.tobytes() == ref_deficits.tobytes()
+    if kind == "spherical_cap":
+        assert buckets[0] == 6 and deficits.tolist() == [0.0] * 6 + [1.0]
+    else:
+        assert deficits.tolist() == [0.0] * 16
 
 
 # a prefix priority and the float 1 ulp above it: both tie once a deficit of
@@ -674,20 +680,27 @@ def test_ranked_tuples_equal_the_table_width_merge_cut(case):
 
 def test_ranked_tuples_merge_an_uncertified_row_again(monkeypatch):
     # two axes of a cross-polytope tie at the top in both slots, so nothing
-    # past the own tuple certifies at width 2: the row takes the whole
-    # ranking and the merge at the table width
+    # past the own tuple certifies at width 2: the row is ranked again to
+    # the table width and merged at it
     params = FamilyParams(kind="cross_polytope", dim=4)
     proj = np.array([[1.0, 1.0, 0.5, 0.25]] * 2)
-    merges, first_tuples = [], fam.first_tuples
+    rankings, merges = [], []
+    slot_rankings, first_tuples = fam.slot_rankings, fam.first_tuples
+
+    def rank(params, proj, depth, width):
+        rankings.append((len(proj), depth, width))
+        return slot_rankings(params, proj, depth, width)
 
     def merge(slots, count, bits, certified=None):
         merges.append((len(slots[0][0]), count, certified is not None))
         return first_tuples(slots, count, bits, certified)
 
+    monkeypatch.setattr(fam, "slot_rankings", rank)
     monkeypatch.setattr(fam, "first_tuples", merge)
     got = fam.ranked_tuples(params, proj, 2, 2, 16, 3)
+    assert rankings == [(2, 2, 2), (2, 2, 16)]
     assert merges == [(1, 2, True), (1, 16, False)]
-    wide = list(first_tuples(fam.slot_rankings(params, proj, 2), 16, 3))
+    wide = list(first_tuples(fam.slot_rankings(params, proj, 2, params.bucket_universe), 16, 3))
     assert all(np.array_equal(keys, wide_keys[:, :2]) for keys, wide_keys in zip(got, wide))
 
 

@@ -11,10 +11,11 @@ import pytest
 
 import mlslsh.index as indexmod
 import mlslsh.query as querymod
-from conftest import feasible_reps, first_depth, setting_cost, toy_calibration
+from conftest import feasible_reps, first_depth, setting_cost, stable_probe_sequence
+from conftest import toy_calibration
 from mlslsh.bench import BenchConfig, build_for_config
 from mlslsh.families import CodeEnumerator, FamilyParams, bucket_codes, first_tuples, hash_batch
-from mlslsh.families import probe_sequence, slot_rankings
+from mlslsh.families import slot_rankings
 from mlslsh.geometry import Dataset, UnitPoint, generate_planted_instance
 from mlslsh.index import bucket_runs, build_index, compute_k, compute_numreps, consulted_reps, reps
 from mlslsh.index import schedule_entry
@@ -74,7 +75,7 @@ def recount_work(index, q, k, j, count) -> float:
     for r in range(count):
         family, stack = index.family, index.repetitions[r].directions
         codes = np.stack([hash_batch(family, d, index.dataset.matrix) for d in stack], axis=1)
-        seqs = [probe_sequence(family, d, q) for d in stack[:k]]
+        seqs = [stable_probe_sequence(family, d, q) for d in stack[:k]]
         for code in CodeEnumerator(seqs).first(j):
             members = sum(
                 1
@@ -841,7 +842,8 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
 def full_width_ranking(family, proj, levels, width, count, bits):
     """`query.ranked_tuples` as a query ranked before rankings had a width:
     every bucket of every row ranked and merged at the table width `count`."""
-    return list(first_tuples(slot_rankings(family, proj, levels), count, bits))
+    slots = slot_rankings(family, proj, levels, family.bucket_universe)
+    return list(first_tuples(slots, count, bits))
 
 
 def ranking_widths(examined, reps_of, count):

@@ -231,8 +231,10 @@ def _estimate_probe_success(
     it the way a repetition of the index does: `hash_keys` packs the
     partners' keys, one `slot_rankings` call ranks the queries' K slots to
     `max_probes`, as far as the merge reads, and `first_tuples` runs the
-    probe order once for all pairs. Level k then
-    looks for each partner's level-k prefix key among the first tuples.
+    probe order once for all pairs. Level k then looks for each partner's
+    level-k prefix key among the first tuples. The first j of the merge at
+    `max_probes` are the merge at j, so column j measures exactly the
+    probes a query of j probes, ranked and merged to its own width, walks.
     """
     sizes = _batch_sizes(trials, _TABLE_BATCH)
     per_batch = np.zeros((len(sizes), levels, max_probes), dtype=np.int64)

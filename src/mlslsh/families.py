@@ -20,16 +20,16 @@ A probe ranking orders the buckets of one hash function for a query, own
 bucket first, as a (buckets, deficits) row pair. `first_tuples` merges the
 rankings of consecutive slots, level by level, into the best-first order of
 bucket-id tuples that multi-probe querying walks and calibration measures. A
-tuple's priority is the sum of its slot deficits taken left to right; the
-all-own tuple comes first, and ties break on the packed key. A query needs
+tuple's priority is the sum of its slot deficits taken left to right; ties
+break on the place of the tuple's prefix in the level before, then on the
+rank of its last bucket, so the all-own tuple comes first and the first c
+tuples of the merge at any count C >= c are the merge at c. A query needs
 only the first few tuples of that order, and `ranked_tuples` ranks and
-merges only that far, with a certificate that they are the first of the
-merge at the calibrated width. A packed key
-holds a tuple's bucket ids in one int64, slot 0 in the high bits and
-ceil(log2 U) bits per slot, so keys order like the tuples and at most
-KEY_BITS = 63 bits of slots fit. `_pack` is the one encoder and `_unpack`
-its inverse; the level-k prefix of a key of K slots is the key shifted
-right by bits * (K - k).
+merges only that far. A packed key holds a tuple's bucket ids in one
+int64, slot 0 in the high bits and ceil(log2 U) bits per slot, so keys
+order like the tuples and at most KEY_BITS = 63 bits of slots fit. `_pack`
+is the one encoder and `_unpack` its inverse; the level-k prefix of a key
+of K slots is the key shifted right by bits * (K - k).
 """
 
 from __future__ import annotations
@@ -239,24 +239,24 @@ def slot_rankings(
     """Probe orders and positional deficits of an (m * depth, directions)
     projection whose row i * depth + s projects row i on slot s of a
     direction stack, ranked as far as a merge at count `width` w reads: one
-    (buckets, deficits) pair of (m, min(w, U)) and (m, min(w + 1, U))
-    arrays per slot, as `first_tuples` reads them. m is the calibration's
-    query points, the index's repetitions, or one query under one function.
+    (buckets, deficits) pair of (m, min(w, U)) arrays per slot, as
+    `first_tuples` reads them. m is the calibration's query points, the
+    index's repetitions, or one query under one function.
 
-    Each row is ranked on its own. The own bucket is taken first, then
-    w + 1 `argmax` passes take the other buckets best first, each pass the
-    first maximum, so the smaller id wins a tie; a pass past the universe
-    takes a spent bucket at -inf, which the cut drops. The top w + 1 scores
-    are the own score merged into the w + 1 others, which `maximum` and
-    `minimum` place without a sort. A deficit is the gap from the top score
-    to the score at its position, taken from a top of +0.0 when the top is
-    a zero, so no deficit is -0.0.
+    Each row is ranked on its own. The own bucket is taken first, then w
+    `argmax` passes take the other buckets best first, each pass the first
+    maximum, so the smaller id wins a tie; a pass past the universe takes a
+    spent bucket at -inf, which the cut drops. The top w scores are the own
+    score merged into the w others, which `maximum` and `minimum` place
+    without a sort. A deficit is the gap from the top score to the score at
+    its position, taken from a top of +0.0 when the top is a zero, so no
+    deficit is -0.0.
 
     The cap family's overflow bucket scores one unit below the row's worst
     cap, so it ranks last. The passes score it the lowest finite float,
-    below every cap and above a spent bucket, and only a ranking whose
-    deficits reach the overflow's, min(w + 1, U) = U, gives it its score,
-    one below the worst cap among the scores the passes took.
+    below every cap and above a spent bucket, and only a ranking that
+    reaches the overflow's deficit, min(w, U) = U, gives it its score, one
+    below the worst cap among the scores the passes took.
     """
     m, universe = proj.shape[0], params.bucket_universe
     width = min(width, universe)  # a wider ranking returns no more columns
@@ -270,8 +270,8 @@ def slot_rankings(
     flat = scores.reshape(-1)
     start = np.arange(0, flat.size, universe)
     # row t holds the flat place and the score of the bucket taken t-th
-    at, taken = np.empty((width + 2, m), dtype=np.intp), np.empty((width + 2, m))
-    for t in range(width + 2):
+    at, taken = np.empty((width + 1, m), dtype=np.intp), np.empty((width + 1, m))
+    for t in range(width + 1):
         best = scores.argmax(axis=1) if t else bucket_codes(params, proj)
         np.add(best, start, out=at[t])
         flat.take(at[t], out=taken[t])
@@ -280,11 +280,10 @@ def slot_rankings(
     # the own score x into the others v, best first: place c > 0 holds
     # max(min(x, v_c), v_c+1), the larger of x and v_c+1 unless x passes v_c
     own, others = taken[0], taken[1:]
-    desc = np.empty((width + 1, m))
+    desc = np.empty((width, m))
     np.maximum(own, others[0], out=desc[0])
     np.maximum(np.minimum(own, others[:-1]), others[1:], out=desc[1:])
-    desc = desc[:universe]
-    if params.kind == "spherical_cap" and len(desc) == universe:
+    if params.kind == "spherical_cap" and width == universe:
         desc[-1] = desc[-2] - 1.0  # the overflow, below the worst cap
     desc[0] += 0.0  # x - y is -0.0 only for x = -0.0 and y = +0.0
     deficits = (desc[:1] - desc).T
@@ -348,135 +347,62 @@ def _unpack(keys: np.ndarray, bits: int, depth: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(kept: int, ranks: int, count: int, deficits: int) -> tuple:
-    """What a merge level at `count` sums from `kept` tuples of the level
-    before and rankings of `ranks` buckets and `deficits` deficits, as
-    positions i and ranks r: first its n candidates, those with
-    (i + 1)(r + 1) <= count, then the lost pairs, each position with the
-    first rank the cut drops there, count // (i + 1), where the deficits
-    reach it. A position whose first dropped rank is that of the position
-    before it is left out, as its prefix priority is no lower. Also
-    whether each candidate is past the all-own pair (0, 0), and n. The
-    arrays are read-only, as every merge of the shape shares them."""
-    i, r = np.nonzero(np.outer(np.arange(1, kept + 1), np.arange(1, ranks + 1)) <= count)
-    first_lost = count // np.arange(1, kept + 1)
-    lost = np.flatnonzero((first_lost < deficits) & (np.diff(first_lost, prepend=0) != 0))
-    plan = (np.concatenate((i, lost)), np.concatenate((r, first_lost[lost])), i + r > 0)
+def _plan(kept: int, ranks: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of a merge level at `count` from `kept` tuples of the
+    level before and rankings of `ranks` buckets, as positions i and ranks
+    r with (i + 1)(r + 1) <= count, in (i, r) order. The arrays are
+    read-only, as every merge of the shape shares them."""
+    plan = np.nonzero(np.outer(np.arange(1, kept + 1), np.arange(1, ranks + 1)) <= count)
     for part in plan:
         part.flags.writeable = False
-    return (*plan, i.size)
+    return plan
 
 
-def first_tuples(slots, count: int, bits: int, certified=None) -> Iterator[np.ndarray]:
+def first_tuples(slots, count: int, bits: int) -> Iterator[np.ndarray]:
     """The first `count` bucket-id tuples of every level, best first, as packed keys.
 
-    `slots` holds one (buckets, deficits) pair of (m, w) and (m, w') arrays
-    per slot, row i ranking the buckets of that slot's function for query
-    i, as `slot_rankings` ranks to a width or `CodeEnumerator` takes whole
+    `slots` holds one (buckets, deficits) pair of (m, w) arrays per slot,
+    row i ranking the buckets of that slot's function for query i, as
+    `slot_rankings` ranks to a width or `CodeEnumerator` takes whole
     rankings. Level l yields an (m, min(count, tuples)) int64 array of
     l-slot keys and is computed only when asked for. It extends the first
-    `count` tuples of level l - 1 by one bucket of slot l, and sorts the
-    candidates by priority (the prefix priority plus the bucket's deficit),
-    puts the all-own tuple first among equals and breaks the other ties on
-    the key. The tuple at position i takes the bucket of rank r only if
-    (i + 1)(r + 1) <= count: any other pair is dominated by the
-    (i + 1)(r + 1) - 1 >= count pairs at positions <= i and ranks <= r, none
-    of higher priority. So the merge reads only the first `count` buckets
-    and deficits of a ranking, and callers may pass rankings uncut. A row
-    whose first `count` + 1 sorted priorities are distinct keeps the first
-    `count` of the fast default sort, which no tie-break could reorder; a
-    row with a tie there is sorted again with the tie-breaks.
+    `count` tuples of level l - 1 by one bucket of slot l, and one stable
+    sort orders the candidates by priority (the prefix priority plus the
+    bucket's deficit), then by the place i of the prefix in level l - 1,
+    then by the rank r of the bucket. So level l is ordered by (P_l,
+    P_l-1, ..., P_1, r_1, ..., r_l), where P_s is the left-to-right sum of
+    the first s deficits, and the all-own tuple comes first.
 
-    The first w tuples of a merge at count w are not in general the first w
-    of a merge at a larger count C: with the ranking ([5, 2], [0.0, 0.0]) on
-    two slots, count 2 gives (5, 5), (2, 5), as (1, 1) fails the cut, while
-    count 16 gives (5, 5), (2, 2). Given an (m,) bool array `certified`, the
-    merge clears row i of it at the first level where it cannot prove that
-    its tuples are the first of the merge at every count C > `count` of the
-    same rankings. A row that kept `count` tuples stays certified if every
-    "lost" sum, prio_i plus the deficit of rank count // (i + 1), the first
-    rank the cut drops at position i, is above the priority of its last
-    tuple; a row that kept fewer, if no rank was lost (none that far
-    exists). This reads only the first `count` buckets and `count` + 1
-    deficits of each ranking, and needs only deficits >= 0 and
-    non-decreasing along a ranking and monotone float addition: a <= b
-    implies fl(a + d) <= fl(b + d).
-
-    Proof. Call the merge at `count` N and the one at C W. A tuple has one
-    priority in both, as its buckets fix its ranks and so its deficits, and
-    both sort candidates by priority, then the all-own tuple, then the key.
-    Suppose that at level l - 1 every candidate of W that N did not keep
-    sorts after N's last tuple, so N's tuples are W's first; at level 0
-    both hold the empty tuple. A level-l candidate of W that N does not keep
-    is one of three:
-      - a candidate of N that N cut: both sort it alike, after N's last;
-      - cut by the rule, r >= count // (i + 1): its priority is >= the lost
-        sum of position i, or of an earlier position with the same first
-        dropped rank and a prefix priority no higher, above N's last;
-      - an extension of a tuple T of W that N did not keep, so N kept
-        `count` tuples at level l - 1 and T sorts after the last of them, of
-        priority p. N's extensions of its tuples by their own buckets keep
-        their priorities, so N's last at level l is <= p. If the extension
-        of T has a larger priority, it sorts after N's last; if not, both
-        equal p. Then each of N's level l - 1 tuples of priority p precedes
-        T, so its own extension precedes T's extension, and those own
-        extensions are at least as many as the places N has left for
-        priority p: every tuple N keeps sorts before T's extension.
-    So the claim holds at level l. Almost every row of real queries
-    certifies (see `ranked_tuples`).
+    The tuple at position i takes the bucket of rank r only if
+    (i + 1)(r + 1) <= count, and that cut is exact at every count: each of
+    the other (i + 1)(r + 1) - 1 pairs at a position <= i and a rank <= r
+    has a priority no higher, by monotone float addition (a <= b implies
+    fl(a + d) <= fl(b + d)) and deficits non-decreasing along a ranking,
+    and comes earlier in (i, r) order. So the merge reads only the first
+    `count` buckets and deficits of a ranking, callers may pass rankings
+    uncut, and the first c tuples of the merge at any count C >= c are the
+    merge at c.
     """
     m = len(slots[0][0])
     rows = np.arange(m)[:, None]
     keys, prio = np.zeros((m, 1), dtype=np.int64), np.zeros((m, 1))  # level 0: the empty tuple
     for buckets, deficits in slots:
-        i, r, own_last, n = _plan(keys.shape[1], min(count, buckets.shape[1]), count, deficits.shape[1])
-        # the candidates' priorities, then the lost sums
-        sums = prio[:, i] + deficits[:, r]
-        cand_prio = sums[:, :n]
-        order = np.argsort(cand_prio, axis=1)[:, : count + 1]
-        head = cand_prio[rows, order]
-        if certified is not None and n < i.size:
-            last = head[:, count - 1] if head.shape[1] >= count else np.inf
-            certified &= sums[:, n:].min(axis=1) > last
-        # any tie-break leaves the sorted priorities as they are
-        order, prio = order[:, :count], head[:, :count]
-        # each row's head starts with the all-own tuple's 0, so the last of
-        # one row equals the first of the next only in a row with a tie
-        run = head.reshape(-1)
-        if (run[1:] == run[:-1]).any():
-            ties = np.flatnonzero((head[:, 1:] == head[:, :-1]).any(axis=1))
-            cand_keys = keys[ties][:, i[:n]] << bits | buckets[ties][:, r[:n]]
-            own = np.broadcast_to(own_last, cand_keys.shape)
-            order[ties] = np.lexsort((cand_keys, own, cand_prio[ties]))[:, :count]
+        i, r = _plan(keys.shape[1], min(count, buckets.shape[1]), count)
+        cand = prio[:, i] + deficits[:, r]
+        order = np.argsort(cand, axis=1, kind="stable")[:, :count]
+        prio = cand[rows, order]
         keys = keys[rows, i[order]] << bits | buckets[rows, r[order]]
         yield keys
 
 
 def ranked_tuples(
-    params: FamilyParams, proj: np.ndarray, depth: int, width: int, count: int, bits: int
+    params: FamilyParams, proj: np.ndarray, depth: int, width: int, bits: int
 ) -> list[np.ndarray]:
-    """The first `width` <= `count` tuples of every level of the probe order
-    at `count`, as packed keys: `first_tuples(slot_rankings(params, proj,
-    depth, count), count, bits)` with every level cut to `width` columns,
-    for a projection laid out as `slot_rankings` reads it.
-
-    It ranks to `width` and merges at `width`, certifying each row (see
-    `first_tuples`); a row the certificate does not clear is ranked to
-    `count` and merged again at `count`, so every row equals the merge at
-    `count`.
-    Real queries rarely need that: every repetition of 100 queries on each
-    benchmark index (n = 10^4, d = 32) certified at widths 2, 4 and 8.
-    """
-    slots = slot_rankings(params, proj, depth, width)
-    certified = np.ones(len(proj) // depth, dtype=bool)
-    levels = list(first_tuples(slots, width, bits, certified if width < count else None))
-    if not certified.all():
-        failed = np.flatnonzero(~certified)
-        rows = proj.reshape(-1, depth, proj.shape[1])[failed].reshape(-1, proj.shape[1])
-        wide = first_tuples(slot_rankings(params, rows, depth, count), count, bits)
-        for keys, wide_keys in zip(levels, wide):
-            keys[failed] = wide_keys[:, : keys.shape[1]]
-    return levels
+    """The first `width` tuples of every level of the probe order, as packed
+    keys, for a projection laid out as `slot_rankings` reads it: the first
+    `width` of the merge at any wider count. Queries rank through this one
+    call, which tests replace to watch or fake a ranking."""
+    return list(first_tuples(slot_rankings(params, proj, depth, width), width, bits))
 
 
 class CodeEnumerator:
@@ -484,23 +410,31 @@ class CodeEnumerator:
     one query: `first_tuples` on one row per slot.
 
     Each slot is given as one (buckets, deficits) ranking, as `probe_sequence`
-    returns it, own bucket first.
+    returns it, own bucket first: distinct non-negative integer ids and as
+    many finite, non-decreasing deficits, or ValueError naming the slot.
     """
 
     def __init__(self, rankings: Sequence[tuple[Sequence[int], Sequence[float]]]):
         if not rankings:
             raise ValueError("at least one slot ranking is required")
-        self._slots = [
-            (np.asarray(b, dtype=np.int64)[None, :], np.asarray(d, dtype=np.float64)[None, :])
-            for b, d in rankings
-        ]
+        self._slots = []
+        for s, (b, d) in enumerate(rankings):
+            b, d = np.asarray(b), np.asarray(d, dtype=np.float64)
+            if b.ndim != 1 or b.shape != d.shape or not b.size:
+                raise ValueError(f"slot {s}: buckets and deficits must be one non-empty row each")
+            if b.dtype.kind not in "iu" or b.min() < 0 or np.unique(b).size < b.size:
+                raise ValueError(f"slot {s}: bucket ids must be distinct non-negative integers")
+            if not np.isfinite(d).all() or (np.diff(d) < 0.0).any():
+                raise ValueError(f"slot {s}: deficits must be finite and non-decreasing")
+            self._slots.append((b.astype(np.int64)[None, :], d[None, :]))
         self._bits = max(1, max(int(b.max()) for b, _ in self._slots).bit_length())
         if self._bits * len(self._slots) > KEY_BITS:
             raise ValueError(f"{len(self._slots)} slots of {self._bits} bits pass {KEY_BITS} key bits")
 
     def first(self, count: int) -> list[tuple[int, ...]]:
-        """The first `count` tuples (fewer if the universe is exhausted)."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
+        """The first `count` tuples (fewer if the universe is exhausted); a
+        `count` that is not a non-negative integer raises ValueError."""
+        if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 0:
+            raise ValueError(f"count must be a non-negative integer, got {count!r}")
         *_, keys = first_tuples(self._slots, count, self._bits)
         return [tuple(codes) for codes in _unpack(keys[0], self._bits, len(self._slots)).tolist()]

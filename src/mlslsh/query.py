@@ -169,13 +169,13 @@ class _QueryProbes:
     `families.ranked_tuples` call, which ranks every level of that
     rectangle at once and merges it, shifting each level to first keys. It
     ranks and merges only to the width j needs, the smallest power of two
-    >= j, at most the calibrated `max_probes`, and certifies each row equal
-    to the merge at `max_probes`, merging again at that width any row it
-    cannot certify. Both steps treat each row on its own, so a row ranks
-    alike in any rectangle, and a later setting that needs more rows,
-    levels or probes ranks the larger rectangle afresh, at the wider of the
-    two widths, taking the rest of the extent first if the rectangle passes
-    the first read. A setting finds its buckets with one `index.probe_runs`
+    >= j, at most the calibrated `max_probes`; the first tuples of the
+    merge at any width are those of the merge at `max_probes`, the order
+    the calibration measured. Both steps treat each row on its own, so a
+    row ranks alike in any rectangle, and a later setting that needs more
+    rows, levels or probes ranks the larger rectangle afresh, at the wider
+    of the two widths, taking the rest of the extent first if the rectangle
+    passes the first read. A setting finds its buckets with one `index.probe_runs`
     call, which the probes keep: collecting the candidates of a measured
     setting searches no bucket again.
     """
@@ -270,10 +270,8 @@ class _QueryProbes:
             width = max(min(1 << (j - 1).bit_length(), count), width)
             self._ranked = rows, levels, width
             self._cover(rows, levels)
-            proj = np.matmul(self._block[:rows, :levels], self._q)
-            merged = ranked_tuples(
-                index.family, proj.reshape(rows * levels, -1), levels, width, count, self._bits
-            )
+            proj = np.matmul(self._block[:rows, :levels], self._q).reshape(rows * levels, -1)
+            merged = ranked_tuples(index.family, proj, levels, width, self._bits)
             self._levels = [keys << shift for keys, shift in zip(merged, self._shifts)]
         first = self._levels[k - 1][:reps, :j]
         self.key_searches += first.size

@@ -367,9 +367,9 @@ def test_read_extents_match_a_full_projection(case, data):
                 coded.append(bucket_codes(family, proj))
                 return coded[-1]
 
-            def rank(family, proj, levels, width, count, bits):
+            def rank(family, proj, levels, width, bits):
                 ranked.append((proj.copy(), levels))
-                return ranked_tuples(family, proj, levels, width, count, bits)
+                return ranked_tuples(family, proj, levels, width, bits)
 
             def check_rectangle(reps, levels, blocks):
                 # each block codes one rectangle of a read, in the order the
@@ -675,7 +675,7 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
             mp.setattr(indexmod, "unsettled", counting_screens(screens))
             mp.setattr(
                 querymod, "ranked_tuples",
-                lambda fam, proj, depth, width, count, b: [probe_keys[..., k] for k in range(K)],
+                lambda fam, proj, depth, width, b: [probe_keys[..., k] for k in range(K)],
             )
             probes = _QueryProbes(index, dataset.matrix[0], walk)
             screened = count <= copied[0] and deepest <= copied[1]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mlslsh.families as fam
@@ -310,21 +310,26 @@ def test_enumerator_prefix_property():
         assert first_codes(params, fns, q, j) == long[:j]
 
 
+def grid_order(rankings):
+    """Every tuple of the full grid of `rankings`, in the probe order's
+    lexicographic form: by (P_l, ..., P_1, r_1, ..., r_l), where P_s is
+    the left-to-right sum of the first s deficits and r_s the rank taken
+    in slot s. It shares no code with `first_tuples`."""
+    def key(ranks):
+        sums = itertools.accumulate(float(d[r]) for (_, d), r in zip(rankings, ranks))
+        return (*reversed(list(sums)), *ranks)
+
+    grid = sorted(itertools.product(*(range(len(b)) for b, _ in rankings)), key=key)
+    return [tuple(int(b[r]) for (b, _), r in zip(rankings, ranks)) for ranks in grid]
+
+
 def test_enumerator_priorities_are_optimal():
-    # the emitted order must match brute force over the full code grid:
-    # total deficit ascending, ties by the code tuple itself
+    # the emitted order must match brute force over the full code grid
     params = FamilyParams(kind="cross_polytope", dim=3)
     fns = sample_directions(params, [4, 5])
     q = unit(np.array([0.8, -0.2, 0.55]))
-    (b1s, d1s), (b2s, d2s) = [probe_sequence(params, fn, q) for fn in fns]
-    grid = []
-    for b1, d1 in zip(b1s, d1s):
-        for b2, d2 in zip(b2s, d2s):
-            grid.append((d1 + d2, (int(b1), int(b2))))
-    grid.sort()
-    expected = [code for _, code in grid]
-    got = first_codes(params, fns, q, len(grid))
-    assert got == expected
+    expected = grid_order([probe_sequence(params, fn, q) for fn in fns])
+    assert first_codes(params, fns, q, len(expected)) == expected
 
 
 def test_enumerator_exhausts_small_universe():
@@ -366,14 +371,7 @@ def slot_rankings(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(slot_rankings(), st.data())
 def test_enumerator_matches_the_sorted_grid(rankings, data):
-    # an oracle sharing no code with first_tuples: every tuple of the full
-    # grid, sorted by its deficit sum and then the tuple itself
-    grid = sorted(
-        (sum(float(deficits[i]) for (_, deficits), i in zip(rankings, ranks)),
-         tuple(int(buckets[i]) for (buckets, _), i in zip(rankings, ranks)))
-        for ranks in itertools.product(*(range(len(b)) for b, _ in rankings))
-    )
-    expected = [code for _, code in grid]
+    expected = grid_order(rankings)
     assert CodeEnumerator(rankings).first(len(expected)) == expected
     assert CodeEnumerator(rankings).first(len(expected) + 5) == expected
     # a shorter prefix makes the (i + 1)(r + 1) <= count cut bind
@@ -384,24 +382,51 @@ def test_enumerator_matches_the_sorted_grid(rankings, data):
 def test_enumerator_sums_deficits_left_to_right():
     # a two-cap ranking in d = 3: the overflow bucket scores one unit below
     # the lowest cap, so tuples that swap the two between slots tie exactly
-    # under the canonical sum d0 + d1
+    # under the canonical sum d0 + d1, and the smaller first deficit d0,
+    # the earlier prefix, goes first
     rankings = [
         ([2, 1, 0], [0.0, 0.8068813216366558, 1.8068813216366557]),
         ([1, 0, 2], [0.0, 0.7851832007803632, 1.785183200780363]),
     ]
-    grid = sorted(
-        (d0 + d1, (b0, b1))
-        for b0, d0 in zip(*rankings[0])
-        for b1, d1 in zip(*rankings[1])
-    )
-    assert CodeEnumerator(rankings).first(9) == [code for _, code in grid]
+    (_, (_, d1, d2)), (_, (_, e1, e2)) = rankings
+    assert d1 + e2 == d2 + e1 and d1 < d2
+    codes = CodeEnumerator(rankings).first(9)
+    assert codes == grid_order(rankings)
+    # (1, 2) and (0, 0) tie: (1, 2) extends the earlier prefix, so it goes
+    # first, where a tie broken on the key would put (0, 0) first
+    assert codes == [(2, 1), (2, 0), (1, 1), (1, 0), (2, 2), (0, 1), (1, 2), (0, 0), (0, 2)]
 
 
 def test_enumerator_puts_the_own_tuple_first_under_tied_deficits():
     # the own bucket 5 ties with bucket 2 but has the larger id; the spine
-    # lower bound needs the all-own tuple at position 0 anyway
-    codes = CodeEnumerator([([5, 2], [0.0, 0.0])] * 2).first(4)
-    assert codes == [(5, 5), (2, 2), (2, 5), (5, 2)]
+    # lower bound needs the all-own tuple at position 0 anyway. Every tuple
+    # ties, so the order is that of the prefixes, then of the ranks, and
+    # the first two at count 2 are the first two at count 16
+    enumerator = CodeEnumerator([([5, 2], [0.0, 0.0])] * 2)
+    assert enumerator.first(16) == [(5, 5), (5, 2), (2, 5), (2, 2)]
+    assert enumerator.first(2) == [(5, 5), (5, 2)]
+
+
+def test_enumerator_rejects_malformed_rankings_naming_the_slot():
+    good = ([0, 1], [0.0, 1.0])
+    for bad, message in (
+        (([0, 1, 2], [0.0, 0.5]), "one non-empty row"),
+        (([], []), "one non-empty row"),
+        (([[0, 1]], [[0.0, 1.0]]), "one non-empty row"),
+        (([-1, 1], [0.0, 1.0]), "distinct non-negative integers"),
+        (([1, 1], [0.0, 1.0]), "distinct non-negative integers"),
+        (([0.0, 1.0], [0.0, 1.0]), "distinct non-negative integers"),
+        (([0, 1], [0.0, math.nan]), "finite and non-decreasing"),
+        (([0, 1], [0.0, math.inf]), "finite and non-decreasing"),
+        (([0, 1], [0.5, 0.0]), "finite and non-decreasing"),
+    ):
+        with pytest.raises(ValueError, match=f"slot 1: .*{message}"):
+            CodeEnumerator([good, bad])
+    enumerator = CodeEnumerator([good])
+    for count in (-1, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="count must be a non-negative integer"):
+            enumerator.first(count)
+    assert enumerator.first(np.int64(2)) == enumerator.first(2) == [(0,), (1,)]
 
 
 def test_family_params_validation_and_json():
@@ -442,17 +467,17 @@ def test_family_params_validation_and_json():
 
 
 def lexsorted_first_tuples(slots, count, bits):
-    """`families.first_tuples` with every row's candidates lexsorted on
-    (priority, all-own tuple first, key)."""
+    """`families.first_tuples` with no cut: every (position, rank) pair of
+    every row lexsorted on (priority, position, rank), the first `count`
+    kept."""
     m = len(slots[0][0])
     keys, prio = np.zeros((m, 1), dtype=np.int64), np.zeros((m, 1))
     for buckets, deficits in slots:
-        ranks = np.arange(1, min(count, buckets.shape[1]) + 1)
-        i, r = np.nonzero(np.outer(np.arange(1, keys.shape[1] + 1), ranks) <= count)
+        r, i = (a.ravel() for a in np.indices((buckets.shape[1], keys.shape[1])))
         cand_keys = keys[:, i] << bits | buckets[:, r].astype(np.int64)
         cand_prio = prio[:, i] + deficits[:, r]
-        own_last = np.broadcast_to(i + r > 0, cand_keys.shape)
-        order = np.lexsort((cand_keys, own_last, cand_prio))[:, :count]
+        order = np.lexsort((np.broadcast_to(r, cand_keys.shape),
+                            np.broadcast_to(i, cand_keys.shape), cand_prio))[:, :count]
         keys = np.take_along_axis(cand_keys, order, axis=1)
         prio = np.take_along_axis(cand_prio, order, axis=1)
         yield keys
@@ -495,9 +520,9 @@ def projection_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(projection_cases(), st.data())
 def test_fast_probe_sorts_match_the_stable_references(case, data):
-    # a ranking to the whole universe, and the merge's default sort plus
-    # its tie fallback, rank and merge exactly as the stable argsort and the
-    # lexsort do. Each row ranks and merges on its own: the first rows and
+    # a ranking to the whole universe, and the merge's stable sort and its
+    # cut, rank and merge exactly as the stable argsort and the lexsort of
+    # every pair do. Each row ranks and merges on its own: the first rows and
     # slots of the projection, the rectangle a multi-probe setting ranks,
     # give the rows of the whole
     params, depth, proj, count = case
@@ -530,7 +555,7 @@ def test_fast_probe_sorts_match_the_stable_references(case, data):
 @given(slot_rankings(), st.data())
 def test_fast_merge_matches_the_lexsort_under_tied_deficits(rankings, data):
     # dyadic deficits tie sums exactly; a tie at the cut or anywhere above
-    # it must fall back to the lexsort's tie-breaks
+    # it must break as the lexsort of every pair breaks it
     slots = [(np.array([b], dtype=np.int64), np.array([d], dtype=np.float64)) for b, d in rankings]
     count = data.draw(st.integers(1, 40))
     got = list(fam.first_tuples(slots, count, 3))
@@ -546,8 +571,8 @@ def rule_widths(count):
 
 def cut_to(slots, width):
     """The columns of whole rankings that a ranking to `width` returns: the
-    first `width` buckets and `width` + 1 deficits."""
-    return [(b[:, :width], d[:, : width + 1]) for b, d in slots]
+    first `width` buckets and deficits."""
+    return [(b[:, :width], d[:, :width]) for b, d in slots]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -555,7 +580,7 @@ def cut_to(slots, width):
 def test_a_ranking_to_a_width_is_the_whole_ranking_cut(case, data):
     # ties, zero rows and coordinates of either sign, repeated caps and
     # widths up to past the universe: exactly the first w buckets and the
-    # bytes of the first w + 1 deficits of every row, as far as there are.
+    # bytes of the first w deficits of every row, as far as there are.
     # A zero top score less a zero of the other sign is -0.0, which no
     # ranking returns
     params, depth, proj, _ = case
@@ -567,7 +592,7 @@ def test_a_ranking_to_a_width_is_the_whole_ranking_cut(case, data):
         assert len(got) == depth
         for (orders, deficits), (ref_orders, ref_deficits) in zip(got, cut_to(expected, width)):
             assert orders.shape == (m, min(width, universe))
-            assert deficits.shape == (m, min(width + 1, universe))
+            assert deficits.shape == (m, min(width, universe))
             assert np.array_equal(orders, ref_orders)
             assert deficits.tobytes() == ref_deficits.tobytes()
             assert not np.signbit(deficits).any()
@@ -618,90 +643,43 @@ def merge_cases(draw):
     return slots, draw(st.integers(2, 16))
 
 
-def assert_certified_rows_match(slots, count, bits):
-    """Merge `slots` at every width the rule can pick, cut as a ranking to
-    that width is, and compare each row the certificate clears with the
-    lexsorted merge at `count`; return how many rows it did not clear."""
-    wide = list(lexsorted_first_tuples(slots, count, bits))
-    failed = 0
-    for width in rule_widths(count):
-        # at the table width the merge is the wide one and needs no certificate
-        certified = np.ones(len(slots[0][0]), dtype=bool)
-        narrow = list(
-            fam.first_tuples(cut_to(slots, width), width, bits, certified if width < count else None)
-        )
-        assert len(narrow) == len(wide)
-        for keys, wide_keys in zip(narrow, wide):
-            assert keys.shape[1] == min(width, wide_keys.shape[1])
-            assert np.array_equal(keys[certified], wide_keys[certified, :width])
-        failed += int((~certified).sum())
-    return failed
+def ranked_whole(case):
+    """A `projection_cases` case as whole stable rankings and its count."""
+    params, depth, proj, count = case
+    return stable_slot_rankings(params, proj, depth), count
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(merge_cases())
-def test_a_certified_row_merges_at_its_width_as_at_the_table_width(case):
+@given(st.one_of(merge_cases(), projection_cases().map(ranked_whole)))
+@example(([(np.array([[5, 2]]), np.array([[0.0, 0.0]]))] * 2, 16))
+def test_every_prefix_of_a_merge_is_the_merge_at_its_count(case):
+    # ties of every kind: at each count c <= C, every row's merge of the
+    # rankings cut as a ranking to width c is, level by level, the first c
+    # tuples of the merge at C
     slots, count = case
-    assert_certified_rows_match(slots, count, 5)
-
-
-def test_the_certificate_refuses_a_width_whose_first_tuples_differ():
-    # the own bucket 5 ties bucket 2 at deficit 0: at width 2, (1, 1) fails
-    # the cut, so the merge keeps (2, 5) where the table width has (2, 2)
-    slots = [(np.array([[5, 2]]), np.array([[0.0, 0.0]]))] * 2
-    certified = np.ones(1, dtype=bool)
-    narrow = list(fam.first_tuples(slots, 2, 3, certified))
-    wide = list(fam.first_tuples(slots, 16, 3))
-    assert fam._unpack(narrow[1][0], 3, 2).tolist() == [[5, 5], [2, 5]]
-    assert fam._unpack(wide[1][0], 3, 2).tolist() == [[5, 5], [2, 2], [2, 5], [5, 2]]
-    assert not certified[0]
-    assert assert_certified_rows_match(slots, 16, 3) > 0
-    # the first level alone matches, and certifies
-    certified = np.ones(1, dtype=bool)
-    assert np.array_equal(next(fam.first_tuples(slots[:1], 2, 3, certified)), wide[0])
-    assert certified[0]
+    wide = list(fam.first_tuples(slots, count, 5))
+    for c in range(count + 1):
+        narrow = list(fam.first_tuples(cut_to(slots, c), c, 5))
+        assert len(narrow) == len(wide) == len(slots)
+        for keys, wide_keys in zip(narrow, wide):
+            assert keys.shape == (len(wide_keys), min(c, wide_keys.shape[1]))
+            assert np.array_equal(keys, wide_keys[:, :c])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(projection_cases())
 def test_ranked_tuples_equal_the_table_width_merge_cut(case):
-    # every row, certified or merged again at the table width, equals the
-    # lexsorted merge of the stable rankings at that width
+    # at each width the rule picks, every row equals the first tuples of
+    # the lexsorted merge of the stable rankings at the table width
     params, depth, proj, count = case
     count = max(count, 2)
     bits = slot_bits(params, depth)
     wide = list(lexsorted_first_tuples(stable_slot_rankings(params, proj, depth), count, bits))
     for width in rule_widths(count):
-        got = fam.ranked_tuples(params, proj, depth, width, count, bits)
+        got = fam.ranked_tuples(params, proj, depth, width, bits)
         assert len(got) == depth
         for keys, wide_keys in zip(got, wide):
             assert np.array_equal(keys, wide_keys[:, :width])
-
-
-def test_ranked_tuples_merge_an_uncertified_row_again(monkeypatch):
-    # two axes of a cross-polytope tie at the top in both slots, so nothing
-    # past the own tuple certifies at width 2: the row is ranked again to
-    # the table width and merged at it
-    params = FamilyParams(kind="cross_polytope", dim=4)
-    proj = np.array([[1.0, 1.0, 0.5, 0.25]] * 2)
-    rankings, merges = [], []
-    slot_rankings, first_tuples = fam.slot_rankings, fam.first_tuples
-
-    def rank(params, proj, depth, width):
-        rankings.append((len(proj), depth, width))
-        return slot_rankings(params, proj, depth, width)
-
-    def merge(slots, count, bits, certified=None):
-        merges.append((len(slots[0][0]), count, certified is not None))
-        return first_tuples(slots, count, bits, certified)
-
-    monkeypatch.setattr(fam, "slot_rankings", rank)
-    monkeypatch.setattr(fam, "first_tuples", merge)
-    got = fam.ranked_tuples(params, proj, 2, 2, 16, 3)
-    assert rankings == [(2, 2, 2), (2, 2, 16)]
-    assert merges == [(1, 2, True), (1, 16, False)]
-    wide = list(first_tuples(fam.slot_rankings(params, proj, 2, params.bucket_universe), 16, 3))
-    assert all(np.array_equal(keys, wide_keys[:, :2]) for keys, wide_keys in zip(got, wide))
 
 
 def screen_edges(params, margin, rng):

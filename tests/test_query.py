@@ -802,9 +802,9 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
         coded.append((rectangle, len(screens) > before))
         return codes
 
-    def ranking(family, proj, levels, width, count, bits):
+    def ranking(family, proj, levels, width, bits):
         ranked.append(len(proj))
-        return ranked_tuples(family, proj, levels, width, count, bits)
+        return ranked_tuples(family, proj, levels, width, bits)
 
     rest = past = 0
     for case, index in cases:
@@ -839,11 +839,13 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
     assert past >= len(case.queries)
 
 
-def full_width_ranking(family, proj, levels, width, count, bits):
+def full_width_ranking(count):
     """`query.ranked_tuples` as a query ranked before rankings had a width:
     every bucket of every row ranked and merged at the table width `count`."""
-    slots = slot_rankings(family, proj, levels, family.bucket_universe)
-    return list(first_tuples(slots, count, bits))
+    def rank(family, proj, levels, width, bits):
+        slots = slot_rankings(family, proj, levels, family.bucket_universe)
+        return list(first_tuples(slots, count, bits))
+    return rank
 
 
 def ranking_widths(examined, reps_of, count):
@@ -880,9 +882,9 @@ def test_rankings_to_the_width_they_need_report_as_full_width_ones(
     cases.append((with_more_queries(inst, 6, dim), build_index(inst.dataset, cal, seed=dim)))
     widths, ranked_tuples = [], querymod.ranked_tuples
 
-    def ranking(family, proj, levels, width, count, bits):
+    def ranking(family, proj, levels, width, bits):
         widths.append(width)
-        return ranked_tuples(family, proj, levels, width, count, bits)
+        return ranked_tuples(family, proj, levels, width, bits)
 
     narrow = 0
     for case, index in cases:
@@ -895,7 +897,7 @@ def test_rankings_to_the_width_they_need_report_as_full_width_ones(
         for k, j in ((2, 3), (K, count)):
             reps_of[k, j] = consulted_reps(index.calibration, k, j, index.num_repetitions)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(querymod, "ranked_tuples", full_width_ranking)
+            mp.setattr(querymod, "ranked_tuples", full_width_ranking(count))
             twin = [{name: timed_doc(run(q.coords)) for name, run in runs.items()} for q in case.queries]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(querymod, "ranked_tuples", ranking)

@@ -131,6 +131,8 @@ class BenchConfig:
             self.fixed_level is None or self.fixed_probes is None
         ):
             raise ValueError("fixed mode needs fixed_level and fixed_probes")
+        if "fixed" not in self.modes and (self.fixed_level, self.fixed_probes) != (None, None):
+            raise ValueError("fixed_level and fixed_probes pin fixed mode, which modes leaves out")
         if self.num_queries < 1:
             raise ValueError(f"need at least one query, got {self.num_queries}")
 

@@ -185,6 +185,8 @@ def build(index_fields, input_, fmt, output, rebuildable):
 @_json_errors
 def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
     """Run one range query against an index file."""
+    if mode != "fixed" and (fixed_k, fixed_j) != (None, None):
+        raise ValueError(f"--fixed-k and --fixed-j pin fixed mode only, not mode {mode!r}")
     index = load_index(index_path)
     q = map_query(index.dataset, _parse_vector(vector))
     calibrated = index.calibration.r

@@ -26,14 +26,11 @@ against it before reading any array. Both then sample the direction block
 and sort the key blocks through `_assemble`: the stacks of all R
 repetitions are consecutive slices of one read-only (R * K, rows, dim)
 block, so one matmul projects a query on the functions of the first r
-repetitions' first k slots, the read extent of its mode. The extent of the
-adaptive walk, which holds every setting of the schedule, also has a
-read-only float32 copy, level-major. `MultiLevelIndex.query_codes` codes a
-query on any rectangle of repetitions and levels: on the copy with one
-float32 product over half the bytes, each function whose decision lies
-within `screen_margin` of it settled by its float64 product, and past the
-copy, which only a pin deeper than every scheduled level reaches, by the
-float64 product of the block.
+repetitions' first k slots, the read extent of its mode. The block also
+has a read-only float32 copy, level-major. `MultiLevelIndex.query_codes`
+codes a query on any rectangle of repetitions and levels with one float32
+product on the copy, over half the bytes, each function whose decision lies
+within `screen_margin` of it settled by its float64 product.
 """
 
 from __future__ import annotations
@@ -410,9 +407,8 @@ class MultiLevelIndex:
     and `repetitions` views their rows beside each direction stack.
 
     `query_codes` codes a query on any rectangle of repetitions and levels.
-    It reads a read-only float32 copy of the adaptive walk's extent, every
-    repetition and level a scheduled setting consults, level-major: copy
-    cell [s, r] is the function of slot s of repetition r. A decision on
+    It reads a read-only float32 copy of the direction block, level-major:
+    copy cell [s, r] is the function of slot s of repetition r. A decision on
     its product with a margin past the `screen_margin` of the dimension and
     the largest direction norm is the float64 product's decision.
     """
@@ -428,7 +424,7 @@ class MultiLevelIndex:
     repetitions: tuple[Repetition, ...] = field(init=False, repr=False)
     schedule: tuple[tuple[float, int, int, int, int], ...] = field(init=False, repr=False)
     walks: Mapping[str, Walk] = field(init=False, repr=False)
-    # the float32 copy of the adaptive extent and its screening margin
+    # the level-major float32 copy of the direction block and its screening margin
     _copy: np.ndarray = field(init=False, repr=False)
     _margin: float = field(init=False, repr=False)
     # per group (first row, end row, its rows as one sorted array, offset);
@@ -477,8 +473,7 @@ class MultiLevelIndex:
         depth = max((e[1] for e in schedule if e[2] == 1 or e[0] < work), default=0)
         walks = {"adaptive": self.walk(schedule, depth), "single": single}
         object.__setattr__(self, "walks", MappingProxyType(walks))
-        count, deepest = walks["adaptive"].extent
-        copy = stacks[:count, :deepest].swapaxes(0, 1).astype(np.float32, order="C")
+        copy = stacks.swapaxes(0, 1).astype(np.float32, order="C")
         copy.flags.writeable = False
         object.__setattr__(self, "_copy", copy)
         # einsum sums the squares of each row without a temporary as large as the block
@@ -488,25 +483,18 @@ class MultiLevelIndex:
     def query_codes(self, q: np.ndarray, start: int, stop: int, top: int, bottom: int) -> np.ndarray:
         """The (stop - start, bottom - top) int32 bucket ids of the unit
         float64 row q under slots top..bottom - 1 of repetitions
-        start..stop - 1, those `bucket_codes` gives the float64 product.
-        Within the float32 copy it screens: one batched float32 product on a
-        view of the copy, widened, with each function that `unsettled` flags
-        within the margin projected again by the float64 matmul of that
-        function alone. Past the copy it projects by the float64 matmul of
-        the rectangle of the direction block."""
-        levels, reps = self._copy.shape[:2]
-        if stop <= reps and bottom <= levels:
-            copy = self._copy[top:bottom, start:stop]
-            flat = np.matmul(copy.reshape(bottom - top, -1, self.family.dim), q.astype(np.float32))
-            proj = flat.reshape(copy.shape[:3]).swapaxes(0, 1).astype(np.float64, order="C")
-            functions = proj.reshape(-1, proj.shape[2])
-            for i in unsettled(self.family, functions, self._margin).tolist():
-                r, s = divmod(i, bottom - top)
-                np.matmul(self.repetitions[start + r].directions[top + s], q, out=functions[i])
-        else:
-            stacks = self.directions.reshape(self.num_repetitions, self.levels, -1, self.family.dim)
-            proj = np.matmul(stacks[start:stop, top:bottom], q)
-        return bucket_codes(self.family, proj.reshape(-1, proj.shape[2])).reshape(stop - start, -1)
+        start..stop - 1, those `bucket_codes` gives the float64 product. It
+        screens: one batched float32 product on a view of the copy, widened,
+        with each function that `unsettled` flags within the margin projected
+        again by the float64 matmul of its row of the direction block alone."""
+        copy = self._copy[top:bottom, start:stop]
+        flat = np.matmul(copy.reshape(bottom - top, -1, self.family.dim), q.astype(np.float32))
+        proj = flat.reshape(copy.shape[:3]).swapaxes(0, 1).astype(np.float64, order="C")
+        functions = proj.reshape(-1, proj.shape[2])
+        for i in unsettled(self.family, functions, self._margin).tolist():
+            r, s = divmod(i, bottom - top)
+            np.matmul(self.directions[(start + r) * self.levels + top + s], q, out=functions[i])
+        return bucket_codes(self.family, functions).reshape(stop - start, -1)
 
     def walk(self, entries: tuple, depth: int | None = None) -> Walk:
         """The `Walk` of the sorted schedule `entries` that reads first

@@ -294,8 +294,6 @@ class _QueryProbes:
         lo, hi = self._runs(entry)
         sizes = (hi - lo).ravel()
         ends = np.cumsum(sizes)
-        if not ends[-1]:
-            return np.empty(0, dtype=np.int32), lo.size
         # run i fills places ends_i - sizes_i..ends_i - 1 of the gather, and
         # place p holds position hi_i - ends_i + p, from lo_i to hi_i - 1
         at = np.repeat(hi.ravel() - ends, sizes)

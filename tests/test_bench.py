@@ -97,6 +97,18 @@ def test_config_validation():
                     num_queries=0)
 
 
+def test_config_rejects_a_pin_without_fixed_mode():
+    # a pin that no mode reads would be recorded in the report as if it
+    # had been run
+    for pin in (dict(fixed_level=3), dict(fixed_probes=2), dict(fixed_level=3, fixed_probes=2)):
+        with pytest.raises(ValueError, match="pin fixed mode, which modes leaves out"):
+            BenchConfig(radius=0.4, approx_c=2.0, synthetic_n=10, synthetic_d=4,
+                        modes=("adaptive", "brute"), **pin)
+    config = BenchConfig(radius=0.4, approx_c=2.0, synthetic_n=10, synthetic_d=4,
+                         modes=("adaptive", "fixed"), fixed_level=3, fixed_probes=2)
+    assert config.to_json_dict()["fixed_level"] == 3
+
+
 def test_prepare_instance_from_file(tmp_path):
     rng = np.random.default_rng(9)
     raw = rng.normal(size=(30, 6))

@@ -46,6 +46,19 @@ def test_non_finite_query_vector_reports_json_error(tmp_path, bad):
         assert "non-finite" in err["message"]
 
 
+def test_a_pin_outside_fixed_mode_is_an_error(tmp_path):
+    # a pin that only fixed mode reads is reported, before the index file is
+    # opened, rather than ignored by the mode that runs
+    for mode in ("adaptive", "single", "brute"):
+        for pin in (["--fixed-k", "2", "--fixed-j", "3"], ["--fixed-j", "3"]):
+            result = invoke(["query", "--index", str(tmp_path / "absent.idx"),
+                             "--vector", "1,0,0,0", "--mode", mode, *pin])
+            assert result.exit_code == 1, (mode, pin, result.output)
+            err = error_of(result)
+            assert err["type"] == "ValueError"
+            assert err["message"] == f"--fixed-k and --fixed-j pin fixed mode only, not mode {mode!r}"
+
+
 SHARED = ["--radius", "0.3", "--approx-c", "2.5", "--budget-L", "7",
           "--family", "spherical-cap", "--cap-count", "20", "--trials", "1500",
           "--max-probes", "5", "--seed", "9", "--cache-dir", "cal-cache"]

@@ -619,11 +619,10 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
     # 2**bits - 1 at every level put needles at the ends of a tag's key
     # range, and the widest codes, which no key holds, leave every run
     # empty; codes from a small pool make the stored buckets large. A walk
-    # reaches within the first read of the index's walks, within the float32
-    # copy of the adaptive extent or anywhere in the block; the read is
-    # screened on the copy exactly when the copy covers it, and with
-    # `settle` a margin of 2 sends every function it screens to its float64
-    # product
+    # reaches within the first read of the index's walks, within their
+    # adaptive extent or anywhere in the block; the read is screened on the
+    # float32 copy wherever it reaches, and with `settle` a margin of 2 sends
+    # every function it screens to its float64 product
     family, K = family_depth
     bits, universe = slot_bits(family, K), family.bucket_universe
     top = (1 << bits) - 1
@@ -639,11 +638,10 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
         index = MultiLevelIndex(
             dataset, cal, 0, None, K, block, *key_blocks(family, K, (R, n), keys)
         )
-    copied = index._copy.shape[1::-1]
     # one plain search over each repetition's sorted keys, untagged
     stored = np.sort(keys, axis=1, kind="stable")
     adaptive = index.walks["adaptive"]
-    regions = [(adaptive.first, adaptive.depth), copied, (R, K)]
+    regions = [(adaptive.first, adaptive.depth), adaptive.extent, (R, K)]
     rows, levels = regions[rng.integers(0, 3)]
     if not rows * levels:
         rows, levels = R, K
@@ -678,8 +676,7 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
                 lambda fam, proj, depth, width, b: [probe_keys[..., k] for k in range(K)],
             )
             probes = _QueryProbes(index, dataset.matrix[0], walk)
-            screened = count <= copied[0] and deepest <= copied[1]
-            assert screens == ([count * deepest] if screened else [])
+            assert screens == [count * deepest]
             # the read searched the own buckets its reach keeps, no more
             assert probes.key_searches == reach.sum()
             own_keys = _prefixes(_pack(own, bits), bits, K)
@@ -772,7 +769,7 @@ def test_screened_codes_match_float64_codes_on_every_decision(kind, d, seed):
     # decision of `bucket_codes` or 1 ulp either side of it: a cap at the
     # threshold or at threshold +- margin, equal or 2 * margin apart top
     # |values|, zeros of either sign, a top value at +- margin. Coded on the
-    # float32 copy, the whole adaptive extent, a random rectangle of it and
+    # float32 copy, the whole direction block, a random rectangle of it and
     # the first read of the adaptive walk code every function as
     # `bucket_codes` codes its own float64 product
     family = FamilyParams(kind=kind, dim=d, cap_count=16)
@@ -800,28 +797,77 @@ def test_screened_codes_match_float64_codes_on_every_decision(kind, d, seed):
     )
     assert index._margin == pytest.approx(margin, rel=1e-12)
     walk = index.walks["adaptive"]
-    (count, deepest), reps, depth = walk.extent, walk.first, walk.depth
-    assert reps and depth and index._copy.shape[:2] == (deepest, count)
+    reps, depth = walk.first, walk.depth
+    assert reps and depth and index._copy.shape[:2] == (K, R)
     functions = block.reshape(R, K, width, d)
-    expected = np.empty((count, deepest), dtype=np.int32)
-    for r in range(count):
-        for s in range(deepest):
+    expected = np.empty((R, K), dtype=np.int32)
+    for r in range(R):
+        for s in range(K):
             product = np.matmul(functions[r, s], q)
             assert np.array_equal(product, placed[r * K + s])
             expected[r, s] = bucket_codes(family, product[None, :])[0]
-    start, stop = np.sort(rng.choice(count + 1, 2, replace=False)).tolist()
-    top, bottom = np.sort(rng.choice(deepest + 1, 2, replace=False)).tolist()
+    start, stop = np.sort(rng.choice(R + 1, 2, replace=False)).tolist()
+    top, bottom = np.sort(rng.choice(K + 1, 2, replace=False)).tolist()
     screens = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(indexmod, "unsettled", counting_screens(screens))
-        assert np.array_equal(index.query_codes(q, 0, count, 0, deepest), expected)
+        assert np.array_equal(index.query_codes(q, 0, R, 0, K), expected)
         rectangle = index.query_codes(q, start, stop, top, bottom)
         assert np.array_equal(rectangle, expected[start:stop, top:bottom])
         probes = _QueryProbes(index, q, walk)
-    sizes = [count * deepest, (stop - start) * (bottom - top), reps * depth]
+    sizes = [R * K, (stop - start) * (bottom - top), reps * depth]
     assert screens == sizes
     codes = probes._first[:reps, :depth] >> probes._shifts[:depth] & (1 << bits) - 1
     assert np.array_equal(codes, expected[:reps, :depth])
+
+
+@pytest.mark.parametrize("kind", ["cross_polytope", "spherical_cap"])
+@pytest.mark.parametrize("dim", [17, 32])
+def test_unflagged_codes_do_not_depend_on_the_summation_order(kind, dim):
+    # `screen_margin` bounds the gap to a float64 product summed in any
+    # order, so every function the screen leaves unflagged codes as the
+    # float64 product with the coordinates reversed codes it, and as the
+    # product `np.einsum` sums in its own loop; coded on the whole copy, for
+    # planted queries, random unit rows, data rows and rows on a decision of
+    # a random function: halfway between two cross-polytope axes, or at the
+    # threshold of the first cap
+    family = FamilyParams(kind=kind, dim=dim)
+    inst = generate_planted_instance(n=800, d=dim, r=0.4, t=5, seed=dim, num_queries=6)
+    cal = toy_calibration(family, 0.6, 0.3, compute_k(800, 0.3), 8, 1.0)
+    index = build_index(inst.dataset, cal, seed=dim)
+    K, R = index.levels, index.num_repetitions
+    rng = np.random.default_rng(dim)
+    rows = rng.standard_normal((6, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    block, flagged, unsettled = index.directions, [], indexmod.unsettled
+    ties = []
+    for f in rng.choice(R * K, 6, replace=False):
+        w = block[f]
+        if kind == "cross_polytope":
+            tie = w[0] + w[1]
+        else:
+            other = rng.standard_normal(dim)
+            other -= (other @ w[0]) * w[0]
+            tau = family.threshold
+            tie = tau * w[0] + math.sqrt(1.0 - tau**2) * other / np.linalg.norm(other)
+        ties.append(tie / np.linalg.norm(tie))
+    queries = [*(q.coords for q in inst.queries), *rows, *inst.dataset.matrix[:6], *ties]
+
+    def screening(family, proj, margin):
+        flagged.append(unsettled(family, proj, margin))
+        return flagged[-1]
+
+    checked = 0
+    for q in queries:
+        flagged.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indexmod, "unsettled", screening)
+            codes = index.query_codes(q, 0, R, 0, K).reshape(-1)
+        kept = np.setdiff1d(np.arange(R * K), *flagged)
+        for proj in (block[..., ::-1] @ q[::-1], np.einsum("fij,j->fi", block, q)):
+            assert np.array_equal(bucket_codes(family, proj)[kept], codes[kept])
+        checked += len(kept)
+    assert checked > 0.99 * len(queries) * R * K
 
 
 @settings(deadline=None, derandomize=True)

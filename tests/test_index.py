@@ -516,25 +516,26 @@ def test_functions_view_one_read_only_direction_block(built):
 @pytest.mark.parametrize("budget", [None, 2, 1])
 def test_float32_copy_holds_the_adaptive_extent_level_major(tmp_path, built, budget):
     # copy cell [s, r] is the float32 of function r * K + s for every cell
-    # of the adaptive walk's extent, and the copy holds nothing else; it is
-    # read-only, a loaded index copies alike, and it is empty when one
-    # repetition affords no setting
+    # of the direction block, so it holds the adaptive walk's extent and
+    # every pin past it, whatever the budget, even one under which one
+    # repetition affords no setting; it is read-only and a loaded index
+    # copies alike
     inst, index = built
     if budget:
         index = build_index(inst.dataset, index.calibration, space_budget=budget, seed=7)
     path = str(tmp_path / "copy.idx")
     index.save(path, include_codes=False)
-    K, (count, deepest) = index.levels, index.walks["adaptive"].extent
+    K, R = index.levels, index.num_repetitions
+    assert (index.schedule == ()) == (budget == 1)
     for idx in (index, load_index(path)):
         copy = idx._copy
-        assert copy.dtype == np.float32 and copy.shape == (deepest, count, 12, 12)
+        assert copy.dtype == np.float32 and copy.shape == (K, R, 12, 12)
         assert not copy.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             copy[...] = 0.0
-        for r in range(count):
-            for s in range(deepest):
+        for r in range(R):
+            for s in range(K):
                 assert np.array_equal(copy[s, r], idx.directions[r * K + s].astype(np.float32))
-    assert (index.schedule == () and copy.size == 0) == (budget == 1)
 
 
 def test_build_past_the_bit_budget_fails_clearly():

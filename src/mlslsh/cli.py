@@ -30,9 +30,6 @@ from .geometry import generate_planted_instance, map_query, normalize_dataset
 from .index import IndexFormatError, load_index
 from .query import MODES, run_query
 
-_FAMILY_CHOICES = {"cross-polytope": "cross_polytope", "spherical-cap": "spherical_cap"}
-
-
 def _fail(e: BaseException) -> None:
     doc = {"error": {"type": type(e).__name__, "message": str(e)}}
     click.echo(json.dumps(doc), err=True)
@@ -65,7 +62,10 @@ def _parse_synth(spec: str) -> dict | None:
             raise ValueError(f"unknown synthetic field {key!r}, expected n, d, or t")
         if key in out:
             raise ValueError(f"synthetic field {key!r} given twice")
-        out[key] = int(val)
+        try:
+            out[key] = int(val)
+        except ValueError:
+            raise ValueError(f"synthetic field {key!r} must be an integer, got {val!r}") from None
     if "n" not in out or "d" not in out:
         raise ValueError("synthetic spec needs at least n and d, e.g. synth:n=1000,d=32")
     return out
@@ -83,14 +83,17 @@ def _echo(doc: dict) -> None:
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
-# every option of the verbs that calibrate, declared once and keyed by its
-# parameter: build, bench and trend take all of them, probs a few
+# every option of the verbs that calibrate, declared once under the
+# BenchConfig field it sets: build, bench and trend take all of them, probs a few
 _SHARED_OPTIONS = {
     "radius": click.option("--radius", type=float, required=True, help="Target query radius."),
     "approx_c": click.option("--approx-c", type=float, default=2.0, show_default=True),
-    "budget": click.option("--budget-L", "budget", type=int, default=None, help="Cap on repetitions."),
-    "family": click.option("--family", type=click.Choice(sorted(_FAMILY_CHOICES)),
-                           default="cross-polytope", show_default=True, help="Hash family."),
+    "space_budget": click.option("--budget-L", "space_budget", type=int, help="Cap on repetitions."),
+    # the choices are the family kinds with a hyphen for the underscore
+    "family_kind": click.option("--family", "family_kind",
+                                type=click.Choice(["cross-polytope", "spherical-cap"]),
+                                default="cross-polytope", show_default=True, help="Hash family.",
+                                callback=lambda _ctx, _param, value: value.replace("-", "_")),
     "cap_count": click.option("--cap-count", type=int, default=64, show_default=True),
     "trials": click.option("--trials", type=int, default=20000, show_default=True),
     "max_probes": click.option("--max-probes", type=int, default=16, show_default=True),
@@ -101,29 +104,10 @@ _SHARED_OPTIONS = {
 
 def _index_options(fn):
     """The options that calibrate, size and seed an index, shared by build,
-    bench and trend; `fn` receives them as one dict of BenchConfig fields."""
-
-    # wraps carries over fn's docstring, the help text, and the options
-    # declared below this decorator
-    @functools.wraps(fn)
-    def wrapper(radius, approx_c, budget, family, cap_count, trials, max_probes, seed,
-                cache_dir, **kwargs):
-        index_fields = dict(
-            radius=radius,
-            approx_c=approx_c,
-            space_budget=budget,
-            family_kind=_FAMILY_CHOICES[family],
-            cap_count=cap_count,
-            trials=trials,
-            max_probes=max_probes,
-            seed=seed,
-            cache_dir=cache_dir,
-        )
-        return fn(index_fields, **kwargs)
-
+    bench and trend."""
     for option in reversed(_SHARED_OPTIONS.values()):
-        wrapper = option(wrapper)
-    return wrapper
+        fn = option(fn)
+    return fn
 
 
 @click.group()
@@ -143,10 +127,10 @@ def main() -> None:
     help="Omit the hash keys; loading rehashes the stored points.",
 )
 @_json_errors
-def build(index_fields, input_, fmt, output, rebuildable):
+def build(input_, fmt, output, rebuildable, **fields):
     """Build an index file from a dataset."""
     synth = _parse_synth(input_)
-    config = BenchConfig(**index_fields)
+    config = BenchConfig(**fields)
     if synth:
         dataset = generate_planted_instance(
             n=synth["n"], d=synth["d"], r=config.radius, t=synth.get("t", 0), seed=config.seed
@@ -224,25 +208,21 @@ def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
     show_default=True,
     help="Repeatable.",
 )
-@click.option("--queries", type=int, default=100, show_default=True)
-@click.option("--fixed-k", type=int, default=None)
-@click.option("--fixed-j", type=int, default=None)
+@click.option("--queries", "num_queries", type=int, default=100, show_default=True)
+@click.option("--fixed-k", "fixed_level", type=int, default=None)
+@click.option("--fixed-j", "fixed_probes", type=int, default=None)
 @click.option("--output", default=None, help="Report JSON path; records go beside it.")
 @_json_errors
-def bench(index_fields, input_, fmt, modes, queries, fixed_k, fixed_j, output):
+def bench(input_, fmt, output, **fields):
     """Run a benchmark sweep and print aggregate statistics."""
     synth = _parse_synth(input_) or {}
     config = BenchConfig(
-        **index_fields,
+        **fields,
         input_path=None if synth else input_,
         input_format=fmt,
         synthetic_n=synth.get("n"),
         synthetic_d=synth.get("d"),
         planted=synth.get("t", BenchConfig.planted),
-        num_queries=queries,
-        modes=tuple(modes),
-        fixed_level=fixed_k,
-        fixed_probes=fixed_j,
     )
     report = run_benchmark(config)
     doc = report.to_json_dict()
@@ -253,7 +233,7 @@ def bench(index_fields, input_, fmt, modes, queries, fixed_k, fixed_j, output):
 
 
 @main.command()
-@_SHARED_OPTIONS["family"]
+@_SHARED_OPTIONS["family_kind"]
 @click.option("--dim", type=int, required=True)
 @_SHARED_OPTIONS["radius"]
 @_SHARED_OPTIONS["approx_c"]
@@ -261,11 +241,9 @@ def bench(index_fields, input_, fmt, modes, queries, fixed_k, fixed_j, output):
 @_SHARED_OPTIONS["trials"]
 @_SHARED_OPTIONS["seed"]
 @_json_errors
-def probs(family, dim, radius, approx_c, cap_count, trials, seed):
+def probs(family_kind, dim, radius, approx_c, cap_count, trials, seed):
     """Measure a family's collision probabilities at r and c*r."""
-    params = FamilyParams(
-        kind=_FAMILY_CHOICES[family], dim=dim, cap_count=cap_count
-    )
+    params = FamilyParams(kind=family_kind, dim=dim, cap_count=cap_count)
     near, far, p2 = edge_probabilities(params, radius, approx_c, trials, seed)
     _echo(
         {
@@ -286,7 +264,7 @@ def probs(family, dim, radius, approx_c, cap_count, trials, seed):
 
 @main.command()
 @click.option("--sizes", required=True, help="Comma-separated dataset sizes, e.g. 1000,10000,100000")
-@click.option("--dim", type=int, required=True)
+@click.option("--dim", "synthetic_d", type=int, required=True)
 @_index_options
 @click.option(
     "--mode",
@@ -294,24 +272,17 @@ def probs(family, dim, radius, approx_c, cap_count, trials, seed):
     default="adaptive",
     show_default=True,
 )
-@click.option("--queries", type=int, default=20, show_default=True)
+@click.option("--queries", "num_queries", type=int, default=20, show_default=True)
 @click.option("--planted", type=int, default=5, show_default=True)
 @click.option("--output", default=None, help="Trend JSON path.")
 @_json_errors
-def trend(index_fields, sizes, dim, mode, queries, planted, output):
+def trend(sizes, mode, output, **fields):
     """Fit the growth exponent of query work across dataset sizes."""
     try:
         size_list = [int(tok) for tok in sizes.split(",")]
     except ValueError as e:
         raise ValueError(f"bad sizes: {e}") from e
-    config = BenchConfig(
-        **index_fields,
-        synthetic_d=dim,
-        planted=planted,
-        num_queries=queries,
-        modes=(mode,),
-    )
-    report = scaling_trend(size_list, config)
+    report = scaling_trend(size_list, BenchConfig(**fields, modes=(mode,)))
     doc = report.to_json_dict()
     if output:
         with open(output, "w", encoding="utf-8") as f:

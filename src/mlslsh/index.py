@@ -259,20 +259,15 @@ def bucket_loads(repetitions, levels: int) -> list[float]:
 def key_blocks(family: FamilyParams, depth: int, shape: tuple[int, int], keys) -> tuple:
     """The (R, n) int64 key block and int32 order block of R repetitions of
     `depth` slots, row r sorted from the r-th array of `keys`: the n packed
-    keys of the points in input order, checked for valid codes first.
-    order[r, i] is the dataset index of the point at sorted position i of
-    repetition r, and keys[r, i] its key plus the tag of r
-    (`repetition_tags`). The sort is stable, so points with equal codes
-    keep their input order. `keys` is read one array at a time, so a file
-    reader holds one repetition's keys at a time."""
-    bits, universe = slot_bits(family, depth), family.bucket_universe
-    tags = repetition_tags(shape[0], bits * depth)
+    keys of the points in input order, taken as valid (`load_index` checks
+    the keys a file stores). order[r, i] is the dataset index of the point
+    at sorted position i of repetition r, and keys[r, i] its key plus the
+    tag of r (`repetition_tags`). The sort is stable, so points with equal
+    codes keep their input order. `keys` is read one array at a time, so a
+    file reader holds one repetition's keys at a time."""
+    tags = repetition_tags(shape[0], slot_bits(family, depth) * depth)
     block, order = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int32)
     for r, row in zip(range(shape[0]), keys):
-        if row.min() < 0 or int(row.max()) >> bits * depth:
-            raise ValueError(f"keys must lie in 0..2**{bits * depth} - 1")
-        if _unpack(row, bits, depth).max() >= universe:
-            raise ValueError(f"slot codes must lie in 0..{universe - 1}")
         perm = np.argsort(row, kind="stable")
         order[r] = perm
         np.take(row, perm, out=block[r])
@@ -664,7 +659,8 @@ def load_index(path: str) -> MultiLevelIndex:
     the file size before any array is allocated. Version 1 int32 codes are
     range-checked and packed. Files saved without keys are rehashed from the
     stored points and the recorded seed; the result is identical to the
-    original build.
+    original build. Version 2 keys are checked for their key range and for
+    each slot's code below the bucket universe.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -715,7 +711,10 @@ def load_index(path: str) -> MultiLevelIndex:
                 if codes.min() < 0 or codes.max() >= universe:
                     raise ValueError(f"codes must lie in 0..{universe - 1}")
                 return _pack(codes, bits)
-            return np.frombuffer(f.read(8 * n), dtype="<i8").astype(np.int64)
+            keys = np.frombuffer(f.read(8 * n), dtype="<i8").astype(np.int64)
+            if keys.min() < 0 or int(keys.max()) >> bits * K or _unpack(keys, bits, K).max() >= universe:
+                raise ValueError(f"keys must pack {K} slot codes in 0..{universe - 1}")
+            return keys
 
         try:
             return _assemble(dataset, calibration, seed, budget, (K, R), stored_keys)

@@ -12,6 +12,7 @@ from mlslsh.bench import (
     build_for_config,
     calibrate_cached,
     default_cache_dir,
+    load_vectors,
     prepare_instance,
     read_csv,
     read_fvecs,
@@ -34,6 +35,7 @@ def test_fvecs_round_trip(tmp_path):
     back = read_fvecs(path)
     assert back.shape == (20, 7)
     assert np.array_equal(back, mat)
+    assert np.array_equal(load_vectors(path, "fvecs"), mat)
 
 
 def test_fvecs_error_offsets(tmp_path):
@@ -69,6 +71,9 @@ def test_csv_round_trip_and_errors(tmp_path):
     path = str(tmp_path / "v.csv")
     np.savetxt(path, mat, delimiter=",")
     assert np.array_equal(read_csv(path), mat)
+    assert np.array_equal(load_vectors(path, "csv"), mat)
+    with pytest.raises(ValueError, match="unknown input format 'npy', expected 'fvecs' or 'csv'"):
+        load_vectors(path, "npy")
 
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\n1.0,oops\n")
@@ -86,6 +91,8 @@ def test_config_validation():
     # the input fields are checked by their one reader, prepare_instance
     with pytest.raises(ValueError, match="input_path or synthetic"):
         prepare_instance(BenchConfig(radius=0.4, approx_c=2.0))
+    with pytest.raises(ValueError, match="need at least one query mode"):
+        BenchConfig(radius=0.4, approx_c=2.0, synthetic_n=10, synthetic_d=4, modes=())
     with pytest.raises(ValueError, match="unknown mode"):
         BenchConfig(radius=0.4, approx_c=2.0, synthetic_n=10, synthetic_d=4,
                     modes=("warp",))

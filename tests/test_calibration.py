@@ -239,9 +239,10 @@ def test_probe_success_single_level_matches_direct_walk():
     ids=["cp-d4", "cp-d5", "cap-d6-4caps"],
 )
 def test_probe_success_three_levels_match_the_sorted_grid(params):
-    # independent oracle: per trial, sort the query's full k-slot code grid
-    # by its deficit sum taken left to right (all-own tuple first, then the
-    # code tuple) and find the partner's tuple in it, one function at a time
+    # independent oracle: per trial, sort the query's full k-slot grid of
+    # rank tuples by the probe order's key (P_k, ..., P_1, r_1, ..., r_k),
+    # P_s the left-to-right sum of the first s deficits and r_s the rank in
+    # slot s, and find the partner's code tuple in it, one function at a time
     r, trials, levels, j_max, seed = 0.4, 1000, 3, 6, 4
     hits = np.zeros((levels, j_max))
     batch = 64
@@ -253,19 +254,17 @@ def test_probe_success_three_levels_match_the_sorted_grid(params):
         data, query = _pairs_at_distance(derived_rng(seed, 22, b), params.dim, m, r)
         partner = np.stack([hash_batch(params, fn, data) for fn in fns], axis=1)
         for i in range(m):
-            rankings = [stable_probe_sequence(params, fn, query[i]) for fn in fns]
+            rankings = [[part.tolist() for part in stable_probe_sequence(params, fn, query[i])]
+                        for fn in fns]
+
+            def key(ranks):
+                sums = itertools.accumulate(rankings[s][1][rank] for s, rank in enumerate(ranks))
+                return (*reversed(list(sums)), *ranks)
+
             for k in range(1, levels + 1):
-                grid = sorted(
-                    (
-                        sum(float(d) for _, d in picks),
-                        any(rank > 0 for rank, _ in picks),
-                        tuple(int(rankings[s][0][rank]) for s, (rank, _) in enumerate(picks)),
-                    )
-                    for picks in itertools.product(
-                        *(list(enumerate(deficits)) for _, deficits in rankings[:k])
-                    )
-                )
-                order = [code for _, _, code in grid]
+                tuples = itertools.product(*(range(len(buckets)) for buckets, _ in rankings[:k]))
+                grid = sorted(tuples, key=key)
+                order = [tuple(rankings[s][0][rank] for s, rank in enumerate(ranks)) for ranks in grid]
                 pos = order.index(tuple(int(c) for c in partner[i, :k]))
                 if pos < j_max:
                     hits[k - 1, pos:] += 1

@@ -171,15 +171,41 @@ def test_bench_adaptive_synthetic(tmp_path):
     assert agg["mean_work"] <= 400.0
 
 
-def test_trend_brute():
+def test_build_from_a_vector_file(tmp_path):
+    # the same float32 rows as .fvecs, the default format, and as .csv build
+    # the same index file, and it answers queries
+    mat = np.random.default_rng(11).normal(size=(200, 8)).astype(np.float32)
+    fvecs, csv = tmp_path / "base.fvecs", tmp_path / "base.csv"
+    np.hstack([np.full((200, 1), 8, dtype="<i4"), mat.astype("<f4").view("<i4")]).tofile(fvecs)
+    np.savetxt(csv, mat.astype(np.float64), delimiter=",")
+    base = ["build", "--radius", "0.4", "--cache-dir", str(tmp_path / "cache")] + COMMON
+    outputs = []
+    for path, fmt in ((fvecs, []), (csv, ["--format", "csv"])):
+        outputs.append(str(tmp_path / f"{path.suffix[1:]}.idx"))
+        result = run_cli(base + ["--input", str(path), *fmt, "--output", outputs[-1]])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert (doc["n"], doc["d"], doc["degenerate_ids"]) == (200, 8, [])
+    assert Path(outputs[0]).read_bytes() == Path(outputs[1]).read_bytes()
+    vec = ",".join(str(v) for v in mat[3])
+    q = run_cli(["query", "--index", outputs[0], "--vector", vec, "--mode", "brute"])
+    assert q.exit_code == 0, q.output
+    assert 3 in json.loads(q.output)["ids"]
+
+
+def test_trend_brute(tmp_path):
+    out = tmp_path / "trend.json"
     result = run_cli(
         ["trend", "--sizes", "200,400,800", "--dim", "8", "--radius", "0.4",
          "--mode", "brute", "--queries", "5", "--planted", "3",
-         "--trials", "2000", "--seed", "5"]
+         "--trials", "2000", "--seed", "5", "--output", str(out)]
     )
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert 0.9 <= doc["exponent"] <= 1.1
+    # the written report is the printed one without its own path
+    assert doc.pop("report_path") == str(out)
+    assert json.loads(out.read_text()) == doc
 
 
 def test_query_at_the_centroid_reports_json_error(tmp_path):
@@ -218,9 +244,12 @@ def test_missing_index_file_reports_json_error(tmp_path):
 
 
 def test_bad_synth_spec_reports_json_error():
-    # a missing field, and a field given twice, whose last value would win
+    # a missing field, a field given twice, whose last value would win, a
+    # fragment with no value and a field the spec does not know
     for spec, message in (("synth:n=100", "needs at least n and d"),
-                          ("synth:n=500,d=8,n=600", "field 'n' given twice")):
+                          ("synth:n=500,d=8,n=600", "field 'n' given twice"),
+                          ("synth:n=100,d", "bad synthetic spec fragment 'd'"),
+                          ("synth:n=100,d=4,k=2", "unknown synthetic field 'k', expected n, d, or t")):
         result = make_runner().invoke(
             main,
             ["build", "--input", spec, "--radius", "0.4", "--output", "/tmp/never-written.idx"],

@@ -1,8 +1,9 @@
-"""CLI boundaries: non-finite query vectors, the index options that build,
-bench and trend share, and set-up input that must fail before any Monte
-Carlo runs."""
+"""CLI boundaries: non-finite and malformed query vectors, the index
+options that build, bench and trend share, and set-up input that must fail
+before any Monte Carlo runs."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,3 +136,35 @@ def test_bad_max_probes_fails_before_calibrating(tmp_path, no_monte_carlo, verb)
     err = error_of(result)
     assert err["type"] == "ValueError"
     assert err["message"] == "need at least one probe, got 0"
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("synth:n=1e4,d=32", "synthetic field 'n' must be an integer, got '1e4'"),
+    ("synth:n=100,d=4,t=", "synthetic field 't' must be an integer, got ''"),
+], ids=["float-n", "empty-t"])
+@pytest.mark.parametrize("verb", [
+    ["build", "--output", "x.idx"],
+    ["bench", "--queries", "5"],
+], ids=["build", "bench"])
+def test_a_synthetic_field_that_is_no_integer_is_named(no_monte_carlo, verb, spec, message):
+    result = invoke(verb + ["--input", spec, "--radius", "0.4"])
+    assert result.exit_code == 1
+    err = error_of(result)
+    assert err == {"type": "ValueError", "message": message}
+
+
+def test_a_query_vector_that_is_no_list_of_numbers_is_an_error():
+    index = str(Path(__file__).parent / "data" / "v1_full.idx")
+    result = invoke(["query", "--index", index, "--vector", "1,x,3"])
+    assert result.exit_code == 1
+    err = error_of(result)
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith("bad vector: could not convert string to float: 'x'")
+
+
+def test_trend_sizes_that_are_no_integers_are_an_error(no_monte_carlo):
+    result = invoke(["trend", "--sizes", "100,2e3", "--dim", "4", "--radius", "0.4"])
+    assert result.exit_code == 1
+    err = error_of(result)
+    assert err["type"] == "ValueError"
+    assert err["message"] == "bad sizes: invalid literal for int() with base 10: '2e3'"

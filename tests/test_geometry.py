@@ -127,6 +127,21 @@ def test_orthogonal_vectors_are_orthogonal_and_unit():
     assert np.max(np.abs(np.einsum("ij,ij->i", anchors, u))) < 1e-9
 
 
+def test_orthogonal_vectors_rescue_a_draw_parallel_to_its_anchor():
+    # a draw that is a multiple of its anchor leaves nothing orthogonal to
+    # normalise; the anchor's smallest axis, made orthogonal, stands in
+    anchors = uniform_unit_vectors(np.random.default_rng(3), 4, 6)
+
+    class Parallel:
+        def standard_normal(self, shape):
+            assert shape == anchors.shape
+            return anchors * np.array([[2.0], [-1.0], [0.5], [3.0]])
+
+    u = unit_vectors_orthogonal_to(Parallel(), anchors)
+    assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
+    assert np.max(np.abs(np.einsum("ij,ij->i", anchors, u))) < 1e-12
+
+
 def test_planted_instance_counts_and_truth():
     inst = generate_planted_instance(n=100, d=16, r=0.4, t=5, seed=7, num_queries=3)
     assert inst.dataset.size == 100 and inst.dataset.dim == 16

@@ -439,23 +439,15 @@ def test_load_rejects_unknown_version_and_flags(tmp_path, built):
         load_index(str(path))
 
 
-def test_repetition_rejects_invalid_keys():
-    # two slots of a 65-bucket cap family take 7 bits each: codes 0..64
+def test_key_blocks_sort_each_row():
+    # two slots of a 65-bucket cap family take 7 bits each: codes 0..64; the
+    # keys of a file are checked when it is read (test_load_rejects_bad_keys)
     params = FamilyParams(kind="spherical_cap", dim=8)
     stack = sample_directions(params, [0, 1])
     keys, order = key_blocks(params, 2, (1, 3), [np.array([64 << 7 | 64, 0, 3 << 7 | 1])])
     rep = Repetition(stack, keys[0], order[0], 7, 0)
     assert rep.order.tolist() == [1, 2, 0] and rep.order.dtype == np.int32
     assert rep.sorted_codes.tolist() == [[0, 0], [3, 1], [64, 64]]
-    for bad, message in [
-        (-1, "keys must lie"),
-        (1 << 14, "keys must lie"),
-        (65, "slot codes"),
-        (65 << 7, "slot codes"),
-        (127 << 7 | 127, "slot codes"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            key_blocks(params, 2, (1, 2), [np.array([0, bad], dtype=np.int64)])
 
 
 def test_repetitions_view_rows_of_tagged_key_groups(tmp_path, built):
@@ -741,8 +733,16 @@ def test_load_rejects_bad_keys(tmp_path):
     index.save(str(path))
     good = path.read_bytes()
     (last,) = struct.unpack("<q", good[-8:])
-    slot0 = bits * (K - 1)
-    for key in (-1, last | 1 << K * bits, last & ((1 << slot0) - 1) | 65 << slot0):
+    slot0, low = bits * (K - 1), (1 << bits) - 1
+    assert load_index(str(path)).levels == K
+    for key in (
+        -1,
+        last | 1 << K * bits,  # a bit above the K slots
+        last & ((1 << slot0) - 1) | 65 << slot0,  # code 65 in slot 0
+        last & ~low | 65,  # code 65 in the last slot
+        (1 << K * bits) - 1,  # every slot all ones
+    ):
         path.write_bytes(good[:-8] + struct.pack("<q", key))
-        with pytest.raises(IndexFormatError, match="codes"):
+        message = f"corrupt codes: keys must pack {K} slot codes in 0..64"
+        with pytest.raises(IndexFormatError, match=message):
             load_index(str(path))

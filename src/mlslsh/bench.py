@@ -26,7 +26,8 @@ from .calibration import (
     edge_probabilities,
 )
 from .families import FamilyParams
-from .geometry import Dataset, generate_planted_instance, map_query, normalize_dataset, range_scan
+from .geometry import Dataset, checked_int, generate_planted_instance, map_query
+from .geometry import normalize_dataset, range_scan
 from .index import MultiLevelIndex, build_index, check_space_budget, compute_k
 from .query import MODES, run_query
 
@@ -36,7 +37,9 @@ def read_fvecs(path: str) -> np.ndarray:
 
     The file is viewed as one (n, d + 1) array of records sized by the first
     header; the first record whose header differs, or a partial record at
-    the end, is reported with its byte offset.
+    the end, is reported with its byte offset. A file whose first record
+    does not fit, such as a CSV read as .fvecs, is also told the dimension
+    its header announces.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -61,7 +64,12 @@ def read_fvecs(path: str) -> np.ndarray:
         raise ValueError(f"{path}: invalid dimension {d} at byte {offset}")
     if d != dim:
         raise ValueError(f"{path}: dimension changed from {dim} to {d} at byte {offset}")
-    raise ValueError(f"{path}: truncated vector data at byte {offset + 4}")
+    if offset:
+        raise ValueError(f"{path}: truncated vector data at byte {offset + 4}")
+    raise ValueError(
+        f"{path}: truncated vector data at byte 4; the header at byte 0 announces dimension "
+        f"{dim}, more than the file's {len(buf)} bytes hold (CSV input needs --format csv)"
+    )
 
 
 def read_csv(path: str) -> np.ndarray:
@@ -133,8 +141,7 @@ class BenchConfig:
             raise ValueError("fixed mode needs fixed_level and fixed_probes")
         if "fixed" not in self.modes and (self.fixed_level, self.fixed_probes) != (None, None):
             raise ValueError("fixed_level and fixed_probes pin fixed mode, which modes leaves out")
-        if self.num_queries < 1:
-            raise ValueError(f"need at least one query, got {self.num_queries}")
+        object.__setattr__(self, "num_queries", checked_int("num_queries", self.num_queries, 1))
 
     def to_json_dict(self) -> dict:
         """Every field but the cache directory, which changes no result."""

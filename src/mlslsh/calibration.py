@@ -29,7 +29,7 @@ from .families import (
     slot_bits,
     slot_rankings,
 )
-from .geometry import uniform_unit_vectors, unit_vectors_orthogonal_to
+from .geometry import checked_int, uniform_unit_vectors, unit_vectors_orthogonal_to
 
 _TAG_NEAR = 11
 _TAG_FAR = 12
@@ -124,8 +124,7 @@ def estimate_collision_prob(
     """
     if not 0.0 <= dist <= 2.0:
         raise ValueError(f"distance must lie in [0, 2], got {dist}")
-    if trials < _MIN_TRIALS:
-        raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
+    trials = checked_int("trials", trials, _MIN_TRIALS)
     sizes = _batch_sizes(trials, _COLLISION_BATCH)
     hits = np.zeros(len(sizes), dtype=np.int64)
     for b, m in enumerate(sizes):
@@ -179,10 +178,10 @@ def _check_radii(r: float, c: float, error: type[Exception] = ValueError) -> Non
         )
 
 
-def check_max_probes(max_probes: int) -> None:
-    """The probe budget, the width of the probe-success table, is at least 1."""
-    if max_probes < 1:
-        raise ValueError(f"need at least one probe, got {max_probes}")
+def check_max_probes(max_probes: int) -> int:
+    """The probe budget, the width of the probe-success table, as a Python
+    int: a positive integer, or ValueError."""
+    return checked_int("max_probes", max_probes, 1)
 
 
 def edge_probabilities(
@@ -407,8 +406,8 @@ def calibrate(
 
     Deterministic for a fixed seed. Before anything is measured, ValueError
     is raised for radii off the sphere (r outside (0, 2), c not above 1, or
-    c * r past 2), fewer than one level, a probe budget below 1, levels
-    whose packed keys would pass 63 bits, fewer than 1000 trials, and
+    c * r past 2), counts that fail `checked_int` (levels and max_probes
+    >= 1, trials >= 1000), levels whose packed keys would pass 63 bits, and
     passed `edges` whose near or far estimate was made from other than
     `trials` trials. After measuring, CalibrationError is raised only for
     an inseparable pair of radii; a far probability of 0 is clamped away
@@ -419,12 +418,9 @@ def calibrate(
     result as `edges`, which is then used instead of measuring again.
     """
     _check_radii(r, c)
-    if levels < 1:
-        raise ValueError(f"need at least one level, got {levels}")
-    check_max_probes(max_probes)
+    levels, max_probes = checked_int("levels", levels, 1), check_max_probes(max_probes)
     slot_bits(params, levels)  # the probe table packs codes of every level into one key
-    if trials < _MIN_TRIALS:
-        raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
+    trials = checked_int("trials", trials, _MIN_TRIALS)
     # the calibration records one trial count for p1, p2 and the table alike
     if edges is not None and (edges[0].trials, edges[1].trials) != (trials, trials):
         raise ValueError(

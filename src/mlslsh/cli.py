@@ -171,8 +171,9 @@ def query(index_path, vector, radius, mode, fixed_k, fixed_j, timing):
     """Run one range query against an index file."""
     if mode != "fixed" and (fixed_k, fixed_j) != (None, None):
         raise ValueError(f"--fixed-k and --fixed-j pin fixed mode only, not mode {mode!r}")
+    raw = _parse_vector(vector)  # before the load, which may rehash a whole file
     index = load_index(index_path)
-    q = map_query(index.dataset, _parse_vector(vector))
+    q = map_query(index.dataset, raw)
     calibrated = index.calibration.r
     if radius is None:
         radius = calibrated

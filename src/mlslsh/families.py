@@ -42,7 +42,7 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .geometry import _SEED_MASK, query_row, uniform_unit_vectors
+from .geometry import _SEED_MASK, checked_int, query_row, uniform_unit_vectors
 
 FamilyKind = Literal["spherical_cap", "cross_polytope"]
 
@@ -81,7 +81,8 @@ def default_cap_threshold(cap_count: int, dim: int) -> float:
 @dataclass(frozen=True)
 class FamilyParams:
     """Configuration of one hash family; all randomness is derived from seeds.
-    `dim` and `cap_count` are integers, numpy ones included, or ValueError.
+    `dim` and `cap_count` pass `checked_int`: dim >= 2, and cap_count >= 2
+    for spherical caps, any integer for cross-polytope (which reads no caps).
     Its JSON form keeps two fixed fields, `cap_threshold` null (the default
     threshold) and `rotation_seed_base` 0, and reads no other value of them."""
 
@@ -92,16 +93,9 @@ class FamilyParams:
     def __post_init__(self) -> None:
         if self.kind not in ("spherical_cap", "cross_polytope"):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        for name in ("dim", "cap_count"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
-        if self.kind == "spherical_cap":
-            if self.cap_count < 2:
-                raise ValueError(f"cap_count must be >= 2, got {self.cap_count}")
+        object.__setattr__(self, "dim", checked_int("dim", self.dim, 2))
+        least = 2 if self.kind == "spherical_cap" else None
+        object.__setattr__(self, "cap_count", checked_int("cap_count", self.cap_count, least))
 
     @property
     def threshold(self) -> float:
@@ -434,7 +428,5 @@ class CodeEnumerator:
     def first(self, count: int) -> list[tuple[int, ...]]:
         """The first `count` tuples (fewer if the universe is exhausted); a
         `count` that is not a non-negative integer raises ValueError."""
-        if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 0:
-            raise ValueError(f"count must be a non-negative integer, got {count!r}")
-        *_, keys = first_tuples(self._slots, count, self._bits)
+        *_, keys = first_tuples(self._slots, checked_int("count", count, 0), self._bits)
         return [tuple(codes) for codes in _unpack(keys[0], self._bits, len(self._slots)).tolist()]

@@ -12,6 +12,18 @@ import numpy as np
 UNIT_NORM_TOL = 1e-6
 DEGENERATE_NORM = 1e-12
 _SEED_MASK = (1 << 63) - 1
+_AT_LEAST = {0: "a non-negative integer", 1: "a positive integer"}
+
+
+def checked_int(name: str, value, least: int | None = None) -> int:
+    """`value` as a Python int, else ValueError naming `name`: the one rule
+    for every count the library takes. An int or a numpy integer at least
+    `least` passes; a bool, a float or anything else does not."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int or (least is not None and value < least):
+        kind = "an integer" if least is None else _AT_LEAST.get(least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -215,12 +227,8 @@ def generate_planted_instance(
     2**63 as `families.derived_seed` takes its keys, so a negative seed is
     valid too.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if t < 0:
-        raise ValueError(f"planted count must be >= 0, got {t}")
-    if num_queries < 1:
-        raise ValueError(f"need at least one query, got {num_queries}")
+    n, d, t = checked_int("n", n, 1), checked_int("d", d, 2), checked_int("t", t, 0)
+    num_queries = checked_int("num_queries", num_queries, 1)
     if n <= t * num_queries:
         raise ValueError(
             f"n={n} must exceed the {t * num_queries} planted points"

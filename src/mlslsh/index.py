@@ -50,7 +50,7 @@ from .families import KEY_BITS, FamilyParams, _pack, _shifts, _unpack, bucket_co
 from .families import hash_keys, sample_directions, slot_bits, unsettled
 # not called here; perfbench/spans.py wraps index.hash_batch by name
 from .families import hash_batch  # noqa: F401
-from .geometry import UNIT_NORM_TOL, Dataset
+from .geometry import UNIT_NORM_TOL, Dataset, checked_int
 
 MAGIC = b"MLSLSH01"
 FORMAT_VERSION = 2
@@ -124,18 +124,18 @@ def schedule_entry(k: int, j: int, count: int, universe: int) -> tuple[float, in
     return float(j * count), k, j, count, count * (min(j, universe**k) - 1)
 
 
-def check_space_budget(budget) -> None:
-    """A space budget is None, for no cap, or a positive integer."""
-    if budget is not None and (type(budget) is not int or budget < 1):
-        raise ValueError(f"space budget must be a positive integer, got {budget!r}")
+def check_space_budget(budget) -> int | None:
+    """A space budget is None, for no cap, or a positive integer, returned
+    as a Python int."""
+    return None if budget is None else checked_int("space budget", budget, 1)
 
 
 def index_shape(calibration: FamilyCalibration, n: int, space_budget: int | None) -> tuple[int, int]:
     """Depth K = compute_k(n, p2) and repetitions R = compute_numreps(p1, K),
     capped by space_budget, of an index of n points; build and load both
-    size by it. A bad budget, n past MAX_POINTS or K past the key bits raise
-    ValueError, a calibration shallower than K raises CalibrationError."""
-    check_space_budget(space_budget)
+    size by it, each after `check_space_budget`. n past MAX_POINTS or K past
+    the key bits raise ValueError, a calibration shallower than K raises
+    CalibrationError."""
     if n > MAX_POINTS:
         raise ValueError(f"n={n} points; an index holds at most {MAX_POINTS}, int32 ids")
     K = compute_k(n, calibration.p2)
@@ -611,7 +611,9 @@ def build_index(
     space_budget: int | None = None,
     seed: int = 0,
 ) -> MultiLevelIndex:
-    """Build the index of `dataset`, sized by `index_shape`."""
+    """Build the index of `dataset`, sized by `index_shape`; it keeps the
+    space budget as the int `check_space_budget` returns."""
+    space_budget = check_space_budget(space_budget)
     shape = index_shape(calibration, dataset.size, space_budget)
     return _assemble(
         dataset, calibration, seed, space_budget, shape,
@@ -624,12 +626,11 @@ def _check_metadata(meta):
     an index header, checked against each other and against `index_shape`
     before anything is sized by them."""
     try:
-        n, d, K, R = sizes = [meta[key] for key in ("n", "d", "levels", "num_repetitions")]
-        if not all(type(v) is int and v >= 1 for v in sizes) or type(meta["seed"]) is not int:
-            raise ValueError(f"n, d, K, R = {sizes} must be positive integers, the seed an integer")
+        n, d, K, R = (checked_int(k, meta[k], 1) for k in ("n", "d", "levels", "num_repetitions"))
+        seed = checked_int("seed", meta["seed"])
         calibration = FamilyCalibration.from_json_dict(meta["calibration"])
         family = FamilyParams.from_json_dict(meta["family"])
-        budget, degenerate = meta["space_budget"], tuple(meta["degenerate_ids"])
+        budget, degenerate = check_space_budget(meta["space_budget"]), tuple(meta["degenerate_ids"])
         # a file without codes is rebuilt R * K hashes deep, so K and R must
         # be what a build of n points from this calibration and budget gives
         shape = index_shape(calibration, n, budget)
@@ -649,7 +650,7 @@ def _check_metadata(meta):
         a < b for a, b in zip((-1, *degenerate), (*degenerate, n))
     ):
         raise IndexFormatError(f"degenerate ids must be distinct ascending ints in 0..{n - 1}")
-    return calibration, meta["seed"], budget, n, d, shape, degenerate
+    return calibration, seed, budget, n, d, shape, degenerate
 
 
 def load_index(path: str) -> MultiLevelIndex:

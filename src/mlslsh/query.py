@@ -52,7 +52,7 @@ import numpy as np
 from .families import _shifts, ranked_tuples, slot_bits
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
-from .geometry import Dataset, query_row, range_scan
+from .geometry import Dataset, checked_int, query_row, range_scan
 from .index import MultiLevelIndex, ReadPlan, Walk, consulted_reps, schedule_entry
 
 
@@ -429,10 +429,7 @@ def fixed_level_query(
     or all of them at P = 0, and its report carries infeasible=True. A
     probe count outside the calibrated table raises there.
     """
-    for name, value in (("level k", k), ("probe count j", j)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    k, j = int(k), int(j)
+    k, j = checked_int("level k", k), checked_int("probe count j", j)
     if not 1 <= k <= index.levels:
         raise ValueError(f"level {k} outside 1..{index.levels}")
     count = consulted_reps(index.calibration, k, j, index.num_repetitions)

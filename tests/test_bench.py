@@ -99,7 +99,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="fixed mode"):
         BenchConfig(radius=0.4, approx_c=2.0, synthetic_n=10, synthetic_d=4,
                     modes=("fixed",))
-    with pytest.raises(ValueError, match="at least one query"):
+    with pytest.raises(ValueError, match="num_queries must be a positive integer, got 0"):
         BenchConfig(radius=0.4, approx_c=2.0, synthetic_n=10, synthetic_d=4,
                     num_queries=0)
 
@@ -434,3 +434,26 @@ def test_calibrate_cached_ignores_entries_for_other_inputs(tmp_path, other):
     again = calibrate_cached(params, **kwargs, cache_dir=str(tmp_path / "a"))
     assert again.to_json_dict() == first.to_json_dict()
     assert entry.read_text() == good
+
+
+def test_calibrate_cached_removes_its_temporary_file_when_the_write_fails(tmp_path, monkeypatch):
+    def full_disk(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", full_disk)
+    params = FamilyParams(kind="cross_polytope", dim=6)
+    with pytest.raises(OSError, match="no space left"):
+        calibrate_cached(params, 0.4, 2.0, levels=2, max_probes=2, trials=1000, seed=1,
+                         cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scaling_trend_refuses_a_degenerate_fit(tmp_path, monkeypatch):
+    # work that never exceeds the output has no overhead to take the log of
+    import mlslsh.bench as bench_mod
+
+    monkeypatch.setattr(bench_mod, "recompute_aggregates",
+                        lambda records: {"brute": {"mean_work": 3.0, "mean_reported": 3.0}})
+    config = _tiny_config(tmp_path, modes=("brute",), num_queries=5, planted=3)
+    with pytest.raises(ValueError, match="the fit would be degenerate"):
+        scaling_trend([200, 400, 800], config)

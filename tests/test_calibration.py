@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mlslsh.calibration as calmod
-from conftest import stable_probe_sequence
+from conftest import stable_probe_sequence, toy_calibration
 from mlslsh.calibration import (
     CalibrationError,
     CollisionEstimate,
@@ -380,7 +380,7 @@ def test_calibrate_checks_trials_before_sampling(monkeypatch):
     monkeypatch.setattr(calmod, "_estimate_probe_success", sampled)
     monkeypatch.setattr(calmod, "estimate_collision_prob", sampled)
     for trials, given in [(0, edges), (10, edges), (999, None), (-1, None)]:
-        with pytest.raises(ValueError, match="at least 1000 trials"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1000"):
             calibrate(params, 0.4, 2.0, levels=2, max_probes=2, trials=trials, seed=0, edges=given)
     near, far, p2 = edges
     for mixed in [
@@ -426,3 +426,21 @@ def test_calibrate_is_deterministic():
         b = calibrate(params, r=0.4, c=2.0, levels=2, max_probes=4, trials=2000, seed=5)
     assert a.p1 == b.p1 and a.p2 == b.p2
     assert np.array_equal(a.probe_success, b.probe_success)
+
+
+def test_calibration_rejects_a_table_that_is_not_2d_and_errors_of_another_shape():
+    cal = toy_calibration(FamilyParams(kind="cross_polytope", dim=8), levels=3, max_probes=4)
+    table, se = cal.probe_success, cal.probe_success_se
+    for bad in (table[0], table[None], table[:0]):
+        with pytest.raises(CalibrationError, match="probe-success table has shape"):
+            dataclasses.replace(cal, probe_success=bad, probe_success_se=np.zeros_like(bad))
+    for bad in (se[:, :2], se.T, se.ravel()):
+        with pytest.raises(CalibrationError, match="errors disagree in shape"):
+            dataclasses.replace(cal, probe_success_se=bad)
+
+
+def test_calibration_document_of_another_version_is_refused():
+    doc = toy_calibration(FamilyParams(kind="cross_polytope", dim=8)).to_json_dict()
+    assert FamilyCalibration.from_json_dict(doc).to_json_dict() == doc
+    with pytest.raises(ValueError, match="unsupported calibration version 2"):
+        FamilyCalibration.from_json_dict({**doc, "version": 2})

@@ -135,7 +135,7 @@ def test_bad_max_probes_fails_before_calibrating(tmp_path, no_monte_carlo, verb)
     assert result.exit_code == 1
     err = error_of(result)
     assert err["type"] == "ValueError"
-    assert err["message"] == "need at least one probe, got 0"
+    assert err["message"] == "max_probes must be a positive integer, got 0"
 
 
 @pytest.mark.parametrize("spec,message", [
@@ -153,13 +153,15 @@ def test_a_synthetic_field_that_is_no_integer_is_named(no_monte_carlo, verb, spe
     assert err == {"type": "ValueError", "message": message}
 
 
-def test_a_query_vector_that_is_no_list_of_numbers_is_an_error():
-    index = str(Path(__file__).parent / "data" / "v1_full.idx")
-    result = invoke(["query", "--index", index, "--vector", "1,x,3"])
-    assert result.exit_code == 1
-    err = error_of(result)
-    assert err["type"] == "ValueError"
-    assert err["message"].startswith("bad vector: could not convert string to float: 'x'")
+def test_a_query_vector_that_is_no_list_of_numbers_is_an_error(tmp_path):
+    # the vector is read before the index file is opened, so an absent file
+    # reports the vector too
+    for index in (Path(__file__).parent / "data" / "v1_full.idx", tmp_path / "absent.idx"):
+        result = invoke(["query", "--index", str(index), "--vector", "1,x,3"])
+        assert result.exit_code == 1
+        err = error_of(result)
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith("bad vector: could not convert string to float: 'x'")
 
 
 def test_trend_sizes_that_are_no_integers_are_an_error(no_monte_carlo):
@@ -168,3 +170,17 @@ def test_trend_sizes_that_are_no_integers_are_an_error(no_monte_carlo):
     err = error_of(result)
     assert err["type"] == "ValueError"
     assert err["message"] == "bad sizes: invalid literal for int() with base 10: '2e3'"
+
+
+def test_a_csv_file_read_as_fvecs_names_the_format_flag(tmp_path, no_monte_carlo):
+    path = tmp_path / "t.csv"
+    path.write_text("0.1,0.2\n0.3,0.4\n")
+    result = invoke(["build", "--input", str(path), "--radius", "0.4",
+                     "--output", str(tmp_path / "x.idx")])
+    assert result.exit_code == 1
+    # "0.1," read as the little-endian int32 header
+    dim = int.from_bytes(b"0.1,", "little")
+    assert error_of(result) == {"type": "ValueError", "message": (
+        f"{path}: truncated vector data at byte 4; the header at byte 0 announces dimension "
+        f"{dim}, more than the file's 16 bytes hold (CSV input needs --format csv)"
+    )}

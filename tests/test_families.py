@@ -727,3 +727,13 @@ def test_unsettled_matches_a_per_row_recount(kind, m, seed):
     got = fam.unsettled(params, proj, margin)
     assert got.dtype == np.intp
     assert got.tolist() == [i for i, row in enumerate(proj.tolist()) if recount(row)]
+
+
+def test_enumerator_needs_a_slot_and_keys_of_at_most_63_bits():
+    with pytest.raises(ValueError, match="at least one slot ranking is required"):
+        CodeEnumerator([])
+    # ids below 2**21 pack three slots of 21 bits into 63; one more bit does not fit
+    widest = ([0, 2**21 - 1], [0.0, 1.0])
+    assert CodeEnumerator([widest] * 3).first(1) == [(0, 0, 0)]
+    with pytest.raises(ValueError, match=f"3 slots of 22 bits pass {KEY_BITS} key bits"):
+        CodeEnumerator([widest, widest, ([0, 2**21], [0.0, 1.0])])

@@ -259,3 +259,19 @@ def test_range_scan_is_the_exact_range_predicate(
     report = brute_force_range(dataset, q, radius)
     assert report.ids == tuple(expected.tolist())
     assert report.distances == tuple(dist[expected].tolist())
+
+
+def test_dataset_rejects_a_matrix_that_is_not_n_by_d_and_a_centroid_of_another_dimension():
+    rows = np.eye(3)
+    for matrix in (rows[0], rows[None], rows[:, :1], np.empty((0, 3))):
+        with pytest.raises(ValueError, match=r"expected an \(n, d\) matrix with n >= 1 and d >= 2"):
+            Dataset(matrix, np.zeros(matrix.shape[-1]))
+    with pytest.raises(ValueError, match=r"centroid has dimension \(2,\), points have 3"):
+        Dataset(rows, np.zeros(2))
+
+
+def test_map_query_rejects_a_vector_of_the_wrong_shape():
+    dataset = normalize_dataset(np.random.default_rng(0).normal(size=(10, 4)))
+    for raw in (np.ones(3), np.ones(5), np.ones((1, 4)), 1.0):
+        with pytest.raises(ValueError, match="dataset dimension is 4"):
+            map_query(dataset, raw)

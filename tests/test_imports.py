@@ -1,10 +1,12 @@
 """Every name a module in src/ or tests/ imports is used in that module,
-and no library module asserts: a broken invariant raises an exception,
-which `python -O` does not strip.
+no library module asserts: a broken invariant raises an exception, which
+`python -O` does not strip, and only `geometry.checked_int` decides what a
+count is.
 
-No linter runs on this repository, so these scans keep unused imports and
-library asserts out. An import marked `# noqa: F401` on the line of its
-name is kept on purpose, as is a name the module lists in its `__all__`.
+No linter runs on this repository, so these scans keep unused imports,
+library asserts and second spellings of the count rule out. An import
+marked `# noqa: F401` on the line of its name is kept on purpose, as is a
+name the module lists in its `__all__`.
 """
 
 import ast
@@ -82,3 +84,34 @@ def test_library_module_asserts_nothing(path):
 def test_the_scan_finds_an_assert():
     source = "def f(x):\n    # assert x\n    if x:\n        assert x > 0, 'assert'\n    return x\n"
     assert asserts(source) == [4]
+
+
+def integer_checks(source: str) -> list[str]:
+    """The places `source` names `np.integer`, as "line: innermost function"."""
+    tree = ast.parse(source)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    functions = [node for node in ast.walk(tree) if isinstance(node, kinds)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "integer":
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            name = max(around, key=lambda f: f.lineno).name if around else "<module>"
+            found.append(f"{node.lineno}: {name}")
+    return sorted(found, key=lambda place: int(place.split(":")[0]))
+
+
+def test_only_checked_int_names_a_numpy_integer():
+    found = {}
+    for path in LIBRARY:
+        for place in integer_checks(path.read_text()):
+            found.setdefault(str(path.relative_to(ROOT)), []).append(place.split(": ")[1])
+    assert found == {"src/mlslsh/geometry.py": ["checked_int"]}
+
+
+def test_the_scan_finds_a_numpy_integer():
+    source = (
+        "import numpy as np\nKINDS = (int, np.integer)\n\n"
+        "def f(x):\n    def g(y):\n        return isinstance(y, np.integer)\n"
+        "    return g(x) or isinstance(x, numpy.integer)\n"
+    )
+    assert integer_checks(source) == ["2: <module>", "6: g", "7: f"]

@@ -16,6 +16,7 @@ from mlslsh.families import HASH_BLOCK, FamilyParams, derived_seed, hash_batch, 
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
     IndexFormatError,
+    MultiLevelIndex,
     Repetition,
     build_index,
     compute_k,
@@ -25,6 +26,7 @@ from mlslsh.index import (
     load_index,
     repetition_tags,
     reps,
+    screen_margin,
 )
 
 
@@ -647,8 +649,8 @@ def _cap_family(meta):
         # 10**9 points need 18 levels of a 6-level calibration
         (_set("n", 10**9), "calibration covers 6 levels but n=1000000000 needs 18"),
         (_set("n", 2**31), "int32 ids"),
-        (_set("n", 0), "positive integers"),
-        (_set("d", "4"), "positive integers"),
+        (_set("n", 0), r"\bn must be a positive integer, got 0"),
+        (_set("d", "4"), r"\bd must be a positive integer, got '4'"),
         (_set("d", 5), "dimension"),
         (_set("levels", 7), "levels=7, num_repetitions=2; .* give 3 levels"),
         (_set("levels", 4), "levels=4, num_repetitions=2; .* give 3 levels"),
@@ -746,3 +748,25 @@ def test_load_rejects_bad_keys(tmp_path):
         message = f"corrupt codes: keys must pack {K} slot codes in 0..64"
         with pytest.raises(IndexFormatError, match=message):
             load_index(str(path))
+
+
+def test_screen_margin_is_infinite_past_a_third_of_2_to_the_24():
+    # past d u = 1/3, u = 2**-24, the bound's gamma terms no longer hold
+    last = 2**24 // 3
+    # there gamma_d(u) reaches 1/2
+    assert 0.5 < screen_margin(last, 1.0) < 0.51
+    assert screen_margin(last + 1, 1.0) == math.inf
+
+
+def test_index_refuses_blocks_that_disagree(built):
+    _, index = built
+    K = index.levels
+    parts = dict(directions=index.directions, keys=index.keys, order=index.order)
+    for name, bad in [
+        ("keys", index.keys[:-1]),
+        ("order", index.order[:, :-1]),
+        ("directions", index.directions[:-1]),
+    ]:
+        with pytest.raises(ValueError, match=rf"do not make \d+ repetitions of {K} levels"):
+            MultiLevelIndex(index.dataset, index.calibration, index.seed, index.space_budget,
+                            K, **{**parts, name: bad})

@@ -915,3 +915,10 @@ if __name__ == "__main__":
     doc = {"small_index": walk_reports(*build_small_index())}
     doc["multi_probe_index"] = walk_reports(*build_multi_probe_index())
     print(json.dumps(doc, indent=1, sort_keys=True))
+
+
+def test_run_query_refuses_an_unknown_mode(small_index):
+    inst, index = small_index
+    q = inst.queries[0].coords
+    with pytest.raises(ValueError, match=r"unknown mode 'warp', expected one of \('adaptive'"):
+        run_query("warp", index, inst.dataset, q, 0.4)

@@ -108,6 +108,13 @@ class WrongAnswerError(RuntimeError):
     """Raised when a query reports a point outside the true range."""
 
 
+# the counts of a `BenchConfig` and the least value of each
+_COUNTS = {
+    "seed": None, "synthetic_n": 1, "synthetic_d": 2, "planted": 0, "num_queries": 1,
+    "cap_count": None, "trials": 1, "fixed_level": 1, "fixed_probes": 1,
+}
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     radius: float
@@ -141,7 +148,14 @@ class BenchConfig:
             raise ValueError("fixed mode needs fixed_level and fixed_probes")
         if "fixed" not in self.modes and (self.fixed_level, self.fixed_probes) != (None, None):
             raise ValueError("fixed_level and fixed_probes pin fixed mode, which modes leaves out")
-        object.__setattr__(self, "num_queries", checked_int("num_queries", self.num_queries, 1))
+        # a None is valid only where it is the field's default: no input
+        # size, no pin; the trial floor of 1000 is calibration's own rule
+        optional = {f.name for f in fields(self) if f.default is None}
+        for name, least in _COUNTS.items():
+            if (value := getattr(self, name)) is not None or name not in optional:
+                object.__setattr__(self, name, checked_int(name, value, least))
+        object.__setattr__(self, "max_probes", check_max_probes(self.max_probes))
+        object.__setattr__(self, "space_budget", check_space_budget(self.space_budget))
 
     def to_json_dict(self) -> dict:
         """Every field but the cache directory, which changes no result."""
@@ -268,13 +282,10 @@ def _calibrate_for_size(config: BenchConfig, dim: int, n: int) -> FamilyCalibrat
     """Calibrate the configured family in `dim` dimensions as deep as n points need.
 
     The edge probabilities size the depth and then go into the calibration,
-    so a set-up measures them once. The space budget, which only the build
-    after it reads, and the probe budget, which only the probe table after
-    them reads, are checked first, so a bad one fails before any Monte Carlo
-    runs.
+    so a set-up measures them once. Every count of the config, the space
+    budget and the probe budget too, was checked when the config was made,
+    so a bad one fails before any Monte Carlo runs.
     """
-    check_space_budget(config.space_budget)
-    check_max_probes(config.max_probes)
     params = FamilyParams(kind=config.family_kind, dim=dim, cap_count=config.cap_count)
     edges = edge_probabilities(
         params, config.radius, config.approx_c, config.trials, config.seed

@@ -53,13 +53,12 @@ class CalibrationError(RuntimeError):
 DOCUMENT_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError, CalibrationError)
 
 
-def _typed(doc: dict, key: str, kinds: tuple = (int, float)):
-    """doc[key] if it is one of `kinds` and not a bool, else ValueError: a
-    document's numbers are read as written, never truncated."""
+def _typed(doc: dict, key: str):
+    """doc[key] if it is an int or a float and not a bool, else ValueError:
+    a document's numbers are read as written, never truncated."""
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"{key} must be {names}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be int or float, got {value!r}")
     return value
 
 
@@ -124,7 +123,7 @@ def estimate_collision_prob(
     """
     if not 0.0 <= dist <= 2.0:
         raise ValueError(f"distance must lie in [0, 2], got {dist}")
-    trials = checked_int("trials", trials, _MIN_TRIALS)
+    trials, seed = checked_int("trials", trials, _MIN_TRIALS), checked_int("seed", seed)
     sizes = _batch_sizes(trials, _COLLISION_BATCH)
     hits = np.zeros(len(sizes), dtype=np.int64)
     for b, m in enumerate(sizes):
@@ -195,6 +194,7 @@ def edge_probabilities(
     family cannot separate the two distances and is an error.
     """
     _check_radii(r, c)
+    seed = checked_int("seed", seed)
     near = estimate_collision_prob(params, r, trials, derived_seed(seed, _TAG_NEAR))
     far = estimate_collision_prob(params, c * r, trials, derived_seed(seed, _TAG_FAR))
     p2 = far.probability
@@ -266,13 +266,14 @@ class FamilyCalibration:
     every query on an index built from it; nothing widens it later. A
     calibration whose radii `_check_radii` rejects, whose table holds a value
     outside [0, 1] or a NaN, whose standard errors (the table's, p1's and
-    p2's) are not finite and non-negative, or whose trial count is below 1
-    raises CalibrationError, so a document read back with `from_json_dict`
-    holds no setting a schedule would have to drop and no error or trial
-    count that `calibrate` cannot make. `from_json_dict` reads numbers as
-    written: a bool or a string for any of them, or a float for `trials`
-    or `seed`, raises ValueError. A negative seed is valid: derived seeds
-    are masked to 63 bits.
+    p2's) are not finite and non-negative raises CalibrationError, so a
+    document read back with `from_json_dict` holds no setting a schedule
+    would have to drop and no error that `calibrate` cannot make. `trials`
+    (at least 1) and `seed` pass `checked_int` and are kept as Python ints,
+    so a float, a bool or a trial count below 1 raises ValueError there and
+    in a document alike. `from_json_dict` reads the other numbers as
+    written: a bool or a string for any of them raises ValueError. A
+    negative seed is valid: derived seeds are masked to 63 bits.
     """
 
     params: FamilyParams
@@ -305,8 +306,8 @@ class FamilyCalibration:
         errors = np.append(se, [self.p1_std_error, self.p2_std_error])
         if not np.all((errors >= 0.0) & np.isfinite(errors)):
             raise CalibrationError("standard errors must be finite and non-negative")
-        if not self.trials >= 1:
-            raise CalibrationError(f"need at least one trial, got {self.trials}")
+        object.__setattr__(self, "trials", checked_int("trials", self.trials, 1))
+        object.__setattr__(self, "seed", checked_int("seed", self.seed))
         if np.any(np.diff(table, axis=1) < 0.0):
             raise CalibrationError("probe-success table must be non-decreasing along j")
         if np.any(np.diff(table, axis=0) > 0.0):
@@ -380,12 +381,12 @@ class FamilyCalibration:
             p2=_typed(doc, "p2"),
             probe_success=np.array(doc["probe_success"], dtype=np.float64),
             probe_success_se=np.array(doc["probe_success_se"], dtype=np.float64),
-            trials=_typed(doc, "trials", (int,)),
-            seed=_typed(doc, "seed", (int,)),
+            trials=doc["trials"],
+            seed=doc["seed"],
             p1_std_error=_typed(doc, "p1_std_error"),
             p2_std_error=_typed(doc, "p2_std_error"),
         )
-        if _typed(doc, "d", (int,)) != cal.params.dim:
+        if checked_int("d", doc["d"]) != cal.params.dim:
             raise ValueError(f"stored d={doc['d']!r} differs from the family's dim {cal.params.dim}")
         if _typed(doc, "rho") != cal.rho:
             raise ValueError(f"stored rho={doc['rho']!r} differs from rho(p1, p2) = {cal.rho!r}")
@@ -407,11 +408,11 @@ def calibrate(
     Deterministic for a fixed seed. Before anything is measured, ValueError
     is raised for radii off the sphere (r outside (0, 2), c not above 1, or
     c * r past 2), counts that fail `checked_int` (levels and max_probes
-    >= 1, trials >= 1000), levels whose packed keys would pass 63 bits, and
-    passed `edges` whose near or far estimate was made from other than
-    `trials` trials. After measuring, CalibrationError is raised only for
-    an inseparable pair of radii; a far probability of 0 is clamped away
-    from zero with a warning. No comparison of two Monte-Carlo
+    >= 1, trials >= 1000, any integer seed), levels whose packed keys would
+    pass 63 bits, and passed `edges` whose near or far estimate was made
+    from other than `trials` trials. After measuring, CalibrationError is
+    raised only for an inseparable pair of radii; a far probability of 0 is
+    clamped away from zero with a warning. No comparison of two Monte-Carlo
     estimates raises: the agreement of the table's first column with powers
     of p1 is checked by the test suite, not on every call. A caller that
     already ran edge_probabilities(params, r, c, trials, seed) passes its
@@ -420,7 +421,7 @@ def calibrate(
     _check_radii(r, c)
     levels, max_probes = checked_int("levels", levels, 1), check_max_probes(max_probes)
     slot_bits(params, levels)  # the probe table packs codes of every level into one key
-    trials = checked_int("trials", trials, _MIN_TRIALS)
+    trials, seed = checked_int("trials", trials, _MIN_TRIALS), checked_int("seed", seed)
     # the calibration records one trial count for p1, p2 and the table alike
     if edges is not None and (edges[0].trials, edges[1].trials) != (trials, trials):
         raise ValueError(

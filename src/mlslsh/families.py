@@ -395,7 +395,9 @@ def ranked_tuples(
     """The first `width` tuples of every level of the probe order, as packed
     keys, for a projection laid out as `slot_rankings` reads it: the first
     `width` of the merge at any wider count. Queries rank through this one
-    call, which tests replace to watch or fake a ranking."""
+    call, made by `index.MultiLevelIndex.probe_keys`, which shifts its
+    prefix keys to first keys; tests replace it in `index` to watch or fake
+    a ranking."""
     return list(first_tuples(slot_rankings(params, proj, depth, width), width, bits))
 
 

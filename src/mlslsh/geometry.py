@@ -228,7 +228,7 @@ def generate_planted_instance(
     valid too.
     """
     n, d, t = checked_int("n", n, 1), checked_int("d", d, 2), checked_int("t", t, 0)
-    num_queries = checked_int("num_queries", num_queries, 1)
+    num_queries, seed = checked_int("num_queries", num_queries, 1), checked_int("seed", seed)
     if n <= t * num_queries:
         raise ValueError(
             f"n={n} must exceed the {t * num_queries} planted points"

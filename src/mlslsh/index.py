@@ -10,13 +10,13 @@ disagree. Sorting by key sorts the code tuples lexicographically, so one
 sorted array serves every level: the level-k bucket of a k-code prefix key
 p is the key range [p << s, (p + 1) << s) with s = bits * (K - k).
 The sorted keys and point order of all R repetitions are the rows of one
-(R, n) int64 key block and one (R, n) int32 order block, and each
-`Repetition` views its rows. Row r's keys carry a tag above their K * bits
-key bits, r's place in its group of up to 2**(63 - K * bits) consecutive
-repetitions (`repetition_tags`), so a group's rows read as one sorted
-array. `bucket_runs`, the one key-range search, finds buckets of any
-repetitions of a group with one binary-search pair each and one
-`searchsorted` call per group.
+(R, n) int64 key block and one (R, n) int32 order block; a `Repetition`
+views the rows of one, but nothing in the engine reads it. Row r's keys
+carry a tag above their K * bits key bits, r's place in its group of up to
+2**(63 - K * bits) consecutive repetitions (`repetition_tags`), so a
+group's rows read as one sorted array. `bucket_runs`, the one key-range
+search, finds buckets of any repetitions of a group with one binary-search
+pair each and one `searchsorted` call per group.
 `index_shape` is the one sizing rule: depth K and repetition count R follow
 from the calibrated p1 and p2, n and the space budget. A key holds at most
 63 bits, so K * ceil(log2 U) <= 63, and the sorted order holds point ids as
@@ -31,6 +31,10 @@ has a read-only float32 copy, level-major. `MultiLevelIndex.query_codes`
 codes a query on any rectangle of repetitions and levels with one float32
 product on the copy, over half the bytes, each function whose decision lies
 within `screen_margin` of it settled by its float64 product.
+This module is the one that computes on packed keys and on the direction
+block: a query keeps the bucket ids `query_codes` gives it, and the index
+makes the first keys of its own buckets (`MultiLevelIndex.own_runs`) and of
+its probes (`MultiLevelIndex.probe_keys`) and searches them.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 
 from .calibration import DOCUMENT_ERRORS, CalibrationError, FamilyCalibration
 from .families import KEY_BITS, FamilyParams, _pack, _shifts, _unpack, bucket_codes, derived_seed
-from .families import hash_keys, sample_directions, slot_bits, unsettled
+from .families import hash_keys, ranked_tuples, sample_directions, slot_bits, unsettled
 # not called here; perfbench/spans.py wraps index.hash_batch by name
 from .families import hash_batch  # noqa: F401
 from .geometry import UNIT_NORM_TOL, Dataset, checked_int
@@ -236,24 +240,26 @@ def bucket_runs(parts, needles: np.ndarray) -> np.ndarray:
     return runs
 
 
-def bucket_loads(repetitions, levels: int) -> list[float]:
-    """m_k of levels k = 1..levels, averaged over `repetitions`: the mean
-    size of the level-k bucket of a point drawn at random, sum_b s_b**2 / n
-    over buckets of s_b points. One pass per level over each repetition's
-    sorted keys: two neighbours share a level-k bucket exactly when their
-    XOR is below 1 << s, s the level's shift, so the positions where it is
-    not start the buckets. The sums are exact integers, divided once."""
-    squares = [0] * levels
-    for rep in repetitions:
-        n = len(rep.keys)
-        change = rep.keys[1:] ^ rep.keys[:-1]
-        # bucket starts at 0..n - 1, and the end of the last bucket at n
-        starts = np.ones(n + 1, dtype=bool)
-        for k in range(1, levels + 1):
-            np.greater_equal(change, 1 << rep.bits * (rep.depth - k), out=starts[1:n])
+def bucket_loads(keys: np.ndarray, shifts) -> list[float]:
+    """m_k of the levels k = 1.. whose shifts bits * (K - k) `shifts` lists,
+    averaged over the rows of the key block `keys`: the mean size of the
+    level-k bucket of a point drawn at random, sum_b s_b**2 / n over
+    buckets of s_b points. One pass per level over each row, one row at a
+    time: two neighbours share a level-k bucket exactly when their XOR is
+    below 1 << s, s the level's shift, as the tag of their row cancels in
+    it, so the positions where it is not start the buckets. The sums are
+    exact integers, divided once."""
+    count, n = keys.shape
+    squares = [0] * len(shifts)
+    # bucket starts at 0..n - 1, and the end of the last bucket at n
+    starts = np.ones(n + 1, dtype=bool)
+    for row in keys:
+        change = row[1:] ^ row[:-1]
+        for k, shift in enumerate(shifts):
+            np.greater_equal(change, 1 << shift, out=starts[1:n])
             sizes = np.diff(np.flatnonzero(starts))
-            squares[k - 1] += int(sizes @ sizes)
-    return [total / (n * len(repetitions)) for total in squares]
+            squares[k] += int(sizes @ sizes)
+    return [total / (n * count) for total in squares]
 
 
 def key_blocks(family: FamilyParams, depth: int, shape: tuple[int, int], keys) -> tuple:
@@ -317,22 +323,18 @@ class Repetition:
 
 class ReadPlan(NamedTuple):
     """One read of a walk: the `rectangles` (start, stop, top, bottom) of
-    repetitions start..stop - 1 at levels top + 1..bottom it projects, and
-    the own buckets of those cells that the walk's reach keeps. `cells` are
+    repetitions start..stop - 1 at levels top + 1..bottom it codes, and the
+    own buckets of those cells that the walk's reach keeps. `cells` are
     their places in the flattened (r, k) grid of the walk's extent, which
-    holds a query's first keys and runs, `ends` the (tag - 1,
-    tag + 2**s - 1) each adds to its first key to make its needle pair, and
-    `parts` the `bucket_runs` groups of the cells."""
+    holds a query's codes and runs, `ends` the (tag - 1, tag + 2**s - 1)
+    each adds to its first key to make its needle pair, and `parts` the
+    `bucket_runs` groups of the cells; `MultiLevelIndex.own_runs` searches
+    them."""
 
     rectangles: tuple
     cells: np.ndarray
     ends: np.ndarray
     parts: tuple
-
-    def runs(self, first: np.ndarray) -> np.ndarray:
-        """The (cells, 2) runs of the planned buckets, given the (r, k) grid
-        `first` of untagged first keys."""
-        return bucket_runs(self.parts, first.reshape(-1).take(self.cells)[:, None] + self.ends)
 
 
 @dataclass(frozen=True)
@@ -398,14 +400,20 @@ class MultiLevelIndex:
     rarely needs its second read, the rest of the extent. Both walks are
     fixed at build and load; no query changes them.
 
-    `keys` and `order` are the (R, n) key and order blocks of `key_blocks`,
-    and `repetitions` views their rows beside each direction stack.
+    `keys` and `order` are the (R, n) key and order blocks of `key_blocks`.
+    `repetitions` views their rows beside each direction stack; nothing in
+    the engine reads it.
 
-    `query_codes` codes a query on any rectangle of repetitions and levels.
-    It reads a read-only float32 copy of the direction block, level-major:
-    copy cell [s, r] is the function of slot s of repetition r. A decision on
-    its product with a margin past the `screen_margin` of the dimension and
-    the largest direction norm is the float64 product's decision.
+    The index alone works on packed keys and on the direction block; a
+    query keeps bucket ids. `query_codes` codes a query on any rectangle of
+    repetitions and levels. It reads a read-only float32 copy of the
+    direction block, level-major: copy cell [s, r] is the function of slot
+    s of repetition r. A decision on its product with a margin past the
+    `screen_margin` of the dimension and the largest direction norm is the
+    float64 product's decision. `own_runs` turns a grid of such codes into
+    first keys and searches the own buckets a `ReadPlan` keeps;
+    `probe_keys` ranks a rectangle into the first keys of its probes, and
+    `probe_runs` searches them.
     """
 
     dataset: Dataset
@@ -423,9 +431,11 @@ class MultiLevelIndex:
     _copy: np.ndarray = field(init=False, repr=False)
     _margin: float = field(init=False, repr=False)
     # per group (first row, end row, its rows as one sorted array, offset);
-    # the (K, R, 2) needle ends of every level and repetition
+    # the (K, R, 2) needle ends of every level and repetition; the (K,) key
+    # bit offset of each slot, which is also the shift of its level
     _groups: tuple = field(init=False, repr=False)
     _ends: np.ndarray = field(init=False, repr=False)
+    _shifts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         K, (R, n) = self.levels, self.keys.shape
@@ -446,9 +456,10 @@ class MultiLevelIndex:
         object.__setattr__(self, "_groups", tuple(
             (a, b, self.keys[a:b].reshape(-1), a * n) for a, b in zip(starts, starts[1:])
         ))
-        masks = (1 << _shifts(bits, K)) - 1
-        ends = np.stack(np.broadcast_arrays(tags - 1, tags + masks[:, None]), axis=-1)
+        shifts = _shifts(bits, K)
+        ends = np.stack(np.broadcast_arrays(tags - 1, tags + (1 << shifts[:, None]) - 1), axis=-1)
         object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_shifts", shifts)
 
         cal, universe = self.calibration, self.family.bucket_universe
         entries = []
@@ -461,7 +472,7 @@ class MultiLevelIndex:
         schedule = tuple(sorted(entries))
         object.__setattr__(self, "schedule", schedule)
         single = self.walk(tuple(e for e in schedule if e[2] == 1))
-        loads = bucket_loads(self.repetitions[: single.first], single.extent[1])
+        loads = bucket_loads(self.keys[: single.first], shifts[: single.extent[1]].tolist())
         work = min(
             (count * (1.0 + loads[k - 1]) for _, k, _, count, _ in single.entries), default=math.inf
         )
@@ -536,6 +547,31 @@ class MultiLevelIndex:
         cells = rows * len(reach) + levels
         return ReadPlan(rectangles, cells, self._ends[levels, rows], tuple(parts))
 
+    def own_runs(self, plan: ReadPlan, codes: np.ndarray) -> np.ndarray:
+        """The (cells, 2) runs of the own buckets `plan` keeps, given a
+        query's (r, D) grid `codes` of the walk's extent, cell [i, s] the
+        bucket id of slot s of repetition i, coded wherever the plan's cells
+        and the slots before them lie: one cumulative sum along the rows of
+        the codes, each shifted to its slot, makes the untagged first keys,
+        and one `bucket_runs` call searches the cells."""
+        first = np.cumsum(codes << self._shifts[: codes.shape[1]], axis=1)
+        return bucket_runs(plan.parts, first.reshape(-1).take(plan.cells)[:, None] + plan.ends)
+
+    def probe_keys(self, q: np.ndarray, rows: int, levels: int, width: int) -> list[np.ndarray]:
+        """The untagged first keys of the first `width` buckets of the
+        probe order of the unit float64 row q, one (rows, width) array for
+        each level 1..levels of repetitions 0..rows - 1, fewer columns if a
+        tiny code universe runs out: one float64 matmul on a view of the
+        direction block, whose products equal those of the whole block bit
+        for bit, and one `ranked_tuples` call, which ranks every level of
+        that rectangle at once and merges it, each level's prefix keys then
+        shifted to first keys."""
+        block = self.directions.reshape(self.num_repetitions, self.levels, -1, self.family.dim)
+        proj = np.matmul(block[:rows, :levels], q).reshape(rows * levels, -1)
+        bits = slot_bits(self.family, self.levels)
+        merged = ranked_tuples(self.family, proj, levels, width, bits)
+        return [keys << shift for keys, shift in zip(merged, self._shifts)]
+
     def probe_runs(self, first: np.ndarray, level: int) -> np.ndarray:
         """The (r, m, 2) runs of the level buckets whose untagged first keys
         are the (r, m) `first`, row i searched in repetition i: one needle
@@ -571,7 +607,7 @@ class MultiLevelIndex:
             "seed": self.seed,
             "space_budget": self.space_budget,
             "levels": self.levels,
-            "num_repetitions": len(self.repetitions),
+            "num_repetitions": self.num_repetitions,
             "n": ds.size,
             "d": ds.dim,
             "degenerate_ids": list(ds.degenerate_ids),
@@ -586,11 +622,13 @@ class MultiLevelIndex:
             f.write(np.ascontiguousarray(ds.centroid, dtype="<f8").tobytes())
             f.write(np.ascontiguousarray(ds.matrix, dtype="<f8").tobytes())
             if include_codes:
-                for rep in self.repetitions:
-                    keys = np.empty_like(rep.keys)
-                    keys[rep.order] = rep.keys
-                    keys -= rep.tag
-                    f.write(keys.astype("<i8").tobytes())
+                bits = slot_bits(self.family, self.levels)
+                tags = repetition_tags(self.num_repetitions, bits * self.levels)
+                for keys, order, tag in zip(self.keys, self.order, tags):
+                    row = np.empty_like(keys)
+                    row[order] = keys
+                    row -= tag
+                    f.write(row.astype("<i8").tobytes())
 
 
 def _assemble(dataset, calibration, seed, space_budget, shape, keys) -> MultiLevelIndex:
@@ -612,8 +650,9 @@ def build_index(
     seed: int = 0,
 ) -> MultiLevelIndex:
     """Build the index of `dataset`, sized by `index_shape`; it keeps the
-    space budget as the int `check_space_budget` returns."""
-    space_budget = check_space_budget(space_budget)
+    space budget as the int `check_space_budget` returns and the seed as
+    the int `checked_int` returns."""
+    space_budget, seed = check_space_budget(space_budget), checked_int("seed", seed)
     shape = index_shape(calibration, dataset.size, space_budget)
     return _assemble(
         dataset, calibration, seed, space_budget, shape,

@@ -15,10 +15,12 @@ entries it may measure, the extent of the index it reads, its reach, per
 level the repetitions whose buckets it searches there, the most any entry
 at that level consults, and its two planned reads, the first repetitions
 to a first depth up front and the rest of the extent once. A query keeps
-the first keys and runs of its own buckets in one grid of the extent's
-repetitions and levels. A read fills its cells of the grid and searches
-those its `index.ReadPlan` names, one `searchsorted` per key group of the
-index.
+the codes and runs of its own buckets in one grid of the extent's
+repetitions and levels. A read fills its cells of the grid with codes and
+has the index search those its `index.ReadPlan` names, one `searchsorted`
+per key group of the index. This module only schedules: the index
+projects the query on the direction block, makes every key and searches
+every bucket.
 `_schedule` runs the walk in order, measures the true candidate work of
 each entry, and stops at the first entry whose cost reaches the best work
 seen, which starts at the walk's ceiling, the work of the full scan it
@@ -45,11 +47,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .families import _shifts, ranked_tuples, slot_bits
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, checked_int, query_row, range_scan
@@ -67,6 +68,10 @@ class ExaminedSetting:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+# the fields of a report that its JSON form holds only when timing is asked for
+_TIMED = ("wall_time", "settings_pruned", "infeasible", "functions_projected", "key_searches")
 
 
 @dataclass(frozen=True)
@@ -87,10 +92,10 @@ class QueryReport:
     `key_searches` counts the bucket key ranges the query searched:
     the own buckets of its spine that its walk's reach keeps, one per
     repetition and level, plus the probe buckets of each multi-probe
-    setting it looked up. wall_time, settings_pruned, infeasible,
-    functions_projected and key_searches are excluded from the JSON form
-    unless timing is asked for, so serialized reports are deterministic and
-    a fixed report reads as it always has.
+    setting it looked up. The `_TIMED` fields, wall_time, settings_pruned,
+    infeasible, functions_projected and key_searches, are excluded from the
+    JSON form unless timing is asked for, so serialized reports are
+    deterministic and a fixed report reads as it always has.
     """
 
     ids: tuple[int, ...]
@@ -119,24 +124,15 @@ class QueryReport:
         return self.work_examined
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
-        doc = {
-            "mode": self.mode,
-            "ids": list(self.ids),
-            "distances": list(self.distances),
-            "t_reported": self.t_reported,
-            "work_examined": self.work_examined,
-            "buckets_probed": self.buckets_probed,
-            "k_best": self.k_best,
-            "j_best": self.j_best,
-            "w_best": self.w_best,
-            "examined": [e.to_json_dict() for e in self.examined],
-        }
-        if include_timing:
-            doc["wall_time"] = self.wall_time
-            doc["settings_pruned"] = self.settings_pruned
-            doc["infeasible"] = self.infeasible
-            doc["functions_projected"] = self.functions_projected
-            doc["key_searches"] = self.key_searches
+        """Every field, the timing-only ones only with `include_timing`,
+        and the derived `t_reported` and `w_best`, as JSON values."""
+        names = [f.name for f in fields(self) if include_timing or f.name not in _TIMED]
+        doc = {name: getattr(self, name) for name in names}
+        doc.update(
+            ids=list(self.ids), distances=list(self.distances),
+            examined=[e.to_json_dict() for e in self.examined],
+            t_reported=self.t_reported, w_best=self.w_best,
+        )
         return doc
 
 
@@ -147,54 +143,44 @@ class _QueryProbes:
     j, reps, floor), one with reps <= r and k <= D.
 
     What the query reads of its own buckets lives in one (r, D) grid, cell
-    [i, k - 1] for level k of repetition i, as two arrays: `_first`, the
-    bucket's first key, and `_own`, its run in the order block. The query
-    takes the walk's two reads: the first, its `first` repetitions `depth`
-    slots deep, up front, and the rest of the extent once, the first time a
-    bound or a ranking needs a repetition or a level outside the first, so
-    no function is coded twice. `MultiLevelIndex.query_codes` codes each
-    rectangle of a read, and the read fills the rectangle's cells of
-    `_first` with one cumulative sum of its codes, each shifted to its slot;
-    the rectangle past the first read's depth continues the sum from its
-    last column. It then searches the cells its `index.ReadPlan` names,
-    those the walk's reach keeps, with one `bucket_runs` call and writes
-    their runs to the same cells of `_own`. A running sum of the spine over
-    repetitions, read at an entry's `reps` and added to its `floor`, is the
-    entry's `bound`: the work of the setting at j = 1 and a lower bound on
-    it past that.
+    [i, k - 1] for level k of repetition i, as two arrays: `_codes`, the
+    bucket id of slot k - 1, and `_own`, the run of the level-k bucket in
+    the order block. The query takes the walk's two reads: the first, its
+    `first` repetitions `depth` slots deep, up front, and the rest of the
+    extent once, the first time a bound or a ranking needs a repetition or
+    a level outside the first, so no function is coded twice.
+    `MultiLevelIndex.query_codes` codes each rectangle of a read into its
+    cells of `_codes`, and `MultiLevelIndex.own_runs` makes the first keys
+    of the grid and searches the cells the read's `index.ReadPlan` names,
+    those the walk's reach keeps, whose runs go to the same cells of `_own`.
+    A running sum of the spine over repetitions, read at an entry's `reps`
+    and added to its `floor`, is the entry's `bound`: the work of the
+    setting at j = 1 and a lower bound on it past that.
 
-    A setting past one probe ranks slots 0..k - 1 of repetitions 0..reps - 1:
-    one float64 matmul on a view of the direction block, whose products
-    equal those of the whole block bit for bit, and one
-    `families.ranked_tuples` call, which ranks every level of that
-    rectangle at once and merges it, shifting each level to first keys. It
-    ranks and merges only to the width j needs, the smallest power of two
-    >= j, at most the calibrated `max_probes`; the first tuples of the
-    merge at any width are those of the merge at `max_probes`, the order
-    the calibration measured. Both steps treat each row on its own, so a
-    row ranks alike in any rectangle, and a later setting that needs more
-    rows, levels or probes ranks the larger rectangle afresh, at the wider
-    of the two widths, taking the rest of the extent first if the rectangle
-    passes the first read. A setting finds its buckets with one `index.probe_runs`
-    call, which the probes keep: collecting the candidates of a measured
-    setting searches no bucket again.
+    A setting past one probe has `MultiLevelIndex.probe_keys` rank slots
+    0..k - 1 of repetitions 0..reps - 1, every level of that rectangle at
+    once, into the first keys of its probes. It ranks and merges only to
+    the width j needs, the smallest power of two >= j, at most the
+    calibrated `max_probes`; the first tuples of the merge at any width are
+    those of the merge at `max_probes`, the order the calibration measured.
+    Both steps treat each row on its own, so a row ranks alike in any
+    rectangle, and a later setting that needs more rows, levels or probes
+    ranks the larger rectangle afresh, at the wider of the two widths,
+    taking the rest of the extent first if the rectangle passes the first
+    read. A setting finds its buckets with one `index.probe_runs` call,
+    which the probes keep: collecting the candidates of a measured setting
+    searches no bucket again.
     """
 
     def __init__(self, index: MultiLevelIndex, q: np.ndarray, walk: Walk):
         self._index, self._q, self._rest = index, q, walk.reads[1]
         self._extent = count, deepest = walk.extent
-        shape = index.num_repetitions, index.levels, -1, index.family.dim
-        self._block = index.directions.reshape(shape)
-        self._bits = slot_bits(index.family, index.levels)
-        # the place of slot s in a key is also the shift of level s + 1: a
-        # level-k first key ends in that many zeros
-        self._shifts = _shifts(self._bits, index.levels)[:deepest]
-        # the grid: untagged first keys, set once a read coded a cell,
-        # and runs [lo, hi) in the flattened order block, once it searched
-        # one; spine[r, k - 1] is one unit plus the own bucket, summed over
+        # the grid: bucket ids, set once a read coded a cell, and runs
+        # [lo, hi) in the flattened order block, once it searched one;
+        # spine[r, k - 1] is one unit plus the own bucket, summed over
         # repetitions 0..r - 1 at level k, valid for r up to the repetitions
         # searched there
-        self._first = np.empty((count, deepest), dtype=np.int64)
+        self._codes = np.zeros((count, deepest), dtype=np.int32)
         self._own = np.zeros((count, deepest, 2), dtype=np.intp)
         self._spine = np.zeros((count + 1, deepest), dtype=np.int64)
         # slots 0..depth - 1 of repetitions 0..read - 1 are read
@@ -217,13 +203,10 @@ class _QueryProbes:
         rectangles, the runs only where its plan keeps them, and update the
         spine sums."""
         for start, stop, top, bottom in read.rectangles:
-            own = self._index.query_codes(self._q, start, stop, top, bottom)
-            first = self._first[start:stop, top:bottom]
-            np.cumsum(own << self._shifts[top:bottom], axis=1, out=first)
-            if top:
-                first += self._first[start:stop, top - 1, None]
+            codes = self._index.query_codes(self._q, start, stop, top, bottom)
+            self._codes[start:stop, top:bottom] = codes
         if len(read.cells):
-            self._own.reshape(-1, 2)[read.cells] = read.runs(self._first)
+            self._own.reshape(-1, 2)[read.cells] = self._index.own_runs(read, self._codes)
             self.key_searches += len(read.cells)
             sizes = self._own[..., 1] - self._own[..., 0]
             np.cumsum(sizes + 1, axis=0, out=self._spine[1:])
@@ -262,17 +245,14 @@ class _QueryProbes:
         if entry in self._looked_up:
             return self._looked_up[entry]
         index = self._index
-        count = index.calibration.max_probes
         rows, levels, width = self._ranked
         if reps > rows or k > levels or j > width:
             rows, levels = max(reps, rows), max(k, levels)
             # the smallest power of two >= j, at most the table's width
-            width = max(min(1 << (j - 1).bit_length(), count), width)
+            width = max(min(1 << (j - 1).bit_length(), index.calibration.max_probes), width)
             self._ranked = rows, levels, width
             self._cover(rows, levels)
-            proj = np.matmul(self._block[:rows, :levels], self._q).reshape(rows * levels, -1)
-            merged = ranked_tuples(index.family, proj, levels, width, self._bits)
-            self._levels = [keys << shift for keys, shift in zip(merged, self._shifts)]
+            self._levels = index.probe_keys(self._q, rows, levels, width)
         first = self._levels[k - 1][:reps, :j]
         self.key_searches += first.size
         runs = index.probe_runs(first, k)

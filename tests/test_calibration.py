@@ -348,7 +348,7 @@ def test_calibration_validation():
             with pytest.raises(CalibrationError, match="standard errors"):
                 FamilyCalibration(**dict(base, **{field: value}))
     for trials in (0, -5):
-        with pytest.raises(CalibrationError, match="at least one trial"):
+        with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
             FamilyCalibration(**dict(base, trials=trials))
     # derived seeds are masked to 63 bits, so a negative seed is valid
     assert FamilyCalibration(**dict(base, seed=-1)).seed == -1

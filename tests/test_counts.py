@@ -1,4 +1,6 @@
-"""Every count the library takes passes `geometry.checked_int`.
+"""Every count the library takes passes `geometry.checked_int`: sizes,
+levels, probes, trials and budgets, seeds, and every count of a
+`BenchConfig` and a `FamilyCalibration`.
 
 At each site a float and a bool raise ValueError naming the argument (an
 IndexFormatError for an index header), before any Monte Carlo or sampling
@@ -7,7 +9,7 @@ runs, and a numpy integer is taken as the Python int it equals."""
 import json
 import re
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -16,8 +18,9 @@ import pytest
 import mlslsh.calibration as calmod
 import mlslsh.geometry as geometry
 from conftest import toy_calibration
-from mlslsh.bench import BenchConfig
-from mlslsh.calibration import calibrate, check_max_probes, estimate_collision_prob
+from mlslsh.bench import BenchConfig, build_for_config
+from mlslsh.calibration import calibrate, check_max_probes, edge_probabilities
+from mlslsh.calibration import estimate_collision_prob
 from mlslsh.families import CodeEnumerator, FamilyParams
 from mlslsh.geometry import checked_int, generate_planted_instance
 from mlslsh.index import IndexFormatError, _check_metadata, build_index, load_index
@@ -61,14 +64,24 @@ def _metadata(key):
 
 
 def _calibrate(**counts):
-    return calibrate(CP8, 0.4, 2.0, **{"levels": 2, "max_probes": 2, "trials": 1000, **counts},
-                     seed=0).to_json_dict()
+    counts = {"levels": 2, "max_probes": 2, "trials": 1000, "seed": 0, **counts}
+    return calibrate(CP8, 0.4, 2.0, **counts).to_json_dict()
 
 
 def _planted(**counts):
-    inst = generate_planted_instance(**{"n": 40, "d": 4, "t": 2, "num_queries": 3, **counts},
-                                     r=0.4, seed=2)
+    counts = {"n": 40, "d": 4, "t": 2, "num_queries": 3, "seed": 2, **counts}
+    inst = generate_planted_instance(**counts, r=0.4)
     return [inst.dataset.matrix.tolist(), [sorted(g) for g in inst.ground_truth]]
+
+
+def _bench(**counts):
+    return BenchConfig(0.4, 2.0, **counts).to_json_dict()
+
+
+def _built(small, seed):
+    inst, index, _ = small
+    built = build_index(inst.dataset, index.calibration, seed=seed)
+    return [built.seed, _query((inst, built, None), 2, 2)]
 
 
 SITES = {
@@ -106,6 +119,38 @@ SITES = {
     "bench-config-queries": Site(
         "num_queries", 3, lambda s, v: BenchConfig(0.4, 2.0, num_queries=v).to_json_dict()
     ),
+    **{
+        f"bench-config-{key.replace('_', '-')}": Site(
+            name, good, lambda s, v, key=key: _bench(**{key: v})
+        )
+        for key, name, good in [
+            ("seed", "seed", 1), ("synthetic_n", "synthetic_n", 40),
+            ("synthetic_d", "synthetic_d", 4), ("planted", "planted", 2),
+            ("cap_count", "cap_count", 8), ("trials", "trials", 1000),
+            ("max_probes", "max_probes", 2), ("space_budget", "space budget", 2),
+        ]
+    },
+    "bench-config-fixed-level": Site(
+        "fixed_level", 2, lambda s, v: _bench(modes=("fixed",), fixed_level=v, fixed_probes=1)
+    ),
+    "bench-config-fixed-probes": Site(
+        "fixed_probes", 2, lambda s, v: _bench(modes=("fixed",), fixed_level=1, fixed_probes=v)
+    ),
+    **{
+        f"calibration-{key}": Site(
+            key, good, lambda s, v, key=key: replace(s[1].calibration, **{key: v}).to_json_dict()
+        )
+        for key, good in [("trials", 1000), ("seed", 3)]
+    },
+    "calibrate-seed": Site("seed", 3, lambda s, v: _calibrate(seed=v)),
+    "collision-seed": Site(
+        "seed", 3, lambda s, v: asdict(estimate_collision_prob(CP8, 0.4, 1000, v))
+    ),
+    "edge-seed": Site(
+        "seed", 3, lambda s, v: [asdict(e) for e in edge_probabilities(CP8, 0.4, 2.0, 1000, v)[:2]]
+    ),
+    "build-seed": Site("seed", 1, _built),
+    "planted-seed": Site("seed", 2, lambda s, v: _planted(seed=v)),
 }
 
 
@@ -169,3 +214,35 @@ def test_a_numpy_space_budget_is_saved_as_an_int(tmp_path, small):
     assert np.array_equal(loaded.order, capped.order)
     assert np.array_equal(loaded.directions, capped.directions)
     assert _query((inst, loaded, None), 1, 2) == _query((inst, capped, None), 1, 2)
+
+
+def test_numpy_counts_of_a_config_build_save_and_load_as_ints(tmp_path):
+    # a numpy trials, max_probes or seed once passed the config, ran the
+    # edge Monte Carlo and failed writing the calibration cache's JSON; a
+    # numpy trials or seed of a calibration, or a numpy build seed, failed
+    # in the index header's JSON. Each now gives the bytes the ints give
+    inst = generate_planted_instance(n=300, d=8, r=0.4, t=3, seed=4)
+    files = {}
+    for kind in (int, np.int64, np.uint16):
+        cache = tmp_path / f"cache-{kind.__name__}"
+        config = BenchConfig(
+            0.4, 2.0, seed=kind(7), trials=kind(1000), max_probes=kind(4),
+            space_budget=kind(3), cache_dir=str(cache),
+        )
+        built = build_for_config(config, inst.dataset)
+        (cached,) = cache.iterdir()
+        doc = json.loads(cached.read_text())
+        assert type(doc["trials"]) is int and type(doc["seed"]) is int
+        calibration = replace(built.calibration, trials=kind(2000), seed=kind(5))
+        index = build_index(inst.dataset, calibration, 3, seed=kind(7))
+        path = tmp_path / f"{kind.__name__}.idx"
+        index.save(str(path))
+        header = _header(path.read_bytes())
+        assert [header["seed"], header["space_budget"]] == [7, 3]
+        assert [header["calibration"]["trials"], header["calibration"]["seed"]] == [2000, 5]
+        loaded = load_index(str(path))
+        for a, b in [(loaded, index), (index, built)]:
+            assert np.array_equal(a.keys, b.keys) and np.array_equal(a.order, b.order)
+            assert np.array_equal(a.directions, b.directions)
+        files[kind] = cached.name, cached.read_bytes(), path.read_bytes()
+    assert files[np.int64] == files[int] == files[np.uint16]

@@ -25,11 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlslsh.index as indexmod
-import mlslsh.query as querymod
 from conftest import feasible_reps, first_depth, setting_cost, stable_probe_sequence
 from conftest import toy_calibration
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch
-from mlslsh.families import _pack, _prefixes, _shifts, bucket_codes, first_tuples
+from mlslsh.families import _pack, _prefixes, bucket_codes, first_tuples
 from mlslsh.families import ranked_tuples, sample_directions, slot_bits, slot_rankings
 from mlslsh.geometry import generate_planted_instance, normalize_dataset
 from mlslsh.index import MultiLevelIndex, build_index, compute_k, key_blocks, reps, schedule_entry
@@ -338,7 +337,7 @@ def test_read_extents_match_a_full_projection(case, data):
     # work so far never passes the full one; it stops short of it only at a
     # level of the first read, to return a value that reaches that best
     # without reading on. After every call, each cell of the grid read so
-    # far holds the first key of its own bucket, and after each entry, the
+    # far holds the code of its own bucket, and after each entry, the
     # functions projected are the first read or the whole extent, each
     # once, and the buckets searched are the own buckets of that rectangle
     # that the walk's reach keeps plus the probes of each multi-probe entry
@@ -348,11 +347,10 @@ def test_read_extents_match_a_full_projection(case, data):
         full = FullProjection(index, q)
         functions = full.proj.reshape(R, K, -1)
         own = bucket_codes(index.family, full.proj).reshape(R, K)
-        first_keys = full.own << _shifts(full.bits, K)
 
         def checked(value):
             cells = np.s_[: probes.read, : probes.depth]
-            assert np.array_equal(probes._first[cells], first_keys[cells])
+            assert np.array_equal(probes._codes[cells], own[cells])
             return value
 
         for walk in first_depths(index):
@@ -386,7 +384,7 @@ def test_read_extents_match_a_full_projection(case, data):
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(indexmod, "bucket_codes", code)
-                mp.setattr(querymod, "ranked_tuples", rank)
+                mp.setattr(indexmod, "ranked_tuples", rank)
                 probes = _QueryProbes(index, q, walk)
                 checked(probes)
                 reps, levels = walk.first, walk.depth
@@ -609,9 +607,9 @@ def searched_runs(keys, prefixes, bits, K, k):
     st.booleans(),
 )
 def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m, seed, settle):
-    # a read's first keys, one cumulative sum of its codes shifted to their
-    # slots, and the shifted probe keys of a multi-probe lookup, both
-    # searched by `bucket_runs` in tagged key groups, against keys packed
+    # a read's first keys, which `own_runs` makes with one cumulative sum
+    # of its codes shifted to their slots, and the probe keys `probe_keys`
+    # shifts for a multi-probe lookup, both searched by `bucket_runs` in tagged key groups, against keys packed
     # by `_pack` and `_prefixes` and one plain searchsorted per repetition
     # and level on keys without tags, and the bounds and candidates of those
     # runs. A read searches level k only in the repetitions below a random
@@ -672,7 +670,7 @@ def test_first_keys_and_runs_match_a_per_repetition_search(family_depth, n, R, m
             )
             mp.setattr(indexmod, "unsettled", counting_screens(screens))
             mp.setattr(
-                querymod, "ranked_tuples",
+                indexmod, "ranked_tuples",
                 lambda fam, proj, depth, width, b: [probe_keys[..., k] for k in range(K)],
             )
             probes = _QueryProbes(index, dataset.matrix[0], walk)
@@ -817,8 +815,7 @@ def test_screened_codes_match_float64_codes_on_every_decision(kind, d, seed):
         probes = _QueryProbes(index, q, walk)
     sizes = [R * K, (stop - start) * (bottom - top), reps * depth]
     assert screens == sizes
-    codes = probes._first[:reps, :depth] >> probes._shifts[:depth] & (1 << bits) - 1
-    assert np.array_equal(codes, expected[:reps, :depth])
+    assert np.array_equal(probes._codes[:reps, :depth], expected[:reps, :depth])
 
 
 @pytest.mark.parametrize("kind", ["cross_polytope", "spherical_cap"])

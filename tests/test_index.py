@@ -12,12 +12,14 @@ from click.testing import CliRunner
 from mlslsh.calibration import CalibrationError
 from mlslsh.cli import main
 from conftest import feasible_reps, first_depth, toy_calibration
-from mlslsh.families import HASH_BLOCK, FamilyParams, derived_seed, hash_batch, sample_directions
+from mlslsh.families import HASH_BLOCK, FamilyParams, _pack, derived_seed, hash_batch
+from mlslsh.families import sample_directions
 from mlslsh.geometry import generate_planted_instance
 from mlslsh.index import (
     IndexFormatError,
     MultiLevelIndex,
     Repetition,
+    bucket_loads,
     build_index,
     compute_k,
     compute_numreps,
@@ -472,6 +474,52 @@ def test_repetitions_view_rows_of_tagged_key_groups(tmp_path, built):
     assert np.array_equal(np.sort(stored, axis=1), index.keys - (np.arange(R)[:, None] << key_bits))
 
 
+def recounted_loads(keys, bits, depth):
+    """m_k of levels 1..depth of the (R, n) key block `keys`: sum_b s_b**2 / n
+    over the buckets np.unique counts in each row's keys cut to k slots,
+    one repetition at a time, averaged over the rows."""
+    loads = []
+    for k in range(1, depth + 1):
+        squares = 0
+        for row in keys:
+            _, sizes = np.unique(row >> bits * (depth - k), return_counts=True)
+            squares += sum(int(s) ** 2 for s in sizes)
+        loads.append(squares / keys.size)
+    return loads
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+@pytest.mark.parametrize("family", [
+    FamilyParams(kind="cross_polytope", dim=8),
+    FamilyParams(kind="spherical_cap", dim=8, cap_count=16),
+], ids=["cross-polytope", "spherical-cap"])
+def test_bucket_loads_match_a_recount(family, budget):
+    # every level of a built index, whose rows carry tags, and of its first
+    # levels alone
+    inst = generate_planted_instance(n=600, d=8, r=0.4, t=5, seed=3)
+    cal = toy_calibration(family, 0.6, 0.3, compute_k(600, 0.3))
+    index = build_index(inst.dataset, cal, space_budget=budget, seed=5)
+    K, bits = index.levels, index.repetitions[0].bits
+    assert index.num_repetitions > 1 and index.repetitions[-1].tag > 0
+    shifts = [bits * (K - k) for k in range(1, K + 1)]
+    loads = recounted_loads(index.keys, bits, K)
+    assert bucket_loads(index.keys, shifts) == loads
+    assert bucket_loads(index.keys[:1], shifts[:2]) == recounted_loads(index.keys[:1], bits, K)[:2]
+
+
+def test_bucket_loads_of_63_bit_keys_match_a_recount():
+    # 9 slots of 65 cap buckets take all 63 key bits, so each row is a key
+    # group of its own, untagged; codes from a small pool make the deep
+    # buckets large too
+    family = FamilyParams(kind="spherical_cap", dim=8, cap_count=64)
+    rng = np.random.default_rng(0)
+    keys = _pack(rng.choice([0, 1, 64], (3, 200, 9)), 7)
+    block, _ = key_blocks(family, 9, (3, 200), keys)
+    assert not np.any(repetition_tags(3, 63))
+    shifts = [7 * (9 - k) for k in range(1, 10)]
+    assert bucket_loads(block, shifts) == recounted_loads(block, 7, 9)
+
+
 def test_tags_never_pass_63_bits():
     # a group holds as many repetitions as the bits above the keys count,
     # one when the keys take all 63 bits, and no key width past 63 is tagged
@@ -666,15 +714,15 @@ def _cap_family(meta):
         (lambda meta: meta["calibration"]["probe_success"][0].__setitem__(0, math.nan), "lie in"),
         (lambda meta: meta["calibration"]["probe_success_se"][1].__setitem__(0, -1.0), "errors"),
         (lambda meta: meta["calibration"].update(r=-3.0, c=0.1), "radius"),
-        (lambda meta: meta["calibration"].update(trials=-5), "at least one trial"),
+        (lambda meta: meta["calibration"].update(trials=-5), "trials must be a positive integer, got -5"),
         (_set("n", 19), "trailing"),
         (_set("degenerate_ids", ["x", -5, 1000000000]), "degenerate ids"),
         (_set("degenerate_ids", [3, 3]), "degenerate ids"),
         (_set("degenerate_ids", [19, 20]), "degenerate ids"),
         (lambda meta: meta["family"].update(dim=4.5), "dim must be an integer"),
-        (lambda meta: meta["calibration"].update(trials=1000.7), "trials must be int"),
-        (lambda meta: meta["calibration"].update(trials=True), "trials must be int"),
-        (lambda meta: meta["calibration"].update(seed="0"), "seed must be int"),
+        (lambda meta: meta["calibration"].update(trials=1000.7), "trials must be a positive integer, got 1000.7"),
+        (lambda meta: meta["calibration"].update(trials=True), "trials must be a positive integer, got True"),
+        (lambda meta: meta["calibration"].update(seed="0"), "seed must be an integer, got '0'"),
         (lambda meta: meta["calibration"].update(r="0.4"), "r must be int or float"),
         (lambda meta: meta["calibration"].update(d=99), "stored d=99 differs"),
     ],

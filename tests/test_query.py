@@ -789,7 +789,7 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
     cases.append((with_more_queries(inst, 6, dim), build_index(inst.dataset, cal, seed=dim)))
     screens, unsettled = [], indexmod.unsettled
     coded, query_codes = [], indexmod.MultiLevelIndex.query_codes
-    ranked, ranked_tuples = [], querymod.ranked_tuples
+    ranked, ranked_tuples = [], indexmod.ranked_tuples
 
     def screening(family, proj, margin):
         rows = unsettled(family, proj, margin)
@@ -816,7 +816,7 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
             settled = walk_reports(case, settled_twin(index))
             assert screens and all(screens)
             mp.setattr(indexmod.MultiLevelIndex, "query_codes", coding)
-            mp.setattr(querymod, "ranked_tuples", ranking)
+            mp.setattr(indexmod, "ranked_tuples", ranking)
             runs, got = walk_runs(case, index), []
             for q in case.queries:
                 got.append({})
@@ -838,7 +838,7 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
 
 
 def full_width_ranking(count):
-    """`query.ranked_tuples` as a query ranked before rankings had a width:
+    """`index.ranked_tuples` as a query ranked before rankings had a width:
     every bucket of every row ranked and merged at the table width `count`."""
     def rank(family, proj, levels, width, bits):
         slots = slot_rankings(family, proj, levels, family.bucket_universe)
@@ -878,7 +878,7 @@ def test_rankings_to_the_width_they_need_report_as_full_width_ones(
     cal = toy_calibration(family, 0.6, 0.3, compute_k(800, 0.3), 8, 1.0)
     cases = [small_index, multi_probe_index] if kind == "cross_polytope" and dim == 17 else []
     cases.append((with_more_queries(inst, 6, dim), build_index(inst.dataset, cal, seed=dim)))
-    widths, ranked_tuples = [], querymod.ranked_tuples
+    widths, ranked_tuples = [], indexmod.ranked_tuples
 
     def ranking(family, proj, levels, width, bits):
         widths.append(width)
@@ -895,10 +895,10 @@ def test_rankings_to_the_width_they_need_report_as_full_width_ones(
         for k, j in ((2, 3), (K, count)):
             reps_of[k, j] = consulted_reps(index.calibration, k, j, index.num_repetitions)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(querymod, "ranked_tuples", full_width_ranking(count))
+            mp.setattr(indexmod, "ranked_tuples", full_width_ranking(count))
             twin = [{name: timed_doc(run(q.coords)) for name, run in runs.items()} for q in case.queries]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(querymod, "ranked_tuples", ranking)
+            mp.setattr(indexmod, "ranked_tuples", ranking)
             for q, expected in zip(case.queries, twin):
                 for name, run in runs.items():
                     widths.clear()

@@ -239,7 +239,11 @@ def calibrate_cached(
     malformed, or made from other inputs than the request falls back to
     recomputation and is rewritten. `edges`, the caller's edge_probabilities
     result for the same inputs, spares a recomputation from measuring it again.
+    The counts pass `checked_int` before the key is made from them.
     """
+    counts = {"levels": levels, "max_probes": max_probes, "trials": trials}
+    levels, max_probes, trials = (checked_int(k, v, 1) for k, v in counts.items())
+    seed = checked_int("seed", seed)
     cache_dir = cache_dir or default_cache_dir()
     key_doc = {
         "family": params.to_json_dict(),

@@ -66,6 +66,14 @@ MAX_POINTS = 2**31 - 1
 # float noise guard for ceil on formula values that are exact integers
 _CEIL_EPS = 1e-9
 
+# work units a walk is charged for each hash function it codes and each it
+# ranks: they steer what it reads and measures, never the work it reports.
+# Fixed from a sweep of 0, 0.5, 1, 2 and 0, 1, 2, 8 on planted cross-polytope
+# and cap instances of 1e4 and 1e5 points, not measured at run time, so a
+# query's output does not depend on the machine
+CODE_CHARGE = 1.0
+RANK_CHARGE = 8.0
+
 
 class IndexFormatError(ValueError):
     """Raised when an index file is malformed or truncated."""
@@ -349,14 +357,15 @@ class Walk:
     only in repetitions 0..reach[k - 1] - 1. `extent` is (r, k), the most
     repetitions and the deepest level over the entries, (0, 0) for none:
     a query of the mode reads slots 0..k - 1 of repetitions 0..r - 1 and
-    nothing else. It reads them in two `reads`. The first is the `first`
-    repetitions, the most that any of its j = 1 entries consults, as a
-    j = 1 entry's bound is its work and it is never pruned, at levels
-    1..`depth`, at least as deep as its deepest j = 1 entry. The second is
-    the rest of the extent, taken once, when an entry first needs a
-    repetition or a level outside the first. A single-probe walk's first
-    read is its whole extent, and an adaptive one's the single-probe
-    repetitions, as deep as it expects to walk.
+    nothing else. It reads them in two `reads`. The first is levels
+    1..`depth`, at least as deep as its cheapest j = 1 entry, of the
+    `first` repetitions, the most that any of its j = 1 entries at those
+    levels consults. The second is the rest of the extent, taken once, when
+    an entry first needs a repetition or a level outside the first, and
+    charged to the entry before it does (`query._QueryProbes.charge`). The
+    index's two walks read first the same rectangle, the j = 1 entries
+    worth coding up front; a fixed walk of one j = 1 pin its whole extent,
+    and one of a multi-probe pin nothing.
     """
 
     entries: tuple[tuple[float, int, int, int, int], ...]
@@ -391,14 +400,16 @@ class MultiLevelIndex:
 
     `walks` maps "adaptive" and "single" to the `Walk` of that mode, which
     states what it walks and plans its two reads; `walk` makes every walk,
-    a fixed query's too. A single-probe walk reads its whole extent first.
-    An adaptive walk reads the single-probe repetitions first, as deep as
-    its j = 1 entries and every entry cheaper than W, the least expected
-    work of a j = 1 entry (k, 1, reps): reps * (1 + m_k), with m_k the
-    `bucket_loads` of level k over those repetitions. A walk stops at the
-    first entry whose cost reaches the best work it measured, so a query
-    rarely needs its second read, the rest of the extent. Both walks are
-    fixed at build and load; no query changes them.
+    a fixed query's too. Both walks read first the j = 1 entries whose cost
+    plus `CODE_CHARGE` per function they code, reps * k, stays below W, the
+    cheapest j = 1 entry at least: W is the least expected work of a j = 1
+    entry (k, 1, reps), reps * (1 + m_k), with m_k the `bucket_loads` of
+    level k over the repetitions of the j = 1 entries. A walk stops at the
+    first entry whose cost reaches the best work it measured, and skips one
+    whose cost plus the coding and ranking it would add reaches it, so a
+    query reads the rest of the extent only when a setting outside the
+    first read may still pay for it. Both walks are fixed at build and
+    load; no query changes them.
 
     `keys` and `order` are the (R, n) key and order blocks of `key_blocks`.
     `repetitions` views their rows beside each direction stack; nothing in
@@ -471,13 +482,14 @@ class MultiLevelIndex:
         # each (k, j) occurs once, so the sort never compares past it
         schedule = tuple(sorted(entries))
         object.__setattr__(self, "schedule", schedule)
-        single = self.walk(tuple(e for e in schedule if e[2] == 1))
-        loads = bucket_loads(self.keys[: single.first], shifts[: single.extent[1]].tolist())
-        work = min(
-            (count * (1.0 + loads[k - 1]) for _, k, _, count, _ in single.entries), default=math.inf
-        )
-        depth = max((e[1] for e in schedule if e[2] == 1 or e[0] < work), default=0)
-        walks = {"adaptive": self.walk(schedule, depth), "single": single}
+        ones = tuple(e for e in schedule if e[2] == 1)
+        rows, levels = max((e[3] for e in ones), default=0), max((e[1] for e in ones), default=0)
+        loads = bucket_loads(self.keys[:rows], shifts[:levels].tolist())
+        work = min((count * (1.0 + loads[k - 1]) for _, k, _, count, _ in ones), default=math.inf)
+        # the first read of both walks: levels of the j = 1 entries worth coding up front
+        kept = [k for c, k, _, count, _ in ones if c + CODE_CHARGE * count * k < work]
+        depth = max(kept + [ones[0][1]]) if ones else None
+        walks = {"adaptive": self.walk(schedule, depth), "single": self.walk(ones, depth)}
         object.__setattr__(self, "walks", MappingProxyType(walks))
         copy = stacks.swapaxes(0, 1).astype(np.float32, order="C")
         copy.flags.writeable = False
@@ -503,22 +515,23 @@ class MultiLevelIndex:
         return bucket_codes(self.family, functions).reshape(stop - start, -1)
 
     def walk(self, entries: tuple, depth: int | None = None) -> Walk:
-        """The `Walk` of the sorted schedule `entries` that reads first
-        `depth` levels deep, its extent's depth by default, with the plans
-        of its two reads. ValueError for a depth shallower than its deepest
-        j = 1 entry (1 with entries) or deeper than its extent."""
+        """The `Walk` of the sorted schedule `entries` that reads first the
+        repetitions of its j = 1 entries at levels 1..`depth`, its extent's
+        depth by default, with the plans of its two reads. ValueError for a
+        depth shallower than its cheapest j = 1 entry or deeper than its
+        extent."""
         reach = [0] * max((e[1] for e in entries), default=0)
         for _, k, _, count, _ in entries:
             reach[k - 1] = max(reach[k - 1], count)
         count, deepest = max(reach, default=0), len(reach)
-        first = max((e[3] for e in entries if e[2] == 1), default=0)
-        single = max((e[1] for e in entries if e[2] == 1), default=0)
-        depth = deepest if depth is None else depth
-        if not (max(single, 1) if entries else 0) <= depth <= deepest:
+        ones = [e for e in entries if e[2] == 1]
+        least, depth = ones[0][1] if ones else 0, deepest if depth is None else depth
+        if not least <= depth <= deepest:
             raise ValueError(
-                f"a walk of extent {(count, deepest)} whose j = 1 entries reach level "
-                f"{single} cannot read {depth} levels first"
+                f"a walk of extent {(count, deepest)} whose cheapest j = 1 entry is at level "
+                f"{least} cannot read {depth} levels first"
             )
+        first = max((e[3] for e in ones if e[1] <= depth), default=0)
         reach = tuple(reach)
         # the rest deepens the first repetitions before it reads the others,
         # so the cells of both rectangles come in row order

@@ -25,6 +25,19 @@ every bucket.
 each entry, and stops at the first entry whose cost reaches the best work
 seen, which starts at the walk's ceiling, the work of the full scan it
 falls back to.
+Query time is hashing and ranking as well as probes and candidates (Dong,
+Wang, Josephson, Charikar and Li, "Modeling LSH for performance tuning",
+CIKM 2008; Lv et al., "Multi-Probe LSH", VLDB 2007), so before it measures
+an entry the walk charges it, in work units, for what it would add to
+both: `index.CODE_CHARGE` per function of the rest of the extent, if the
+entry needs that read and the query has not taken it, and, past one probe,
+`index.RANK_CHARGE` per function of the rectangle it would rank, if the
+ranking so far does not cover it (`_QueryProbes.charge`). An entry whose
+cost plus its charge reaches the best work is skipped unmeasured, in
+single mode too. The charge steers what a walk reads and measures and
+never enters the work it reports, and a skip never changes the points a
+measured setting reports, but it can leave the walk at a setting of more
+work than the one it skipped.
 Before it measures a multi-probe entry it checks the spine lower bound of
 `_QueryProbes.bound`; an entry whose bound reaches the best work cannot
 replace it and is skipped unmeasured, so pruning changes the trace but
@@ -54,7 +67,8 @@ import numpy as np
 # not called here; perfbench/spans.py wraps query.probe_sequence by name
 from .families import probe_sequence  # noqa: F401
 from .geometry import Dataset, checked_int, query_row, range_scan
-from .index import MultiLevelIndex, ReadPlan, Walk, consulted_reps, schedule_entry
+from .index import CODE_CHARGE, RANK_CHARGE, MultiLevelIndex, ReadPlan, Walk, consulted_reps
+from .index import schedule_entry
 
 
 @dataclass(frozen=True)
@@ -71,7 +85,10 @@ class ExaminedSetting:
 
 
 # the fields of a report that its JSON form holds only when timing is asked for
-_TIMED = ("wall_time", "settings_pruned", "infeasible", "functions_projected", "key_searches")
+_TIMED = (
+    "wall_time", "settings_pruned", "settings_charged", "infeasible", "functions_projected",
+    "key_searches",
+)
 
 
 @dataclass(frozen=True)
@@ -80,22 +97,25 @@ class QueryReport:
 
     ids are sorted ascending; distances align with ids. k_best == 0 means
     the scheduler fell back to a full scan. `examined` lists the settings
-    the scheduler measured; `settings_pruned` counts those it ruled out by
-    their spine lower bound without measuring (always 0 in single, fixed
-    and brute mode). `infeasible` marks a fixed query pinned to a setting
-    the schedule leaves out. `functions_projected` counts the hash functions
-    the query was coded on, each once: its walk's first read, `first`
-    repetitions `depth` slots deep, or, once a setting needed a repetition
-    or a level outside it, the walk's whole extent (0 for a full scan). A
-    function screened in float32 still counts once when it is projected
-    again in float64, to settle its code or for a ranking.
+    the scheduler measured; `settings_pruned` counts those it skipped
+    without measuring, ruled out by their spine lower bound or skipped by
+    the charge for the hashing and ranking they would add, and
+    `settings_charged` those of them the charge skipped (both 0 in fixed
+    and brute mode; in single mode every skip is charged, as a j = 1
+    entry's bound is its work). `infeasible` marks a fixed query pinned to
+    a setting the schedule leaves out. `functions_projected` counts the
+    hash functions the query was coded on, each once: its walk's first
+    read, `first` repetitions `depth` slots deep, or, once a setting
+    needed a repetition or a level outside it, the walk's whole extent (0
+    for a full scan). A function screened in float32 still counts once when
+    it is projected again in float64, to settle its code or for a ranking.
     `key_searches` counts the bucket key ranges the query searched:
     the own buckets of its spine that its walk's reach keeps, one per
     repetition and level, plus the probe buckets of each multi-probe
     setting it looked up. The `_TIMED` fields, wall_time, settings_pruned,
-    infeasible, functions_projected and key_searches, are excluded from the
-    JSON form unless timing is asked for, so serialized reports are
-    deterministic and a fixed report reads as it always has.
+    settings_charged, infeasible, functions_projected and key_searches, are
+    excluded from the JSON form unless timing is asked for, so serialized
+    reports are deterministic and a fixed report reads as it always has.
     """
 
     ids: tuple[int, ...]
@@ -108,6 +128,7 @@ class QueryReport:
     mode: str
     examined: tuple[ExaminedSetting, ...] = ()
     settings_pruned: int = 0
+    settings_charged: int = 0
     infeasible: bool = False
     functions_projected: int = 0
     key_searches: int = 0
@@ -155,7 +176,10 @@ class _QueryProbes:
     those the walk's reach keeps, whose runs go to the same cells of `_own`.
     A running sum of the spine over repetitions, read at an entry's `reps`
     and added to its `floor`, is the entry's `bound`: the work of the
-    setting at j = 1 and a lower bound on it past that.
+    setting at j = 1 and a lower bound on it past that. `charge` prices, in
+    work units, the functions an entry would add to the coding, the rest of
+    the extent if it needs it, and to the ranking, the rectangle it would
+    rank if the ranking so far does not cover it.
 
     A setting past one probe has `MultiLevelIndex.probe_keys` rank slots
     0..k - 1 of repetitions 0..reps - 1, every level of that rectangle at
@@ -183,8 +207,10 @@ class _QueryProbes:
         self._codes = np.zeros((count, deepest), dtype=np.int32)
         self._own = np.zeros((count, deepest, 2), dtype=np.intp)
         self._spine = np.zeros((count + 1, deepest), dtype=np.int64)
-        # slots 0..depth - 1 of repetitions 0..read - 1 are read
+        # slots 0..depth - 1 of repetitions 0..read - 1 are read, and the
+        # rest of the extent codes the other functions
         self.read, self.depth, self.key_searches = walk.first, walk.depth, 0
+        self._unread = count * deepest - self.read * self.depth
         self._take(walk.reads[0])
         # the (rows, levels) rectangle ranked so far and its width, the
         # (rows, width) first keys of each of its levels, and the runs of
@@ -218,20 +244,27 @@ class _QueryProbes:
             self._take(self._rest)
             self.read, self.depth = self._extent
 
-    def bound(self, entry, best: float = math.inf) -> int:
+    def bound(self, entry) -> int:
         """Spine lower bound on the work of the setting of `entry`: its
-        consulted repetitions' own buckets plus its `floor`. A setting at a
-        level of the first read that consults repetitions not read yet first
-        counts one unit for each of them; if that already reaches `best` it
-        returns that lower value and reads no more. Otherwise a setting
-        outside the first read takes the rest of the extent."""
+        consulted repetitions' own buckets plus its `floor`, after the rest
+        of the extent if it lies outside the first read."""
         _, k, _, reps, floor = entry
-        if k <= self.depth and reps > self.read:
-            partial = int(self._spine[self.read, k - 1]) + reps - self.read + floor
-            if partial >= best:
-                return partial
         self._cover(reps, k)
         return int(self._spine[reps, k - 1]) + floor
+
+    def charge(self, entry) -> float:
+        """Work units the setting of `entry` adds to the query's hashing and
+        ranking: `CODE_CHARGE` per function of the rest of the extent if it
+        needs that read and the query has not taken it, and `RANK_CHARGE`
+        per function of the rectangle it would rank, past one probe, if the
+        ranking so far does not cover it. It runs for every entry a walk
+        reaches, so it only compares and multiplies."""
+        _, k, j, reps, _ = entry
+        rows, levels, width = self._ranked
+        charge = CODE_CHARGE * self._unread if reps > self.read or k > self.depth else 0.0
+        if j > 1 and (reps > rows or k > levels or j > width):
+            charge += RANK_CHARGE * max(reps, rows) * max(k, levels)
+        return charge
 
     def _runs(self, entry) -> tuple[np.ndarray, np.ndarray]:
         """Sorted runs [lo, hi) of the buckets that the first j probes of
@@ -301,7 +334,7 @@ _FULL_SCAN = (0.0, 0, 0, 0, 0)
 
 def _report(
     dataset: Dataset, q: np.ndarray, radius: float, mode: str, t0: float,
-    probes: _QueryProbes | None, entry: tuple, w: float, examined, pruned: int,
+    probes: _QueryProbes | None, entry: tuple, w: float, examined, pruned: int, charged: int,
 ) -> QueryReport:
     """The report of the walk `_schedule` ended at `entry` with work w: the
     range members among the buckets it probes, or among every point for
@@ -325,6 +358,7 @@ def _report(
         mode=mode,
         examined=tuple(examined),
         settings_pruned=pruned,
+        settings_charged=charged,
         functions_projected=probes.functions_projected if probes else 0,
         key_searches=probes.key_searches if probes else 0,
     )
@@ -349,22 +383,29 @@ def _query(
 
 def _schedule(probes: _QueryProbes | None, entries, ceiling: float):
     """The cheapest of `entries` the walk finds and its work, the trace of
-    settings it measured, and how many more it pruned unmeasured.
+    settings it measured, how many more it pruned unmeasured, and how many
+    of those the charge skipped.
 
     The best starts as the full scan at work `ceiling`, and entries come in
     order of cost. The walk stops at the first entry whose cost reaches the
-    best work so far, as every later one costs at least as much. A
-    multi-probe entry whose spine lower bound is at least the best work is
-    pruned: the best is replaced only on a strict <, so it could never win.
-    Single-probe entries are always measured; their bound is their work.
+    best work so far, as every later one costs at least as much. An entry
+    whose cost plus `_QueryProbes.charge` reaches the best work is skipped
+    and counted as pruned and as charged. A multi-probe entry whose spine
+    lower bound is at least the best work is pruned: the best is replaced
+    only on a strict <, so it could never win. A single-probe entry the
+    charge leaves is measured; its bound is its work. From an unbounded
+    ceiling, a fixed walk's, nothing is skipped.
     """
     w_best, best = float(ceiling), _FULL_SCAN
-    examined, pruned = [], 0
+    examined, pruned, charged = [], 0, 0
     for entry in entries:
         c, k, j, _, _ = entry
         if c >= w_best:
             break
-        if j > 1 and probes.bound(entry, w_best) >= w_best:
+        if c + probes.charge(entry) >= w_best:
+            pruned, charged = pruned + 1, charged + 1
+            continue
+        if j > 1 and probes.bound(entry) >= w_best:
             pruned += 1
             continue
         w = probes.work(entry)
@@ -372,7 +413,7 @@ def _schedule(probes: _QueryProbes | None, entries, ceiling: float):
         if w < w_best:
             w_best, best = w, entry
 
-    return best, w_best, examined, pruned
+    return best, w_best, examined, pruned, charged
 
 
 def adaptive_multiprobe(
@@ -422,7 +463,7 @@ def brute_force_range(dataset: Dataset, q: np.ndarray, radius: float) -> QueryRe
     """Exact range reporting by full scan; the reference the index is judged against."""
     t0 = time.perf_counter()
     q = _check_query(dataset.dim, q, radius)
-    return _report(dataset, q, radius, "brute", t0, None, _FULL_SCAN, float(dataset.size), (), 0)
+    return _report(dataset, q, radius, "brute", t0, None, _FULL_SCAN, float(dataset.size), (), 0, 0)
 
 
 MODES = ("adaptive", "single", "fixed", "brute")

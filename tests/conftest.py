@@ -1,9 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 import mlslsh.calibration as calmod
+import mlslsh.index as indexmod
+import mlslsh.query as querymod
 from mlslsh.calibration import FamilyCalibration
 from mlslsh.families import bucket_codes
 from mlslsh.index import reps
@@ -66,15 +66,20 @@ def setting_cost(index, k, j):
     return None if count is None else float(j * count)
 
 
-def first_depth(index):
-    """The depth of the adaptive walk's first read, worked out afresh from
-    the schedule and the keys: m_k = sum_b s_b**2 / n over the level-k
-    buckets of each repetition a j = 1 entry consults, counted by np.unique
-    over the keys cut to k slots and averaged; W the least reps * (1 + m_k)
-    over the j = 1 entries; and the deepest level of a j = 1 entry or of
-    an entry that costs less than W."""
+def first_read(index):
+    """The (repetitions, depth) both walks of `index` read first, worked out
+    afresh from the schedule and the keys: m_k = sum_b s_b**2 / n over the
+    level-k buckets of each repetition a j = 1 entry consults, counted by
+    np.unique over the keys cut to k slots and averaged; W the least
+    reps * (1 + m_k) over the j = 1 entries; the depth the deepest level of
+    the cheapest j = 1 entry and of those whose cost plus `CODE_CHARGE` per
+    function they code, reps * k, stays below W; and the most repetitions
+    of a j = 1 entry at most that deep. (0, K) for a schedule of no j = 1
+    entry, whose adaptive walk reads nothing first."""
     single = [e for e in index.schedule if e[2] == 1]
-    first = max((count for _, _, _, count, _ in single), default=0)
+    if not single:
+        return 0, max((e[1] for e in index.schedule), default=0)
+    first = max(count for _, _, _, count, _ in single)
 
     def load(k):
         squares = 0
@@ -83,8 +88,21 @@ def first_depth(index):
             squares += sum(int(s) ** 2 for s in sizes)
         return squares / (index.size * first)
 
-    work = min((count * (1.0 + load(k)) for _, k, _, count, _ in single), default=math.inf)
-    return max((e[1] for e in index.schedule if e[2] == 1 or e[0] < work), default=0)
+    work = min(count * (1.0 + load(k)) for _, k, _, count, _ in single)
+    charged = [k for c, k, _, count, _ in single if c + indexmod.CODE_CHARGE * count * k < work]
+    depth = max([single[0][1], *charged])
+    return max(count for _, k, _, count, _ in single if k <= depth), depth
+
+
+def zero_charges(mp):
+    """Patch both walk charges to 0 on `mp`, a pytest MonkeyPatch, in the
+    index module, whose builds read CODE_CHARGE for the first read and
+    whose pair the reference walks of the tests read, and in the query
+    module, whose walks read both. Only an index built after the patch
+    reads first as a walk without charges does."""
+    for module in (indexmod, querymod):
+        mp.setattr(module, "CODE_CHARGE", 0.0)
+        mp.setattr(module, "RANK_CHARGE", 0.0)
 
 
 def stable_slot_rankings(params, proj, depth):

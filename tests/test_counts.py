@@ -1,6 +1,6 @@
 """Every count the library takes passes `geometry.checked_int`: sizes,
 levels, probes, trials and budgets, seeds, and every count of a
-`BenchConfig` and a `FamilyCalibration`.
+`BenchConfig`, a `FamilyCalibration` and a calibration cache key.
 
 At each site a float and a bool raise ValueError naming the argument (an
 IndexFormatError for an index header), before any Monte Carlo or sampling
@@ -9,7 +9,9 @@ runs, and a numpy integer is taken as the Python int it equals."""
 import json
 import re
 import struct
+import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 import mlslsh.calibration as calmod
 import mlslsh.geometry as geometry
 from conftest import toy_calibration
-from mlslsh.bench import BenchConfig, build_for_config
+from mlslsh.bench import BenchConfig, build_for_config, calibrate_cached
 from mlslsh.calibration import calibrate, check_max_probes, edge_probabilities
 from mlslsh.calibration import estimate_collision_prob
 from mlslsh.families import CodeEnumerator, FamilyParams
@@ -68,6 +70,16 @@ def _calibrate(**counts):
     return calibrate(CP8, 0.4, 2.0, **counts).to_json_dict()
 
 
+def _cached(**counts):
+    # the one file a cold call writes: its name, made from the cache key, and
+    # its document
+    counts = {"levels": 2, "max_probes": 2, "trials": 1000, "seed": 0, **counts}
+    with tempfile.TemporaryDirectory() as cache:
+        calibrate_cached(CP8, 0.4, 2.0, **counts, cache_dir=cache)
+        (path,) = Path(cache).iterdir()
+        return [path.name, json.loads(path.read_text())]
+
+
 def _planted(**counts):
     counts = {"n": 40, "d": 4, "t": 2, "num_queries": 3, "seed": 2, **counts}
     inst = generate_planted_instance(**counts, r=0.4)
@@ -109,6 +121,12 @@ SITES = {
     "calibrate-levels": Site("levels", 2, lambda s, v: _calibrate(levels=v)),
     "calibrate-max-probes": Site("max_probes", 2, lambda s, v: _calibrate(max_probes=v)),
     "calibrate-trials": Site("trials", 1000, lambda s, v: _calibrate(trials=v)),
+    **{
+        f"cached-{key.replace('_', '-')}": Site(
+            key, good, lambda s, v, key=key: _cached(**{key: v})
+        )
+        for key, good in [("levels", 2), ("max_probes", 2), ("trials", 1000), ("seed", 3)]
+    },
     "collision-trials": Site(
         "trials", 1000, lambda s, v: asdict(estimate_collision_prob(CP8, 0.4, v, 0))
     ),

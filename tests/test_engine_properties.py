@@ -11,10 +11,11 @@ The probe order itself is checked against an oracle that shares no code
 with the merge, the sorted full code grid of
 `test_enumerator_matches_the_sorted_grid` in test_families.py. Its
 scheduler sorts every setting by its own cost and measures each one it
-reaches, with no spine lower bound. Reports must agree exactly: ids,
-distances, work, buckets and best setting. The engine's adaptive trace is
-the reference trace less the settings it pruned, each of which could not
-have won.
+reaches that its own recount of the coding and ranking charges leaves,
+with no spine lower bound. Reports must agree exactly: ids, distances,
+work, buckets, best setting and the charged skips. The engine's adaptive
+trace is the reference trace less the settings its spine bound pruned,
+each of which could not have won.
 """
 
 import math
@@ -25,8 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlslsh.index as indexmod
-from conftest import feasible_reps, first_depth, setting_cost, stable_probe_sequence
-from conftest import toy_calibration
+from conftest import feasible_reps, first_read, setting_cost, stable_probe_sequence
+from conftest import toy_calibration, zero_charges
 from mlslsh.families import KEY_BITS, CodeEnumerator, FamilyParams, hash_batch
 from mlslsh.families import _pack, _prefixes, bucket_codes, first_tuples
 from mlslsh.families import ranked_tuples, sample_directions, slot_bits, slot_rankings
@@ -151,25 +152,73 @@ class Reference:
 
 
 def reference_schedule(index, q, radius, multi_probe, mode):
-    """The walk over every feasible setting in cost order, measuring each."""
+    """The walk over every feasible setting in cost order, measuring each one
+    the charges leave, and in its report how many they skipped. What the
+    query has read is the first read `first_read` recounts, or the whole
+    extent once a setting outside it passed the charge; what it has ranked
+    is the rectangle and width of the multi-probe settings measured whose
+    spine bound, their own buckets plus one unit per further probe, stayed
+    below the best work. A setting is skipped when its cost reaches the best
+    work plus what it adds: CODE_CHARGE per function of the extent not read,
+    if it lies outside what was read, and, past one probe, RANK_CHARGE per
+    function of the rectangle it would rank, if the ranking so far falls
+    short of its repetitions, level or width, the smallest power of two >= j
+    up to the table's."""
     ref = Reference(index, q)
-    max_j = index.calibration.max_probes if multi_probe else 1
+    width = index.calibration.max_probes
+    max_j = width if multi_probe else 1
     settings = sorted(
         (setting_cost(index, k, j), k, j, feasible_reps(index, k, j))
         for k in range(1, index.levels + 1)
         for j in range(1, max_j + 1)
         if feasible_reps(index, k, j) is not None
     )
+    rows = max((count for *_, count in settings), default=0)
+    levels = max((k for _, k, _, _ in settings), default=0)
+    read, ranked, universe = first_read(index), (0, 0, 0), index.family.bucket_universe
     w_best, best = float(index.size), (0, 0, 0)
-    examined = []
+    examined, charged = [], 0
     for c, k, j, count in settings:
         if c >= w_best:
             break
+        outside = count > read[0] or k > read[1]
+        charge = indexmod.CODE_CHARGE * (rows * levels - read[0] * read[1]) if outside else 0.0
+        needed = min(2 ** math.ceil(math.log2(j)), width)
+        grown = max(count, ranked[0]), max(k, ranked[1]), max(needed, ranked[2])
+        if j > 1 and grown != ranked:
+            charge += indexmod.RANK_CHARGE * grown[0] * grown[1]
+        if c + charge >= w_best:
+            charged += 1
+            continue
+        if outside:
+            read = rows, levels
         w = ref.work(k, j, count)
         examined.append((k, j, c, w))
+        own = sum(1 + ref.members(rep, ref.probes(rep, k, 1)[0]).size for rep in range(count))
+        if j > 1 and own + count * (min(j, universe**k) - 1) < w_best:
+            ranked = grown
         if w < w_best:
             w_best, best = w, (k, j, count)
-    return ref.report(radius, *best, w_best, examined, mode)
+    return {**ref.report(radius, *best, w_best, examined, mode), "settings_charged": charged}
+
+
+def answers_as_the_reference(index, q, radius):
+    """Check the adaptive and single reports of q against `reference_schedule`:
+    every field, the charged skips among them, and a trace that is the
+    reference's less the multi-probe entries the spine bound pruned. Returns
+    the skips the charge made in single and in adaptive mode."""
+    report = adaptive_multiprobe(index, q, radius)
+    got = {**report.to_json_dict(), "settings_charged": report.settings_charged}
+    expected = reference_schedule(index, q, radius, True, "adaptive")
+    trace, full = got.pop("examined"), expected.pop("examined")
+    assert got == expected
+    check_pruned_trace(trace, full, report.settings_pruned - report.settings_charged, index.size)
+    single = single_probe_adaptive(index, q, radius)
+    got = {**single.to_json_dict(), "settings_charged": single.settings_charged}
+    assert got == reference_schedule(index, q, radius, False, "single")
+    # a single-probe entry's bound is its work, so only the charge skips one
+    assert single.settings_pruned == single.settings_charged
+    return single.settings_charged, report.settings_charged
 
 
 def check_pruned_trace(trace, full, pruned, n):
@@ -194,15 +243,28 @@ def check_pruned_trace(trace, full, pruned, n):
 def test_adaptive_and_single_match_the_reference(case):
     index, queries, radius = case
     for q in queries:
-        report = adaptive_multiprobe(index, q, radius)
-        got = report.to_json_dict()
-        expected = reference_schedule(index, q, radius, True, "adaptive")
-        trace, full = got.pop("examined"), expected.pop("examined")
-        assert got == expected
-        check_pruned_trace(trace, full, report.settings_pruned, index.size)
-        report = single_probe_adaptive(index, q, radius)
-        assert report.to_json_dict() == reference_schedule(index, q, radius, False, "single")
-        assert report.settings_pruned == 0
+        answers_as_the_reference(index, q, radius)
+
+
+@pytest.mark.parametrize("kind", ["cross_polytope", "spherical_cap"])
+def test_charged_walks_match_the_reference(kind):
+    # the charges at work where the instances above rarely reach them. On
+    # the cross-polytope index single mode reads first 8 repetitions 2
+    # levels deep of its 17 x 3 extent, so the charge skips single-probe
+    # entries outside the first read; on both, multi-probe settings cost
+    # less than the best work, so it skips them for their ranking, and on
+    # the cap index queries that ranked are charged for the rectangle a
+    # later setting grows that ranking to
+    family = FamilyParams(kind=kind, dim=12, cap_count=16)
+    inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=6)
+    cal = toy_calibration(family, 0.6, 0.3, compute_k(600, 0.3), 6, 1.0)
+    index = build_index(inst.dataset, cal, seed=3)
+    single = index.walks["single"]
+    skips = np.array([answers_as_the_reference(index, q.coords, 0.4) for q in inst.queries])
+    if kind == "cross_polytope":
+        assert (single.first, single.depth, single.extent) == (8, 2, (17, 3))
+        assert skips[:, 0].sum() > 0
+    assert skips[:, 1].sum() > 0
 
 
 @SETTINGS
@@ -266,14 +328,14 @@ class FullProjection:
 @SETTINGS
 @given(instances(budgets=st.integers(1, 64), slopes=st.floats(0.0, 3.0)))
 def test_first_depth_matches_a_recount(case):
-    # a single-probe walk reads its whole extent first; an adaptive walk
-    # reads as deep as `first_depth` recounts from the keys, between the
-    # deepest single-probe level and its extent's depth
+    # both walks read first the repetitions and the depth `first_read`
+    # recounts from the keys and the coding charge, within their extents
     index = case[0]
     single, adaptive = index.walks["single"], index.walks["adaptive"]
-    assert single.depth == single.extent[1]
-    assert adaptive.depth == first_depth(index)
-    assert single.extent[1] <= adaptive.depth <= adaptive.extent[1]
+    assert (single.first, single.depth) == (adaptive.first, adaptive.depth) or not single.entries
+    assert (adaptive.first, adaptive.depth) == first_read(index)
+    assert single.depth <= single.extent[1] and adaptive.depth <= adaptive.extent[1]
+    assert single.first <= single.extent[0]
 
 
 @SETTINGS
@@ -309,9 +371,10 @@ def test_read_plans_search_each_bucket_of_the_reach_once(case):
 
 def first_depths(index):
     """The walks of `index` with the adaptive walk read first from every
-    depth between its deepest j = 1 level and its extent's depth."""
+    depth between the level of its cheapest j = 1 entry, 0 without one, and
+    its extent's depth."""
     single, adaptive = index.walks["single"], index.walks["adaptive"]
-    depths = range(max(1, single.extent[1]), adaptive.extent[1] + 1)
+    depths = range(single.entries[0][1] if single.entries else 0, adaptive.extent[1] + 1)
     return [single, *(index.walk(adaptive.entries, depth) for depth in depths)]
 
 
@@ -333,14 +396,12 @@ def test_read_extents_match_a_full_projection(case, data):
     # bytes, also where the first read was screened in float32. An adaptive
     # walk runs from every first depth it could be given. Entries come in
     # any order, so a bound, measurement or candidate set that read past
-    # the repetitions or levels read would differ. A bound given the best
-    # work so far never passes the full one; it stops short of it only at a
-    # level of the first read, to return a value that reaches that best
-    # without reading on. After every call, each cell of the grid read so
-    # far holds the code of its own bucket, and after each entry, the
-    # functions projected are the first read or the whole extent, each
-    # once, and the buckets searched are the own buckets of that rectangle
-    # that the walk's reach keeps plus the probes of each multi-probe entry
+    # the repetitions or levels read would differ. After every call, each
+    # cell of the grid read so far holds the code of its own bucket, and
+    # after each entry, the functions projected are the first read or the
+    # whole extent, each once, and the buckets searched are the own
+    # buckets of that rectangle that the walk's reach keeps plus the probes
+    # of each multi-probe entry
     index, queries, _ = case
     K, R = index.levels, index.num_repetitions
     for q in queries:
@@ -394,21 +455,12 @@ def test_read_extents_match_a_full_projection(case, data):
                     _, k, j, count, floor = entry
                     assert count <= r and k <= depth
                     spine = int((1 + full.hi - full.lo)[:count, k - 1].sum())
-                    read = probes.read, probes.depth
-                    best = data.draw(st.integers(0, spine + floor + 1))
                     blocks = len(coded)
                     lo, hi = full.runs(k, j, count)
                     # measured before or after it is bounded
                     measured_first = data.draw(st.booleans())
                     if measured_first:
                         assert checked(probes.work(entry)) == float((1 + hi - lo).sum())
-                    bound = checked(probes.bound(entry, best))
-                    assert bound <= spine + floor
-                    if (probes.read, probes.depth) != read:
-                        assert bound == spine + floor
-                    if bound < spine + floor:
-                        assert (probes.read, probes.depth) == read and bound >= best
-                        assert k <= walk.depth
                     assert checked(probes.bound(entry)) == spine + floor
                     if not measured_first:
                         assert checked(probes.work(entry)) == float((1 + hi - lo).sum())
@@ -433,7 +485,8 @@ def test_read_extents_match_a_full_projection(case, data):
 def test_an_empty_single_extent_reads_the_whole_adaptive_extent_on_first_need():
     # no single-probe setting reaches its repetitions in R = 4, but (1, 2)
     # and (1, 3) do: an adaptive query reads nothing up front, then all four
-    # repetitions at level 1 when it first bounds (1, 2)
+    # repetitions at level 1 when it first bounds (1, 2), charged for those
+    # four functions and for ranking the three that (1, 2) consults
     family = FamilyParams(kind="cross_polytope", dim=12)
     inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=3)
     cal = toy_calibration(family, 0.3, 0.2, compute_k(600, 0.2), 4, 10.0)
@@ -445,17 +498,12 @@ def test_an_empty_single_extent_reads_the_whole_adaptive_extent_on_first_need():
         probes = _QueryProbes(index, q.coords, walk)
         assert probes.read == probes.functions_projected == 0
         entry = index.schedule[0]
-        assert probes.bound(entry, entry[3] + entry[4]) == entry[3] + entry[4]
-        assert probes.read == 0
+        assert probes.charge(entry) == 4 * indexmod.CODE_CHARGE + entry[3] * indexmod.RANK_CHARGE
         probes.bound(entry)
         assert probes.read == 4
         report = adaptive_multiprobe(index, q.coords, 0.4)
         assert report.functions_projected == 4 and report.j_best > 1
-        got = report.to_json_dict()
-        expected = reference_schedule(index, q.coords, 0.4, True, "adaptive")
-        trace, full = got.pop("examined"), expected.pop("examined")
-        assert got == expected
-        check_pruned_trace(trace, full, report.settings_pruned, index.size)
+        answers_as_the_reference(index, q.coords, 0.4)
         single = single_probe_adaptive(index, q.coords, 0.4)
         assert (single.k_best, single.functions_projected) == (0, 0)
 
@@ -479,14 +527,7 @@ def test_key_groups_answer_as_the_reference(levels, p1, p2, groups):
     assert index.levels == levels and [g[:2] for g in index._groups] == groups
     for q in inst.queries:
         q = q.coords
-        report = adaptive_multiprobe(index, q, 0.4)
-        got = report.to_json_dict()
-        expected = reference_schedule(index, q, 0.4, True, "adaptive")
-        trace, full = got.pop("examined"), expected.pop("examined")
-        assert got == expected
-        check_pruned_trace(trace, full, report.settings_pruned, index.size)
-        single = single_probe_adaptive(index, q, 0.4).to_json_dict()
-        assert single == reference_schedule(index, q, 0.4, False, "single")
+        answers_as_the_reference(index, q, 0.4)
         ref = Reference(index, q)
         for k, j in ((1, 1), (2, 3), (6, 1), (levels, 4)):
             count = feasible_reps(index, k, j) or index.num_repetitions
@@ -512,10 +553,14 @@ def test_pruning_measures_fewer_settings(kind):
     assert measured < full
 
 
-def test_adaptive_follows_cost_order_where_a_level_cost_dips():
+def test_adaptive_follows_cost_order_where_a_level_cost_dips(monkeypatch):
     # level 2 costs 12, 10, 15 for one, two and three probes, so (2, 2)
     # comes before (2, 1); a walk that reaches (k, j + 1) only through
-    # (k, j) examines them out of cost order and can stop too early
+    # (k, j) examines them out of cost order and can stop too early. The
+    # charges are 0 here: ranking the 5 repetitions of (2, 2) 2 levels deep
+    # is charged 80 units, which with its cost 10 reaches the best work of
+    # two of the three queries, and the order is what is tested
+    zero_charges(monkeypatch)
     family = FamilyParams(kind="cross_polytope", dim=12)
     inst = generate_planted_instance(n=600, d=12, r=0.4, t=5, seed=5, num_queries=3)
     cal = toy_calibration(family, 0.5, 0.2, 4, 6, 3.0)

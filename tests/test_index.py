@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from mlslsh.calibration import CalibrationError
 from mlslsh.cli import main
-from conftest import feasible_reps, first_depth, toy_calibration
+from conftest import feasible_reps, first_read, toy_calibration
 from mlslsh.families import HASH_BLOCK, FamilyParams, _pack, derived_seed, hash_batch
 from mlslsh.families import sample_directions
 from mlslsh.geometry import generate_planted_instance
@@ -181,8 +181,8 @@ def test_read_extents_match_a_recount_of_the_table(tmp_path, built, p1, budget):
     # per mode, the walk recounted from the probe-success table: the settings
     # it may measure, P > 0 and ceil(2 ln(2jk) / P) <= R, as sorted entries;
     # the most repetitions and the deepest level over them, and per level
-    # the most repetitions over the entries there; and the most
-    # repetitions over those with j = 1. Single mode walks j = 1 only
+    # the most repetitions over the entries there; and the first read, as
+    # `first_read` recounts it. Single mode walks j = 1 only
     inst, _ = built
     cal = toy_calibration(FamilyParams(kind="cross_polytope", dim=12), p1=p1, max_probes=8)
     index = build_index(inst.dataset, cal, space_budget=budget, seed=7)
@@ -203,25 +203,24 @@ def test_read_extents_match_a_recount_of_the_table(tmp_path, built, p1, budget):
     assert set(index.walks) == set(loaded.walks) == set(feasible)
     for mode, entries in feasible.items():
         extent = (max((e[3] for e in entries), default=0), max((e[1] for e in entries), default=0))
-        first = max((e[3] for e in entries if e[2] == 1), default=0)
         reach = tuple(
             max((e[3] for e in entries if e[1] == k), default=0) for k in range(1, extent[1] + 1)
         )
-        # a single-probe walk reads its whole extent first, an adaptive one
-        # as deep as `first_depth` recounts from the keys
-        depth = first_depth(index) if mode == "adaptive" else extent[1]
+        # both walks read first the repetitions and the depth `first_read`
+        # recounts from the keys and the coding charge
+        first, depth = first_read(index) if feasible["single"] else (0, extent[1])
         for walk in (index.walks[mode], loaded.walks[mode]):
             assert walk.entries == tuple(sorted(entries))
             assert (walk.extent, walk.first, walk.depth, walk.reach) == (extent, first, depth, reach)
     # single-probe settings form a prefix of levels whose repetitions grow
     # with k, so the deepest one reads the single-mode extent exactly, and
-    # an adaptive walk reads that extent's repetitions first
+    # the first read takes the repetitions of the deepest one it keeps
     single = index.walks["single"]
-    assert single.first == single.extent[0] == index.walks["adaptive"].first
-    assert single.extent[1] <= index.walks["adaptive"].depth <= index.walks["adaptive"].extent[1]
     if feasible["single"]:
         deepest = max(feasible["single"], key=lambda e: e[1])
         assert (deepest[3], deepest[1]) == single.extent
+        kept = max((e for e in feasible["single"] if e[1] <= single.depth), key=lambda e: e[1])
+        assert (kept[3], kept[1]) == (single.first, single.depth)
     if budget == 1:
         assert index.walks["single"] == index.walks["adaptive"] == index.walk(())
     if p1 == 0.5 and budget is None:

@@ -11,8 +11,8 @@ import pytest
 
 import mlslsh.index as indexmod
 import mlslsh.query as querymod
-from conftest import feasible_reps, first_depth, setting_cost, stable_probe_sequence
-from conftest import toy_calibration
+from conftest import feasible_reps, first_read, setting_cost, stable_probe_sequence
+from conftest import toy_calibration, zero_charges
 from mlslsh.bench import BenchConfig, build_for_config
 from mlslsh.families import CodeEnumerator, FamilyParams, bucket_codes, first_tuples, hash_batch
 from mlslsh.families import slot_rankings
@@ -175,8 +175,11 @@ def test_candidates_reuse_the_lookup_of_a_measured_setting(multi_probe_index, mo
     # one level, once per query: collecting the winner's candidates searches
     # no bucket again, whichever multi-probe entry the walk measured last.
     # A read searches a flat list of (repetition, level) buckets, a lookup a
-    # (repetitions, probes) block, each as needle pairs
+    # (repetitions, probes) block, each as needle pairs. The charges are 0
+    # in the query, so every walk measures multi-probe entries and settles
+    # on one, as the rank charge would skip most of them on this small index
     inst, index = multi_probe_index
+    zero_charges(monkeypatch)
     levels = []
 
     def counted(parts, needles):
@@ -227,10 +230,8 @@ def test_functions_projected_match_an_independent_recount(
         return bucket_codes(family, proj)
 
     monkeypatch.setattr(indexmod, "bucket_codes", coded)
-    totals = []
+    totals = {"adaptive": [], "single": []}
     for inst, index in (small_index, multi_probe_index, shallow_index):
-        walk = index.walks["adaptive"]
-        (r, depth), first, top = walk.extent, walk.first, walk.depth
         consulted = {(k, j): count for _, k, j, count, _ in index.schedule}
         runs = {
             "adaptive": lambda q: adaptive_multiprobe(index, q, 0.4),
@@ -244,29 +245,26 @@ def test_functions_projected_match_an_independent_recount(
                 report = run(q.coords)
                 assert report.functions_projected == sum(rows)
                 assert report.to_json_dict(include_timing=True)["functions_projected"] == sum(rows)
-            rows.clear()
-            report = adaptive_multiprobe(index, q.coords, 0.4)
-            assert rows[0] == first * top and len(rows) <= 3
-            assert sum(rows) in (first * top, r * depth)
-            # a measured entry outside the first read has read the whole extent
-            past = any(
-                consulted[e.level, e.probes] > first or e.level > top for e in report.examined
-            )
-            if past:
-                assert sum(rows) == r * depth
-            totals.append(sum(rows))
-    # every walk on the small index stays in the first read, as it prunes
-    # each entry that consults more repetitions by its bound from the
-    # repetitions read so far. Every walk on the multi-probe index measures
-    # multi-probe entries; nine of them rank only repetitions read first
-    # and read nothing more, and three read on. On the shallow index five
-    # walks need a level past the first 3, so they read all 22 repetitions
-    # 5 deep, and one stays within the first 17 repetitions 3 deep
-    multi_probe = [12 * 4] * 12
-    multi_probe[2] = multi_probe[5] = multi_probe[11] = 15 * 4
-    shallow = [22 * 5] * 6
-    shallow[3] = 17 * 3
-    assert totals == [29 * 3] * 5 + multi_probe + shallow
+                if mode not in totals:
+                    continue
+                walk = index.walks[mode]
+                (r, depth), first, top = walk.extent, walk.first, walk.depth
+                assert rows[0] == first * top and len(rows) <= 3
+                assert sum(rows) in (first * top, r * depth)
+                # a measured entry outside the first read has read the whole extent
+                past = any(
+                    consulted[e.level, e.probes] > first or e.level > top for e in report.examined
+                )
+                if past:
+                    assert sum(rows) == r * depth
+                totals[mode].append(sum(rows))
+    # both walks read first 12 repetitions 2 deep on the small and the
+    # multi-probe index and 8 repetitions 2 deep on the shallow one, and no
+    # adaptive walk reads on: the rest of the extent is charged 72, 36 and
+    # 94 functions, and ranking 8 units per function. On the shallow index
+    # two single walks measure level 3 and read all 17 repetitions 3 deep
+    assert totals["adaptive"] == [12 * 2] * 5 + [12 * 2] * 12 + [8 * 2] * 6
+    assert totals["single"] == [12 * 2] * 5 + [12 * 2] * 12 + [17 * 3, *[8 * 2] * 4, 17 * 3]
 
 
 def test_key_searches_match_an_independent_recount(
@@ -275,9 +273,10 @@ def test_key_searches_match_an_independent_recount(
     # every bucket a query searches is one needle pair of one `bucket_runs`
     # call, so the pairs searched count its key ranges in every mode. A
     # single-probe query searches the own bucket of each repetition a j = 1
-    # entry consults at that entry's level, recounted from the table, and a
-    # fixed one its pin's repetitions at its level plus, past one probe,
-    # min(j, U**k) probe buckets in each
+    # entry consults at that entry's level, recounted from the table, for
+    # the entries of its first read, `first_read`, and for all of them once
+    # it measured an entry outside it; a fixed one its pin's repetitions at
+    # its level plus, past one probe, min(j, U**k) probe buckets in each
     searched = []
 
     def counted(parts, needles):
@@ -287,7 +286,8 @@ def test_key_searches_match_an_independent_recount(
     monkeypatch.setattr(indexmod, "bucket_runs", counted)
     for inst, index in (small_index, multi_probe_index, shallow_index):
         universe = index.family.bucket_universe
-        spine = sum(feasible_reps(index, k, 1) or 0 for k in range(1, index.levels + 1))
+        spine = [feasible_reps(index, k, 1) or 0 for k in range(1, index.levels + 1)]
+        first, depth = first_read(index)
         runs = {
             "adaptive": lambda q: adaptive_multiprobe(index, q, 0.4),
             "single": lambda q: single_probe_adaptive(index, q, 0.4),
@@ -303,7 +303,9 @@ def test_key_searches_match_an_independent_recount(
                 searched.clear()
                 reports[name] = run(q.coords)
                 assert reports[name].key_searches == sum(searched)
-            assert reports["single"].key_searches == spine
+            single = reports["single"]
+            past = any(spine[e.level - 1] > first or e.level > depth for e in single.examined)
+            assert single.key_searches == sum(spine if past else spine[:depth])
             assert reports["brute"].key_searches == 0
             for (k, j), count in pins.items():
                 probes = count * min(j, universe**k) if j > 1 else 0
@@ -312,19 +314,19 @@ def test_key_searches_match_an_independent_recount(
 
 def test_benchmark_single_queries_search_only_the_buckets_their_walk_reads(tmp_path):
     # the perfbench workloads at workload seed 1, index seed 7, with their
-    # 100 queries: a single-probe query searches 83 own buckets on cp-10k
-    # (K = 7, R = 70) and 72 on cap-10k (K = 8, R = 74), the j = 1 entries'
-    # repetitions summed over their levels, against 47 * 4 = 188 and
-    # 40 * 4 = 160 for a search of every repetition and level its first read
-    # projects. An adaptive query projects its first read, 47 * 4 on cp-10k
-    # and 40 * 5 on cap-10k, or its whole extent, 74 * 5 on cap-10k. No
-    # cp-10k query leaves its first read, and the cap-10k first read is as
-    # deep as its extent, so no query reads more repetitions only because it
-    # needs a deeper level
+    # 100 queries. Both walks read first the j = 1 entries whose cost plus
+    # one unit per function they code stays below the least expected j = 1
+    # work: on cp-10k (K = 7, R = 70) levels 1 and 2, 10 repetitions 2 deep
+    # of the 47 x 4 single-probe extent, and on cap-10k (K = 8, R = 74) all
+    # of its 40 x 4. So a single-probe query searches the own buckets of
+    # those entries, 3 + 10 on cp-10k and 72 on cap-10k, and no query reads
+    # on: the rest of the cp-10k single extent is charged 168 functions,
+    # more than any best work there, and every cap-10k multi-probe entry
+    # 8 units per function it would rank
     inst = generate_planted_instance(n=10_000, d=32, r=0.4, t=10, seed=1, num_queries=100)
     for kind, expected, first_read, adaptive in (
-        ("cross_polytope", 83, 188, {188: 100}),
-        ("spherical_cap", 72, 160, {200: 60, 370: 40}),
+        ("cross_polytope", 13, 20, {20: 100}),
+        ("spherical_cap", 72, 160, {160: 100}),
     ):
         config = BenchConfig(
             radius=0.4, approx_c=2.0, seed=7, synthetic_n=10_000, synthetic_d=32,
@@ -333,7 +335,7 @@ def test_benchmark_single_queries_search_only_the_buckets_their_walk_reads(tmp_p
         )
         index = build_for_config(config, inst.dataset)
         single = index.walks["single"]
-        assert sum(feasible_reps(index, k, 1) or 0 for k in range(1, index.levels + 1)) == expected
+        assert sum(feasible_reps(index, k, 1) for k in range(1, single.depth + 1)) == expected
         assert single.first * single.depth == first_read
         projected = {}
         for q in inst.queries:
@@ -346,28 +348,29 @@ def test_benchmark_single_queries_search_only_the_buckets_their_walk_reads(tmp_p
 @pytest.mark.parametrize(
     "kind, p1, walks",
     [
-        # levels 4 and 5 cost more than the least expected single-probe work
+        # every single-probe entry costs less than the least expected
+        # single-probe work, and multi-probe ones reach levels 4 and 5
         ("cross_polytope", 0.6, ((17, 3), (22, 5), 3)),
-        # a multi-probe setting at every level costs less than it
-        ("spherical_cap", 0.7, ((6, 2), (9, 5), 5)),
+        ("spherical_cap", 0.7, ((6, 2), (9, 5), 2)),
     ],
 )
 def test_the_first_depth_changes_no_report(kind, p1, walks, monkeypatch):
-    # two indexes pinned to a shallow and to the full first depth, both as
-    # `first_depth` recounts them. An adaptive walk read first from any
-    # depth between its single-probe one and its extent's gives the same
-    # report but for the functions projected and the buckets searched; a
-    # single or fixed walk reads its whole extent first
+    # with both charges 0, two indexes whose walks read first their
+    # single-probe extent, as `first_read` recounts it. An adaptive walk
+    # read first from any depth between its cheapest single-probe entry's and
+    # its extent's gives the same report but for the functions projected
+    # and the buckets searched, as no charge depends on what it read; a
+    # single walk reads first as deep as the adaptive one, and a fixed walk
+    # its whole extent, or nothing for a multi-probe pin
+    zero_charges(monkeypatch)
     inst, index = build_first_depth_index(kind, p1)
     single, adaptive = index.walks["single"], index.walks["adaptive"]
     assert (single.extent, adaptive.extent, adaptive.depth) == walks
-    assert adaptive.depth == first_depth(index)
-    # no walk reads first shallower than a j = 1 entry or deeper than its
-    # extent, and a walk of no entries reads nothing
-    for entries, depth in (
-        (adaptive.entries, single.extent[1] - 1), (adaptive.entries, adaptive.extent[1] + 1),
-        ((), 1),
-    ):
+    assert (adaptive.first, adaptive.depth) == (single.first, single.depth) == first_read(index)
+    # no walk reads first shallower than its cheapest j = 1 entry or deeper
+    # than its extent, and a walk of no entries reads nothing
+    too_deep = adaptive.extent[1] + 1
+    for entries, depth in ((adaptive.entries, 0), (adaptive.entries, too_deep), ((), 1)):
         with pytest.raises(ValueError, match="levels first"):
             index.walk(entries, depth)
     read = []
@@ -385,7 +388,8 @@ def test_the_first_depth_changes_no_report(kind, p1, walks, monkeypatch):
     monkeypatch.setattr(querymod, "_QueryProbes", Recorded)
     for q in inst.queries:
         report = untimed(adaptive_multiprobe(index, q.coords, 0.4))
-        for depth in range(single.extent[1], adaptive.extent[1] + 1):
+        assert report["settings_charged"] == 0
+        for depth in range(1, adaptive.extent[1] + 1):
             walk = index.walk(adaptive.entries, depth)
             other = querymod._query(index, q.coords, 0.4, "adaptive", walk, index.size)
             assert untimed(other) == report
@@ -393,8 +397,9 @@ def test_the_first_depth_changes_no_report(kind, p1, walks, monkeypatch):
         single_probe_adaptive(index, q.coords, 0.4)
         for k, j in ((1, 1), (2, 3), (index.levels, 6)):
             fixed_level_query(index, q.coords, 0.4, k, j)
-        depths = [single.extent[1], 1, 2, index.levels]
-        assert [w.depth for w in read] == [w.extent[1] for w in read] == depths
+        assert [(w.first, w.depth) for w in read] == [
+            (single.first, single.depth), (feasible_reps(index, 1, 1), 1), (0, 2), (0, index.levels)
+        ]
 
 
 def test_adaptive_reports_only_true_range_members(small_index):
@@ -438,17 +443,22 @@ def test_adaptive_trace_invariants(small_index):
 
 
 def test_adaptive_examines_full_cheap_level_spine(small_index):
-    # every single-probe setting cheaper than the final best work must have
-    # been measured: the walk reaches it in cost order before it stops, and
-    # never prunes a single-probe setting
+    # every single-probe setting of the first read cheaper than the final
+    # best work must have been measured: the walk reaches it in cost order
+    # before it stops, and neither the spine bound nor a charge skips it.
+    # One outside the first read that was not measured the charge skipped
     inst, index = small_index
+    first, depth = first_read(index)
     for q in inst.queries:
         rep = adaptive_multiprobe(index, q.coords, 0.4)
         seen = {(e.level, e.probes) for e in rep.examined}
+        unmeasured = 0
         for k in range(1, index.levels + 1):
             cost = setting_cost(index, k, 1)
-            if cost is not None and cost < rep.w_best:
-                assert (k, 1) in seen
+            if cost is not None and cost < rep.w_best and (k, 1) not in seen:
+                assert feasible_reps(index, k, 1) > first or k > depth
+                unmeasured += 1
+        assert unmeasured <= rep.settings_charged
     # the fixture keeps settings past level 1 feasible, so the walk has a spine to examine
     assert setting_cost(index, 3, 1) is not None
 
@@ -643,10 +653,12 @@ def test_report_json_excludes_timing_by_default(small_index):
     rep = adaptive_multiprobe(index, inst.queries[0].coords, 0.4)
     doc = rep.to_json_dict()
     assert "wall_time" not in doc and "settings_pruned" not in doc
+    assert "settings_charged" not in doc
     assert rep.wall_time > 0.0
     timed = rep.to_json_dict(include_timing=True)
     assert timed["wall_time"] == rep.wall_time
     assert timed["settings_pruned"] == rep.settings_pruned
+    assert timed["settings_charged"] == rep.settings_charged <= rep.settings_pruned
     assert "infeasible" not in doc and timed["infeasible"] is rep.infeasible is False
     assert "functions_projected" not in doc and "key_searches" not in doc
     assert timed["functions_projected"] == rep.functions_projected > 0
@@ -654,6 +666,7 @@ def test_report_json_excludes_timing_by_default(small_index):
     # everything else identical
     timed.pop("wall_time")
     timed.pop("settings_pruned")
+    timed.pop("settings_charged")
     timed.pop("infeasible")
     timed.pop("functions_projected")
     timed.pop("key_searches")
@@ -773,7 +786,9 @@ def with_more_queries(inst, count, seed):
 @pytest.mark.parametrize("kind, dim", [
     ("cross_polytope", 17), ("cross_polytope", 32), ("spherical_cap", 17), ("spherical_cap", 32),
 ])
-def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, multi_probe_index):
+def test_screened_first_reads_report_as_float64_ones(
+    kind, dim, small_index, multi_probe_index, monkeypatch
+):
     # with a margin of 2 every function a query codes on the float32 copy
     # takes its float64 product, the path every query took before reads
     # were screened: every mode and pin reports alike, every field but the
@@ -781,7 +796,11 @@ def test_screened_first_reads_report_as_float64_ones(kind, dim, small_index, mul
     # different kernels. Every rectangle is screened, as the copy is the
     # whole direction block: every read of the adaptive and single walks,
     # the rest of the extent included, and every read of the pins, the one
-    # at level K past the adaptive walk's depth too
+    # at level K past the adaptive walk's depth too. On the cap indexes the
+    # charges are 0, so adaptive queries take the rest of the extent and
+    # rank, which the charges skip on an index this small
+    if kind == "spherical_cap":
+        zero_charges(monkeypatch)
     family = FamilyParams(kind=kind, dim=dim)
     inst = generate_planted_instance(n=800, d=dim, r=0.4, t=5, seed=dim, num_queries=6)
     cal = toy_calibration(family, 0.6, 0.3, compute_k(800, 0.3), 8, 1.0)
